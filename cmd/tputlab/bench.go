@@ -11,12 +11,9 @@ package main
 // comparison is needed.
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
 	"encoding/json"
 	"flag"
 	"fmt"
-	"io"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -28,7 +25,6 @@ import (
 	"time"
 
 	"throughputlab/internal/checkpoint"
-	"throughputlab/internal/experiments"
 	"throughputlab/internal/export"
 	"throughputlab/internal/faults"
 	"throughputlab/internal/obs"
@@ -89,173 +85,6 @@ type StreamingResult struct {
 	TestsPerSec    float64 `json:"tests_per_second"`
 }
 
-// CorpusFormatResult is one persisted-corpus format measurement: the
-// same campaign encoded to disk as NDJSON and as the binary columnar
-// corpus, then decoded and finally reloaded through the full
-// report-over-corpus path. EncodeSeconds is the persist pass minus a
-// discard-sink collection baseline on the same warm world, so it
-// prices the codec rather than the collection; ReportSHA256 lets the
-// baseline itself prove the two formats render identical reports.
-type CorpusFormatResult struct {
-	Scale   string `json:"scale"`
-	Format  string `json:"format"`
-	Tests   int    `json:"tests"`
-	Traces  int    `json:"traces"`
-	Chunks  int    `json:"chunks"`
-	Workers int    `json:"workers"`
-	// Bytes is the on-disk corpus size.
-	Bytes int64 `json:"bytes"`
-	// EncodeSeconds is persist wall minus the discard baseline;
-	// DecodeSeconds drains every chunk through the worker reader;
-	// ReloadSeconds is the end-to-end two-pass report from the file.
-	EncodeSeconds float64 `json:"encode_seconds"`
-	DecodeSeconds float64 `json:"decode_seconds"`
-	ReloadSeconds float64 `json:"reload_seconds"`
-	// ReloadPeakHeapMB is the sampled peak heap-in-use over the reload
-	// (runtime.ReadMemStats after a pre-reload GC) — the in-process
-	// stand-in for the reload rows of the EXPERIMENTS.md RSS table.
-	ReloadPeakHeapMB float64 `json:"reload_peak_heap_mb"`
-	ReportSHA256     string  `json:"report_sha256"`
-}
-
-// heapWatch samples heap-in-use in the background until stopped.
-type heapWatch struct {
-	stop chan struct{}
-	done chan uint64
-}
-
-func startHeapWatch() *heapWatch {
-	runtime.GC()
-	hw := &heapWatch{stop: make(chan struct{}), done: make(chan uint64)}
-	go func() {
-		var peak uint64
-		var ms runtime.MemStats
-		tick := time.NewTicker(50 * time.Millisecond)
-		defer tick.Stop()
-		for {
-			select {
-			case <-hw.stop:
-				runtime.ReadMemStats(&ms)
-				if ms.HeapInuse > peak {
-					peak = ms.HeapInuse
-				}
-				hw.done <- peak
-				return
-			case <-tick.C:
-				runtime.ReadMemStats(&ms)
-				if ms.HeapInuse > peak {
-					peak = ms.HeapInuse
-				}
-			}
-		}
-	}()
-	return hw
-}
-
-// peakMB stops the watch and returns the peak in MiB.
-func (hw *heapWatch) peakMB() float64 {
-	close(hw.stop)
-	return float64(<-hw.done) / (1 << 20)
-}
-
-// corpusFormatRows runs the NDJSON-vs-columnar comparison on one warm
-// world: a discard-sink collection baseline, then per format a persist
-// pass, a decode drain, and the full report reload. The corpus files
-// live in a temp dir and are deleted before returning.
-func corpusFormatRows(w *topogen.World, cfg platform.CollectConfig, scaleName string, workers int) ([]CorpusFormatResult, error) {
-	dir, err := os.MkdirTemp("", "tputlab-bench-corpus")
-	if err != nil {
-		return nil, err
-	}
-	defer os.RemoveAll(dir)
-	pub := export.FromWorld(w, nil).Public
-	meta := export.StreamMeta{Scale: scaleName, Seed: cfg.Seed, Tests: cfg.Tests}
-
-	fmt.Fprintf(os.Stderr, "bench: corpus formats (%s): discard-sink collection baseline...\n", scaleName)
-	base, err := platform.CollectStream(w, cfg, workers, func(*platform.Chunk) error { return nil })
-	if err != nil {
-		return nil, err
-	}
-
-	var rows []CorpusFormatResult
-	for _, format := range []string{"ndjson", "columnar"} {
-		path := filepath.Join(dir, "corpus."+format)
-		fmt.Fprintf(os.Stderr, "bench: corpus formats (%s): persisting %s...\n", scaleName, format)
-		f, err := os.Create(path)
-		if err != nil {
-			return nil, err
-		}
-		cw, err := export.NewCorpusWriter(f, format, pub, meta, workers)
-		if err != nil {
-			f.Close()
-			return nil, err
-		}
-		start := time.Now()
-		st, err := platform.CollectStream(w, cfg, workers, cw.WriteChunk)
-		if err == nil {
-			err = cw.Close()
-		}
-		if cErr := f.Close(); err == nil {
-			err = cErr
-		}
-		if err != nil {
-			return nil, err
-		}
-		encode := time.Since(start).Seconds() - base.WallSeconds
-		if encode < 0 {
-			encode = 0
-		}
-		fi, err := os.Stat(path)
-		if err != nil {
-			return nil, err
-		}
-
-		fmt.Fprintf(os.Stderr, "bench: corpus formats (%s): decoding %s (%d MB)...\n",
-			scaleName, format, fi.Size()>>20)
-		start = time.Now()
-		in, err := os.Open(path)
-		if err != nil {
-			return nil, err
-		}
-		cr, err := export.OpenCorpusWorkers(in, workers)
-		if err != nil {
-			in.Close()
-			return nil, err
-		}
-		for {
-			if _, err = cr.Next(); err != nil {
-				break
-			}
-		}
-		cr.Close()
-		in.Close()
-		if err != io.EOF {
-			return nil, fmt.Errorf("bench: draining %s corpus: %w", format, err)
-		}
-		decode := time.Since(start).Seconds()
-
-		fmt.Fprintf(os.Stderr, "bench: corpus formats (%s): report reload from %s...\n", scaleName, format)
-		hw := startHeapWatch()
-		start = time.Now()
-		out, err := reportFromCorpus(path, format, experiments.Options{Workers: workers}, nil)
-		reload := time.Since(start).Seconds()
-		peak := hw.peakMB()
-		if err != nil {
-			return nil, err
-		}
-		sum := sha256.Sum256([]byte(out))
-		rows = append(rows, CorpusFormatResult{
-			Scale: scaleName, Format: format,
-			Tests: st.Tests, Traces: st.Traces, Chunks: st.Chunks, Workers: workers,
-			Bytes:         fi.Size(),
-			EncodeSeconds: encode, DecodeSeconds: decode, ReloadSeconds: reload,
-			ReloadPeakHeapMB: peak,
-			ReportSHA256:     hex.EncodeToString(sum[:]),
-		})
-	}
-	return rows, nil
-}
-
 // CheckpointOverhead compares persisting one streamed campaign through
 // a plain corpus writer against the crash-safe checkpointing writer —
 // partial-file indirection, chunk-boundary encode-pipeline drains,
@@ -283,7 +112,7 @@ func checkpointOverheadRow(w *topogen.World, cfg platform.CollectConfig, scaleNa
 	fp := checkpoint.Fingerprint{
 		Scale: scaleName, Seed: cfg.Seed, Tests: cfg.Tests,
 		Shards: cfg.Shards, ChunkTests: cfg.ChunkTests,
-		Faults: cfg.Faults.Name, FaultSeed: cfg.FaultSeed, Format: "ndjson",
+		Faults: cfg.Faults.Name, FaultSeed: cfg.FaultSeed, Format: "columnar",
 	}
 
 	plainOnce := func() (float64, error) {
@@ -292,7 +121,7 @@ func checkpointOverheadRow(w *topogen.World, cfg platform.CollectConfig, scaleNa
 		if err != nil {
 			return 0, err
 		}
-		cw, err := export.NewCorpusWriter(f, "ndjson", pub, meta, workers)
+		cw, err := export.NewColumnarWriter(f, pub, meta, workers)
 		if err != nil {
 			f.Close()
 			return 0, err
@@ -309,7 +138,7 @@ func checkpointOverheadRow(w *topogen.World, cfg platform.CollectConfig, scaleNa
 	}
 	ckptOnce := func() (float64, error) {
 		path := filepath.Join(dir, "ckpt.corpus")
-		cw, err := checkpoint.Create(path, "ndjson", pub, meta, fp, workers, checkpoint.Options{})
+		cw, err := checkpoint.Create(path, "columnar", pub, meta, fp, workers, checkpoint.Options{})
 		if err != nil {
 			return 0, err
 		}
@@ -382,11 +211,6 @@ type Baseline struct {
 	// scales as Collection; present in -quick mode too, so CI can assert
 	// the streamed tests/sec and chunk metrics exist.
 	Streaming []StreamingResult `json:"streaming"`
-	// CorpusFormats compares the persisted corpus formats (NDJSON vs
-	// binary columnar) on encode, decode, on-disk size and full report
-	// reload; present in -quick mode too (small scale), so CI can
-	// assert the reload rows exist and the per-format reports agree.
-	CorpusFormats []CorpusFormatResult `json:"corpus_formats,omitempty"`
 	// FaultOverhead is the clean-vs-heavy fault-profile collection pair
 	// (absent in -quick mode).
 	FaultOverhead *FaultOverhead `json:"fault_overhead,omitempty"`
@@ -781,15 +605,9 @@ func benchCmd(args []string) error {
 		if b.ResolverCacheHitRates == nil {
 			b.ResolverCacheHitRates = resolverRates(fw.Resolver)
 		}
-		// Corpus-format comparison on the last (largest) in-memory scale
-		// — medium, or small in -quick mode, so CI always has reload
-		// rows to assert against.
+		// Checkpoint overhead on the last (largest) in-memory scale —
+		// medium, or small in -quick mode, so CI always has the pair.
 		if i == len(scales)-1 {
-			rows, err := corpusFormatRows(fw, scfg, scale.name, *workers)
-			if err != nil {
-				return err
-			}
-			b.CorpusFormats = append(b.CorpusFormats, rows...)
 			fmt.Fprintf(os.Stderr, "bench: checkpoint overhead (%s, plain vs checkpointed persist)...\n", scale.name)
 			co, err := checkpointOverheadRow(fw, scfg, scale.name, *workers)
 			if err != nil {
@@ -855,14 +673,6 @@ func benchCmd(args []string) error {
 		if b.ResolverCacheHitRates == nil {
 			b.ResolverCacheHitRates = resolverRates(sw.Resolver)
 		}
-		// Corpus-format comparison at the named scale: at xlarge this is
-		// the headline reload row — the columnar report-over-corpus path
-		// against the NDJSON stream on the same million-test campaign.
-		rows, err := corpusFormatRows(sw, cfg, *streamScale, *workers)
-		if err != nil {
-			return err
-		}
-		b.CorpusFormats = append(b.CorpusFormats, rows...)
 	}
 
 	f, err := os.Create(path)

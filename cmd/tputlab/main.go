@@ -5,6 +5,7 @@
 //
 //	tputlab list
 //	tputlab run <experiment>|all [-scale small|default|large] [-seed N] [-tests N] [-parallel N]
+//	tputlab corpus dump FILE
 //	tputlab bench [-out FILE] [-note TEXT]
 //
 // Example:
@@ -13,6 +14,7 @@
 package main
 
 import (
+	"bufio"
 	"context"
 	"encoding/json"
 	"errors"
@@ -61,6 +63,12 @@ func main() {
 		exitOn(runCmd(os.Args[2:]))
 	case "report":
 		exitOn(reportCmd(os.Args[2:]))
+	case "corpus":
+		if len(os.Args) != 4 || os.Args[2] != "dump" {
+			fmt.Fprintln(os.Stderr, "usage: tputlab corpus dump FILE")
+			os.Exit(2)
+		}
+		exitOn(dumpCorpus(os.Args[3], os.Stdout))
 	case "bench":
 		if err := benchCmd(os.Args[2:]); err != nil {
 			fmt.Fprintln(os.Stderr, "tputlab:", err)
@@ -122,6 +130,7 @@ func usage() {
   tputlab list                                  show available experiments
   tputlab run <name>|all [flags]                regenerate a table/figure
   tputlab report [flags]                        caveat-annotated congestion report (§7 checklist)
+  tputlab corpus dump FILE                      print a corpus as NDJSON (tputlab-corpus/1) for jq
   tputlab bench [-out FILE] [-note TEXT]        write a BENCH_<date>.json performance baseline
 
 flags for run/report:
@@ -129,16 +138,13 @@ flags for run/report:
                          large (~50k ASes) or xlarge (~75k ASes, one
                          million scheduled tests); default "default"
   -json                  (run) emit the result struct as JSON
-  -corpus-out FILE       persist the corpus to FILE as a chunked stream
-                         while it is collected (bounded memory;
-                         readable later by 'report -corpus')
-  -corpus-format FORMAT  corpus file format: ndjson (the jq-able
-                         tputlab-corpus/1 text stream, the default for
-                         -corpus-out) or columnar (the tputlab-corpus/2
-                         binary format, ~3x faster to reload and
-                         smaller on disk); on 'report -corpus' the
-                         format is auto-detected, and naming one
-                         instead requires it
+  -corpus-out FILE       persist the corpus to FILE as a chunked
+                         columnar corpus (tputlab-corpus/2) while it is
+                         collected (bounded memory; readable later by
+                         'report -corpus', printable as text by
+                         'corpus dump')
+  -corpus-format FORMAT  corpus file format; columnar, the only one,
+                         is the default
   -stream                (report) assemble the report through the
                          bounded-memory chunked pipeline instead of
                          materializing the corpus; output is
@@ -270,7 +276,7 @@ func addCommonFlags(fs *flag.FlagSet) *commonFlags {
 		workers:      fs.Int("parallel", runtime.GOMAXPROCS(0), "engine worker count"),
 		pipeline:     fs.Int("pipeline", 0, "streamed chunk-pipeline reorder window, 0 = per-chunk barrier"),
 		genWorkers:   fs.Int("genworkers", runtime.GOMAXPROCS(0), "world-generation worker count"),
-		corpusFormat: fs.String("corpus-format", "", "corpus file format: ndjson or columnar (write default ndjson; read default auto-detect)"),
+		corpusFormat: fs.String("corpus-format", "", "corpus file format: columnar, the only one (the default)"),
 		faults:       fs.String("faults", "off", "fault-injection profile: off, light, moderate or heavy"),
 		faultSeed:    fs.Int64("faultseed", 0, "fault-injection seed (0 = generation seed)"),
 		chunkTests:   fs.Int("chunk-tests", 0, "streamed-collection chunk size in scheduled tests (0 = platform default)"),
@@ -315,10 +321,8 @@ func (cf *commonFlags) options() (experiments.Options, *obs.Registry, error) {
 	if *cf.pipeline < 0 {
 		return experiments.Options{}, nil, fmt.Errorf("-pipeline must be >= 0 (got %d)", *cf.pipeline)
 	}
-	switch *cf.corpusFormat {
-	case "", "auto", "ndjson", "columnar":
-	default:
-		return experiments.Options{}, nil, fmt.Errorf("invalid -corpus-format %q (valid: ndjson, columnar)", *cf.corpusFormat)
+	if err := export.CheckFormat(*cf.corpusFormat); err != nil {
+		return experiments.Options{}, nil, fmt.Errorf("invalid -corpus-format: %w", err)
 	}
 	if *cf.chunkTests < 0 {
 		return experiments.Options{}, nil, fmt.Errorf("-chunk-tests must be >= 0 (got %d)", *cf.chunkTests)
@@ -478,14 +482,14 @@ func reportCmd(args []string) error {
 		if err != nil {
 			return err
 		}
-		out, err = reportFromCorpus(*corpusIn, *cf.corpusFormat, opts, reg)
+		out, err = reportFromCorpus(*corpusIn, opts, reg)
 	case *streamed:
 		var opts experiments.Options
 		opts, reg, err = cf.options()
 		if err != nil {
 			return err
 		}
-		out, err = reportStreamed(ctx, opts, reg, *cf.scale, *corpusOut, *cf.corpusFormat, *cf.ckptEvery)
+		out, err = reportStreamed(ctx, opts, reg, *cf.scale, *corpusOut, *cf.ckptEvery)
 	default:
 		var opts experiments.Options
 		opts, reg, err = cf.options()
@@ -494,7 +498,7 @@ func reportCmd(args []string) error {
 		}
 		seal := func(runErr error) error { return runErr }
 		if *corpusOut != "" {
-			seal = teeCorpus(*corpusOut, *cf.corpusFormat, &opts, *cf.scale, *cf.ckptEvery)
+			seal = teeCorpus(*corpusOut, &opts, *cf.scale, *cf.ckptEvery)
 		}
 		var env *experiments.Env
 		env, err = experiments.NewEnvCtx(ctx, opts)
@@ -576,10 +580,8 @@ func checkResumeFlags(fs *flag.FlagSet) error {
 // a final checkpoint and keeps the partial corpus plus manifest for
 // -resume (printing the hint); any other error discards both so the
 // first failure propagates with nothing half-written left behind.
-func teeCorpus(path, format string, opts *experiments.Options, scale string, every int) func(error) error {
-	if format == "" || format == "auto" {
-		format = "ndjson"
-	}
+func teeCorpus(path string, opts *experiments.Options, scale string, every int) func(error) error {
+	const format = "columnar"
 	var w *checkpoint.Writer
 	eopts := *opts
 	opts.CorpusSink = func(world *topogen.World) (func(*platform.Chunk) error, error) {
@@ -728,7 +730,7 @@ func resumeCampaign(ctx context.Context, cf *commonFlags) (*experiments.Env, *ob
 // accumulator overlapping. Peak memory is a few chunks plus the
 // matcher's watermark window; the rendered report is byte-identical to
 // the batch path at every -parallel/-pipeline value.
-func reportStreamed(ctx context.Context, opts experiments.Options, reg *obs.Registry, scale, corpusOut, corpusFormat string, ckptEvery int) (string, error) {
+func reportStreamed(ctx context.Context, opts experiments.Options, reg *obs.Registry, scale, corpusOut string, ckptEvery int) (string, error) {
 	opts.Topo.Obs = reg
 	opts.Collect.Obs = reg
 	w, err := topogen.GenerateCtx(ctx, opts.Topo)
@@ -751,7 +753,7 @@ func reportStreamed(ctx context.Context, opts experiments.Options, reg *obs.Regi
 	seal := func(runErr error) error { return runErr }
 	if corpusOut != "" {
 		eo := opts
-		seal = teeCorpus(corpusOut, corpusFormat, &eo, scale, ckptEvery)
+		seal = teeCorpus(corpusOut, &eo, scale, ckptEvery)
 		tee, err := eo.CorpusSink(w)
 		if err != nil {
 			return "", err
@@ -817,14 +819,11 @@ func bdrmapAccumulator(w *topogen.World, inf *mapit.Inference, mopts mapit.Opts)
 // assembly, but replaying a persisted corpus instead of collecting —
 // no world is generated; the header's public bundle supplies the
 // MAP-IT lookups, the static metro table supplies local hours, and the
-// footer supplies the completeness ledger. The file format is
-// auto-detected (NDJSON stream or binary columnar corpus) unless
-// corpusFormat names one, in which case that format is required. Chunk
-// decoding runs on -parallel workers, and pass 2's consumers overlap
-// on a pipeline. Pass 1 only needs traces, so on a columnar corpus it
-// opens with a traces-only projection and never parses a test stripe —
-// the bulk of the reload win.
-func reportFromCorpus(path, corpusFormat string, opts experiments.Options, reg *obs.Registry) (string, error) {
+// footer supplies the completeness ledger. Chunk decoding runs on
+// -parallel workers, and pass 2's consumers overlap on a pipeline.
+// Pass 1 only needs traces, so it opens with a traces-only projection
+// and never parses a test stripe — the bulk of the reload cost saved.
+func reportFromCorpus(path string, opts experiments.Options, reg *obs.Registry) (string, error) {
 	workers := opts.Workers
 	if workers < 1 {
 		workers = 1
@@ -838,15 +837,7 @@ func reportFromCorpus(path, corpusFormat string, opts experiments.Options, reg *
 			return nil, err
 		}
 		defer f.Close()
-		var cr export.CorpusReader
-		switch corpusFormat {
-		case "ndjson":
-			cr, err = export.OpenStreamWorkers(f, workers)
-		case "columnar":
-			cr, err = export.OpenColumnarProjected(f, workers, proj)
-		default: // "" / "auto"
-			cr, err = export.OpenCorpusProjected(f, workers, proj)
-		}
+		cr, err := export.OpenCorpusProjected(f, workers, proj)
 		if err != nil {
 			return nil, err
 		}
@@ -905,6 +896,27 @@ func reportFromCorpus(path, corpusFormat string, opts experiments.Options, reg *
 	return out, nil
 }
 
+// dumpCorpus is `corpus dump FILE`: it prints a persisted corpus to w
+// as the tputlab-corpus/1 NDJSON stream, for jq.
+func dumpCorpus(path string, w io.Writer) error {
+	f, err := os.Open(path)
+	if err != nil {
+		return err
+	}
+	defer f.Close()
+	cr, err := export.OpenCorpusProjected(f, runtime.GOMAXPROCS(0), export.EverythingProjection())
+	if err != nil {
+		return err
+	}
+	defer cr.Close()
+	bw := bufio.NewWriterSize(w, 1<<20)
+	err = export.Dump(bw, cr)
+	if ferr := bw.Flush(); err == nil {
+		err = ferr
+	}
+	return err
+}
+
 func runCmd(args []string) error {
 	if len(args) == 0 {
 		return fmt.Errorf("run requires an experiment name (try 'tputlab list')")
@@ -943,7 +955,7 @@ func runCmd(args []string) error {
 		}
 		seal := func(runErr error) error { return runErr }
 		if *corpusOut != "" {
-			seal = teeCorpus(*corpusOut, *cf.corpusFormat, &opts, *cf.scale, *cf.ckptEvery)
+			seal = teeCorpus(*corpusOut, &opts, *cf.scale, *cf.ckptEvery)
 		}
 		fmt.Fprintf(os.Stderr, "generating world (scale=%s seed=%d parallel=%d)...\n", *cf.scale, *cf.seed, *cf.workers)
 		env, err = experiments.NewEnvCtx(ctx, opts)

@@ -92,10 +92,10 @@ func TestReportCmdSmoke(t *testing.T) {
 }
 
 func TestReportCorpusFlagValidation(t *testing.T) {
-	if err := reportCmd([]string{"-corpus", "a.ndjson", "-corpus-out", "b.ndjson"}); err == nil {
+	if err := reportCmd([]string{"-corpus", "a.tpc", "-corpus-out", "b.tpc"}); err == nil {
 		t.Error("-corpus with -corpus-out should be a usage error")
 	}
-	if err := reportCmd([]string{"-corpus", "/nonexistent/corpus.ndjson"}); err == nil {
+	if err := reportCmd([]string{"-corpus", "/nonexistent/corpus.tpc"}); err == nil {
 		t.Error("missing corpus file should error")
 	}
 }
@@ -106,7 +106,7 @@ func TestReportStreamRoundTripSmoke(t *testing.T) {
 	}
 	// The full cycle the CI smoke job runs: a streamed campaign persisted
 	// with -corpus-out, then re-reported from the file without a world.
-	path := t.TempDir() + "/corpus.ndjson"
+	path := t.TempDir() + "/corpus.tpc"
 	if err := reportCmd([]string{"-scale", "small", "-tests", "1200",
 		"-stream", "-corpus-out", path}); err != nil {
 		t.Fatalf("report -stream -corpus-out: %v", err)

@@ -86,7 +86,7 @@ func TestResumeCampaignEndToEnd(t *testing.T) {
 	// Uninterrupted reference: corpus bytes and rendered report.
 	refPath := filepath.Join(dir, "ref.corpus")
 	refOpts := chunked()
-	refSeal := teeCorpus(refPath, "ndjson", &refOpts, "small", 1)
+	refSeal := teeCorpus(refPath, &refOpts, "small", 1)
 	refEnv, err := experiments.NewEnv(refOpts)
 	if err = refSeal(err); err != nil {
 		t.Fatal(err)
@@ -101,7 +101,7 @@ func TestResumeCampaignEndToEnd(t *testing.T) {
 	// chunks have been published to the sink.
 	finalPath := filepath.Join(dir, "resumed.corpus")
 	intOpts := chunked()
-	seal := teeCorpus(finalPath, "ndjson", &intOpts, "small", 1)
+	seal := teeCorpus(finalPath, &intOpts, "small", 1)
 	inner := intOpts.CorpusSink
 	ctx, cancel := context.WithCancelCause(context.Background())
 	defer cancel(nil)

@@ -2,6 +2,7 @@ package checkpoint
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -30,7 +31,7 @@ func testMeta(cfg platform.CollectConfig) export.StreamMeta {
 	return export.StreamMeta{Scale: "small", Seed: cfg.Seed, Tests: cfg.Tests}
 }
 
-func testFingerprint(cfg platform.CollectConfig, format string) Fingerprint {
+func testFingerprint(cfg platform.CollectConfig) Fingerprint {
 	return Fingerprint{
 		Scale:      "small",
 		Seed:       cfg.Seed,
@@ -38,17 +39,17 @@ func testFingerprint(cfg platform.CollectConfig, format string) Fingerprint {
 		ChunkTests: cfg.ChunkTests,
 		Faults:     cfg.Faults.Name,
 		FaultSeed:  cfg.FaultSeed,
-		Format:     format,
+		Format:     "columnar",
 	}
 }
 
 // reference collects the full campaign uninterrupted through a plain
 // corpus writer and returns the corpus bytes.
-func reference(t *testing.T, cfg platform.CollectConfig, format string, workers int) []byte {
+func reference(t *testing.T, cfg platform.CollectConfig, workers int) []byte {
 	t.Helper()
 	pub := export.FromWorld(world, nil).Public
 	var buf bytes.Buffer
-	cw, err := export.NewCorpusWriter(&buf, format, pub, testMeta(cfg), workers)
+	cw, err := export.NewColumnarWriter(&buf, pub, testMeta(cfg), workers)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,45 +67,43 @@ func reference(t *testing.T, cfg platform.CollectConfig, format string, workers 
 // to a plain uninterrupted writer, with no partial file or manifest
 // left behind.
 func TestPublishAtomicAndByteIdentical(t *testing.T) {
-	for _, format := range []string{"ndjson", "columnar"} {
-		t.Run(format, func(t *testing.T) {
-			cfg := testCfg(faults.Off())
-			final := filepath.Join(t.TempDir(), "corpus.bin")
-			pub := export.FromWorld(world, nil).Public
-			w, err := Create(final, format, pub, testMeta(cfg), testFingerprint(cfg, format), 4, Options{SyncEveryChunks: 2})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if _, err := os.Stat(final); !errors.Is(err, os.ErrNotExist) {
-				t.Fatalf("final path exists before Close (err=%v)", err)
-			}
-			if _, err := os.Stat(w.ManifestPathName()); err != nil {
-				t.Fatalf("manifest should exist from Create on: %v", err)
-			}
-			if _, err := platform.CollectStream(world, cfg, 4, w.WriteChunk); err != nil {
-				t.Fatal(err)
-			}
-			if _, err := os.Stat(final); !errors.Is(err, os.ErrNotExist) {
-				t.Fatal("final path exists before Close")
-			}
-			if err := w.Close(); err != nil {
-				t.Fatal(err)
-			}
-			got, err := os.ReadFile(final)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if want := reference(t, cfg, format, 4); !bytes.Equal(got, want) {
-				t.Fatalf("published corpus differs from plain writer: %d vs %d bytes", len(got), len(want))
-			}
-			if _, err := os.Stat(PartialPath(final)); !errors.Is(err, os.ErrNotExist) {
-				t.Error("partial file survived Close")
-			}
-			if _, err := os.Stat(w.ManifestPathName()); !errors.Is(err, os.ErrNotExist) {
-				t.Error("manifest survived Close")
-			}
-		})
-	}
+	t.Run("columnar", func(t *testing.T) {
+		cfg := testCfg(faults.Off())
+		final := filepath.Join(t.TempDir(), "corpus.bin")
+		pub := export.FromWorld(world, nil).Public
+		w, err := Create(final, "columnar", pub, testMeta(cfg), testFingerprint(cfg), 4, Options{SyncEveryChunks: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := os.Stat(final); !errors.Is(err, os.ErrNotExist) {
+			t.Fatalf("final path exists before Close (err=%v)", err)
+		}
+		if _, err := os.Stat(w.ManifestPathName()); err != nil {
+			t.Fatalf("manifest should exist from Create on: %v", err)
+		}
+		if _, err := platform.CollectStream(world, cfg, 4, w.WriteChunk); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := os.Stat(final); !errors.Is(err, os.ErrNotExist) {
+			t.Fatal("final path exists before Close")
+		}
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
+		got, err := os.ReadFile(final)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := reference(t, cfg, 4); !bytes.Equal(got, want) {
+			t.Fatalf("published corpus differs from plain writer: %d vs %d bytes", len(got), len(want))
+		}
+		if _, err := os.Stat(PartialPath(final)); !errors.Is(err, os.ErrNotExist) {
+			t.Error("partial file survived Close")
+		}
+		if _, err := os.Stat(w.ManifestPathName()); !errors.Is(err, os.ErrNotExist) {
+			t.Error("manifest survived Close")
+		}
+	})
 }
 
 // failAfter injects a write failure once n bytes have passed through —
@@ -130,51 +129,67 @@ func (fa *failAfter) Write(p []byte) (int, error) {
 	return n, err
 }
 
-// TestWriteFailureNeverPublishes pins the disk-full contract: the
-// first write failure propagates out of the corpus sink, Close returns
-// it again, and nothing is published — no final corpus, and the
-// partial file and manifest are cleaned up.
+// TestWriteFailureNeverPublishes pins the failure contract: nothing is
+// published — no final corpus, and no partial file or manifest left
+// behind — when Create is asked for a corpus format that no longer
+// exists (ndjson: refused up front, naming the text printer), or when a
+// write fails mid-campaign (columnar: disk full), in which case the
+// first write failure propagates out of the corpus sink and Close
+// returns it again.
 func TestWriteFailureNeverPublishes(t *testing.T) {
-	for _, format := range []string{"ndjson", "columnar"} {
-		t.Run(format, func(t *testing.T) {
-			cfg := testCfg(faults.Off())
-			final := filepath.Join(t.TempDir(), "corpus.bin")
-			pub := export.FromWorld(world, nil).Public
-			w, err := Create(final, format, pub, testMeta(cfg), testFingerprint(cfg, format), 1, Options{
-				SyncEveryChunks: 1,
-				// Past the ~57K header, short of either format's full
-				// size — the failure lands mid-collection.
-				WrapWriter: func(w io.Writer) io.Writer { return &failAfter{w: w, n: 100 << 10} },
-			})
-			if err != nil {
-				t.Fatal(err)
+	t.Run("ndjson", func(t *testing.T) {
+		cfg := testCfg(faults.Off())
+		final := filepath.Join(t.TempDir(), "corpus.bin")
+		fp := testFingerprint(cfg)
+		fp.Format = "ndjson"
+		_, err := Create(final, "ndjson", export.FromWorld(world, nil).Public, testMeta(cfg), fp, 1, Options{})
+		if err == nil || !bytes.Contains([]byte(err.Error()), []byte("corpus dump")) {
+			t.Fatalf("Create(ndjson) = %v, want a refusal naming corpus dump", err)
+		}
+		for _, p := range []string{final, PartialPath(final), ManifestPath(final)} {
+			if _, err := os.Stat(p); !errors.Is(err, os.ErrNotExist) {
+				t.Errorf("%s exists after a refused Create (err=%v)", p, err)
 			}
-			_, cerr := platform.CollectStream(world, cfg, 1, w.WriteChunk)
-			if cerr == nil {
-				// Small corpora can fit 4096 bytes of header; force the
-				// flush path to surface the failure.
-				cerr = w.Checkpoint()
-			}
-			if !errors.Is(cerr, errDiskFull) {
-				t.Fatalf("collection error = %v, want the injected disk-full error", cerr)
-			}
-			if err := w.Close(); !errors.Is(err, errDiskFull) {
-				t.Fatalf("Close error = %v, want the injected disk-full error", err)
-			}
-			for _, p := range []string{final, PartialPath(final), w.ManifestPathName()} {
-				if _, err := os.Stat(p); !errors.Is(err, os.ErrNotExist) {
-					t.Errorf("%s exists after failed campaign (err=%v)", p, err)
-				}
-			}
+		}
+	})
+	t.Run("columnar", func(t *testing.T) {
+		cfg := testCfg(faults.Off())
+		final := filepath.Join(t.TempDir(), "corpus.bin")
+		pub := export.FromWorld(world, nil).Public
+		w, err := Create(final, "columnar", pub, testMeta(cfg), testFingerprint(cfg), 1, Options{
+			SyncEveryChunks: 1,
+			// Past the ~57K header, short of the corpus's full
+			// size — the failure lands mid-collection.
+			WrapWriter: func(w io.Writer) io.Writer { return &failAfter{w: w, n: 100 << 10} },
 		})
-	}
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, cerr := platform.CollectStream(world, cfg, 1, w.WriteChunk)
+		if cerr == nil {
+			// Small corpora can fit 4096 bytes of header; force the
+			// flush path to surface the failure.
+			cerr = w.Checkpoint()
+		}
+		if !errors.Is(cerr, errDiskFull) {
+			t.Fatalf("collection error = %v, want the injected disk-full error", cerr)
+		}
+		if err := w.Close(); !errors.Is(err, errDiskFull) {
+			t.Fatalf("Close error = %v, want the injected disk-full error", err)
+		}
+		for _, p := range []string{final, PartialPath(final), w.ManifestPathName()} {
+			if _, err := os.Stat(p); !errors.Is(err, os.ErrNotExist) {
+				t.Errorf("%s exists after failed campaign (err=%v)", p, err)
+			}
+		}
+	})
 }
 
 // TestFingerprintDiff pins that every identity field participates in
 // resume validation and mismatches name their flag.
 func TestFingerprintDiff(t *testing.T) {
 	base := Fingerprint{Scale: "small", Seed: 7, Tests: 360, Shards: 4,
-		ChunkTests: 64, Faults: "off", FaultSeed: 0, Format: "ndjson", WorldCRC: 0xabcd}
+		ChunkTests: 64, Faults: "off", FaultSeed: 0, Format: "columnar", WorldCRC: 0xabcd}
 	cases := []struct {
 		name   string
 		mutate func(*Fingerprint)
@@ -187,7 +202,7 @@ func TestFingerprintDiff(t *testing.T) {
 		{"chunk_tests", func(fp *Fingerprint) { fp.ChunkTests = 32 }, "-chunk-tests"},
 		{"faults", func(fp *Fingerprint) { fp.Faults = "heavy" }, "-faults"},
 		{"fault_seed", func(fp *Fingerprint) { fp.FaultSeed = 3 }, "-faultseed"},
-		{"format", func(fp *Fingerprint) { fp.Format = "columnar" }, "-corpus-format"},
+		{"format", func(fp *Fingerprint) { fp.Format = "" }, "-corpus-format"},
 		{"world", func(fp *Fingerprint) { fp.WorldCRC = 1 }, "-world"},
 	}
 	if d := base.Diff(base); len(d) != 0 {
@@ -211,10 +226,10 @@ func TestFingerprintDiff(t *testing.T) {
 // interruptAfter runs a campaign through a checkpointing writer and
 // kills it (graceful-interrupt style) once k chunks are durable,
 // returning the manifest path.
-func interruptAfter(t *testing.T, final, format string, cfg platform.CollectConfig, workers, k int) string {
+func interruptAfter(t *testing.T, final string, cfg platform.CollectConfig, workers, k int) string {
 	t.Helper()
 	pub := export.FromWorld(world, nil).Public
-	w, err := Create(final, format, pub, testMeta(cfg), testFingerprint(cfg, format), workers, Options{SyncEveryChunks: 1})
+	w, err := Create(final, "columnar", pub, testMeta(cfg), testFingerprint(cfg), workers, Options{SyncEveryChunks: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -250,7 +265,7 @@ func resumeAndFinish(t *testing.T, mpath string, cfg platform.CollectConfig, wor
 	}
 	pub := export.FromWorld(world, nil).Public
 	replayed := 0
-	w, err := Resume(m, pub, testMeta(cfg), testFingerprint(cfg, m.Fingerprint.Format), workers, Options{SyncEveryChunks: 1},
+	w, err := Resume(m, pub, testMeta(cfg), testFingerprint(cfg), workers, Options{SyncEveryChunks: 1},
 		func(*export.StreamChunk) error { replayed++; return nil })
 	if err != nil {
 		t.Fatal(err)
@@ -270,35 +285,33 @@ func resumeAndFinish(t *testing.T, mpath string, cfg platform.CollectConfig, wor
 // TestKillAtEveryChunkBoundary is the crash-safety property test: for
 // every durable chunk count k, a campaign interrupted after k chunks
 // and resumed publishes a corpus byte-identical to the uninterrupted
-// run — across both formats, clean and heavy fault profiles, and
-// worker counts 1 and 8.
+// run — across clean and heavy fault profiles and worker counts 1
+// and 8.
 func TestKillAtEveryChunkBoundary(t *testing.T) {
-	for _, format := range []string{"ndjson", "columnar"} {
-		for _, fp := range []faults.Profile{faults.Off(), faults.Heavy()} {
-			for _, workers := range []int{1, 8} {
-				name := fmt.Sprintf("%s/%s/w%d", format, fp.Name, workers)
-				t.Run(name, func(t *testing.T) {
-					cfg := testCfg(fp)
-					want := reference(t, cfg, format, workers)
-					nChunks := (cfg.Tests + cfg.ChunkTests - 1) / cfg.ChunkTests
-					dir := t.TempDir()
-					for k := 0; k < nChunks; k++ {
-						final := filepath.Join(dir, fmt.Sprintf("corpus-%d.bin", k))
-						mpath := interruptAfter(t, final, format, cfg, workers, k)
-						resumeAndFinish(t, mpath, cfg, workers)
-						got, err := os.ReadFile(final)
-						if err != nil {
-							t.Fatal(err)
-						}
-						if !bytes.Equal(got, want) {
-							t.Fatalf("k=%d: resumed corpus differs from uninterrupted (%d vs %d bytes)", k, len(got), len(want))
-						}
-						if _, err := os.Stat(mpath); !errors.Is(err, os.ErrNotExist) {
-							t.Fatalf("k=%d: manifest survived publication", k)
-						}
+	for _, fp := range []faults.Profile{faults.Off(), faults.Heavy()} {
+		for _, workers := range []int{1, 8} {
+			name := fmt.Sprintf("columnar/%s/w%d", fp.Name, workers)
+			t.Run(name, func(t *testing.T) {
+				cfg := testCfg(fp)
+				want := reference(t, cfg, workers)
+				nChunks := (cfg.Tests + cfg.ChunkTests - 1) / cfg.ChunkTests
+				dir := t.TempDir()
+				for k := 0; k < nChunks; k++ {
+					final := filepath.Join(dir, fmt.Sprintf("corpus-%d.bin", k))
+					mpath := interruptAfter(t, final, cfg, workers, k)
+					resumeAndFinish(t, mpath, cfg, workers)
+					got, err := os.ReadFile(final)
+					if err != nil {
+						t.Fatal(err)
 					}
-				})
-			}
+					if !bytes.Equal(got, want) {
+						t.Fatalf("k=%d: resumed corpus differs from uninterrupted (%d vs %d bytes)", k, len(got), len(want))
+					}
+					if _, err := os.Stat(mpath); !errors.Is(err, os.ErrNotExist) {
+						t.Fatalf("k=%d: manifest survived publication", k)
+					}
+				}
+			})
 		}
 	}
 }
@@ -309,9 +322,9 @@ func TestKillAtEveryChunkBoundary(t *testing.T) {
 // byte-identical.
 func TestResumeTruncatesTornTail(t *testing.T) {
 	cfg := testCfg(faults.Off())
-	want := reference(t, cfg, "columnar", 4)
+	want := reference(t, cfg, 4)
 	final := filepath.Join(t.TempDir(), "corpus.bin")
-	mpath := interruptAfter(t, final, "columnar", cfg, 4, 3)
+	mpath := interruptAfter(t, final, cfg, 4, 3)
 	f, err := os.OpenFile(PartialPath(final), os.O_APPEND|os.O_WRONLY, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -339,7 +352,7 @@ func TestResumeRefusals(t *testing.T) {
 
 	setup := func(t *testing.T) (*Manifest, string) {
 		final := filepath.Join(t.TempDir(), "corpus.bin")
-		mpath := interruptAfter(t, final, "ndjson", cfg, 1, 3)
+		mpath := interruptAfter(t, final, cfg, 1, 3)
 		m, err := LoadManifest(mpath)
 		if err != nil {
 			t.Fatal(err)
@@ -349,7 +362,7 @@ func TestResumeRefusals(t *testing.T) {
 
 	t.Run("seed_mismatch", func(t *testing.T) {
 		m, _ := setup(t)
-		bad := testFingerprint(cfg, "ndjson")
+		bad := testFingerprint(cfg)
 		bad.Seed++
 		_, err := Resume(m, pub, testMeta(cfg), bad, 1, Options{}, func(*export.StreamChunk) error { return nil })
 		if err == nil || !bytes.Contains([]byte(err.Error()), []byte("-seed")) {
@@ -366,9 +379,17 @@ func TestResumeRefusals(t *testing.T) {
 		if err := os.WriteFile(partial, data, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		_, err = Resume(m, pub, testMeta(cfg), testFingerprint(cfg, "ndjson"), 1, Options{}, func(*export.StreamChunk) error { return nil })
+		_, err = Resume(m, pub, testMeta(cfg), testFingerprint(cfg), 1, Options{}, func(*export.StreamChunk) error { return nil })
 		if err == nil {
 			t.Fatal("resume accepted a corrupted durable prefix")
+		}
+	})
+	t.Run("removed_format", func(t *testing.T) {
+		m, _ := setup(t)
+		m.Fingerprint.Format = "ndjson"
+		_, err := Resume(m, pub, testMeta(cfg), testFingerprint(cfg), 1, Options{}, func(*export.StreamChunk) error { return nil })
+		if err == nil || !bytes.Contains([]byte(err.Error()), []byte("corpus dump")) {
+			t.Fatalf("err = %v, want a refusal naming corpus dump", err)
 		}
 	})
 	t.Run("truncated_below_durable", func(t *testing.T) {
@@ -376,7 +397,7 @@ func TestResumeRefusals(t *testing.T) {
 		if err := os.Truncate(partial, m.Durable.Bytes-1); err != nil {
 			t.Fatal(err)
 		}
-		_, err := Resume(m, pub, testMeta(cfg), testFingerprint(cfg, "ndjson"), 1, Options{}, func(*export.StreamChunk) error { return nil })
+		_, err := Resume(m, pub, testMeta(cfg), testFingerprint(cfg), 1, Options{}, func(*export.StreamChunk) error { return nil })
 		if err == nil || !bytes.Contains([]byte(err.Error()), []byte("shorter")) {
 			t.Fatalf("err = %v, want shorter-than-durable refusal", err)
 		}
@@ -418,6 +439,36 @@ func TestManifestRoundTrip(t *testing.T) {
 		}
 		if _, err := LoadManifest(p2); err == nil {
 			t.Fatal("loaded a manifest with an unsupported format")
+		}
+	})
+}
+
+// FuzzParseManifest throws arbitrary bytes at the manifest decoder
+// behind LoadManifest: it must accept or reject with an error, never
+// panic, and anything it accepts must carry the fields Resume relies on.
+func FuzzParseManifest(f *testing.F) {
+	m := Manifest{
+		Format:        ManifestFormat,
+		CorpusFinal:   "c.tpc",
+		CorpusPartial: "c.tpc.partial",
+		Fingerprint:   Fingerprint{Seed: 1, Tests: 360, Format: "columnar", WorldCRC: 7},
+		Durable:       Durable{Chunks: 3, Bytes: 4096, CRC32C: 99, Tests: 192, Traces: 180},
+	}
+	valid, err := json.Marshal(m)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(valid)
+	f.Add(valid[:len(valid)/2])
+	f.Add([]byte(`{"format":"tputlab-checkpoint/999"}`))
+	f.Add([]byte(`{"format":"tputlab-checkpoint/1","corpus_final":"a","corpus_partial":"b","durable":{"bytes":1,"chunks":-1}}`))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		m, err := parseManifest(data)
+		if err != nil {
+			return
+		}
+		if m.Format != ManifestFormat || m.CorpusFinal == "" || m.CorpusPartial == "" || m.Durable.Bytes <= 0 || m.Durable.Chunks < 0 {
+			t.Fatalf("parseManifest accepted an invalid manifest: %+v", m)
 		}
 	})
 }

@@ -64,7 +64,8 @@ type Fingerprint struct {
 	Faults string `json:"faults,omitempty"`
 	// FaultSeed is the -faultseed value (0 = reuse Seed).
 	FaultSeed int64 `json:"fault_seed,omitempty"`
-	// Format is the corpus format, "ndjson" or "columnar".
+	// Format is the -corpus-format name the corpus was written under
+	// ("columnar", the only format, or empty).
 	Format string `json:"corpus_format"`
 	// WorldCRC is export.HeaderFingerprint over the corpus header the
 	// prefix was written with — the world hash. At resume time the
@@ -150,18 +151,32 @@ func LoadManifest(path string) (*Manifest, error) {
 	if err != nil {
 		return nil, fmt.Errorf("checkpoint: reading manifest: %w", err)
 	}
+	m, err := parseManifest(data)
+	if err != nil {
+		return nil, fmt.Errorf("checkpoint: manifest %s: %w", path, err)
+	}
+	return m, nil
+}
+
+// parseManifest decodes and validates manifest bytes — untrusted input,
+// since a manifest is a plain file a user may edit or a crash may
+// leave behind.
+func parseManifest(data []byte) (*Manifest, error) {
 	var m Manifest
 	if err := json.Unmarshal(data, &m); err != nil {
-		return nil, fmt.Errorf("checkpoint: manifest %s: invalid JSON: %w", path, err)
+		return nil, fmt.Errorf("invalid JSON: %w", err)
 	}
 	if m.Format != ManifestFormat {
-		return nil, fmt.Errorf("checkpoint: manifest %s: unsupported format %q (want %q)", path, m.Format, ManifestFormat)
+		return nil, fmt.Errorf("unsupported format %q (want %q)", m.Format, ManifestFormat)
 	}
 	if m.CorpusPartial == "" || m.CorpusFinal == "" {
-		return nil, fmt.Errorf("checkpoint: manifest %s: missing corpus paths", path)
+		return nil, fmt.Errorf("missing corpus paths")
 	}
 	if m.Durable.Bytes <= 0 {
-		return nil, fmt.Errorf("checkpoint: manifest %s: no durable prefix recorded", path)
+		return nil, fmt.Errorf("no durable prefix recorded")
+	}
+	if d := m.Durable; d.Chunks < 0 || d.Tests < 0 || d.Traces < 0 || d.TestsWithoutTrace < 0 {
+		return nil, fmt.Errorf("negative durable totals")
 	}
 	return &m, nil
 }

@@ -19,12 +19,15 @@ import (
 // splices a resumed corpus writer onto the end.
 //
 // fp is the current run's fingerprint with WorldCRC unset — Resume
-// computes it from the regenerated world using the manifest's format.
+// computes it from the regenerated world.
 // Collection must then be restarted with StartChunk =
 // manifest.Durable.Chunks; determinism makes the appended suffix
 // byte-identical to the chunks an uninterrupted run would have written.
 func Resume(m *Manifest, public export.Public, meta export.StreamMeta, fp Fingerprint, workers int, opts Options, onChunk func(*export.StreamChunk) error) (*Writer, error) {
-	worldCRC, err := export.HeaderFingerprint(m.Fingerprint.Format, public, meta)
+	if err := export.CheckFormat(m.Fingerprint.Format); err != nil {
+		return nil, fmt.Errorf("checkpoint: refusing to resume %s: %w", m.CorpusPartial, err)
+	}
+	worldCRC, err := export.HeaderFingerprint(public, meta)
 	if err != nil {
 		return nil, fmt.Errorf("checkpoint: %w", err)
 	}
@@ -64,9 +67,6 @@ func Resume(m *Manifest, public export.Public, meta export.StreamMeta, fp Finger
 			m.CorpusPartial, prefix.Totals.Chunks, prefix.Totals.Tests, prefix.Totals.Traces,
 			m.Durable.Chunks, m.Durable.Tests, m.Durable.Traces))
 	}
-	if prefix.Format != m.Fingerprint.Format {
-		return fail(fmt.Errorf("checkpoint: partial corpus is %s, manifest records %s", prefix.Format, m.Fingerprint.Format))
-	}
 
 	// Drop any torn tail past the durable point — bytes a dying process
 	// got into the page cache after the last checkpoint — and position
@@ -83,13 +83,9 @@ func Resume(m *Manifest, public export.Public, meta export.StreamMeta, fp Finger
 		sink = opts.WrapWriter(f)
 	}
 	crc := &crcWriter{w: sink, n: m.Durable.Bytes, sum: m.Durable.CRC32C}
-	cw, err := export.ResumeCorpusWriter(crc, prefix, workers)
-	if err != nil {
-		return fail(err)
-	}
 	return &Writer{
 		f:     f,
-		cw:    cw,
+		cw:    export.ResumeCorpusWriter(crc, prefix, workers),
 		crc:   crc,
 		mpath: ManifestPath(m.CorpusFinal),
 		every: opts.every(),

@@ -56,7 +56,7 @@ func (cw *crcWriter) Write(p []byte) (int, error) {
 // the single sequencer side of collection.
 type Writer struct {
 	f        *os.File
-	cw       export.CorpusWriter
+	cw       *export.ColumnarWriter
 	crc      *crcWriter
 	m        Manifest
 	mpath    string
@@ -66,12 +66,16 @@ type Writer struct {
 	finished bool
 }
 
-// Create opens a checkpointing writer publishing to finalPath. The
-// world hash is computed from (format, public, meta) and stamped into
-// the fingerprint; an initial checkpoint runs immediately, so the
-// manifest exists (and the header is durable) before any chunk does.
+// Create opens a checkpointing writer publishing to finalPath. format
+// is the corpus format name export.CheckFormat accepts. The world hash
+// is computed from (public, meta) and stamped into the fingerprint; an
+// initial checkpoint runs immediately, so the manifest exists (and the
+// header is durable) before any chunk does.
 func Create(finalPath, format string, public export.Public, meta export.StreamMeta, fp Fingerprint, workers int, opts Options) (*Writer, error) {
-	worldCRC, err := export.HeaderFingerprint(format, public, meta)
+	if err := export.CheckFormat(format); err != nil {
+		return nil, fmt.Errorf("checkpoint: %w", err)
+	}
+	worldCRC, err := export.HeaderFingerprint(public, meta)
 	if err != nil {
 		return nil, fmt.Errorf("checkpoint: %w", err)
 	}
@@ -86,7 +90,7 @@ func Create(finalPath, format string, public export.Public, meta export.StreamMe
 		sink = opts.WrapWriter(f)
 	}
 	crc := &crcWriter{w: sink}
-	cw, err := export.NewCorpusWriter(crc, format, public, meta, workers)
+	cw, err := export.NewColumnarWriter(crc, public, meta, workers)
 	if err != nil {
 		f.Close()
 		os.Remove(partial)

@@ -37,7 +37,7 @@ type Options struct {
 	Obs *obs.Registry
 	// CorpusSink, when non-nil, receives the generated world before
 	// collection begins and returns a per-chunk sink; collection then
-	// streams every chunk through it (e.g. an export.StreamWriter
+	// streams every chunk through it (e.g. a checkpoint.Writer
 	// persisting the corpus as it is gathered). The materialized corpus
 	// is byte-identical with or without a sink.
 	CorpusSink func(*topogen.World) (func(*platform.Chunk) error, error)

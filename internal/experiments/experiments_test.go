@@ -4,6 +4,8 @@ import (
 	"strings"
 	"testing"
 
+	"throughputlab/internal/ndt"
+	"throughputlab/internal/platform"
 	"throughputlab/internal/topology"
 )
 
@@ -624,6 +626,50 @@ func TestStratifiedShapes(t *testing.T) {
 	}
 	if multi == 0 {
 		t.Error("no aggregate splits across multiple IP links (Assumption 3 would be vacuous)")
+	}
+}
+
+// TestStratifiedTieOrder feeds Stratified two aggregates of equal size
+// — the largest group and a twin of it under another server network —
+// in both orders, several times each: every rendering must be the
+// same, so the output never depends on map iteration order.
+func TestStratifiedTieOrder(t *testing.T) {
+	type gkey struct{ net, metro, isp string }
+	groups := map[gkey][]*ndt.Test{}
+	var big gkey
+	for _, tt := range env.Corpus.Tests {
+		k := gkey{tt.ServerNet, tt.ServerMetro, tt.ClientISP}
+		groups[k] = append(groups[k], tt)
+		if len(groups[k]) > len(groups[big]) {
+			big = k
+		}
+	}
+	a := groups[big]
+	for len(a) < 400 {
+		a = append(a, a...)
+	}
+	b := make([]*ndt.Test, len(a))
+	for i, tt := range a {
+		twin := *tt
+		twin.ServerNet += "-twin"
+		b[i] = &twin
+	}
+	render := func(tests []*ndt.Test) string {
+		e := &Env{Opts: env.Opts, World: env.World, Inference: env.Inference, Matching: env.Matching,
+			Corpus: &platform.Corpus{Tests: tests}}
+		return Stratified(e).Render()
+	}
+	want := render(append(append([]*ndt.Test(nil), a...), b...))
+	if !strings.Contains(want, big.net+"-twin") {
+		t.Fatalf("twin aggregate missing from the rendering:\n%s", want)
+	}
+	for i := 0; i < 8; i++ {
+		if got := render(append(append([]*ndt.Test(nil), b...), a...)); got != want {
+			t.Fatalf("rendering depends on input order:\n%s\nvs\n%s", got, want)
+		}
+		if got := render(append(append([]*ndt.Test(nil), a...), b...)); got != want {
+			t.Fatalf("rendering differs between identical runs:\n%s\nvs\n%s", got, want)
+		}
 	}
 }
 

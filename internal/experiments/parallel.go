@@ -22,8 +22,10 @@ type ExperimentStat struct {
 	// Wall is the experiment's own wall time.
 	Wall time.Duration
 	// AllocBytes is the heap allocated while the experiment ran,
-	// measured from the runtime's global counters — exact with one
-	// worker, an attribution estimate when experiments overlap.
+	// measured from the runtime's global counters. It is measured only
+	// in a serial sweep (Workers == 1) and zero otherwise: with
+	// experiments overlapping, the process-wide delta would charge one
+	// experiment with its neighbours' allocations.
 	AllocBytes uint64
 }
 
@@ -59,7 +61,8 @@ type RunStats struct {
 
 // Summary renders the stats as a small table, slowest experiment
 // first; equal wall times order by experiment name so the rendering is
-// deterministic.
+// deterministic. The alloc column appears only for serial sweeps, the
+// only ones that measure it.
 func (s *RunStats) Summary() string {
 	ordered := append([]ExperimentStat(nil), s.Experiments...)
 	sort.SliceStable(ordered, func(i, j int) bool {
@@ -76,8 +79,11 @@ func (s *RunStats) Summary() string {
 	fmt.Fprintf(&sb, "%d experiments in %.2fs wall (%.2fs cpu-serial, %d workers)\n",
 		len(ordered), s.Wall.Seconds(), sum.Seconds(), s.Workers)
 	for _, st := range ordered {
-		fmt.Fprintf(&sb, "  %-12s %8.3fs  %8.1f MB\n",
-			st.Name, st.Wall.Seconds(), float64(st.AllocBytes)/(1<<20))
+		fmt.Fprintf(&sb, "  %-12s %8.3fs", st.Name, st.Wall.Seconds())
+		if s.Workers == 1 {
+			fmt.Fprintf(&sb, "  %8.1f MB", float64(st.AllocBytes)/(1<<20))
+		}
+		sb.WriteByte('\n')
 	}
 	rs := s.Resolver
 	hitRate := func(hits, misses uint64) float64 {
@@ -124,7 +130,10 @@ func (s *RunStats) Summary() string {
 // Each experiment runs under an obs span (child of one "experiments"
 // phase span) on the Env's registry — or a private registry when the
 // Env is uninstrumented — and RunStats is assembled from those spans,
-// so `-metrics` output and the Summary table always agree.
+// so `-metrics` output and the Summary table always agree. Allocation
+// is measured — experiments.<name>.alloc_bytes — only when the sweep
+// runs on one worker: runtime.ReadMemStats stops the world, and its
+// process-wide counters cannot attribute overlapping experiments.
 //
 // Experiments share the Env read-only (the §5 per-VP cache is built
 // once under Env.vpsOnce), so any worker count is safe and the output
@@ -176,14 +185,18 @@ func RunParallelCtx(ctx context.Context, e *Env, workers int) (string, *RunStats
 				}
 				entry := entries[i]
 				var before, after runtime.MemStats
-				runtime.ReadMemStats(&before)
+				if workers == 1 {
+					runtime.ReadMemStats(&before)
+				}
 				sp := sweep.Child(entry.Name)
 				r, err := entry.Run(e)
 				sp.End()
-				runtime.ReadMemStats(&after)
 				slots[i].span = sp
-				allocs[i] = after.TotalAlloc - before.TotalAlloc
-				reg.Gauge("experiments." + entry.Name + ".alloc_bytes").Set(int64(allocs[i]))
+				if workers == 1 {
+					runtime.ReadMemStats(&after)
+					allocs[i] = after.TotalAlloc - before.TotalAlloc
+					reg.Gauge("experiments." + entry.Name + ".alloc_bytes").Set(int64(allocs[i]))
+				}
 				if err != nil {
 					slots[i].err = fmt.Errorf("experiment %s: %w", entry.Name, err)
 					continue

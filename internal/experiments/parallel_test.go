@@ -129,8 +129,14 @@ func TestRunParallelGoldenWithObs(t *testing.T) {
 			if !seen[e.Name] {
 				t.Errorf("no span recorded for experiment %q", e.Name)
 			}
-			if g := reg.Gauge("experiments." + e.Name + ".alloc_bytes"); g.Value() < 0 {
-				t.Errorf("negative alloc gauge for %q", e.Name)
+			// Allocation is measured only serially: overlapping
+			// experiments would share one process-wide delta.
+			v, ok := d.Gauges["experiments."+e.Name+".alloc_bytes"]
+			if workers == 1 && (!ok || v <= 0) {
+				t.Errorf("serial sweep: alloc gauge for %q = %d (set=%v), want > 0", e.Name, v, ok)
+			}
+			if workers > 1 && ok {
+				t.Errorf("parallel sweep set alloc gauge for %q", e.Name)
 			}
 		}
 		// The stats table is a view over the same registry.
@@ -138,6 +144,13 @@ func TestRunParallelGoldenWithObs(t *testing.T) {
 			if st.Wall <= 0 {
 				t.Errorf("experiment %s span recorded no duration", st.Name)
 			}
+			if workers > 1 && st.AllocBytes != 0 {
+				t.Errorf("parallel sweep attributed %d bytes to %s", st.AllocBytes, st.Name)
+			}
+		}
+		if hasMB := strings.Contains(stats.Summary(), " MB\n"); hasMB != (workers == 1) {
+			t.Errorf("workers=%d: Summary alloc column present=%v, want %v:\n%s",
+				workers, hasMB, workers == 1, stats.Summary())
 		}
 	}
 }

@@ -55,7 +55,20 @@ func Stratified(e *Env) *StratifiedResult {
 			keys = append(keys, k)
 		}
 	}
-	sort.Slice(keys, func(i, j int) bool { return len(groups[keys[i]]) > len(groups[keys[j]]) })
+	// Largest first; equal sizes order by key, never by map iteration.
+	sort.Slice(keys, func(i, j int) bool {
+		a, b := keys[i], keys[j]
+		if na, nb := len(groups[a]), len(groups[b]); na != nb {
+			return na > nb
+		}
+		if a.net != b.net {
+			return a.net < b.net
+		}
+		if a.metro != b.metro {
+			return a.metro < b.metro
+		}
+		return a.isp < b.isp
+	})
 	if len(keys) > 8 {
 		keys = keys[:8]
 	}
@@ -90,7 +103,12 @@ func Stratified(e *Env) *StratifiedResult {
 				fars = append(fars, far)
 			}
 		}
-		sort.Slice(fars, func(i, j int) bool { return len(perLink[fars[i]]) > len(perLink[fars[j]]) })
+		sort.Slice(fars, func(i, j int) bool {
+			if ni, nj := len(perLink[fars[i]]), len(perLink[fars[j]]); ni != nj {
+				return ni > nj
+			}
+			return fars[i] < fars[j]
+		})
 
 		congested, healthy := 0, 0
 		for _, far := range fars {

@@ -1,7 +1,7 @@
-// Binary columnar corpus format (tputlab-corpus/2): the persisted
-// shape a report re-reads many times, so decode speed and size on disk
-// are the design goals (the NDJSON stream of stream.go stays the
-// debuggable, `jq`-able interchange form).
+// Binary columnar corpus format (tputlab-corpus/2), the one on-disk
+// corpus format: a report re-reads it many times, so decode speed and
+// size on disk are the design goals (Dump prints it as a jq-able text
+// stream).
 //
 // File layout:
 //
@@ -15,17 +15,16 @@
 // per-chunk completeness ledger, row counts, stripe count) followed by
 // one stripe per Test/Trace field — column-major, so a reader that
 // only needs traces (report pass 1) skips every test stripe without
-// decoding a byte of it. The footer carries campaign totals (the same
-// truncation check the NDJSON footer performs) plus an append-only
-// chunk index: one (offset, watermark, tests, traces) row per chunk,
-// enabling O(1) seek-to-chunk through OpenColumnarAt without scanning
-// the file. The trailing fixed-width frame length and tail magic let a
-// seekable reader find the footer from the end of the file.
+// decoding a byte of it. The footer carries campaign totals (the
+// truncation check) plus an append-only chunk index: one (offset,
+// watermark, tests, traces) row per chunk, which the reader
+// cross-checks against the frames it saw and a resumed writer extends.
+// The trailing fixed-width frame length and tail magic let a seekable
+// reader find the footer from the end of the file.
 //
 // Chunk encoding is deterministic (dictionaries are built in
 // first-appearance order), so serial and worker-parallel writers
-// produce byte-identical files — the same contract the NDJSON worker
-// codec pins.
+// produce byte-identical files.
 package export
 
 import (
@@ -148,6 +147,10 @@ var colScratchPool = sync.Pool{New: func() any {
 
 // frameBufPool recycles whole encoded chunk frames between the encode
 // workers and the sequencer (and across serial WriteChunk calls).
+// Buffers that ballooned past maxPooledFrame are dropped instead of
+// pinning chunk-sized allocations forever.
+const maxPooledFrame = 4 << 20
+
 var frameBufPool = sync.Pool{New: func() any { return new([]byte) }}
 
 func getFrameBuf() *[]byte {
@@ -157,7 +160,7 @@ func getFrameBuf() *[]byte {
 }
 
 func putFrameBuf(b *[]byte) {
-	if cap(*b) <= maxPooledLine {
+	if cap(*b) <= maxPooledFrame {
 		frameBufPool.Put(b)
 	}
 }
@@ -427,8 +430,8 @@ func appendChunkFrame(dst []byte, c *platform.Chunk, sc *colScratch) []byte {
 	return append(dst, sc.chunkBuf...)
 }
 
-// ChunkIndexEntry is one row of the footer's chunk index.
-type ChunkIndexEntry struct {
+// chunkIndexEntry is one row of the footer's chunk index.
+type chunkIndexEntry struct {
 	// Offset is the file offset of the chunk frame's kind byte.
 	Offset int64
 	// Watermark, Tests and Traces mirror the chunk preamble, so a
@@ -454,7 +457,8 @@ type colEncJob struct {
 	c   *platform.Chunk
 }
 
-// colEncodePipeline mirrors encodePipeline for the columnar writer.
+// colEncodePipeline fans chunk encoding out to workers and re-sequences
+// the encoded frames before they reach the underlying writer.
 type colEncodePipeline struct {
 	in   chan colEncJob
 	ro   *stream.Reorder[colFrame]
@@ -483,6 +487,7 @@ func (ep *colEncodePipeline) firstErr() error {
 	return ep.err
 }
 
+// retire counts one frame through the sequencer, waking drainers.
 func (ep *colEncodePipeline) retire() {
 	ep.mu.Lock()
 	ep.written++
@@ -491,7 +496,7 @@ func (ep *colEncodePipeline) retire() {
 }
 
 // drain blocks until the sequencer has retired the first n submitted
-// frames or the pipeline failed, mirroring encodePipeline.drain.
+// frames (they reached the bufio layer) or the pipeline failed.
 func (ep *colEncodePipeline) drain(n int) error {
 	ep.mu.Lock()
 	defer ep.mu.Unlock()
@@ -501,23 +506,26 @@ func (ep *colEncodePipeline) drain(n int) error {
 	return ep.err
 }
 
-// ColumnarWriter persists a campaign as a tputlab-corpus/2 file. Like
-// StreamWriter it buffers only the frame being written, never the
-// corpus, and WriteChunk must be called from a single goroutine.
+// ColumnarWriter persists a campaign as a tputlab-corpus/2 file. It
+// buffers only the frame being written, never the corpus, and
+// WriteChunk must be called from a single goroutine.
 type ColumnarWriter struct {
 	bw     *bufio.Writer
 	off    int64
 	footer StreamFooter
-	index  []ChunkIndexEntry
+	index  []chunkIndexEntry
 	frame  []byte // serial-path frame scratch
 	closed bool
 	enc    *colEncodePipeline
 }
 
 // NewColumnarWriter writes the magic and header frame and returns a
-// writer ready for chunks. The public bundle is validated first, as in
-// the NDJSON writer.
-func NewColumnarWriter(w io.Writer, public Public, meta StreamMeta) (*ColumnarWriter, error) {
+// writer ready for chunks. The public bundle is validated first — a
+// conflicted bundle would poison every future replay of the file. With
+// workers > 1 chunks are encoded concurrently behind a reorder buffer;
+// the output bytes are identical at any worker count, and errors from
+// the encode/write pipeline surface on a later WriteChunk or at Close.
+func NewColumnarWriter(w io.Writer, public Public, meta StreamMeta, workers int) (*ColumnarWriter, error) {
 	if err := public.Validate(); err != nil {
 		return nil, err
 	}
@@ -534,19 +542,9 @@ func NewColumnarWriter(w io.Writer, public Public, meta StreamMeta) (*ColumnarWr
 	if err := cw.write(buf); err != nil {
 		return nil, err
 	}
-	return cw, nil
-}
-
-// NewColumnarWriterWorkers is NewColumnarWriter with worker-parallel
-// chunk encoding behind a reorder buffer; the output bytes are
-// identical at any worker count. Errors surface on a later WriteChunk
-// or at Close, exactly as in NewStreamWriterWorkers.
-func NewColumnarWriterWorkers(w io.Writer, public Public, meta StreamMeta, workers int) (*ColumnarWriter, error) {
-	cw, err := NewColumnarWriter(w, public, meta)
-	if err != nil || workers <= 1 {
-		return cw, err
+	if workers > 1 {
+		cw.attachEncoders(workers)
 	}
-	cw.attachEncoders(workers)
 	return cw, nil
 }
 
@@ -587,7 +585,7 @@ func (cw *ColumnarWriter) attachEncoders(workers int) {
 				break
 			}
 			if ep.firstErr() == nil {
-				cw.index = append(cw.index, ChunkIndexEntry{
+				cw.index = append(cw.index, chunkIndexEntry{
 					Offset: cw.off, Watermark: fr.watermark, Tests: fr.tests, Traces: fr.traces,
 				})
 				if err := cw.write(*fr.buf); err != nil {
@@ -627,7 +625,7 @@ func (cw *ColumnarWriter) WriteChunk(c *platform.Chunk) error {
 		sc := colScratchPool.Get().(*colScratch)
 		cw.frame = appendChunkFrame(cw.frame[:0], c, sc)
 		colScratchPool.Put(sc)
-		cw.index = append(cw.index, ChunkIndexEntry{
+		cw.index = append(cw.index, chunkIndexEntry{
 			Offset: cw.off, Watermark: c.Watermark, Tests: len(c.Tests), Traces: len(c.Traces),
 		})
 		if err := cw.write(cw.frame); err != nil {
@@ -656,26 +654,6 @@ func (cw *ColumnarWriter) Sync() error {
 		return fmt.Errorf("export: writing columnar corpus: %w", err)
 	}
 	return nil
-}
-
-// ResumeColumnarWriter reopens a columnar writer over a file whose
-// magic, header and first chunk frames are already durable: w must be
-// positioned at the end of that prefix, offset is its byte length, and
-// totals/index are the running footer state accumulated over it (as
-// ReplayPrefix reports). The writer emits no header; the next
-// WriteChunk appends the frame after the prefix.
-func ResumeColumnarWriter(w io.Writer, totals StreamFooter, offset int64, index []ChunkIndexEntry, workers int) *ColumnarWriter {
-	cw := &ColumnarWriter{
-		bw:     bufio.NewWriterSize(w, 1<<20),
-		off:    offset,
-		footer: totals,
-		index:  append([]ChunkIndexEntry(nil), index...),
-	}
-	cw.footer.Footer = true
-	if workers > 1 {
-		cw.attachEncoders(workers)
-	}
-	return cw
 }
 
 // Close seals the file with the footer frame, the chunk index, and the
@@ -724,7 +702,8 @@ func (cw *ColumnarWriter) Close() error {
 // Abandon shuts the writer down without sealing the file: encode
 // workers stop, but no footer frame is written, so the file stays a
 // truncated (resumable) prefix — the interrupt path's counterpart to
-// Close, mirroring StreamWriter.Abandon.
+// Close. Writing a footer there would make a partial corpus read as a
+// complete smaller one.
 func (cw *ColumnarWriter) Abandon() {
 	if cw.closed {
 		return

@@ -3,13 +3,16 @@ package export
 import (
 	"bytes"
 	"io"
+	"strings"
 	"testing"
+
+	"throughputlab/internal/platform"
 )
 
-// FuzzColumnarDecode throws arbitrary bytes at every columnar entry
-// point. The decoder's contract under hostile input is: a descriptive
-// error, never a panic, and never an allocation proportional to a
-// length field the payload cannot back (truncated stripes, corrupted
+// FuzzColumnarDecode throws arbitrary bytes at the streaming reader.
+// The decoder's contract under hostile input is: a descriptive error,
+// never a panic, and never an allocation proportional to a length
+// field the payload cannot back (truncated stripes, corrupted
 // checksums, oversized varints, and footer/index mismatches all land
 // here). Valid prefixes come from a real campaign so the fuzzer starts
 // deep inside the frame grammar rather than at the magic check.
@@ -24,36 +27,59 @@ func FuzzColumnarDecode(f *testing.F) {
 	f.Add(corrupt)
 	f.Add([]byte(columnarMagic))
 	f.Add([]byte(columnarMagic + "\xff\xff\xff\xff\xff\xff\xff\xff\xff\xff")) // oversized header varint
-	f.Add([]byte(streamMagic))
+	f.Add([]byte(v1Prefix))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		for _, workers := range []int{1, 2} {
-			cr, err := OpenColumnarProjected(bytes.NewReader(data), workers, EverythingProjection())
-			if err != nil {
-				continue
-			}
-			for {
-				_, err := cr.Next()
+			for _, proj := range []Projection{EverythingProjection(), {Traces: true}} {
+				cr, err := OpenCorpusProjected(bytes.NewReader(data), workers, proj)
 				if err != nil {
-					break
+					continue
 				}
-			}
-			cr.Close()
-		}
-		if cf, err := OpenColumnarAt(bytes.NewReader(data)); err == nil {
-			if len(cf.Index()) > 0 {
-				_, _ = cf.ChunkAt(0, EverythingProjection())
-				_, _ = cf.ChunkAt(len(cf.Index())-1, Projection{Traces: true})
-			}
-		}
-		// The unified front door must classify or reject, never panic.
-		if cr, err := OpenCorpus(bytes.NewReader(data)); err == nil {
-			for {
-				if _, err := cr.Next(); err != nil {
-					break
+				for {
+					if _, err := cr.Next(); err != nil {
+						break
+					}
 				}
+				cr.Close()
 			}
-			cr.Close()
+		}
+	})
+}
+
+// FuzzRead throws arbitrary bytes at Read, the front door cmd/mapit and
+// cmd/bdrmap open their input through: it must classify (single-blob
+// dataset or columnar corpus) or reject with an error, never panic, and
+// a tputlab-corpus/1 text stream must always be refused by name.
+func FuzzRead(f *testing.F) {
+	// Seeds stay small (an empty public bundle) so mutation is cheap; the
+	// committed corpus adds a single-blob dataset and a bare text header.
+	var col bytes.Buffer
+	cw, err := NewColumnarWriter(&col, Public{}, StreamMeta{Scale: "small", Seed: 1, Tests: 60}, 1)
+	if err != nil {
+		f.Fatal(err)
+	}
+	if _, err := platform.CollectStream(world, streamCfg(60, 20), 1, cw.WriteChunk); err != nil {
+		f.Fatal(err)
+	}
+	if err := cw.Close(); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(col.Bytes())
+	cr, err := OpenCorpusProjected(bytes.NewReader(col.Bytes()), 1, EverythingProjection())
+	if err != nil {
+		f.Fatal(err)
+	}
+	var text bytes.Buffer
+	if err := Dump(&text, cr); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(text.Bytes())
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		_, err := Read(bytes.NewReader(data))
+		if bytes.HasPrefix(data, []byte(v1Prefix)) && (err == nil || !strings.Contains(err.Error(), StreamFormat)) {
+			t.Fatalf("Read of a %s stream returned %v, want an error naming the format", StreamFormat, err)
 		}
 	})
 }
@@ -76,7 +102,7 @@ func TestColumnarFuzzRegression(t *testing.T) {
 		[]byte(columnarMagic + "\x03{}\x00\x00\x00\x00\x7f"),
 	}
 	for i, data := range cases {
-		cr, err := OpenColumnar(bytes.NewReader(data))
+		cr, err := openCorpus(data, 1)
 		if err != nil {
 			continue
 		}

@@ -13,6 +13,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
@@ -28,8 +29,8 @@ import (
 )
 
 // Projection selects which column families a columnar reader decodes.
-// The zero value decodes nothing useful; use EverythingProjection (or
-// OpenColumnar, which defaults to it) for a full read.
+// The zero value decodes nothing useful; use EverythingProjection for a
+// full read.
 type Projection struct {
 	Tests  bool
 	Traces bool
@@ -439,9 +440,9 @@ func (d *chunkDecoder) checkComplete() error {
 	return nil
 }
 
-// frameScanner is a byte-counting cursor over the file's frames,
-// shared by the streaming reader and the seeking reader. It implements
-// io.ByteReader so binary.ReadUvarint tracks offsets for free.
+// frameScanner is a byte-counting cursor over the file's frames. It
+// implements io.ByteReader so binary.ReadUvarint tracks offsets for
+// free.
 type frameScanner struct {
 	br  *bufio.Reader
 	off int64
@@ -485,9 +486,13 @@ func (s *frameScanner) payload(n uint64, dst []byte) ([]byte, error) {
 	return b, nil
 }
 
+// v1Prefix opens every tputlab-corpus/1 text stream (what Dump prints),
+// so the reader can refuse one by name rather than as a bad magic.
+const v1Prefix = `{"format":"` + StreamFormat + `"`
+
 // readColumnarHeader consumes and validates the magic and header
-// frame. A v1 NDJSON stream fed to the columnar reader is named as
-// such instead of surfacing as a magic mismatch.
+// frame. A tputlab-corpus/1 file is named as such instead of
+// surfacing as a magic mismatch.
 func readColumnarHeader(s *frameScanner) (streamHeader, error) {
 	var hdr streamHeader
 	var magic [8]byte
@@ -495,9 +500,9 @@ func readColumnarHeader(s *frameScanner) (streamHeader, error) {
 		return hdr, fmt.Errorf("export: columnar corpus: missing magic: %w", err)
 	}
 	if string(magic[:]) != columnarMagic {
-		if bytes.HasPrefix([]byte(streamMagic), magic[:]) {
-			return hdr, fmt.Errorf("export: corpus is an NDJSON stream (%s), not a columnar corpus: a columnar reader requires %s (magic %q); open it with OpenStream or -corpus-format ndjson",
-				StreamFormat, ColumnarFormat, columnarMagic)
+		if bytes.HasPrefix([]byte(v1Prefix), magic[:]) {
+			return hdr, fmt.Errorf("export: corpus is a %s text stream, which is no longer read: the only corpus format is %s; re-collect the campaign (-corpus-out), and use 'tputlab corpus dump' to print a corpus as text",
+				StreamFormat, ColumnarFormat)
 		}
 		return hdr, fmt.Errorf("export: not a columnar corpus: magic %q (want %q)", magic, columnarMagic)
 	}
@@ -530,7 +535,7 @@ func readColumnarHeader(s *frameScanner) (streamHeader, error) {
 
 // decodeFooterPayload parses the footer frame payload: campaign totals
 // plus the chunk index.
-func decodeFooterPayload(payload []byte) (StreamFooter, []ChunkIndexEntry, error) {
+func decodeFooterPayload(payload []byte) (StreamFooter, []chunkIndexEntry, error) {
 	r := &colReader{b: payload}
 	f := StreamFooter{Footer: true}
 	vals := [9]uint64{}
@@ -549,7 +554,7 @@ func decodeFooterPayload(payload []byte) (StreamFooter, []ChunkIndexEntry, error
 	if f.Chunks < 0 || f.Chunks > len(payload) {
 		return f, nil, fmt.Errorf("footer declares %d chunks in a %d-byte payload", f.Chunks, len(payload))
 	}
-	index := make([]ChunkIndexEntry, f.Chunks)
+	index := make([]chunkIndexEntry, f.Chunks)
 	prev := int64(0)
 	for i := range index {
 		var row [4]uint64
@@ -561,7 +566,7 @@ func decodeFooterPayload(payload []byte) (StreamFooter, []ChunkIndexEntry, error
 			row[j] = v
 		}
 		prev += int64(row[0])
-		index[i] = ChunkIndexEntry{Offset: prev, Watermark: int(row[1]), Tests: int(row[2]), Traces: int(row[3])}
+		index[i] = chunkIndexEntry{Offset: prev, Watermark: int(row[1]), Tests: int(row[2]), Traces: int(row[3])}
 	}
 	if r.remaining() != 0 {
 		return f, nil, fmt.Errorf("footer: %d trailing bytes after index", r.remaining())
@@ -585,7 +590,7 @@ type colDecoded struct {
 	pre      colPreamble
 	off      int64
 	footer   *StreamFooter
-	index    []ChunkIndexEntry
+	index    []chunkIndexEntry
 	err      error
 	readFail bool
 }
@@ -615,7 +620,12 @@ func decodeColFrame(rf colRawFrame, proj Projection) colDecoded {
 	return colDecoded{err: fmt.Errorf("export: columnar corpus: unknown frame kind %#02x at offset %d", rf.kind, rf.off)}
 }
 
-// colDecodePipeline mirrors decodePipeline for the columnar reader.
+// errReaderClosed kills the decode pipeline when the caller abandons a
+// corpus before its footer.
+var errReaderClosed = errors.New("export: corpus reader closed")
+
+// colDecodePipeline reads raw frames ahead of the caller and decodes
+// them on workers, re-sequenced so Next still observes file order.
 type colDecodePipeline struct {
 	in       chan colRawFrame
 	ro       *stream.Reorder[colDecoded]
@@ -624,41 +634,29 @@ type colDecodePipeline struct {
 	wg       sync.WaitGroup
 }
 
-// ColumnarReader replays a columnar corpus chunk by chunk, the binary
-// counterpart of StreamReader. Each chunk's rows live in per-chunk
-// slabs, so a consumer may retain them after Next moves on.
-type ColumnarReader struct {
+// columnarReader replays a columnar corpus chunk by chunk. Each
+// chunk's rows live in per-chunk slabs, so a consumer may retain them
+// after Next moves on.
+type columnarReader struct {
 	fs     frameScanner
 	header streamHeader
 	proj   Projection
 	footer *StreamFooter
 	read   StreamFooter      // accumulated totals for the footer cross-check
-	seen   []ChunkIndexEntry // observed offsets for the index cross-check
+	seen   []chunkIndexEntry // observed offsets for the index cross-check
 	frame  []byte            // serial-path payload scratch
 	dp     *colDecodePipeline
 }
 
-// OpenColumnar reads and validates the magic and header of a columnar
-// corpus, decoding both column families.
-func OpenColumnar(r io.Reader) (*ColumnarReader, error) {
-	return OpenColumnarProjected(r, 1, EverythingProjection())
-}
-
-// OpenColumnarWorkers is OpenColumnar with worker-parallel chunk
-// decoding. Next returns the same chunks, in the same order, with the
-// same errors, at any worker count; call Close when abandoning the
-// reader before EOF.
-func OpenColumnarWorkers(r io.Reader, workers int) (*ColumnarReader, error) {
-	return OpenColumnarProjected(r, workers, EverythingProjection())
-}
-
-// OpenColumnarProjected opens a columnar corpus decoding only the
-// projected column families — the skipped side's stripes are checksum
-// verified but never parsed, and its slabs never allocated. Chunk and
-// footer bookkeeping (row counts, ordering, totals) is exact under any
-// projection.
-func OpenColumnarProjected(r io.Reader, workers int, proj Projection) (*ColumnarReader, error) {
-	cr := &ColumnarReader{fs: frameScanner{br: bufio.NewReaderSize(r, 1<<20)}, proj: proj}
+// openColumnar reads and validates the magic and header of a columnar
+// corpus, decoding only the projected column families — the skipped
+// side's stripes are checksum verified but never parsed, and its slabs
+// never allocated. Chunk and footer bookkeeping (row counts, ordering,
+// totals) is exact under any projection. With workers > 1 frames are
+// read ahead and decoded concurrently; Next returns the same chunks, in
+// the same order, with the same errors, at any worker count.
+func openColumnar(r io.Reader, workers int, proj Projection) (*columnarReader, error) {
+	cr := &columnarReader{fs: frameScanner{br: bufio.NewReaderSize(r, 1<<20)}, proj: proj}
 	hdr, err := readColumnarHeader(&cr.fs)
 	if err != nil {
 		return nil, err
@@ -719,7 +717,7 @@ func OpenColumnarProjected(r io.Reader, workers int, proj Projection) (*Columnar
 // and the fixed-width tail, and confirms the file ends there. A clean
 // end of input before any frame surfaces as io.EOF (the caller turns
 // that into the truncation error).
-func (cr *ColumnarReader) readRawFrame(buf *[]byte) (kind byte, off int64, err error) {
+func (cr *columnarReader) readRawFrame(buf *[]byte) (kind byte, off int64, err error) {
 	off = cr.fs.off
 	kind, err = cr.fs.ReadByte()
 	if err != nil {
@@ -774,14 +772,14 @@ func errTruncOK(err error) error {
 }
 
 // Public returns the header's lookup bundle.
-func (cr *ColumnarReader) Public() *Public { return &cr.header.Public }
+func (cr *columnarReader) Public() *Public { return &cr.header.Public }
 
 // Meta returns the header's campaign metadata.
-func (cr *ColumnarReader) Meta() StreamMeta { return cr.header.Meta }
+func (cr *columnarReader) Meta() StreamMeta { return cr.header.Meta }
 
 // Next returns the next chunk, or io.EOF after the footer has been
 // consumed and cross-checked against the chunks (totals and index).
-func (cr *ColumnarReader) Next() (*StreamChunk, error) {
+func (cr *columnarReader) Next() (*StreamChunk, error) {
 	if cr.footer != nil {
 		return nil, io.EOF
 	}
@@ -805,7 +803,7 @@ func (cr *ColumnarReader) Next() (*StreamChunk, error) {
 
 // consume folds one classified frame into the reader's running state:
 // the in-order half of Next, shared by the serial and worker paths.
-func (cr *ColumnarReader) consume(d colDecoded) (*StreamChunk, error) {
+func (cr *columnarReader) consume(d colDecoded) (*StreamChunk, error) {
 	switch {
 	case d.readFail && d.err == io.EOF:
 		return nil, fmt.Errorf("export: columnar corpus truncated: no footer after %d chunks (%d tests)",
@@ -838,7 +836,7 @@ func (cr *ColumnarReader) consume(d colDecoded) (*StreamChunk, error) {
 	cr.read.Traces += d.pre.traces
 	cr.read.TestsWithoutTrace += d.pre.testsWithoutTrace
 	cr.read.Completeness.Merge(d.pre.completeness)
-	cr.seen = append(cr.seen, ChunkIndexEntry{
+	cr.seen = append(cr.seen, chunkIndexEntry{
 		Offset: d.off, Watermark: d.pre.watermark, Tests: d.pre.tests, Traces: d.pre.traces,
 	})
 	return d.chunk, nil
@@ -846,23 +844,11 @@ func (cr *ColumnarReader) consume(d colDecoded) (*StreamChunk, error) {
 
 // Footer returns the file totals; non-nil only after Next returned
 // io.EOF.
-func (cr *ColumnarReader) Footer() *StreamFooter { return cr.footer }
-
-// ReadTotals snapshots the totals accumulated over the chunks consumed
-// so far — the running footer a resumed writer continues from.
-func (cr *ColumnarReader) ReadTotals() StreamFooter {
-	t := cr.read
-	t.Footer = true
-	return t
-}
-
-// SeenIndex returns the chunk-index rows observed so far, in chunk
-// order — the index prefix a resumed writer continues from.
-func (cr *ColumnarReader) SeenIndex() []ChunkIndexEntry { return cr.seen }
+func (cr *columnarReader) Footer() *StreamFooter { return cr.footer }
 
 // Close releases a worker-backed reader's decode goroutines; it is a
 // no-op for serial readers and after a completed replay.
-func (cr *ColumnarReader) Close() error {
+func (cr *columnarReader) Close() error {
 	if cr.dp == nil {
 		return nil
 	}
@@ -872,113 +858,4 @@ func (cr *ColumnarReader) Close() error {
 	})
 	cr.dp.wg.Wait()
 	return nil
-}
-
-// ColumnarFile is random access over a columnar corpus through the
-// footer's chunk index: the header and index are read once (one seek
-// to the tail), then any chunk is one seek away.
-type ColumnarFile struct {
-	r      io.ReadSeeker
-	header streamHeader
-	footer StreamFooter
-	index  []ChunkIndexEntry
-}
-
-// OpenColumnarAt opens a columnar corpus for indexed chunk access. The
-// file must be sealed (footer written); an unsealed file fails here
-// exactly like a truncated streaming read.
-func OpenColumnarAt(r io.ReadSeeker) (*ColumnarFile, error) {
-	fs := frameScanner{br: bufio.NewReaderSize(r, 1<<16)}
-	hdr, err := readColumnarHeader(&fs)
-	if err != nil {
-		return nil, err
-	}
-	end, err := r.Seek(-12, io.SeekEnd)
-	if err != nil {
-		return nil, fmt.Errorf("export: columnar corpus: seeking tail: %w", err)
-	}
-	var tail [12]byte
-	if _, err := io.ReadFull(r, tail[:]); err != nil {
-		return nil, fmt.Errorf("export: columnar corpus: reading tail: %w", err)
-	}
-	if string(tail[4:]) != columnarTail {
-		return nil, fmt.Errorf("export: columnar corpus truncated: no footer tail (found %q, want %q)", tail[4:], columnarTail)
-	}
-	frameLen := int64(binary.LittleEndian.Uint32(tail[:4]))
-	if frameLen <= 0 || frameLen > end {
-		return nil, fmt.Errorf("export: columnar corpus: footer frame length %d out of range", frameLen)
-	}
-	if _, err := r.Seek(end-frameLen, io.SeekStart); err != nil {
-		return nil, fmt.Errorf("export: columnar corpus: seeking footer: %w", err)
-	}
-	ffs := frameScanner{br: bufio.NewReaderSize(r, 1<<16)}
-	kind, err := ffs.ReadByte()
-	if err != nil || kind != frameFooter {
-		return nil, fmt.Errorf("export: columnar corpus: footer frame not found at tail offset")
-	}
-	n, err := ffs.uvarint()
-	if err != nil || n > maxFramePayload {
-		return nil, fmt.Errorf("export: columnar corpus: invalid footer frame length")
-	}
-	payload, err := ffs.payload(n, nil)
-	if err != nil {
-		return nil, fmt.Errorf("export: columnar corpus: truncated footer: %w", err)
-	}
-	var sum [4]byte
-	if err := ffs.full(sum[:]); err != nil {
-		return nil, fmt.Errorf("export: columnar corpus: truncated footer checksum: %w", err)
-	}
-	if got, want := crc32.Checksum(payload, castagnoli), binary.LittleEndian.Uint32(sum[:]); got != want {
-		return nil, fmt.Errorf("export: columnar corpus: footer checksum mismatch (%08x != %08x)", got, want)
-	}
-	footer, index, err := decodeFooterPayload(payload)
-	if err != nil {
-		return nil, fmt.Errorf("export: columnar corpus: %w", err)
-	}
-	return &ColumnarFile{r: r, header: hdr, footer: footer, index: index}, nil
-}
-
-// Public returns the header's lookup bundle.
-func (cf *ColumnarFile) Public() *Public { return &cf.header.Public }
-
-// Meta returns the header's campaign metadata.
-func (cf *ColumnarFile) Meta() StreamMeta { return cf.header.Meta }
-
-// Footer returns the campaign totals.
-func (cf *ColumnarFile) Footer() StreamFooter { return cf.footer }
-
-// Index returns the chunk index: one row per chunk, in file order.
-func (cf *ColumnarFile) Index() []ChunkIndexEntry { return cf.index }
-
-// ChunkAt decodes chunk i through the index — one seek, one frame
-// read, no scanning.
-func (cf *ColumnarFile) ChunkAt(i int, proj Projection) (*StreamChunk, error) {
-	if i < 0 || i >= len(cf.index) {
-		return nil, fmt.Errorf("export: columnar corpus: chunk %d out of range (file has %d)", i, len(cf.index))
-	}
-	if _, err := cf.r.Seek(cf.index[i].Offset, io.SeekStart); err != nil {
-		return nil, fmt.Errorf("export: columnar corpus: seeking chunk %d: %w", i, err)
-	}
-	fs := frameScanner{br: bufio.NewReaderSize(cf.r, 1<<20)}
-	kind, err := fs.ReadByte()
-	if err != nil || kind != frameChunk {
-		return nil, fmt.Errorf("export: columnar corpus: no chunk frame at indexed offset %d", cf.index[i].Offset)
-	}
-	n, err := fs.uvarint()
-	if err != nil {
-		return nil, fmt.Errorf("export: columnar corpus: chunk %d: invalid frame length", i)
-	}
-	payload, err := fs.payload(n, nil)
-	if err != nil {
-		return nil, fmt.Errorf("export: columnar corpus: chunk %d: %w", i, errTruncOK(err))
-	}
-	c, pre, err := decodeChunkPayload(payload, proj)
-	if err != nil {
-		return nil, fmt.Errorf("export: columnar corpus: chunk %d: %w", i, err)
-	}
-	if pre.chunk != i {
-		return nil, fmt.Errorf("export: columnar corpus: chunk at indexed offset %d says index %d, want %d",
-			cf.index[i].Offset, pre.chunk, i)
-	}
-	return c, nil
 }

@@ -22,7 +22,7 @@ func writeColumnar(t testing.TB, cfg platform.CollectConfig, workers int) (*byte
 	t.Helper()
 	pub := FromWorld(world, nil).Public
 	var buf bytes.Buffer
-	cw, err := NewColumnarWriterWorkers(&buf, pub, StreamMeta{Scale: "small", Seed: cfg.Seed, Tests: cfg.Tests}, workers)
+	cw, err := NewColumnarWriter(&buf, pub, StreamMeta{Scale: "small", Seed: cfg.Seed, Tests: cfg.Tests}, workers)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,6 +34,11 @@ func writeColumnar(t testing.TB, cfg platform.CollectConfig, workers int) (*byte
 		t.Fatal(err)
 	}
 	return &buf, st
+}
+
+// openCorpus opens raw for a full replay decoded on workers.
+func openCorpus(raw []byte, workers int) (CorpusReader, error) {
+	return OpenCorpusProjected(bytes.NewReader(raw), workers, EverythingProjection())
 }
 
 // testEqual compares every field of two tests, treating nil and empty
@@ -77,8 +82,7 @@ func TestColumnarFieldCoverage(t *testing.T) {
 
 // TestColumnarRoundTrip pins the core contract: a campaign persisted
 // through the columnar writer decodes back record for record — every
-// field — through both the streaming reader and the generic Read
-// auto-detection.
+// field — through both the streaming reader and the generic Read.
 func TestColumnarRoundTrip(t *testing.T) {
 	cfg := streamCfg(400, 64)
 	batch, err := platform.Collect(world, cfg)
@@ -118,7 +122,7 @@ func TestColumnarRoundTrip(t *testing.T) {
 	}
 
 	// Path 2: chunk-by-chunk replay sees the same totals and watermarks.
-	cr, err := OpenColumnar(bytes.NewReader(raw))
+	cr, err := openCorpus(raw, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,13 +156,16 @@ func TestColumnarRoundTrip(t *testing.T) {
 }
 
 // TestColumnarSmallerThanNDJSON pins the size claim: the same campaign
-// persists smaller in columnar form than as the NDJSON stream.
+// persists smaller in columnar form than the NDJSON text stream Dump
+// prints for it.
 func TestColumnarSmallerThanNDJSON(t *testing.T) {
-	cfg := streamCfg(400, 64)
-	nd, _ := writeStreamed(t, cfg, 1)
-	col, _ := writeColumnar(t, cfg, 1)
-	if col.Len() >= nd.Len() {
-		t.Errorf("columnar corpus is %d bytes, NDJSON is %d: columnar should be smaller", col.Len(), nd.Len())
+	col, _ := writeColumnar(t, streamCfg(400, 64), 1)
+	text, err := dump(t, col.Bytes(), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if col.Len() >= len(text) {
+		t.Errorf("columnar corpus is %d bytes, its NDJSON dump is %d: columnar should be smaller", col.Len(), len(text))
 	}
 }
 
@@ -183,7 +190,7 @@ func TestOpenColumnarWorkersMatchesSerial(t *testing.T) {
 	buf, _ := writeColumnar(t, streamCfg(300, 50), 2)
 	raw := buf.Bytes()
 	drain := func(workers int) ([]*StreamChunk, *StreamFooter) {
-		cr, err := OpenColumnarWorkers(bytes.NewReader(raw), workers)
+		cr, err := openCorpus(raw, workers)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -235,7 +242,7 @@ func TestColumnarProjection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cr, err := OpenColumnarProjected(bytes.NewReader(raw), 2, Projection{Traces: true})
+	cr, err := OpenCorpusProjected(bytes.NewReader(raw), 2, Projection{Traces: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -267,140 +274,87 @@ func TestColumnarProjection(t *testing.T) {
 	}
 }
 
-// TestColumnarSeek pins the footer index: OpenColumnarAt reaches any
-// chunk in one seek and the indexed rows match a sequential replay.
-func TestColumnarSeek(t *testing.T) {
-	buf, st := writeColumnar(t, streamCfg(300, 50), 2)
-	raw := buf.Bytes()
-	cf, err := OpenColumnarAt(bytes.NewReader(raw))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(cf.Index()) != st.Chunks {
-		t.Fatalf("index has %d rows, campaign wrote %d chunks", len(cf.Index()), st.Chunks)
-	}
-	if cf.Footer().Tests != st.Tests {
-		t.Errorf("seek footer says %d tests, want %d", cf.Footer().Tests, st.Tests)
-	}
-	cr, err := OpenColumnar(bytes.NewReader(raw))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; ; i++ {
-		want, err := cr.Next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := cf.ChunkAt(i, EverythingProjection())
-		if err != nil {
-			t.Fatalf("ChunkAt(%d): %v", i, err)
-		}
-		if got.Chunk != want.Chunk || len(got.Tests) != len(want.Tests) || len(got.Traces) != len(want.Traces) {
-			t.Fatalf("ChunkAt(%d) shape differs from sequential chunk", i)
-		}
-		if len(want.Tests) > 0 && !testEqual(got.Tests[0], want.Tests[0]) {
-			t.Fatalf("ChunkAt(%d) first test differs", i)
-		}
-		if e := cf.Index()[i]; e.Tests != len(want.Tests) || e.Traces != len(want.Traces) || e.Watermark != want.Watermark {
-			t.Fatalf("index row %d (%+v) does not describe its chunk", i, e)
-		}
-	}
-	if _, err := cf.ChunkAt(len(cf.Index()), EverythingProjection()); err == nil {
-		t.Error("ChunkAt past the end should error")
-	}
-	if _, err := cf.ChunkAt(-1, EverythingProjection()); err == nil {
-		t.Error("ChunkAt(-1) should error")
-	}
-}
-
-// TestCorpusFormatCrossErrors pins the auto-detection satellite: each
-// format fed to the other's dedicated entry point fails with an error
-// naming the detected and required formats, not a parse error.
+// TestCorpusFormatCrossErrors pins how the one reader treats the text
+// stream Dump prints (tputlab-corpus/1, once also an on-disk format):
+// both the streaming reader and Read refuse it with an error naming the
+// format and the printer, not a parse error — and Read never mistakes
+// it for a single-blob dataset.
 func TestCorpusFormatCrossErrors(t *testing.T) {
-	colBuf, _ := writeColumnar(t, streamCfg(120, 60), 1)
-	ndBuf, _ := writeStreamed(t, streamCfg(120, 60), 1)
-
-	if _, err := OpenStream(bytes.NewReader(colBuf.Bytes())); err == nil {
-		t.Error("OpenStream accepted a columnar corpus")
-	} else if !strings.Contains(err.Error(), "columnar corpus") || !strings.Contains(err.Error(), ColumnarFormat) {
-		t.Errorf("OpenStream error on a columnar file does not name the formats: %v", err)
+	col, _ := writeColumnar(t, streamCfg(120, 60), 1)
+	text, err := dump(t, col.Bytes(), 1)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, err := OpenColumnar(bytes.NewReader(ndBuf.Bytes())); err == nil {
-		t.Error("OpenColumnar accepted an NDJSON stream")
-	} else if !strings.Contains(err.Error(), "NDJSON") || !strings.Contains(err.Error(), StreamFormat) {
-		t.Errorf("OpenColumnar error on an NDJSON file does not name the formats: %v", err)
-	}
-
-	// The unified entry point takes both.
-	for _, raw := range [][]byte{colBuf.Bytes(), ndBuf.Bytes()} {
-		cr, err := OpenCorpus(bytes.NewReader(raw))
-		if err != nil {
-			t.Fatalf("OpenCorpus: %v", err)
+	check := func(what string, err error) {
+		t.Helper()
+		if err == nil {
+			t.Fatalf("%s accepted a %s text stream", what, StreamFormat)
 		}
-		n := 0
-		for {
-			c, err := cr.Next()
-			if err == io.EOF {
-				break
-			}
-			if err != nil {
-				t.Fatal(err)
-			}
-			n += len(c.Tests)
-		}
-		if n == 0 {
-			t.Error("OpenCorpus replay returned no tests")
+		if !strings.Contains(err.Error(), StreamFormat) || !strings.Contains(err.Error(), "corpus dump") {
+			t.Errorf("%s error does not name the format and the printer: %v", what, err)
 		}
 	}
+	_, err = openCorpus(text, 1)
+	check("OpenCorpusProjected", err)
+	_, err = Read(bytes.NewReader(text))
+	check("Read", err)
 }
 
 // TestColumnarTruncated rejects a file whose footer never arrived, at
-// several cut points (mid-header, mid-chunk, mid-footer, missing tail).
+// several cut points (mid-header, mid-chunk, mid-footer, missing tail),
+// through the serial and the worker decode paths alike; a cut after the
+// last chunk names the truncation.
 func TestColumnarTruncated(t *testing.T) {
 	buf, _ := writeColumnar(t, streamCfg(200, 50), 1)
 	raw := buf.Bytes()
-	for _, cut := range []int{4, 100, len(raw) / 2, len(raw) - 13, len(raw) - 1} {
-		cr, err := OpenColumnar(bytes.NewReader(raw[:cut]))
-		if err != nil {
-			continue // failed in the header: also an acceptable rejection
-		}
-		for {
-			_, err = cr.Next()
+	for _, workers := range []int{1, 4} {
+		for _, cut := range []int{4, 100, len(raw) / 2, len(raw) - 13, len(raw) - 1} {
+			cr, err := openCorpus(raw[:cut], workers)
 			if err != nil {
-				break
+				continue // failed in the header: also an acceptable rejection
 			}
-		}
-		if err == io.EOF || err == nil {
-			t.Errorf("file cut at %d read to completion", cut)
+			for {
+				_, err = cr.Next()
+				if err != nil {
+					break
+				}
+			}
+			cr.Close()
+			if err == io.EOF || err == nil {
+				t.Errorf("workers=%d: file cut at %d read to completion", workers, cut)
+			} else if cut == len(raw)-13 && !strings.Contains(err.Error(), "truncated") {
+				t.Errorf("workers=%d: footer-less file not reported as truncated: %v", workers, err)
+			}
 		}
 	}
 }
 
 // TestColumnarCorruption rejects checksum damage anywhere in the body
-// with a descriptive error, never a panic.
+// with a descriptive error, never a panic, through the serial and the
+// worker decode paths alike.
 func TestColumnarCorruption(t *testing.T) {
 	buf, _ := writeColumnar(t, streamCfg(200, 50), 1)
 	raw := buf.Bytes()
 	// Flip one byte at several depths (past the header JSON, which has
 	// its own checksum; and inside chunk stripes).
-	for _, pos := range []int{len(raw) / 4, len(raw) / 2, 3 * len(raw) / 4} {
-		mut := append([]byte(nil), raw...)
-		mut[pos] ^= 0x5a
-		cr, err := OpenColumnar(bytes.NewReader(mut))
-		if err != nil {
-			continue
-		}
-		for {
-			_, err = cr.Next()
+	for _, workers := range []int{1, 4} {
+		for _, pos := range []int{len(raw) / 4, len(raw) / 2, 3 * len(raw) / 4} {
+			mut := append([]byte(nil), raw...)
+			mut[pos] ^= 0x5a
+			cr, err := openCorpus(mut, workers)
 			if err != nil {
-				break
+				continue
 			}
-		}
-		if err == io.EOF || err == nil {
-			t.Errorf("byte flip at %d went undetected", pos)
+			for {
+				_, err = cr.Next()
+				if err != nil {
+					break
+				}
+			}
+			cr.Close()
+			if err == io.EOF || err == nil {
+				t.Errorf("workers=%d: byte flip at %d went undetected", workers, pos)
+			}
 		}
 	}
 }
@@ -417,7 +371,7 @@ func TestColumnarFooterMismatch(t *testing.T) {
 	a, b := bufA.Bytes(), bufB.Bytes()
 	// A's chunks with B's (smaller but internally consistent) footer.
 	spliced := append(append([]byte(nil), a[:footerStart(a)]...), b[footerStart(b):]...)
-	cr, err := OpenColumnar(bytes.NewReader(spliced))
+	cr, err := openCorpus(spliced, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -458,7 +412,7 @@ func TestColumnarFooterMismatch(t *testing.T) {
 	frame = binary.LittleEndian.AppendUint32(frame, uint32(len(frame)))
 	frame = append(frame, columnarTail...)
 	mut := append(append([]byte(nil), a[:footerStart(a)]...), frame...)
-	cr, err = OpenColumnar(bytes.NewReader(mut))
+	cr, err = openCorpus(mut, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -477,7 +431,7 @@ func TestColumnarFooterMismatch(t *testing.T) {
 // reader mid-stream releases its goroutines without deadlock.
 func TestColumnarReaderCloseEarly(t *testing.T) {
 	buf, _ := writeColumnar(t, streamCfg(300, 30), 2)
-	cr, err := OpenColumnarWorkers(bytes.NewReader(buf.Bytes()), 4)
+	cr, err := openCorpus(buf.Bytes(), 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -492,16 +446,18 @@ func TestColumnarReaderCloseEarly(t *testing.T) {
 	}
 }
 
-// TestColumnarWriterRejectsConflictedPublic mirrors the NDJSON
-// writer's validation gate.
+// TestColumnarWriterRejectsConflictedPublic refuses to start a corpus
+// from an ambiguous public bundle, at any worker count.
 func TestColumnarWriterRejectsConflictedPublic(t *testing.T) {
 	pub := FromWorld(world, nil).Public
 	pub.Rels = append(pub.Rels, relRow{A: pub.Rels[0].A, B: pub.Rels[0].B, Rel: "sibling"})
 	if pub.Rels[0].Rel == "sibling" {
 		pub.Rels[len(pub.Rels)-1].Rel = "peer"
 	}
-	var buf bytes.Buffer
-	if _, err := NewColumnarWriter(&buf, pub, StreamMeta{}); err == nil {
-		t.Fatal("conflicted public bundle accepted")
+	for _, workers := range []int{1, 4} {
+		var buf bytes.Buffer
+		if _, err := NewColumnarWriter(&buf, pub, StreamMeta{}, workers); err == nil {
+			t.Fatalf("workers=%d: conflicted public bundle accepted", workers)
+		}
 	}
 }

@@ -1,39 +1,73 @@
-// Unified corpus access across the two persisted formats: the NDJSON
-// stream (tputlab-corpus/1, debuggable and jq-able) and the binary
-// columnar corpus (tputlab-corpus/2, built for repeated re-analysis).
-// Callers that replay a corpus — report, platform reload, the future
-// campaign server — open through here and never care which format is
-// on disk; format-specific entry points stay available for callers
-// that require one (and fail with an error naming both the detected
-// and the expected format when handed the other).
+// Chunked corpus access: a campaign persists while it collects and a
+// report replays it in bounded memory, one chunk at a time. The header
+// carries everything inference needs before any record (public lookups,
+// campaign metadata); chunks arrive in collection order with their
+// scheduling watermark, so core.StreamMatcher can consume them
+// directly; the footer totals double as a truncation check — a crash
+// mid-campaign leaves a file the reader refuses. The on-disk encoding
+// is the columnar format of columnar.go.
 package export
 
 import (
-	"bufio"
 	"fmt"
 	"io"
 
+	"throughputlab/internal/ndt"
 	"throughputlab/internal/platform"
+	"throughputlab/internal/traceroute"
 )
 
-// CorpusWriter persists a campaign chunk by chunk; StreamWriter and
-// ColumnarWriter both satisfy it, so a collection sink can pick the
-// on-disk format at runtime. Sync is the chunk-boundary durability
-// barrier: it drains every submitted chunk through the encode pipeline
-// and the bufio layer, after which the underlying writer holds a
-// well-formed prefix the checkpoint layer can fsync and record.
-// Abandon stops the writer without sealing the file (no footer) — the
-// interrupt path, where the on-disk prefix must stay visibly partial.
-type CorpusWriter interface {
-	WriteChunk(c *platform.Chunk) error
-	Sync() error
-	Close() error
-	Abandon()
-	Footer() StreamFooter
+// StreamMeta describes the campaign a corpus holds.
+type StreamMeta struct {
+	// Scale is the profile name the campaign ran under (e.g. "large").
+	Scale string `json:"scale,omitempty"`
+	// Seed is the campaign seed.
+	Seed int64 `json:"seed"`
+	// Tests is the scheduled test count.
+	Tests int `json:"tests"`
 }
 
-// CorpusReader replays a persisted corpus chunk by chunk; StreamReader
-// and ColumnarReader both satisfy it.
+// streamHeader is the corpus identity: the columnar header frame's JSON
+// payload, and the header line Dump prints. Format stays first so the
+// printed header opens with the format name.
+type streamHeader struct {
+	Format string     `json:"format"`
+	Public Public     `json:"public"`
+	Meta   StreamMeta `json:"meta"`
+}
+
+// StreamChunk is one persisted collection chunk.
+type StreamChunk struct {
+	Chunk             int                   `json:"chunk"`
+	Watermark         int                   `json:"watermark"`
+	Tests             []*ndt.Test           `json:"tests,omitempty"`
+	Traces            []*traceroute.Trace   `json:"traces,omitempty"`
+	TestsWithoutTrace int                   `json:"tests_without_trace,omitempty"`
+	Completeness      platform.Completeness `json:"completeness,omitzero"`
+}
+
+// StreamFooter closes a corpus with campaign totals.
+type StreamFooter struct {
+	Footer            bool                  `json:"footer"`
+	Chunks            int                   `json:"chunks"`
+	Tests             int                   `json:"tests"`
+	Traces            int                   `json:"traces"`
+	TestsWithoutTrace int                   `json:"tests_without_trace"`
+	Completeness      platform.Completeness `json:"completeness,omitzero"`
+}
+
+// CheckFormat accepts the corpus-format names a caller may pass:
+// "columnar", or empty for the default. There is one on-disk format;
+// any other name is refused with a pointer to the text printer.
+func CheckFormat(name string) error {
+	if name == "" || name == "columnar" {
+		return nil
+	}
+	return fmt.Errorf("corpus format %q is not supported: the only corpus format is columnar (%s); 'tputlab corpus dump FILE' prints a corpus as the %s text stream",
+		name, ColumnarFormat, StreamFormat)
+}
+
+// CorpusReader replays a persisted corpus chunk by chunk.
 type CorpusReader interface {
 	Public() *Public
 	Meta() StreamMeta
@@ -42,50 +76,17 @@ type CorpusReader interface {
 	Close() error
 }
 
-var (
-	_ CorpusWriter = (*StreamWriter)(nil)
-	_ CorpusWriter = (*ColumnarWriter)(nil)
-	_ CorpusReader = (*StreamReader)(nil)
-	_ CorpusReader = (*ColumnarReader)(nil)
-)
-
-// NewCorpusWriter opens a chunked corpus writer in the named format
-// ("ndjson" or "columnar"), with worker-parallel encode when workers
-// is greater than one.
-func NewCorpusWriter(w io.Writer, format string, public Public, meta StreamMeta, workers int) (CorpusWriter, error) {
-	switch format {
-	case "", "ndjson":
-		return NewStreamWriterWorkers(w, public, meta, workers)
-	case "columnar":
-		return NewColumnarWriterWorkers(w, public, meta, workers)
-	}
-	return nil, fmt.Errorf("export: unknown corpus format %q (want ndjson or columnar)", format)
-}
-
-// OpenCorpus opens a persisted corpus of either format, detected by
-// its magic bytes.
-func OpenCorpus(r io.Reader) (CorpusReader, error) {
-	return OpenCorpusProjected(r, 1, EverythingProjection())
-}
-
-// OpenCorpusWorkers is OpenCorpus with worker-parallel chunk decoding.
-func OpenCorpusWorkers(r io.Reader, workers int) (CorpusReader, error) {
-	return OpenCorpusProjected(r, workers, EverythingProjection())
-}
-
-// OpenCorpusProjected opens a persisted corpus of either format with a
-// column projection. Only the columnar format can act on it — skipping
-// the stripes of a projected-out family is the big lever behind the
-// fast report-over-corpus path — but the projection is honored
-// logically by both: chunks from an NDJSON stream simply carry the
-// full rows.
+// OpenCorpusProjected opens a persisted corpus for a chunk-by-chunk
+// replay, decoding chunks on workers goroutines and only the column
+// families proj selects: skipping the stripes of a projected-out family
+// is the big lever behind the fast report-over-corpus path. Call Close
+// when abandoning the reader before io.EOF.
 func OpenCorpusProjected(r io.Reader, workers int, proj Projection) (CorpusReader, error) {
-	br := bufio.NewReaderSize(r, 1<<16)
-	head, err := br.Peek(len(columnarMagic))
-	if err == nil && string(head) == columnarMagic {
-		return OpenColumnarProjected(br, workers, proj)
+	cr, err := openColumnar(r, workers, proj)
+	if err != nil {
+		return nil, err
 	}
-	return OpenStreamWorkers(br, workers)
+	return cr, nil
 }
 
 // materializeCorpus drains an open reader into a Dataset.

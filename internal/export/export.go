@@ -152,25 +152,22 @@ func (p *Public) Validate() error {
 }
 
 // Write encodes the dataset as indented JSON (the original single-blob
-// format). For corpora too large to hold in memory, use StreamWriter.
+// format). For corpora too large to hold in memory, use
+// NewColumnarWriter.
 func (d *Dataset) Write(w io.Writer) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", " ")
 	return enc.Encode(d)
 }
 
-// Read decodes a dataset, auto-detecting the format: the original
-// single JSON blob, the chunked NDJSON corpus stream, or the binary
-// columnar corpus (streams are materialized fully, with the footer's
-// completeness ledger folded in). The public bundle is validated
-// either way.
+// Read decodes a dataset: the original single JSON blob, or a columnar
+// corpus (materialized fully, with the footer's completeness ledger
+// folded in). The public bundle is validated either way.
 func Read(r io.Reader) (*Dataset, error) {
 	br := bufio.NewReaderSize(r, 1<<16)
-	if head, err := br.Peek(len(streamMagic)); err == nil && bytes.HasPrefix(head, []byte(streamMagic)) {
-		return readStreamAll(br)
-	}
-	if head, err := br.Peek(len(columnarMagic)); err == nil && string(head) == columnarMagic {
-		cr, err := OpenColumnar(br)
+	head, _ := br.Peek(len(v1Prefix))
+	if bytes.HasPrefix(head, []byte(columnarMagic)) || bytes.HasPrefix(head, []byte(v1Prefix)) {
+		cr, err := openColumnar(br, 1, EverythingProjection())
 		if err != nil {
 			return nil, err
 		}

@@ -30,47 +30,28 @@ func (c *crcReader) Read(p []byte) (int, error) {
 }
 
 // PrefixState is everything a resumed writer needs about the durable
-// prefix of a partial corpus: identity (header), running footer totals,
-// the columnar chunk-index rows, and the prefix length + CRC.
+// prefix of a partial corpus: running footer totals, the chunk-index
+// rows, and the prefix length + CRC.
 type PrefixState struct {
-	// Format is the detected corpus format, "ndjson" or "columnar".
-	Format string
-	Public *Public
-	Meta   StreamMeta
 	// Totals is the running footer over the prefix chunks (Footer set).
 	Totals StreamFooter
-	// Index holds the columnar chunk-index rows of the prefix; empty
-	// for NDJSON.
-	Index []ChunkIndexEntry
 	// Bytes is the prefix length; CRC is crc32c over those bytes.
 	Bytes int64
 	CRC   uint32
+	index []chunkIndexEntry
 }
 
 // ReplayPrefix reads exactly byteLen bytes of a partial corpus —
 // which must end at a chunk boundary, as the checkpoint layer
 // guarantees — decodes its first `chunks` chunks through the
 // worker-parallel reader, hands each to onChunk, and returns the
-// prefix state (totals, columnar index, CRC over the bytes) a resumed
+// prefix state (totals, chunk index, CRC over the bytes) a resumed
 // writer continues from. Bytes between the last decoded chunk and
 // byteLen would indicate a corrupt checkpoint and surface through the
 // CRC/length cross-checks the caller performs.
 func ReplayPrefix(r io.Reader, byteLen int64, chunks int, workers int, onChunk func(*StreamChunk) error) (*PrefixState, error) {
 	cr := &crcReader{r: io.LimitReader(r, byteLen)}
-	br := bufio.NewReaderSize(cr, 1<<20)
-	head, _ := br.Peek(len(columnarMagic))
-	var (
-		rd     CorpusReader
-		format string
-		err    error
-	)
-	if string(head) == columnarMagic {
-		format = "columnar"
-		rd, err = OpenColumnarWorkers(br, workers)
-	} else {
-		format = "ndjson"
-		rd, err = OpenStreamWorkers(br, workers)
-	}
+	rd, err := openColumnar(cr, workers, EverythingProjection())
 	if err != nil {
 		return nil, fmt.Errorf("export: opening corpus prefix: %w", err)
 	}
@@ -87,14 +68,8 @@ func ReplayPrefix(r io.Reader, byteLen int64, chunks int, workers int, onChunk f
 			}
 		}
 	}
-	ps := &PrefixState{Format: format, Public: rd.Public(), Meta: rd.Meta(), Bytes: byteLen}
-	switch v := rd.(type) {
-	case *StreamReader:
-		ps.Totals = v.ReadTotals()
-	case *ColumnarReader:
-		ps.Totals = v.ReadTotals()
-		ps.Index = append([]ChunkIndexEntry(nil), v.SeenIndex()...)
-	}
+	ps := &PrefixState{Totals: rd.read, Bytes: byteLen, index: rd.seen}
+	ps.Totals.Footer = true
 	// Close stops the read-ahead goroutines; the io.Copy then pulls any
 	// bytes they left unread through the CRC so it covers the whole
 	// prefix.
@@ -109,38 +84,32 @@ func ReplayPrefix(r io.Reader, byteLen int64, chunks int, workers int, onChunk f
 	return ps, nil
 }
 
-// ResumeCorpusWriter reopens a chunked corpus writer over a file whose
-// durable prefix ReplayPrefix just verified; w must be positioned at
-// the end of that prefix. The next WriteChunk appends the chunk after
-// the prefix, and the final file is byte-identical to an uninterrupted
-// campaign's.
-func ResumeCorpusWriter(w io.Writer, prefix *PrefixState, workers int) (CorpusWriter, error) {
-	switch prefix.Format {
-	case "", "ndjson":
-		return ResumeStreamWriter(w, prefix.Totals, workers), nil
-	case "columnar":
-		return ResumeColumnarWriter(w, prefix.Totals, prefix.Bytes, prefix.Index, workers), nil
+// ResumeCorpusWriter reopens a corpus writer over a file whose durable
+// prefix ReplayPrefix just verified; w must be positioned at the end of
+// that prefix. The writer emits no header: the next WriteChunk appends
+// the chunk after the prefix, and the final file is byte-identical to
+// an uninterrupted campaign's.
+func ResumeCorpusWriter(w io.Writer, prefix *PrefixState, workers int) *ColumnarWriter {
+	cw := &ColumnarWriter{
+		bw:     bufio.NewWriterSize(w, 1<<20),
+		off:    prefix.Bytes,
+		footer: prefix.Totals,
+		index:  append([]chunkIndexEntry(nil), prefix.index...),
 	}
-	return nil, fmt.Errorf("export: unknown corpus format %q (want ndjson or columnar)", prefix.Format)
+	cw.footer.Footer = true
+	if workers > 1 {
+		cw.attachEncoders(workers)
+	}
+	return cw
 }
 
-// HeaderFingerprint digests the (format, public, meta) identity triple
-// a corpus opens with. The checkpoint manifest records it as the world
-// hash: at resume time the regenerated world must fingerprint to the
-// same value or the suffix would not splice onto the prefix. The JSON
-// marshalling is deterministic (map keys sort), so equal worlds always
-// digest equally.
-func HeaderFingerprint(format string, public Public, meta StreamMeta) (uint32, error) {
-	var name string
-	switch format {
-	case "", "ndjson":
-		name = StreamFormat
-	case "columnar":
-		name = ColumnarFormat
-	default:
-		return 0, fmt.Errorf("export: unknown corpus format %q (want ndjson or columnar)", format)
-	}
-	hdr, err := json.Marshal(streamHeader{Format: name, Public: public, Meta: meta})
+// HeaderFingerprint digests the (public, meta) identity a corpus opens
+// with. The checkpoint manifest records it as the world hash: at resume
+// time the regenerated world must fingerprint to the same value or the
+// suffix would not splice onto the prefix. The JSON marshalling is
+// deterministic (map keys sort), so equal worlds always digest equally.
+func HeaderFingerprint(public Public, meta StreamMeta) (uint32, error) {
+	hdr, err := json.Marshal(streamHeader{Format: ColumnarFormat, Public: public, Meta: meta})
 	if err != nil {
 		return 0, fmt.Errorf("export: encoding corpus header: %w", err)
 	}

@@ -239,7 +239,13 @@ func (b *StreamBuilder) Finish(completeness platform.Completeness) *Report {
 	}
 	m := b.matcher.Finish()
 	if b.reg != nil {
-		b.reg.Gauge("match.pairs").Set(int64(m.Matched()))
+		// The matcher hands pairs to onPair instead of filling ByTest, so
+		// m.Matched() is 0 here: count the finalized pairs instead.
+		pairs := 0
+		for _, p := range b.pairs {
+			pairs += p.matched
+		}
+		b.reg.Gauge("match.pairs").Set(int64(pairs))
 		b.reg.Gauge("match.degraded").Set(int64(m.Degraded))
 	}
 

@@ -179,6 +179,46 @@ func TestStreamReportMatchesBatchUnderFaults(t *testing.T) {
 	}
 }
 
+// TestStreamMatchPairsGauge pins the match.pairs gauge on the streamed
+// path, where the matcher hands pairs to the builder instead of filling
+// ByTest: it must equal the batch matcher's pair count over the same
+// campaign.
+func TestStreamMatchPairsGauge(t *testing.T) {
+	cfg := env.Opts.Collect
+	cfg.Tests = 2000
+	cfg.ChunkTests = 256
+	corpus, err := platform.Collect(env.World, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := core.MatchTraces(corpus.Tests, corpus.Traces, MatchWindowMin, MatchModeUsed).Matched()
+	if want == 0 {
+		t.Fatal("campaign matched no pairs (fixture too small)")
+	}
+	reg := obs.NewRegistry()
+	opts := env.MapItOpts()
+	opts.Obs = reg
+	b := NewStreamBuilder(DefaultConfig(), MetroHourOf(), opts)
+	if _, err := platform.CollectStream(env.World, cfg, 2, func(c *platform.Chunk) error {
+		b.AddTraces(c.Traces)
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	b.FinishInference()
+	st, err := platform.CollectStream(env.World, cfg, 2, func(c *platform.Chunk) error {
+		b.AddChunk(c.Tests, c.Traces, c.Watermark)
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	b.Finish(st.Completeness)
+	if got := reg.Gauge("match.pairs").Value(); got != int64(want) {
+		t.Errorf("streamed match.pairs = %d, batch matcher paired %d", got, want)
+	}
+}
+
 // firstDiff renders the first differing line for a readable failure.
 func firstDiff(want, got string) string {
 	w, g := strings.Split(want, "\n"), strings.Split(got, "\n")
