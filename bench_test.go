@@ -13,6 +13,7 @@ package throughputlab
 // BenchmarkCorpusCollection).
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"math/rand"
@@ -113,7 +114,7 @@ func BenchmarkCorpusCollection(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := platform.Collect(e.World, cfg); err != nil {
+		if _, err := platform.CollectParallelCtx(context.Background(), e.World, cfg, 1); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -131,7 +132,7 @@ func BenchmarkCorpusCollectionInstrumented(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := platform.Collect(e.World, cfg); err != nil {
+		if _, err := platform.CollectParallelCtx(context.Background(), e.World, cfg, 1); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -159,7 +160,7 @@ func BenchmarkCorpusCollectionFullTelemetry(b *testing.B) {
 		bus.AddSink(func(obs.Event) {})
 		cfg.Obs = reg
 		b.StartTimer()
-		if _, err := platform.Collect(e.World, cfg); err != nil {
+		if _, err := platform.CollectParallelCtx(context.Background(), e.World, cfg, 1); err != nil {
 			b.Fatal(err)
 		}
 		b.StopTimer()
@@ -420,7 +421,7 @@ func BenchmarkAblationBattleForNet(b *testing.B) {
 			cfg.Tests = 500
 			cfg.BattleForNet = battle
 			for i := 0; i < b.N; i++ {
-				if _, err := platform.Collect(e.World, cfg); err != nil {
+				if _, err := platform.CollectParallelCtx(context.Background(), e.World, cfg, 1); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -524,7 +525,7 @@ func BenchmarkCorpusCollectionParallel(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := platform.CollectParallel(e.World, cfg, *engineWorkers); err != nil {
+		if _, err := platform.CollectParallelCtx(context.Background(), e.World, cfg, *engineWorkers); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"os"
 	"path/filepath"
 	"testing"
@@ -16,7 +17,7 @@ func writeCorpus(t *testing.T) string {
 	cfg := platform.DefaultCollect()
 	cfg.Tests = 300
 	cfg.PerPoolClients = 4
-	corpus, err := platform.Collect(w, cfg)
+	corpus, err := platform.CollectParallelCtx(context.Background(), w, cfg, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

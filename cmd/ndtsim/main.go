@@ -10,6 +10,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -66,7 +67,7 @@ func run(scale string, seed int64, tests int, battle bool, campaign, out string)
 		ccfg.Tests = tests
 		ccfg.Seed = seed + 6
 		ccfg.BattleForNet = battle
-		corpus, err := platform.Collect(w, ccfg)
+		corpus, err := platform.CollectParallelCtx(context.Background(), w, ccfg, 1)
 		if err != nil {
 			return err
 		}

@@ -11,6 +11,7 @@ package main
 // comparison is needed.
 
 import (
+	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -19,7 +20,6 @@ import (
 	"path/filepath"
 	"runtime"
 	"sort"
-	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -69,20 +69,15 @@ type FaultOverhead struct {
 // next to its throughput, so perf PRs can see both the memory bound
 // and the records-per-second cost of streaming.
 type StreamingResult struct {
-	Scale        string `json:"scale"`
-	Tests        int    `json:"tests"`
-	Traces       int    `json:"traces"`
-	Chunks       int    `json:"chunks"`
-	ChunkTests   int    `json:"chunk_tests"`
-	PeakInFlight int    `json:"peak_in_flight"`
-	Workers      int    `json:"workers"`
-	// Pipelined marks chunk-parallel production (PipelineChunks > 0);
-	// PipelineWindow is the reorder-window depth that bounded it. The
-	// corpus is byte-identical either way — these rows measure cost.
-	Pipelined      bool    `json:"pipelined"`
-	PipelineWindow int     `json:"pipeline_window,omitempty"`
-	WallSeconds    float64 `json:"wall_seconds"`
-	TestsPerSec    float64 `json:"tests_per_second"`
+	Scale        string  `json:"scale"`
+	Tests        int     `json:"tests"`
+	Traces       int     `json:"traces"`
+	Chunks       int     `json:"chunks"`
+	ChunkTests   int     `json:"chunk_tests"`
+	PeakInFlight int     `json:"peak_in_flight"`
+	Workers      int     `json:"workers"`
+	WallSeconds  float64 `json:"wall_seconds"`
+	TestsPerSec  float64 `json:"tests_per_second"`
 }
 
 // CheckpointOverhead compares persisting one streamed campaign through
@@ -107,6 +102,7 @@ func checkpointOverheadRow(w *topogen.World, cfg platform.CollectConfig, scaleNa
 		return nil, err
 	}
 	defer os.RemoveAll(dir)
+	ctx := context.Background()
 	pub := export.FromWorld(w, nil).Public
 	meta := export.StreamMeta{Scale: scaleName, Seed: cfg.Seed, Tests: cfg.Tests}
 	fp := checkpoint.Fingerprint{
@@ -127,7 +123,7 @@ func checkpointOverheadRow(w *topogen.World, cfg platform.CollectConfig, scaleNa
 			return 0, err
 		}
 		start := time.Now()
-		_, err = platform.CollectStream(w, cfg, workers, cw.WriteChunk)
+		_, err = platform.CollectStreamCtx(ctx, w, cfg, workers, cw.WriteChunk)
 		if err == nil {
 			err = cw.Close()
 		}
@@ -143,7 +139,7 @@ func checkpointOverheadRow(w *topogen.World, cfg platform.CollectConfig, scaleNa
 			return 0, err
 		}
 		start := time.Now()
-		_, err = platform.CollectStream(w, cfg, workers, cw.WriteChunk)
+		_, err = platform.CollectStreamCtx(ctx, w, cfg, workers, cw.WriteChunk)
 		if err == nil {
 			err = cw.Close()
 		} else {
@@ -234,10 +230,6 @@ type Baseline struct {
 	Observability *obs.Dump `json:"observability,omitempty"`
 }
 
-// benchStreamWindow is the reorder-window depth the pipelined
-// streaming rows run at; it matches the CI streaming smoke.
-const benchStreamWindow = 4
-
 // resolverRates snapshots a world resolver's cache efficiency as
 // percentages.
 func resolverRates(r *routing.Resolver) map[string]float64 {
@@ -253,19 +245,6 @@ func resolverRates(r *routing.Resolver) map[string]float64 {
 		"inter":   rate(st.InterHits, st.InterMisses),
 		"aspath":  rate(st.ASPathHits, st.ASPathMisses),
 	}
-}
-
-// parseWorkerList parses a "1,2,8"-style -stream-workers value.
-func parseWorkerList(s string) ([]int, error) {
-	var out []int
-	for _, part := range strings.Split(s, ",") {
-		n, err := strconv.Atoi(strings.TrimSpace(part))
-		if err != nil || n < 1 {
-			return nil, fmt.Errorf("invalid -stream-workers entry %q (want positive integers, e.g. 1,2,8)", part)
-		}
-		out = append(out, n)
-	}
-	return out, nil
 }
 
 func record(name string, r testing.BenchmarkResult) BenchResult {
@@ -287,7 +266,6 @@ func benchCmd(args []string) error {
 	genWorkers := fs.Int("genworkers", runtime.GOMAXPROCS(0), "world-generation worker count for the parallel generation measurement")
 	quick := fs.Bool("quick", false, "CI smoke mode: small-scale measurements only")
 	streamScale := fs.String("stream-scale", "", "also measure streamed collection at this -scale profile (e.g. large, xlarge)")
-	streamWorkers := fs.String("stream-workers", "", "comma-separated worker counts for pipelined -stream-scale rows (e.g. 1,2,8)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -297,6 +275,7 @@ func benchCmd(args []string) error {
 	if err := validateWorkers("genworkers", *genWorkers); err != nil {
 		return err
 	}
+	ctx := context.Background()
 	date := time.Now().UTC().Format("2006-01-02")
 	path := *out
 	if path == "" {
@@ -398,7 +377,7 @@ func benchCmd(args []string) error {
 		b.Benchmarks = append(b.Benchmarks, record("CorpusCollection/small", testing.Benchmark(func(tb *testing.B) {
 			tb.ReportAllocs()
 			for i := 0; i < tb.N; i++ {
-				if _, err := platform.Collect(w, smallCfg); err != nil {
+				if _, err := platform.CollectParallelCtx(ctx, w, smallCfg, 1); err != nil {
 					tb.Fatal(err)
 				}
 			}
@@ -413,7 +392,7 @@ func benchCmd(args []string) error {
 		rOff := testing.Benchmark(func(tb *testing.B) {
 			tb.ReportAllocs()
 			for i := 0; i < tb.N; i++ {
-				if _, err := platform.Collect(w, smallCfg); err != nil {
+				if _, err := platform.CollectParallelCtx(ctx, w, smallCfg, 1); err != nil {
 					tb.Fatal(err)
 				}
 			}
@@ -421,7 +400,7 @@ func benchCmd(args []string) error {
 		rHeavy := testing.Benchmark(func(tb *testing.B) {
 			tb.ReportAllocs()
 			for i := 0; i < tb.N; i++ {
-				if _, err := platform.Collect(w, heavyCfg); err != nil {
+				if _, err := platform.CollectParallelCtx(ctx, w, heavyCfg, 1); err != nil {
 					tb.Fatal(err)
 				}
 			}
@@ -455,7 +434,7 @@ func benchCmd(args []string) error {
 		return testing.Benchmark(func(tb *testing.B) {
 			tb.ReportAllocs()
 			for i := 0; i < tb.N; i++ {
-				if _, err := platform.Collect(w, tCfg); err != nil {
+				if _, err := platform.CollectParallelCtx(ctx, w, tCfg, 1); err != nil {
 					tb.Fatal(err)
 				}
 			}
@@ -475,7 +454,7 @@ func benchCmd(args []string) error {
 				cfg := tCfg
 				cfg.Obs = reg
 				tb.StartTimer()
-				if _, err := platform.Collect(w, cfg); err != nil {
+				if _, err := platform.CollectParallelCtx(ctx, w, cfg, 1); err != nil {
 					tb.Fatal(err)
 				}
 				tb.StopTimer()
@@ -550,7 +529,7 @@ func benchCmd(args []string) error {
 		cfg.Tests = scale.tests
 		cfg.Obs = reg
 		start := time.Now()
-		corpus, err := platform.CollectParallel(fw, cfg, *workers)
+		corpus, err := platform.CollectParallelCtx(ctx, fw, cfg, *workers)
 		if err != nil {
 			return err
 		}
@@ -569,7 +548,7 @@ func benchCmd(args []string) error {
 			scfg.ChunkTests = 1
 		}
 		fmt.Fprintf(os.Stderr, "bench: streamed collection (%s, chunk size %d)...\n", scale.name, scfg.ChunkTests)
-		sst, err := platform.CollectStream(fw, scfg, *workers, func(*platform.Chunk) error { return nil })
+		sst, err := platform.CollectStreamCtx(ctx, fw, scfg, *workers, func(*platform.Chunk) error { return nil })
 		if err != nil {
 			return err
 		}
@@ -577,22 +556,6 @@ func benchCmd(args []string) error {
 			Scale: scale.name, Tests: sst.Tests, Traces: sst.Traces,
 			Chunks: sst.Chunks, ChunkTests: scfg.ChunkTests, PeakInFlight: sst.PeakInFlight,
 			Workers: *workers, WallSeconds: sst.WallSeconds, TestsPerSec: sst.TestsPerSec,
-		})
-		// Pipelined leg on the same config: chunk-parallel production
-		// behind the reorder window, so every baseline carries a
-		// barrier-vs-pipelined pair per scale.
-		pcfg := scfg
-		pcfg.PipelineChunks = benchStreamWindow
-		fmt.Fprintf(os.Stderr, "bench: streamed collection (%s, pipelined, window %d)...\n", scale.name, pcfg.PipelineChunks)
-		pst, err := platform.CollectStream(fw, pcfg, *workers, func(*platform.Chunk) error { return nil })
-		if err != nil {
-			return err
-		}
-		b.Streaming = append(b.Streaming, StreamingResult{
-			Scale: scale.name, Tests: pst.Tests, Traces: pst.Traces,
-			Chunks: pst.Chunks, ChunkTests: pcfg.ChunkTests, PeakInFlight: pst.PeakInFlight,
-			Workers: *workers, Pipelined: true, PipelineWindow: pcfg.PipelineChunks,
-			WallSeconds: pst.WallSeconds, TestsPerSec: pst.TestsPerSec,
 		})
 		if reg != nil {
 			b.ResolverCacheHitRates = resolverRates(fw.Resolver)
@@ -634,12 +597,9 @@ func benchCmd(args []string) error {
 		if chunk <= 0 {
 			chunk = platform.DefaultChunkTests
 		}
-		// One barrier row for continuity with earlier baselines, then
-		// (with -stream-workers) pipelined rows across worker counts on
-		// the same warm world — the corpus is identical in every row.
 		fmt.Fprintf(os.Stderr, "bench: streamed collection (%s, %d tests, %d workers, chunk size %d)...\n",
 			*streamScale, cfg.Tests, *workers, chunk)
-		sst, err := platform.CollectStream(sw, cfg, *workers, func(*platform.Chunk) error { return nil })
+		sst, err := platform.CollectStreamCtx(ctx, sw, cfg, *workers, func(*platform.Chunk) error { return nil })
 		if err != nil {
 			return err
 		}
@@ -648,28 +608,6 @@ func benchCmd(args []string) error {
 			Chunks: sst.Chunks, ChunkTests: chunk, PeakInFlight: sst.PeakInFlight,
 			Workers: *workers, WallSeconds: sst.WallSeconds, TestsPerSec: sst.TestsPerSec,
 		})
-		if *streamWorkers != "" {
-			counts, err := parseWorkerList(*streamWorkers)
-			if err != nil {
-				return err
-			}
-			for _, n := range counts {
-				pcfg := cfg
-				pcfg.PipelineChunks = benchStreamWindow
-				fmt.Fprintf(os.Stderr, "bench: streamed collection (%s, pipelined, %d workers, window %d)...\n",
-					*streamScale, n, pcfg.PipelineChunks)
-				pst, err := platform.CollectStream(sw, pcfg, n, func(*platform.Chunk) error { return nil })
-				if err != nil {
-					return err
-				}
-				b.Streaming = append(b.Streaming, StreamingResult{
-					Scale: *streamScale, Tests: pst.Tests, Traces: pst.Traces,
-					Chunks: pst.Chunks, ChunkTests: chunk, PeakInFlight: pst.PeakInFlight,
-					Workers: n, Pipelined: true, PipelineWindow: pcfg.PipelineChunks,
-					WallSeconds: pst.WallSeconds, TestsPerSec: pst.TestsPerSec,
-				})
-			}
-		}
 		if b.ResolverCacheHitRates == nil {
 			b.ResolverCacheHitRates = resolverRates(sw.Resolver)
 		}

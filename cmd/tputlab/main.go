@@ -169,12 +169,6 @@ flags for run/report:
   -tests N               NDT corpus size (0 = scale default)
   -parallel N            engine worker count (default GOMAXPROCS);
                          results are identical for every N
-  -pipeline N            chunk-parallel streamed collection: workers
-                         produce whole chunks concurrently and a
-                         reorder buffer of depth N re-sequences them
-                         (0 = per-chunk barrier, the default); the
-                         corpus and report are byte-identical for
-                         every value
   -genworkers N          world-generation worker count (default
                          GOMAXPROCS); the world is byte-identical
                          for every N
@@ -244,7 +238,6 @@ type commonFlags struct {
 	seed         *int64
 	tests        *int
 	workers      *int
-	pipeline     *int
 	genWorkers   *int
 	corpusFormat *string
 	faults       *string
@@ -274,7 +267,6 @@ func addCommonFlags(fs *flag.FlagSet) *commonFlags {
 		seed:         fs.Int64("seed", 1, "generation seed"),
 		tests:        fs.Int("tests", 0, "NDT corpus size override"),
 		workers:      fs.Int("parallel", runtime.GOMAXPROCS(0), "engine worker count"),
-		pipeline:     fs.Int("pipeline", 0, "streamed chunk-pipeline reorder window, 0 = per-chunk barrier"),
 		genWorkers:   fs.Int("genworkers", runtime.GOMAXPROCS(0), "world-generation worker count"),
 		corpusFormat: fs.String("corpus-format", "", "corpus file format: columnar, the only one (the default)"),
 		faults:       fs.String("faults", "off", "fault-injection profile: off, light, moderate or heavy"),
@@ -318,9 +310,6 @@ func (cf *commonFlags) options() (experiments.Options, *obs.Registry, error) {
 	if err := validateWorkers("genworkers", *cf.genWorkers); err != nil {
 		return experiments.Options{}, nil, err
 	}
-	if *cf.pipeline < 0 {
-		return experiments.Options{}, nil, fmt.Errorf("-pipeline must be >= 0 (got %d)", *cf.pipeline)
-	}
 	if err := export.CheckFormat(*cf.corpusFormat); err != nil {
 		return experiments.Options{}, nil, fmt.Errorf("invalid -corpus-format: %w", err)
 	}
@@ -342,7 +331,6 @@ func (cf *commonFlags) options() (experiments.Options, *obs.Registry, error) {
 	opts.Collect.Faults = prof
 	opts.Collect.FaultSeed = *cf.faultSeed
 	opts.Collect.ChunkTests = *cf.chunkTests
-	opts.Collect.PipelineChunks = *cf.pipeline
 	opts.Workers = *cf.workers
 	var reg *obs.Registry
 	if *cf.metrics || *cf.metricsJSON != "" || *cf.events != "" || *cf.progress ||
@@ -729,7 +717,7 @@ func resumeCampaign(ctx context.Context, cf *commonFlags) (*experiments.Env, *ob
 // per-test aggregation, trace matching, and the bdrmap border
 // accumulator overlapping. Peak memory is a few chunks plus the
 // matcher's watermark window; the rendered report is byte-identical to
-// the batch path at every -parallel/-pipeline value.
+// the batch path at every -parallel value.
 func reportStreamed(ctx context.Context, opts experiments.Options, reg *obs.Registry, scale, corpusOut string, ckptEvery int) (string, error) {
 	opts.Topo.Obs = reg
 	opts.Collect.Obs = reg
@@ -929,6 +917,12 @@ func runCmd(args []string) error {
 	if err := fs.Parse(args[1:]); err != nil {
 		return err
 	}
+	// Resolve the name before any world is generated or corpus
+	// collected (or published with -corpus-out).
+	entry, ok := experiments.Find(name)
+	if !ok && name != "all" {
+		return fmt.Errorf("unknown experiment %q (try 'tputlab list')", name)
+	}
 	ctx, stopSignals := signalContext()
 	defer stopSignals()
 
@@ -973,10 +967,6 @@ func runCmd(args []string) error {
 		fmt.Print(out)
 		fmt.Fprint(os.Stderr, stats.Summary())
 		return finish(cf, reg, err)
-	}
-	entry, ok := experiments.Find(name)
-	if !ok {
-		return fmt.Errorf("unknown experiment %q (try 'tputlab list')", name)
 	}
 	sp := reg.Span("experiments")
 	child := sp.Child(entry.Name)

@@ -1,12 +1,41 @@
 package main
 
 import (
+	"io"
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 )
 
+// TestRunCmdUnknownExperiment pins that an unknown name is refused
+// before the world is generated and before -corpus-out publishes
+// anything.
 func TestRunCmdUnknownExperiment(t *testing.T) {
-	if err := runCmd([]string{"nosuch", "-scale", "small", "-tests", "50"}); err == nil {
-		t.Error("unknown experiment should error")
+	path := filepath.Join(t.TempDir(), "corpus.tpc")
+	r, w, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	stderr := make(chan string)
+	go func() {
+		b, _ := io.ReadAll(r)
+		stderr <- string(b)
+	}()
+	saved := os.Stderr
+	os.Stderr = w
+	runErr := runCmd([]string{"nosuch", "-scale", "small", "-tests", "200", "-corpus-out", path})
+	os.Stderr = saved
+	w.Close()
+	out := <-stderr
+	if runErr == nil || !strings.Contains(runErr.Error(), "tputlab list") {
+		t.Errorf("run nosuch: err = %v, want an error pointing at 'tputlab list'", runErr)
+	}
+	if strings.Contains(out, "generating world") {
+		t.Errorf("run nosuch generated a world before refusing the name:\n%s", out)
+	}
+	if _, err := os.Stat(path); !os.IsNotExist(err) {
+		t.Errorf("run nosuch left a -corpus-out file (stat err %v)", err)
 	}
 	if err := runCmd(nil); err == nil {
 		t.Error("missing experiment name should error")

@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -19,7 +20,7 @@ func main() {
 	world := topogen.MustGenerate(topogen.SmallConfig())
 	cfg := platform.DefaultCollect()
 	cfg.Tests = 6000
-	corpus, err := platform.Collect(world, cfg)
+	corpus, err := platform.CollectParallelCtx(context.Background(), world, cfg, 1)
 	if err != nil {
 		log.Fatal(err)
 	}

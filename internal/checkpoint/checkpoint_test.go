@@ -2,6 +2,7 @@ package checkpoint
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -53,7 +54,7 @@ func reference(t *testing.T, cfg platform.CollectConfig, workers int) []byte {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := platform.CollectStream(world, cfg, workers, cw.WriteChunk); err != nil {
+	if _, err := platform.CollectStreamCtx(context.Background(), world, cfg, workers, cw.WriteChunk); err != nil {
 		t.Fatal(err)
 	}
 	if err := cw.Close(); err != nil {
@@ -81,7 +82,7 @@ func TestPublishAtomicAndByteIdentical(t *testing.T) {
 		if _, err := os.Stat(w.ManifestPathName()); err != nil {
 			t.Fatalf("manifest should exist from Create on: %v", err)
 		}
-		if _, err := platform.CollectStream(world, cfg, 4, w.WriteChunk); err != nil {
+		if _, err := platform.CollectStreamCtx(context.Background(), world, cfg, 4, w.WriteChunk); err != nil {
 			t.Fatal(err)
 		}
 		if _, err := os.Stat(final); !errors.Is(err, os.ErrNotExist) {
@@ -165,7 +166,7 @@ func TestWriteFailureNeverPublishes(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, cerr := platform.CollectStream(world, cfg, 1, w.WriteChunk)
+		_, cerr := platform.CollectStreamCtx(context.Background(), world, cfg, 1, w.WriteChunk)
 		if cerr == nil {
 			// Small corpora can fit 4096 bytes of header; force the
 			// flush path to surface the failure.
@@ -235,7 +236,7 @@ func interruptAfter(t *testing.T, final string, cfg platform.CollectConfig, work
 	}
 	errStop := errors.New("stop")
 	seen := 0
-	_, cerr := platform.CollectStream(world, cfg, workers, func(c *platform.Chunk) error {
+	_, cerr := platform.CollectStreamCtx(context.Background(), world, cfg, workers, func(c *platform.Chunk) error {
 		if seen == k {
 			return errStop
 		}
@@ -274,7 +275,7 @@ func resumeAndFinish(t *testing.T, mpath string, cfg platform.CollectConfig, wor
 		t.Fatalf("replayed %d chunks, manifest records %d durable", replayed, m.Durable.Chunks)
 	}
 	cfg.StartChunk = m.Durable.Chunks
-	if _, err := platform.CollectStream(world, cfg, workers, w.WriteChunk); err != nil {
+	if _, err := platform.CollectStreamCtx(context.Background(), world, cfg, workers, w.WriteChunk); err != nil {
 		t.Fatal(err)
 	}
 	if err := w.Close(); err != nil {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -19,7 +20,7 @@ var (
 		cfg := platform.DefaultCollect()
 		cfg.Tests = 6000
 		cfg.PerPoolClients = 8
-		c, err := platform.Collect(world, cfg)
+		c, err := platform.CollectParallelCtx(context.Background(), world, cfg, 1)
 		if err != nil {
 			panic(err)
 		}

@@ -74,20 +74,14 @@ func sanitize(s string) string {
 	return b.String()
 }
 
-// Assign writes DNSName on every interface of the topology. noPTRFrac
-// of interfaces get an empty name, simulating missing PTR records.
-// Draws come from per-AS RNG streams derived from seed, so the result
-// depends only on (topology, seed, noPTRFrac) — see AssignWorkers.
-func Assign(t *topology.Topology, seed int64, noPTRFrac float64) {
-	AssignWorkers(t, seed, noPTRFrac, 1, nil)
-}
-
-// AssignWorkers is Assign sharded per-AS over a worker pool. Each AS
-// gets its own RNG stream derived splitmix-style from (seed, AS index)
-// — the same scheme the platform's CollectParallel uses for shards —
-// and every interface belongs to exactly one AS, so writes are
-// disjoint and the assignment is byte-identical at any worker count.
-// sp, when non-nil, receives one child span per worker.
+// AssignWorkers writes DNSName on every interface of the topology,
+// sharded per-AS over a worker pool. noPTRFrac of interfaces get an
+// empty name, simulating missing PTR records. Each AS gets its own RNG
+// stream derived splitmix-style from (seed, AS index) and every
+// interface belongs to exactly one AS, so writes are disjoint and the
+// result depends only on (topology, seed, noPTRFrac): it is
+// byte-identical at any worker count. sp, when non-nil, receives one
+// child span per worker.
 func AssignWorkers(t *topology.Topology, seed int64, noPTRFrac float64, workers int, sp *obs.Span) {
 	orgName := func(asn topology.ASN) string {
 		as := t.AS(asn)

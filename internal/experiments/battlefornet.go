@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"strings"
 
@@ -46,7 +47,7 @@ func BattleForNet(e *Env) (*BattleResult, error) {
 	for _, battle := range []bool{false, true} {
 		c := cfg
 		c.BattleForNet = battle
-		corpus, err := platform.Collect(e.World, c)
+		corpus, err := platform.CollectParallelCtx(context.TODO(), e.World, c, 1)
 		if err != nil {
 			return nil, err
 		}

@@ -102,34 +102,25 @@ func NewEnvCtx(ctx context.Context, opts Options) (*Env, error) {
 	if err != nil {
 		return nil, err
 	}
-	var corpus *platform.Corpus
+	// Collect through the chunk stream so a CorpusSink sees the corpus
+	// as it is gathered; the appended corpus is CollectParallelCtx's.
+	tee := func(*platform.Chunk) error { return nil }
 	if opts.CorpusSink != nil {
-		tee, err := opts.CorpusSink(w)
-		if err != nil {
-			return nil, err
-		}
-		// Collect through the chunk stream so the sink sees the corpus as
-		// it is gathered; the materialized corpus is identical to the
-		// CollectParallel result (CollectParallel is this same stream with
-		// an append sink).
-		c := &platform.Corpus{}
-		st, err := platform.CollectStreamCtx(ctx, w, opts.Collect, opts.workers(), func(ch *platform.Chunk) error {
-			c.Tests = append(c.Tests, ch.Tests...)
-			c.Traces = append(c.Traces, ch.Traces...)
-			c.TestsWithoutTrace += ch.TestsWithoutTrace
-			return tee(ch)
-		})
-		if err != nil {
-			return nil, err
-		}
-		c.Completeness = st.Completeness
-		corpus = c
-	} else {
-		corpus, err = platform.CollectParallelCtx(ctx, w, opts.Collect, opts.workers())
-		if err != nil {
+		if tee, err = opts.CorpusSink(w); err != nil {
 			return nil, err
 		}
 	}
+	corpus := &platform.Corpus{}
+	st, err := platform.CollectStreamCtx(ctx, w, opts.Collect, opts.workers(), func(ch *platform.Chunk) error {
+		corpus.Tests = append(corpus.Tests, ch.Tests...)
+		corpus.Traces = append(corpus.Traces, ch.Traces...)
+		return tee(ch)
+	})
+	if err != nil {
+		return nil, err
+	}
+	corpus.TestsWithoutTrace = st.TestsWithoutTrace
+	corpus.Completeness = st.Completeness
 	return NewEnvWithCorpus(opts, w, corpus), nil
 }
 

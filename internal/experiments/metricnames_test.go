@@ -16,7 +16,7 @@ var metricName = regexp.MustCompile(`^[a-z0-9_-]+(\.[a-z0-9_-]+)+$`)
 
 // TestMetricNamesFollowConvention walks the full metric namespace of a
 // completely instrumented run — world generation, fault-injected
-// collection, the pipelined streaming path, and the experiment sweep —
+// collection, the streamed chunk path, and the experiment sweep —
 // and rejects any counter, gauge, histogram, or time-series key that
 // is not a namespaced dotted path. A metric that fails here would
 // collide or be unfindable on every dashboard fed by the JSON dump or
@@ -32,7 +32,6 @@ func TestMetricNamesFollowConvention(t *testing.T) {
 	opts.Obs = reg
 	opts.Topo.Workers = 2
 	opts.Collect.Faults = faults.Light()
-	opts.Collect.PipelineChunks = 2
 	env, err := NewEnv(opts)
 	if err != nil {
 		t.Fatal(err)

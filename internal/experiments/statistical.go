@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"sort"
 	"strings"
@@ -56,7 +57,7 @@ func Matching(e *Env) *MatchingResult {
 	cfg := e.Opts.Collect
 	cfg.Tests *= 2
 	cfg.Seed += 9000
-	if big, err := platform.Collect(e.World, cfg); err == nil {
+	if big, err := platform.CollectParallelCtx(context.TODO(), e.World, cfg, 1); err == nil {
 		m := core.MatchTraces(big.Tests, big.Traces, 10, core.WindowAfter)
 		res.HighVolumeTotal = len(big.Tests)
 		res.HighVolumeAfterRate = m.Rate()

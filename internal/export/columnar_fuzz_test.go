@@ -5,20 +5,37 @@ import (
 	"io"
 	"strings"
 	"testing"
-
-	"throughputlab/internal/platform"
 )
+
+// emptyCorpus writes a valid columnar corpus with no chunks, a world-
+// free fuzz seed. Fuzz seeds stay small: the fuzz engine minimizes
+// every input that finds new coverage, and its minimizer is quadratic
+// in the input's length, so mutants of a corpus carrying even one chunk
+// frame (~600 bytes) park both workers in minimization for a whole
+// 20 s run. Chunk payloads sit behind a CRC the fuzzer cannot forge
+// anyway; the round-trip, truncation and corruption tests cover them.
+func emptyCorpus(tb testing.TB) []byte {
+	tb.Helper()
+	var buf bytes.Buffer
+	cw, err := NewColumnarWriter(&buf, Public{}, StreamMeta{Scale: "small", Seed: 1}, 1)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if err := cw.Close(); err != nil {
+		tb.Fatal(err)
+	}
+	return buf.Bytes()
+}
 
 // FuzzColumnarDecode throws arbitrary bytes at the streaming reader.
 // The decoder's contract under hostile input is: a descriptive error,
 // never a panic, and never an allocation proportional to a length
 // field the payload cannot back (truncated stripes, corrupted
 // checksums, oversized varints, and footer/index mismatches all land
-// here). Valid prefixes come from a real campaign so the fuzzer starts
-// deep inside the frame grammar rather than at the magic check.
+// here). The seeds are a valid empty corpus, its prefixes and a
+// corrupted copy, plus the committed files.
 func FuzzColumnarDecode(f *testing.F) {
-	buf, _ := writeColumnar(f, streamCfg(60, 20), 1)
-	raw := buf.Bytes()
+	raw := emptyCorpus(f)
 	f.Add(raw)
 	f.Add(raw[:len(raw)/2])
 	f.Add(raw[:len(raw)-5])
@@ -52,21 +69,11 @@ func FuzzColumnarDecode(f *testing.F) {
 // dataset or columnar corpus) or reject with an error, never panic, and
 // a tputlab-corpus/1 text stream must always be refused by name.
 func FuzzRead(f *testing.F) {
-	// Seeds stay small (an empty public bundle) so mutation is cheap; the
-	// committed corpus adds a single-blob dataset and a bare text header.
-	var col bytes.Buffer
-	cw, err := NewColumnarWriter(&col, Public{}, StreamMeta{Scale: "small", Seed: 1, Tests: 60}, 1)
-	if err != nil {
-		f.Fatal(err)
-	}
-	if _, err := platform.CollectStream(world, streamCfg(60, 20), 1, cw.WriteChunk); err != nil {
-		f.Fatal(err)
-	}
-	if err := cw.Close(); err != nil {
-		f.Fatal(err)
-	}
-	f.Add(col.Bytes())
-	cr, err := OpenCorpusProjected(bytes.NewReader(col.Bytes()), 1, EverythingProjection())
+	// The committed seeds add single-blob datasets and a bare text
+	// header; here, an empty columnar corpus and its text dump.
+	col := emptyCorpus(f)
+	f.Add(col)
+	cr, err := OpenCorpusProjected(bytes.NewReader(col), 1, EverythingProjection())
 	if err != nil {
 		f.Fatal(err)
 	}

@@ -468,14 +468,16 @@ func (s *frameScanner) full(b []byte) error {
 
 // payload reads a declared-length frame payload into dst, growing it
 // incrementally so a lying length cannot force an allocation larger
-// than the bytes that actually exist (plus one step).
+// than the bytes that actually exist (plus one step). Steps start at
+// 64 KiB and double up to 1 MiB, so a lying length on a tiny input
+// costs a small allocation, not a megabyte.
 func (s *frameScanner) payload(n uint64, dst []byte) ([]byte, error) {
 	if n > maxFramePayload {
 		return nil, fmt.Errorf("frame payload of %d bytes exceeds the %d limit", n, maxFramePayload)
 	}
 	b := dst[:0]
 	for rem := int(n); rem > 0; {
-		step := min(rem, 1<<20)
+		step := min(rem, max(len(b), 64<<10), 1<<20)
 		start := len(b)
 		b = append(b, make([]byte, step)...)
 		if err := s.full(b[start:]); err != nil {
@@ -648,6 +650,21 @@ type columnarReader struct {
 	dp     *colDecodePipeline
 }
 
+// readBuffer wraps r for frame scanning. A *bufio.Reader is used as
+// is; otherwise the buffer is 1 MiB, or the input's length when r knows
+// it (a bytes.Reader) and it is smaller, so decoding a small in-memory
+// corpus does not cost a 1 MiB allocation.
+func readBuffer(r io.Reader) *bufio.Reader {
+	if br, ok := r.(*bufio.Reader); ok {
+		return br
+	}
+	size := 1 << 20
+	if l, ok := r.(interface{ Len() int }); ok {
+		size = min(size, l.Len())
+	}
+	return bufio.NewReaderSize(r, size)
+}
+
 // openColumnar reads and validates the magic and header of a columnar
 // corpus, decoding only the projected column families — the skipped
 // side's stripes are checksum verified but never parsed, and its slabs
@@ -656,7 +673,7 @@ type columnarReader struct {
 // read ahead and decoded concurrently; Next returns the same chunks, in
 // the same order, with the same errors, at any worker count.
 func openColumnar(r io.Reader, workers int, proj Projection) (*columnarReader, error) {
-	cr := &columnarReader{fs: frameScanner{br: bufio.NewReaderSize(r, 1<<20)}, proj: proj}
+	cr := &columnarReader{fs: frameScanner{br: readBuffer(r)}, proj: proj}
 	hdr, err := readColumnarHeader(&cr.fs)
 	if err != nil {
 		return nil, err

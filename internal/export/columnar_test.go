@@ -2,6 +2,7 @@ package export
 
 import (
 	"bytes"
+	"context"
 	"encoding/binary"
 	"hash/crc32"
 	"io"
@@ -20,13 +21,14 @@ import (
 // platform.CollectStream and returns the bytes plus the stream stats.
 func writeColumnar(t testing.TB, cfg platform.CollectConfig, workers int) (*bytes.Buffer, *platform.StreamStats) {
 	t.Helper()
+	world := testWorld()
 	pub := FromWorld(world, nil).Public
 	var buf bytes.Buffer
 	cw, err := NewColumnarWriter(&buf, pub, StreamMeta{Scale: "small", Seed: cfg.Seed, Tests: cfg.Tests}, workers)
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, err := platform.CollectStream(world, cfg, 2, cw.WriteChunk)
+	st, err := platform.CollectStreamCtx(context.Background(), world, cfg, 2, cw.WriteChunk)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +87,7 @@ func TestColumnarFieldCoverage(t *testing.T) {
 // field — through both the streaming reader and the generic Read.
 func TestColumnarRoundTrip(t *testing.T) {
 	cfg := streamCfg(400, 64)
-	batch, err := platform.Collect(world, cfg)
+	batch, err := platform.CollectParallelCtx(context.Background(), testWorld(), cfg, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -449,7 +451,7 @@ func TestColumnarReaderCloseEarly(t *testing.T) {
 // TestColumnarWriterRejectsConflictedPublic refuses to start a corpus
 // from an ambiguous public bundle, at any worker count.
 func TestColumnarWriterRejectsConflictedPublic(t *testing.T) {
-	pub := FromWorld(world, nil).Public
+	pub := FromWorld(testWorld(), nil).Public
 	pub.Rels = append(pub.Rels, relRow{A: pub.Rels[0].A, B: pub.Rels[0].B, Rel: "sibling"})
 	if pub.Rels[0].Rel == "sibling" {
 		pub.Rels[len(pub.Rels)-1].Rel = "peer"

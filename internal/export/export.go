@@ -6,7 +6,6 @@
 package export
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/json"
 	"fmt"
@@ -164,7 +163,7 @@ func (d *Dataset) Write(w io.Writer) error {
 // corpus (materialized fully, with the footer's completeness ledger
 // folded in). The public bundle is validated either way.
 func Read(r io.Reader) (*Dataset, error) {
-	br := bufio.NewReaderSize(r, 1<<16)
+	br := readBuffer(r)
 	head, _ := br.Peek(len(v1Prefix))
 	if bytes.HasPrefix(head, []byte(columnarMagic)) || bytes.HasPrefix(head, []byte(v1Prefix)) {
 		cr, err := openColumnar(br, 1, EverythingProjection())

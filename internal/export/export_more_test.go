@@ -39,7 +39,7 @@ func TestParseRelRoundTrip(t *testing.T) {
 }
 
 func TestLookupsRelSymmetry(t *testing.T) {
-	d := FromWorld(world, nil)
+	d := FromWorld(testWorld(), nil)
 	l := d.Lookups()
 	// Every stored relationship inverts correctly.
 	checked := 0
@@ -57,7 +57,7 @@ func TestLookupsRelSymmetry(t *testing.T) {
 
 func TestDatasetSizeSane(t *testing.T) {
 	corpus := smallCorpus(t)
-	d := FromWorld(world, corpus)
+	d := FromWorld(testWorld(), corpus)
 	var buf bytes.Buffer
 	if err := d.Write(&buf); err != nil {
 		t.Fatal(err)
@@ -70,11 +70,4 @@ func TestDatasetSizeSane(t *testing.T) {
 	if !bytes.Contains(buf.Bytes(), []byte(`"prefix": "`)) {
 		t.Error("prefixes not serialized as strings")
 	}
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

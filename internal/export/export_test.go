@@ -2,6 +2,8 @@ package export
 
 import (
 	"bytes"
+	"context"
+	"sync"
 	"testing"
 
 	"throughputlab/internal/mapit"
@@ -10,14 +12,18 @@ import (
 	"throughputlab/internal/traceroute"
 )
 
-var world = topogen.MustGenerate(topogen.SmallConfig())
+// testWorld is the shared small fixture world, generated on first use
+// so fuzz workers, which run no tests, never build one.
+var testWorld = sync.OnceValue(func() *topogen.World {
+	return topogen.MustGenerate(topogen.SmallConfig())
+})
 
 func smallCorpus(t testing.TB) *platform.Corpus {
 	t.Helper()
 	cfg := platform.DefaultCollect()
 	cfg.Tests = 400
 	cfg.PerPoolClients = 4
-	c, err := platform.Collect(world, cfg)
+	c, err := platform.CollectParallelCtx(context.Background(), testWorld(), cfg, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -26,7 +32,7 @@ func smallCorpus(t testing.TB) *platform.Corpus {
 
 func TestRoundTrip(t *testing.T) {
 	corpus := smallCorpus(t)
-	d := FromWorld(world, corpus)
+	d := FromWorld(testWorld(), corpus)
 	var buf bytes.Buffer
 	if err := d.Write(&buf); err != nil {
 		t.Fatal(err)
@@ -51,6 +57,7 @@ func TestRoundTrip(t *testing.T) {
 }
 
 func TestLookupsMatchWorld(t *testing.T) {
+	world := testWorld()
 	d := FromWorld(world, nil)
 	var buf bytes.Buffer
 	if err := d.Write(&buf); err != nil {
@@ -85,6 +92,7 @@ func TestLookupsMatchWorld(t *testing.T) {
 }
 
 func TestMapItOverExportedData(t *testing.T) {
+	world := testWorld()
 	// The exported public data must be sufficient to run MAP-IT with
 	// the same quality as the in-process lookups.
 	corpus := smallCorpus(t)
@@ -116,6 +124,7 @@ func TestMapItOverExportedData(t *testing.T) {
 }
 
 func TestWithTraces(t *testing.T) {
+	world := testWorld()
 	d := FromWorld(world, nil)
 	vp := world.ArkVPs[0]
 	traces := platform.Campaign(world, vp.Host.Endpoint,

@@ -2,6 +2,7 @@ package export
 
 import (
 	"bytes"
+	"context"
 	"encoding/binary"
 	"encoding/json"
 	"errors"
@@ -39,7 +40,7 @@ func dump(t *testing.T, raw []byte, workers int) ([]byte, error) {
 // the campaign ledger.
 func TestStreamRoundTrip(t *testing.T) {
 	cfg := streamCfg(400, 64)
-	batch, err := platform.Collect(world, cfg)
+	batch, err := platform.CollectParallelCtx(context.Background(), testWorld(), cfg, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +123,7 @@ func TestStreamWriterWorkersByteIdentical(t *testing.T) {
 // single-blob format round-trips through the same Read entry point.
 func TestReadOldFormatStillWorks(t *testing.T) {
 	corpus := smallCorpus(t)
-	d := FromWorld(world, corpus)
+	d := FromWorld(testWorld(), corpus)
 	var buf bytes.Buffer
 	if err := d.Write(&buf); err != nil {
 		t.Fatal(err)
@@ -250,6 +251,7 @@ func TestStreamFooterMismatch(t *testing.T) {
 // or an AS pair with two relationships — at any worker count. The
 // error names the conflict, and nothing reaches the destination.
 func TestStreamWriterRejectsConflictedPublic(t *testing.T) {
+	world := testWorld()
 	rels := FromWorld(world, nil).Public
 	rels.Rels = append(rels.Rels, relRow{A: rels.Rels[0].A, B: rels.Rels[0].B, Rel: "sibling"})
 	if rels.Rels[0].Rel == "sibling" {

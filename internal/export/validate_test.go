@@ -91,7 +91,7 @@ func TestReadRejectsConflictingPrefixOrigins(t *testing.T) {
 // TestWithTracesDeepCopies pins the aliasing bugfix: mutating the
 // copy's public tables must leave the original dataset untouched.
 func TestWithTracesDeepCopies(t *testing.T) {
-	d := FromWorld(world, nil)
+	d := FromWorld(testWorld(), nil)
 	if len(d.Public.Prefixes) == 0 || len(d.Public.Rels) == 0 || len(d.Public.Orgs) == 0 {
 		t.Fatal("fixture world exports empty public tables")
 	}

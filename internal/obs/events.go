@@ -37,7 +37,7 @@ type Event struct {
 	// WallMS is milliseconds since the bus was created.
 	WallMS float64 `json:"wall_ms"`
 	// Kind names the event family, dotted like metric names:
-	// "collect.chunk", "pipeline.stage", "stream.stall",
+	// "collect.chunk", "pipeline.stage",
 	// "fault.retry", "report.pass", "campaign.done".
 	Kind string `json:"kind"`
 	// Name qualifies the kind (stage name, fault kind); may be empty.

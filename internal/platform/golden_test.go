@@ -20,7 +20,7 @@ const seedCorpusHash = 0x62321200631590a1
 // resolver, at several worker counts — to the pre-caching seed hash.
 func TestCorpusGoldenSeedHash(t *testing.T) {
 	for _, workers := range []int{1, 2, 8} {
-		c, err := CollectParallel(world, smallCollect(), workers)
+		c, err := collect(world, smallCollect(), workers)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -41,7 +41,7 @@ func TestCorpusGoldenSeedHashWithObs(t *testing.T) {
 		reg := obs.NewRegistry()
 		cfg := smallCollect()
 		cfg.Obs = reg
-		c, err := CollectParallel(world, cfg, workers)
+		c, err := collect(world, cfg, workers)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -83,54 +83,51 @@ func TestCorpusGoldenSeedHashWithObs(t *testing.T) {
 
 // TestCorpusGoldenSeedHashFullTelemetry extends the invariance
 // guarantee to the whole live-telemetry stack: with the
-// simulated-clock sampler AND the progress event bus attached — on the
-// barrier path and on the chunk-pipelined path, at workers 1/2/8 — the
-// corpus still hashes to the seed value, the sampler stamped at least
-// one point per simulated hour of the campaign on a gap-free grid, and
-// the bus saw the chunk stream end with collect.done.
+// simulated-clock sampler AND the progress event bus attached, at
+// workers 1/2/8, the corpus still hashes to the seed value, the sampler
+// stamped at least one point per simulated hour of the campaign on a
+// gap-free grid, and the bus saw the chunk stream end with
+// collect.done.
 func TestCorpusGoldenSeedHashFullTelemetry(t *testing.T) {
-	for _, pipeline := range []int{0, 4} {
-		for _, workers := range []int{1, 2, 8} {
-			reg := obs.NewRegistry()
-			sampler := reg.EnableTimeSeries(60, 0, nil)
-			bus := reg.EnableEvents(4096)
-			cfg := smallCollect()
-			cfg.Obs = reg
-			cfg.PipelineChunks = pipeline
-			c, err := CollectParallel(world, cfg, workers)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got := corpusHash(c); got != seedCorpusHash {
-				t.Errorf("telemetered corpus hash (pipeline=%d workers=%d) = %#x, want seed %#x",
-					pipeline, workers, got, seedCorpusHash)
-			}
-			bus.Close()
+	for _, workers := range []int{1, 2, 8} {
+		reg := obs.NewRegistry()
+		sampler := reg.EnableTimeSeries(60, 0, nil)
+		bus := reg.EnableEvents(4096)
+		cfg := smallCollect()
+		cfg.Obs = reg
+		c, err := collect(world, cfg, workers)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := corpusHash(c); got != seedCorpusHash {
+			t.Errorf("telemetered corpus hash (workers=%d) = %#x, want seed %#x",
+				workers, got, seedCorpusHash)
+		}
+		bus.Close()
 
-			sr := sampler.Series("collect.tests")
-			if sr == nil {
-				t.Fatal("sampler has no collect.tests series")
+		sr := sampler.Series("collect.tests")
+		if sr == nil {
+			t.Fatal("sampler has no collect.tests series")
+		}
+		pts := sr.Points()
+		if len(pts) < 2 {
+			t.Fatalf("series has %d points, want >= 2 (one per simulated hour)", len(pts))
+		}
+		for i := 1; i < len(pts)-1; i++ {
+			if pts[i].Minute != pts[i-1].Minute+60 {
+				t.Fatalf("hourly grid has a gap: %d -> %d", pts[i-1].Minute, pts[i].Minute)
 			}
-			pts := sr.Points()
-			if len(pts) < 2 {
-				t.Fatalf("series has %d points, want >= 2 (one per simulated hour)", len(pts))
-			}
-			for i := 1; i < len(pts)-1; i++ {
-				if pts[i].Minute != pts[i-1].Minute+60 {
-					t.Fatalf("hourly grid has a gap: %d -> %d", pts[i-1].Minute, pts[i].Minute)
-				}
-			}
-			if got := pts[len(pts)-1].Value; got != float64(len(c.Tests)) {
-				t.Errorf("final sample = %g, want %d (all tests counted by campaign end)", got, len(c.Tests))
-			}
+		}
+		if got := pts[len(pts)-1].Value; got != float64(len(c.Tests)) {
+			t.Errorf("final sample = %g, want %d (all tests counted by campaign end)", got, len(c.Tests))
+		}
 
-			st := bus.Stats()
-			if st.ByKind["collect.chunk"] == 0 {
-				t.Errorf("no collect.chunk events delivered: %+v", st.ByKind)
-			}
-			if st.ByKind["collect.done"] != 1 {
-				t.Errorf("collect.done events = %d, want 1", st.ByKind["collect.done"])
-			}
+		st := bus.Stats()
+		if st.ByKind["collect.chunk"] == 0 {
+			t.Errorf("no collect.chunk events delivered: %+v", st.ByKind)
+		}
+		if st.ByKind["collect.done"] != 1 {
+			t.Errorf("collect.done events = %d, want 1", st.ByKind["collect.done"])
 		}
 	}
 }

@@ -132,24 +132,12 @@ type CollectConfig struct {
 	// FaultSeed seeds the fault-injection streams; 0 means reuse Seed.
 	FaultSeed int64
 	// ChunkTests bounds how many executed tests are resident at once
-	// during streamed collection: CollectStream publishes the corpus in
+	// during streamed collection: CollectStreamCtx publishes the corpus in
 	// contiguous chunks of at most this many scheduled tests. 0 means
 	// DefaultChunkTests. The chunk size is NOT part of the corpus
 	// identity — concatenating the chunks yields the identical corpus
 	// at any value.
 	ChunkTests int
-	// PipelineChunks, when > 0, switches streamed collection to
-	// chunk-parallel production: each worker executes whole chunks
-	// concurrently (claimed in dense index order) and a sequence-
-	// numbered reorder buffer of this many chunks publishes them to the
-	// sink strictly in index order. The value is the reorder window —
-	// the backpressure bound on chunks completed but not yet released —
-	// so resident records stay under (PipelineChunks + workers + 1)
-	// chunks. 0 keeps the per-chunk barrier path (all workers inside
-	// one chunk at a time). Like ChunkTests, this is NOT part of the
-	// corpus identity: the published stream is byte-identical at every
-	// (workers, PipelineChunks) setting.
-	PipelineChunks int
 	// Obs, when non-nil, receives collection phase spans, per-shard
 	// test/trace gauges, busy-collector rejection counters, and the
 	// fault layer's injected/retried/recovered/abandoned counters. It
@@ -408,12 +396,6 @@ func (st *StreamStats) addChunk(c *Chunk, scheduled int) {
 	}
 }
 
-// Collect runs a full crowdsourced campaign serially. The corpus is
-// identical to CollectParallel with any worker count.
-func Collect(w *topogen.World, cfg CollectConfig) (*Corpus, error) {
-	return CollectParallel(w, cfg, 1)
-}
-
 // ErrInterrupted marks a campaign stopped early by cooperative
 // cancellation: in-flight chunks were drained and published, nothing
 // was torn, and the work is resumable from the last durable chunk.
@@ -430,10 +412,12 @@ func ctxErr(ctx context.Context) error {
 	return nil
 }
 
-// CollectParallel runs a full crowdsourced campaign with the given
+// CollectParallelCtx runs a full crowdsourced campaign with the given
 // worker count, materializing the whole corpus in memory. It is
-// CollectStream with an appending sink, so batch and streamed
-// collection are byte-identical by construction.
+// CollectStreamCtx with an appending sink, so batch and streamed
+// collection are byte-identical by construction. A cancelled ctx stops
+// the campaign at the next chunk boundary with an error wrapping the
+// context's cause.
 //
 // Determinism contract: the corpus depends only on (World, cfg) —
 // scheduling is split into cfg.Shards independent RNG streams that are
@@ -442,13 +426,6 @@ func ctxErr(ctx context.Context) error {
 // merged schedule, and each arrival then executes against its own
 // pre-seeded RNG. Workers only change how the scheduling and execution
 // phases are spread over goroutines, never which draws are made.
-func CollectParallel(w *topogen.World, cfg CollectConfig, workers int) (*Corpus, error) {
-	return CollectParallelCtx(context.Background(), w, cfg, workers)
-}
-
-// CollectParallelCtx is CollectParallel under cooperative cancellation:
-// a cancelled ctx stops the campaign at the next chunk boundary with an
-// error wrapping the context's cause.
 func CollectParallelCtx(ctx context.Context, w *topogen.World, cfg CollectConfig, workers int) (*Corpus, error) {
 	corpus := &Corpus{}
 	st, err := CollectStreamCtx(ctx, w, cfg, workers, func(c *Chunk) error {
@@ -464,25 +441,21 @@ func CollectParallelCtx(ctx context.Context, w *topogen.World, cfg CollectConfig
 	return corpus, nil
 }
 
-// CollectStream runs the campaign and hands the corpus to sink one
+// CollectStreamCtx runs the campaign and hands the corpus to sink one
 // bounded chunk at a time instead of materializing it. Scheduling, the
-// fault retry plan, and the busy-collector sweep are unchanged — they
-// hold O(Tests) of small per-arrival bookkeeping (~100 bytes each) —
-// but the heavy records (tests with web100 snapshots, traces with hop
-// lists) exist only for the chunk currently executing, so memory stays
-// flat at ChunkTests records regardless of campaign size.
+// fault retry plan, and the busy-collector sweep hold O(Tests) of small
+// per-arrival bookkeeping (~100 bytes each), but the heavy records
+// (tests with web100 snapshots, traces with hop lists) exist only for
+// the chunk currently executing, so memory stays flat at ChunkTests
+// records regardless of campaign size. All workers execute inside one
+// chunk at a time; the chunk is published before the next one starts.
 //
 // The sink is called serially, in chunk order. A sink error aborts the
 // campaign and is returned. The chunk's slices are not reused; the sink
 // may retain them.
-func CollectStream(w *topogen.World, cfg CollectConfig, workers int, sink func(*Chunk) error) (*StreamStats, error) {
-	return CollectStreamCtx(context.Background(), w, cfg, workers, sink)
-}
-
-// CollectStreamCtx is CollectStream under cooperative cancellation.
-// Cancellation is honored at phase and chunk boundaries: chunks already
-// claimed by pipeline producers are drained through the sink (nothing
-// published is ever torn), no new chunks start, and the error wraps the
+//
+// Cancellation is honored at phase and chunk boundaries: a published
+// chunk is never torn, no new chunk starts, and the error wraps the
 // context's cause — ErrInterrupted when the CLI's signal handler
 // cancelled, so callers can tell a resumable interrupt from a failure.
 func CollectStreamCtx(ctx context.Context, w *topogen.World, cfg CollectConfig, workers int, sink func(*Chunk) error) (*StreamStats, error) {
@@ -731,9 +704,8 @@ func CollectStreamCtx(ctx context.Context, w *topogen.World, cfg CollectConfig, 
 	perShardTraces := make([]int64, shards)
 	// execArrival runs one scheduled test (and its traceroute, when the
 	// collector launched one) against the arrival's pre-seeded private
-	// RNG, writing the records into slot i. Which goroutine runs it —
-	// a per-chunk barrier worker or a whole-chunk pipeline producer —
-	// can never perturb the draws.
+	// RNG, writing the records into slot i. Which worker runs it can
+	// never perturb the draws.
 	execArrival := func(rng *rand.Rand, id int, tests []*ndt.Test, traces []*traceroute.Trace, i int) error {
 		if dropped != nil && dropped[id] {
 			return nil // abandoned by the retry planner; never ran
@@ -768,68 +740,53 @@ func CollectStreamCtx(ctx context.Context, w *topogen.World, cfg CollectConfig, 
 		traces[i] = tr
 		return nil
 	}
-	if cfg.PipelineChunks > 0 {
-		err := collectChunksPipelined(&pipelineRun{
-			ctx:      ctx,
-			schedule: schedule, chunkTests: chunkTests, window: cfg.PipelineChunks,
-			workers: workers, workerRNGs: workerRNGs, startChunk: startChunk,
-			launches: launches, dropped: dropped, inj: inj,
-			perShardTraces: perShardTraces, reg: reg,
-			exec: execArrival, sink: sink, st: st,
-		})
-		execSpan.End()
-		if err != nil {
+	for lo := startChunk * chunkTests; lo < len(schedule); lo += chunkTests {
+		if err := ctxErr(ctx); err != nil {
+			execSpan.End()
 			return nil, err
 		}
-	} else {
-		for lo := startChunk * chunkTests; lo < len(schedule); lo += chunkTests {
-			if err := ctxErr(ctx); err != nil {
+		hi := lo + chunkTests
+		if hi > len(schedule) {
+			hi = len(schedule)
+		}
+		tests := make([]*ndt.Test, hi-lo)
+		traces := make([]*traceroute.Trace, hi-lo)
+		errs := make([]error, hi-lo)
+		runIndexedWorkers(hi-lo, workers, func(worker, i int) {
+			if err := execArrival(workerRNGs[worker], lo+i, tests, traces, i); err != nil {
+				errs[i] = err
+			}
+		})
+		for _, err := range errs {
+			if err != nil {
 				execSpan.End()
 				return nil, err
 			}
-			hi := lo + chunkTests
-			if hi > len(schedule) {
-				hi = len(schedule)
-			}
-			tests := make([]*ndt.Test, hi-lo)
-			traces := make([]*traceroute.Trace, hi-lo)
-			errs := make([]error, hi-lo)
-			runIndexedWorkers(hi-lo, workers, func(worker, i int) {
-				if err := execArrival(workerRNGs[worker], lo+i, tests, traces, i); err != nil {
-					errs[i] = err
-				}
-			})
-			for _, err := range errs {
-				if err != nil {
-					execSpan.End()
-					return nil, err
-				}
-			}
-			chunk := publishChunk(lo/chunkTests, lo, hi, schedule, tests, traces, launches, dropped, inj)
-			for i, tr := range traces {
-				if tr != nil {
-					perShardTraces[schedule[lo+i].shard]++
-				}
-			}
-			st.addChunk(chunk, hi-lo)
-			if reg != nil {
-				reg.Counter("collect.tests").Add(uint64(len(chunk.Tests)))
-				reg.Counter("collect.traces").Add(uint64(len(chunk.Traces)))
-				reg.Counter("collect.chunks").Inc()
-			}
-			if err := sink(chunk); err != nil {
-				execSpan.End()
-				return nil, fmt.Errorf("platform: corpus sink at chunk %d: %w", chunk.Index, err)
-			}
-			// Live telemetry rides the serial sink side: chunk watermarks
-			// arrive in schedule order here, so the sampler observes a
-			// monotone simulated clock. Both calls are nil-safe no-ops on
-			// an unattached registry.
-			reg.Events().Publish("collect.chunk", "", chunk.Watermark, int64(chunk.Index))
-			reg.TimeSeries().Advance(chunk.Watermark)
 		}
-		execSpan.End()
+		chunk := publishChunk(lo/chunkTests, lo, hi, schedule, tests, traces, launches, dropped, inj)
+		for i, tr := range traces {
+			if tr != nil {
+				perShardTraces[schedule[lo+i].shard]++
+			}
+		}
+		st.addChunk(chunk, hi-lo)
+		if reg != nil {
+			reg.Counter("collect.tests").Add(uint64(len(chunk.Tests)))
+			reg.Counter("collect.traces").Add(uint64(len(chunk.Traces)))
+			reg.Counter("collect.chunks").Inc()
+		}
+		if err := sink(chunk); err != nil {
+			execSpan.End()
+			return nil, fmt.Errorf("platform: corpus sink at chunk %d: %w", chunk.Index, err)
+		}
+		// Live telemetry rides the serial sink side: chunk watermarks
+		// arrive in schedule order here, so the sampler observes a
+		// monotone simulated clock. Both calls are nil-safe no-ops on
+		// an unattached registry.
+		reg.Events().Publish("collect.chunk", "", chunk.Watermark, int64(chunk.Index))
+		reg.TimeSeries().Advance(chunk.Watermark)
 	}
+	execSpan.End()
 
 	st.WallSeconds = time.Since(started).Seconds()
 	if st.WallSeconds > 0 {

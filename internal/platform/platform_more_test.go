@@ -13,11 +13,11 @@ func TestCollectDeterministic(t *testing.T) {
 	cfg.Tests = 400
 	w1 := topogen.MustGenerate(topogen.SmallConfig())
 	w2 := topogen.MustGenerate(topogen.SmallConfig())
-	c1, err := Collect(w1, cfg)
+	c1, err := collect(w1, cfg, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	c2, err := Collect(w2, cfg)
+	c2, err := collect(w2, cfg, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,9 +38,9 @@ func TestCollectDeterministic(t *testing.T) {
 func TestCollectSeedChangesCorpus(t *testing.T) {
 	cfg := smallCollect()
 	cfg.Tests = 300
-	c1, _ := Collect(world, cfg)
+	c1, _ := collect(world, cfg, 1)
 	cfg.Seed += 17
-	c2, _ := Collect(world, cfg)
+	c2, _ := collect(world, cfg, 1)
 	same := len(c1.Tests) == len(c2.Tests)
 	if same {
 		for i := range c1.Tests {
@@ -61,7 +61,7 @@ func TestCollectSeedChangesCorpus(t *testing.T) {
 func TestTracesLagTheirTests(t *testing.T) {
 	cfg := smallCollect()
 	cfg.Tests = 400
-	corpus, err := Collect(world, cfg)
+	corpus, err := collect(world, cfg, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

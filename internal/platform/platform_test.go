@@ -1,6 +1,7 @@
 package platform
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -12,6 +13,12 @@ import (
 )
 
 var world = topogen.MustGenerate(topogen.SmallConfig())
+
+// collect materializes a campaign through CollectParallelCtx, the batch
+// corpus every streamed and faulted variant is compared against.
+func collect(w *topogen.World, cfg CollectConfig, workers int) (*Corpus, error) {
+	return CollectParallelCtx(context.Background(), w, cfg, workers)
+}
 
 func smallCollect() CollectConfig {
 	cfg := DefaultCollect()
@@ -57,7 +64,7 @@ func TestBuildPopulation(t *testing.T) {
 }
 
 func TestCollectCorpus(t *testing.T) {
-	corpus, err := Collect(world, smallCollect())
+	corpus, err := collect(world, smallCollect(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +108,7 @@ func TestCollectCorpus(t *testing.T) {
 }
 
 func TestCollectDiurnalVolume(t *testing.T) {
-	corpus, err := Collect(world, smallCollect())
+	corpus, err := collect(world, smallCollect(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +126,7 @@ func TestCollectDiurnalVolume(t *testing.T) {
 }
 
 func TestCollectISPWeighting(t *testing.T) {
-	corpus, err := Collect(world, smallCollect())
+	corpus, err := collect(world, smallCollect(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,12 +143,12 @@ func TestCollectISPWeighting(t *testing.T) {
 func TestBattleForNetMultipliesTests(t *testing.T) {
 	cfg := smallCollect()
 	cfg.Tests = 300
-	base, err := Collect(world, cfg)
+	base, err := collect(world, cfg, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg.BattleForNet = true
-	bfn, err := Collect(world, cfg)
+	bfn, err := collect(world, cfg, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,7 +184,7 @@ func TestCongestedPairShowsDiurnalDrop(t *testing.T) {
 	// testing against GTT Atlanta collapse at peak.
 	cfg := smallCollect()
 	cfg.Tests = 4000
-	corpus, err := Collect(world, cfg)
+	corpus, err := collect(world, cfg, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -292,7 +299,7 @@ func BenchmarkCollect(b *testing.B) {
 	cfg.Tests = 500
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Collect(world, cfg); err != nil {
+		if _, err := collect(world, cfg, 1); err != nil {
 			b.Fatal(err)
 		}
 	}

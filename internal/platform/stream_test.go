@@ -1,6 +1,7 @@
 package platform
 
 import (
+	"context"
 	"errors"
 	"testing"
 
@@ -14,7 +15,7 @@ func collectViaStream(t *testing.T, cfg CollectConfig, workers int) (*Corpus, *S
 	corpus := &Corpus{}
 	lastID := -1
 	lastWatermark := -1
-	st, err := CollectStream(world, cfg, workers, func(c *Chunk) error {
+	st, err := CollectStreamCtx(context.Background(), world, cfg, workers, func(c *Chunk) error {
 		if c.FirstID <= lastID {
 			t.Errorf("chunk %d FirstID %d not after previous id %d", c.Index, c.FirstID, lastID)
 		}
@@ -41,7 +42,7 @@ func collectViaStream(t *testing.T, cfg CollectConfig, workers int) (*Corpus, *S
 // larger than the campaign.
 func TestCollectStreamMatchesBatch(t *testing.T) {
 	base := smallCollect()
-	batch, err := Collect(world, base)
+	batch, err := collect(world, base, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +86,7 @@ func effectiveChunk(chunk int) int {
 // the surviving records must hash identically.
 func TestCollectStreamMatchesBatchUnderFaults(t *testing.T) {
 	base := heavyCollect()
-	batch, err := Collect(world, base)
+	batch, err := collect(world, base, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,6 +118,10 @@ func TestCollectStreamObsGauges(t *testing.T) {
 	if got := reg.Gauge("collect.stream.peak_inflight").Value(); got != int64(st.PeakInFlight) {
 		t.Errorf("peak_inflight gauge = %d, want %d", got, st.PeakInFlight)
 	}
+	// The barrier bound: one chunk of scheduled tests is resident.
+	if st.PeakInFlight != cfg.ChunkTests {
+		t.Errorf("peak in-flight %d, want one chunk (%d)", st.PeakInFlight, cfg.ChunkTests)
+	}
 	if got := reg.Counter("collect.tests").Value(); got != uint64(st.Tests) {
 		t.Errorf("collect.tests = %d, want %d", got, st.Tests)
 	}
@@ -126,23 +131,29 @@ func TestCollectStreamObsGauges(t *testing.T) {
 }
 
 // TestCollectStreamSinkError aborts the campaign on the first sink
-// failure and surfaces the error.
+// failure and surfaces the error: chunks reach the sink in index order,
+// and none is delivered after the failing one.
 func TestCollectStreamSinkError(t *testing.T) {
 	boom := errors.New("disk full")
 	cfg := smallCollect()
 	cfg.ChunkTests = 100
-	calls := 0
-	_, err := CollectStream(world, cfg, 2, func(c *Chunk) error {
-		calls++
-		if c.Index == 1 {
-			return boom
+	for _, workers := range []int{2, 8} {
+		lastIndex := -1
+		_, err := CollectStreamCtx(context.Background(), world, cfg, workers, func(c *Chunk) error {
+			if c.Index != lastIndex+1 {
+				t.Errorf("workers=%d: chunk %d delivered after %d (out of order)", workers, c.Index, lastIndex)
+			}
+			lastIndex = c.Index
+			if c.Index == 2 {
+				return boom
+			}
+			return nil
+		})
+		if !errors.Is(err, boom) {
+			t.Fatalf("workers=%d: sink error not propagated: %v", workers, err)
 		}
-		return nil
-	})
-	if !errors.Is(err, boom) {
-		t.Fatalf("sink error not propagated: %v", err)
-	}
-	if calls != 2 {
-		t.Errorf("sink called %d times, want 2 (abort after failure)", calls)
+		if lastIndex != 2 {
+			t.Errorf("workers=%d: delivery continued to chunk %d after the failure at 2", workers, lastIndex)
+		}
 	}
 }

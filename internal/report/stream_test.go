@@ -1,6 +1,7 @@
 package report
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"testing"
@@ -19,14 +20,14 @@ import (
 func streamReport(t *testing.T, cfg platform.CollectConfig, workers int) *Report {
 	t.Helper()
 	b := NewStreamBuilder(DefaultConfig(), MetroHourOf(), env.MapItOpts())
-	if _, err := platform.CollectStream(env.World, cfg, workers, func(c *platform.Chunk) error {
+	if _, err := platform.CollectStreamCtx(context.Background(), env.World, cfg, workers, func(c *platform.Chunk) error {
 		b.AddTraces(c.Traces)
 		return nil
 	}); err != nil {
 		t.Fatal(err)
 	}
 	b.FinishInference()
-	st, err := platform.CollectStream(env.World, cfg, workers, func(c *platform.Chunk) error {
+	st, err := platform.CollectStreamCtx(context.Background(), env.World, cfg, workers, func(c *platform.Chunk) error {
 		b.AddChunk(c.Tests, c.Traces, c.Watermark)
 		return nil
 	})
@@ -63,10 +64,9 @@ func TestStreamReportPipelinedStages(t *testing.T) {
 	want := built.Render()
 	cfg := env.Opts.Collect
 	cfg.ChunkTests = 512
-	cfg.PipelineChunks = 3
 	for _, workers := range []int{1, 2, 8} {
 		b := NewStreamBuilder(DefaultConfig(), MetroHourOf(), env.MapItOpts())
-		if _, err := platform.CollectStream(env.World, cfg, workers, func(c *platform.Chunk) error {
+		if _, err := platform.CollectStreamCtx(context.Background(), env.World, cfg, workers, func(c *platform.Chunk) error {
 			b.AddTraces(c.Traces)
 			return nil
 		}); err != nil {
@@ -83,7 +83,7 @@ func TestStreamReportPipelinedStages(t *testing.T) {
 				return nil
 			}},
 		)
-		st, err := platform.CollectStream(env.World, cfg, workers, p.Send)
+		st, err := platform.CollectStreamCtx(context.Background(), env.World, cfg, workers, p.Send)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -99,7 +99,7 @@ func TestStreamReportPipelinedStages(t *testing.T) {
 }
 
 // TestStreamReportTelemetryByteIdentical is the telemetry-invariance
-// pin at the report level: the streamed, pipelined assembly with the
+// pin at the report level: the streamed assembly with the
 // FULL live-telemetry stack attached — metrics registry, simulated-
 // clock sampler, progress event bus with an active sink — renders a
 // report byte-identical to the uninstrumented batch build. Telemetry
@@ -108,7 +108,6 @@ func TestStreamReportTelemetryByteIdentical(t *testing.T) {
 	want := built.Render()
 	cfg := env.Opts.Collect
 	cfg.ChunkTests = 1024
-	cfg.PipelineChunks = 3
 	for _, workers := range []int{1, 4} {
 		reg := obs.NewRegistry()
 		reg.EnableTimeSeries(60, 0, nil)
@@ -119,14 +118,14 @@ func TestStreamReportTelemetryByteIdentical(t *testing.T) {
 		opts := env.MapItOpts()
 		opts.Obs = reg
 		b := NewStreamBuilder(DefaultConfig(), MetroHourOf(), opts)
-		if _, err := platform.CollectStream(env.World, cfg, workers, func(c *platform.Chunk) error {
+		if _, err := platform.CollectStreamCtx(context.Background(), env.World, cfg, workers, func(c *platform.Chunk) error {
 			b.AddTraces(c.Traces)
 			return nil
 		}); err != nil {
 			t.Fatal(err)
 		}
 		b.FinishInference()
-		st0, err := platform.CollectStream(env.World, cfg, workers, func(c *platform.Chunk) error {
+		st0, err := platform.CollectStreamCtx(context.Background(), env.World, cfg, workers, func(c *platform.Chunk) error {
 			b.AddChunk(c.Tests, c.Traces, c.Watermark)
 			return nil
 		})
@@ -158,7 +157,7 @@ func TestStreamReportMatchesBatchUnderFaults(t *testing.T) {
 	cfg.Faults = faults.Heavy()
 	cfg.ChunkTests = 512
 
-	corpus, err := platform.Collect(env.World, cfg)
+	corpus, err := platform.CollectParallelCtx(context.Background(), env.World, cfg, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,7 +186,7 @@ func TestStreamMatchPairsGauge(t *testing.T) {
 	cfg := env.Opts.Collect
 	cfg.Tests = 2000
 	cfg.ChunkTests = 256
-	corpus, err := platform.Collect(env.World, cfg)
+	corpus, err := platform.CollectParallelCtx(context.Background(), env.World, cfg, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,14 +198,14 @@ func TestStreamMatchPairsGauge(t *testing.T) {
 	opts := env.MapItOpts()
 	opts.Obs = reg
 	b := NewStreamBuilder(DefaultConfig(), MetroHourOf(), opts)
-	if _, err := platform.CollectStream(env.World, cfg, 2, func(c *platform.Chunk) error {
+	if _, err := platform.CollectStreamCtx(context.Background(), env.World, cfg, 2, func(c *platform.Chunk) error {
 		b.AddTraces(c.Traces)
 		return nil
 	}); err != nil {
 		t.Fatal(err)
 	}
 	b.FinishInference()
-	st, err := platform.CollectStream(env.World, cfg, 2, func(c *platform.Chunk) error {
+	st, err := platform.CollectStreamCtx(context.Background(), env.World, cfg, 2, func(c *platform.Chunk) error {
 		b.AddChunk(c.Tests, c.Traces, c.Watermark)
 		return nil
 	})

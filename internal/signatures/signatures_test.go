@@ -1,6 +1,7 @@
 package signatures
 
 import (
+	"context"
 	"testing"
 
 	"throughputlab/internal/ndt"
@@ -14,7 +15,7 @@ var (
 		cfg := platform.DefaultCollect()
 		cfg.Tests = 4000
 		cfg.PerPoolClients = 8
-		c, err := platform.Collect(world, cfg)
+		c, err := platform.CollectParallelCtx(context.Background(), world, cfg, 1)
 		if err != nil {
 			panic(err)
 		}

@@ -1,12 +1,13 @@
-// Package stream is the concurrency substrate of the pipeline-parallel
-// streaming campaign: a bounded sequence-numbered reorder buffer that
-// turns out-of-order parallel production back into a deterministic
-// ordered stream, and a named-stage fan-out that runs independent
-// consumers of that stream on their own goroutines behind bounded
-// queues.
+// Package stream is the concurrency substrate of the streaming
+// campaign: a bounded sequence-numbered reorder buffer that turns
+// out-of-order parallel work back into a deterministic ordered stream
+// (the columnar corpus codec's encode and decode workers), and a
+// named-stage fan-out that runs independent consumers of the chunk
+// stream on their own goroutines behind bounded queues (the streamed
+// report passes).
 //
 // Both primitives exist so that parallelism never shows in results:
-// producers may finish in any order, but Reorder releases strictly by
+// workers may finish in any order, but Reorder releases strictly by
 // sequence number, and every Pipeline stage observes the identical
 // ordered stream. Backpressure is structural — a producer running too
 // far ahead of the release cursor blocks in Put, and a producer ahead
@@ -39,8 +40,6 @@ type Reorder[T any] struct {
 	next   int // next sequence Next will release
 	buf    map[int]T
 
-	onStall func(seq int)
-
 	closed bool
 	err    error
 }
@@ -56,17 +55,6 @@ func NewReorder[T any](window int) *Reorder[T] {
 	return r
 }
 
-// OnStall registers a callback invoked (under the buffer's lock, at
-// most once per Put) when a Put is about to block outside the release
-// window — the telemetry hook that surfaces backpressure stalls as
-// progress events. The callback must not call back into the buffer and
-// must not block; set it before producers start.
-func (r *Reorder[T]) OnStall(fn func(seq int)) {
-	r.mu.Lock()
-	r.onStall = fn
-	r.mu.Unlock()
-}
-
 // Put hands over item seq. It blocks while seq is outside the release
 // window (seq >= next+window) and returns false once the buffer has
 // been failed or closed — the producer's signal to stop working.
@@ -74,9 +62,6 @@ func (r *Reorder[T]) OnStall(fn func(seq int)) {
 func (r *Reorder[T]) Put(seq int, v T) bool {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if r.onStall != nil && seq >= r.next+r.window && r.err == nil && !r.closed {
-		r.onStall(seq)
-	}
 	for seq >= r.next+r.window && r.err == nil && !r.closed {
 		r.cond.Wait()
 	}
@@ -137,32 +122,6 @@ func (r *Reorder[T]) Err() error {
 	return r.err
 }
 
-// Pending reports how many delivered-but-unreleased items are buffered
-// (test and telemetry hook; racy by nature).
-func (r *Reorder[T]) Pending() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return len(r.buf)
-}
-
-// WatchContext fails the buffer with the context's cause when ctx is
-// cancelled, waking blocked producers and the consumer — the hook that
-// makes a reorder-backed pipeline cancellable without polling. The
-// returned stop function releases the watcher; call it once the buffer
-// has closed normally.
-func (r *Reorder[T]) WatchContext(ctx context.Context) (stop func()) {
-	done := make(chan struct{})
-	go func() {
-		select {
-		case <-ctx.Done():
-			r.Fail(context.Cause(ctx))
-		case <-done:
-		}
-	}()
-	var once sync.Once
-	return func() { once.Do(func() { close(done) }) }
-}
-
 // Stage is one named consumer of an ordered item stream.
 type Stage[T any] struct {
 	Name string
@@ -212,7 +171,6 @@ type Pipeline[T any] struct {
 
 	mu     sync.Mutex
 	failed error
-	sent   int
 }
 
 // NewPipeline starts one goroutine per stage, each consuming from a
@@ -298,35 +256,12 @@ func (p *Pipeline[T]) run(ss *stageState[T], reg *obs.Registry, name string) {
 func (p *Pipeline[T]) Send(v T) error {
 	p.mu.Lock()
 	err := p.failed
-	p.sent++
 	p.mu.Unlock()
 	if err != nil {
 		return err
 	}
 	for _, ss := range p.stages {
 		ss.ch <- v
-	}
-	return nil
-}
-
-// SendCtx is Send that also gives up when ctx is cancelled, returning
-// the context's cause — the cooperative-cancellation variant used by
-// streamed report passes, where a blocked stage queue must not outlive
-// a SIGINT. Items already queued keep draining through the stages.
-func (p *Pipeline[T]) SendCtx(ctx context.Context, v T) error {
-	p.mu.Lock()
-	err := p.failed
-	p.sent++
-	p.mu.Unlock()
-	if err != nil {
-		return err
-	}
-	for _, ss := range p.stages {
-		select {
-		case ss.ch <- v:
-		case <-ctx.Done():
-			return context.Cause(ctx)
-		}
 	}
 	return nil
 }
@@ -342,11 +277,4 @@ func (p *Pipeline[T]) Close() error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	return p.failed
-}
-
-// Sent reports how many items have been broadcast.
-func (p *Pipeline[T]) Sent() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.sent
 }
