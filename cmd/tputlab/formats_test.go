@@ -73,14 +73,14 @@ func TestCorpusFormatsReportParity(t *testing.T) {
 	for _, profile := range []string{"off", "heavy"} {
 		t.Run(profile, func(t *testing.T) {
 			path := t.TempDir() + "/corpus.tpc"
-			live, err := reportStreamed(context.Background(), formatOpts(t, profile), nil, "small", path, 0)
+			live, err := reportLive(context.Background(), formatOpts(t, profile), "small", path, 0, true)
 			if err != nil {
 				t.Fatal(err)
 			}
 			for _, workers := range []int{1, 2, 8} {
 				opts := formatOpts(t, profile)
 				opts.Workers = workers
-				out, err := reportFromCorpus(path, opts, nil)
+				out, err := reportFromCorpus(path, opts)
 				if err != nil {
 					t.Fatalf("reportFromCorpus workers=%d: %v", workers, err)
 				}
@@ -97,7 +97,9 @@ func TestCorpusFormatsReportParity(t *testing.T) {
 // the columnar corpus hashes to the bytes this flag set has always
 // written, its dump hashes to the bytes the removed writer wrote for
 // the same flags (recorded before it was deleted), and the records
-// parsed back from the dump digest equal to the columnar corpus's.
+// parsed back from the dump digest equal to the columnar corpus's. The
+// report pin holds for both live report modes: -stream and the default
+// retained-chunk mode, the latter at workers 1 and 8.
 func TestCorpusDumpGolden(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds worlds")
@@ -126,19 +128,41 @@ func TestCorpusDumpGolden(t *testing.T) {
 			opts := formatOpts(t, profile)
 			opts.Collect.ChunkTests = 97
 			path := t.TempDir() + "/corpus.tpc"
-			out, err := reportStreamed(context.Background(), opts, nil, "small", path, 0)
+			out, err := reportLive(context.Background(), opts, "small", path, 0, true)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if got := sha([]byte(out)); got != want.report {
-				t.Errorf("report sha256 %s, want %s", got, want.report)
+				t.Errorf("-stream report sha256 %s, want %s", got, want.report)
 			}
 			raw, err := os.ReadFile(path)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if got := sha(raw); got != want.columnar {
-				t.Errorf("columnar corpus sha256 %s, want %s", got, want.columnar)
+				t.Errorf("-stream columnar corpus sha256 %s, want %s", got, want.columnar)
+			}
+			// The default mode collects once and replays the retained
+			// chunks for both passes; its report and corpus bytes are the
+			// -stream mode's at every worker count.
+			for _, workers := range []int{1, 8} {
+				opts := opts
+				opts.Workers = workers
+				retainedPath := fmt.Sprintf("%s/retained_w%d.tpc", t.TempDir(), workers)
+				out, err := reportLive(context.Background(), opts, "small", retainedPath, 0, false)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got := sha([]byte(out)); got != want.report {
+					t.Errorf("default-mode report (workers=%d) sha256 %s, want %s", workers, got, want.report)
+				}
+				raw, err := os.ReadFile(retainedPath)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got := sha(raw); got != want.columnar {
+					t.Errorf("default-mode columnar corpus (workers=%d) sha256 %s, want %s", workers, got, want.columnar)
+				}
 			}
 			var text bytes.Buffer
 			if err := dumpCorpus(path, &text); err != nil {
@@ -200,7 +224,7 @@ func TestCorpusFormatMismatchError(t *testing.T) {
 	}
 
 	path := dir + "/corpus.tpc"
-	if _, err := reportStreamed(context.Background(), formatOpts(t, "off"), nil, "small", path, 0); err != nil {
+	if _, err := reportLive(context.Background(), formatOpts(t, "off"), "small", path, 0, true); err != nil {
 		t.Fatal(err)
 	}
 	var text bytes.Buffer
@@ -211,7 +235,7 @@ func TestCorpusFormatMismatchError(t *testing.T) {
 	if err := os.WriteFile(textPath, text.Bytes(), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	_, err = reportFromCorpus(textPath, formatOpts(t, "off"), nil)
+	_, err = reportFromCorpus(textPath, formatOpts(t, "off"))
 	if err == nil || !strings.Contains(err.Error(), export.StreamFormat) {
 		t.Errorf("report over a text stream returned %v, want an error naming %s", err, export.StreamFormat)
 	}

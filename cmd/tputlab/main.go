@@ -137,7 +137,8 @@ flags for run/report:
   -scale NAME            topology/corpus scale: small, default, medium,
                          large (~50k ASes) or xlarge (~75k ASes, one
                          million scheduled tests); default "default"
-  -json                  (run) emit the result struct as JSON
+  -json                  (run, one experiment) emit the result struct
+                         as JSON
   -corpus-out FILE       persist the corpus to FILE as a chunked
                          columnar corpus (tputlab-corpus/2) while it is
                          collected (bounded memory; readable later by
@@ -145,13 +146,18 @@ flags for run/report:
                          'corpus dump')
   -corpus-format FORMAT  corpus file format; columnar, the only one,
                          is the default
-  -stream                (report) assemble the report through the
-                         bounded-memory chunked pipeline instead of
-                         materializing the corpus; output is
-                         byte-identical to the batch path
+  -stream                (report) re-collect the campaign for each of
+                         the report's two passes: a few chunks resident
+                         (bounded memory) for twice the collection work.
+                         Without it the campaign is collected once and
+                         kept resident for both passes. The report is
+                         byte-identical either way
   -corpus FILE           (report) report over a corpus previously
                          persisted with -corpus-out, without
-                         re-collecting (no world generation)
+                         re-collecting (no world generation); the
+                         identity flags (scale/seed/tests/faults/...)
+                         come from the corpus header and may not be
+                         repeated
   -resume MANIFEST       continue an interrupted -corpus-out campaign
                          from its checkpoint manifest: the identity
                          flags (scale/seed/tests/faults/...) come from
@@ -434,7 +440,7 @@ func writeFileWith(path string, fn func(io.Writer) error) error {
 func reportCmd(args []string) error {
 	fs := flag.NewFlagSet("report", flag.ExitOnError)
 	cf := addCommonFlags(fs)
-	streamed := fs.Bool("stream", false, "assemble the report through the bounded-memory chunked pipeline")
+	streamed := fs.Bool("stream", false, "re-collect the campaign for each report pass instead of keeping it in memory")
 	corpusIn := fs.String("corpus", "", "report over a persisted corpus stream instead of collecting")
 	corpusOut := fs.String("corpus-out", "", "persist the corpus to this file while collecting")
 	if err := fs.Parse(args); err != nil {
@@ -448,54 +454,37 @@ func reportCmd(args []string) error {
 	var err error
 	switch {
 	case *cf.resume != "":
-		if err := checkResumeFlags(fs); err != nil {
+		if err := checkIdentityFlags(fs, "-resume", "manifest"); err != nil {
 			return err
 		}
 		if *corpusIn != "" || *corpusOut != "" || *streamed {
 			return fmt.Errorf("-resume is incompatible with -corpus, -corpus-out and -stream (the corpus path and assembly come from the manifest)")
 		}
-		var env *experiments.Env
-		env, reg, err = resumeCampaign(ctx, cf)
+		var c *campaign
+		c, reg, err = resumeCampaign(ctx, cf)
 		if err == nil {
-			sp := reg.Span("report")
-			out = report.Build(env, report.DefaultConfig()).Render()
-			sp.End()
+			out, err = reportStreamed(c.world, c.opts, c.replay, nil)
 		}
 	case *corpusIn != "":
 		if *corpusOut != "" {
 			return fmt.Errorf("-corpus and -corpus-out are mutually exclusive (the stream already exists)")
 		}
+		if err := checkIdentityFlags(fs, "-corpus", "corpus header"); err != nil {
+			return err
+		}
 		var opts experiments.Options
 		opts, reg, err = cf.options()
 		if err != nil {
 			return err
 		}
-		out, err = reportFromCorpus(*corpusIn, opts, reg)
-	case *streamed:
-		var opts experiments.Options
-		opts, reg, err = cf.options()
-		if err != nil {
-			return err
-		}
-		out, err = reportStreamed(ctx, opts, reg, *cf.scale, *corpusOut, *cf.ckptEvery)
+		out, err = reportFromCorpus(*corpusIn, opts)
 	default:
 		var opts experiments.Options
 		opts, reg, err = cf.options()
 		if err != nil {
 			return err
 		}
-		seal := func(runErr error) error { return runErr }
-		if *corpusOut != "" {
-			seal = teeCorpus(*corpusOut, &opts, *cf.scale, *cf.ckptEvery)
-		}
-		var env *experiments.Env
-		env, err = experiments.NewEnvCtx(ctx, opts)
-		err = seal(err)
-		if err == nil {
-			sp := reg.Span("report")
-			out = report.Build(env, report.DefaultConfig()).Render()
-			sp.End()
-		}
+		out, err = reportLive(ctx, opts, *cf.scale, *corpusOut, *cf.ckptEvery, *streamed)
 	}
 	if err != nil {
 		return finish(cf, reg, err)
@@ -529,12 +518,12 @@ func fingerprintFromOpts(scale string, opts experiments.Options, format string) 
 	}
 }
 
-// resumeFlagConflicts returns the campaign-identity flags that were
-// explicitly set alongside -resume, in lexical order. Those values are
-// pinned by the manifest; repeating them is either redundant or a
-// silent request for a different corpus, so both fail fast with every
-// offending flag named.
-func resumeFlagConflicts(fs *flag.FlagSet) []string {
+// identityFlagConflicts returns the campaign-identity flags that were
+// explicitly set, in lexical order. -resume takes those values from
+// the manifest and -corpus from the corpus header; repeating them is
+// either redundant or a silent request for a different corpus, so both
+// fail fast with every offending flag named.
+func identityFlagConflicts(fs *flag.FlagSet) []string {
 	var bad []string
 	fs.Visit(func(f *flag.Flag) {
 		switch f.Name {
@@ -545,72 +534,159 @@ func resumeFlagConflicts(fs *flag.FlagSet) []string {
 	return bad
 }
 
-// checkResumeFlags rejects a -resume invocation that also sets
-// identity flags.
-func checkResumeFlags(fs *flag.FlagSet) error {
-	if bad := resumeFlagConflicts(fs); len(bad) > 0 {
-		return fmt.Errorf("-resume pins the campaign identity from the manifest; drop the conflicting flag(s): %s",
-			strings.Join(bad, ", "))
+// checkIdentityFlags rejects an invocation of mode (-resume or -corpus)
+// that also sets identity flags, which source pins.
+func checkIdentityFlags(fs *flag.FlagSet, mode, source string) error {
+	if bad := identityFlagConflicts(fs); len(bad) > 0 {
+		return fmt.Errorf("%s pins the campaign identity from the %s; drop the conflicting flag(s): %s",
+			mode, source, strings.Join(bad, ", "))
 	}
 	return nil
 }
 
-// teeCorpus wires -corpus-out through the checkpoint layer: it
-// installs opts.CorpusSink so the campaign is persisted chunk by chunk
-// into path+".partial" with periodic chunk-boundary checkpoints
+// corpusTee is an open -corpus-out corpus: its checkpointing writer and
+// the path the finished corpus is published at. A nil *corpusTee
+// persists nothing, and its seal passes the campaign error through.
+type corpusTee struct {
+	w    *checkpoint.Writer
+	path string
+}
+
+// openCorpus wires -corpus-out through the checkpoint layer, or returns
+// nil when path is empty: every chunk written is persisted into
+// path+".partial" with periodic chunk-boundary checkpoints
 // (encode-pipeline drain, fsync, atomic manifest rewrite), and the
-// corpus appears at path only through the footer-then-rename in the
-// returned seal — so the readable path is always absent, a complete
-// prior corpus, or a complete current one.
-//
-// The seal must be called exactly once with the campaign's error: nil
-// publishes atomically and removes the manifest; an interrupt flushes
-// a final checkpoint and keeps the partial corpus plus manifest for
-// -resume (printing the hint); any other error discards both so the
-// first failure propagates with nothing half-written left behind.
-func teeCorpus(path string, opts *experiments.Options, scale string, every int) func(error) error {
+// corpus appears at path only through seal's footer-then-rename — so
+// the readable path is always absent, a complete prior corpus, or a
+// complete current one.
+func openCorpus(path string, w *topogen.World, opts experiments.Options, scale string, every int) (*corpusTee, error) {
+	if path == "" {
+		return nil, nil
+	}
 	const format = "columnar"
-	var w *checkpoint.Writer
-	eopts := *opts
-	opts.CorpusSink = func(world *topogen.World) (func(*platform.Chunk) error, error) {
-		var err error
-		w, err = checkpoint.Create(path, format, export.FromWorld(world, nil).Public,
-			export.StreamMeta{Scale: scale, Seed: eopts.Topo.Seed, Tests: eopts.Collect.Tests},
-			fingerprintFromOpts(scale, eopts, format), eopts.Workers,
-			checkpoint.Options{SyncEveryChunks: every})
+	cw, err := checkpoint.Create(path, format, export.FromWorld(w, nil).Public,
+		export.StreamMeta{Scale: scale, Seed: opts.Topo.Seed, Tests: opts.Collect.Tests},
+		fingerprintFromOpts(scale, opts, format), opts.Workers,
+		checkpoint.Options{SyncEveryChunks: every})
+	if err != nil {
+		return nil, err
+	}
+	return &corpusTee{w: cw, path: path}, nil
+}
+
+// write persists one chunk.
+func (t *corpusTee) write(c *platform.Chunk) error {
+	if t == nil {
+		return nil
+	}
+	return t.w.WriteChunk(c)
+}
+
+// seal ends the corpus with the campaign's error and returns the error
+// to propagate; it must be called exactly once. nil publishes
+// atomically and removes the manifest; an interrupt flushes a final
+// checkpoint and keeps the partial corpus plus manifest for -resume
+// (printing the hint); any other error discards both so the first
+// failure propagates with nothing half-written left behind.
+func (t *corpusTee) seal(runErr error) error {
+	if t == nil {
+		return runErr
+	}
+	switch {
+	case runErr == nil:
+		ft := t.w.Footer()
+		if err := t.w.Close(); err != nil {
+			return err
+		}
+		fmt.Fprintf(os.Stderr, "corpus: wrote %s (%d chunks, %d tests, %d traces)\n",
+			t.path, ft.Chunks, ft.Tests, ft.Traces)
+		return nil
+	case errors.Is(runErr, platform.ErrInterrupted):
+		mpath, err := t.w.Interrupt()
 		if err != nil {
-			return nil, err
-		}
-		return w.WriteChunk, nil
-	}
-	return func(runErr error) error {
-		if w == nil {
-			return runErr // campaign died before the sink was armed
-		}
-		switch {
-		case runErr == nil:
-			ft := w.Footer()
-			if err := w.Close(); err != nil {
-				return err
-			}
-			fmt.Fprintf(os.Stderr, "corpus: wrote %s (%d chunks, %d tests, %d traces)\n",
-				path, ft.Chunks, ft.Tests, ft.Traces)
-			return nil
-		case errors.Is(runErr, platform.ErrInterrupted):
-			mpath, err := w.Interrupt()
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "tputlab: checkpoint flush on interrupt failed:", err)
-				return runErr
-			}
-			d := w.Durable()
-			fmt.Fprintf(os.Stderr, "corpus: interrupted with %d chunks (%d tests) durable; continue with:\n  tputlab report -resume %s\n",
-				d.Chunks, d.Tests, mpath)
-			return runErr
-		default:
-			w.Discard()
+			fmt.Fprintln(os.Stderr, "tputlab: checkpoint flush on interrupt failed:", err)
 			return runErr
 		}
+		d := t.w.Durable()
+		fmt.Fprintf(os.Stderr, "corpus: interrupted with %d chunks (%d tests) durable; continue with:\n  tputlab report -resume %s\n",
+			d.Chunks, d.Tests, mpath)
+		return runErr
+	default:
+		t.w.Discard()
+		return runErr
 	}
+}
+
+// campaign is a collected campaign held in memory: the world, the
+// options it ran under, and every published chunk in publication order.
+type campaign struct {
+	opts   experiments.Options
+	world  *topogen.World
+	chunks []*platform.Chunk
+}
+
+// generateWorld wires opts' registry through generation and collection
+// and builds the campaign's world.
+func generateWorld(ctx context.Context, opts *experiments.Options) (*topogen.World, error) {
+	opts.Topo.Obs = opts.Obs
+	opts.Collect.Obs = opts.Obs
+	return topogen.GenerateCtx(ctx, opts.Topo)
+}
+
+// collectCampaign generates the world and runs the campaign once,
+// retaining every chunk and persisting each to corpusOut (when set) as
+// it is published.
+func collectCampaign(ctx context.Context, opts experiments.Options, scale, corpusOut string, every int) (*campaign, error) {
+	w, err := generateWorld(ctx, &opts)
+	if err != nil {
+		return nil, err
+	}
+	tee, err := openCorpus(corpusOut, w, opts, scale, every)
+	if err != nil {
+		return nil, err
+	}
+	c := &campaign{opts: opts, world: w}
+	if err := tee.seal(c.collect(ctx, 0, tee)); err != nil {
+		return nil, err
+	}
+	return c, nil
+}
+
+// collect runs the campaign from chunk startChunk on, appending every
+// published chunk to c.chunks and writing it to tee.
+func (c *campaign) collect(ctx context.Context, startChunk int, tee *corpusTee) error {
+	cfg := c.opts.Collect
+	cfg.StartChunk = startChunk
+	_, err := platform.CollectStreamCtx(ctx, c.world, cfg, c.opts.Workers, func(ch *platform.Chunk) error {
+		c.chunks = append(c.chunks, ch)
+		return tee.write(ch)
+	})
+	return err
+}
+
+// replay is the retained campaign as a chunkSource.
+func (c *campaign) replay(fn func(*platform.Chunk) error) (platform.Completeness, error) {
+	var comp platform.Completeness
+	for _, ch := range c.chunks {
+		if err := fn(ch); err != nil {
+			return comp, err
+		}
+		comp.Merge(ch.Completeness)
+	}
+	return comp, nil
+}
+
+// env concatenates the retained chunks into the corpus the experiments
+// read and runs their shared inference over it.
+func (c *campaign) env() *experiments.Env {
+	corpus := &platform.Corpus{}
+	for _, ch := range c.chunks {
+		corpus.Tests = append(corpus.Tests, ch.Tests...)
+		corpus.Traces = append(corpus.Traces, ch.Traces...)
+		corpus.TestsWithoutTrace += ch.TestsWithoutTrace
+		corpus.Completeness.Merge(ch.Completeness)
+	}
+	return experiments.NewEnvWithCorpus(c.opts, c.world, corpus)
 }
 
 // resumeCampaign is `-resume MANIFEST`: it rebuilds the interrupted
@@ -619,11 +695,11 @@ func teeCorpus(path string, opts *experiments.Options, scale string, every int) 
 // world hash, the durable corpus prefix replayed off disk into memory,
 // collection restarted at the first non-durable chunk with the suffix
 // appended to the partial file, and the corpus published atomically on
-// completion. The returned Env carries the spliced corpus; inference
-// over it is byte-identical to an uninterrupted run. A second
-// interrupt mid-resume checkpoints again and keeps the manifest, so
-// resume composes with itself.
-func resumeCampaign(ctx context.Context, cf *commonFlags) (*experiments.Env, *obs.Registry, error) {
+// completion. The returned campaign holds the spliced chunk stream,
+// identical to an uninterrupted run's. A second interrupt mid-resume
+// checkpoints again and keeps the manifest, so resume composes with
+// itself.
+func resumeCampaign(ctx context.Context, cf *commonFlags) (*campaign, *obs.Registry, error) {
 	m, err := checkpoint.LoadManifest(*cf.resume)
 	if err != nil {
 		return nil, nil, err
@@ -647,90 +723,85 @@ func resumeCampaign(ctx context.Context, cf *commonFlags) (*experiments.Env, *ob
 		return nil, reg, err
 	}
 	opts.Collect.Shards = fp.Shards
-	opts.Topo.Obs = reg
-	opts.Collect.Obs = reg
 
 	fmt.Fprintf(os.Stderr, "resuming campaign from %s: %d of %d tests durable, regenerating world (scale=%s seed=%d)...\n",
 		*cf.resume, m.Durable.Tests, fp.Tests, fp.Scale, fp.Seed)
-	w, err := topogen.GenerateCtx(ctx, opts.Topo)
+	w, err := generateWorld(ctx, &opts)
 	if err != nil {
 		return nil, reg, err
 	}
 
-	corpus := &platform.Corpus{}
+	c := &campaign{opts: opts, world: w}
 	cw, err := checkpoint.Resume(m, export.FromWorld(w, nil).Public,
 		export.StreamMeta{Scale: fp.Scale, Seed: fp.Seed, Tests: opts.Collect.Tests},
 		fingerprintFromOpts(fp.Scale, opts, fp.Format), opts.Workers,
 		checkpoint.Options{SyncEveryChunks: *cf.ckptEvery},
-		func(c *export.StreamChunk) error {
-			corpus.Tests = append(corpus.Tests, c.Tests...)
-			corpus.Traces = append(corpus.Traces, c.Traces...)
-			corpus.TestsWithoutTrace += c.TestsWithoutTrace
-			corpus.Completeness.Merge(c.Completeness)
+		func(sc *export.StreamChunk) error {
+			c.chunks = append(c.chunks, &platform.Chunk{
+				Index: sc.Chunk, Tests: sc.Tests, Traces: sc.Traces,
+				TestsWithoutTrace: sc.TestsWithoutTrace, Completeness: sc.Completeness,
+				Watermark: sc.Watermark,
+			})
 			return nil
 		})
 	if err != nil {
 		return nil, reg, err
 	}
-
-	cfg := opts.Collect
-	cfg.StartChunk = m.Durable.Chunks
-	_, cerr := platform.CollectStreamCtx(ctx, w, cfg, opts.Workers, func(c *platform.Chunk) error {
-		if err := cw.WriteChunk(c); err != nil {
-			return err
-		}
-		corpus.Tests = append(corpus.Tests, c.Tests...)
-		corpus.Traces = append(corpus.Traces, c.Traces...)
-		corpus.TestsWithoutTrace += c.TestsWithoutTrace
-		corpus.Completeness.Merge(c.Completeness)
-		return nil
-	})
-	if cerr != nil {
-		if errors.Is(cerr, platform.ErrInterrupted) {
-			mpath, ierr := cw.Interrupt()
-			if ierr != nil {
-				fmt.Fprintln(os.Stderr, "tputlab: checkpoint flush on interrupt failed:", ierr)
-			} else {
-				d := cw.Durable()
-				fmt.Fprintf(os.Stderr, "corpus: interrupted with %d chunks (%d tests) durable; continue with:\n  tputlab report -resume %s\n",
-					d.Chunks, d.Tests, mpath)
-			}
-		} else {
-			cw.Discard()
-		}
-		return nil, reg, cerr
-	}
-	ft := cw.Footer()
-	if err := cw.Close(); err != nil {
+	tee := &corpusTee{w: cw, path: m.CorpusFinal}
+	if err := tee.seal(c.collect(ctx, m.Durable.Chunks, tee)); err != nil {
 		return nil, reg, err
 	}
-	fmt.Fprintf(os.Stderr, "corpus: wrote %s (%d chunks, %d tests, %d traces)\n",
-		m.CorpusFinal, ft.Chunks, ft.Tests, ft.Traces)
-	return experiments.NewEnvWithCorpus(opts, w, corpus), reg, nil
+	return c, reg, nil
 }
 
-// reportStreamed is `report -stream`: the two-pass chunked assembly
-// over a live campaign, with the consumers of each pass fanned out on
-// their own goroutines behind bounded channels. Pass 1 re-collects the
-// deterministic stream for operator inference while (optionally)
-// persisting it to corpusOut; pass 2 replays the identical stream with
-// per-test aggregation, trace matching, and the bdrmap border
-// accumulator overlapping. Peak memory is a few chunks plus the
-// matcher's watermark window; the rendered report is byte-identical to
-// the batch path at every -parallel value.
-func reportStreamed(ctx context.Context, opts experiments.Options, reg *obs.Registry, scale, corpusOut string, ckptEvery int) (string, error) {
-	opts.Topo.Obs = reg
-	opts.Collect.Obs = reg
-	w, err := topogen.GenerateCtx(ctx, opts.Topo)
+// chunkSource feeds one campaign's chunks to fn in publication order
+// and returns the campaign's completeness ledger. reportStreamed calls
+// it once per builder pass.
+type chunkSource func(fn func(*platform.Chunk) error) (platform.Completeness, error)
+
+// reportLive is the live `report`. By default it collects the campaign
+// once and both builder passes replay the retained chunks: one
+// collection, with the corpus resident. With -stream (recollect) each
+// pass re-collects the deterministic campaign instead: two
+// collections, with only a few chunks resident. The rendered reports
+// are byte-identical.
+func reportLive(ctx context.Context, opts experiments.Options, scale, corpusOut string, every int, recollect bool) (string, error) {
+	if !recollect {
+		c, err := collectCampaign(ctx, opts, scale, corpusOut, every)
+		if err != nil {
+			return "", err
+		}
+		return reportStreamed(c.world, c.opts, c.replay, nil)
+	}
+	w, err := generateWorld(ctx, &opts)
 	if err != nil {
 		return "", err
 	}
-	workers := opts.Workers
-	if workers < 1 {
-		workers = 1
+	tee, err := openCorpus(corpusOut, w, opts, scale, every)
+	if err != nil {
+		return "", err
 	}
+	collect := func(fn func(*platform.Chunk) error) (platform.Completeness, error) {
+		st, err := platform.CollectStreamCtx(ctx, w, opts.Collect, opts.Workers, fn)
+		if err != nil {
+			return platform.Completeness{}, err
+		}
+		return st.Completeness, nil
+	}
+	return reportStreamed(w, opts, collect, tee)
+}
+
+// reportStreamed assembles the report from a live campaign's chunks: it
+// calls src once per StreamBuilder pass, and each pass fans its
+// consumers out on their own goroutines behind bounded channels. Pass 1
+// feeds operator inference and, when tee is set, persists the corpus
+// (sealed before pass 2 starts); pass 2 overlaps per-test aggregation,
+// trace matching, and the bdrmap border accumulator. The rendered
+// report is the same for every source, chunk size and -parallel value.
+func reportStreamed(w *topogen.World, opts experiments.Options, src chunkSource, tee *corpusTee) (string, error) {
+	reg := opts.Obs
 	mopts := export.FromWorld(w, nil).Lookups().MapItOpts()
-	mopts.Workers = workers
+	mopts.Workers = max(opts.Workers, 1)
 	mopts.Obs = reg
 	b := report.NewStreamBuilder(report.DefaultConfig(), report.MetroHourOf(), mopts)
 
@@ -738,29 +809,22 @@ func reportStreamed(ctx context.Context, opts experiments.Options, reg *obs.Regi
 		Name: "mapit",
 		Fn:   func(c *platform.Chunk) error { b.AddTraces(c.Traces); return nil },
 	}}
-	seal := func(runErr error) error { return runErr }
-	if corpusOut != "" {
-		eo := opts
-		seal = teeCorpus(corpusOut, &eo, scale, ckptEvery)
-		tee, err := eo.CorpusSink(w)
-		if err != nil {
-			return "", err
-		}
-		p1 = append(p1, stream.Stage[*platform.Chunk]{Name: "export", Fn: tee})
+	if tee != nil {
+		p1 = append(p1, stream.Stage[*platform.Chunk]{Name: "export", Fn: tee.write})
 	}
 	pipe := stream.NewPipeline("pass1", pipelineDepth, reg, p1...)
-	_, cErr := platform.CollectStreamCtx(ctx, w, opts.Collect, workers, pipe.Send)
-	if err := pipe.Close(); cErr == nil {
-		cErr = err
+	_, err := src(pipe.Send)
+	if cErr := pipe.Close(); err == nil {
+		err = cErr
 	}
-	if cErr = seal(cErr); cErr != nil {
-		return "", cErr
+	if err = tee.seal(err); err != nil {
+		return "", err
 	}
 	inf := b.FinishInference()
 
 	// The border accumulator shares the sealed inference; its result
-	// surfaces through gauges only, so stdout stays byte-identical to
-	// the batch report.
+	// surfaces through gauges only, so stdout is the same with or
+	// without it.
 	acc := bdrmapAccumulator(w, inf, mopts)
 	pipe = stream.NewPipeline("pass2", pipelineDepth, reg,
 		stream.Stage[*platform.Chunk]{Name: "aggregate",
@@ -770,18 +834,18 @@ func reportStreamed(ctx context.Context, opts experiments.Options, reg *obs.Regi
 		stream.Stage[*platform.Chunk]{Name: "bdrmap",
 			Fn: func(c *platform.Chunk) error { acc.Add(c.Traces); return nil }},
 	)
-	st, cErr := platform.CollectStreamCtx(ctx, w, opts.Collect, workers, pipe.Send)
-	if err := pipe.Close(); cErr == nil {
-		cErr = err
+	comp, err := src(pipe.Send)
+	if cErr := pipe.Close(); err == nil {
+		err = cErr
 	}
-	if cErr != nil {
-		return "", cErr
+	if err != nil {
+		return "", err
 	}
 	if reg != nil {
 		reg.Gauge("bdrmap.neighbors").Set(int64(len(acc.Result().Borders)))
 	}
 	sp := reg.Span("report")
-	out := b.Finish(st.Completeness).Render()
+	out := b.Finish(comp).Render()
 	sp.End()
 	return out, nil
 }
@@ -811,11 +875,9 @@ func bdrmapAccumulator(w *topogen.World, inf *mapit.Inference, mopts mapit.Opts)
 // -parallel workers, and pass 2's consumers overlap on a pipeline.
 // Pass 1 only needs traces, so it opens with a traces-only projection
 // and never parses a test stripe — the bulk of the reload cost saved.
-func reportFromCorpus(path string, opts experiments.Options, reg *obs.Registry) (string, error) {
-	workers := opts.Workers
-	if workers < 1 {
-		workers = 1
-	}
+func reportFromCorpus(path string, opts experiments.Options) (string, error) {
+	reg := opts.Obs
+	workers := max(opts.Workers, 1)
 	// pass replays the whole corpus, a few decoded chunks resident at a
 	// time: onHeader sees the parsed header before any chunk, fn sees
 	// every chunk, and the returned reader carries the footer.
@@ -923,21 +985,24 @@ func runCmd(args []string) error {
 	if !ok && name != "all" {
 		return fmt.Errorf("unknown experiment %q (try 'tputlab list')", name)
 	}
+	if name == "all" && *asJSON {
+		return fmt.Errorf("-json emits one experiment's result struct; 'run all' prints text tables only")
+	}
 	ctx, stopSignals := signalContext()
 	defer stopSignals()
 
-	var env *experiments.Env
+	var c *campaign
 	var reg *obs.Registry
 	start := time.Now()
 	if *cf.resume != "" {
-		if err := checkResumeFlags(fs); err != nil {
+		if err := checkIdentityFlags(fs, "-resume", "manifest"); err != nil {
 			return err
 		}
 		if *corpusOut != "" {
 			return fmt.Errorf("-resume is incompatible with -corpus-out (the corpus path comes from the manifest)")
 		}
 		var err error
-		env, reg, err = resumeCampaign(ctx, cf)
+		c, reg, err = resumeCampaign(ctx, cf)
 		if err != nil {
 			return finish(cf, reg, err)
 		}
@@ -947,16 +1012,12 @@ func runCmd(args []string) error {
 		if err != nil {
 			return err
 		}
-		seal := func(runErr error) error { return runErr }
-		if *corpusOut != "" {
-			seal = teeCorpus(*corpusOut, &opts, *cf.scale, *cf.ckptEvery)
-		}
 		fmt.Fprintf(os.Stderr, "generating world (scale=%s seed=%d parallel=%d)...\n", *cf.scale, *cf.seed, *cf.workers)
-		env, err = experiments.NewEnvCtx(ctx, opts)
-		if err = seal(err); err != nil {
+		if c, err = collectCampaign(ctx, opts, *cf.scale, *corpusOut, *cf.ckptEvery); err != nil {
 			return finish(cf, reg, err)
 		}
 	}
+	env := c.env()
 	fmt.Fprintf(os.Stderr, "world: %s\n", env.World.Topo.CollectStats())
 	fmt.Fprintf(os.Stderr, "platforms: %d M-Lab servers, %d Speedtest servers; corpus: %d tests, %d traces (%.1fs)\n",
 		len(env.World.MLabServers()), len(env.World.Speedtest),

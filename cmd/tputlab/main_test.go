@@ -8,34 +8,42 @@ import (
 	"testing"
 )
 
-// TestRunCmdUnknownExperiment pins that an unknown name is refused
-// before the world is generated and before -corpus-out publishes
-// anything.
+// TestRunCmdUnknownExperiment pins that an unknown name, and -json on
+// 'run all' (which prints text tables only), are refused before the
+// world is generated and before -corpus-out publishes anything.
 func TestRunCmdUnknownExperiment(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "corpus.tpc")
-	r, w, err := os.Pipe()
-	if err != nil {
-		t.Fatal(err)
-	}
-	stderr := make(chan string)
-	go func() {
-		b, _ := io.ReadAll(r)
-		stderr <- string(b)
-	}()
-	saved := os.Stderr
-	os.Stderr = w
-	runErr := runCmd([]string{"nosuch", "-scale", "small", "-tests", "200", "-corpus-out", path})
-	os.Stderr = saved
-	w.Close()
-	out := <-stderr
-	if runErr == nil || !strings.Contains(runErr.Error(), "tputlab list") {
-		t.Errorf("run nosuch: err = %v, want an error pointing at 'tputlab list'", runErr)
-	}
-	if strings.Contains(out, "generating world") {
-		t.Errorf("run nosuch generated a world before refusing the name:\n%s", out)
-	}
-	if _, err := os.Stat(path); !os.IsNotExist(err) {
-		t.Errorf("run nosuch left a -corpus-out file (stat err %v)", err)
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"nosuch", "-scale", "small", "-tests", "200"}, "tputlab list"},
+		{[]string{"all", "-json", "-scale", "small", "-tests", "200"}, "-json"},
+	} {
+		path := filepath.Join(t.TempDir(), "corpus.tpc")
+		r, w, err := os.Pipe()
+		if err != nil {
+			t.Fatal(err)
+		}
+		stderr := make(chan string)
+		go func() {
+			b, _ := io.ReadAll(r)
+			stderr <- string(b)
+		}()
+		saved := os.Stderr
+		os.Stderr = w
+		runErr := runCmd(append(tc.args, "-corpus-out", path))
+		os.Stderr = saved
+		w.Close()
+		out := <-stderr
+		if runErr == nil || !strings.Contains(runErr.Error(), tc.want) {
+			t.Errorf("run %v: err = %v, want an error naming %q", tc.args, runErr, tc.want)
+		}
+		if strings.Contains(out, "generating world") {
+			t.Errorf("run %v generated a world before refusing:\n%s", tc.args, out)
+		}
+		if _, err := os.Stat(path); !os.IsNotExist(err) {
+			t.Errorf("run %v left a -corpus-out file (stat err %v)", tc.args, err)
+		}
 	}
 	if err := runCmd(nil); err == nil {
 		t.Error("missing experiment name should error")
@@ -126,6 +134,30 @@ func TestReportCorpusFlagValidation(t *testing.T) {
 	}
 	if err := reportCmd([]string{"-corpus", "/nonexistent/corpus.tpc"}); err == nil {
 		t.Error("missing corpus file should error")
+	}
+	// The corpus header pins the campaign identity: setting an identity
+	// flag alongside -corpus is refused with every offending flag named,
+	// the way -resume refuses them.
+	for _, flags := range [][]string{
+		{"-scale", "large"}, {"-seed", "2"}, {"-tests", "100"}, {"-faults", "heavy"},
+		{"-faultseed", "9"}, {"-chunk-tests", "32"}, {"-corpus-format", "columnar"},
+		{"-seed", "2", "-scale", "small"},
+	} {
+		err := reportCmd(append([]string{"-corpus", "/nonexistent/corpus.tpc"}, flags...))
+		if err == nil || !strings.Contains(err.Error(), "-corpus pins the campaign identity") {
+			t.Errorf("-corpus with %v: err = %v, want the identity-flag refusal", flags, err)
+			continue
+		}
+		for i := 0; i < len(flags); i += 2 {
+			if !strings.Contains(err.Error(), flags[i]) {
+				t.Errorf("-corpus with %v: error %q does not name %s", flags, err, flags[i])
+			}
+		}
+	}
+	// Worker counts are not identity: they reach the corpus reader.
+	err := reportCmd([]string{"-corpus", "/nonexistent/corpus.tpc", "-parallel", "2", "-genworkers", "2"})
+	if err == nil || strings.Contains(err.Error(), "pins the campaign identity") {
+		t.Errorf("-corpus with -parallel/-genworkers: err = %v, want the missing-file error", err)
 	}
 }
 

@@ -13,8 +13,6 @@ import (
 	"throughputlab/internal/checkpoint"
 	"throughputlab/internal/experiments"
 	"throughputlab/internal/platform"
-	"throughputlab/internal/report"
-	"throughputlab/internal/topogen"
 )
 
 // TestResumeFlagConflicts pins the fail-fast validation: every
@@ -47,11 +45,11 @@ func TestResumeFlagConflicts(t *testing.T) {
 			if err := fs.Parse(tc.args); err != nil {
 				t.Fatal(err)
 			}
-			got := resumeFlagConflicts(fs)
+			got := identityFlagConflicts(fs)
 			if !reflect.DeepEqual(got, tc.want) {
 				t.Fatalf("conflicts = %v, want %v", got, tc.want)
 			}
-			err := checkResumeFlags(fs)
+			err := checkIdentityFlags(fs, "-resume", "manifest")
 			if len(tc.want) == 0 && err != nil {
 				t.Fatalf("unexpected error: %v", err)
 			}
@@ -65,12 +63,13 @@ func TestResumeFlagConflicts(t *testing.T) {
 }
 
 // TestResumeCampaignEndToEnd drives the real CLI plumbing through an
-// interrupt and a resume: a campaign with -corpus-out is cancelled
-// (cause ErrInterrupted, exactly how the signal handler does it) after
-// two published chunks, leaving a partial corpus plus manifest; then
-// resumeCampaign rebuilds it from the manifest alone. Both the
-// rendered report and the published corpus bytes must be identical to
-// an uninterrupted run's.
+// interrupt and a resume: a campaign persisted through openCorpus is
+// cancelled (cause ErrInterrupted, exactly how the signal handler does
+// it) after two published chunks, leaving a partial corpus plus
+// manifest; then resumeCampaign rebuilds it from the manifest alone.
+// The report over the resumed campaign's retained chunks must equal an
+// uninterrupted -stream run's, and the published corpus bytes must be
+// identical to that run's corpus.
 func TestResumeCampaignEndToEnd(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds worlds")
@@ -85,44 +84,40 @@ func TestResumeCampaignEndToEnd(t *testing.T) {
 
 	// Uninterrupted reference: corpus bytes and rendered report.
 	refPath := filepath.Join(dir, "ref.corpus")
-	refOpts := chunked()
-	refSeal := teeCorpus(refPath, &refOpts, "small", 1)
-	refEnv, err := experiments.NewEnv(refOpts)
-	if err = refSeal(err); err != nil {
+	wantReport, err := reportLive(context.Background(), chunked(), "small", refPath, 1, true)
+	if err != nil {
 		t.Fatal(err)
 	}
-	wantReport := report.Build(refEnv, report.DefaultConfig()).Render()
 	wantCorpus, err := os.ReadFile(refPath)
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	// Interrupted run: cancel with the signal handler's cause once two
-	// chunks have been published to the sink.
+	// chunks have been persisted.
 	finalPath := filepath.Join(dir, "resumed.corpus")
 	intOpts := chunked()
-	seal := teeCorpus(finalPath, &intOpts, "small", 1)
-	inner := intOpts.CorpusSink
 	ctx, cancel := context.WithCancelCause(context.Background())
 	defer cancel(nil)
-	intOpts.CorpusSink = func(w *topogen.World) (func(*platform.Chunk) error, error) {
-		sink, err := inner(w)
-		if err != nil {
-			return nil, err
-		}
-		n := 0
-		return func(c *platform.Chunk) error {
-			if err := sink(c); err != nil {
-				return err
-			}
-			if n++; n == 2 {
-				cancel(platform.ErrInterrupted)
-			}
-			return nil
-		}, nil
+	w, err := generateWorld(ctx, &intOpts)
+	if err != nil {
+		t.Fatal(err)
 	}
-	_, runErr := experiments.NewEnvCtx(ctx, intOpts)
-	runErr = seal(runErr)
+	tee, err := openCorpus(finalPath, w, intOpts, "small", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := 0
+	_, runErr := platform.CollectStreamCtx(ctx, w, intOpts.Collect, intOpts.Workers, func(c *platform.Chunk) error {
+		if err := tee.write(c); err != nil {
+			return err
+		}
+		if n++; n == 2 {
+			cancel(platform.ErrInterrupted)
+		}
+		return nil
+	})
+	runErr = tee.seal(runErr)
 	if !errors.Is(runErr, platform.ErrInterrupted) {
 		t.Fatalf("interrupted campaign returned %v, want ErrInterrupted", runErr)
 	}
@@ -138,17 +133,21 @@ func TestResumeCampaignEndToEnd(t *testing.T) {
 		t.Fatalf("manifest records %d durable chunks, want >= 2", m.Durable.Chunks)
 	}
 
-	// Resume purely from the manifest, the way `run -resume` does.
-	fs := flag.NewFlagSet("run", flag.ContinueOnError)
+	// Resume purely from the manifest, the way `report -resume` does.
+	fs := flag.NewFlagSet("report", flag.ContinueOnError)
 	cf := addCommonFlags(fs)
 	if err := fs.Parse([]string{"-resume", mpath, "-parallel", "2"}); err != nil {
 		t.Fatal(err)
 	}
-	env, _, err := resumeCampaign(context.Background(), cf)
+	c, _, err := resumeCampaign(context.Background(), cf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := report.Build(env, report.DefaultConfig()).Render(); got != wantReport {
+	got, err := reportStreamed(c.world, c.opts, c.replay, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != wantReport {
 		t.Error("resumed report differs from uninterrupted run")
 	}
 	gotCorpus, err := os.ReadFile(finalPath)

@@ -32,6 +32,15 @@ const (
 	WindowAround
 )
 
+// PrimaryWindowMin and PrimaryMode are the association every pipeline
+// stage uses for path analysis: the paper's primary 10-minute,
+// after-only window. The experiments' shared matching and the report
+// builder both read them, so the two can never pair differently.
+const (
+	PrimaryWindowMin = 10
+	PrimaryMode      = WindowAfter
+)
+
 // PairDegraded reports whether a matched (test, trace) pair is unfit
 // for path-sensitive analysis: the trace was maimed by the fault layer,
 // or the test record is a truncated transfer whose web100 snapshot is

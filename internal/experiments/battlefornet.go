@@ -52,7 +52,7 @@ func BattleForNet(e *Env) (*BattleResult, error) {
 			return nil, err
 		}
 		inf := mapit.Run(corpus.Traces, e.MapItOpts())
-		matching := core.MatchTraces(corpus.Tests, corpus.Traces, 10, core.WindowAfter)
+		matching := core.MatchTraces(corpus.Tests, corpus.Traces, core.PrimaryWindowMin, core.PrimaryMode)
 
 		pairs := map[string]bool{}
 		for _, t := range corpus.Tests {

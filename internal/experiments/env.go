@@ -30,17 +30,12 @@ type Options struct {
 	// MAP-IT inference (0 or 1 = serial). Results are identical for
 	// every worker count — see the determinism contract in DESIGN.md.
 	Workers int
-	// Obs, when non-nil, instruments the whole pipeline: NewEnv threads
-	// it through world generation, corpus collection, and the shared
-	// inference stages, and RunParallel records per-experiment spans on
-	// it. Experiment output is byte-identical with and without it.
+	// Obs, when non-nil, instruments the whole pipeline: NewEnvCtx
+	// threads it through world generation, corpus collection, and the
+	// shared inference stages, and RunParallelCtx records
+	// per-experiment spans on it. Experiment output is byte-identical
+	// with and without it.
 	Obs *obs.Registry
-	// CorpusSink, when non-nil, receives the generated world before
-	// collection begins and returns a per-chunk sink; collection then
-	// streams every chunk through it (e.g. a checkpoint.Writer
-	// persisting the corpus as it is gathered). The materialized corpus
-	// is byte-identical with or without a sink.
-	CorpusSink func(*topogen.World) (func(*platform.Chunk) error, error)
 }
 
 // workers returns the effective worker count (at least 1).
@@ -71,8 +66,8 @@ type Env struct {
 	Corpus *platform.Corpus
 	// Inference is MAP-IT over the corpus traceroutes.
 	Inference *mapit.Inference
-	// Matching associates tests with traceroutes (10-minute window
-	// after the test, the paper's primary method).
+	// Matching associates tests with traceroutes under the paper's
+	// primary window (core.PrimaryWindowMin, core.PrimaryMode).
 	Matching *core.Matching
 
 	// vps caches the §5 per-VP analyses; vpsOnce guards the build so
@@ -82,53 +77,32 @@ type Env struct {
 	vps     []*VPAnalysis
 }
 
-// NewEnv generates the world, collects the corpus, and runs the shared
-// inference stages, using opts.Workers goroutines for the collection
-// and inference phases. When opts.Obs is set, every phase is traced and
-// the layers report their metrics to it.
-func NewEnv(opts Options) (*Env, error) {
-	return NewEnvCtx(context.Background(), opts)
-}
-
-// NewEnvCtx is NewEnv under cooperative cancellation: generation stops
-// at its next phase boundary and collection at its next chunk boundary,
-// returning an error that wraps the context's cause (ErrInterrupted
-// when the CLI's signal handler cancelled).
+// NewEnvCtx generates the world, collects the corpus, and runs the
+// shared inference stages, using opts.Workers goroutines for the
+// collection and inference phases. When opts.Obs is set, every phase
+// is traced and the layers report their metrics to it. Generation
+// stops at its next phase boundary and collection at its next chunk
+// boundary once ctx is cancelled, returning an error that wraps the
+// context's cause.
 func NewEnvCtx(ctx context.Context, opts Options) (*Env, error) {
-	reg := opts.Obs
-	opts.Topo.Obs = reg
-	opts.Collect.Obs = reg
+	opts.Topo.Obs = opts.Obs
+	opts.Collect.Obs = opts.Obs
 	w, err := topogen.GenerateCtx(ctx, opts.Topo)
 	if err != nil {
 		return nil, err
 	}
-	// Collect through the chunk stream so a CorpusSink sees the corpus
-	// as it is gathered; the appended corpus is CollectParallelCtx's.
-	tee := func(*platform.Chunk) error { return nil }
-	if opts.CorpusSink != nil {
-		if tee, err = opts.CorpusSink(w); err != nil {
-			return nil, err
-		}
-	}
-	corpus := &platform.Corpus{}
-	st, err := platform.CollectStreamCtx(ctx, w, opts.Collect, opts.workers(), func(ch *platform.Chunk) error {
-		corpus.Tests = append(corpus.Tests, ch.Tests...)
-		corpus.Traces = append(corpus.Traces, ch.Traces...)
-		return tee(ch)
-	})
+	corpus, err := platform.CollectParallelCtx(ctx, w, opts.Collect, opts.workers())
 	if err != nil {
 		return nil, err
 	}
-	corpus.TestsWithoutTrace = st.TestsWithoutTrace
-	corpus.Completeness = st.Completeness
 	return NewEnvWithCorpus(opts, w, corpus), nil
 }
 
 // NewEnvWithCorpus builds an Env over an already-collected corpus —
-// the resume path, where the corpus is spliced together from a replayed
-// prefix and a freshly collected suffix — running only the shared
-// inference stages. The result is identical to NewEnv when the corpus
-// is: inference is a pure function of (world, corpus).
+// the CLI's path, which collects (or resumes) the campaign itself —
+// running only the shared inference stages. The result is identical to
+// NewEnvCtx when the corpus is: inference is a pure function of
+// (world, corpus).
 func NewEnvWithCorpus(opts Options, w *topogen.World, corpus *platform.Corpus) *Env {
 	reg := opts.Obs
 	opts.Topo.Obs = reg
@@ -138,7 +112,7 @@ func NewEnvWithCorpus(opts Options, w *topogen.World, corpus *platform.Corpus) *
 	e.Inference = mapit.Run(corpus.Traces, e.MapItOpts())
 	sp.End()
 	sp = reg.Span("match")
-	e.Matching = core.MatchTraces(corpus.Tests, corpus.Traces, 10, core.WindowAfter)
+	e.Matching = core.MatchTraces(corpus.Tests, corpus.Traces, core.PrimaryWindowMin, core.PrimaryMode)
 	sp.End()
 	reg.Gauge("match.pairs").Set(int64(e.Matching.Matched()))
 	reg.Gauge("match.degraded").Set(int64(e.Matching.Degraded))

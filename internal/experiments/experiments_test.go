@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -12,7 +13,7 @@ import (
 // env is shared across the package's tests: building it is the
 // expensive part (world generation + corpus + per-VP campaigns).
 var env = func() *Env {
-	e, err := NewEnv(QuickOptions())
+	e, err := NewEnvCtx(context.Background(), QuickOptions())
 	if err != nil {
 		panic(err)
 	}

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"regexp"
 	"testing"
 
@@ -32,13 +33,13 @@ func TestMetricNamesFollowConvention(t *testing.T) {
 	opts.Obs = reg
 	opts.Topo.Workers = 2
 	opts.Collect.Faults = faults.Light()
-	env, err := NewEnv(opts)
+	env, err := NewEnvCtx(context.Background(), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// A serial sweep: only it measures the experiments.<name>.alloc_bytes
 	// gauges, so it registers every metric name a sweep can produce.
-	if _, _, err := RunParallel(env, 1); err != nil {
+	if _, _, err := RunParallelCtx(context.Background(), env, 1); err != nil {
 		t.Fatal(err)
 	}
 	bus.Close()

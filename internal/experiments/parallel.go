@@ -16,7 +16,7 @@ import (
 )
 
 // ExperimentStat records the cost of one experiment inside a
-// RunParallel sweep.
+// RunParallelCtx sweep.
 type ExperimentStat struct {
 	Name string
 	// Wall is the experiment's own wall time.
@@ -29,7 +29,7 @@ type ExperimentStat struct {
 	AllocBytes uint64
 }
 
-// RunStats summarizes a RunParallel sweep. It is a view over the obs
+// RunStats summarizes a RunParallelCtx sweep. It is a view over the obs
 // registry the sweep ran against: per-experiment numbers come from the
 // sweep's "experiments" span tree and alloc gauges, and the resolver
 // block from the same counters `-metrics` renders — there is no second
@@ -121,11 +121,13 @@ func (s *RunStats) Summary() string {
 	return sb.String()
 }
 
-// RunParallel executes every registry experiment over a worker pool
-// and emits output in registry order, byte-identical to RunAll. When
-// an experiment fails, the output of the registry entries before it is
-// returned together with the error, matching RunAll's partial-output
-// semantics.
+// RunParallelCtx executes every registry experiment over a worker pool
+// and emits output in registry order, byte-identical at every worker
+// count. When an experiment fails, the output of the registry entries
+// before it is returned together with the error. Under cooperative
+// cancellation, workers finish the experiment they are on, claim
+// nothing further, and the call returns an error wrapping the
+// context's cause.
 //
 // Each experiment runs under an obs span (child of one "experiments"
 // phase span) on the Env's registry — or a private registry when the
@@ -138,13 +140,6 @@ func (s *RunStats) Summary() string {
 // Experiments share the Env read-only (the §5 per-VP cache is built
 // once under Env.vpsOnce), so any worker count is safe and the output
 // deterministic.
-func RunParallel(e *Env, workers int) (string, *RunStats, error) {
-	return RunParallelCtx(context.Background(), e, workers)
-}
-
-// RunParallelCtx is RunParallel under cooperative cancellation: workers
-// finish the experiment they are on, claim nothing further, and the
-// call returns an error wrapping the context's cause.
 func RunParallelCtx(ctx context.Context, e *Env, workers int) (string, *RunStats, error) {
 	entries := Registry()
 	if workers < 1 {

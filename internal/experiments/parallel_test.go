@@ -1,6 +1,8 @@
 package experiments
 
 import (
+	"context"
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -8,34 +10,50 @@ import (
 	"throughputlab/internal/obs"
 )
 
-// TestRunParallelGolden asserts the engine's core contract: RunParallel
-// output is byte-identical to serial RunAll for every worker count.
+// runSerial is the reference sweep: every registry experiment in
+// order on the calling goroutine, stopping at the first failure with
+// the output of the entries before it.
+func runSerial(e *Env) (string, error) {
+	var sb strings.Builder
+	for _, entry := range Registry() {
+		r, err := entry.Run(e)
+		if err != nil {
+			return sb.String(), fmt.Errorf("experiment %s: %w", entry.Name, err)
+		}
+		sb.WriteString(renderEntry(entry, r))
+	}
+	return sb.String(), nil
+}
+
+// TestRunParallelGolden asserts the engine's core contract:
+// RunParallelCtx output is byte-identical to the serial reference for
+// every worker count.
 func TestRunParallelGolden(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs the full registry four times")
 	}
-	want, err := RunAll(env)
+	want, err := runSerial(env)
 	if err != nil {
-		t.Fatalf("RunAll: %v", err)
+		t.Fatalf("runSerial: %v", err)
 	}
 	if len(want) < 1000 {
-		t.Fatalf("RunAll output suspiciously small (%d bytes)", len(want))
+		t.Fatalf("serial output suspiciously small (%d bytes)", len(want))
 	}
 	for _, workers := range []int{1, 2, 8} {
-		got, stats, err := RunParallel(env, workers)
+		got, stats, err := RunParallelCtx(context.Background(), env, workers)
 		if err != nil {
-			t.Fatalf("RunParallel(%d): %v", workers, err)
+			t.Fatalf("RunParallelCtx(%d): %v", workers, err)
 		}
 		if got != want {
-			t.Errorf("RunParallel(%d) output differs from RunAll (%d vs %d bytes)",
+			t.Errorf("RunParallelCtx(%d) output differs from the serial reference (%d vs %d bytes)",
 				workers, len(got), len(want))
 		}
 		if stats == nil {
-			t.Fatalf("RunParallel(%d): nil stats", workers)
+			t.Fatalf("RunParallelCtx(%d): nil stats", workers)
 		}
 		entries := Registry()
 		if len(stats.Experiments) != len(entries) {
-			t.Fatalf("RunParallel(%d): %d stats, want %d", workers, len(stats.Experiments), len(entries))
+			t.Fatalf("RunParallelCtx(%d): %d stats, want %d", workers, len(stats.Experiments), len(entries))
 		}
 		for i, st := range stats.Experiments {
 			if st.Name != entries[i].Name {
@@ -46,7 +64,7 @@ func TestRunParallelGolden(t *testing.T) {
 			}
 		}
 		if stats.Wall <= 0 {
-			t.Errorf("RunParallel(%d): non-positive sweep wall time", workers)
+			t.Errorf("RunParallelCtx(%d): non-positive sweep wall time", workers)
 		}
 		if s := stats.Summary(); len(s) < 100 {
 			t.Errorf("stats summary too short: %q", s)
@@ -97,20 +115,20 @@ func TestRunParallelGoldenWithObs(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs the full registry three times")
 	}
-	want, err := RunAll(env)
+	want, err := runSerial(env)
 	if err != nil {
-		t.Fatalf("RunAll: %v", err)
+		t.Fatalf("runSerial: %v", err)
 	}
 	defer func() { env.Opts.Obs = nil }()
 	for _, workers := range []int{1, 4} {
 		reg := obs.NewRegistry()
 		env.Opts.Obs = reg
-		got, stats, err := RunParallel(env, workers)
+		got, stats, err := RunParallelCtx(context.Background(), env, workers)
 		if err != nil {
-			t.Fatalf("RunParallel(%d): %v", workers, err)
+			t.Fatalf("RunParallelCtx(%d): %v", workers, err)
 		}
 		if got != want {
-			t.Errorf("instrumented RunParallel(%d) output differs from RunAll (%d vs %d bytes)",
+			t.Errorf("instrumented RunParallelCtx(%d) output differs from the serial reference (%d vs %d bytes)",
 				workers, len(got), len(want))
 		}
 		d := reg.Snapshot()
@@ -156,7 +174,7 @@ func TestRunParallelGoldenWithObs(t *testing.T) {
 }
 
 // TestRunParallelFullyInstrumented wires the registry the way the CLI
-// does — before NewEnv, so world generation, collection, and the
+// does — before NewEnvCtx, so world generation, collection, and the
 // sub-environments some experiments rebuild are all traced — and runs
 // the sweep with several workers. Sub-environment experiments push
 // phase spans on the shared registry stack concurrently; under -race
@@ -169,17 +187,17 @@ func TestRunParallelFullyInstrumented(t *testing.T) {
 	reg := obs.NewRegistry()
 	opts := QuickOptions()
 	opts.Obs = reg
-	instrumented, err := NewEnv(opts)
+	instrumented, err := NewEnvCtx(context.Background(), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := RunAll(instrumented)
+	want, err := runSerial(instrumented)
 	if err != nil {
-		t.Fatalf("RunAll: %v", err)
+		t.Fatalf("runSerial: %v", err)
 	}
-	got, _, err := RunParallel(instrumented, 4)
+	got, _, err := RunParallelCtx(context.Background(), instrumented, 4)
 	if err != nil {
-		t.Fatalf("RunParallel: %v", err)
+		t.Fatalf("RunParallelCtx: %v", err)
 	}
 	if got != want {
 		t.Errorf("fully instrumented parallel output differs from serial (%d vs %d bytes)",
@@ -212,12 +230,12 @@ func TestNewEnvWorkerIndependence(t *testing.T) {
 	}
 	opts := QuickOptions()
 	opts.Collect.Tests = 2000
-	serial, err := NewEnv(opts)
+	serial, err := NewEnvCtx(context.Background(), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	opts.Workers = 4
-	par, err := NewEnv(opts)
+	par, err := NewEnvCtx(context.Background(), opts)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,10 +1,6 @@
 package experiments
 
-import (
-	"fmt"
-	"sort"
-	"strings"
-)
+import "sort"
 
 // Renderer is implemented by every experiment result.
 type Renderer interface {
@@ -71,24 +67,8 @@ func Names() []string {
 	return out
 }
 
-// RunAll executes every experiment serially and concatenates the
-// rendered output. RunParallel produces byte-identical output with any
-// worker count.
-func RunAll(e *Env) (string, error) {
-	var sb strings.Builder
-	for _, entry := range Registry() {
-		r, err := entry.Run(e)
-		if err != nil {
-			return sb.String(), fmt.Errorf("experiment %s: %w", entry.Name, err)
-		}
-		sb.WriteString(renderEntry(entry, r))
-	}
-	return sb.String(), nil
-}
-
 // renderEntry formats one experiment's contribution to the all-
-// experiments output; RunAll and RunParallel share it so their outputs
-// stay byte-identical.
+// experiments output.
 func renderEntry(entry Entry, r Renderer) string {
 	return "=== " + entry.Name + " — " + entry.Paper + " ===\n" + r.Render() + "\n"
 }

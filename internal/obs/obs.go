@@ -17,7 +17,7 @@
 //     instrumented hot paths cost one predictable branch when nobody is
 //     looking.
 //   - Race-safe. Handles are updated from CollectParallel's and
-//     RunParallel's worker pools: all mutation goes through sync/atomic,
+//     RunParallelCtx's worker pools: all mutation goes through sync/atomic,
 //     and registration is mutex-guarded so two goroutines asking for the
 //     same name share one metric.
 //

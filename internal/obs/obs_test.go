@@ -230,7 +230,7 @@ func TestSummaryRendersEverything(t *testing.T) {
 // TestRegistryConcurrentShards hammers one registry from many
 // goroutines — counters, gauges, histograms, registration of the same
 // and distinct names, and child spans — mirroring how CollectParallel's
-// shards and RunParallel's workers share the CLI registry. Run under
+// shards and RunParallelCtx's workers share the CLI registry. Run under
 // -race in CI.
 func TestRegistryConcurrentShards(t *testing.T) {
 	r := NewRegistry()

@@ -14,11 +14,11 @@ import (
 //
 //   - Registry.Span(name) opens a sequential span nested under the
 //     innermost still-open sequential span. This fits orchestration code
-//     (Generate, CollectParallel, NewEnv, the CLI) where phases start
+//     (Generate, CollectStreamCtx, NewEnvCtx, the CLI) where phases start
 //     and end on one goroutine in stack order.
 //   - Span.Child(name) opens an explicit child of a given parent and
 //     does NOT join the sequential stack. Concurrent sections (the
-//     RunParallel worker pool) use it so sibling spans from different
+//     RunParallelCtx worker pool) use it so sibling spans from different
 //     goroutines attach to the right parent without interleaving the
 //     stack.
 //

@@ -15,16 +15,11 @@ package report
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"throughputlab/internal/core"
-	"throughputlab/internal/experiments"
-	"throughputlab/internal/mapit"
-	"throughputlab/internal/ndt"
 	"throughputlab/internal/platform"
 	"throughputlab/internal/signatures"
-	"throughputlab/internal/traceroute"
 )
 
 // Grade is the final confidence in a congestion claim.
@@ -133,118 +128,6 @@ type Report struct {
 	// integrity of the data behind it, extended to the fault plane.
 	Completeness    platform.Completeness
 	MatchedDegraded int
-}
-
-// Build assembles the report from an experiment environment.
-func Build(e *experiments.Env, cfg Config) *Report {
-	if cfg.MinTests == 0 {
-		cfg = DefaultConfig()
-	}
-	type gkey struct{ net, metro, isp string }
-	groups := map[gkey][]*ndt.Test{}
-	for _, t := range e.Corpus.Tests {
-		k := gkey{t.ServerNet, t.ServerMetro, t.ClientISP}
-		groups[k] = append(groups[k], t)
-	}
-	keys := make([]gkey, 0, len(groups))
-	for k := range groups {
-		if len(groups[k]) >= cfg.MinTests {
-			keys = append(keys, k)
-		}
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		a, b := keys[i], keys[j]
-		if a.net != b.net {
-			return a.net < b.net
-		}
-		if a.metro != b.metro {
-			return a.metro < b.metro
-		}
-		return a.isp < b.isp
-	})
-
-	rep := &Report{
-		Completeness:    e.Corpus.Completeness,
-		MatchedDegraded: e.Matching.Degraded,
-	}
-	for _, k := range keys {
-		tests := groups[k]
-		f := buildFinding(e, cfg, k.net, k.metro, k.isp, tests)
-		grade(&f, cfg)
-		switch f.Grade {
-		case CongestedHighConfidence, CongestedLowConfidence:
-			rep.Congested++
-		case Ambiguous:
-			rep.Ambiguous++
-		}
-		rep.Findings = append(rep.Findings, f)
-	}
-	e.Opts.Obs.Events().Publish("report.pass", "final", -1, int64(len(rep.Findings)))
-	return rep
-}
-
-func buildFinding(e *experiments.Env, cfg Config, net, metro, isp string, tests []*ndt.Test) Finding {
-	f := Finding{ServerNet: net, ServerMetro: metro, ClientISP: isp, Tests: len(tests)}
-
-	// Traceroute association and Assumption 2.
-	matched, oneHop, pathKnown := 0, 0, 0
-	linkSet := map[uint32]bool{}
-	for _, t := range tests {
-		tr := e.Matching.ByTest[t.ID]
-		if tr == nil {
-			continue
-		}
-		matched++
-		p := e.Inference.ASPathOf(tr)
-		if len(p) >= 2 {
-			pathKnown++
-			if len(p) == 2 {
-				oneHop++
-			}
-		}
-		for _, l := range firstOrgCrossings(e, tr) {
-			linkSet[uint32(l.Far)] = true
-		}
-	}
-	f.MatchedFrac = frac(matched, len(tests))
-	f.OneHopFrac = frac(oneHop, pathKnown)
-	f.IPLinks = len(linkSet)
-
-	// Detector + bias.
-	s := core.BuildSeries(tests, e.HourOf)
-	f.Detector = core.Detect(s, cfg.Detector)
-	f.Bias = core.Bias(tests, e.HourOf, cfg.Detector.MinSamples)
-
-	// Congestion signatures on peak-hour tests.
-	det, ext := 0, 0
-	for _, t := range tests {
-		h := e.HourOf(t)
-		if h < 19 || h >= 23 {
-			continue
-		}
-		switch signatures.Classify(signatures.Extract(t), cfg.Signature) {
-		case signatures.ExternalCongestion:
-			det++
-			ext++
-		case signatures.SelfInduced:
-			det++
-		}
-	}
-	f.ExternalSigFrac = frac(ext, det)
-	return f
-}
-
-// firstOrgCrossings returns the inferred links between the trace's
-// first and last organizations (the interconnection the aggregate is
-// nominally about).
-func firstOrgCrossings(e *experiments.Env, tr *traceroute.Trace) []mapit.Link {
-	links := e.Inference.LinksOf(tr)
-	if len(links) == 0 {
-		return nil
-	}
-	// Keep only the first crossing: the interconnection out of the
-	// server network.
-	return links[:1]
 }
 
 func frac(a, b int) float64 {

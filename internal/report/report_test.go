@@ -1,21 +1,133 @@
 package report
 
 import (
+	"context"
+	"sort"
 	"strings"
 	"testing"
 
+	"throughputlab/internal/core"
 	"throughputlab/internal/experiments"
+	"throughputlab/internal/ndt"
+	"throughputlab/internal/platform"
+	"throughputlab/internal/signatures"
 )
 
 var env = func() *experiments.Env {
-	e, err := experiments.NewEnv(experiments.QuickOptions())
+	e, err := experiments.NewEnvCtx(context.Background(), experiments.QuickOptions())
 	if err != nil {
 		panic(err)
 	}
 	return e
 }()
 
-var built = Build(env, DefaultConfig())
+// built is the production report over the shared campaign: the
+// StreamBuilder's two passes, each re-collecting the campaign.
+var built = func() *Report {
+	r, err := streamBuild(DefaultConfig(), env.Opts.Collect, 1)
+	if err != nil {
+		panic(err)
+	}
+	return r
+}()
+
+// batchBuild is the reference the streaming builder is checked
+// against: the in-memory assembly over a fully materialized Env — one
+// batch MAP-IT run, the batch matcher's ByTest map, the world's own
+// metro hours, and per-group test slices — sharing only grade with the
+// builder. TestStreamReportMatchesBatch* compare the two byte for byte.
+func batchBuild(e *experiments.Env, cfg Config) *Report {
+	if cfg.MinTests == 0 {
+		cfg = DefaultConfig()
+	}
+	type gkey struct{ net, metro, isp string }
+	groups := map[gkey][]*ndt.Test{}
+	for _, t := range e.Corpus.Tests {
+		k := gkey{t.ServerNet, t.ServerMetro, t.ClientISP}
+		groups[k] = append(groups[k], t)
+	}
+	keys := make([]gkey, 0, len(groups))
+	for k := range groups {
+		if len(groups[k]) >= cfg.MinTests {
+			keys = append(keys, k)
+		}
+	}
+	sort.Slice(keys, func(i, j int) bool {
+		a, b := keys[i], keys[j]
+		if a.net != b.net {
+			return a.net < b.net
+		}
+		if a.metro != b.metro {
+			return a.metro < b.metro
+		}
+		return a.isp < b.isp
+	})
+
+	rep := &Report{
+		Completeness:    e.Corpus.Completeness,
+		MatchedDegraded: e.Matching.Degraded,
+	}
+	for _, k := range keys {
+		tests := groups[k]
+		f := Finding{ServerNet: k.net, ServerMetro: k.metro, ClientISP: k.isp, Tests: len(tests)}
+
+		// Traceroute association and Assumption 2; the link counted is
+		// the first inferred crossing out of the server network.
+		matched, oneHop, pathKnown := 0, 0, 0
+		linkSet := map[uint32]bool{}
+		for _, t := range tests {
+			tr := e.Matching.ByTest[t.ID]
+			if tr == nil {
+				continue
+			}
+			matched++
+			p := e.Inference.ASPathOf(tr)
+			if len(p) >= 2 {
+				pathKnown++
+				if len(p) == 2 {
+					oneHop++
+				}
+			}
+			if links := e.Inference.LinksOf(tr); len(links) > 0 {
+				linkSet[uint32(links[0].Far)] = true
+			}
+		}
+		f.MatchedFrac = frac(matched, len(tests))
+		f.OneHopFrac = frac(oneHop, pathKnown)
+		f.IPLinks = len(linkSet)
+
+		s := core.BuildSeries(tests, e.HourOf)
+		f.Detector = core.Detect(s, cfg.Detector)
+		f.Bias = core.Bias(tests, e.HourOf, cfg.Detector.MinSamples)
+
+		// Congestion signatures on peak-hour tests.
+		det, ext := 0, 0
+		for _, t := range tests {
+			h := e.HourOf(t)
+			if h < 19 || h >= 23 {
+				continue
+			}
+			switch signatures.Classify(signatures.Extract(t), cfg.Signature) {
+			case signatures.ExternalCongestion:
+				det++
+				ext++
+			case signatures.SelfInduced:
+				det++
+			}
+		}
+		f.ExternalSigFrac = frac(ext, det)
+
+		grade(&f, cfg)
+		switch f.Grade {
+		case CongestedHighConfidence, CongestedLowConfidence:
+			rep.Congested++
+		case Ambiguous:
+			rep.Ambiguous++
+		}
+		rep.Findings = append(rep.Findings, f)
+	}
+	return rep
+}
 
 func findingFor(net, metro, isp string) *Finding {
 	for i := range built.Findings {
@@ -139,17 +251,42 @@ func TestCongestedCountsConsistent(t *testing.T) {
 }
 
 func TestZeroConfigDefaults(t *testing.T) {
-	r := Build(env, Config{})
+	r, err := streamBuild(Config{}, env.Opts.Collect, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(r.Findings) == 0 {
 		t.Error("zero config should default, not produce nothing")
 	}
 }
 
+// BenchmarkBuild times both StreamBuilder passes over a campaign held
+// in memory — the CLI's default report mode without the collection.
 func BenchmarkBuild(b *testing.B) {
+	var chunks []*platform.Chunk
+	st, err := platform.CollectStreamCtx(context.Background(), env.World, env.Opts.Collect, 1, func(c *platform.Chunk) error {
+		chunks = append(chunks, c)
+		return nil
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
 	cfg := DefaultConfig()
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		Build(env, cfg)
+		sb := NewStreamBuilder(cfg, MetroHourOf(), env.MapItOpts())
+		for _, c := range chunks {
+			sb.AddTraces(c.Traces)
+		}
+		sb.FinishInference()
+		for _, c := range chunks {
+			sb.AddTests(c.Tests)
+			sb.AddMatch(c.Tests, c.Traces, c.Watermark)
+		}
+		if r := sb.Finish(st.Completeness); len(r.Findings) == 0 {
+			b.Fatal("empty report")
+		}
 	}
 }
 

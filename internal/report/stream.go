@@ -1,11 +1,13 @@
-// Streaming report assembly: the same §7 checklist as Build, fed chunk
-// by chunk so a large or persisted corpus never has to be resident all
-// at once. The reduction is two-pass — operator inference must see
-// every trace before any path can be labeled — and every per-group
-// aggregate is either accumulated in corpus order (the float-summation
-// sensitive series and bias bins) or order-independent (integer
-// counters, link sets), so the rendered report is byte-identical to the
-// batch path.
+// Report assembly: the §7 checklist fed chunk by chunk. Every report
+// mode — a live campaign whose chunks are retained in memory, a live
+// campaign re-collected per pass (bounded memory), a persisted corpus
+// replayed off disk, and a resumed campaign — drives the one
+// StreamBuilder, so their rendered reports are byte-identical. The
+// reduction is two-pass — operator inference must see every trace
+// before any path can be labeled — and every per-group aggregate is
+// either accumulated in corpus order (the float-summation sensitive
+// series and bias bins) or order-independent (integer counters, link
+// sets), so chunk size and worker count never show in the report.
 package report
 
 import (
@@ -21,18 +23,10 @@ import (
 	"throughputlab/internal/traceroute"
 )
 
-// MatchWindowMin and MatchMode are the association parameters the
-// pipeline uses everywhere (experiments.NewEnv and the streaming
-// builder must agree, or stream and batch reports diverge).
-const (
-	MatchWindowMin = 10
-	MatchModeUsed  = core.WindowAfter
-)
-
 // MetroHourOf returns a world-free client-local-hour function backed by
 // the static metro table. Persisted corpora carry metro codes, not
 // geometry, and the generator sources its metros from the same table,
-// so this agrees exactly with experiments.Env.HourOf.
+// so this agrees exactly with the world's own metro local hours.
 func MetroHourOf() func(*ndt.Test) float64 {
 	offsets := map[string]int{}
 	for _, m := range datasets.USMetros() {
@@ -73,23 +67,25 @@ type pairGroup struct {
 // StreamBuilder assembles a Report incrementally. Protocol:
 //
 //	b := NewStreamBuilder(cfg, hourOf, mapitOpts)
-//	for each chunk { b.AddTraces(chunk.Traces) }     // pass 1
+//	for each chunk { b.AddTraces(chunk.Traces) }           // pass 1
 //	b.FinishInference()
-//	for each chunk { b.AddChunk(tests, traces, wm) } // pass 2, same order
+//	for each chunk {                                       // pass 2, same order
+//		b.AddTests(chunk.Tests)
+//		b.AddMatch(chunk.Tests, chunk.Traces, chunk.Watermark)
+//	}
 //	rep := b.Finish(completeness)
 //
-// Pass 2 replays the same chunks (from a persisted stream, or by
-// re-collecting the deterministic campaign). Peak memory is one chunk
-// plus the matcher's watermark buffer plus per-group aggregates.
+// Pass 2 replays the same chunks: from memory, from a persisted
+// stream, or by re-collecting the deterministic campaign. Beyond the
+// chunks themselves, the builder holds the matcher's watermark buffer
+// plus per-group aggregates.
 //
-// Pipelined assembly: pass 2 splits into two independent consumers of
-// the same chunk stream — AddTests (per-test aggregation) and
-// AddMatch (trace association) — with disjoint state, so a
+// Pass 2's two consumers — AddTests (per-test aggregation) and
+// AddMatch (trace association) — hold disjoint state, so a
 // stream.Pipeline can run them on separate goroutines. Each must see
 // the chunks in publication order; the interleaving BETWEEN them is
-// free. AddChunk is the serial composition of the two, and Finish
-// (called after both consumers drain) merges their group halves, so
-// the rendered report is byte-identical either way.
+// free. Finish (called after both consumers drain) merges their group
+// halves.
 type StreamBuilder struct {
 	cfg    Config
 	hourOf func(*ndt.Test) float64
@@ -140,24 +136,15 @@ func (b *StreamBuilder) FinishInference() *mapit.Inference {
 	b.inf = b.mb.Finish()
 	sp.End()
 	b.mb = nil
-	b.matcher = core.NewStreamMatcher(MatchWindowMin, MatchModeUsed)
+	b.matcher = core.NewStreamMatcher(core.PrimaryWindowMin, core.PrimaryMode)
 	b.matcher.OnPair = b.onPair
 	b.reg.Events().Publish("report.pass", "inference", -1, int64(len(b.inf.Links)))
 	return b.inf
 }
 
-// AddChunk folds one chunk of the corpus (pass 2): the serial
-// composition of the aggregation and matching stages. watermark is the
-// chunk's scheduling watermark (platform.Chunk.Watermark /
-// export.StreamChunk.Watermark).
-func (b *StreamBuilder) AddChunk(tests []*ndt.Test, traces []*traceroute.Trace, watermark int) {
-	b.AddTests(tests)
-	b.AddMatch(tests, traces, watermark)
-}
-
 // AddTests is the pass-2 aggregation stage: per-test group statistics,
 // folded in publication order so the float summation inside each
-// group's series matches the batch path exactly. It touches only the
+// group's series is the same for every chunking. It touches only the
 // aggregation half of the group state and may run concurrently with
 // AddMatch on another goroutine.
 func (b *StreamBuilder) AddTests(tests []*ndt.Test) {
@@ -188,9 +175,11 @@ func (b *StreamBuilder) AddTests(tests []*ndt.Test) {
 }
 
 // AddMatch is the pass-2 association stage: it feeds the watermark
-// matcher and accumulates pair statistics. It touches only the pair
-// half of the group state and may run concurrently with AddTests on
-// another goroutine.
+// matcher and accumulates pair statistics. watermark is the chunk's
+// scheduling watermark (platform.Chunk.Watermark /
+// export.StreamChunk.Watermark). It touches only the pair half of the
+// group state and may run concurrently with AddTests on another
+// goroutine.
 func (b *StreamBuilder) AddMatch(tests []*ndt.Test, traces []*traceroute.Trace, watermark int) {
 	if b.inf == nil {
 		panic("report: AddMatch before FinishInference")
@@ -231,8 +220,8 @@ func (b *StreamBuilder) onPair(t *ndt.Test, tr *traceroute.Trace) {
 }
 
 // Finish drains the matcher, merges the aggregation and pair halves of
-// every group, grades them, and returns the report. With pipelined
-// assembly it must run only after both pass-2 stages have drained.
+// every group, grades them, and returns the report. It must run only
+// after both pass-2 stages have drained.
 func (b *StreamBuilder) Finish(completeness platform.Completeness) *Report {
 	if b.inf == nil {
 		b.FinishInference()

@@ -15,34 +15,48 @@ import (
 	"throughputlab/internal/stream"
 )
 
-// streamReport runs the two-pass streaming assembly over a campaign by
-// re-collecting the deterministic stream for pass 2.
-func streamReport(t *testing.T, cfg platform.CollectConfig, workers int) *Report {
-	t.Helper()
-	b := NewStreamBuilder(DefaultConfig(), MetroHourOf(), env.MapItOpts())
-	if _, err := platform.CollectStreamCtx(context.Background(), env.World, cfg, workers, func(c *platform.Chunk) error {
+// streamBuild runs the two-pass streaming assembly over the shared
+// world's campaign under ccfg, re-collecting the deterministic stream
+// for pass 2. ccfg.Obs, when set, also instruments the builder.
+func streamBuild(cfg Config, ccfg platform.CollectConfig, workers int) (*Report, error) {
+	opts := env.MapItOpts()
+	opts.Obs = ccfg.Obs
+	b := NewStreamBuilder(cfg, MetroHourOf(), opts)
+	if _, err := platform.CollectStreamCtx(context.Background(), env.World, ccfg, workers, func(c *platform.Chunk) error {
 		b.AddTraces(c.Traces)
 		return nil
 	}); err != nil {
-		t.Fatal(err)
+		return nil, err
 	}
 	b.FinishInference()
-	st, err := platform.CollectStreamCtx(context.Background(), env.World, cfg, workers, func(c *platform.Chunk) error {
-		b.AddChunk(c.Tests, c.Traces, c.Watermark)
+	st, err := platform.CollectStreamCtx(context.Background(), env.World, ccfg, workers, func(c *platform.Chunk) error {
+		b.AddTests(c.Tests)
+		b.AddMatch(c.Tests, c.Traces, c.Watermark)
 		return nil
 	})
 	if err != nil {
-		t.Fatal(err)
+		return nil, err
 	}
-	return b.Finish(st.Completeness)
+	return b.Finish(st.Completeness), nil
 }
 
-// TestStreamReportMatchesBatch is the tentpole's report-level parity
-// pin: the chunked two-pass assembly renders byte-for-byte the same
-// report as the in-memory batch path, including the world-free
-// MetroHourOf standing in for Env.HourOf.
+// streamReport is streamBuild under the default grading, failing t on
+// a collection error.
+func streamReport(t *testing.T, ccfg platform.CollectConfig, workers int) *Report {
+	t.Helper()
+	r, err := streamBuild(DefaultConfig(), ccfg, workers)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return r
+}
+
+// TestStreamReportMatchesBatch is the report-level parity pin: the
+// chunked two-pass assembly renders byte-for-byte the same report as
+// the batch reference, including the world-free MetroHourOf standing
+// in for Env.HourOf.
 func TestStreamReportMatchesBatch(t *testing.T) {
-	want := built.Render()
+	want := batchBuild(env, DefaultConfig()).Render()
 	for _, workers := range []int{1, 4} {
 		cfg := env.Opts.Collect
 		cfg.ChunkTests = 1024
@@ -56,12 +70,12 @@ func TestStreamReportMatchesBatch(t *testing.T) {
 
 // TestStreamReportPipelinedStages runs pass 2 with the aggregation and
 // matching stages on separate goroutines behind a stream.Pipeline —
-// the deployment shape of the pipelined report path — and pins that
-// the rendered report is still byte-identical to the batch build. The
+// the deployment shape of the CLI's report passes — and pins that the
+// rendered report is still byte-identical to the batch reference. The
 // two stages hold disjoint halves of the group state, so only their
 // per-stage publication order matters, which the pipeline preserves.
 func TestStreamReportPipelinedStages(t *testing.T) {
-	want := built.Render()
+	want := batchBuild(env, DefaultConfig()).Render()
 	cfg := env.Opts.Collect
 	cfg.ChunkTests = 512
 	for _, workers := range []int{1, 2, 8} {
@@ -102,10 +116,10 @@ func TestStreamReportPipelinedStages(t *testing.T) {
 // pin at the report level: the streamed assembly with the
 // FULL live-telemetry stack attached — metrics registry, simulated-
 // clock sampler, progress event bus with an active sink — renders a
-// report byte-identical to the uninstrumented batch build. Telemetry
-// observes the campaign; it must never steer it.
+// report byte-identical to the uninstrumented batch reference.
+// Telemetry observes the campaign; it must never steer it.
 func TestStreamReportTelemetryByteIdentical(t *testing.T) {
-	want := built.Render()
+	want := batchBuild(env, DefaultConfig()).Render()
 	cfg := env.Opts.Collect
 	cfg.ChunkTests = 1024
 	for _, workers := range []int{1, 4} {
@@ -115,24 +129,7 @@ func TestStreamReportTelemetryByteIdentical(t *testing.T) {
 		var delivered int
 		bus.AddSink(func(obs.Event) { delivered++ })
 		cfg.Obs = reg
-		opts := env.MapItOpts()
-		opts.Obs = reg
-		b := NewStreamBuilder(DefaultConfig(), MetroHourOf(), opts)
-		if _, err := platform.CollectStreamCtx(context.Background(), env.World, cfg, workers, func(c *platform.Chunk) error {
-			b.AddTraces(c.Traces)
-			return nil
-		}); err != nil {
-			t.Fatal(err)
-		}
-		b.FinishInference()
-		st0, err := platform.CollectStreamCtx(context.Background(), env.World, cfg, workers, func(c *platform.Chunk) error {
-			b.AddChunk(c.Tests, c.Traces, c.Watermark)
-			return nil
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		got := b.Finish(st0.Completeness).Render()
+		got := streamReport(t, cfg, workers).Render()
 		bus.Close()
 		if got != want {
 			t.Fatalf("telemetered streamed report (workers=%d) diverges from batch:\n%s",
@@ -166,9 +163,9 @@ func TestStreamReportMatchesBatchUnderFaults(t *testing.T) {
 		World:     env.World,
 		Corpus:    corpus,
 		Inference: mapit.Run(corpus.Traces, env.MapItOpts()),
-		Matching:  core.MatchTraces(corpus.Tests, corpus.Traces, MatchWindowMin, MatchModeUsed),
+		Matching:  core.MatchTraces(corpus.Tests, corpus.Traces, core.PrimaryWindowMin, core.PrimaryMode),
 	}
-	want := Build(fe, DefaultConfig()).Render()
+	want := batchBuild(fe, DefaultConfig()).Render()
 	got := streamReport(t, cfg, 4).Render()
 	if got != want {
 		t.Fatalf("faulted streamed report diverges from batch:\n%s", firstDiff(want, got))
@@ -190,29 +187,13 @@ func TestStreamMatchPairsGauge(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := core.MatchTraces(corpus.Tests, corpus.Traces, MatchWindowMin, MatchModeUsed).Matched()
+	want := core.MatchTraces(corpus.Tests, corpus.Traces, core.PrimaryWindowMin, core.PrimaryMode).Matched()
 	if want == 0 {
 		t.Fatal("campaign matched no pairs (fixture too small)")
 	}
 	reg := obs.NewRegistry()
-	opts := env.MapItOpts()
-	opts.Obs = reg
-	b := NewStreamBuilder(DefaultConfig(), MetroHourOf(), opts)
-	if _, err := platform.CollectStreamCtx(context.Background(), env.World, cfg, 2, func(c *platform.Chunk) error {
-		b.AddTraces(c.Traces)
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	b.FinishInference()
-	st, err := platform.CollectStreamCtx(context.Background(), env.World, cfg, 2, func(c *platform.Chunk) error {
-		b.AddChunk(c.Tests, c.Traces, c.Watermark)
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	b.Finish(st.Completeness)
+	cfg.Obs = reg
+	streamReport(t, cfg, 2)
 	if got := reg.Gauge("match.pairs").Value(); got != int64(want) {
 		t.Errorf("streamed match.pairs = %d, batch matcher paired %d", got, want)
 	}
