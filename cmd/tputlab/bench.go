@@ -88,15 +88,32 @@ type StreamingResult struct {
 // identical; the ratio is the durability tax, budgeted at <= 3% and
 // held there by CI.
 type CheckpointOverhead struct {
+	Tests               int     `json:"tests"`
+	Rounds              int     `json:"rounds"`
 	PlainSeconds        float64 `json:"plain_seconds"`
 	CheckpointSeconds   float64 `json:"checkpoint_seconds"`
 	CheckpointOverPlain float64 `json:"checkpoint_over_plain_ratio"`
 }
 
+// The checkpoint pair runs its own campaign, sized so each leg takes a
+// few hundred milliseconds even at small scale: at a 500-test campaign
+// (~11 ms a leg) timer and scheduler noise alone moved the ratio by
+// more than the 3% budget. The eight chunks keep the shape of the
+// original pair: one mid-campaign durability barrier plus publication.
+const (
+	checkpointPairTests  = 30000
+	checkpointPairChunks = 8
+	checkpointPairRounds = 11
+)
+
 // checkpointOverheadRow measures the plain-vs-checkpointed persist pair
-// (median of three alternating rounds, so one background hiccup cannot
-// swing the ratio).
+// on a checkpointPairTests campaign over w: each side's median over
+// checkpointPairRounds rounds, so one background hiccup cannot swing
+// the ratio.
 func checkpointOverheadRow(w *topogen.World, cfg platform.CollectConfig, scaleName string, workers int) (*CheckpointOverhead, error) {
+	cfg.Tests = checkpointPairTests
+	cfg.ChunkTests = checkpointPairTests / checkpointPairChunks
+	cfg.Obs = nil // the pair times persistence, not telemetry
 	dir, err := os.MkdirTemp("", "tputlab-bench-ckpt")
 	if err != nil {
 		return nil, err
@@ -134,6 +151,12 @@ func checkpointOverheadRow(w *topogen.World, cfg platform.CollectConfig, scaleNa
 	}
 	ckptOnce := func() (float64, error) {
 		path := filepath.Join(dir, "ckpt.corpus")
+		// Free the previous round's corpus before the clock starts, as
+		// the plain leg's truncating Create does; otherwise the
+		// publishing rename pays for unlinking it inside the timed leg.
+		if err := os.Remove(path); err != nil && !os.IsNotExist(err) {
+			return 0, err
+		}
 		cw, err := checkpoint.Create(path, "columnar", pub, meta, fp, workers, checkpoint.Options{})
 		if err != nil {
 			return 0, err
@@ -148,20 +171,28 @@ func checkpointOverheadRow(w *topogen.World, cfg platform.CollectConfig, scaleNa
 		return time.Since(start).Seconds(), err
 	}
 
+	// Rounds alternate which leg runs first, and each leg starts from a
+	// fresh GC cycle, so neither leg systematically pays for the other's
+	// garbage or runs on a warmer cache.
 	var plains, ckpts []float64
-	for i := 0; i < 3; i++ {
-		p, err := plainOnce()
-		if err != nil {
-			return nil, err
+	legs := [2]func() (float64, error){plainOnce, ckptOnce}
+	for i := 0; i < checkpointPairRounds; i++ {
+		var secs [2]float64
+		for k := 0; k < 2; k++ {
+			leg := (i + k) % 2
+			runtime.GC()
+			s, err := legs[leg]()
+			if err != nil {
+				return nil, err
+			}
+			secs[leg] = s
 		}
-		c, err := ckptOnce()
-		if err != nil {
-			return nil, err
-		}
-		plains = append(plains, p)
-		ckpts = append(ckpts, c)
+		plains = append(plains, secs[0])
+		ckpts = append(ckpts, secs[1])
 	}
 	co := &CheckpointOverhead{
+		Tests:             cfg.Tests,
+		Rounds:            checkpointPairRounds,
 		PlainSeconds:      medianFloat(plains),
 		CheckpointSeconds: medianFloat(ckpts),
 	}
@@ -571,8 +602,9 @@ func benchCmd(args []string) error {
 		// Checkpoint overhead on the last (largest) in-memory scale —
 		// medium, or small in -quick mode, so CI always has the pair.
 		if i == len(scales)-1 {
-			fmt.Fprintf(os.Stderr, "bench: checkpoint overhead (%s, plain vs checkpointed persist)...\n", scale.name)
-			co, err := checkpointOverheadRow(fw, scfg, scale.name, *workers)
+			fmt.Fprintf(os.Stderr, "bench: checkpoint overhead (%s, %d tests, plain vs checkpointed persist)...\n",
+				scale.name, checkpointPairTests)
+			co, err := checkpointOverheadRow(fw, cfg, scale.name, *workers)
 			if err != nil {
 				return err
 			}

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"encoding/json"
 	"io"
 	"os"
 	"path/filepath"
@@ -116,6 +117,34 @@ func TestRunCmdSmokeTable1(t *testing.T) {
 	// table1 is the cheapest experiment; a tiny corpus keeps this fast.
 	if err := runCmd([]string{"table1", "-scale", "small", "-tests", "200"}); err != nil {
 		t.Fatalf("runCmd table1: %v", err)
+	}
+}
+
+// TestMetricsJSONExecuteCounters pins that a -metrics-json dump
+// attributes execution time to its two halves: the per-worker NDT and
+// traceroute clocks flushed into collect.execute.* counters.
+func TestMetricsJSONExecuteCounters(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds a world")
+	}
+	path := filepath.Join(t.TempDir(), "metrics.json")
+	if err := runCmd([]string{"table1", "-scale", "small", "-tests", "200", "-metrics-json", path}); err != nil {
+		t.Fatalf("runCmd table1 -metrics-json: %v", err)
+	}
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var dump struct {
+		Counters map[string]uint64 `json:"counters"`
+	}
+	if err := json.Unmarshal(raw, &dump); err != nil {
+		t.Fatalf("metrics dump does not parse: %v", err)
+	}
+	for _, name := range []string{"collect.execute.ndt_ns", "collect.execute.traceroute_ns"} {
+		if dump.Counters[name] == 0 {
+			t.Errorf("counter %s = 0 or missing, want > 0", name)
+		}
 	}
 }
 

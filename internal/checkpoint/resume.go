@@ -82,7 +82,7 @@ func Resume(m *Manifest, public export.Public, meta export.StreamMeta, fp Finger
 	if opts.WrapWriter != nil {
 		sink = opts.WrapWriter(f)
 	}
-	crc := &crcWriter{w: sink, n: m.Durable.Bytes, sum: m.Durable.CRC32C}
+	crc := &crcWriter{w: sink, f: f, n: m.Durable.Bytes, sum: m.Durable.CRC32C}
 	return &Writer{
 		f:     f,
 		cw:    export.ResumeCorpusWriter(crc, prefix, workers),

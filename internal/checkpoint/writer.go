@@ -34,15 +34,22 @@ func (o Options) every() int {
 
 // crcWriter counts and checksums everything flushed toward the file,
 // so the manifest's (bytes, crc32c) pair describes exactly the durable
-// prefix without re-reading it.
+// prefix without re-reading it. Each write also starts the kernel's
+// writeback of its byte range on f, so the next durability barrier's
+// fsync finds most of the prefix already on disk instead of flushing
+// it all while collection waits.
 type crcWriter struct {
 	w   io.Writer
+	f   *os.File
 	n   int64
 	sum uint32
 }
 
 func (cw *crcWriter) Write(p []byte) (int, error) {
 	n, err := cw.w.Write(p)
+	if n > 0 {
+		startWriteback(cw.f, cw.n, int64(n))
+	}
 	cw.n += int64(n)
 	cw.sum = crc32.Update(cw.sum, castagnoli, p[:n])
 	return n, err
@@ -89,7 +96,7 @@ func Create(finalPath, format string, public export.Public, meta export.StreamMe
 	if opts.WrapWriter != nil {
 		sink = opts.WrapWriter(f)
 	}
-	crc := &crcWriter{w: sink}
+	crc := &crcWriter{w: sink, f: f}
 	cw, err := export.NewColumnarWriter(crc, public, meta, workers)
 	if err != nil {
 		f.Close()

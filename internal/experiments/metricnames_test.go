@@ -77,6 +77,13 @@ func TestMetricNamesFollowConvention(t *testing.T) {
 	if total < 20 {
 		t.Fatalf("only %d metrics registered — instrumentation did not run", total)
 	}
+	// The execution-time split is counted per worker and flushed per
+	// chunk; a fault-injected campaign must still report both halves.
+	for _, name := range []string{"collect.execute.ndt_ns", "collect.execute.traceroute_ns"} {
+		if d.Counters[name] == 0 {
+			t.Errorf("counter %s missing or zero", name)
+		}
+	}
 	for _, prefix := range []string{"collect.", "resolver.", "faults.", "topogen.", "experiments."} {
 		found := false
 		for name := range d.Counters {

@@ -678,15 +678,15 @@ func CollectStreamCtx(ctx context.Context, w *topogen.World, cfg CollectConfig, 
 	// arrival runs its NDT test and (when scheduled) its traceroute
 	// against a private RNG seeded during scheduling, so results land in
 	// fixed slots regardless of which worker computes them. Each worker
-	// owns one Rand and re-Seeds it per arrival: Seed(s) leaves the
-	// generator in exactly the NewSource(s) state, so the draws are
-	// unchanged but the ~5 KB source allocation happens once per worker
-	// instead of once per arrival (it was the campaign's largest
-	// allocation site). Chunking changes only which ids execute
-	// together, never the draws: the per-arrival RNG makes every id's
-	// result independent of its neighbors, and ids publish in order
-	// within and across chunks, so the concatenated stream is the batch
-	// corpus.
+	// owns one Rand over a stats.LazySource and re-Seeds it per arrival.
+	// LazySource draws exactly the rand.NewSource(s) stream, but its
+	// Seed is O(1): math/rand's Seed fills all 607 register words with
+	// 1,841 serial LCG steps, while an arrival makes ~19 draws, so the
+	// lazy source computes only the words those draws read. Chunking
+	// changes only which ids execute together, never the draws: the
+	// per-arrival RNG makes every id's result independent of its
+	// neighbors, and ids publish in order within and across chunks, so
+	// the concatenated stream is the batch corpus.
 	chunkTests := cfg.ChunkTests
 	if chunkTests <= 0 {
 		chunkTests = DefaultChunkTests
@@ -698,7 +698,14 @@ func CollectStreamCtx(ctx context.Context, w *topogen.World, cfg CollectConfig, 
 	execSpan := reg.Span("collect.execute")
 	workerRNGs := make([]*rand.Rand, workers)
 	for i := range workerRNGs {
-		workerRNGs[i] = rand.New(rand.NewSource(0))
+		workerRNGs[i] = rand.New(stats.NewLazySource(0))
+	}
+	// Per-worker cumulative NDT and traceroute time, flushed into
+	// counters at each chunk boundary. Only a telemetered run reads the
+	// clock; nil keeps the telemetry-off path free of it.
+	var execTimes []workerExecTime
+	if reg != nil {
+		execTimes = make([]workerExecTime, workers)
 	}
 	st := &StreamStats{}
 	perShardTraces := make([]int64, shards)
@@ -706,7 +713,7 @@ func CollectStreamCtx(ctx context.Context, w *topogen.World, cfg CollectConfig, 
 	// collector launched one) against the arrival's pre-seeded private
 	// RNG, writing the records into slot i. Which worker runs it can
 	// never perturb the draws.
-	execArrival := func(rng *rand.Rand, id int, tests []*ndt.Test, traces []*traceroute.Trace, i int) error {
+	execArrival := func(worker, id int, tests []*ndt.Test, traces []*traceroute.Trace, i int) error {
 		if dropped != nil && dropped[id] {
 			return nil // abandoned by the retry planner; never ran
 		}
@@ -717,9 +724,17 @@ func CollectStreamCtx(ctx context.Context, w *topogen.World, cfg CollectConfig, 
 		}
 		h := households[a.hh]
 		server := a.site.Servers[int(a.entropy)%len(a.site.Servers)]
+		rng := workerRNGs[worker]
 		rng.Seed(a.rngSeed)
+		var t0 time.Time
+		if execTimes != nil {
+			t0 = time.Now()
+		}
 		test, err := runner.Run(id, h.Endpoint, h.ISP, h.TierMbps, h.WiFiCapMbps,
 			server, minute, a.entropy, rng)
+		if execTimes != nil {
+			execTimes[worker].ndtNs += time.Since(t0).Nanoseconds()
+		}
 		if err != nil {
 			return err
 		}
@@ -732,7 +747,13 @@ func CollectStreamCtx(ctx context.Context, w *topogen.World, cfg CollectConfig, 
 		if launches[id] < 0 {
 			return nil
 		}
+		if execTimes != nil {
+			t0 = time.Now()
+		}
 		tr, err := tracer.Trace(server.Endpoint, h.Endpoint, a.entropy+1, launches[id], rng)
+		if execTimes != nil {
+			execTimes[worker].traceNs += time.Since(t0).Nanoseconds()
+		}
 		if err != nil {
 			return err
 		}
@@ -753,7 +774,7 @@ func CollectStreamCtx(ctx context.Context, w *topogen.World, cfg CollectConfig, 
 		traces := make([]*traceroute.Trace, hi-lo)
 		errs := make([]error, hi-lo)
 		runIndexedWorkers(hi-lo, workers, func(worker, i int) {
-			if err := execArrival(workerRNGs[worker], lo+i, tests, traces, i); err != nil {
+			if err := execArrival(worker, lo+i, tests, traces, i); err != nil {
 				errs[i] = err
 			}
 		})
@@ -774,6 +795,14 @@ func CollectStreamCtx(ctx context.Context, w *topogen.World, cfg CollectConfig, 
 			reg.Counter("collect.tests").Add(uint64(len(chunk.Tests)))
 			reg.Counter("collect.traces").Add(uint64(len(chunk.Traces)))
 			reg.Counter("collect.chunks").Inc()
+			var ndtNs, traceNs int64
+			for k := range execTimes {
+				ndtNs += execTimes[k].ndtNs
+				traceNs += execTimes[k].traceNs
+				execTimes[k] = workerExecTime{}
+			}
+			reg.Counter("collect.execute.ndt_ns").Add(uint64(ndtNs))
+			reg.Counter("collect.execute.traceroute_ns").Add(uint64(traceNs))
 		}
 		if err := sink(chunk); err != nil {
 			execSpan.End()
@@ -807,6 +836,14 @@ func CollectStreamCtx(ctx context.Context, w *topogen.World, cfg CollectConfig, 
 	reg.TimeSeries().Finalize(finalMinute)
 	reg.Events().Publish("collect.done", "", finalMinute, int64(st.Tests))
 	return st, nil
+}
+
+// workerExecTime is one execution worker's cumulative NDT and
+// traceroute nanoseconds since the last chunk boundary, padded to a
+// cache line so workers do not share one.
+type workerExecTime struct {
+	ndtNs, traceNs int64
+	_              [48]byte
 }
 
 // publishChunk turns the executed slots of schedule ids [lo, hi) into
