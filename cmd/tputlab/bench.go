@@ -11,6 +11,7 @@ package main
 // comparison is needed.
 
 import (
+	"cmp"
 	"context"
 	"encoding/json"
 	"flag"
@@ -24,6 +25,7 @@ import (
 	"testing"
 	"time"
 
+	"throughputlab/internal/campaign"
 	"throughputlab/internal/checkpoint"
 	"throughputlab/internal/export"
 	"throughputlab/internal/faults"
@@ -300,10 +302,7 @@ func benchCmd(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	if err := validateWorkers("parallel", *workers); err != nil {
-		return err
-	}
-	if err := validateWorkers("genworkers", *genWorkers); err != nil {
+	if err := cmp.Or(campaign.CheckMin("parallel", *workers, 1), campaign.CheckMin("genworkers", *genWorkers, 1)); err != nil {
 		return err
 	}
 	ctx := context.Background()
@@ -617,7 +616,7 @@ func benchCmd(args []string) error {
 	// streamed tests/sec into the baseline without ever materializing
 	// the corpus.
 	if *streamScale != "" {
-		opts, err := scaleOptions(*streamScale)
+		opts, err := campaign.ScaleOptions(*streamScale)
 		if err != nil {
 			return err
 		}

@@ -7,6 +7,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"throughputlab/internal/campaign"
 )
 
 // TestRunCmdUnknownExperiment pins that an unknown name, and -json on
@@ -55,16 +57,16 @@ func TestScaleValidation(t *testing.T) {
 	// run and report accept the same scale set and reject anything
 	// else with a usage error, before any world is built.
 	for _, scale := range []string{"small", "default", "medium", "large", "xlarge"} {
-		if _, err := scaleOptions(scale); err != nil {
+		if _, err := campaign.ScaleOptions(scale); err != nil {
 			t.Errorf("scale %q rejected: %v", scale, err)
 		}
 	}
 	// xlarge is the million-test streaming profile.
-	if opts, _ := scaleOptions("xlarge"); opts.Collect.Tests != 1_000_000 {
+	if opts, _ := campaign.ScaleOptions("xlarge"); opts.Collect.Tests != 1_000_000 {
 		t.Errorf("xlarge schedules %d tests, want 1000000", opts.Collect.Tests)
 	}
 	for _, scale := range []string{"tiny", "huge", "", "Default"} {
-		if _, err := scaleOptions(scale); err == nil {
+		if _, err := campaign.ScaleOptions(scale); err == nil {
 			t.Errorf("scale %q accepted, want usage error", scale)
 		}
 	}
@@ -96,8 +98,8 @@ func TestWorkerCountValidation(t *testing.T) {
 			t.Errorf("bench %v accepted, want error", c)
 		}
 	}
-	if err := validateWorkers("parallel", 1); err != nil {
-		t.Errorf("validateWorkers(1): %v", err)
+	if err := campaign.CheckMin("parallel", 1, 1); err != nil {
+		t.Errorf("CheckMin(1): %v", err)
 	}
 }
 
@@ -187,6 +189,39 @@ func TestReportCorpusFlagValidation(t *testing.T) {
 	err := reportCmd([]string{"-corpus", "/nonexistent/corpus.tpc", "-parallel", "2", "-genworkers", "2"})
 	if err == nil || strings.Contains(err.Error(), "pins the campaign identity") {
 		t.Errorf("-corpus with -parallel/-genworkers: err = %v, want the missing-file error", err)
+	}
+	// A persisted corpus is replayed, never re-collected: -stream is
+	// refused by name, the way -resume refuses it.
+	err = reportCmd([]string{"-corpus", "/nonexistent/corpus.tpc", "-stream"})
+	if err == nil || !strings.Contains(err.Error(), "-stream") {
+		t.Errorf("-corpus with -stream: err = %v, want an error naming -stream", err)
+	}
+}
+
+// TestCheckpointEveryNeedsCorpusOut pins that an explicit
+// -checkpoint-every is refused, before any world is built, unless a
+// corpus is being checkpointed (-corpus-out or -resume), on run and
+// report alike.
+func TestCheckpointEveryNeedsCorpusOut(t *testing.T) {
+	for _, tc := range []struct {
+		cmd  func([]string) error
+		args []string
+	}{
+		{reportCmd, []string{"-checkpoint-every", "3"}},
+		{reportCmd, []string{"-stream", "-checkpoint-every", "3"}},
+		{reportCmd, []string{"-corpus", "/nonexistent/corpus.tpc", "-checkpoint-every", "3"}},
+		{runCmd, []string{"table1", "-checkpoint-every", "3"}},
+	} {
+		err := tc.cmd(tc.args)
+		if err == nil || !strings.Contains(err.Error(), "-checkpoint-every") || !strings.Contains(err.Error(), "-corpus-out") {
+			t.Errorf("%v: err = %v, want the -checkpoint-every refusal", tc.args, err)
+		}
+	}
+	// With -resume it spaces the resumed corpus's barriers: the flag
+	// passes validation and the run fails on the missing manifest.
+	err := reportCmd([]string{"-resume", "/nonexistent/m.json", "-checkpoint-every", "3"})
+	if err == nil || strings.Contains(err.Error(), "-checkpoint-every") {
+		t.Errorf("-resume with -checkpoint-every: err = %v, want the missing-manifest error", err)
 	}
 }
 
