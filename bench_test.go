@@ -23,6 +23,7 @@ import (
 
 	"throughputlab/internal/core"
 	"throughputlab/internal/experiments"
+	"throughputlab/internal/faults"
 	"throughputlab/internal/mapit"
 	"throughputlab/internal/obs"
 	"throughputlab/internal/platform"
@@ -120,10 +121,28 @@ func BenchmarkCorpusCollection(b *testing.B) {
 	}
 }
 
+// BenchmarkCorpusCollectionHeavyFaults is the same campaign under the
+// heavy fault profile. Against BenchmarkCorpusCollection (the disabled,
+// nil-injector path) the pair measures what retry planning, truncation
+// and trace perturbation add; the ratio is measured, not gated.
+func BenchmarkCorpusCollectionHeavyFaults(b *testing.B) {
+	e := env(b)
+	cfg := platform.DefaultCollect()
+	cfg.Tests = 2000
+	cfg.Faults = faults.Heavy()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := platform.CollectParallelCtx(context.Background(), e.World, cfg, 1); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkCorpusCollectionInstrumented is the same campaign with a
-// live obs registry attached — the pair bounds the enabled-metrics
-// overhead on the collection hot path (budget: ≤5% over the
-// uninstrumented run).
+// live obs registry attached; against BenchmarkCorpusCollection it
+// measures the enabled-metrics overhead on the collection hot path.
+// The ratio is measured, not gated.
 func BenchmarkCorpusCollectionInstrumented(b *testing.B) {
 	e := env(b)
 	cfg := platform.DefaultCollect()
@@ -141,8 +160,9 @@ func BenchmarkCorpusCollectionInstrumented(b *testing.B) {
 // BenchmarkCorpusCollectionFullTelemetry runs the same campaign with
 // the entire live-telemetry stack attached: registry metrics, the
 // simulated-clock sampler, and the progress event bus with a
-// discarding sink. Together with the pair above it pins the ≤5%
-// telemetry-overhead budget on the collection hot path.
+// discarding sink. Against BenchmarkCorpusCollection it measures the
+// live-telemetry overhead on the collection hot path; the ratio is
+// measured, not gated.
 func BenchmarkCorpusCollectionFullTelemetry(b *testing.B) {
 	e := env(b)
 	cfg := platform.DefaultCollect()
@@ -152,7 +172,7 @@ func BenchmarkCorpusCollectionFullTelemetry(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		// A fresh registry per campaign (sampler state is cumulative);
 		// construction and drain are per-campaign setup, not the
-		// collection hot path the ≤5% budget covers.
+		// collection hot path the pair compares.
 		b.StopTimer()
 		reg := obs.NewRegistry()
 		reg.EnableTimeSeries(0, 0, nil)

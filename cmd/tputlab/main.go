@@ -8,7 +8,6 @@
 //	tputlab run <name>|all [flags]          regenerate a table/figure
 //	tputlab report [flags]                  caveat-annotated congestion report (§7 checklist)
 //	tputlab corpus dump FILE                print a corpus as NDJSON (tputlab-corpus/1) for jq
-//	tputlab bench [-out FILE] [-note TEXT]  write a BENCH_<date>.json performance baseline
 //
 // `tputlab help` lists the run/report flags, among them
 // -scale small|default|medium|large|xlarge.
@@ -60,8 +59,6 @@ func main() {
 			os.Exit(2)
 		}
 		exitOn(dumpCorpus(os.Args[3], os.Stdout))
-	case "bench":
-		exitOn(benchCmd(os.Args[2:]))
 	case "-h", "--help", "help":
 		usage()
 	default:
@@ -119,7 +116,6 @@ func usage() {
   tputlab run <name>|all [flags]                regenerate a table/figure
   tputlab report [flags]                        caveat-annotated congestion report (§7 checklist)
   tputlab corpus dump FILE                      print a corpus as NDJSON (tputlab-corpus/1) for jq
-  tputlab bench [-out FILE] [-note TEXT]        write a BENCH_<date>.json performance baseline
 
 flags for run/report:
   -scale NAME            topology/corpus scale: small, default, medium,

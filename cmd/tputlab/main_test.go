@@ -7,8 +7,6 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
-
-	"throughputlab/internal/campaign"
 )
 
 // TestRunCmdUnknownExperiment pins that an unknown name, and -json on
@@ -54,22 +52,9 @@ func TestRunCmdUnknownExperiment(t *testing.T) {
 }
 
 func TestScaleValidation(t *testing.T) {
-	// run and report accept the same scale set and reject anything
-	// else with a usage error, before any world is built.
-	for _, scale := range []string{"small", "default", "medium", "large", "xlarge"} {
-		if _, err := campaign.ScaleOptions(scale); err != nil {
-			t.Errorf("scale %q rejected: %v", scale, err)
-		}
-	}
-	// xlarge is the million-test streaming profile.
-	if opts, _ := campaign.ScaleOptions("xlarge"); opts.Collect.Tests != 1_000_000 {
-		t.Errorf("xlarge schedules %d tests, want 1000000", opts.Collect.Tests)
-	}
-	for _, scale := range []string{"tiny", "huge", "", "Default"} {
-		if _, err := campaign.ScaleOptions(scale); err == nil {
-			t.Errorf("scale %q accepted, want usage error", scale)
-		}
-	}
+	// run and report reject an unknown -scale with a usage error, before
+	// any world is built; internal/campaign's spec tests hold the
+	// accepted set.
 	if err := runCmd([]string{"table1", "-scale", "tiny"}); err == nil {
 		t.Error("run with invalid -scale should error")
 	}
@@ -94,12 +79,6 @@ func TestWorkerCountValidation(t *testing.T) {
 		if err := reportCmd(append([]string{"-scale", "small"}, c...)); err == nil {
 			t.Errorf("report %v accepted, want error", c)
 		}
-		if err := benchCmd(append([]string{"-quick"}, c...)); err == nil {
-			t.Errorf("bench %v accepted, want error", c)
-		}
-	}
-	if err := campaign.CheckMin("parallel", 1, 1); err != nil {
-		t.Errorf("CheckMin(1): %v", err)
 	}
 }
 

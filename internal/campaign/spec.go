@@ -80,12 +80,12 @@ func (s Spec) Validate(set map[string]bool) error {
 	return err
 }
 
-// ScaleOptions maps a -scale value to its environment options; unknown
+// scaleOptions maps a -scale value to its environment options; unknown
 // values are a usage error, and run and report accept the same set.
 // large (~50k ASes) and xlarge (~75k ASes, a million scheduled tests)
 // are sized for the streaming pipeline: run them with -stream or
 // -corpus-out so the corpus never has to be resident all at once.
-func ScaleOptions(scale string) (experiments.Options, error) {
+func scaleOptions(scale string) (experiments.Options, error) {
 	opts := experiments.DefaultOptions()
 	switch scale {
 	case "default":
@@ -104,11 +104,11 @@ func ScaleOptions(scale string) (experiments.Options, error) {
 	return opts, nil
 }
 
-// CheckMin rejects a numeric flag below min with a usage-style error
+// checkMin rejects a numeric flag below min with a usage-style error
 // naming the flag, instead of silently clamping (a -parallel 0 passed
 // by a wrapper script is a bug worth surfacing, not a request for
 // serial execution).
-func CheckMin(flagName string, n, min int) error {
+func checkMin(flagName string, n, min int) error {
 	if n < min {
 		return fmt.Errorf("-%s must be >= %d (got %d)", flagName, min, n)
 	}
@@ -119,17 +119,17 @@ func CheckMin(flagName string, n, min int) error {
 // (nil disables instrumentation) wired through generation and
 // collection.
 func (s Spec) options(reg *obs.Registry) (experiments.Options, error) {
-	opts, err := ScaleOptions(s.Scale)
+	opts, err := scaleOptions(s.Scale)
 	if err != nil {
 		return experiments.Options{}, err
 	}
-	if err := cmp.Or(CheckMin("parallel", s.Workers, 1), CheckMin("genworkers", s.GenWorkers, 1)); err != nil {
+	if err := cmp.Or(checkMin("parallel", s.Workers, 1), checkMin("genworkers", s.GenWorkers, 1)); err != nil {
 		return experiments.Options{}, err
 	}
 	if err := export.CheckFormat(s.CorpusFormat); err != nil {
 		return experiments.Options{}, fmt.Errorf("invalid -corpus-format: %w", err)
 	}
-	if err := cmp.Or(CheckMin("chunk-tests", s.ChunkTests, 0), CheckMin("checkpoint-every", s.CheckpointEvery, 0)); err != nil {
+	if err := cmp.Or(checkMin("chunk-tests", s.ChunkTests, 0), checkMin("checkpoint-every", s.CheckpointEvery, 0)); err != nil {
 		return experiments.Options{}, err
 	}
 	prof, err := faults.ByName(s.Faults)

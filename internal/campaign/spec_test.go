@@ -18,6 +18,7 @@ func TestSpecValidate(t *testing.T) {
 		set  []string
 		want []string // substrings of the error; nil = accepted
 	}{
+		// Worker counts at their floor of 1 pass checkMin.
 		{"defaults", base, nil, nil},
 		{"corpus_out_checkpoint_every", with(func(s *Spec) { s.CorpusOut, s.CheckpointEvery = "c.tpc", 3 }),
 			[]string{"corpus-out", "checkpoint-every"}, nil},
@@ -85,6 +86,25 @@ func TestEntryPointsValidate(t *testing.T) {
 		f(&s)
 		if _, err := Collect(context.Background(), s, nil); err == nil {
 			t.Errorf("Collect accepted report-only spec %+v", s)
+		}
+	}
+}
+
+// TestScaleOptions pins the -scale set run and report accept: every
+// listed profile maps to options, anything else is a usage error.
+func TestScaleOptions(t *testing.T) {
+	for _, scale := range []string{"small", "default", "medium", "large", "xlarge"} {
+		if _, err := scaleOptions(scale); err != nil {
+			t.Errorf("scale %q rejected: %v", scale, err)
+		}
+	}
+	// xlarge is the million-test streaming profile.
+	if opts, _ := scaleOptions("xlarge"); opts.Collect.Tests != 1_000_000 {
+		t.Errorf("xlarge schedules %d tests, want 1000000", opts.Collect.Tests)
+	}
+	for _, scale := range []string{"tiny", "huge", "", "Default"} {
+		if _, err := scaleOptions(scale); err == nil {
+			t.Errorf("scale %q accepted, want usage error", scale)
 		}
 	}
 }

@@ -11,8 +11,7 @@ import (
 
 // The two sinks. Snapshot flattens a registry into a Dump — a plain
 // data struct that marshals to the JSON/expvar-style document consumed
-// by `tputlab run -metrics-json`, `tputlab bench`, and the CI metrics
-// job — and Summary renders the same information for humans on stderr.
+// by `tputlab run -metrics-json` and the CI metrics job — and Summary renders the same information for humans on stderr.
 
 // Dump is a point-in-time export of a registry.
 type Dump struct {
