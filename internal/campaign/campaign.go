@@ -5,10 +5,11 @@
 // the two-pass report assembly over report.StreamBuilder. The sources
 // differ only in where chunks come from: retained (collect once before
 // the passes, replay; the default), resume (the retained source primed
-// with an interrupted campaign's durable prefix), recollect (-stream:
-// collect per pass), and corpus (-corpus: replay a persisted corpus,
-// no world). The rendered report is byte-identical for every source,
-// chunk size and worker count.
+// with an interrupted campaign's durable prefix), spool (-stream:
+// pass 1 collects while the tee persists, pass 2 replays the sealed
+// corpus), and corpus (-corpus: replay a persisted corpus, no world).
+// Every mode collects the campaign at most once. The rendered report
+// is byte-identical for every source, chunk size and worker count.
 package campaign
 
 import (
@@ -16,6 +17,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"runtime"
 
 	"throughputlab/internal/bdrmap"
 	"throughputlab/internal/checkpoint"
@@ -45,8 +47,8 @@ type source func(pass int, fn func(*platform.Chunk) error) (platform.Completenes
 
 // Campaign is an opened campaign: its options, its world (nil over a
 // persisted corpus), the source behind its passes, and, under -stream,
-// the tee that persists pass 1 (the retained and resume sources seal
-// theirs while collecting).
+// the tee that persists pass 1 for pass 2 to replay (the retained and
+// resume sources seal theirs while collecting).
 type Campaign struct {
 	opts   experiments.Options
 	world  *topogen.World
@@ -57,14 +59,21 @@ type Campaign struct {
 }
 
 // Report runs the campaign s describes and renders its report over two
-// passes. Pass 1 feeds operator inference; pass 2 overlaps per-test
-// aggregation, trace matching and, over a world, the bdrmap border
-// accumulator.
+// passes.
 func Report(ctx context.Context, s Spec, reg *obs.Registry) (string, error) {
 	c, err := open(ctx, s, reg)
 	if err != nil {
 		return "", err
 	}
+	return c.report(reg)
+}
+
+// report renders the opened campaign's report. Pass 1 feeds operator
+// inference; pass 2 overlaps per-test aggregation, trace matching and,
+// over a world, the bdrmap border accumulator. A -stream spill is
+// removed on every return.
+func (c *Campaign) report(reg *obs.Registry) (string, error) {
+	defer c.tee.removeSpill()
 	mopts := (&export.Dataset{Public: *c.bundle()}).Lookups().MapItOpts()
 	mopts.Workers = c.opts.Workers
 	mopts.Obs = reg
@@ -153,10 +162,14 @@ func open(ctx context.Context, s Spec, reg *obs.Registry) (*Campaign, error) {
 		return nil, err
 	}
 	if s.Stream {
-		c.src = c.recollect(ctx)
+		c.src = c.spool(ctx)
 		return c, nil
 	}
-	if err := c.tee.seal(c.collect(ctx)); err != nil {
+	_, err = c.collect(ctx, func(ch *platform.Chunk) error {
+		c.chunks = append(c.chunks, ch)
+		return c.tee.write(ch)
+	})
+	if err := c.tee.seal(err); err != nil {
 		return nil, err
 	}
 	c.tee, c.src = nil, c.replay
@@ -164,15 +177,16 @@ func open(ctx context.Context, s Spec, reg *obs.Registry) (*Campaign, error) {
 }
 
 // collect runs the campaign from its first chunk not yet retained,
-// keeping every published chunk and writing it to the tee.
-func (c *Campaign) collect(ctx context.Context) error {
+// handing every published chunk to sink, and returns its completeness
+// ledger.
+func (c *Campaign) collect(ctx context.Context, sink func(*platform.Chunk) error) (platform.Completeness, error) {
 	cfg := c.opts.Collect
 	cfg.StartChunk = len(c.chunks)
-	_, err := platform.CollectStreamCtx(ctx, c.world, cfg, c.opts.Workers, func(ch *platform.Chunk) error {
-		c.chunks = append(c.chunks, ch)
-		return c.tee.write(ch)
-	})
-	return err
+	st, err := platform.CollectStreamCtx(ctx, c.world, cfg, c.opts.Workers, sink)
+	if err != nil {
+		return platform.Completeness{}, err
+	}
+	return st.Completeness, nil
 }
 
 // replay is the retained and resume sources: every pass replays the
@@ -188,15 +202,21 @@ func (c *Campaign) replay(_ int, fn func(*platform.Chunk) error) (platform.Compl
 	return comp, nil
 }
 
-// recollect is the -stream source: every pass collects the campaign
-// again, so only a few chunks are ever resident.
-func (c *Campaign) recollect(ctx context.Context) source {
-	return func(_ int, fn func(*platform.Chunk) error) (platform.Completeness, error) {
-		st, err := platform.CollectStreamCtx(ctx, c.world, c.opts.Collect, c.opts.Workers, fn)
-		if err != nil {
-			return platform.Completeness{}, err
+// spool is the -stream source: pass 1 collects the campaign while the
+// tee, pass 1's export stage, persists it, and pass 2 replays the corpus
+// the tee sealed. Only a few chunks are ever resident, and the campaign
+// is collected once.
+func (c *Campaign) spool(ctx context.Context) source {
+	return func(pass int, fn func(*platform.Chunk) error) (platform.Completeness, error) {
+		if pass == 1 {
+			return c.collect(ctx, fn)
 		}
-		return st.Completeness, nil
+		// Pass 1's chunks are all garbage now, but the heap goal grown
+		// during collection would leave them uncollected while pass 2
+		// allocates its decode buffers on top of them; collecting here
+		// keeps peak RSS at pass 1's.
+		runtime.GC()
+		return replayCorpus(ctx, c.tee.path, c.opts.Workers, export.EverythingProjection(), fn)
 	}
 }
 
@@ -205,50 +225,76 @@ func (c *Campaign) recollect(ctx context.Context) source {
 // footer supplies the completeness ledger. Chunks decode on -parallel
 // workers. Pass 1 only needs traces, so it reads a traces-only
 // projection and never parses a test stripe; its reader is opened here
-// because its header arms the report builder.
+// because its header arms the report builder. The replay does not
+// watch for interrupts: it persists nothing, so it has nothing to
+// checkpoint.
 func openCorpus(path string, opts experiments.Options) (*Campaign, error) {
-	f, cr, err := openReader(path, opts.Workers, export.Projection{Traces: true})
+	first, err := openReader(path, opts.Workers, export.Projection{Traces: true})
 	if err != nil {
 		return nil, err
 	}
-	c := &Campaign{opts: opts, public: cr.Public()}
+	c := &Campaign{opts: opts, public: first.Public()}
 	c.src = func(pass int, fn func(*platform.Chunk) error) (platform.Completeness, error) {
-		if pass > 1 {
-			if f, cr, err = openReader(path, opts.Workers, export.EverythingProjection()); err != nil {
-				return platform.Completeness{}, err
-			}
+		if pass == 1 {
+			return first.replay(context.Background(), fn)
 		}
-		defer f.Close()
-		defer cr.Close()
-		for {
-			sc, err := cr.Next()
-			if err == io.EOF {
-				return cr.Footer().Completeness, nil
-			}
-			if err != nil {
-				return platform.Completeness{}, err
-			}
-			if err := fn(toChunk(sc)); err != nil {
-				return platform.Completeness{}, err
-			}
-		}
+		return replayCorpus(context.Background(), path, opts.Workers, export.EverythingProjection(), fn)
 	}
 	return c, nil
 }
 
+// corpusReader is a persisted corpus opened for one replay.
+type corpusReader struct {
+	f *os.File
+	export.CorpusReader
+}
+
 // openReader opens the corpus at path for a replay that decodes the
-// column families proj selects.
-func openReader(path string, workers int, proj export.Projection) (*os.File, export.CorpusReader, error) {
+// column families proj selects on workers decoders.
+func openReader(path string, workers int, proj export.Projection) (*corpusReader, error) {
 	f, err := os.Open(path)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	cr, err := export.OpenCorpusProjected(f, workers, proj)
 	if err != nil {
 		f.Close()
-		return nil, nil, err
+		return nil, err
 	}
-	return f, cr, nil
+	return &corpusReader{f: f, CorpusReader: cr}, nil
+}
+
+// replayCorpus replays the corpus at path, decoding the column families
+// proj selects on workers decoders (see replay).
+func replayCorpus(ctx context.Context, path string, workers int, proj export.Projection, fn func(*platform.Chunk) error) (platform.Completeness, error) {
+	r, err := openReader(path, workers, proj)
+	if err != nil {
+		return platform.Completeness{}, err
+	}
+	return r.replay(ctx, fn)
+}
+
+// replay feeds every chunk to fn in publication order, then closes the
+// reader and returns the footer's completeness ledger. Between chunks
+// it stops with ctx's cause once ctx is done.
+func (r *corpusReader) replay(ctx context.Context, fn func(*platform.Chunk) error) (platform.Completeness, error) {
+	defer r.f.Close()
+	defer r.Close()
+	for {
+		if err := context.Cause(ctx); err != nil {
+			return platform.Completeness{}, err
+		}
+		sc, err := r.Next()
+		if err == io.EOF {
+			return r.Footer().Completeness, nil
+		}
+		if err != nil {
+			return platform.Completeness{}, err
+		}
+		if err := fn(toChunk(sc)); err != nil {
+			return platform.Completeness{}, err
+		}
+	}
 }
 
 // toChunk is a persisted chunk as the collector published it.

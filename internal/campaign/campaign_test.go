@@ -8,6 +8,7 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -15,6 +16,7 @@ import (
 
 	"throughputlab/internal/checkpoint"
 	"throughputlab/internal/export"
+	"throughputlab/internal/obs"
 	"throughputlab/internal/platform"
 )
 
@@ -87,8 +89,9 @@ func TestCorpusFormatsReportParity(t *testing.T) {
 // TestReportGolden pins the rendered report and the persisted corpus of
 // the 600-test small campaign cut into 97-test chunks to the bytes this
 // flag set has always produced. The pins hold for both live report
-// modes: -stream and the default retained-chunk mode, the latter at
-// workers 1 and 8. `tputlab corpus dump` pins the same corpus's text
+// modes: -stream, with -corpus-out and with a temporary spill (which
+// must leave TMPDIR empty), and the default retained-chunk mode, the
+// latter at workers 1 and 8. `tputlab corpus dump` pins the same corpus's text
 // rendition (cmd/tputlab's TestCorpusDumpGolden).
 func TestReportGolden(t *testing.T) {
 	if testing.Short() {
@@ -126,6 +129,17 @@ func TestReportGolden(t *testing.T) {
 			if got := sha(raw); got != want.columnar {
 				t.Errorf("-stream columnar corpus sha256 %s, want %s", got, want.columnar)
 			}
+			tmp := t.TempDir()
+			t.Setenv("TMPDIR", tmp)
+			spilled := s
+			spilled.Stream = true
+			if out, err = Report(context.Background(), spilled, nil); err != nil {
+				t.Fatal(err)
+			}
+			if got := sha([]byte(out)); got != want.report {
+				t.Errorf("-stream report without -corpus-out sha256 %s, want %s", got, want.report)
+			}
+			assertEmpty(t, tmp)
 			// The default mode collects once and replays the retained
 			// chunks for pass 2; its report and corpus bytes are the
 			// -stream mode's at every worker count.
@@ -149,6 +163,137 @@ func TestReportGolden(t *testing.T) {
 					t.Errorf("default-mode columnar corpus (workers=%d) sha256 %s, want %s", workers, got, want.columnar)
 				}
 			}
+		})
+	}
+}
+
+// assertEmpty fails t unless dir has no entries.
+func assertEmpty(t *testing.T, dir string) {
+	t.Helper()
+	left, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range left {
+		t.Errorf("%s left behind in %s", e.Name(), dir)
+	}
+}
+
+// TestStreamCollectsOnce guards -stream against collecting the campaign
+// for each pass: the collector's test counter must equal the published
+// corpus's test count, not twice it.
+func TestStreamCollectsOnce(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds a world")
+	}
+	path := t.TempDir() + "/corpus.tpc"
+	s := formatSpec("off")
+	s.Stream, s.CorpusOut = true, path
+	reg := obs.NewRegistry()
+	if _, err := Report(context.Background(), s, reg); err != nil {
+		t.Fatal(err)
+	}
+	r, err := openReader(path, 1, export.EverythingProjection())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := r.replay(context.Background(), func(*platform.Chunk) error { return nil }); err != nil {
+		t.Fatal(err)
+	}
+	want := r.Footer().Tests
+	if got := reg.Counter("collect.tests").Value(); want == 0 || got != uint64(want) {
+		t.Errorf("collect.tests = %d, want the corpus's %d tests", got, want)
+	}
+}
+
+// captureStderr returns what fn writes to os.Stderr.
+func captureStderr(t *testing.T, fn func()) string {
+	t.Helper()
+	r, w, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	saved := os.Stderr
+	os.Stderr = w
+	done := make(chan []byte)
+	go func() { b, _ := io.ReadAll(r); done <- b }()
+	defer func() { os.Stderr = saved }()
+	fn()
+	w.Close()
+	return string(<-done)
+}
+
+// TestStreamInterrupt interrupts -stream reports after the second chunk
+// of a pass (cause ErrInterrupted, as the signal handler cancels): the
+// report fails with ErrInterrupted and prints no -resume hint, a
+// -corpus-out corpus pass 1 published keeps its bytes through a pass-2
+// interrupt, and a temporary spill is removed whichever pass is cut.
+func TestStreamInterrupt(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds worlds")
+	}
+	for _, tc := range []struct {
+		name      string
+		corpusOut bool
+		pass      int
+	}{
+		{"corpus-out/pass2", true, 2},
+		{"spill/pass1", false, 1},
+		{"spill/pass2", false, 2},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			tmp := t.TempDir()
+			t.Setenv("TMPDIR", tmp)
+			s := formatSpec("heavy")
+			s.Stream, s.ChunkTests = true, 64 // 600 tests -> 10 chunks
+			if tc.corpusOut {
+				s.CorpusOut = filepath.Join(t.TempDir(), "corpus.tpc")
+			}
+			ctx, cancel := context.WithCancelCause(context.Background())
+			defer cancel(nil)
+			c, err := open(ctx, s, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var sealed string // the published corpus's sha256 as pass 2 starts
+			src := c.src
+			c.src = func(pass int, fn func(*platform.Chunk) error) (platform.Completeness, error) {
+				if pass != tc.pass {
+					return src(pass, fn)
+				}
+				if pass == 2 {
+					raw, err := os.ReadFile(c.tee.path)
+					if err != nil {
+						return platform.Completeness{}, err
+					}
+					sealed = sha(raw)
+				}
+				n := 0
+				return src(pass, func(ch *platform.Chunk) error {
+					if n++; n == 2 {
+						cancel(platform.ErrInterrupted)
+					}
+					return fn(ch)
+				})
+			}
+			var runErr error
+			stderr := captureStderr(t, func() { _, runErr = c.report(nil) })
+			if !errors.Is(runErr, platform.ErrInterrupted) {
+				t.Fatalf("report interrupted in pass %d returned %v, want ErrInterrupted", tc.pass, runErr)
+			}
+			if strings.Contains(stderr, "-resume") {
+				t.Errorf("interrupt printed a -resume hint:\n%s", stderr)
+			}
+			if tc.corpusOut {
+				raw, err := os.ReadFile(s.CorpusOut)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got := sha(raw); got != sealed {
+					t.Errorf("published corpus sha256 %s after the interrupt, %s when pass 2 started", got, sealed)
+				}
+			}
+			assertEmpty(t, tmp)
 		})
 	}
 }

@@ -27,7 +27,7 @@ type Spec struct {
 	FaultSeed    int64 // 0 = Seed
 	ChunkTests   int   // 0 = the platform default
 
-	Stream          bool   // re-collect the campaign for each report pass
+	Stream          bool   // bounded memory: pass 2 replays the corpus pass 1 persisted
 	Corpus          string // report over this persisted corpus
 	CorpusOut       string // persist the corpus here while collecting
 	Resume          string // continue from this checkpoint manifest
@@ -67,7 +67,7 @@ func (s Spec) Validate(set map[string]bool) error {
 			return fmt.Errorf("-corpus and -corpus-out are mutually exclusive (the stream already exists)")
 		}
 		if s.Stream {
-			return fmt.Errorf("-corpus and -stream are mutually exclusive (-stream re-collects the campaign; -corpus replays a persisted one)")
+			return fmt.Errorf("-corpus and -stream are mutually exclusive (-stream collects and persists a campaign; -corpus replays a persisted one)")
 		}
 		if len(conflicts) > 0 {
 			return pins("-corpus", "corpus header")

@@ -1,7 +1,8 @@
 // Report assembly: the §7 checklist fed chunk by chunk. Every report
 // mode — a live campaign whose chunks are retained in memory, a live
-// campaign re-collected per pass (bounded memory), a persisted corpus
-// replayed off disk, and a resumed campaign — drives the one
+// campaign whose pass 2 replays the corpus pass 1 persisted (bounded
+// memory), a persisted corpus replayed off disk, and a resumed
+// campaign — drives the one
 // StreamBuilder, so their rendered reports are byte-identical. The
 // reduction is two-pass — operator inference must see every trace
 // before any path can be labeled — and every per-group aggregate is
@@ -75,8 +76,8 @@ type pairGroup struct {
 //	}
 //	rep := b.Finish(completeness)
 //
-// Pass 2 replays the same chunks: from memory, from a persisted
-// stream, or by re-collecting the deterministic campaign. Beyond the
+// Pass 2 replays the same chunks, from memory or from a persisted
+// corpus (under -stream, the one pass 1 wrote as it went). Beyond the
 // chunks themselves, the builder holds the matcher's watermark buffer
 // plus per-group aggregates.
 //
