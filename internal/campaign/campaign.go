@@ -59,9 +59,11 @@ type Campaign struct {
 }
 
 // Report runs the campaign s describes and renders its report over two
-// passes.
+// passes. Its world computes BGP route trees on demand: collection and
+// bdrmap read a few dozen of them, so the n×n eager tables would be
+// set-up work nobody reads.
 func Report(ctx context.Context, s Spec, reg *obs.Registry) (string, error) {
-	c, err := open(ctx, s, reg)
+	c, err := open(ctx, s, true, reg)
 	if err != nil {
 		return "", err
 	}
@@ -104,6 +106,7 @@ func (c *Campaign) report(reg *obs.Registry) (string, error) {
 	}
 	if acc != nil && reg != nil {
 		reg.Gauge("bdrmap.neighbors").Set(int64(len(acc.Result().Borders)))
+		reg.Gauge("topogen.routes.trees").Set(int64(c.world.Routes.ComputedTrees()))
 	}
 	sp := reg.Span("report")
 	out := b.Finish(comp).Render()
@@ -112,22 +115,24 @@ func (c *Campaign) report(reg *obs.Registry) (string, error) {
 }
 
 // Collect collects (or resumes) the campaign s describes and keeps it
-// in memory for the experiments (see Env).
+// in memory for the experiments (see Env). Its world keeps eager BGP
+// tables: the experiments' traceroute sweeps read every destination.
 func Collect(ctx context.Context, s Spec, reg *obs.Registry) (*Campaign, error) {
 	if s.Stream || s.Corpus != "" {
 		return nil, fmt.Errorf("-stream and -corpus are report modes; a collected campaign sets neither")
 	}
-	return open(ctx, s, reg)
+	return open(ctx, s, false, reg)
 }
 
-// open validates s, builds the campaign's world and tee, and picks its
+// open validates s, builds the campaign's world (computing its route
+// trees on demand when lazyRoutes is set) and tee, and picks its
 // source. A resumed campaign adopts its identity from the manifest,
 // regenerates the world, and replays the durable prefix into the
 // retained chunks. The retained and resume sources then collect the
 // rest of the campaign once, here, before any report pass: each chunk
 // is kept and persisted on the collecting goroutine, and the tee is
 // sealed with the collection's outcome.
-func open(ctx context.Context, s Spec, reg *obs.Registry) (*Campaign, error) {
+func open(ctx context.Context, s Spec, lazyRoutes bool, reg *obs.Registry) (*Campaign, error) {
 	var m *checkpoint.Manifest
 	if s.Resume != "" {
 		var err error
@@ -153,6 +158,7 @@ func open(ctx context.Context, s Spec, reg *obs.Registry) (*Campaign, error) {
 		fmt.Fprintf(os.Stderr, "resuming campaign from %s: %d of %d tests durable, regenerating world (scale=%s seed=%d)...\n",
 			s.Resume, m.Durable.Tests, m.Fingerprint.Tests, s.Scale, s.Seed)
 	}
+	opts.Topo.LazyRoutes = lazyRoutes
 	w, err := topogen.GenerateCtx(ctx, opts.Topo)
 	if err != nil {
 		return nil, err

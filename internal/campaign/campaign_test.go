@@ -206,6 +206,37 @@ func TestStreamCollectsOnce(t *testing.T) {
 	}
 }
 
+// TestRouteModes pins which path computes BGP route trees on demand. A
+// report's world is lazy and, once the report is rendered, has computed
+// some trees but fewer than one per AS; a collected campaign's world,
+// the experiments', keeps the eager tables their sweeps read in full.
+func TestRouteModes(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds worlds")
+	}
+	reg := obs.NewRegistry()
+	if _, err := Report(context.Background(), formatSpec("off"), reg); err != nil {
+		t.Fatal(err)
+	}
+	if reg.Gauge("topogen.routes.lazy").Value() != 1 {
+		t.Error("the report's world computed eager route tables")
+	}
+	trees, ases := reg.Gauge("topogen.routes.trees").Value(), reg.Gauge("topogen.ases").Value()
+	if trees == 0 || trees >= ases {
+		t.Errorf("the report computed %d route trees over %d ASes, want some but fewer than one per AS", trees, ases)
+	}
+	if n := reg.Gauge("topogen.workers.bgp").Value(); n != 0 {
+		t.Errorf("topogen.workers.bgp = %d over lazy routes, want unset", n)
+	}
+	c, err := Collect(context.Background(), formatSpec("off"), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c.world.Routes.Lazy() {
+		t.Error("the collected campaign's world computes route trees on demand, want eager tables")
+	}
+}
+
 // captureStderr returns what fn writes to os.Stderr.
 func captureStderr(t *testing.T, fn func()) string {
 	t.Helper()
@@ -251,7 +282,7 @@ func TestStreamInterrupt(t *testing.T) {
 			}
 			ctx, cancel := context.WithCancelCause(context.Background())
 			defer cancel(nil)
-			c, err := open(ctx, s, nil)
+			c, err := open(ctx, s, true, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -378,7 +409,7 @@ func TestResumeCampaignEndToEnd(t *testing.T) {
 			defer cancel(nil)
 			interrupted := chunked(finalPath)
 			interrupted.Stream = true
-			c, err := open(ctx, interrupted, nil)
+			c, err := open(ctx, interrupted, true, nil)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -10,8 +10,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -529,22 +529,16 @@ func CollectStreamCtx(ctx context.Context, w *topogen.World, cfg CollectConfig, 
 			perShard[s] = scheduleShard(w, cfg, sctx, s, count)
 		}
 	})
-	total := 0
-	for _, sh := range perShard {
-		total += len(sh)
-	}
 	if reg != nil {
 		for s, sh := range perShard {
 			reg.Gauge(fmt.Sprintf("collect.shard.%02d.tests", s)).Set(int64(len(sh)))
 		}
 	}
-	schedule := make([]arrival, 0, total)
-	for _, sh := range perShard {
-		schedule = append(schedule, sh...)
-	}
-	// Ties on minute resolve by (shard, ord) — the concatenation order —
-	// so the merge is a total order independent of worker count.
-	sort.SliceStable(schedule, func(i, j int) bool { return schedule[i].minute < schedule[j].minute })
+	// One counting sort scatters the shards straight into the schedule.
+	// Ties on minute resolve by (shard, ord), the order the shards are
+	// visited in, so the merge is a total order independent of worker
+	// count: exactly a stable sort of the shards' concatenation.
+	schedule := sortByMinute(perShard, func(a arrival) int { return a.minute })
 	schedSpan.End()
 	if err := ctxErr(ctx); err != nil {
 		return nil, err
@@ -641,9 +635,7 @@ func CollectStreamCtx(ctx context.Context, w *topogen.World, cfg CollectConfig, 
 		order = append(order, id)
 	}
 	if inj != nil {
-		sort.SliceStable(order, func(i, j int) bool {
-			return execMinute[order[i]] < execMinute[order[j]]
-		})
+		order = sortByMinute([][]int{order}, func(id int) int { return execMinute[id] })
 	}
 	for _, id := range order {
 		a := schedule[id]
@@ -912,6 +904,48 @@ func publishChunk(index, lo, hi int, schedule []arrival, tests []*ndt.Test,
 	}
 	chunk.Completeness = comp
 	return chunk
+}
+
+// sortByMinute returns the elements of runs, concatenated in order and
+// stably sorted by minute, in one counting sort: elements on the same
+// minute keep their run's place among the runs, then their place within
+// the run. That is sort.SliceStable over the concatenation, without the
+// concatenated copy or a comparison per element pair. A campaign's
+// minutes span a few tens of thousands of values, so the count table is
+// small next to the runs.
+func sortByMinute[T any](runs [][]T, minute func(T) int) []T {
+	n, lo, hi := 0, math.MaxInt, math.MinInt
+	for _, run := range runs {
+		for _, x := range run {
+			m := minute(x)
+			lo, hi = min(lo, m), max(hi, m)
+		}
+		n += len(run)
+	}
+	out := make([]T, n)
+	if n == 0 {
+		return out
+	}
+	// next[m-lo] is the output slot of the next element on minute m.
+	next := make([]int, hi-lo+1)
+	for _, run := range runs {
+		for _, x := range run {
+			next[minute(x)-lo]++
+		}
+	}
+	slot := 0
+	for k, c := range next {
+		next[k] = slot
+		slot += c
+	}
+	for _, run := range runs {
+		for _, x := range run {
+			k := minute(x) - lo
+			out[next[k]] = x
+			next[k]++
+		}
+	}
+	return out
 }
 
 // runIndexed invokes fn(i) for every i in [0, n), spread over up to

@@ -57,13 +57,13 @@ type brKey struct {
 	role  string
 }
 
-// Generate builds the world.
 // lazyRouteThreshold is the AS count above which generation always
 // uses lazy per-destination routing: at 10k ASes the eager n×n tables
 // cross ~600MB and grow quadratically from there, while campaigns touch
 // only the few dozen destination trees behind servers and client pools.
 const lazyRouteThreshold = 10000
 
+// Generate builds the world.
 func Generate(cfg Config) (*World, error) {
 	return GenerateCtx(context.Background(), cfg)
 }
@@ -176,11 +176,14 @@ func GenerateCtx(ctx context.Context, cfg Config) (*World, error) {
 	}
 
 	if reg != nil {
-		for _, ph := range []string{"dnsnames", "validate", "bgp"} {
-			reg.Gauge("topogen.workers." + ph).Set(int64(workers))
-		}
+		reg.Gauge("topogen.workers.dnsnames").Set(int64(workers))
+		reg.Gauge("topogen.workers.validate").Set(int64(workers))
+		// Lazy routes compute trees on the readers' goroutines; no BGP
+		// worker pool ran.
 		if b.world.Routes.Lazy() {
 			reg.Gauge("topogen.routes.lazy").Set(1)
+		} else {
+			reg.Gauge("topogen.workers.bgp").Set(int64(workers))
 		}
 		st := b.topo.CollectStats()
 		reg.Gauge("topogen.ases").Set(int64(st.ASes))

@@ -135,7 +135,8 @@ func worldHash(w *World) uint64 {
 
 // TestGenerateWorkerCountInvariance is the tentpole's determinism
 // contract: the same Config must yield a byte-identical world whether
-// generation runs serial or sharded over any worker pool.
+// generation runs serial or sharded over any worker pool, and whether
+// its route trees are computed up front or on demand.
 func TestGenerateWorkerCountInvariance(t *testing.T) {
 	hashes := map[int]uint64{}
 	for _, workers := range []int{1, 2, 8} {
@@ -151,6 +152,13 @@ func TestGenerateWorkerCountInvariance(t *testing.T) {
 	}
 	if hashes[1] != smallWorldHash {
 		t.Errorf("small world hash = %#x, want pinned %#x (the generated universe changed)", hashes[1], smallWorldHash)
+	}
+	cfg := SmallConfig()
+	cfg.Workers, cfg.LazyRoutes = 2, true
+	if w := MustGenerate(cfg); !w.Routes.Lazy() {
+		t.Error("LazyRoutes world computed eager route tables")
+	} else if h := worldHash(w); h != smallWorldHash {
+		t.Errorf("lazy-route small world hash = %#x, want pinned %#x", h, smallWorldHash)
 	}
 }
 

@@ -111,9 +111,13 @@ type Config struct {
 	// LazyRoutes computes per-destination BGP trees on first use instead
 	// of materializing the full n×n tables at generation time. Routing
 	// answers are identical either way (bgp.ComputeLazy); only memory
-	// and generation time change. Worlds with ≥ lazyRouteThreshold ASes
-	// switch to lazy mode regardless, since their eager tables would
-	// need tens of GB.
+	// and generation time change. A report campaign's world is lazy:
+	// its collection and bdrmap stages read a few dozen of the n trees.
+	// The experiments' world stays eager: their traceroute sweeps read
+	// every destination, so laziness saves nothing and moves the tree
+	// computation off generation's worker pool onto the readers. Worlds
+	// with ≥ lazyRouteThreshold ASes switch to lazy mode regardless,
+	// since their eager tables would need tens of GB.
 	LazyRoutes bool
 	// Obs, when non-nil, receives generation phase spans and
 	// produced-entity gauges, and the world's resolver reports its cache
