@@ -175,7 +175,7 @@ func BenchmarkCorpusCollectionFullTelemetry(b *testing.B) {
 		// collection hot path the pair compares.
 		b.StopTimer()
 		reg := obs.NewRegistry()
-		reg.EnableTimeSeries(0, 0, nil)
+		reg.EnableTimeSeries(nil)
 		bus := reg.EnableEvents(4096)
 		bus.AddSink(func(obs.Event) {})
 		cfg.Obs = reg

@@ -4,8 +4,8 @@
 //
 // Usage:
 //
-//	ndtsim -campaign bed-us -o bed.json
-//	bdrmap -in bed.json -org "Comcast Cable Communications"
+//	ndtsim -campaign bed-us -o bed.tpc
+//	bdrmap -in bed.tpc -org "Comcast Cable Communications"
 package main
 
 import (

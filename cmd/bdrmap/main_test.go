@@ -22,13 +22,20 @@ func writeCampaign(t *testing.T) string {
 	}
 	traces := platform.Campaign(w, w.ArkVPs[vpIdx].Host.Endpoint,
 		platform.RoutedPrefixTargets(w), traceroute.DefaultArtifacts(), 3)
-	out := filepath.Join(t.TempDir(), "bed.json")
+	out := filepath.Join(t.TempDir(), "bed.tpc")
 	f, err := os.Create(out)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer f.Close()
-	if err := export.FromWorld(w, nil).WithTraces(traces).Write(f); err != nil {
+	cw, err := export.NewColumnarWriter(f, export.FromWorld(w, nil).Public, export.StreamMeta{}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := cw.WriteChunk(&platform.Chunk{Traces: traces}); err != nil {
+		t.Fatal(err)
+	}
+	if err := cw.Close(); err != nil {
 		t.Fatal(err)
 	}
 	return out

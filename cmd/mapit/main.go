@@ -4,8 +4,8 @@
 //
 // Usage:
 //
-//	ndtsim -tests 5000 -o corpus.json
-//	mapit -in corpus.json [-top 30] [-threshold 0.5]
+//	ndtsim -tests 5000 -o corpus.tpc
+//	mapit -in corpus.tpc [-top 30] [-threshold 0.5]
 package main
 
 import (

@@ -11,6 +11,31 @@ import (
 	"throughputlab/internal/topogen"
 )
 
+// writeColumnar persists chunks as a columnar corpus in a temporary
+// file and returns its path.
+func writeColumnar(t *testing.T, public export.Public, chunks ...*platform.Chunk) string {
+	t.Helper()
+	out := filepath.Join(t.TempDir(), "corpus.tpc")
+	f, err := os.Create(out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	cw, err := export.NewColumnarWriter(f, public, export.StreamMeta{}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range chunks {
+		if err := cw.WriteChunk(c); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := cw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
 func writeCorpus(t *testing.T) string {
 	t.Helper()
 	w := topogen.MustGenerate(topogen.SmallConfig())
@@ -21,16 +46,8 @@ func writeCorpus(t *testing.T) string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out := filepath.Join(t.TempDir(), "corpus.json")
-	f, err := os.Create(out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	if err := export.FromWorld(w, corpus).Write(f); err != nil {
-		t.Fatal(err)
-	}
-	return out
+	return writeColumnar(t, export.FromWorld(w, nil).Public,
+		&platform.Chunk{Tests: corpus.Tests, Traces: corpus.Traces})
 }
 
 func TestRunOverDataset(t *testing.T) {
@@ -50,10 +67,7 @@ func TestRunMissingFile(t *testing.T) {
 }
 
 func TestRunEmptyDataset(t *testing.T) {
-	out := filepath.Join(t.TempDir(), "empty.json")
-	if err := os.WriteFile(out, []byte(`{"public":{"prefixes":null,"orgs":{},"rels":null}}`), 0o644); err != nil {
-		t.Fatal(err)
-	}
+	out := writeColumnar(t, export.Public{})
 	if err := run(out, 10, 0.5); err == nil {
 		t.Error("dataset without traces should error")
 	}

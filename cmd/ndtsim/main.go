@@ -1,7 +1,8 @@
 // Command ndtsim generates a synthetic Internet, runs a crowdsourced
 // NDT collection campaign against its M-Lab deployment, and writes the
 // resulting dataset (public topology data + tests + Paris traceroutes)
-// as JSON — the raw material for cmd/mapit and cmd/bdrmap.
+// as a columnar corpus (tputlab-corpus/2) — the raw material for
+// cmd/mapit and cmd/bdrmap.
 //
 // Usage:
 //
@@ -36,7 +37,7 @@ func main() {
 	}
 }
 
-func run(scale string, seed int64, tests int, battle bool, campaign, out string) error {
+func run(scale string, seed int64, tests int, battle bool, campaign, out string) (err error) {
 	cfg := topogen.DefaultConfig()
 	if scale == "small" {
 		cfg = topogen.SmallConfig()
@@ -46,10 +47,8 @@ func run(scale string, seed int64, tests int, battle bool, campaign, out string)
 	if err != nil {
 		return err
 	}
-
-	var ds *export.Dataset
+	var vp *topogen.ArkVP
 	if campaign != "" {
-		var vp *topogen.ArkVP
 		for i := range w.ArkVPs {
 			if w.ArkVPs[i].Label == campaign {
 				vp = &w.ArkVPs[i]
@@ -58,32 +57,49 @@ func run(scale string, seed int64, tests int, battle bool, campaign, out string)
 		if vp == nil {
 			return fmt.Errorf("unknown VP %q (see DESIGN.md for the 16 labels)", campaign)
 		}
+	}
+	meta := export.StreamMeta{Scale: scale, Seed: seed}
+	if vp == nil {
+		meta.Tests = tests
+	}
+
+	f := os.Stdout
+	if out != "-" {
+		if f, err = os.Create(out); err != nil {
+			return err
+		}
+		defer func() {
+			if cerr := f.Close(); err == nil {
+				err = cerr
+			}
+		}()
+	}
+	cw, err := export.NewColumnarWriter(f, export.FromWorld(w, nil).Public, meta, 1)
+	if err != nil {
+		return err
+	}
+	if vp != nil {
+		// A prefix campaign has no schedule: its traces travel as one
+		// chunk.
 		traces := platform.Campaign(w, vp.Host.Endpoint,
 			platform.RoutedPrefixTargets(w), traceroute.DefaultArtifacts(), seed+100)
-		ds = export.FromWorld(w, nil).WithTraces(traces)
-		fmt.Fprintf(os.Stderr, "campaign from %s (%s): %d traces\n", vp.Label, vp.ISP, len(traces))
+		if err = cw.WriteChunk(&platform.Chunk{Traces: traces}); err == nil {
+			fmt.Fprintf(os.Stderr, "campaign from %s (%s): %d traces\n", vp.Label, vp.ISP, len(traces))
+		}
 	} else {
 		ccfg := platform.DefaultCollect()
 		ccfg.Tests = tests
 		ccfg.Seed = seed + 6
 		ccfg.BattleForNet = battle
-		corpus, err := platform.CollectParallelCtx(context.Background(), w, ccfg, 1)
-		if err != nil {
-			return err
+		var st *platform.StreamStats
+		if st, err = platform.CollectStreamCtx(context.Background(), w, ccfg, 1, cw.WriteChunk); err == nil {
+			fmt.Fprintf(os.Stderr, "corpus: %d tests, %d traces (%d lost to busy collector)\n",
+				st.Tests, st.Traces, st.TestsWithoutTrace)
 		}
-		ds = export.FromWorld(w, corpus)
-		fmt.Fprintf(os.Stderr, "corpus: %d tests, %d traces (%d lost to busy collector)\n",
-			len(corpus.Tests), len(corpus.Traces), corpus.TestsWithoutTrace)
 	}
-
-	f := os.Stdout
-	if out != "-" {
-		var err error
-		f, err = os.Create(out)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
+	if err != nil {
+		cw.Abandon()
+		return err
 	}
-	return ds.Write(f)
+	return cw.Close()
 }

@@ -12,7 +12,7 @@ func TestRunCorpusToFile(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds a world")
 	}
-	out := filepath.Join(t.TempDir(), "corpus.json")
+	out := filepath.Join(t.TempDir(), "corpus.tpc")
 	if err := run("small", 1, 300, false, "", out); err != nil {
 		t.Fatal(err)
 	}
@@ -37,7 +37,7 @@ func TestRunCampaignToFile(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds a world")
 	}
-	out := filepath.Join(t.TempDir(), "bed.json")
+	out := filepath.Join(t.TempDir(), "bed.tpc")
 	if err := run("small", 1, 0, false, "bed-us", out); err != nil {
 		t.Fatal(err)
 	}
@@ -58,5 +58,19 @@ func TestRunCampaignToFile(t *testing.T) {
 func TestRunUnknownVP(t *testing.T) {
 	if err := run("small", 1, 0, false, "nosuch-vp", "-"); err == nil {
 		t.Error("unknown VP should error")
+	}
+}
+
+// TestRunReportsWriteError pins that a corpus that cannot be written
+// fails the run instead of exiting 0.
+func TestRunReportsWriteError(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds a world")
+	}
+	if _, err := os.Stat("/dev/full"); err != nil {
+		t.Skip("no /dev/full")
+	}
+	if err := run("small", 1, 0, false, "bed-us", "/dev/full"); err == nil {
+		t.Error("writing to a full device reported success")
 	}
 }

@@ -171,21 +171,19 @@ flags for run/report:
   -faultseed N           seed for the fault streams (default: -seed);
                          a fixed profile+seed yields a byte-identical
                          corpus at every -parallel value
-  -metrics               print the phase-span tree and pipeline metrics
-                         (cache hit rates, per-shard counts, fallbacks)
-                         to stderr; stdout stays byte-identical
-  -metrics-json FILE     write the metrics registry dump as JSON
+  -metrics-json FILE     write the metrics snapshot as JSON: counters,
+                         gauges, histograms, the phase-span tree,
+                         simulated-clock series and event counts
+                         (/dev/stderr prints it after the run)
   -events FILE           stream progress events (chunk publications,
                          pipeline stages, fault retries, report passes)
                          to FILE as NDJSON; ends with campaign.done
-  -progress              render live progress events to stderr
+                         (/dev/stderr follows a run live)
   -trace-out FILE        write the phase-span tree as Chrome
                          trace_event JSON, loadable in Perfetto
   -telemetry-addr ADDR   serve live telemetry over HTTP while running:
-                         /metrics (Prometheus text), /spans, /series,
-                         /trace, /dump, /debug/pprof/
-  -telemetry-linger DUR  keep the telemetry endpoint up DUR after the
-                         run (e.g. 30s), for scrapes of the final state
+                         /dump (the -metrics-json snapshot), /trace,
+                         /debug/pprof/
 
 telemetry never changes results: corpus and report bytes are identical
 with every combination of the flags above on or off
@@ -199,13 +197,10 @@ checkpoint (resume with -resume); 130 hard abort (second signal)`)
 type commonFlags struct {
 	spec campaign.Spec
 
-	metrics       bool
 	metricsJSON   string
 	events        string
-	progress      bool
 	traceOut      string
 	telemetryAddr string
-	linger        time.Duration
 
 	// Runtime telemetry state built by telemetry(): the -events file
 	// (nil when unused) and the -telemetry-addr server (nil when unused).
@@ -230,13 +225,10 @@ func addCommonFlags(fs *flag.FlagSet) *commonFlags {
 	fs.StringVar(&s.Resume, "resume", "", "continue an interrupted campaign from this checkpoint manifest")
 	fs.IntVar(&s.CheckpointEvery, "checkpoint-every", 0, "chunks between -corpus-out durability barriers (0 = default 8)")
 
-	fs.BoolVar(&cf.metrics, "metrics", false, "print phase spans and pipeline metrics to stderr")
-	fs.StringVar(&cf.metricsJSON, "metrics-json", "", "write the metrics registry dump to this file as JSON")
+	fs.StringVar(&cf.metricsJSON, "metrics-json", "", "write the metrics snapshot to this file as JSON")
 	fs.StringVar(&cf.events, "events", "", "write the progress event stream to this file as NDJSON")
-	fs.BoolVar(&cf.progress, "progress", false, "render live progress events to stderr")
 	fs.StringVar(&cf.traceOut, "trace-out", "", "write the span tree as Chrome trace_event JSON (Perfetto-loadable)")
-	fs.StringVar(&cf.telemetryAddr, "telemetry-addr", "", "serve /metrics, /spans, /series, /trace and /debug/pprof on this address while running")
-	fs.DurationVar(&cf.linger, "telemetry-linger", 0, "keep the -telemetry-addr endpoint up this long after the run completes")
+	fs.StringVar(&cf.telemetryAddr, "telemetry-addr", "", "serve /dump, /trace and /debug/pprof/ on this address while running")
 	return cf
 }
 
@@ -254,40 +246,35 @@ func (cf *commonFlags) parse(fs *flag.FlagSet, args []string) error {
 
 // telemetry builds the obs registry the telemetry flags ask for (nil
 // when none is set, which disables instrumentation throughout the
-// pipeline).
+// pipeline). On error nothing it opened is left open.
 func (cf *commonFlags) telemetry() (*obs.Registry, error) {
-	if !cf.metrics && cf.metricsJSON == "" && cf.events == "" && !cf.progress &&
-		cf.traceOut == "" && cf.telemetryAddr == "" {
+	if cf.metricsJSON == "" && cf.events == "" && cf.traceOut == "" && cf.telemetryAddr == "" {
 		return nil, nil
 	}
 	reg := obs.NewRegistry()
 	// The simulated-clock sampler rides every instrumented run: one
 	// point per simulated hour, skipping the per-shard and pipeline
 	// plumbing gauges whose cardinality would drown a dashboard.
-	reg.EnableTimeSeries(0, 0, func(name string) bool {
+	reg.EnableTimeSeries(func(name string) bool {
 		return !strings.HasPrefix(name, "collect.shard.") && !strings.HasPrefix(name, "pipeline.")
 	})
-	if cf.events != "" || cf.progress {
-		bus := reg.EnableEvents(4096)
-		if cf.events != "" {
-			f, err := os.Create(cf.events)
-			if err != nil {
-				return nil, err
-			}
-			cf.eventsFile = f
-			bus.AddSink(obs.NewNDJSONSink(f))
+	if cf.events != "" {
+		f, err := os.Create(cf.events)
+		if err != nil {
+			return nil, err
 		}
-		if cf.progress {
-			bus.AddSink(obs.NewProgressSink(os.Stderr, 0))
-		}
+		cf.eventsFile = f
+		reg.EnableEvents(4096).AddSink(obs.NewNDJSONSink(f))
 	}
 	if cf.telemetryAddr != "" {
 		srv, err := reg.ServeTelemetry(cf.telemetryAddr)
 		if err != nil {
+			reg.Events().Close()
+			cf.release()
 			return nil, err
 		}
 		cf.server = srv
-		fmt.Fprintf(os.Stderr, "telemetry: serving http://%s/ (metrics, spans, series, trace, pprof)\n", srv.Addr())
+		fmt.Fprintf(os.Stderr, "telemetry: serving http://%s/ (dump, trace, pprof)\n", srv.Addr())
 	}
 	return reg, nil
 }
@@ -296,11 +283,11 @@ func (cf *commonFlags) telemetry() (*obs.Registry, error) {
 // terminal event — campaign.done, or campaign.interrupted when the run
 // was cancelled after a durable checkpoint — drains and closes the
 // event bus (so the -events NDJSON stream is complete before the file
-// is sealed), renders the registry per the flags — the human summary
-// to stderr (-metrics), the JSON dump to a file (-metrics-json), the
-// Chrome trace to a file (-trace-out) — and finally lets the
-// -telemetry-addr endpoint linger for scrapes before shutting it down.
-// stdout is never touched, so experiment output stays byte-identical.
+// is sealed), writes the JSON snapshot (-metrics-json) and the Chrome
+// trace (-trace-out), and closes the -events file and the
+// -telemetry-addr endpoint. Every step runs even when an earlier one
+// failed; the first error is returned. stdout is never touched, so
+// experiment output stays byte-identical.
 func (cf *commonFlags) emitMetrics(reg *obs.Registry, runErr error) error {
 	if reg == nil {
 		return nil
@@ -313,32 +300,35 @@ func (cf *commonFlags) emitMetrics(reg *obs.Registry, runErr error) error {
 		}
 		bus.Close()
 	}
-	if cf.metrics {
-		fmt.Fprint(os.Stderr, reg.Summary())
+	var err error
+	keep := func(e error) {
+		if err == nil {
+			err = e
+		}
 	}
 	if cf.metricsJSON != "" {
-		if err := writeFileWith(cf.metricsJSON, reg.WriteJSON); err != nil {
-			return err
-		}
+		keep(writeFileWith(cf.metricsJSON, reg.WriteJSON))
 	}
 	if cf.traceOut != "" {
-		if err := writeFileWith(cf.traceOut, reg.WriteTrace); err != nil {
-			return err
-		}
+		keep(writeFileWith(cf.traceOut, reg.WriteTrace))
 	}
+	keep(cf.release())
+	return err
+}
+
+// release closes the -events file and the -telemetry-addr endpoint,
+// whichever are open, and returns the first close error.
+func (cf *commonFlags) release() error {
+	var err error
 	if cf.eventsFile != nil {
-		if err := cf.eventsFile.Close(); err != nil {
-			return err
-		}
+		err = cf.eventsFile.Close()
 	}
 	if cf.server != nil {
-		if cf.linger > 0 {
-			fmt.Fprintf(os.Stderr, "telemetry: lingering %s on http://%s/\n", cf.linger, cf.server.Addr())
-			time.Sleep(cf.linger)
+		if e := cf.server.Close(); err == nil {
+			err = e
 		}
-		cf.server.Close()
 	}
-	return nil
+	return err
 }
 
 // writeFileWith creates path and streams fn's output into it.

@@ -17,7 +17,7 @@ func TestResumeFlagConflicts(t *testing.T) {
 		want []string
 	}{
 		{"no_flags", []string{"-resume", "m.json"}, nil},
-		{"non_identity_ok", []string{"-resume", "m.json", "-parallel", "4", "-metrics", "-checkpoint-every", "1", "-progress"}, nil},
+		{"non_identity_ok", []string{"-resume", "m.json", "-parallel", "4", "-metrics-json", "m.out", "-checkpoint-every", "1", "-events", "e.out"}, nil},
 		{"scale", []string{"-resume", "m.json", "-scale", "large"}, []string{"-scale"}},
 		{"seed", []string{"-resume", "m.json", "-seed", "2"}, []string{"-seed"}},
 		{"tests", []string{"-resume", "m.json", "-tests", "100"}, []string{"-tests"}},

@@ -20,14 +20,13 @@ var metricName = regexp.MustCompile(`^[a-z0-9_-]+(\.[a-z0-9_-]+)+$`)
 // collection, the streamed chunk path, and the experiment sweep —
 // and rejects any counter, gauge, histogram, or time-series key that
 // is not a namespaced dotted path. A metric that fails here would
-// collide or be unfindable on every dashboard fed by the JSON dump or
-// the Prometheus endpoint.
+// collide or be unfindable on every dashboard fed by the JSON dump.
 func TestMetricNamesFollowConvention(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs a full instrumented campaign")
 	}
 	reg := obs.NewRegistry()
-	reg.EnableTimeSeries(60, 0, nil)
+	reg.EnableTimeSeries(nil)
 	bus := reg.EnableEvents(4096)
 	opts := QuickOptions()
 	opts.Obs = reg

@@ -32,7 +32,7 @@ type ExperimentStat struct {
 // RunStats summarizes a RunParallelCtx sweep. It is a view over the obs
 // registry the sweep ran against: per-experiment numbers come from the
 // sweep's "experiments" span tree and alloc gauges, and the resolver
-// block from the same counters `-metrics` renders — there is no second
+// block from the same counters `-metrics-json` dumps — there is no second
 // bookkeeping path.
 type RunStats struct {
 	Workers int
@@ -132,7 +132,7 @@ func (s *RunStats) Summary() string {
 // Each experiment runs under an obs span (child of one "experiments"
 // phase span) on the Env's registry — or a private registry when the
 // Env is uninstrumented — and RunStats is assembled from those spans,
-// so `-metrics` output and the Summary table always agree. Allocation
+// so the `-metrics-json` dump and the Summary table always agree. Allocation
 // is measured — experiments.<name>.alloc_bytes — only when the sweep
 // runs on one worker: runtime.ReadMemStats stops the world, and its
 // process-wide counters cannot attribute overlapping experiments.

@@ -65,9 +65,10 @@ func FuzzColumnarDecode(f *testing.F) {
 }
 
 // FuzzRead throws arbitrary bytes at Read, the front door cmd/mapit and
-// cmd/bdrmap open their input through: it must classify (single-blob
-// dataset or columnar corpus) or reject with an error, never panic, and
-// a tputlab-corpus/1 text stream must always be refused by name.
+// cmd/bdrmap open their input through: it must decode a columnar corpus
+// or reject with an error, never panic. Input without the columnar
+// magic — the committed single-blob dataset seeds included — is always
+// refused, and a tputlab-corpus/1 text stream is refused by name.
 func FuzzRead(f *testing.F) {
 	// The committed seeds add single-blob datasets and a bare text
 	// header; here, an empty columnar corpus and its text dump.
@@ -85,6 +86,9 @@ func FuzzRead(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		_, err := Read(bytes.NewReader(data))
+		if !bytes.HasPrefix(data, []byte(columnarMagic)) && err == nil {
+			t.Fatalf("Read accepted %d bytes without the columnar magic", len(data))
+		}
 		if bytes.HasPrefix(data, []byte(v1Prefix)) && (err == nil || !strings.Contains(err.Error(), StreamFormat)) {
 			t.Fatalf("Read of a %s stream returned %v, want an error naming the format", StreamFormat, err)
 		}

@@ -493,8 +493,8 @@ func (s *frameScanner) payload(n uint64, dst []byte) ([]byte, error) {
 const v1Prefix = `{"format":"` + StreamFormat + `"`
 
 // readColumnarHeader consumes and validates the magic and header
-// frame. A tputlab-corpus/1 file is named as such instead of
-// surfacing as a magic mismatch.
+// frame. A tputlab-corpus/1 file and a single-blob JSON dataset are
+// named as such instead of surfacing as a magic mismatch.
 func readColumnarHeader(s *frameScanner) (streamHeader, error) {
 	var hdr streamHeader
 	var magic [8]byte
@@ -505,6 +505,9 @@ func readColumnarHeader(s *frameScanner) (streamHeader, error) {
 		if bytes.HasPrefix([]byte(v1Prefix), magic[:]) {
 			return hdr, fmt.Errorf("export: corpus is a %s text stream, which is no longer read: the only corpus format is %s; re-collect the campaign (-corpus-out), and use 'tputlab corpus dump' to print a corpus as text",
 				StreamFormat, ColumnarFormat)
+		}
+		if magic[0] == '{' {
+			return hdr, fmt.Errorf("export: input is JSON, not a columnar corpus: the single-blob dataset format is no longer read; regenerate the dataset with ndtsim, which writes %s", ColumnarFormat)
 		}
 		return hdr, fmt.Errorf("export: not a columnar corpus: magic %q (want %q)", magic, columnarMagic)
 	}

@@ -1,13 +1,12 @@
-// Package export serializes measurement datasets — the public topology
+// Package export persists measurement campaigns — the public topology
 // data (prefix→AS, AS relationships, AS→organization, IXP prefixes)
-// plus NDT tests and Paris traceroutes — as JSON, so the stand-alone
-// tools (cmd/ndtsim, cmd/mapit, cmd/bdrmap) can interoperate the way
-// the real M-Lab/CAIDA pipelines exchange files.
+// plus NDT tests and Paris traceroutes — as columnar corpora
+// (columnar.go), so tputlab and the stand-alone tools (cmd/ndtsim,
+// cmd/mapit, cmd/bdrmap) can interoperate the way the real
+// M-Lab/CAIDA pipelines exchange files.
 package export
 
 import (
-	"bytes"
-	"encoding/json"
 	"fmt"
 	"io"
 
@@ -43,16 +42,16 @@ type Public struct {
 	Rels []relRow `json:"rels"`
 }
 
-// Dataset bundles everything one collection campaign publishes.
+// Dataset bundles everything one collection campaign publishes, held
+// in memory: what FromWorld snapshots and Read materializes.
 type Dataset struct {
-	Public Public              `json:"public"`
-	Tests  []*ndt.Test         `json:"tests,omitempty"`
-	Traces []*traceroute.Trace `json:"traces,omitempty"`
+	Public Public
+	Tests  []*ndt.Test
+	Traces []*traceroute.Trace
 	// TestsWithoutTrace and Completeness carry the corpus bookkeeping a
-	// persisted campaign needs for degradation-aware reporting. Both
-	// stay zero for datasets written before they existed.
-	TestsWithoutTrace int                   `json:"tests_without_trace,omitempty"`
-	Completeness      platform.Completeness `json:"completeness,omitzero"`
+	// persisted campaign needs for degradation-aware reporting.
+	TestsWithoutTrace int
+	Completeness      platform.Completeness
 }
 
 // FromWorld snapshots a world's public data and an optional corpus.
@@ -85,35 +84,6 @@ func FromWorld(w *topogen.World, corpus *platform.Corpus) *Dataset {
 		d.Completeness = corpus.Completeness
 	}
 	return d
-}
-
-// WithTraces returns a copy carrying the given traces (for exporting a
-// VP campaign against the same public data). The public tables are
-// deep-copied: the copy is an independent dataset, so callers may
-// extend or edit its bundle without corrupting the original.
-func (d *Dataset) WithTraces(traces []*traceroute.Trace) *Dataset {
-	out := *d
-	out.Public = d.Public.clone()
-	out.Tests = nil
-	out.TestsWithoutTrace = 0
-	out.Completeness = platform.Completeness{}
-	out.Traces = traces
-	return &out
-}
-
-// clone deep-copies the public bundle's mutable tables.
-func (p Public) clone() Public {
-	out := p
-	out.Prefixes = append([]PrefixOrigin(nil), p.Prefixes...)
-	out.IXPPrefixes = append([]netaddr.Prefix(nil), p.IXPPrefixes...)
-	out.Rels = append([]relRow(nil), p.Rels...)
-	if p.Orgs != nil {
-		out.Orgs = make(map[string][]topology.ASN, len(p.Orgs))
-		for name, asns := range p.Orgs {
-			out.Orgs[name] = append([]topology.ASN(nil), asns...)
-		}
-	}
-	return out
 }
 
 // Validate rejects public bundles whose tables are ambiguous: a prefix
@@ -150,36 +120,16 @@ func (p *Public) Validate() error {
 	return nil
 }
 
-// Write encodes the dataset as indented JSON (the original single-blob
-// format). For corpora too large to hold in memory, use
-// NewColumnarWriter.
-func (d *Dataset) Write(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", " ")
-	return enc.Encode(d)
-}
-
-// Read decodes a dataset: the original single JSON blob, or a columnar
-// corpus (materialized fully, with the footer's completeness ledger
-// folded in). The public bundle is validated either way.
+// Read decodes a columnar corpus in full, with the footer's
+// completeness ledger folded in; the public bundle is validated. It is
+// the stand-alone tools' front door: any other input, the retired
+// single-blob JSON dataset included, is refused with an error.
 func Read(r io.Reader) (*Dataset, error) {
-	br := readBuffer(r)
-	head, _ := br.Peek(len(v1Prefix))
-	if bytes.HasPrefix(head, []byte(columnarMagic)) || bytes.HasPrefix(head, []byte(v1Prefix)) {
-		cr, err := openColumnar(br, 1, EverythingProjection())
-		if err != nil {
-			return nil, err
-		}
-		return materializeCorpus(cr)
-	}
-	var d Dataset
-	if err := json.NewDecoder(br).Decode(&d); err != nil {
-		return nil, fmt.Errorf("export: decoding dataset: %w", err)
-	}
-	if err := d.Public.Validate(); err != nil {
+	cr, err := openColumnar(r, 1, EverythingProjection())
+	if err != nil {
 		return nil, err
 	}
-	return &d, nil
+	return materializeCorpus(cr)
 }
 
 // Lookups builds the runtime lookup structures from the public data.

@@ -20,9 +20,9 @@ func TestReadRejectsGarbage(t *testing.T) {
 func TestReadRejectsBadAddresses(t *testing.T) {
 	// A prefix row with an invalid CIDR must surface as an error, not a
 	// zero value.
-	bad := `{"public":{"prefixes":[{"prefix":"999.0.0.0/8","asn":1}],"orgs":{},"rels":null}}`
-	if _, err := Read(strings.NewReader(bad)); err == nil {
-		t.Error("invalid prefix should fail to decode")
+	bad := rawHeader([]byte(`{"format":"` + ColumnarFormat + `","public":{"prefixes":[{"prefix":"999.0.0.0/8","asn":1}],"orgs":{},"rels":null}}`))
+	if _, err := Read(bytes.NewReader(bad)); err == nil || !strings.Contains(err.Error(), "999.0.0.0") {
+		t.Errorf("invalid prefix decoded with err = %v, want an error naming it", err)
 	}
 }
 
@@ -58,16 +58,14 @@ func TestLookupsRelSymmetry(t *testing.T) {
 func TestDatasetSizeSane(t *testing.T) {
 	corpus := smallCorpus(t)
 	d := FromWorld(testWorld(), corpus)
-	var buf bytes.Buffer
-	if err := d.Write(&buf); err != nil {
-		t.Fatal(err)
-	}
+	buf := writeDataset(t, d)
 	// A 400-test dataset should be well under 10 MB.
 	if buf.Len() > 10<<20 {
 		t.Errorf("dataset is %d bytes; serialization bloated", buf.Len())
 	}
-	// And the JSON must use dotted-quad addresses, not raw integers.
-	if !bytes.Contains(buf.Bytes(), []byte(`"prefix": "`)) {
+	// And the JSON header must use dotted-quad addresses, not raw
+	// integers.
+	if !bytes.Contains(buf.Bytes(), []byte(`"prefix":"`)) {
 		t.Error("prefixes not serialized as strings")
 	}
 }

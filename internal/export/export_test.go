@@ -3,13 +3,14 @@ package export
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
+	"hash/crc32"
 	"sync"
 	"testing"
 
 	"throughputlab/internal/mapit"
 	"throughputlab/internal/platform"
 	"throughputlab/internal/topogen"
-	"throughputlab/internal/traceroute"
 )
 
 // testWorld is the shared small fixture world, generated on first use
@@ -30,14 +31,40 @@ func smallCorpus(t testing.TB) *platform.Corpus {
 	return c
 }
 
+// writeDataset persists d as a one-chunk columnar corpus, the way
+// cmd/ndtsim does.
+func writeDataset(t testing.TB, d *Dataset) *bytes.Buffer {
+	t.Helper()
+	var buf bytes.Buffer
+	cw, err := NewColumnarWriter(&buf, d.Public, StreamMeta{}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := cw.WriteChunk(&platform.Chunk{Tests: d.Tests, Traces: d.Traces,
+		TestsWithoutTrace: d.TestsWithoutTrace, Completeness: d.Completeness}); err != nil {
+		t.Fatal(err)
+	}
+	if err := cw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return &buf
+}
+
+// rawHeader frames an arbitrary header payload behind the columnar
+// magic, bypassing the writer's validation, so Read's own checks of the
+// public bundle can be exercised.
+func rawHeader(payload []byte) []byte {
+	b := []byte(columnarMagic)
+	b = binary.AppendUvarint(b, uint64(len(payload)))
+	b = append(b, payload...)
+	return binary.LittleEndian.AppendUint32(b, crc32.Checksum(payload, castagnoli))
+}
+
 func TestRoundTrip(t *testing.T) {
 	corpus := smallCorpus(t)
 	d := FromWorld(testWorld(), corpus)
-	var buf bytes.Buffer
-	if err := d.Write(&buf); err != nil {
-		t.Fatal(err)
-	}
-	back, err := Read(&buf)
+	buf := writeDataset(t, d)
+	back, err := Read(buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,16 +81,16 @@ func TestRoundTrip(t *testing.T) {
 	if back.Traces[0].Hops[0].Addr != d.Traces[0].Hops[0].Addr {
 		t.Error("trace hops corrupted")
 	}
+	if back.TestsWithoutTrace != d.TestsWithoutTrace || back.Completeness != d.Completeness {
+		t.Error("round trip lost the corpus ledger")
+	}
 }
 
 func TestLookupsMatchWorld(t *testing.T) {
 	world := testWorld()
 	d := FromWorld(world, nil)
-	var buf bytes.Buffer
-	if err := d.Write(&buf); err != nil {
-		t.Fatal(err)
-	}
-	back, _ := Read(&buf)
+	buf := writeDataset(t, d)
+	back, _ := Read(buf)
 	l := back.Lookups()
 
 	// Origin lookups agree with the world.
@@ -97,11 +124,8 @@ func TestMapItOverExportedData(t *testing.T) {
 	// the same quality as the in-process lookups.
 	corpus := smallCorpus(t)
 	d := FromWorld(world, corpus)
-	var buf bytes.Buffer
-	if err := d.Write(&buf); err != nil {
-		t.Fatal(err)
-	}
-	back, _ := Read(&buf)
+	buf := writeDataset(t, d)
+	back, _ := Read(buf)
 	inf := mapit.Run(back.Traces, back.Lookups().MapItOpts())
 	if len(inf.Links) == 0 {
 		t.Fatal("no links inferred from exported dataset")
@@ -120,20 +144,5 @@ func TestMapItOverExportedData(t *testing.T) {
 	}
 	if total == 0 || float64(correct)/float64(total) < 0.85 {
 		t.Errorf("accuracy %d/%d too low over exported data", correct, total)
-	}
-}
-
-func TestWithTraces(t *testing.T) {
-	world := testWorld()
-	d := FromWorld(world, nil)
-	vp := world.ArkVPs[0]
-	traces := platform.Campaign(world, vp.Host.Endpoint,
-		platform.HostTargets(world.MLabServers()), traceroute.Clean(), 1)
-	d2 := d.WithTraces(traces)
-	if len(d2.Traces) != len(traces) || d2.Tests != nil {
-		t.Error("WithTraces wrong")
-	}
-	if len(d.Traces) != 0 {
-		t.Error("original mutated")
 	}
 }

@@ -119,21 +119,18 @@ func TestStreamWriterWorkersByteIdentical(t *testing.T) {
 	}
 }
 
-// TestReadOldFormatStillWorks pins backward compatibility: the original
-// single-blob format round-trips through the same Read entry point.
-func TestReadOldFormatStillWorks(t *testing.T) {
-	corpus := smallCorpus(t)
-	d := FromWorld(testWorld(), corpus)
-	var buf bytes.Buffer
-	if err := d.Write(&buf); err != nil {
-		t.Fatal(err)
-	}
-	back, err := Read(&buf)
+// TestReadRefusesSingleBlob pins that the retired single-blob JSON
+// dataset is refused with an error that names it, not misread.
+func TestReadRefusesSingleBlob(t *testing.T) {
+	blob, err := json.Marshal(struct {
+		Public Public `json:"public"`
+	}{FromWorld(testWorld(), nil).Public})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(back.Tests) != len(d.Tests) || back.Completeness != d.Completeness {
-		t.Fatal("old-format round trip lost records or ledger")
+	_, err = Read(bytes.NewReader(blob))
+	if err == nil || !strings.Contains(err.Error(), "single-blob") {
+		t.Fatalf("Read of a single-blob dataset = %v, want an error naming the format", err)
 	}
 }
 

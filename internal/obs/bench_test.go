@@ -86,7 +86,7 @@ func BenchmarkEventPublishEnabled(b *testing.B) {
 func BenchmarkSamplerAdvanceNoBoundary(b *testing.B) {
 	r := NewRegistry()
 	r.Counter("collect.tests").Add(1)
-	s := r.EnableTimeSeries(60, 0, nil)
+	s := r.EnableTimeSeries(nil)
 	s.Advance(60)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {

@@ -2,7 +2,6 @@ package obs
 
 import (
 	"encoding/json"
-	"fmt"
 	"io"
 	"sync"
 	"sync/atomic"
@@ -227,33 +226,5 @@ func NewNDJSONSink(w io.Writer) func(Event) {
 	enc := json.NewEncoder(w)
 	return func(e Event) {
 		_ = enc.Encode(e) // a full disk must not kill the campaign
-	}
-}
-
-// NewProgressSink returns a sink that renders a live progress line to
-// w (stderr in the CLI). It is rate-limited to one line per interval
-// per kind-family so a fast campaign does not scroll the terminal off
-// the planet; terminal events ("campaign.done", "report.pass") always
-// print.
-func NewProgressSink(w io.Writer, interval time.Duration) func(Event) {
-	if interval <= 0 {
-		interval = 200 * time.Millisecond
-	}
-	var last time.Time
-	return func(e Event) {
-		always := e.Kind == "campaign.done" || e.Kind == "report.pass" || e.Kind == "collect.done"
-		now := time.Now()
-		if !always && now.Sub(last) < interval {
-			return
-		}
-		last = now
-		switch {
-		case e.SimMinute >= 0:
-			fmt.Fprintf(w, "progress: %-16s %-12s n=%-8d sim day %.2f (wall %.1fs)\n",
-				e.Kind, e.Name, e.N, float64(e.SimMinute)/1440, e.WallMS/1000)
-		default:
-			fmt.Fprintf(w, "progress: %-16s %-12s n=%-8d (wall %.1fs)\n",
-				e.Kind, e.Name, e.N, e.WallMS/1000)
-		}
 	}
 }

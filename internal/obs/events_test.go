@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
-	"strings"
 	"sync"
 	"testing"
 )
@@ -148,22 +147,6 @@ func TestNDJSONSink(t *testing.T) {
 	}
 	if lines[1].Kind != "report.pass" || lines[1].Name != "final" || lines[1].N != 12 {
 		t.Errorf("report.pass line = %+v", lines[1])
-	}
-}
-
-// TestProgressSink asserts the stderr renderer prints terminal events
-// unconditionally and stamps simulated-clock events with the sim day.
-func TestProgressSink(t *testing.T) {
-	var buf bytes.Buffer
-	sink := NewProgressSink(&buf, 0)
-	sink(Event{Seq: 1, Kind: "collect.chunk", SimMinute: 2880, N: 3})
-	sink(Event{Seq: 2, Kind: "campaign.done", SimMinute: -1, N: 1})
-	out := buf.String()
-	if !strings.Contains(out, "collect.chunk") || !strings.Contains(out, "sim day 2.00") {
-		t.Errorf("progress output missing chunk line:\n%s", out)
-	}
-	if !strings.Contains(out, "campaign.done") {
-		t.Errorf("progress output missing terminal line:\n%s", out)
 	}
 }
 

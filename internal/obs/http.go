@@ -1,33 +1,28 @@
 package obs
 
 import (
-	"encoding/json"
 	"fmt"
-	"math"
 	"net"
 	"net/http"
 	"net/http/pprof"
-	"sort"
-	"strings"
 	"time"
 )
 
-// The live-telemetry HTTP endpoint: the seed of the tputlabd campaign
-// server's monitoring surface (ROADMAP item 4). While a campaign runs,
+// The live-telemetry HTTP endpoint: the seed of the deferred tputlabd
+// campaign server's monitoring surface (ROADMAP). While a campaign runs,
 // `-telemetry-addr` serves:
 //
-//	/metrics        Prometheus text exposition of the registry
-//	/spans          the live span tree as JSON (in-progress spans
-//	                report elapsed time so far)
-//	/series         the simulated-clock time series as JSON
+//	/dump           the full registry dump (the -metrics-json document;
+//	                in-progress spans report elapsed time so far)
 //	/trace          the span tree as Chrome trace_event JSON
-//	/dump           the full registry dump (the -metrics-json document)
 //	/debug/pprof/   net/http/pprof (profiles with the goroutine labels
 //	                the pipeline workers carry)
 //
-// Everything is read-only and lock-bounded: a scrape snapshots the
-// registry exactly like -metrics-json does, so scraping can never
-// perturb results (the determinism contract extends to the endpoint).
+// The endpoint serves each document in exactly one encoding: spans and
+// series are sections of /dump, not routes of their own. Everything is
+// read-only and lock-bounded: a scrape snapshots the registry exactly
+// like -metrics-json does, so scraping can never perturb results (the
+// determinism contract extends to the endpoint).
 
 // TelemetryServer is a running telemetry endpoint. Create with
 // Registry.ServeTelemetry; stop with Close.
@@ -54,23 +49,7 @@ func (r *Registry) ServeTelemetry(addr string) (*TelemetryServer, error) {
 			http.NotFound(w, req)
 			return
 		}
-		fmt.Fprint(w, "tputlab telemetry\n\n/metrics\n/spans\n/series\n/trace\n/dump\n/debug/pprof/\n")
-	})
-	mux.HandleFunc("/metrics", func(w http.ResponseWriter, req *http.Request) {
-		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		writePrometheus(w, r.Snapshot())
-	})
-	mux.HandleFunc("/spans", func(w http.ResponseWriter, req *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		_ = enc.Encode(r.Snapshot().Spans)
-	})
-	mux.HandleFunc("/series", func(w http.ResponseWriter, req *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		_ = enc.Encode(r.TimeSeries().DumpSeries())
+		fmt.Fprint(w, "tputlab telemetry\n\n/dump\n/trace\n/debug/pprof/\n")
 	})
 	mux.HandleFunc("/trace", func(w http.ResponseWriter, req *http.Request) {
 		w.Header().Set("Content-Type", "application/json")
@@ -108,74 +87,4 @@ func (t *TelemetryServer) Close() error {
 		return nil
 	}
 	return t.srv.Close()
-}
-
-// promName sanitizes a dotted metric name into the Prometheus
-// charset: dots and any other illegal rune become underscores.
-func promName(name string) string {
-	var sb strings.Builder
-	sb.Grow(len(name))
-	for i, r := range name {
-		ok := r == '_' || r == ':' ||
-			(r >= 'a' && r <= 'z') || (r >= 'A' && r <= 'Z') ||
-			(r >= '0' && r <= '9' && i > 0)
-		if !ok {
-			r = '_'
-		}
-		sb.WriteRune(r)
-	}
-	return sb.String()
-}
-
-// writePrometheus renders a dump in the Prometheus text exposition
-// format, names sorted, histogram buckets cumulative per the format.
-func writePrometheus(w http.ResponseWriter, d *Dump) {
-	for _, name := range sortedKeys(d.Counters) {
-		pn := promName(name)
-		fmt.Fprintf(w, "# TYPE %s counter\n%s %d\n", pn, pn, d.Counters[name])
-	}
-	for _, name := range sortedKeys(d.Gauges) {
-		pn := promName(name)
-		fmt.Fprintf(w, "# TYPE %s gauge\n%s %d\n", pn, pn, d.Gauges[name])
-	}
-	for _, name := range sortedKeys(d.Histograms) {
-		h := d.Histograms[name]
-		pn := promName(name)
-		fmt.Fprintf(w, "# TYPE %s histogram\n", pn)
-		var cum uint64
-		for _, b := range h.Buckets {
-			cum += b.Count
-			le := "+Inf"
-			if !math.IsInf(b.Upper, 1) {
-				le = fmt.Sprintf("%g", b.Upper)
-			}
-			fmt.Fprintf(w, "%s_bucket{le=%q} %d\n", pn, le, cum)
-		}
-		fmt.Fprintf(w, "%s_sum %g\n%s_count %d\n", pn, h.Sum, pn, h.Count)
-	}
-	// Span roots as info gauges: phase wall time is live telemetry too.
-	var walk func(prefix string, s SpanDump)
-	names := map[string]float64{}
-	var order []string
-	walk = func(prefix string, s SpanDump) {
-		full := s.Name
-		if prefix != "" {
-			full = prefix + "." + s.Name
-		}
-		key := promName("span_ms_" + full)
-		if _, seen := names[key]; !seen {
-			order = append(order, key)
-		}
-		names[key] += s.Millis
-		for _, c := range s.Children {
-			walk(full, c)
-		}
-	}
-	for _, s := range d.Spans {
-		walk("", s)
-	}
-	sort.Strings(order)
-	for _, key := range order {
-		fmt.Fprintf(w, "# TYPE %s gauge\n%s %g\n", key, key, names[key])
-	}
 }

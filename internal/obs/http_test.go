@@ -27,7 +27,8 @@ func get(t *testing.T, addr, path string) string {
 }
 
 // TestTelemetryServerEndpoints spins the endpoint on a loopback port
-// and smoke-tests every route the CI job curls.
+// and smoke-tests every route, and pins that the retired re-encodings
+// of /dump (/metrics, /spans, /series) are gone.
 func TestTelemetryServerEndpoints(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("collect.tests").Add(42)
@@ -35,7 +36,7 @@ func TestTelemetryServerEndpoints(t *testing.T) {
 	r.Histogram("resolver.hops", Bounds(4, 8)).Observe(6)
 	sp := r.Span("collect")
 	sp.End()
-	s := r.EnableTimeSeries(60, 0, nil)
+	s := r.EnableTimeSeries(nil)
 	s.Advance(60)
 
 	srv, err := r.ServeTelemetry("127.0.0.1:0")
@@ -45,42 +46,21 @@ func TestTelemetryServerEndpoints(t *testing.T) {
 	defer srv.Close()
 	addr := srv.Addr()
 
-	metrics := get(t, addr, "/metrics")
-	for _, want := range []string{
-		"# TYPE collect_tests counter", "collect_tests 42",
-		"# TYPE collect_stream_chunks gauge", "collect_stream_chunks 8",
-		"# TYPE resolver_hops histogram",
-		`resolver_hops_bucket{le="8"} 1`, `resolver_hops_bucket{le="+Inf"} 1`,
-		"resolver_hops_sum 6", "resolver_hops_count 1",
-		"span_ms_collect",
-	} {
-		if !strings.Contains(metrics, want) {
-			t.Errorf("/metrics missing %q:\n%s", want, metrics)
-		}
-	}
-
-	var spans []SpanDump
-	if err := json.Unmarshal([]byte(get(t, addr, "/spans")), &spans); err != nil {
-		t.Fatalf("/spans not valid JSON: %v", err)
-	}
-	if len(spans) != 1 || spans[0].Name != "collect" {
-		t.Errorf("/spans = %+v", spans)
-	}
-
-	var series map[string]SeriesDump
-	if err := json.Unmarshal([]byte(get(t, addr, "/series")), &series); err != nil {
-		t.Fatalf("/series not valid JSON: %v", err)
-	}
-	if d := series["collect.tests"]; len(d.Points) != 1 || d.Points[0].Value != 42 {
-		t.Errorf("/series collect.tests = %+v", d)
-	}
-
 	var dump Dump
 	if err := json.Unmarshal([]byte(get(t, addr, "/dump")), &dump); err != nil {
 		t.Fatalf("/dump not valid JSON: %v", err)
 	}
-	if dump.Counters["collect.tests"] != 42 {
-		t.Errorf("/dump counters = %+v", dump.Counters)
+	if dump.Counters["collect.tests"] != 42 || dump.Gauges["collect.stream.chunks"] != 8 {
+		t.Errorf("/dump counters = %+v, gauges = %+v", dump.Counters, dump.Gauges)
+	}
+	if h := dump.Histograms["resolver.hops"]; h.Count != 1 || h.Sum != 6 {
+		t.Errorf("/dump histogram = %+v", h)
+	}
+	if len(dump.Spans) != 1 || dump.Spans[0].Name != "collect" {
+		t.Errorf("/dump spans = %+v", dump.Spans)
+	}
+	if d := dump.Series["collect.tests"]; len(d.Points) != 1 || d.Points[0].Value != 42 {
+		t.Errorf("/dump series collect.tests = %+v", d)
 	}
 
 	var trace struct {
@@ -96,8 +76,18 @@ func TestTelemetryServerEndpoints(t *testing.T) {
 	if idx := get(t, addr, "/debug/pprof/"); !strings.Contains(idx, "goroutine") {
 		t.Errorf("/debug/pprof/ index missing profiles:\n%.300s", idx)
 	}
-	if root := get(t, addr, "/"); !strings.Contains(root, "/metrics") {
-		t.Errorf("index page missing route list:\n%s", root)
+	if root := get(t, addr, "/"); !strings.Contains(root, "/dump") || strings.Contains(root, "/metrics") {
+		t.Errorf("index page route list wrong:\n%s", root)
+	}
+	for _, path := range []string{"/metrics", "/spans", "/series"} {
+		resp, err := http.Get("http://" + addr + path)
+		if err != nil {
+			t.Fatalf("GET %s: %v", path, err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusNotFound {
+			t.Errorf("GET %s: status %d, want 404", path, resp.StatusCode)
+		}
 	}
 }
 
@@ -111,18 +101,5 @@ func TestTelemetryServerNilRegistry(t *testing.T) {
 	var srv *TelemetryServer
 	if srv.Addr() != "" || srv.Close() != nil {
 		t.Error("nil server handle not inert")
-	}
-}
-
-// TestPromNameSanitizes pins the Prometheus name mapping.
-func TestPromNameSanitizes(t *testing.T) {
-	for in, want := range map[string]string{
-		"collect.shard.00.tests": "collect_shard_00_tests",
-		"faults.test-abort.hit":  "faults_test_abort_hit",
-		"0leading":               "_leading",
-	} {
-		if got := promName(in); got != want {
-			t.Errorf("promName(%q) = %q, want %q", in, got, want)
-		}
 	}
 }

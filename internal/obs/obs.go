@@ -1,7 +1,9 @@
 // Package obs is the pipeline's observability layer: a dependency-free
 // registry of named counters, gauges, and fixed-bucket histograms, plus
-// a phase-span tracer (span.go) and two sinks — a human-readable
-// summary and a JSON dump (sink.go).
+// a phase-span tracer (span.go), one JSON snapshot of all of it
+// (sink.go), a simulated-clock sampler (timeseries.go), a progress
+// event bus (events.go), a Chrome trace export (traceexport.go) and a
+// live HTTP endpoint over the snapshot and trace (http.go).
 //
 // Design constraints, in order:
 //
@@ -21,9 +23,10 @@
 //     and registration is mutex-guarded so two goroutines asking for the
 //     same name share one metric.
 //
-// Typical use: the CLI creates one Registry per run (-metrics), threads
-// it through topogen.Config, platform.CollectConfig, mapit.Opts, and
-// experiments.Options, and renders it once at exit. Layers that keep
+// Typical use: the CLI creates one Registry per run when any telemetry
+// flag is set, threads it through topogen.Config,
+// platform.CollectConfig, mapit.Opts, and experiments.Options, and
+// renders it once at exit. Layers that keep
 // their own always-on counters (routing.Resolver) bind to a private
 // registry by default and rebind via their Observe method when a shared
 // one is supplied.

@@ -82,9 +82,6 @@ func TestNilRegistryNoOps(t *testing.T) {
 	if sp.Name() != "" || sp.Duration() != 0 {
 		t.Error("nil span not inert")
 	}
-	if s := r.Summary(); s != "" {
-		t.Errorf("nil registry summary = %q, want empty", s)
-	}
 	d := r.Snapshot()
 	if d == nil || len(d.Counters) != 0 || len(d.Spans) != 0 {
 		t.Error("nil registry snapshot not empty")
@@ -203,27 +200,6 @@ func TestWriteJSONRoundTrip(t *testing.T) {
 	}
 	if len(d.Spans) != 1 || d.Spans[0].Name != "generate" {
 		t.Errorf("spans dump wrong: %+v", d.Spans)
-	}
-}
-
-func TestSummaryRendersEverything(t *testing.T) {
-	r := NewRegistry()
-	r.Counter("mapit.links.classified").Add(42)
-	r.Gauge("topogen.routers").Set(1472)
-	r.Histogram("resolver.inter.candidates", Bounds(1, 2)).Observe(2)
-	sp := r.Span("collect")
-	sp.Child("collect.execute").End()
-	sp.End()
-	s := r.Summary()
-	for _, want := range []string{
-		"phases:", "collect", "collect.execute",
-		"counters:", "mapit.links.classified", "42",
-		"gauges:", "topogen.routers", "1472",
-		"histograms:", "resolver.inter.candidates",
-	} {
-		if !strings.Contains(s, want) {
-			t.Errorf("summary missing %q:\n%s", want, s)
-		}
 	}
 }
 

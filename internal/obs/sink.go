@@ -5,13 +5,13 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"sort"
-	"strings"
 )
 
-// The two sinks. Snapshot flattens a registry into a Dump — a plain
-// data struct that marshals to the JSON/expvar-style document consumed
-// by `tputlab run -metrics-json` and the CI metrics job — and Summary renders the same information for humans on stderr.
+// The snapshot sink. Snapshot flattens a registry into a Dump — a plain
+// data struct that marshals to the one JSON document of a run's
+// metrics, served as `tputlab -metrics-json FILE`, as the telemetry
+// endpoint's /dump, and checked by the CI metrics jobs. A human reads
+// it with jq; `-metrics-json /dev/stderr` prints it after a run.
 
 // Dump is a point-in-time export of a registry.
 type Dump struct {
@@ -134,84 +134,4 @@ func (r *Registry) WriteJSON(w io.Writer) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(r.Snapshot())
-}
-
-// Summary renders the phase tree and all metrics as human-readable
-// text, names sorted, suitable for stderr. On a nil registry it returns
-// "".
-func (r *Registry) Summary() string {
-	if r == nil {
-		return ""
-	}
-	d := r.Snapshot()
-	var sb strings.Builder
-	if len(d.Spans) > 0 {
-		sb.WriteString("phases:\n")
-		for _, s := range d.Spans {
-			writeSpanTree(&sb, s, 1)
-		}
-	}
-	writeSection(&sb, "counters", d.Counters, func(v uint64) string {
-		return fmt.Sprintf("%d", v)
-	})
-	writeSection(&sb, "gauges", d.Gauges, func(v int64) string {
-		return fmt.Sprintf("%d", v)
-	})
-	if len(d.Histograms) > 0 {
-		sb.WriteString("histograms:\n")
-		for _, name := range sortedKeys(d.Histograms) {
-			h := d.Histograms[name]
-			mean := 0.0
-			if h.Count > 0 {
-				mean = h.Sum / float64(h.Count)
-			}
-			fmt.Fprintf(&sb, "  %-44s count=%d mean=%.2f p50=%.2f p90=%.2f p99=%.2f",
-				name, h.Count, mean, h.P50, h.P90, h.P99)
-			for _, b := range h.Buckets {
-				if b.Count == 0 {
-					continue
-				}
-				upper := "+Inf"
-				if !math.IsInf(b.Upper, 1) {
-					upper = fmt.Sprintf("%g", b.Upper)
-				}
-				fmt.Fprintf(&sb, " ≤%s:%d", upper, b.Count)
-			}
-			sb.WriteByte('\n')
-		}
-	}
-	if len(d.Series) > 0 {
-		fmt.Fprintf(&sb, "series: %d metrics sampled on the simulated clock\n", len(d.Series))
-	}
-	if d.Events != nil {
-		fmt.Fprintf(&sb, "events: published=%d dropped=%d\n", d.Events.Published, d.Events.Dropped)
-	}
-	return sb.String()
-}
-
-func writeSpanTree(sb *strings.Builder, s SpanDump, depth int) {
-	fmt.Fprintf(sb, "%s%-*s %9.1f ms\n",
-		strings.Repeat("  ", depth), 46-2*depth, s.Name, s.Millis)
-	for _, c := range s.Children {
-		writeSpanTree(sb, c, depth+1)
-	}
-}
-
-func writeSection[V any](sb *strings.Builder, title string, m map[string]V, format func(V) string) {
-	if len(m) == 0 {
-		return
-	}
-	sb.WriteString(title + ":\n")
-	for _, name := range sortedKeys(m) {
-		fmt.Fprintf(sb, "  %-44s %s\n", name, format(m[name]))
-	}
-}
-
-func sortedKeys[V any](m map[string]V) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
 }

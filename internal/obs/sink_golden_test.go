@@ -29,7 +29,7 @@ func TestSnapshotGoldenSchema(t *testing.T) {
 	sp := r.Span("collect")
 	sp.Child("collect.execute").End()
 	sp.End()
-	r.EnableTimeSeries(60, 0, func(name string) bool { return name == "collect.tests" }).Advance(60)
+	r.EnableTimeSeries(func(name string) bool { return name == "collect.tests" }).Advance(60)
 	bus := r.EnableEvents(8)
 	bus.Publish("collect.chunk", "", 60, 0)
 	bus.Close()

@@ -23,7 +23,7 @@ import (
 //     stack.
 //
 // All tree mutation is guarded by the registry's span mutex; reading
-// the tree (Snapshot, Summary) is meant for after the traced work has
+// the tree (Snapshot, WriteTrace) is meant for after the traced work has
 // completed. The nil *Span is a no-op, so disabled tracing costs one
 // branch.
 

@@ -5,6 +5,12 @@ import (
 	"testing"
 )
 
+// points returns the named series' samples from the sampler's dump
+// (nil when the metric was never sampled).
+func points(s *Sampler, name string) []Point {
+	return s.DumpSeries()[name].Points
+}
+
 // TestSamplerAdvanceStampsStepGrid asserts the core cadence contract:
 // Advance stamps one sample at every step boundary crossed since the
 // previous call, on a fixed simulated-time grid, no matter how the
@@ -12,15 +18,15 @@ import (
 func TestSamplerAdvanceStampsStepGrid(t *testing.T) {
 	r := NewRegistry()
 	c := r.Counter("collect.tests")
-	s := r.EnableTimeSeries(60, 0, nil)
+	s := r.EnableTimeSeries(nil)
 	if got := r.TimeSeries(); got != s {
 		t.Fatal("TimeSeries did not return the attached sampler")
 	}
 
 	c.Add(10)
 	s.Advance(59) // before the first boundary: nothing stamped
-	if sr := s.Series("collect.tests"); sr != nil {
-		t.Fatalf("sample before first boundary: %+v", sr.Points())
+	if pts := points(s, "collect.tests"); pts != nil {
+		t.Fatalf("sample before first boundary: %+v", pts)
 	}
 	c.Add(5)
 	s.Advance(60) // exactly on the boundary
@@ -30,7 +36,7 @@ func TestSamplerAdvanceStampsStepGrid(t *testing.T) {
 	c.Add(1)
 	s.Finalize(350) // between boundaries: one closing stamp
 
-	pts := s.Series("collect.tests").Points()
+	pts := points(s, "collect.tests")
 	wantMinutes := []int{60, 120, 180, 240, 300, 350}
 	if len(pts) != len(wantMinutes) {
 		t.Fatalf("points = %+v, want minutes %v", pts, wantMinutes)
@@ -53,63 +59,25 @@ func TestSamplerAdvanceStampsStepGrid(t *testing.T) {
 	// pin) and a stale Finalize are ignored.
 	s.Advance(100)
 	s.Finalize(200)
-	if got := len(s.Series("collect.tests").Points()); got != len(wantMinutes) {
+	if got := len(points(s, "collect.tests")); got != len(wantMinutes) {
 		t.Errorf("regressing watermark added samples: %d points", got)
 	}
-}
+	// A dump taken earlier is not changed by later samples.
+	c.Add(1)
+	s.Advance(420)
+	if len(pts) != len(wantMinutes) || pts[len(pts)-1].Value != 116 {
+		t.Errorf("earlier dump changed by a later Advance: %+v", pts)
+	}
 
-// TestSamplerDeltasAndWindow asserts the windowed Fig-5-style views:
-// Deltas turns a cumulative series into per-step increments and Window
-// slices by simulated time.
-func TestSamplerDeltasAndWindow(t *testing.T) {
-	r := NewRegistry()
-	c := r.Counter("collect.tests")
-	s := r.EnableTimeSeries(60, 0, nil)
-	for i := 1; i <= 4; i++ {
-		c.Add(uint64(10 * i)) // 10, 30, 60, 100 cumulative
-		s.Advance(60 * i)
-	}
-	sr := s.Series("collect.tests")
-	deltas := sr.Deltas()
-	want := []float64{20, 30, 40}
-	if len(deltas) != len(want) {
-		t.Fatalf("deltas = %+v, want %v", deltas, want)
-	}
-	for i, v := range want {
-		if deltas[i].Value != v || deltas[i].Minute != 60*(i+2) {
-			t.Errorf("delta %d = %+v, want {%d %g}", i, deltas[i], 60*(i+2), v)
-		}
-	}
-	win := sr.Window(120, 240)
-	if len(win) != 2 || win[0].Minute != 120 || win[1].Minute != 180 {
-		t.Errorf("window [120,240) = %+v, want minutes 120,180", win)
-	}
-}
-
-// TestSamplerRingEviction asserts the bounded-memory contract: a series
-// past its capacity drops its oldest points and counts them as evicted.
-func TestSamplerRingEviction(t *testing.T) {
-	r := NewRegistry()
-	g := r.Gauge("collect.stream.chunks")
-	s := r.EnableTimeSeries(60, 4, nil)
-	for i := 1; i <= 10; i++ {
-		g.Set(int64(i))
-		s.Advance(60 * i)
-	}
-	sr := s.Series("collect.stream.chunks")
-	pts := sr.Points()
-	if len(pts) != 4 {
-		t.Fatalf("retained = %d points, want 4", len(pts))
-	}
-	if pts[0].Minute != 420 || pts[3].Minute != 600 {
-		t.Errorf("retained window = [%d, %d], want [420, 600]", pts[0].Minute, pts[3].Minute)
-	}
-	if sr.Evicted() != 6 {
-		t.Errorf("evicted = %d, want 6", sr.Evicted())
-	}
-	dump := s.DumpSeries()["collect.stream.chunks"]
-	if dump.Evicted != 6 || dump.Kind != "gauge" || dump.StepMinutes != 60 || len(dump.Points) != 4 {
-		t.Errorf("series dump = %+v", dump)
+	// Series are append-only: a whole 28-day campaign crossed in one
+	// watermark keeps every hourly point, the first included.
+	long := NewRegistry()
+	long.Counter("collect.tests").Inc()
+	ls := long.EnableTimeSeries(nil)
+	ls.Advance(28 * 1440)
+	if pts := points(ls, "collect.tests"); len(pts) != 28*24 || pts[0].Minute != 60 {
+		t.Errorf("28-day campaign kept %d points from minute %d, want %d from 60",
+			len(pts), pts[0].Minute, 28*24)
 	}
 }
 
@@ -121,7 +89,7 @@ func TestSamplerFilterAndKinds(t *testing.T) {
 	r.Counter("collect.tests").Add(7)
 	r.Gauge("collect.shard.00.tests").Set(3)
 	r.Histogram("resolver.hops", Bounds(4, 8)).Observe(6)
-	s := r.EnableTimeSeries(60, 0, func(name string) bool {
+	s := r.EnableTimeSeries(func(name string) bool {
 		return !strings.HasPrefix(name, "collect.shard.")
 	})
 	s.Advance(60)
@@ -141,13 +109,15 @@ func TestSamplerFilterAndKinds(t *testing.T) {
 // with the event bus.
 func TestSamplerFirstEnableWins(t *testing.T) {
 	r := NewRegistry()
-	a := r.EnableTimeSeries(60, 0, nil)
-	b := r.EnableTimeSeries(30, 0, nil)
+	r.Counter("collect.tests").Inc()
+	a := r.EnableTimeSeries(nil)
+	b := r.EnableTimeSeries(func(string) bool { return false })
 	if a != b {
 		t.Error("second EnableTimeSeries returned a different sampler")
 	}
-	if b.StepMinutes() != 60 {
-		t.Errorf("second enable changed the step to %d", b.StepMinutes())
+	b.Advance(60)
+	if points(b, "collect.tests") == nil {
+		t.Error("second enable replaced the filter")
 	}
 }
 
@@ -155,13 +125,13 @@ func TestSamplerFirstEnableWins(t *testing.T) {
 // yields a nil sampler and every method on it is a safe no-op.
 func TestSamplerNilDisabled(t *testing.T) {
 	var r *Registry
-	if s := r.EnableTimeSeries(60, 0, nil); s != nil {
+	if s := r.EnableTimeSeries(nil); s != nil {
 		t.Fatal("nil registry returned a sampler")
 	}
 	s := r.TimeSeries()
 	s.Advance(120)
 	s.Finalize(500)
-	if s.Series("x") != nil || s.DumpSeries() != nil || s.StepMinutes() != 0 {
+	if s.DumpSeries() != nil {
 		t.Error("nil sampler not inert")
 	}
 	if n := testing.AllocsPerRun(100, func() { s.Advance(60) }); n != 0 {
@@ -208,7 +178,7 @@ func TestHistogramQuantile(t *testing.T) {
 }
 
 // TestSnapshotPercentiles asserts the dump carries the p50/p90/p99
-// estimates and the Summary prints them.
+// estimates.
 func TestSnapshotPercentiles(t *testing.T) {
 	r := NewRegistry()
 	h := r.Histogram("lat", Bounds(10, 100))
@@ -219,11 +189,5 @@ func TestSnapshotPercentiles(t *testing.T) {
 	hd := d.Histograms["lat"]
 	if hd.P50 != 5 || hd.P90 != 9 || hd.P99 != 9.9 {
 		t.Errorf("percentiles = p50=%g p90=%g p99=%g, want 5/9/9.9", hd.P50, hd.P90, hd.P99)
-	}
-	sum := r.Summary()
-	for _, want := range []string{"p50=", "p90=", "p99="} {
-		if !strings.Contains(sum, want) {
-			t.Errorf("summary missing %q:\n%s", want, sum)
-		}
 	}
 }

@@ -91,7 +91,7 @@ func TestCorpusGoldenSeedHashWithObs(t *testing.T) {
 func TestCorpusGoldenSeedHashFullTelemetry(t *testing.T) {
 	for _, workers := range []int{1, 2, 8} {
 		reg := obs.NewRegistry()
-		sampler := reg.EnableTimeSeries(60, 0, nil)
+		sampler := reg.EnableTimeSeries(nil)
 		bus := reg.EnableEvents(4096)
 		cfg := smallCollect()
 		cfg.Obs = reg
@@ -105,11 +105,11 @@ func TestCorpusGoldenSeedHashFullTelemetry(t *testing.T) {
 		}
 		bus.Close()
 
-		sr := sampler.Series("collect.tests")
-		if sr == nil {
+		sr, ok := sampler.DumpSeries()["collect.tests"]
+		if !ok {
 			t.Fatal("sampler has no collect.tests series")
 		}
-		pts := sr.Points()
+		pts := sr.Points
 		if len(pts) < 2 {
 			t.Fatalf("series has %d points, want >= 2 (one per simulated hour)", len(pts))
 		}

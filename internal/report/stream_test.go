@@ -124,7 +124,7 @@ func TestStreamReportTelemetryByteIdentical(t *testing.T) {
 	cfg.ChunkTests = 1024
 	for _, workers := range []int{1, 4} {
 		reg := obs.NewRegistry()
-		reg.EnableTimeSeries(60, 0, nil)
+		reg.EnableTimeSeries(nil)
 		bus := reg.EnableEvents(4096)
 		var delivered int
 		bus.AddSink(func(obs.Event) { delivered++ })
