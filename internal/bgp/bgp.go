@@ -19,6 +19,7 @@ import (
 	"sync/atomic"
 
 	"throughputlab/internal/obs"
+	"throughputlab/internal/stream"
 	"throughputlab/internal/topology"
 )
 
@@ -57,9 +58,9 @@ const maxDist = 64
 // the best next hop from every source AS. Two storage modes share the
 // same tree computation:
 //
-//   - eager (Compute/ComputeWorkers): every destination tree is
-//     materialized up front into flat n×n tables. O(n²) memory — the
-//     right trade below ~10k ASes, where the whole table is touched.
+//   - eager (Compute): every destination tree is materialized up
+//     front into flat n×n tables. O(n²) memory — the right trade
+//     below ~10k ASes, where the whole table is touched.
 //   - lazy (ComputeLazy): only the adjacency is built up front; a
 //     destination's tree is computed on first use and published via an
 //     atomic pointer. NDT campaigns resolve paths toward a few dozen
@@ -128,16 +129,14 @@ func newRoutes(t *topology.Topology) *Routes {
 	return r
 }
 
-// Compute builds routing trees for every AS in the topology.
-func Compute(t *topology.Topology) *Routes { return ComputeWorkers(t, 1, nil) }
-
-// ComputeWorkers is Compute with the per-destination tree computation
-// fanned out over a worker pool. Every destination's tree is a pure
-// function of the (read-only) adjacency, and each worker writes only
-// its destination's rows, so the result is byte-identical for every
-// worker count and scheduling. sp, when non-nil, receives one child
-// span per worker goroutine.
-func ComputeWorkers(t *topology.Topology, workers int, sp *obs.Span) *Routes {
+// Compute builds routing trees for every AS in the topology, with the
+// per-destination tree computation fanned out over workers (one or
+// fewer runs inline). Every destination's tree is a pure function of
+// the (read-only) adjacency, and each call writes only its
+// destinations' rows, so the result is byte-identical for every worker
+// count and scheduling. sp, when non-nil, receives one child span per
+// worker goroutine.
+func Compute(t *topology.Topology, workers int, sp *obs.Span) *Routes {
 	r := newRoutes(t)
 	n := len(r.asns)
 	r.nextHop = make([][]int32, n)
@@ -154,41 +153,16 @@ func ComputeWorkers(t *topology.Topology, workers int, sp *obs.Span) *Routes {
 		r.dist[d] = distAll[d*n : (d+1)*n : (d+1)*n]
 		r.class[d] = classAll[d*n : (d+1)*n : (d+1)*n]
 	}
-	if workers < 1 {
-		workers = 1
-	}
-	if workers == 1 {
-		var sc treeScratch
-		for d := 0; d < n; d++ {
-			r.computeTree(d, &sc, r.nextHop[d], r.dist[d], r.class[d])
-		}
-		return r
-	}
-	// Workers claim destinations in fixed-size batches off a shared
-	// cursor; writes are disjoint per destination, so the merge "order"
-	// is the array layout itself.
+	// Workers claim destinations in fixed-size batches; writes are
+	// disjoint per destination, so the merge "order" is the array
+	// layout itself.
 	const batch = 16
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			ws := sp.Child(fmt.Sprintf("bgp.worker.%02d", w))
-			defer ws.End()
-			var sc treeScratch
-			for {
-				lo := int(next.Add(batch)) - batch
-				if lo >= n {
-					return
-				}
-				for d := lo; d < lo+batch && d < n; d++ {
-					r.computeTree(d, &sc, r.nextHop[d], r.dist[d], r.class[d])
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
+	scratch := make([]treeScratch, max(workers, 1))
+	stream.For((n+batch-1)/batch, workers, sp, func(w, b int) {
+		for d := b * batch; d < min((b+1)*batch, n); d++ {
+			r.computeTree(d, &scratch[w], r.nextHop[d], r.dist[d], r.class[d])
+		}
+	})
 	return r
 }
 

@@ -53,7 +53,7 @@ func refTopo() *topology.Topology {
 }
 
 func TestNextHopAndPathBasics(t *testing.T) {
-	r := Compute(refTopo())
+	r := Compute(refTopo(), 1, nil)
 
 	// Stub to its own provider: direct.
 	if p := r.Path(1001, 101); len(p) != 2 {
@@ -79,7 +79,7 @@ func TestNextHopAndPathBasics(t *testing.T) {
 }
 
 func TestRouteClassPreference(t *testing.T) {
-	r := Compute(refTopo())
+	r := Compute(refTopo(), 1, nil)
 	// 101's route to 1003: peer class via 102 even though a provider
 	// route through T1 exists.
 	if c := r.Class(101, 1003); c != ClassPeer {
@@ -104,7 +104,7 @@ func TestNoValleyThroughPeerStub(t *testing.T) {
 	// anything; and 103's only path to 1003 goes up through T2, across
 	// the T1-T2 peer link, then down — never via the M1-M2 peer edge
 	// (that would be peer->peer).
-	r := Compute(refTopo())
+	r := Compute(refTopo(), 1, nil)
 	p := r.Path(103, 1003)
 	// Expected: 103 -> 20 -> 10 -> 102 -> 1003.
 	if len(p) != 5 || p[1] != 20 || p[2] != 10 || p[3] != 102 {
@@ -115,7 +115,7 @@ func TestNoValleyThroughPeerStub(t *testing.T) {
 func TestUnreachable(t *testing.T) {
 	asns := []topology.ASN{1, 2, 3}
 	edges := []edge{{1, 2, topology.RelCustomer}} // 3 is isolated
-	r := Compute(buildTopo(asns, edges))
+	r := Compute(buildTopo(asns, edges), 1, nil)
 	if r.HasRoute(1, 3) || r.HasRoute(3, 1) {
 		t.Error("isolated AS should be unreachable")
 	}
@@ -137,7 +137,7 @@ func TestPeerRoutesNotExportedToPeers(t *testing.T) {
 		{1, 2, topology.RelPeer},
 		{2, 3, topology.RelPeer},
 	}
-	r := Compute(buildTopo(asns, edges))
+	r := Compute(buildTopo(asns, edges), 1, nil)
 	if r.HasRoute(1, 3) {
 		t.Error("peer routes must not be exported to peers (valley)")
 	}
@@ -156,7 +156,7 @@ func TestSiblingPropagation(t *testing.T) {
 		{12, 200, topology.RelPeer},
 	}
 	tp := buildTopo(asns, edges)
-	r := Compute(tp)
+	r := Compute(tp, 1, nil)
 	p := r.Path(200, 100)
 	want := []topology.ASN{200, 12, 11, 100}
 	if len(p) != 4 || p[1] != want[1] || p[2] != want[2] {
@@ -183,7 +183,7 @@ func TestMultihomedStubPrefersShorterCustomerlessPath(t *testing.T) {
 		{101, 1001, topology.RelCustomer},
 		{10, 1001, topology.RelCustomer},
 	}
-	r := Compute(buildTopo(asns, edges))
+	r := Compute(buildTopo(asns, edges), 1, nil)
 	p := r.Path(102, 1001)
 	if len(p) != 3 || p[1] != 10 {
 		t.Errorf("path 102->1001 = %v, want direct via T1", p)
@@ -201,8 +201,8 @@ func TestDeterministicTieBreak(t *testing.T) {
 		{20, 1001, topology.RelCustomer},
 	}
 	tp := buildTopo(asns, edges)
-	r1 := Compute(tp)
-	r2 := Compute(tp)
+	r1 := Compute(tp, 1, nil)
+	r2 := Compute(tp, 1, nil)
 	nh1, _ := r1.NextHop(10, 1001)
 	nh2, _ := r2.NextHop(10, 1001)
 	if nh1 != nh2 {
@@ -299,7 +299,7 @@ func TestValleyFreePropertyOnRandomTopologies(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for trial := 0; trial < 15; trial++ {
 		tp := randomHierarchy(rng)
-		r := Compute(tp)
+		r := Compute(tp, 1, nil)
 		asns := tp.ASNs()
 		checked := 0
 		for _, src := range asns {
@@ -331,7 +331,7 @@ func TestValleyFreePropertyOnRandomTopologies(t *testing.T) {
 func TestPathEndpointsAndAdjacency(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
 	tp := randomHierarchy(rng)
-	r := Compute(tp)
+	r := Compute(tp, 1, nil)
 	asns := tp.ASNs()
 	for _, src := range asns[:10] {
 		for _, dst := range asns[len(asns)-10:] {
@@ -364,6 +364,6 @@ func BenchmarkComputeMediumTopology(b *testing.B) {
 	tp := randomHierarchy(rng)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		Compute(tp)
+		Compute(tp, 1, nil)
 	}
 }

@@ -13,7 +13,7 @@ func TestLazyMatchesEager(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 10; trial++ {
 		tp := randomHierarchy(rng)
-		eager := Compute(tp)
+		eager := Compute(tp, 1, nil)
 		lazy := ComputeLazy(tp)
 		if !lazy.Lazy() || eager.Lazy() {
 			t.Fatal("mode flags wrong")
@@ -59,7 +59,7 @@ func TestLazyMatchesEager(t *testing.T) {
 func TestLazyConcurrentFirstUse(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	tp := randomHierarchy(rng)
-	eager := Compute(tp)
+	eager := Compute(tp, 1, nil)
 	lazy := ComputeLazy(tp)
 	asns := tp.ASNs()
 	var wg sync.WaitGroup

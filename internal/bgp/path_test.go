@@ -38,7 +38,7 @@ func TestPathMatchesReferenceWalk(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	for trial := 0; trial < 8; trial++ {
 		tp := randomHierarchy(rng)
-		r := Compute(tp)
+		r := Compute(tp, 1, nil)
 		asns := tp.ASNs()
 		for _, src := range asns {
 			for _, dst := range asns {
@@ -75,7 +75,7 @@ func TestPathMatchesReferenceWalk(t *testing.T) {
 func BenchmarkPath(b *testing.B) {
 	rng := rand.New(rand.NewSource(5))
 	tp := randomHierarchy(rng)
-	r := Compute(tp)
+	r := Compute(tp, 1, nil)
 	asns := tp.ASNs()
 	src, dst := asns[0], asns[len(asns)-1]
 	if r.Path(src, dst) == nil {
@@ -98,7 +98,7 @@ func BenchmarkPath(b *testing.B) {
 func TestPathSingleAlloc(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	tp := randomHierarchy(rng)
-	r := Compute(tp)
+	r := Compute(tp, 1, nil)
 	asns := tp.ASNs()
 	src, dst := asns[0], asns[len(asns)-1]
 	allocs := testing.AllocsPerRun(100, func() {

@@ -13,12 +13,10 @@
 package dnsnames
 
 import (
-	"fmt"
 	"strings"
-	"sync"
-	"sync/atomic"
 
 	"throughputlab/internal/obs"
+	"throughputlab/internal/stream"
 	"throughputlab/internal/topology"
 )
 
@@ -74,15 +72,15 @@ func sanitize(s string) string {
 	return b.String()
 }
 
-// AssignWorkers writes DNSName on every interface of the topology,
-// sharded per-AS over a worker pool. noPTRFrac of interfaces get an
-// empty name, simulating missing PTR records. Each AS gets its own RNG
-// stream derived splitmix-style from (seed, AS index) and every
-// interface belongs to exactly one AS, so writes are disjoint and the
-// result depends only on (topology, seed, noPTRFrac): it is
-// byte-identical at any worker count. sp, when non-nil, receives one
-// child span per worker.
-func AssignWorkers(t *topology.Topology, seed int64, noPTRFrac float64, workers int, sp *obs.Span) {
+// Assign writes DNSName on every interface of the topology, sharded
+// per-AS over workers (one or fewer runs inline). noPTRFrac of
+// interfaces get an empty name, simulating missing PTR records. Each
+// AS gets its own RNG stream derived splitmix-style from (seed, AS
+// index) and every interface belongs to exactly one AS, so writes are
+// disjoint and the result depends only on (topology, seed, noPTRFrac):
+// it is byte-identical at any worker count. sp, when non-nil, receives
+// one child span per worker goroutine.
+func Assign(t *topology.Topology, seed int64, noPTRFrac float64, workers int, sp *obs.Span) {
 	orgName := func(asn topology.ASN) string {
 		as := t.AS(asn)
 		if as == nil {
@@ -105,7 +103,7 @@ func AssignWorkers(t *topology.Topology, seed int64, noPTRFrac float64, workers 
 		tokens[asn] = PeerToken(name)
 	}
 
-	assignAS := func(i int) {
+	stream.For(len(asns), workers, sp, func(_, i int) {
 		as := t.AS(asns[i])
 		rng := splitmix{state: uint64(seed) + uint64(i+1)*0x9E3779B97F4A7C15}
 		domain := domains[as.ASN]
@@ -139,32 +137,7 @@ func AssignWorkers(t *topology.Topology, seed int64, noPTRFrac float64, workers 
 				}
 			}
 		}
-	}
-
-	if workers <= 1 {
-		for i := range asns {
-			assignAS(i)
-		}
-		return
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			ws := sp.Child(fmt.Sprintf("dnsnames.worker.%02d", w))
-			defer ws.End()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(asns) {
-					return
-				}
-				assignAS(i)
-			}
-		}(w)
-	}
-	wg.Wait()
+	})
 }
 
 // splitmix is a SplitMix64 generator: one uint64 of state, no

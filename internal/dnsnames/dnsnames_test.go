@@ -55,7 +55,7 @@ func buildNamedNet(t *testing.T, noPTR float64) (*topology.Topology, *topology.L
 		AddrA: p2p.Nth(1), AddrOwnerA: 3356,
 		AddrB: p2p.Nth(2), AddrOwnerB: 3356,
 	})
-	AssignWorkers(tp, 1, noPTR, 1, nil)
+	Assign(tp, 1, noPTR, 1, nil)
 	return tp, link
 }
 
@@ -111,7 +111,7 @@ func TestParallelLinksShareRouterFQDN(t *testing.T) {
 		AddrA: p2p.Nth(1), AddrOwnerA: 3356,
 		AddrB: p2p.Nth(2), AddrOwnerB: 3356,
 	})
-	AssignWorkers(tp, 2, 0, 1, nil)
+	Assign(tp, 2, 0, 1, nil)
 	if RouterFQDN(link1.A.DNSName) != RouterFQDN(link2.A.DNSName) {
 		t.Errorf("parallel links group differently: %q vs %q",
 			RouterFQDN(link1.A.DNSName), RouterFQDN(link2.A.DNSName))

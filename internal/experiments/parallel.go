@@ -6,13 +6,12 @@ import (
 	"runtime"
 	"sort"
 	"strings"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"throughputlab/internal/obs"
 	"throughputlab/internal/platform"
 	"throughputlab/internal/routing"
+	"throughputlab/internal/stream"
 )
 
 // ExperimentStat records the cost of one experiment inside a
@@ -125,7 +124,7 @@ func (s *RunStats) Summary() string {
 // and emits output in registry order, byte-identical at every worker
 // count. When an experiment fails, the output of the registry entries
 // before it is returned together with the error. Under cooperative
-// cancellation, workers finish the experiment they are on, claim
+// cancellation, workers finish the experiment they are on, run
 // nothing further, and the call returns an error wrapping the
 // context's cause.
 //
@@ -164,43 +163,30 @@ func RunParallelCtx(ctx context.Context, e *Env, workers int) (string, *RunStats
 	}
 	slots := make([]slot, len(entries))
 	allocs := make([]uint64, len(entries))
-	var next int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				if ctx.Err() != nil {
-					return // cancelled: claim nothing further
-				}
-				i := int(atomic.AddInt64(&next, 1)) - 1
-				if i >= len(entries) {
-					return
-				}
-				entry := entries[i]
-				var before, after runtime.MemStats
-				if workers == 1 {
-					runtime.ReadMemStats(&before)
-				}
-				sp := sweep.Child(entry.Name)
-				r, err := entry.Run(e)
-				sp.End()
-				slots[i].span = sp
-				if workers == 1 {
-					runtime.ReadMemStats(&after)
-					allocs[i] = after.TotalAlloc - before.TotalAlloc
-					reg.Gauge("experiments." + entry.Name + ".alloc_bytes").Set(int64(allocs[i]))
-				}
-				if err != nil {
-					slots[i].err = fmt.Errorf("experiment %s: %w", entry.Name, err)
-					continue
-				}
-				slots[i].out = renderEntry(entry, r)
-			}
-		}()
-	}
-	wg.Wait()
+	stream.For(len(entries), workers, nil, func(_, i int) {
+		if ctx.Err() != nil {
+			return // cancelled: run nothing further
+		}
+		entry := entries[i]
+		var before, after runtime.MemStats
+		if workers == 1 {
+			runtime.ReadMemStats(&before)
+		}
+		sp := sweep.Child(entry.Name)
+		r, err := entry.Run(e)
+		sp.End()
+		slots[i].span = sp
+		if workers == 1 {
+			runtime.ReadMemStats(&after)
+			allocs[i] = after.TotalAlloc - before.TotalAlloc
+			reg.Gauge("experiments." + entry.Name + ".alloc_bytes").Set(int64(allocs[i]))
+		}
+		if err != nil {
+			slots[i].err = fmt.Errorf("experiment %s: %w", entry.Name, err)
+			return
+		}
+		slots[i].out = renderEntry(entry, r)
+	})
 	sweep.End()
 
 	stats := &RunStats{

@@ -22,10 +22,10 @@ package mapit
 
 import (
 	"sort"
-	"sync"
 
 	"throughputlab/internal/netaddr"
 	"throughputlab/internal/obs"
+	"throughputlab/internal/stream"
 	"throughputlab/internal/topology"
 	"throughputlab/internal/traceroute"
 )
@@ -49,10 +49,11 @@ type Opts struct {
 	// taken at face value (links get attributed one hop late, inside
 	// the neighbor).
 	DisableFarSide bool
-	// Workers parallelizes the per-trace passes (interface-graph
-	// construction and link extraction) over goroutines; 0 or 1 runs
-	// serially. The inference is identical for every worker count. The
-	// Prefix2AS/IsIXP/SameOrg callbacks must be safe for concurrent
+	// Workers parallelizes the per-trace pass (interface-graph
+	// construction, over that many contiguous trace chunks) on
+	// goroutines; 0 or 1 runs serially, and link extraction in Finish
+	// always does. The inference is identical for every worker count.
+	// The Prefix2AS/IsIXP/SameOrg callbacks must be safe for concurrent
 	// calls when Workers > 1.
 	Workers int
 	// Obs, when non-nil, receives inference counters (links classified,
@@ -78,26 +79,6 @@ func (o *Opts) withDefaults() {
 	if o.Workers < 1 {
 		o.Workers = 1
 	}
-}
-
-// traceChunks splits the corpus into at most workers contiguous
-// chunks for the per-trace parallel passes.
-func traceChunks(n, workers int) [][2]int {
-	if workers > n {
-		workers = n
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	chunks := make([][2]int, 0, workers)
-	for c := 0; c < workers; c++ {
-		lo := c * n / workers
-		hi := (c + 1) * n / workers
-		if lo < hi {
-			chunks = append(chunks, [2]int{lo, hi})
-		}
-	}
-	return chunks
 }
 
 // Link is one inferred IP-level interdomain link, identified by the
@@ -185,60 +166,55 @@ func (b *Builder) Add(traces []*traceroute.Trace) {
 	// router interface; it contributes as a vote source for its
 	// predecessor but gets no operator of its own. Adjacent pairs are
 	// counted in the same sweep.
-	chunks := traceChunks(len(traces), b.opts.Workers)
-	partStats := make([]map[netaddr.Addr]*ifaceStats, len(chunks))
-	partDsts := make([]map[netaddr.Addr]struct{}, len(chunks))
-	partPairs := make([]map[[2]netaddr.Addr]int, len(chunks))
-	var wg sync.WaitGroup
-	for c, ch := range chunks {
-		wg.Add(1)
-		go func(c int, lo, hi int) {
-			defer wg.Done()
-			local := make(map[netaddr.Addr]*ifaceStats)
-			get := func(a netaddr.Addr) *ifaceStats {
-				s := local[a]
-				if s == nil {
-					s = &ifaceStats{prev: map[netaddr.Addr]int{}, next: map[netaddr.Addr]int{}}
-					if origin, ok := b.opts.Prefix2AS(a); ok {
-						s.origin, s.hasOrg = origin, true
-					}
-					s.isIXP = b.opts.IsIXP(a)
-					local[a] = s
+	chunks := max(min(b.opts.Workers, len(traces)), 1)
+	partStats := make([]map[netaddr.Addr]*ifaceStats, chunks)
+	partDsts := make([]map[netaddr.Addr]struct{}, chunks)
+	partPairs := make([]map[[2]netaddr.Addr]int, chunks)
+	stream.For(chunks, chunks, nil, func(_, c int) {
+		lo, hi := c*len(traces)/chunks, (c+1)*len(traces)/chunks
+		local := make(map[netaddr.Addr]*ifaceStats)
+		get := func(a netaddr.Addr) *ifaceStats {
+			s := local[a]
+			if s == nil {
+				s = &ifaceStats{prev: map[netaddr.Addr]int{}, next: map[netaddr.Addr]int{}}
+				if origin, ok := b.opts.Prefix2AS(a); ok {
+					s.origin, s.hasOrg = origin, true
 				}
-				return s
+				s.isIXP = b.opts.IsIXP(a)
+				local[a] = s
 			}
-			dsts := map[netaddr.Addr]struct{}{}
-			pairs := map[[2]netaddr.Addr]int{}
-			for _, tr := range traces[lo:hi] {
-				if tr.Degraded {
-					continue
+			return s
+		}
+		dsts := map[netaddr.Addr]struct{}{}
+		pairs := map[[2]netaddr.Addr]int{}
+		for _, tr := range traces[lo:hi] {
+			if tr.Degraded {
+				continue
+			}
+			addrs := tr.ResponsiveAddrs()
+			if tr.Reached && len(addrs) > 0 {
+				dsts[addrs[len(addrs)-1]] = struct{}{}
+			}
+			end := len(addrs)
+			if tr.Reached {
+				end-- // final hop is the destination host
+			}
+			for i, a := range addrs {
+				s := get(a)
+				if i > 0 {
+					s.prev[addrs[i-1]]++
 				}
-				addrs := tr.ResponsiveAddrs()
-				if tr.Reached && len(addrs) > 0 {
-					dsts[addrs[len(addrs)-1]] = struct{}{}
+				if i+1 < len(addrs) {
+					s.next[addrs[i+1]]++
 				}
-				end := len(addrs)
-				if tr.Reached {
-					end-- // final hop is the destination host
-				}
-				for i, a := range addrs {
-					s := get(a)
-					if i > 0 {
-						s.prev[addrs[i-1]]++
-					}
-					if i+1 < len(addrs) {
-						s.next[addrs[i+1]]++
-					}
-					if i >= 1 && i < end {
-						pairs[[2]netaddr.Addr{addrs[i-1], a}]++
-					}
+				if i >= 1 && i < end {
+					pairs[[2]netaddr.Addr{addrs[i-1], a}]++
 				}
 			}
-			partStats[c], partDsts[c], partPairs[c] = local, dsts, pairs
-		}(c, ch[0], ch[1])
-	}
-	wg.Wait()
-	for c := 0; c < len(chunks); c++ {
+		}
+		partStats[c], partDsts[c], partPairs[c] = local, dsts, pairs
+	})
+	for c := range partStats {
 		for a, s := range partStats[c] {
 			dst := b.stats[a]
 			if dst == nil {

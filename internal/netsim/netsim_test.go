@@ -170,10 +170,10 @@ func buildFlowNet(t testing.TB, interCap, interBase, interPeak float64) *flowNet
 		AddrA: addr(), AddrOwnerA: 200,
 	})
 
-	if errs := tp.Validate(); len(errs) != 0 {
+	if errs := tp.Validate(1, nil); len(errs) != 0 {
 		t.Fatalf("invalid topology: %v", errs)
 	}
-	routes := bgp.Compute(tp)
+	routes := bgp.Compute(tp, 1, nil)
 	rv := routing.New(tp, routes)
 	server := routing.Endpoint{Addr: infra.Nth(9000), ASN: 100, Metro: "atl", Router: core1.ID}
 	client := routing.Endpoint{Addr: pool.Nth(5), ASN: 200, Metro: "atl", Router: agg.ID, AccessLine: line}

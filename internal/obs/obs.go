@@ -18,10 +18,10 @@
 //     BenchmarkCounterAddDisabled and TestDisabledHandlesZeroAlloc), so
 //     instrumented hot paths cost one predictable branch when nobody is
 //     looking.
-//   - Race-safe. Handles are updated from CollectParallel's and
-//     RunParallelCtx's worker pools: all mutation goes through sync/atomic,
-//     and registration is mutex-guarded so two goroutines asking for the
-//     same name share one metric.
+//   - Race-safe. Handles are updated from the stream.For workers of
+//     CollectStreamCtx and RunParallelCtx: all mutation goes through
+//     sync/atomic, and registration is mutex-guarded so two goroutines
+//     asking for the same name share one metric.
 //
 // Typical use: the CLI creates one Registry per run when any telemetry
 // flag is set, threads it through topogen.Config,

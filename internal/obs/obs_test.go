@@ -205,9 +205,9 @@ func TestWriteJSONRoundTrip(t *testing.T) {
 
 // TestRegistryConcurrentShards hammers one registry from many
 // goroutines — counters, gauges, histograms, registration of the same
-// and distinct names, and child spans — mirroring how CollectParallel's
-// shards and RunParallelCtx's workers share the CLI registry. Run under
-// -race in CI.
+// and distinct names, and child spans — mirroring how the stream.For
+// workers of CollectStreamCtx and RunParallelCtx share the CLI
+// registry. Run under -race in CI.
 func TestRegistryConcurrentShards(t *testing.T) {
 	r := NewRegistry()
 	parent := r.Span("parallel")

@@ -17,10 +17,10 @@ import (
 //     (Generate, CollectStreamCtx, NewEnvCtx, the CLI) where phases start
 //     and end on one goroutine in stack order.
 //   - Span.Child(name) opens an explicit child of a given parent and
-//     does NOT join the sequential stack. Concurrent sections (the
-//     RunParallelCtx worker pool) use it so sibling spans from different
-//     goroutines attach to the right parent without interleaving the
-//     stack.
+//     does NOT join the sequential stack. Concurrent sections
+//     (stream.For's workers, the RunParallelCtx sweep) use it so
+//     sibling spans from different goroutines attach to the right
+//     parent without interleaving the stack.
 //
 // All tree mutation is guarded by the registry's span mutex; reading
 // the tree (Snapshot, WriteTrace) is meant for after the traced work has

@@ -13,7 +13,6 @@ import (
 	"math"
 	"math/rand"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"throughputlab/internal/datasets"
@@ -23,6 +22,7 @@ import (
 	"throughputlab/internal/obs"
 	"throughputlab/internal/routing"
 	"throughputlab/internal/stats"
+	"throughputlab/internal/stream"
 	"throughputlab/internal/topogen"
 	"throughputlab/internal/traceroute"
 )
@@ -516,7 +516,7 @@ func CollectStreamCtx(ctx context.Context, w *topogen.World, cfg CollectConfig, 
 	schedSpan := reg.Span("collect.schedule")
 	sctx := newScheduleCtx(w, cfg, households, hw, &hourW)
 	perShard := make([][]arrival, shards)
-	runIndexed(shards, workers, func(s int) {
+	stream.For(shards, workers, nil, func(_, s int) {
 		count := cfg.Tests / shards
 		if s < cfg.Tests%shards {
 			count++
@@ -765,7 +765,7 @@ func CollectStreamCtx(ctx context.Context, w *topogen.World, cfg CollectConfig, 
 		tests := make([]*ndt.Test, hi-lo)
 		traces := make([]*traceroute.Trace, hi-lo)
 		errs := make([]error, hi-lo)
-		runIndexedWorkers(hi-lo, workers, func(worker, i int) {
+		stream.For(hi-lo, workers, nil, func(worker, i int) {
 			if err := execArrival(worker, lo+i, tests, traces, i); err != nil {
 				errs[i] = err
 			}
@@ -946,41 +946,4 @@ func sortByMinute[T any](runs [][]T, minute func(T) int) []T {
 		}
 	}
 	return out
-}
-
-// runIndexed invokes fn(i) for every i in [0, n), spread over up to
-// workers goroutines. With one worker it runs inline.
-func runIndexed(n, workers int, fn func(i int)) {
-	runIndexedWorkers(n, workers, func(_, i int) { fn(i) })
-}
-
-// runIndexedWorkers is runIndexed with the executing worker's index
-// passed through, so callers can reuse per-worker scratch state (each
-// worker index runs on exactly one goroutine at a time).
-func runIndexedWorkers(n, workers int, fn func(worker, i int)) {
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			fn(0, i)
-		}
-		return
-	}
-	var next int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(worker int) {
-			defer wg.Done()
-			for {
-				i := int(atomic.AddInt64(&next, 1)) - 1
-				if i >= n {
-					return
-				}
-				fn(worker, i)
-			}
-		}(w)
-	}
-	wg.Wait()
 }

@@ -30,8 +30,8 @@ func corpusHash(c *Corpus) uint64 {
 
 // TestCollectParallelDeterminism pins the engine's determinism
 // contract: for a fixed seed (and shard count), every worker count
-// produces a byte-identical corpus, and serial Collect is the same
-// corpus as any CollectParallel.
+// produces a byte-identical corpus: CollectStreamCtx at one worker
+// (stream.For's inline path) is the same corpus as any fan-out.
 func TestCollectParallelDeterminism(t *testing.T) {
 	cfg := smallCollect()
 	serial, err := collect(world, cfg, 1)

@@ -23,8 +23,9 @@ import (
 // computation is deterministic, two workers racing on a cold key
 // compute identical values and either store wins. This keeps cached
 // resolution byte-identical to uncached resolution (asserted by
-// TestCachedResolverByteIdentical) and safe under CollectParallel's
-// worker pool (asserted under -race by TestResolverConcurrentWarmup).
+// TestCachedResolverByteIdentical) and safe under CollectStreamCtx's
+// stream.For workers (asserted under -race by
+// TestResolverConcurrentWarmup).
 
 // cacheShards bounds lock contention during warm-up; hit paths take
 // only an RLock.

@@ -126,14 +126,14 @@ func buildTestNet(t testing.TB) *testNet {
 	epNYC := clientEP("nyc")
 	epLAX := clientEP("lax")
 
-	if errs := tp.Validate(); len(errs) != 0 {
+	if errs := tp.Validate(1, nil); len(errs) != 0 {
 		for _, e := range errs {
 			t.Error(e)
 		}
 		t.Fatal("invalid test topology")
 	}
 
-	routes := bgp.Compute(tp)
+	routes := bgp.Compute(tp, 1, nil)
 	rv := New(tp, routes)
 	server := Endpoint{
 		Addr: infra100.Nth(9999), ASN: 100, Metro: "atl",

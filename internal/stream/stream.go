@@ -1,13 +1,15 @@
-// Package stream is the concurrency substrate of the streaming
-// campaign: a bounded sequence-numbered reorder buffer that turns
-// out-of-order parallel work back into a deterministic ordered stream
-// (the columnar corpus codec's encode and decode workers), and a
+// Package stream is throughputlab's concurrency substrate: an indexed
+// fan-out (For) that every worker pool runs on — world generation,
+// collection scheduling and execution, MAP-IT's trace pass and the
+// experiment sweep — a bounded sequence-numbered reorder buffer that
+// turns out-of-order parallel work back into a deterministic ordered
+// stream (the columnar corpus codec's encode and decode workers), and a
 // named-stage fan-out that runs independent consumers of the chunk
 // stream on their own goroutines behind bounded queues (the streamed
 // report passes).
 //
-// Both primitives exist so that parallelism never shows in results:
-// workers may finish in any order, but Reorder releases strictly by
+// All three exist so that parallelism never shows in results: For
+// callers write only index-owned slots, Reorder releases strictly by
 // sequence number, and every Pipeline stage observes the identical
 // ordered stream. Backpressure is structural — a producer running too
 // far ahead of the release cursor blocks in Put, and a producer ahead
@@ -21,10 +23,47 @@ import (
 	"fmt"
 	"runtime/pprof"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"throughputlab/internal/obs"
 )
+
+// For calls fn(worker, i) once for every i in [0, n) and returns once
+// every call has returned. When min(workers, n) > 1, that many
+// goroutines claim indices off a shared cursor; worker is the claiming
+// goroutine's index, below min(workers, n), and each worker index runs
+// on one goroutine at a time, so callers may keep per-worker scratch
+// indexed by it. Otherwise it runs inline on the caller's goroutine,
+// in index order, as worker 0: the serial reference path.
+//
+// Results are worker-count invariant when fn(_, i) writes only state
+// owned by index i (or by worker, for scratch) and callers merge in
+// index order. When sp is non-nil and the loop fans out, each goroutine
+// records a child span "worker.NN" under sp.
+func For(n, workers int, sp *obs.Span, fn func(worker, i int)) {
+	workers = min(workers, n)
+	if workers <= 1 {
+		for i := 0; i < n; i++ {
+			fn(0, i)
+		}
+		return
+	}
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	wg.Add(workers)
+	for w := 0; w < workers; w++ {
+		go func(w int) {
+			defer wg.Done()
+			ws := sp.Child(fmt.Sprintf("worker.%02d", w))
+			defer ws.End()
+			for i := int(next.Add(1)) - 1; i < n; i = int(next.Add(1)) - 1 {
+				fn(w, i)
+			}
+		}(w)
+	}
+	wg.Wait()
+}
 
 // Reorder is a bounded sequence-numbered reorder buffer. Producers Put
 // items tagged with their sequence number (0-based, dense); a single

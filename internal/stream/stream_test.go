@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -247,5 +248,79 @@ func TestPipelineObs(t *testing.T) {
 	}
 	if !names["match"] || !names["export"] {
 		t.Errorf("pipeline span children = %v, want match+export", names)
+	}
+}
+
+// TestFor checks the fan-out contract over a grid of sizes and worker
+// counts: every index runs exactly once, worker stays below the
+// effective worker count and is never held by two goroutines at once,
+// the inline path runs in index order, and a span gets one worker.NN
+// child per goroutine only when the loop fans out. Run under -race in
+// CI.
+func TestFor(t *testing.T) {
+	for _, n := range []int{0, 1, 7, 100} {
+		for _, workers := range []int{-1, 0, 1, 2, 8, n + 3} {
+			t.Run(fmt.Sprintf("n%d/w%d", n, workers), func(t *testing.T) {
+				effective := max(min(workers, n), 1)
+				calls := make([]atomic.Int32, n)
+				busy := make([]atomic.Bool, effective)
+				var order []int // appended to only on the inline path
+				var bad atomic.Int32
+				reg := obs.NewRegistry()
+				sp := reg.Span("for")
+				For(n, workers, sp, func(worker, i int) {
+					if worker < 0 || worker >= effective || !busy[worker].CompareAndSwap(false, true) {
+						bad.Add(1)
+						return
+					}
+					calls[i].Add(1)
+					if workers <= 1 {
+						order = append(order, i)
+					}
+					runtime.Gosched() // let another holder of worker show up
+					busy[worker].Store(false)
+				})
+				sp.End()
+				if got := bad.Load(); got != 0 {
+					t.Fatalf("%d calls had an out-of-range or concurrently held worker index", got)
+				}
+				for i := range calls {
+					if got := calls[i].Load(); got != 1 {
+						t.Errorf("index %d ran %d times, want 1", i, got)
+					}
+				}
+				if workers <= 1 {
+					for k, i := range order {
+						if i != k {
+							t.Fatalf("inline call %d got index %d: not in index order", k, i)
+						}
+					}
+				}
+				wantChildren := 0
+				if min(workers, n) > 1 {
+					wantChildren = min(workers, n)
+				}
+				children := reg.Snapshot().Spans[0].Children
+				if len(children) != wantChildren {
+					t.Fatalf("span has %d children, want %d", len(children), wantChildren)
+				}
+				seen := map[string]bool{}
+				for _, c := range children {
+					seen[c.Name] = true
+				}
+				for w := 0; w < wantChildren; w++ {
+					if name := fmt.Sprintf("worker.%02d", w); !seen[name] {
+						t.Errorf("missing child span %s in %v", name, seen)
+					}
+				}
+			})
+		}
+	}
+	// A nil span is a valid no-op on both paths.
+	var sum atomic.Int64
+	For(10, 4, nil, func(_, i int) { sum.Add(int64(i)) })
+	For(10, 1, nil, func(_, i int) { sum.Add(int64(i)) })
+	if got := sum.Load(); got != 90 {
+		t.Errorf("nil-span sum = %d, want 90", got)
 	}
 }

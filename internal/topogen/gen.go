@@ -148,11 +148,11 @@ func GenerateCtx(ctx context.Context, cfg Config) (*World, error) {
 		b.placeArkVPs()
 	})
 	phase("dnsnames", func(sp *obs.Span) {
-		dnsnames.AssignWorkers(b.topo, cfg.Seed, cfg.NoPTRFrac, workers, sp)
+		dnsnames.Assign(b.topo, cfg.Seed, cfg.NoPTRFrac, workers, sp)
 	})
 
 	var errs []error
-	phase("validate", func(sp *obs.Span) { errs = b.topo.ValidateWorkers(workers, sp) })
+	phase("validate", func(sp *obs.Span) { errs = b.topo.Validate(workers, sp) })
 	if len(errs) != 0 {
 		gen.End()
 		return nil, fmt.Errorf("topogen: generated topology invalid: %v (and %d more)", errs[0], len(errs)-1)
@@ -163,7 +163,7 @@ func GenerateCtx(ctx context.Context, cfg Config) (*World, error) {
 			b.world.Routes = bgp.ComputeLazy(b.topo)
 			return
 		}
-		b.world.Routes = bgp.ComputeWorkers(b.topo, workers, sp)
+		b.world.Routes = bgp.Compute(b.topo, workers, sp)
 	})
 	phase("resolver", func(*obs.Span) {
 		b.world.Resolver = routing.New(b.topo, b.world.Routes)

@@ -18,7 +18,7 @@ func TestManySeedsValidate(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
-		if errs := w.Topo.Validate(); len(errs) != 0 {
+		if errs := w.Topo.Validate(1, nil); len(errs) != 0 {
 			t.Fatalf("seed %d: %d invariant violations, first: %v", seed, len(errs), errs[0])
 		}
 		// Full reachability between access backbones and M-Lab hosts

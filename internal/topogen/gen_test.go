@@ -12,7 +12,7 @@ var smallWorld = MustGenerate(SmallConfig())
 
 func TestGeneratedTopologyValid(t *testing.T) {
 	// Generate validates internally; double-check here explicitly.
-	if errs := smallWorld.Topo.Validate(); len(errs) != 0 {
+	if errs := smallWorld.Topo.Validate(1, nil); len(errs) != 0 {
 		for i, e := range errs {
 			if i > 10 {
 				break

@@ -51,7 +51,7 @@ func buildTiny(t *testing.T) (*Topology, *Link) {
 
 func TestBuildTinyValid(t *testing.T) {
 	tp, _ := buildTiny(t)
-	if errs := tp.Validate(); len(errs) != 0 {
+	if errs := tp.Validate(1, nil); len(errs) != 0 {
 		for _, e := range errs {
 			t.Error(e)
 		}
@@ -211,7 +211,7 @@ func TestValidateCatchesBadInterdomainLink(t *testing.T) {
 		AddrA: netaddr.MustParseAddr("203.0.113.1"), AddrOwnerA: 555,
 		AddrB: netaddr.MustParseAddr("203.0.113.2"), AddrOwnerB: 555,
 	})
-	errs := tp.Validate()
+	errs := tp.Validate(1, nil)
 	if len(errs) == 0 {
 		t.Fatal("Validate should flag interfaces numbered from uninvolved AS")
 	}
@@ -226,7 +226,7 @@ func TestValidateCatchesMetroMismatch(t *testing.T) {
 		AddrA: netaddr.MustParseAddr("4.68.1.1"), AddrOwnerA: 100,
 		AddrB: netaddr.MustParseAddr("4.68.1.2"), AddrOwnerB: 100,
 	})
-	if errs := tp.Validate(); len(errs) == 0 {
+	if errs := tp.Validate(1, nil); len(errs) == 0 {
 		t.Fatal("Validate should flag interdomain link spanning metros")
 	}
 }
@@ -235,7 +235,7 @@ func TestValidateCatchesAsymmetricRel(t *testing.T) {
 	tp, _ := buildTiny(t)
 	// Break symmetry by writing the raw map entry.
 	tp.rel[[2]ASN{100, 200}] = RelCustomer
-	if errs := tp.Validate(); len(errs) == 0 {
+	if errs := tp.Validate(1, nil); len(errs) == 0 {
 		t.Fatal("Validate should flag asymmetric relationships")
 	}
 }

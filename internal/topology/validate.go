@@ -3,11 +3,15 @@ package topology
 import (
 	"fmt"
 	"sort"
-	"sync"
-	"sync/atomic"
 
 	"throughputlab/internal/obs"
+	"throughputlab/internal/stream"
 )
+
+// checkShard is one independently-checkable slice of the topology; its
+// position in the shard list fixes where its errors land in the merged
+// result, so the output is identical for every worker count.
+type checkShard func() []error
 
 // Validate checks structural invariants of the topology and returns all
 // violations found. The topology generator's tests require an empty
@@ -27,23 +31,15 @@ import (
 //   - every client pool prefix is originated by its AS;
 //   - the link's metro matches both routers' metros for interdomain
 //     links (interdomain interconnection is physically local, §4.3).
-func (t *Topology) Validate() []error { return t.ValidateWorkers(1, nil) }
-
-// checkShard is one independently-checkable slice of the topology; its
-// position in the shard list fixes where its errors land in the merged
-// result, so the output is identical for every worker count.
-type checkShard func() []error
-
-// ValidateWorkers is Validate with the per-AS and per-link checks
-// sharded over a worker pool. Shards are fixed work slices (AS ranges,
-// link ranges) checked in deterministic iteration order, and their
-// error lists are concatenated in shard order — the result is
-// byte-identical to the serial Validate regardless of workers or
-// scheduling. sp, when non-nil, receives one child span per worker.
-func (t *Topology) ValidateWorkers(workers int, sp *obs.Span) []error {
-	if workers < 1 {
-		workers = 1
-	}
+//
+// The per-AS and per-link checks are sharded over workers (one or
+// fewer runs inline). Shards are fixed work slices (AS ranges, link
+// ranges) checked in deterministic iteration order, and their error
+// lists are concatenated in shard order, so the result is
+// byte-identical at every worker count and scheduling. sp, when
+// non-nil, receives one child span per worker goroutine.
+func (t *Topology) Validate(workers int, sp *obs.Span) []error {
+	workers = max(workers, 1)
 	// Shard the AS-indexed checks (relationships, client pools) over
 	// t.order ranges and the link checks over index ranges. Chunks are
 	// sized for a few shards per worker so stragglers even out.
@@ -79,30 +75,7 @@ func (t *Topology) ValidateWorkers(workers int, sp *obs.Span) []error {
 	}
 
 	out := make([][]error, len(shards))
-	if workers == 1 {
-		for i, s := range shards {
-			out[i] = s()
-		}
-	} else {
-		var next atomic.Int64
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				ws := sp.Child(fmt.Sprintf("validate.worker.%02d", w))
-				defer ws.End()
-				for {
-					i := int(next.Add(1)) - 1
-					if i >= len(shards) {
-						return
-					}
-					out[i] = shards[i]()
-				}
-			}(w)
-		}
-		wg.Wait()
-	}
+	stream.For(len(shards), workers, sp, func(_, i int) { out[i] = shards[i]() })
 
 	var errs []error
 	for _, e := range out {
