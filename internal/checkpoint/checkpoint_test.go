@@ -135,8 +135,9 @@ func (fa *failAfter) Write(p []byte) (int, error) {
 // behind — when Create is asked for a corpus format that no longer
 // exists (ndjson: refused up front, naming the text printer), or when a
 // write fails mid-campaign (columnar: disk full), in which case the
-// first write failure propagates out of the corpus sink and Close
-// returns it again.
+// first write failure propagates out of the corpus sink (or the forced
+// checkpoint) and Close returns it again, at one encode worker and at
+// several.
 func TestWriteFailureNeverPublishes(t *testing.T) {
 	t.Run("ndjson", func(t *testing.T) {
 		cfg := testCfg(faults.Off())
@@ -154,34 +155,38 @@ func TestWriteFailureNeverPublishes(t *testing.T) {
 		}
 	})
 	t.Run("columnar", func(t *testing.T) {
-		cfg := testCfg(faults.Off())
-		final := filepath.Join(t.TempDir(), "corpus.bin")
-		pub := export.FromWorld(world, nil).Public
-		w, err := Create(final, "columnar", pub, testMeta(cfg), testFingerprint(cfg), 1, Options{
-			SyncEveryChunks: 1,
-			// Past the ~57K header, short of the corpus's full
-			// size — the failure lands mid-collection.
-			WrapWriter: func(w io.Writer) io.Writer { return &failAfter{w: w, n: 100 << 10} },
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		_, cerr := platform.CollectStreamCtx(context.Background(), world, cfg, 1, w.WriteChunk)
-		if cerr == nil {
-			// Small corpora can fit 4096 bytes of header; force the
-			// flush path to surface the failure.
-			cerr = w.Checkpoint()
-		}
-		if !errors.Is(cerr, errDiskFull) {
-			t.Fatalf("collection error = %v, want the injected disk-full error", cerr)
-		}
-		if err := w.Close(); !errors.Is(err, errDiskFull) {
-			t.Fatalf("Close error = %v, want the injected disk-full error", err)
-		}
-		for _, p := range []string{final, PartialPath(final), w.ManifestPathName()} {
-			if _, err := os.Stat(p); !errors.Is(err, os.ErrNotExist) {
-				t.Errorf("%s exists after failed campaign (err=%v)", p, err)
-			}
+		for _, workers := range []int{1, 4} {
+			t.Run(fmt.Sprintf("workers%d", workers), func(t *testing.T) {
+				cfg := testCfg(faults.Off())
+				final := filepath.Join(t.TempDir(), "corpus.bin")
+				pub := export.FromWorld(world, nil).Public
+				w, err := Create(final, "columnar", pub, testMeta(cfg), testFingerprint(cfg), workers, Options{
+					SyncEveryChunks: 1,
+					// Past the ~57K header, short of the corpus's full
+					// size — the failure lands mid-collection.
+					WrapWriter: func(w io.Writer) io.Writer { return &failAfter{w: w, n: 100 << 10} },
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				_, cerr := platform.CollectStreamCtx(context.Background(), world, cfg, 1, w.WriteChunk)
+				if cerr == nil {
+					// Small corpora can fit 4096 bytes of header; force the
+					// flush path to surface the failure.
+					cerr = w.Checkpoint()
+				}
+				if !errors.Is(cerr, errDiskFull) {
+					t.Fatalf("collection error = %v, want the injected disk-full error", cerr)
+				}
+				if err := w.Close(); !errors.Is(err, errDiskFull) {
+					t.Fatalf("Close error = %v, want the injected disk-full error", err)
+				}
+				for _, p := range []string{final, PartialPath(final), w.ManifestPathName()} {
+					if _, err := os.Stat(p); !errors.Is(err, os.ErrNotExist) {
+						t.Errorf("%s exists after failed campaign (err=%v)", p, err)
+					}
+				}
+			})
 		}
 	})
 }

@@ -59,8 +59,8 @@ func (cw *crcWriter) Write(p []byte) (int, error) {
 // file with periodic chunk-boundary checkpoints (drain, fsync, atomic
 // manifest rewrite), and the corpus appears on its publication path
 // only via the footer-then-rename in Close. It is not safe for
-// concurrent use — like the export writers it wraps, it is fed from
-// the single sequencer side of collection.
+// concurrent use — like the corpus writer it wraps, it is fed chunks
+// from one goroutine, in publication order.
 type Writer struct {
 	f        *os.File
 	cw       *export.ColumnarWriter
@@ -142,9 +142,9 @@ func (w *Writer) WriteChunk(c *platform.Chunk) error {
 }
 
 // Checkpoint forces a durability barrier at the current chunk
-// boundary: every submitted chunk is drained through the encode
-// pipeline and the OS page cache to disk, then the manifest is
-// atomically rewritten to record the new durable prefix.
+// boundary: every submitted chunk is encoded, written and pushed
+// through the OS page cache to disk, then the manifest is atomically
+// rewritten to record the new durable prefix.
 func (w *Writer) Checkpoint() error {
 	if w.firstErr != nil {
 		return w.firstErr

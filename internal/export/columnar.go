@@ -145,8 +145,8 @@ var colScratchPool = sync.Pool{New: func() any {
 	return &colScratch{strDict: map[string]uint64{}, u64Dict: map[uint64]uint64{}}
 }}
 
-// frameBufPool recycles whole encoded chunk frames between the encode
-// workers and the sequencer (and across serial WriteChunk calls).
+// frameBufPool recycles whole chunk frames: encoded frames between the
+// encoder and the writer, raw frames between the reader and the decoder.
 // Buffers that ballooned past maxPooledFrame are dropped instead of
 // pinning chunk-sized allocations forever.
 const maxPooledFrame = 4 << 20
@@ -442,8 +442,8 @@ type chunkIndexEntry struct {
 	Traces    int
 }
 
-// colFrame is one encoded chunk frame in flight between the encode
-// workers and the sequencer, carrying the index row it will occupy.
+// colFrame is one encoded chunk frame on its way from the encoder to
+// the writer, carrying the index row it will occupy.
 type colFrame struct {
 	buf       *[]byte
 	watermark int
@@ -451,80 +451,35 @@ type colFrame struct {
 	traces    int
 }
 
-// colEncJob is one chunk awaiting columnar encoding.
-type colEncJob struct {
-	seq int
-	c   *platform.Chunk
-}
-
-// colEncodePipeline fans chunk encoding out to workers and re-sequences
-// the encoded frames before they reach the underlying writer.
-type colEncodePipeline struct {
-	in   chan colEncJob
-	ro   *stream.Reorder[colFrame]
-	wg   sync.WaitGroup
-	done chan struct{}
-	next int
-
-	mu      sync.Mutex
-	retired sync.Cond
-	written int
-	err     error
-}
-
-func (ep *colEncodePipeline) fail(err error) {
-	ep.mu.Lock()
-	if ep.err == nil {
-		ep.err = err
-	}
-	ep.retired.Broadcast()
-	ep.mu.Unlock()
-}
-
-func (ep *colEncodePipeline) firstErr() error {
-	ep.mu.Lock()
-	defer ep.mu.Unlock()
-	return ep.err
-}
-
-// retire counts one frame through the sequencer, waking drainers.
-func (ep *colEncodePipeline) retire() {
-	ep.mu.Lock()
-	ep.written++
-	ep.retired.Broadcast()
-	ep.mu.Unlock()
-}
-
-// drain blocks until the sequencer has retired the first n submitted
-// frames (they reached the bufio layer) or the pipeline failed.
-func (ep *colEncodePipeline) drain(n int) error {
-	ep.mu.Lock()
-	defer ep.mu.Unlock()
-	for ep.written < n && ep.err == nil {
-		ep.retired.Wait()
-	}
-	return ep.err
+// encodeChunkFrame encodes one chunk into a pooled frame buffer.
+func encodeChunkFrame(c *platform.Chunk) colFrame {
+	sc := colScratchPool.Get().(*colScratch)
+	defer colScratchPool.Put(sc)
+	buf := getFrameBuf()
+	*buf = appendChunkFrame(*buf, c, sc)
+	return colFrame{buf: buf, watermark: c.Watermark, tests: len(c.Tests), traces: len(c.Traces)}
 }
 
 // ColumnarWriter persists a campaign as a tputlab-corpus/2 file. It
-// buffers only the frame being written, never the corpus, and
+// buffers at most a window of encoded frames, never the corpus, and
 // WriteChunk must be called from a single goroutine.
 type ColumnarWriter struct {
 	bw     *bufio.Writer
 	off    int64
 	footer StreamFooter
 	index  []chunkIndexEntry
-	frame  []byte // serial-path frame scratch
 	closed bool
-	enc    *colEncodePipeline
+	enc    *stream.Ordered[*platform.Chunk, colFrame]
+	window int // encoded frames in flight after WriteChunk returns, plus one
 }
 
 // NewColumnarWriter writes the magic and header frame and returns a
 // writer ready for chunks. The public bundle is validated first — a
-// conflicted bundle would poison every future replay of the file. With
-// workers > 1 chunks are encoded concurrently behind a reorder buffer;
-// the output bytes are identical at any worker count, and errors from
-// the encode/write pipeline surface on a later WriteChunk or at Close.
+// conflicted bundle would poison every future replay of the file.
+// Chunks are encoded on up to workers goroutines at a time, and the
+// output bytes are identical at any worker count. A write error
+// surfaces from the WriteChunk, Sync or Close call that writes the
+// failing frame, and again from every later one.
 func NewColumnarWriter(w io.Writer, public Public, meta StreamMeta, workers int) (*ColumnarWriter, error) {
 	if err := public.Validate(); err != nil {
 		return nil, err
@@ -542,63 +497,15 @@ func NewColumnarWriter(w io.Writer, public Public, meta StreamMeta, workers int)
 	if err := cw.write(buf); err != nil {
 		return nil, err
 	}
-	if workers > 1 {
-		cw.attachEncoders(workers)
-	}
+	cw.attachEncoders(workers)
 	return cw, nil
 }
 
-// attachEncoders wires the worker encode pipeline onto a writer whose
-// header is already on disk; shared by the fresh and resumed paths.
+// attachEncoders sets up chunk encoding on a writer whose header is
+// already on disk; shared by the fresh and resumed paths.
 func (cw *ColumnarWriter) attachEncoders(workers int) {
-	ep := &colEncodePipeline{
-		in:   make(chan colEncJob, workers),
-		ro:   stream.NewReorder[colFrame](workers),
-		done: make(chan struct{}),
-	}
-	ep.retired.L = &ep.mu
-	for i := 0; i < workers; i++ {
-		ep.wg.Add(1)
-		go func() {
-			defer ep.wg.Done()
-			sc := colScratchPool.Get().(*colScratch)
-			defer colScratchPool.Put(sc)
-			dead := false
-			for job := range ep.in {
-				if dead {
-					continue
-				}
-				buf := getFrameBuf()
-				*buf = appendChunkFrame(*buf, job.c, sc)
-				fr := colFrame{buf: buf, watermark: job.c.Watermark, tests: len(job.c.Tests), traces: len(job.c.Traces)}
-				if !ep.ro.Put(job.seq, fr) {
-					putFrameBuf(buf)
-					dead = true
-				}
-			}
-		}()
-	}
-	go func() {
-		for {
-			fr, ok := ep.ro.Next()
-			if !ok {
-				break
-			}
-			if ep.firstErr() == nil {
-				cw.index = append(cw.index, chunkIndexEntry{
-					Offset: cw.off, Watermark: fr.watermark, Tests: fr.tests, Traces: fr.traces,
-				})
-				if err := cw.write(*fr.buf); err != nil {
-					ep.fail(err)
-					ep.ro.Fail(err)
-				}
-			}
-			putFrameBuf(fr.buf)
-			ep.retire()
-		}
-		close(ep.done)
-	}()
-	cw.enc = ep
+	cw.enc = stream.NewOrdered(workers, encodeChunkFrame)
+	cw.window = max(workers, 1)
 }
 
 // write pushes bytes to the underlying writer, tracking the offset the
@@ -612,43 +519,43 @@ func (cw *ColumnarWriter) write(b []byte) error {
 	return nil
 }
 
-// WriteChunk appends one collection chunk; it plugs directly into
-// platform.CollectStream as the sink.
-func (cw *ColumnarWriter) WriteChunk(c *platform.Chunk) error {
-	if cw.enc != nil {
-		if err := cw.enc.firstErr(); err != nil {
-			return err
-		}
-		cw.enc.in <- colEncJob{seq: cw.enc.next, c: c}
-		cw.enc.next++
-	} else {
-		sc := colScratchPool.Get().(*colScratch)
-		cw.frame = appendChunkFrame(cw.frame[:0], c, sc)
-		colScratchPool.Put(sc)
+// writeFrames writes encoded frames, oldest first, until at most keep
+// remain in flight.
+func (cw *ColumnarWriter) writeFrames(keep int) error {
+	for cw.enc.Len() > keep {
+		fr := cw.enc.Next()
 		cw.index = append(cw.index, chunkIndexEntry{
-			Offset: cw.off, Watermark: c.Watermark, Tests: len(c.Tests), Traces: len(c.Traces),
+			Offset: cw.off, Watermark: fr.watermark, Tests: fr.tests, Traces: fr.traces,
 		})
-		if err := cw.write(cw.frame); err != nil {
+		err := cw.write(*fr.buf)
+		putFrameBuf(fr.buf)
+		if err != nil {
 			return err
 		}
 	}
+	return nil
+}
+
+// WriteChunk appends one collection chunk; it plugs directly into
+// platform.CollectStreamCtx as the sink. The chunk may still be
+// encoding when WriteChunk returns, so the caller must not modify it.
+func (cw *ColumnarWriter) WriteChunk(c *platform.Chunk) error {
+	cw.enc.Put(c)
 	cw.footer.Chunks++
 	cw.footer.Tests += len(c.Tests)
 	cw.footer.Traces += len(c.Traces)
 	cw.footer.TestsWithoutTrace += c.TestsWithoutTrace
 	cw.footer.Completeness.Merge(c.Completeness)
-	return nil
+	return cw.writeFrames(cw.window - 1)
 }
 
-// Sync drains every chunk submitted so far out of the encode pipeline
-// and through the bufio layer, so the underlying writer holds a prefix
-// ending exactly at a chunk-frame boundary; the checkpoint layer
-// fsyncs behind it. The file stays open for more chunks.
+// Sync writes every chunk submitted so far through the bufio layer, so
+// the underlying writer holds a prefix ending exactly at a chunk-frame
+// boundary; the checkpoint layer fsyncs behind it. The file stays open
+// for more chunks.
 func (cw *ColumnarWriter) Sync() error {
-	if cw.enc != nil {
-		if err := cw.enc.drain(cw.enc.next); err != nil {
-			return err
-		}
+	if err := cw.writeFrames(0); err != nil {
+		return err
 	}
 	if err := cw.bw.Flush(); err != nil {
 		return fmt.Errorf("export: writing columnar corpus: %w", err)
@@ -663,14 +570,10 @@ func (cw *ColumnarWriter) Close() error {
 		return nil
 	}
 	cw.closed = true
-	if cw.enc != nil {
-		close(cw.enc.in)
-		cw.enc.wg.Wait()
-		cw.enc.ro.Close()
-		<-cw.enc.done
-		if err := cw.enc.firstErr(); err != nil {
-			return err
-		}
+	err := cw.writeFrames(0)
+	cw.enc.Close()
+	if err != nil {
+		return err
 	}
 	var payload []byte
 	payload = binary.AppendUvarint(payload, uint64(cw.footer.Chunks))
@@ -699,22 +602,17 @@ func (cw *ColumnarWriter) Close() error {
 	return cw.bw.Flush()
 }
 
-// Abandon shuts the writer down without sealing the file: encode
-// workers stop, but no footer frame is written, so the file stays a
-// truncated (resumable) prefix — the interrupt path's counterpart to
-// Close. Writing a footer there would make a partial corpus read as a
-// complete smaller one.
+// Abandon shuts the writer down without sealing the file: encoding
+// stops and frames not yet written are dropped, and no footer frame is
+// written, so the file stays a truncated (resumable) prefix — the
+// interrupt path's counterpart to Close. Writing a footer there would
+// make a partial corpus read as a complete smaller one.
 func (cw *ColumnarWriter) Abandon() {
 	if cw.closed {
 		return
 	}
 	cw.closed = true
-	if cw.enc != nil {
-		close(cw.enc.in)
-		cw.enc.wg.Wait()
-		cw.enc.ro.Close()
-		<-cw.enc.done
-	}
+	cw.enc.Close()
 }
 
 // Footer exposes the running totals (complete once Close has run).

@@ -13,11 +13,9 @@ import (
 	"bytes"
 	"encoding/binary"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
-	"sync"
 
 	"throughputlab/internal/ndt"
 	"throughputlab/internal/netaddr"
@@ -579,7 +577,7 @@ func decodeFooterPayload(payload []byte) (StreamFooter, []chunkIndexEntry, error
 	return f, index, nil
 }
 
-// colRawFrame is one undecoded frame in flight to the decode workers.
+// colRawFrame is one undecoded frame on its way to the decoder.
 type colRawFrame struct {
 	seq  int
 	off  int64
@@ -600,11 +598,10 @@ type colDecoded struct {
 	readFail bool
 }
 
-// decodeColFrame is the single decode routine shared by the serial and
-// worker paths. The caller keeps ownership of rf.buf — the serial path
-// reuses its long-lived scratch and must never leak it into the shared
-// frame pool, so releasing pooled buffers is the worker loop's job.
+// decodeColFrame classifies and decodes one raw frame, then returns
+// its buffer to the frame pool: nothing decoded aliases the payload.
 func decodeColFrame(rf colRawFrame, proj Projection) colDecoded {
+	defer putFrameBuf(rf.buf)
 	if rf.err != nil {
 		return colDecoded{err: rf.err, readFail: true}
 	}
@@ -625,32 +622,20 @@ func decodeColFrame(rf colRawFrame, proj Projection) colDecoded {
 	return colDecoded{err: fmt.Errorf("export: columnar corpus: unknown frame kind %#02x at offset %d", rf.kind, rf.off)}
 }
 
-// errReaderClosed kills the decode pipeline when the caller abandons a
-// corpus before its footer.
-var errReaderClosed = errors.New("export: corpus reader closed")
-
-// colDecodePipeline reads raw frames ahead of the caller and decodes
-// them on workers, re-sequenced so Next still observes file order.
-type colDecodePipeline struct {
-	in       chan colRawFrame
-	ro       *stream.Reorder[colDecoded]
-	stop     chan struct{}
-	stopOnce sync.Once
-	wg       sync.WaitGroup
-}
-
 // columnarReader replays a columnar corpus chunk by chunk. Each
 // chunk's rows live in per-chunk slabs, so a consumer may retain them
 // after Next moves on.
 type columnarReader struct {
 	fs     frameScanner
 	header streamHeader
-	proj   Projection
 	footer *StreamFooter
 	read   StreamFooter      // accumulated totals for the footer cross-check
 	seen   []chunkIndexEntry // observed offsets for the index cross-check
-	frame  []byte            // serial-path payload scratch
-	dp     *colDecodePipeline
+
+	dec    *stream.Ordered[colRawFrame, colDecoded]
+	window int  // raw frames read ahead of the caller
+	frames int  // raw frames read so far
+	ended  bool // the last frame read was the footer or a read failure
 }
 
 // readBuffer wraps r for frame scanning. A *bufio.Reader is used as
@@ -672,63 +657,18 @@ func readBuffer(r io.Reader) *bufio.Reader {
 // corpus, decoding only the projected column families — the skipped
 // side's stripes are checksum verified but never parsed, and its slabs
 // never allocated. Chunk and footer bookkeeping (row counts, ordering,
-// totals) is exact under any projection. With workers > 1 frames are
-// read ahead and decoded concurrently; Next returns the same chunks, in
-// the same order, with the same errors, at any worker count.
+// totals) is exact under any projection. Next reads up to workers
+// frames ahead and decodes them concurrently; it returns the same
+// chunks, in the same order, with the same errors, at any worker count.
 func openColumnar(r io.Reader, workers int, proj Projection) (*columnarReader, error) {
-	cr := &columnarReader{fs: frameScanner{br: readBuffer(r)}, proj: proj}
+	cr := &columnarReader{fs: frameScanner{br: readBuffer(r)}}
 	hdr, err := readColumnarHeader(&cr.fs)
 	if err != nil {
 		return nil, err
 	}
 	cr.header = hdr
-	if workers <= 1 {
-		return cr, nil
-	}
-	dp := &colDecodePipeline{
-		in:   make(chan colRawFrame, workers),
-		ro:   stream.NewReorder[colDecoded](workers),
-		stop: make(chan struct{}),
-	}
-	dp.wg.Add(1)
-	go func() { // frame reader: the only goroutine touching cr.fs
-		defer dp.wg.Done()
-		defer close(dp.in)
-		for seq := 0; ; seq++ {
-			buf := getFrameBuf()
-			kind, off, err := cr.readRawFrame(buf)
-			rf := colRawFrame{seq: seq, off: off, kind: kind, buf: buf, err: err}
-			select {
-			case dp.in <- rf:
-			case <-dp.stop:
-				putFrameBuf(buf)
-				return
-			}
-			if err != nil || kind == frameFooter {
-				return
-			}
-		}
-	}()
-	for i := 0; i < workers; i++ {
-		dp.wg.Add(1)
-		go func() {
-			defer dp.wg.Done()
-			dead := false
-			for rf := range dp.in {
-				if dead {
-					putFrameBuf(rf.buf)
-					continue
-				}
-				d := decodeColFrame(rf, cr.proj)
-				putFrameBuf(rf.buf)
-				if !dp.ro.Put(rf.seq, d) {
-					dead = true
-				}
-			}
-		}()
-	}
-	go func() { dp.wg.Wait(); dp.ro.Close() }()
-	cr.dp = dp
+	cr.dec = stream.NewOrdered(workers, func(rf colRawFrame) colDecoded { return decodeColFrame(rf, proj) })
+	cr.window = max(workers, 1)
 	return cr, nil
 }
 
@@ -744,7 +684,7 @@ func (cr *columnarReader) readRawFrame(buf *[]byte) (kind byte, off int64, err e
 		return 0, off, io.EOF
 	}
 	if kind != frameChunk && kind != frameFooter {
-		// Report through the decode path so serial and worker agree.
+		// The decoder reports it, in frame order.
 		return kind, off, nil
 	}
 	n, err := cr.fs.uvarint()
@@ -803,26 +743,19 @@ func (cr *columnarReader) Next() (*StreamChunk, error) {
 	if cr.footer != nil {
 		return nil, io.EOF
 	}
-	var d colDecoded
-	if cr.dp != nil {
-		var ok bool
-		d, ok = cr.dp.ro.Next()
-		if !ok {
-			if err := cr.dp.ro.Err(); err != nil {
-				return nil, err
-			}
-			d = colDecoded{err: io.EOF, readFail: true}
-		}
-	} else {
-		cr.frame = cr.frame[:0]
-		kind, off, err := cr.readRawFrame(&cr.frame)
-		d = decodeColFrame(colRawFrame{seq: cr.read.Chunks, off: off, kind: kind, buf: &cr.frame, err: err}, cr.proj)
+	// Past the last frame, read again only when nothing is left to take.
+	for cr.dec.Len() == 0 || !cr.ended && cr.dec.Len() < cr.window {
+		buf := getFrameBuf()
+		kind, off, err := cr.readRawFrame(buf)
+		cr.dec.Put(colRawFrame{seq: cr.frames, off: off, kind: kind, buf: buf, err: err})
+		cr.frames++
+		cr.ended = err != nil || kind == frameFooter
 	}
-	return cr.consume(d)
+	return cr.consume(cr.dec.Next())
 }
 
 // consume folds one classified frame into the reader's running state:
-// the in-order half of Next, shared by the serial and worker paths.
+// the in-order half of Next.
 func (cr *columnarReader) consume(d colDecoded) (*StreamChunk, error) {
 	switch {
 	case d.readFail && d.err == io.EOF:
@@ -866,16 +799,8 @@ func (cr *columnarReader) consume(d colDecoded) (*StreamChunk, error) {
 // io.EOF.
 func (cr *columnarReader) Footer() *StreamFooter { return cr.footer }
 
-// Close releases a worker-backed reader's decode goroutines; it is a
-// no-op for serial readers and after a completed replay.
+// Close releases the decode workers; it is idempotent.
 func (cr *columnarReader) Close() error {
-	if cr.dp == nil {
-		return nil
-	}
-	cr.dp.stopOnce.Do(func() {
-		close(cr.dp.stop)
-		cr.dp.ro.Fail(errReaderClosed)
-	})
-	cr.dp.wg.Wait()
+	cr.dec.Close()
 	return nil
 }

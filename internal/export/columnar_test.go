@@ -18,7 +18,7 @@ import (
 )
 
 // writeColumnar persists a campaign through the columnar writer via
-// platform.CollectStream and returns the bytes plus the stream stats.
+// platform.CollectStreamCtx and returns the bytes plus the stream stats.
 func writeColumnar(t testing.TB, cfg platform.CollectConfig, workers int) (*bytes.Buffer, *platform.StreamStats) {
 	t.Helper()
 	world := testWorld()

@@ -70,8 +70,8 @@ func ReplayPrefix(r io.Reader, byteLen int64, chunks int, workers int, onChunk f
 	}
 	ps := &PrefixState{Totals: rd.read, Bytes: byteLen, index: rd.seen}
 	ps.Totals.Footer = true
-	// Close stops the read-ahead goroutines; the io.Copy then pulls any
-	// bytes they left unread through the CRC so it covers the whole
+	// Close stops the decode workers; the io.Copy then pulls any bytes
+	// the reader left unread through the CRC so it covers the whole
 	// prefix.
 	rd.Close()
 	if _, err := io.Copy(io.Discard, cr); err != nil {
@@ -97,9 +97,7 @@ func ResumeCorpusWriter(w io.Writer, prefix *PrefixState, workers int) *Columnar
 		index:  append([]chunkIndexEntry(nil), prefix.index...),
 	}
 	cw.footer.Footer = true
-	if workers > 1 {
-		cw.attachEncoders(workers)
-	}
+	cw.attachEncoders(workers)
 	return cw
 }
 

@@ -10,8 +10,7 @@ import (
 
 // The progress event bus. Metrics answer "how much"; events answer
 // "what just happened": a chunk was published, a pipeline stage
-// consumed an item, a reorder window stalled a producer, a fault retry
-// fired, a report pass sealed. The bus is the pipeline's live feed of
+// consumed an item, a fault retry fired, a report pass sealed. The bus is the pipeline's live feed of
 // those moments, with the same contracts as the rest of the registry:
 //
 //   - Disabled is free. A nil *Bus (what Registry.Events returns when

@@ -12,7 +12,7 @@ import (
 // turns the registry's point-in-time metrics into time series by
 // snapshotting every counter, gauge, and histogram count once per
 // simulated hour, driven by the collection watermark that
-// platform.CollectStream publishes with each chunk: chunks arrive in
+// platform.CollectStreamCtx publishes with each chunk: chunks arrive in
 // schedule order, their watermarks are monotone, so Advance observes a
 // monotone simulated clock no matter how many workers produced the
 // chunks and the sampled series are deterministic modulo the metric

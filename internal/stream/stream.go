@@ -1,21 +1,21 @@
 // Package stream is throughputlab's concurrency substrate: an indexed
 // fan-out (For) that every worker pool runs on — world generation,
 // collection scheduling and execution, MAP-IT's trace pass and the
-// experiment sweep — a bounded sequence-numbered reorder buffer that
-// turns out-of-order parallel work back into a deterministic ordered
-// stream (the columnar corpus codec's encode and decode workers), and a
-// named-stage fan-out that runs independent consumers of the chunk
-// stream on their own goroutines behind bounded queues (the streamed
-// report passes).
+// experiment sweep — an ordered map (Ordered) that runs a function on
+// workers and hands the results back in input order (the columnar
+// corpus codec's chunk encode and frame decode), and a named-stage
+// fan-out that runs independent consumers of the chunk stream on their
+// own goroutines behind bounded queues (the streamed report passes).
 //
 // All three exist so that parallelism never shows in results: For
-// callers write only index-owned slots, Reorder releases strictly by
-// sequence number, and every Pipeline stage observes the identical
-// ordered stream. Backpressure is structural — a producer running too
-// far ahead of the release cursor blocks in Put, and a producer ahead
-// of a slow stage blocks in Send — so memory stays bounded by
-// (window + stage queue depth) items no matter how fast the fast side
-// runs.
+// callers write only index-owned slots, Ordered returns results strictly
+// in Put order, and every Pipeline stage observes the identical ordered
+// stream. For and Ordered run inline on the caller's goroutine at one
+// worker or fewer, so the serial path is the same code. Memory stays
+// bounded no matter how fast the fast side runs: an Ordered caller
+// takes results before it puts more, and a producer ahead of a slow
+// stage blocks in Send, so at most (window + stage queue depth) items
+// are resident.
 package stream
 
 import (
@@ -65,100 +65,75 @@ func For(n, workers int, sp *obs.Span, fn func(worker, i int)) {
 	wg.Wait()
 }
 
-// Reorder is a bounded sequence-numbered reorder buffer. Producers Put
-// items tagged with their sequence number (0-based, dense); a single
-// consumer calls Next and receives the items in exact sequence order.
-// A Put whose sequence number is window or more ahead of the next
-// undelivered sequence blocks until the consumer catches up — the
-// backpressure bound that keeps at most window items resident.
-type Reorder[T any] struct {
-	mu   sync.Mutex
-	cond *sync.Cond
-
-	window int
-	next   int // next sequence Next will release
-	buf    map[int]T
-
-	closed bool
-	err    error
+// Ordered applies fn to every input Put and hands the results back
+// from Next in Put order. One goroutine owns it and both puts and
+// takes; it bounds how much is in flight by taking results before it
+// puts more (Len counts inputs put and not yet taken). With workers > 1
+// fn runs on that many goroutines; otherwise Put runs fn inline on the
+// caller's goroutine, so the serial path is the same code.
+type Ordered[In, Out any] struct {
+	fn      func(In) Out
+	jobs    chan orderedJob[In, Out] // nil when fn runs inline
+	pending []chan Out               // one result slot per untaken input, oldest first
+	wg      sync.WaitGroup
 }
 
-// NewReorder returns a reorder buffer releasing from sequence 0 with
-// the given window (minimum 1).
-func NewReorder[T any](window int) *Reorder[T] {
-	if window < 1 {
-		window = 1
-	}
-	r := &Reorder[T]{window: window, buf: make(map[int]T, window)}
-	r.cond = sync.NewCond(&r.mu)
-	return r
+type orderedJob[In, Out any] struct {
+	in  In
+	out chan<- Out
 }
 
-// Put hands over item seq. It blocks while seq is outside the release
-// window (seq >= next+window) and returns false once the buffer has
-// been failed or closed — the producer's signal to stop working.
-// Sequence numbers must be unique; each is delivered exactly once.
-func (r *Reorder[T]) Put(seq int, v T) bool {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	for seq >= r.next+r.window && r.err == nil && !r.closed {
-		r.cond.Wait()
+// NewOrdered returns an Ordered running fn on workers goroutines, or
+// inline when workers ≤ 1.
+func NewOrdered[In, Out any](workers int, fn func(In) Out) *Ordered[In, Out] {
+	o := &Ordered[In, Out]{fn: fn}
+	if workers <= 1 {
+		return o
 	}
-	if r.err != nil || r.closed {
-		return false
+	o.jobs = make(chan orderedJob[In, Out])
+	o.wg.Add(workers)
+	for w := 0; w < workers; w++ {
+		go func() {
+			defer o.wg.Done()
+			for j := range o.jobs {
+				j.out <- fn(j.in)
+			}
+		}()
 	}
-	r.buf[seq] = v
-	if seq == r.next {
-		r.cond.Broadcast()
-	}
-	return true
+	return o
 }
 
-// Next blocks until item `next` is available and returns it, advancing
-// the cursor. ok is false once the buffer is closed (or failed) and
-// every item put before that has been drained.
-func (r *Reorder[T]) Next() (v T, ok bool) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	for {
-		if item, have := r.buf[r.next]; have {
-			delete(r.buf, r.next)
-			r.next++
-			r.cond.Broadcast()
-			return item, true
-		}
-		if r.closed || r.err != nil {
-			return v, false
-		}
-		r.cond.Wait()
+// Put hands in to fn. Inline, fn has returned by the time Put does.
+func (o *Ordered[In, Out]) Put(in In) {
+	out := make(chan Out, 1)
+	o.pending = append(o.pending, out)
+	if o.jobs == nil {
+		out <- o.fn(in)
+		return
 	}
+	o.jobs <- orderedJob[In, Out]{in: in, out: out}
 }
 
-// Close marks the stream complete: Next drains what was already put at
-// the cursor and then reports done. Producers must have finished.
-func (r *Reorder[T]) Close() {
-	r.mu.Lock()
-	r.closed = true
-	r.cond.Broadcast()
-	r.mu.Unlock()
+// Next waits for and returns the result of the oldest input not yet
+// taken. Len must be positive.
+func (o *Ordered[In, Out]) Next() Out {
+	out := o.pending[0]
+	o.pending = o.pending[1:]
+	return <-out
 }
 
-// Fail aborts the stream with err (the first Fail wins): blocked
-// producers and the consumer wake immediately and see a dead buffer.
-func (r *Reorder[T]) Fail(err error) {
-	r.mu.Lock()
-	if r.err == nil {
-		r.err = err
+// Len is the number of inputs put whose results have not been taken.
+func (o *Ordered[In, Out]) Len() int { return len(o.pending) }
+
+// Close stops the workers once the inputs already put have run, and
+// drops every result not yet taken. It is idempotent.
+func (o *Ordered[In, Out]) Close() {
+	if o.jobs != nil {
+		close(o.jobs)
+		o.wg.Wait()
+		o.jobs = nil
 	}
-	r.cond.Broadcast()
-	r.mu.Unlock()
-}
-
-// Err returns the failure recorded by Fail, if any.
-func (r *Reorder[T]) Err() error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.err
+	o.pending = nil
 }
 
 // Stage is one named consumer of an ordered item stream.
@@ -196,8 +171,8 @@ const stageEventEvery = 100
 // its own goroutine behind a bounded queue, so consumers overlap with
 // production and with each other; wall time approaches the slowest
 // stage instead of the sum of stages. Send blocks when a stage's queue
-// is full — the same structural backpressure as Reorder — so resident
-// items are bounded by depth per stage.
+// is full — structural backpressure — so resident items are bounded by
+// depth per stage.
 //
 // Determinism: every stage receives the identical stream in the
 // identical order; only the interleaving across stages varies, which

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
-	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -13,133 +12,68 @@ import (
 	"throughputlab/internal/obs"
 )
 
-// TestReorderOutOfOrderSingleProducer feeds sequences within the
-// window in scrambled order and checks release order.
-func TestReorderOutOfOrderSingleProducer(t *testing.T) {
-	r := NewReorder[int](4)
-	for _, seq := range []int{3, 1, 2, 0} {
-		if !r.Put(seq, seq*10) {
-			t.Fatalf("Put(%d) refused", seq)
-		}
-	}
-	r.Close()
-	for want := 0; want < 4; want++ {
-		v, ok := r.Next()
-		if !ok || v != want*10 {
-			t.Fatalf("Next = %d,%v at position %d, want %d", v, ok, want, want*10)
-		}
-	}
-}
-
-// TestReorderOutOfOrder is the reorder buffer's core contract under
-// the production shape: workers claim dense increasing sequence
-// numbers from a shared counter (exactly how chunk producers claim
-// chunk indices) but complete them in scheduler-dependent order; the
-// consumer must still observe exact sequence order.
-func TestReorderOutOfOrder(t *testing.T) {
-	const n = 500
-	const workers = 4
-	r := NewReorder[int](workers) // window == workers: progress guaranteed
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			rng := rand.New(rand.NewSource(int64(w)))
-			for {
-				seq := int(next.Add(1)) - 1
-				if seq >= n {
-					return
+// TestOrdered checks the ordered map's contract at every worker count:
+// results come back in Put order although fn finishes in random order,
+// the inline path has run fn by the time Put returns, Len counts what
+// is not yet taken, and Close with results still untaken returns with
+// no call of fn still running and leaves no goroutine behind. Run under -race in CI.
+func TestOrdered(t *testing.T) {
+	for _, workers := range []int{-1, 0, 1, 2, 8} {
+		t.Run(fmt.Sprintf("w%d", workers), func(t *testing.T) {
+			const n = 200
+			window := 2 * max(workers, 1)
+			var ran atomic.Int64
+			o := NewOrdered(workers, func(i int) int {
+				if workers > 1 {
+					time.Sleep(time.Duration(rand.Intn(200)) * time.Microsecond)
 				}
-				if rng.Intn(4) == 0 {
-					time.Sleep(time.Duration(rng.Intn(200)) * time.Microsecond)
+				ran.Add(1)
+				return i * 10
+			})
+			taken := 0
+			for i := 0; i < n; i++ {
+				o.Put(i)
+				if workers <= 1 && ran.Load() != int64(i+1) {
+					t.Fatalf("Put(%d) returned before fn ran inline", i)
 				}
-				if !r.Put(seq, seq*10) {
-					t.Errorf("Put(%d) reported dead buffer", seq)
-					return
+				for o.Len() >= window || i == n-1 && o.Len() > 0 {
+					if got := o.Next(); got != taken*10 {
+						t.Fatalf("result %d = %d, want %d: out of Put order", taken, got, taken*10)
+					}
+					taken++
+				}
+				if o.Len() != i+1-taken {
+					t.Fatalf("Len = %d after %d puts and %d takes", o.Len(), i+1, taken)
 				}
 			}
-		}(w)
-	}
-	done := make(chan struct{})
-	go func() { wg.Wait(); r.Close(); close(done) }()
-	for want := 0; want < n; want++ {
-		v, ok := r.Next()
-		if !ok {
-			t.Fatalf("Next reported done at %d, want %d items", want, n)
-		}
-		if v != want*10 {
-			t.Fatalf("Next returned %d at position %d, want %d", v, want, want*10)
-		}
-	}
-	if _, ok := r.Next(); ok {
-		t.Error("Next after close returned an item")
-	}
-	<-done
-}
+			if taken != n {
+				t.Fatalf("took %d results, want %d", taken, n)
+			}
+			o.Close()
 
-// TestReorderWindowBound pins the backpressure bound: a Put window or
-// more ahead of the cursor must block until the consumer advances.
-func TestReorderWindowBound(t *testing.T) {
-	r := NewReorder[string](2)
-	if !r.Put(0, "a") || !r.Put(1, "b") {
-		t.Fatal("in-window puts refused")
-	}
-	var unblocked atomic.Bool
-	go func() {
-		r.Put(2, "c") // seq 2 >= next(0)+window(2): must block
-		unblocked.Store(true)
-	}()
-	time.Sleep(20 * time.Millisecond)
-	if unblocked.Load() {
-		t.Fatal("Put beyond the window did not block")
-	}
-	if v, ok := r.Next(); !ok || v != "a" {
-		t.Fatalf("Next = %q,%v want a", v, ok)
-	}
-	for i := 0; i < 200 && !unblocked.Load(); i++ {
-		time.Sleep(time.Millisecond)
-	}
-	if !unblocked.Load() {
-		t.Fatal("Put did not unblock after the cursor advanced")
-	}
-	r.Close()
-	if v, ok := r.Next(); !ok || v != "b" {
-		t.Fatalf("Next = %q,%v want b", v, ok)
-	}
-}
-
-// TestReorderFail aborts blocked producers and the consumer.
-func TestReorderFail(t *testing.T) {
-	r := NewReorder[int](1)
-	boom := errors.New("boom")
-	if !r.Put(0, 0) {
-		t.Fatal("first put refused")
-	}
-	var putDead atomic.Bool
-	go func() {
-		if !r.Put(1, 1) { // blocked: out of window
-			putDead.Store(true)
-		}
-	}()
-	time.Sleep(10 * time.Millisecond)
-	r.Fail(boom)
-	for i := 0; i < 200 && !putDead.Load(); i++ {
-		time.Sleep(time.Millisecond)
-	}
-	if !putDead.Load() {
-		t.Fatal("blocked Put not released by Fail")
-	}
-	if err := r.Err(); !errors.Is(err, boom) {
-		t.Fatalf("Err = %v, want boom", err)
-	}
-	// The failed buffer still drains what reached it before the failure.
-	if v, ok := r.Next(); !ok || v != 0 {
-		t.Fatalf("Next = %d,%v want buffered item", v, ok)
-	}
-	if _, ok := r.Next(); ok {
-		t.Error("Next returned an item after drain on a failed buffer")
+			baseline := runtime.NumGoroutine()
+			var active atomic.Int64
+			o = NewOrdered(workers, func(i int) int {
+				active.Add(1)
+				defer active.Add(-1)
+				time.Sleep(time.Millisecond)
+				return i
+			})
+			for i := 0; i < window; i++ {
+				o.Put(i)
+			}
+			o.Close() // results untaken
+			if got := active.Load(); got != 0 {
+				t.Fatalf("%d calls of fn still running after Close", got)
+			}
+			o.Close() // idempotent
+			for i := 0; i < 200 && runtime.NumGoroutine() > baseline; i++ {
+				time.Sleep(time.Millisecond)
+			}
+			if got := runtime.NumGoroutine(); got > baseline {
+				t.Fatalf("%d goroutines after Close, %d before NewOrdered", got, baseline)
+			}
+		})
 	}
 }
 
