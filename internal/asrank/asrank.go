@@ -226,10 +226,3 @@ func (r *Result) Edges() []struct {
 	})
 	return out
 }
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}

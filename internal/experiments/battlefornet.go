@@ -81,13 +81,6 @@ func BattleForNet(e *Env) (*BattleResult, error) {
 	return res, nil
 }
 
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
 // Render prints the comparison.
 func (r *BattleResult) Render() string {
 	var sb strings.Builder

@@ -18,8 +18,8 @@
 // Everything here decodes from an in-memory frame with strict bounds
 // checks: a truncated stripe, an oversized varint, a dictionary code
 // past the table, or a row count that cannot fit the payload is an
-// error, never a panic or an unbounded allocation (the fuzz target in
-// columnar_fuzz_test.go holds that line).
+// error, never a panic or an unbounded allocation (the fuzz targets in
+// columnar_fuzz_test.go hold that line).
 package export
 
 import (
@@ -66,50 +66,10 @@ func unzigzag(u uint64) int64 { return int64(u>>1) ^ -int64(u&1) }
 
 // --- encode side -----------------------------------------------------
 
-// appendUvarints appends each value as an unsigned varint.
-func appendUvarints(b []byte, vals []uint64) []byte {
-	for _, v := range vals {
-		b = binary.AppendUvarint(b, v)
-	}
-	return b
-}
-
-// appendDeltas appends vals as zigzag varint deltas (first value is a
-// delta from zero).
-func appendDeltas(b []byte, vals []int64) []byte {
-	prev := int64(0)
-	for _, v := range vals {
-		b = binary.AppendUvarint(b, zigzag(v-prev))
-		prev = v
-	}
-	return b
-}
-
 // appendFloats appends vals as flat little-endian float64 bits.
 func appendFloats(b []byte, vals []float64) []byte {
 	for _, v := range vals {
 		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(v))
-	}
-	return b
-}
-
-// appendUint32s appends vals as flat little-endian uint32s.
-func appendUint32s(b []byte, vals []uint32) []byte {
-	for _, v := range vals {
-		b = binary.LittleEndian.AppendUint32(b, v)
-	}
-	return b
-}
-
-// appendBitmap appends vals bit-packed LSB-first.
-func appendBitmap(b []byte, vals []bool) []byte {
-	n := (len(vals) + 7) / 8
-	start := len(b)
-	b = append(b, make([]byte, n)...)
-	for i, v := range vals {
-		if v {
-			b[start+i/8] |= 1 << (i % 8)
-		}
 	}
 	return b
 }
@@ -180,7 +140,9 @@ func appendIntDict(b []byte, rows []uint64, scratch map[uint64]uint64) []byte {
 		}
 	}
 	b = binary.AppendUvarint(b, uint64(len(table)))
-	b = appendUvarints(b, table)
+	for _, v := range table {
+		b = binary.AppendUvarint(b, v)
+	}
 	for _, v := range rows {
 		b = binary.AppendUvarint(b, scratch[v])
 	}
@@ -223,172 +185,89 @@ func (r *colReader) take(n int) ([]byte, error) {
 	return b, nil
 }
 
-// uvarints decodes n varints through fn (called once per row).
-func (r *colReader) uvarints(n int, fn func(i int, v uint64)) error {
-	for i := 0; i < n; i++ {
-		v, err := r.uvarint()
-		if err != nil {
-			return err
-		}
-		fn(i, v)
-	}
-	return nil
-}
-
-// deltas decodes n zigzag varint deltas through fn.
-func (r *colReader) deltas(n int, fn func(i int, v int64)) error {
-	prev := int64(0)
-	for i := 0; i < n; i++ {
-		u, err := r.uvarint()
-		if err != nil {
-			return err
-		}
-		prev += unzigzag(u)
-		fn(i, prev)
-	}
-	return nil
-}
-
-// floats decodes n raw little-endian float64s through fn.
-func (r *colReader) floats(n int, fn func(i int, v float64)) error {
-	b, err := r.take(n * 8)
-	if err != nil {
-		return err
-	}
-	for i := 0; i < n; i++ {
-		fn(i, math.Float64frombits(binary.LittleEndian.Uint64(b[i*8:])))
-	}
-	return nil
-}
-
-// uint32s decodes n raw little-endian uint32s through fn.
-func (r *colReader) uint32s(n int, fn func(i int, v uint32)) error {
-	b, err := r.take(n * 4)
-	if err != nil {
-		return err
-	}
-	for i := 0; i < n; i++ {
-		fn(i, binary.LittleEndian.Uint32(b[i*4:]))
-	}
-	return nil
-}
-
-// bitmap decodes n bit-packed bools through fn.
-func (r *colReader) bitmap(n int, fn func(i int, v bool)) error {
-	b, err := r.take((n + 7) / 8)
-	if err != nil {
-		return err
-	}
-	for i := 0; i < n; i++ {
-		fn(i, b[i/8]&(1<<(i%8)) != 0)
-	}
-	return nil
-}
-
-// intDict decodes an integer dictionary column through fn.
-func (r *colReader) intDict(n int, fn func(i int, v uint64)) error {
+// stringTable reads a string dictionary's table. Entries are
+// materialized once and shared by every row that codes to them — the
+// decode-side interning that makes PTR-name columns cheap.
+func (r *colReader) stringTable() ([]string, error) {
 	dn, err := r.uvarint()
 	if err != nil {
-		return err
+		return nil, err
 	}
 	if dn > uint64(r.remaining()) {
-		return fmt.Errorf("dictionary of %d entries cannot fit %d payload bytes", dn, r.remaining())
-	}
-	table := make([]uint64, dn)
-	for i := range table {
-		if table[i], err = r.uvarint(); err != nil {
-			return err
-		}
-	}
-	var bad error
-	err = r.uvarints(n, func(i int, code uint64) {
-		if code >= uint64(len(table)) {
-			if bad == nil {
-				bad = fmt.Errorf("dictionary code %d out of range (table has %d entries)", code, len(table))
-			}
-			return
-		}
-		fn(i, table[code])
-	})
-	if err != nil {
-		return err
-	}
-	return bad
-}
-
-// floatDict decodes a float dictionary column through fn.
-func (r *colReader) floatDict(n int, fn func(i int, v float64)) error {
-	dn, err := r.uvarint()
-	if err != nil {
-		return err
-	}
-	if dn > uint64(r.remaining()/8)+1 {
-		return fmt.Errorf("float dictionary of %d entries cannot fit %d payload bytes", dn, r.remaining())
-	}
-	raw, err := r.take(int(dn) * 8)
-	if err != nil {
-		return err
-	}
-	table := make([]float64, dn)
-	for i := range table {
-		table[i] = math.Float64frombits(binary.LittleEndian.Uint64(raw[i*8:]))
-	}
-	var bad error
-	err = r.uvarints(n, func(i int, code uint64) {
-		if code >= uint64(len(table)) {
-			if bad == nil {
-				bad = fmt.Errorf("dictionary code %d out of range (table has %d entries)", code, len(table))
-			}
-			return
-		}
-		fn(i, table[code])
-	})
-	if err != nil {
-		return err
-	}
-	return bad
-}
-
-// stringDict decodes a string dictionary column through fn. Table
-// entries are materialized once and shared by every row that codes to
-// them — the decode-side interning that makes PTR-name columns cheap.
-func (r *colReader) stringDict(n int, fn func(i int, s string)) error {
-	dn, err := r.uvarint()
-	if err != nil {
-		return err
-	}
-	if dn > uint64(r.remaining()) {
-		return fmt.Errorf("dictionary of %d entries cannot fit %d payload bytes", dn, r.remaining())
+		return nil, fmt.Errorf("dictionary of %d entries cannot fit %d payload bytes", dn, r.remaining())
 	}
 	table := make([]string, dn)
 	for i := range table {
 		sl, err := r.uvarint()
 		if err != nil {
-			return err
+			return nil, err
 		}
 		if sl > uint64(r.remaining()) {
-			return fmt.Errorf("dictionary entry of %d bytes cannot fit %d payload bytes", sl, r.remaining())
+			return nil, fmt.Errorf("dictionary entry of %d bytes cannot fit %d payload bytes", sl, r.remaining())
 		}
 		b, err := r.take(int(sl))
 		if err != nil {
-			return err
+			return nil, err
 		}
 		table[i] = string(b)
 	}
-	var bad error
-	err = r.uvarints(n, func(i int, code uint64) {
-		if code >= uint64(len(table)) {
-			if bad == nil {
-				bad = fmt.Errorf("dictionary code %d out of range (table has %d entries)", code, len(table))
-			}
-			return
-		}
-		fn(i, table[code])
-	})
+	return table, nil
+}
+
+// intTable reads an integer dictionary's table of varints.
+func intTable[V integer](r *colReader) ([]V, error) {
+	dn, err := r.uvarint()
 	if err != nil {
-		return err
+		return nil, err
 	}
-	return bad
+	if dn > uint64(r.remaining()) {
+		return nil, fmt.Errorf("dictionary of %d entries cannot fit %d payload bytes", dn, r.remaining())
+	}
+	table := make([]V, dn)
+	for i := range table {
+		v, err := r.uvarint()
+		if err != nil {
+			return nil, err
+		}
+		table[i] = V(v)
+	}
+	return table, nil
+}
+
+// floatTable reads a float dictionary's table of raw float64 images.
+func (r *colReader) floatTable() ([]float64, error) {
+	dn, err := r.uvarint()
+	if err != nil {
+		return nil, err
+	}
+	if dn > uint64(r.remaining()/8)+1 {
+		return nil, fmt.Errorf("float dictionary of %d entries cannot fit %d payload bytes", dn, r.remaining())
+	}
+	raw, err := r.take(int(dn) * 8)
+	if err != nil {
+		return nil, err
+	}
+	table := make([]float64, dn)
+	for i := range table {
+		table[i] = math.Float64frombits(binary.LittleEndian.Uint64(raw[i*8:]))
+	}
+	return table, nil
+}
+
+// dictCodes decodes one dictionary code per row and stores its table
+// entry through f, rejecting a code past the table.
+func dictCodes[R, V any](r *colReader, table []V, rows []R, f func(*R) *V) error {
+	for i := range rows {
+		code, err := r.uvarint()
+		if err != nil {
+			return err
+		}
+		if code >= uint64(len(table)) {
+			return fmt.Errorf("dictionary code %d out of range (table has %d entries)", code, len(table))
+		}
+		*f(&rows[i]) = table[code]
+	}
+	return nil
 }
 
 // stripe framing ------------------------------------------------------

@@ -36,7 +36,6 @@ import (
 	"io"
 	"sync"
 
-	"throughputlab/internal/ndt"
 	"throughputlab/internal/platform"
 	"throughputlab/internal/stream"
 	"throughputlab/internal/traceroute"
@@ -63,79 +62,16 @@ const (
 // cap is a corrupt or hostile length, refused before any allocation.
 const maxFramePayload = 1 << 28
 
-// Test column field ids (stable on disk; new fields append, never
-// renumber). Trace columns start at 64.
-const (
-	fTestID uint64 = iota + 1
-	fTestClientAddr
-	fTestClientASN
-	fTestClientISP
-	fTestClientMetro
-	fTestTierMbps
-	fTestWiFiCapMbps
-	fTestServerAddr
-	fTestServerASN
-	fTestServerSite
-	fTestServerNet
-	fTestServerMetro
-	fTestStartMinute
-	fTestFlowEntropy
-	fTestDownMbps
-	fTestUpMbps
-	fTestRTTms
-	fTestRTTMinMs
-	fTestRetransRate
-	fTestW100DurationSec
-	fTestW100OctetsAcked
-	fTestW100SegsOut
-	fTestW100SegsRetrans
-	fTestW100CongSignals
-	fTestW100MinRTTms
-	fTestW100SmoothedRTTms
-	fTestW100CurCwndBytes
-	fTestW100CwndFrac
-	fTestW100RwinFrac
-	fTestW100SenderFrac
-	fTestTruncated
-	fTestTruthKind
-	fTestTruthSaturated
-	fTestTruthBottleneck
-	fTestTruthInterLens
-	fTestTruthInterVals
-	fTestTruthASPathLens
-	fTestTruthASPathVals
-
-	numTestFields = int(fTestTruthASPathVals)
-)
-
-const (
-	fTraceSrcAddr uint64 = iota + 64
-	fTraceDstAddr
-	fTraceLaunchMinute
-	fTraceFlowEntropy
-	fTraceReached
-	fTraceDegraded
-	fTraceHopLens
-	fTraceHopTTL
-	fTraceHopAddr
-	fTraceHopDNSName
-	fTraceHopRTTms
-
-	numTraceFields = int(fTraceHopRTTms) - 63
-)
-
-// colScratch holds the reusable encode-side buffers: the per-column
-// value slices the stripe builders read from, the dictionary maps, and
-// the payload accumulator. One scratch serves one chunk encode and is
-// pooled across chunks and writers.
+// colScratch holds the reusable encode-side buffers: the flattened hop
+// pointers, the value slices the dictionary stripes read from, the
+// dictionary maps, and the payload accumulator. One scratch serves one
+// chunk encode and is pooled across chunks and writers.
 type colScratch struct {
 	payload  []byte
 	chunkBuf []byte
+	hops     []*traceroute.Hop
 	u64s     []uint64
-	i64s     []int64
 	f64s     []float64
-	u32s     []uint32
-	bools    []bool
 	strs     []string
 	strDict  map[string]uint64
 	u64Dict  map[uint64]uint64
@@ -166,8 +102,7 @@ func putFrameBuf(b *[]byte) {
 }
 
 // appendChunkPayload encodes one collection chunk's columnar payload:
-// checksummed preamble, then every test stripe, then every trace
-// stripe.
+// checksummed preamble, then one stripe per table entry, tests first.
 func appendChunkPayload(dst []byte, c *platform.Chunk, sc *colScratch) []byte {
 	preStart := len(dst)
 	dst = binary.AppendUvarint(dst, uint64(c.Index))
@@ -176,10 +111,24 @@ func appendChunkPayload(dst []byte, c *platform.Chunk, sc *colScratch) []byte {
 	dst = appendCompleteness(dst, c.Completeness)
 	dst = binary.AppendUvarint(dst, uint64(len(c.Tests)))
 	dst = binary.AppendUvarint(dst, uint64(len(c.Traces)))
-	dst = binary.AppendUvarint(dst, uint64(numTestFields+numTraceFields))
+	dst = binary.AppendUvarint(dst, uint64(len(testStripes)+len(traceStripes)))
 	dst = binary.LittleEndian.AppendUint32(dst, crc32.Checksum(dst[preStart:], castagnoli))
-	dst = appendTestStripes(dst, c.Tests, sc)
-	dst = appendTraceStripes(dst, c.Traces, sc)
+
+	rows := &chunkRows{tests: c.Tests, traces: c.Traces, hops: sc.hops[:0]}
+	for _, tr := range c.Traces {
+		for i := range tr.Hops {
+			rows.hops = append(rows.hops, &tr.Hops[i])
+		}
+	}
+	for _, tab := range stripeTables {
+		for i, def := range tab.defs {
+			var enc byte
+			sc.payload, enc = def.put(sc.payload[:0], rows, sc)
+			dst = appendStripe(dst, tab.first+uint64(i), enc, sc.payload)
+		}
+	}
+	clear(rows.hops) // the pooled scratch must not pin the chunk
+	sc.hops = rows.hops[:0]
 	return dst
 }
 
@@ -188,235 +137,6 @@ func appendCompleteness(dst []byte, cm platform.Completeness) []byte {
 	for _, v := range [...]int{cm.ScheduledTests, cm.AbandonedTests, cm.DroppedRows, cm.TruncatedTests, cm.DegradedTraces} {
 		dst = binary.AppendUvarint(dst, uint64(v))
 	}
-	return dst
-}
-
-// appendTestStripes emits one stripe per ndt.Test field, in field-id
-// order.
-func appendTestStripes(dst []byte, tests []*ndt.Test, sc *colScratch) []byte {
-	stripe := func(field uint64, enc byte) {
-		dst = appendStripe(dst, field, enc, sc.payload)
-		sc.payload = sc.payload[:0]
-	}
-	deltas := func(field uint64, get func(*ndt.Test) int64) {
-		sc.i64s = sc.i64s[:0]
-		for _, t := range tests {
-			sc.i64s = append(sc.i64s, get(t))
-		}
-		sc.payload = appendDeltas(sc.payload, sc.i64s)
-		stripe(field, encDelta)
-	}
-	varints := func(field uint64, get func(*ndt.Test) uint64) {
-		sc.u64s = sc.u64s[:0]
-		for _, t := range tests {
-			sc.u64s = append(sc.u64s, get(t))
-		}
-		sc.payload = appendUvarints(sc.payload, sc.u64s)
-		stripe(field, encVarint)
-	}
-	dictInts := func(field uint64, get func(*ndt.Test) uint64) {
-		sc.u64s = sc.u64s[:0]
-		for _, t := range tests {
-			sc.u64s = append(sc.u64s, get(t))
-		}
-		sc.payload = appendIntDict(sc.payload, sc.u64s, sc.u64Dict)
-		stripe(field, encDict)
-	}
-	dictStrs := func(field uint64, get func(*ndt.Test) string) {
-		sc.strs = sc.strs[:0]
-		for _, t := range tests {
-			sc.strs = append(sc.strs, get(t))
-		}
-		sc.payload = appendStringDict(sc.payload, sc.strs, sc.strDict)
-		stripe(field, encDict)
-	}
-	rawFloats := func(field uint64, get func(*ndt.Test) float64) {
-		sc.f64s = sc.f64s[:0]
-		for _, t := range tests {
-			sc.f64s = append(sc.f64s, get(t))
-		}
-		sc.payload = appendFloats(sc.payload, sc.f64s)
-		stripe(field, encRaw)
-	}
-	adaptFloats := func(field uint64, get func(*ndt.Test) float64) {
-		sc.f64s = sc.f64s[:0]
-		for _, t := range tests {
-			sc.f64s = append(sc.f64s, get(t))
-		}
-		var enc byte
-		sc.payload, enc = appendFloatColumn(sc.payload, sc.f64s, sc.u64Dict)
-		stripe(field, enc)
-	}
-	rawU32s := func(field uint64, get func(*ndt.Test) uint32) {
-		sc.u32s = sc.u32s[:0]
-		for _, t := range tests {
-			sc.u32s = append(sc.u32s, get(t))
-		}
-		sc.payload = appendUint32s(sc.payload, sc.u32s)
-		stripe(field, encRaw)
-	}
-	bitmap := func(field uint64, get func(*ndt.Test) bool) {
-		sc.bools = sc.bools[:0]
-		for _, t := range tests {
-			sc.bools = append(sc.bools, get(t))
-		}
-		sc.payload = appendBitmap(sc.payload, sc.bools)
-		stripe(field, encBitmap)
-	}
-	deltas(fTestID, func(t *ndt.Test) int64 { return int64(t.ID) })
-	rawU32s(fTestClientAddr, func(t *ndt.Test) uint32 { return uint32(t.ClientAddr) })
-	varints(fTestClientASN, func(t *ndt.Test) uint64 { return uint64(t.ClientASN) })
-	dictStrs(fTestClientISP, func(t *ndt.Test) string { return t.ClientISP })
-	dictStrs(fTestClientMetro, func(t *ndt.Test) string { return t.ClientMetro })
-	adaptFloats(fTestTierMbps, func(t *ndt.Test) float64 { return t.TierMbps })
-	adaptFloats(fTestWiFiCapMbps, func(t *ndt.Test) float64 { return t.WiFiCapMbps })
-	dictInts(fTestServerAddr, func(t *ndt.Test) uint64 { return uint64(t.ServerAddr) })
-	dictInts(fTestServerASN, func(t *ndt.Test) uint64 { return uint64(t.ServerASN) })
-	dictStrs(fTestServerSite, func(t *ndt.Test) string { return t.ServerSite })
-	dictStrs(fTestServerNet, func(t *ndt.Test) string { return t.ServerNet })
-	dictStrs(fTestServerMetro, func(t *ndt.Test) string { return t.ServerMetro })
-	deltas(fTestStartMinute, func(t *ndt.Test) int64 { return int64(t.StartMinute) })
-	rawU32s(fTestFlowEntropy, func(t *ndt.Test) uint32 { return t.FlowEntropy })
-	rawFloats(fTestDownMbps, func(t *ndt.Test) float64 { return t.DownMbps })
-	rawFloats(fTestUpMbps, func(t *ndt.Test) float64 { return t.UpMbps })
-	rawFloats(fTestRTTms, func(t *ndt.Test) float64 { return t.RTTms })
-	rawFloats(fTestRTTMinMs, func(t *ndt.Test) float64 { return t.RTTMinMs })
-	rawFloats(fTestRetransRate, func(t *ndt.Test) float64 { return t.RetransRate })
-	adaptFloats(fTestW100DurationSec, func(t *ndt.Test) float64 { return t.Web100.DurationSec })
-	varints(fTestW100OctetsAcked, func(t *ndt.Test) uint64 { return uint64(t.Web100.HCThruOctetsAcked) })
-	varints(fTestW100SegsOut, func(t *ndt.Test) uint64 { return uint64(t.Web100.SegsOut) })
-	varints(fTestW100SegsRetrans, func(t *ndt.Test) uint64 { return uint64(t.Web100.SegsRetrans) })
-	varints(fTestW100CongSignals, func(t *ndt.Test) uint64 { return uint64(t.Web100.CongSignals) })
-	rawFloats(fTestW100MinRTTms, func(t *ndt.Test) float64 { return t.Web100.MinRTTms })
-	rawFloats(fTestW100SmoothedRTTms, func(t *ndt.Test) float64 { return t.Web100.SmoothedRTTms })
-	varints(fTestW100CurCwndBytes, func(t *ndt.Test) uint64 { return uint64(t.Web100.CurCwndBytes) })
-	adaptFloats(fTestW100CwndFrac, func(t *ndt.Test) float64 { return t.Web100.SndLimTimeCwndFrac })
-	adaptFloats(fTestW100RwinFrac, func(t *ndt.Test) float64 { return t.Web100.SndLimTimeRwinFrac })
-	adaptFloats(fTestW100SenderFrac, func(t *ndt.Test) float64 { return t.Web100.SndLimTimeSenderFrac })
-	bitmap(fTestTruncated, func(t *ndt.Test) bool { return t.Truncated })
-	varints(fTestTruthKind, func(t *ndt.Test) uint64 { return uint64(t.TruthKind) })
-	bitmap(fTestTruthSaturated, func(t *ndt.Test) bool { return t.TruthSaturated })
-	varints(fTestTruthBottleneck, func(t *ndt.Test) uint64 { return uint64(t.TruthBottleneck) })
-
-	// List columns: a lengths stripe, then the values flattened across
-	// the chunk (the same shape as hop columns on the trace side).
-	varints(fTestTruthInterLens, func(t *ndt.Test) uint64 { return uint64(len(t.TruthInterLinks)) })
-	sc.u64s = sc.u64s[:0]
-	for _, t := range tests {
-		for _, v := range t.TruthInterLinks {
-			sc.u64s = append(sc.u64s, uint64(v))
-		}
-	}
-	sc.payload = appendUvarints(sc.payload, sc.u64s)
-	stripe(fTestTruthInterVals, encVarint)
-
-	varints(fTestTruthASPathLens, func(t *ndt.Test) uint64 { return uint64(len(t.TruthASPath)) })
-	sc.u64s = sc.u64s[:0]
-	for _, t := range tests {
-		for _, v := range t.TruthASPath {
-			sc.u64s = append(sc.u64s, uint64(v))
-		}
-	}
-	sc.payload = appendUvarints(sc.payload, sc.u64s)
-	stripe(fTestTruthASPathVals, encVarint)
-	return dst
-}
-
-// appendTraceStripes emits one stripe per traceroute.Trace field. Hop
-// fields are flattened across the chunk behind a per-trace lengths
-// stripe, which the writer emits first so the decoder can size the hop
-// slab before any hop stripe arrives.
-func appendTraceStripes(dst []byte, traces []*traceroute.Trace, sc *colScratch) []byte {
-	stripe := func(field uint64, enc byte) {
-		dst = appendStripe(dst, field, enc, sc.payload)
-		sc.payload = sc.payload[:0]
-	}
-
-	sc.u32s = sc.u32s[:0]
-	for _, tr := range traces {
-		sc.u32s = append(sc.u32s, uint32(tr.SrcAddr))
-	}
-	sc.payload = appendUint32s(sc.payload, sc.u32s)
-	stripe(fTraceSrcAddr, encRaw)
-
-	sc.u32s = sc.u32s[:0]
-	for _, tr := range traces {
-		sc.u32s = append(sc.u32s, uint32(tr.DstAddr))
-	}
-	sc.payload = appendUint32s(sc.payload, sc.u32s)
-	stripe(fTraceDstAddr, encRaw)
-
-	sc.i64s = sc.i64s[:0]
-	for _, tr := range traces {
-		sc.i64s = append(sc.i64s, int64(tr.LaunchMinute))
-	}
-	sc.payload = appendDeltas(sc.payload, sc.i64s)
-	stripe(fTraceLaunchMinute, encDelta)
-
-	sc.u32s = sc.u32s[:0]
-	for _, tr := range traces {
-		sc.u32s = append(sc.u32s, tr.FlowEntropy)
-	}
-	sc.payload = appendUint32s(sc.payload, sc.u32s)
-	stripe(fTraceFlowEntropy, encRaw)
-
-	sc.bools = sc.bools[:0]
-	for _, tr := range traces {
-		sc.bools = append(sc.bools, tr.Reached)
-	}
-	sc.payload = appendBitmap(sc.payload, sc.bools)
-	stripe(fTraceReached, encBitmap)
-
-	sc.bools = sc.bools[:0]
-	for _, tr := range traces {
-		sc.bools = append(sc.bools, tr.Degraded)
-	}
-	sc.payload = appendBitmap(sc.payload, sc.bools)
-	stripe(fTraceDegraded, encBitmap)
-
-	sc.u64s = sc.u64s[:0]
-	for _, tr := range traces {
-		sc.u64s = append(sc.u64s, uint64(len(tr.Hops)))
-	}
-	sc.payload = appendUvarints(sc.payload, sc.u64s)
-	stripe(fTraceHopLens, encVarint)
-
-	sc.u64s = sc.u64s[:0]
-	for _, tr := range traces {
-		for _, h := range tr.Hops {
-			sc.u64s = append(sc.u64s, uint64(h.TTL))
-		}
-	}
-	sc.payload = appendUvarints(sc.payload, sc.u64s)
-	stripe(fTraceHopTTL, encVarint)
-
-	sc.u32s = sc.u32s[:0]
-	for _, tr := range traces {
-		for _, h := range tr.Hops {
-			sc.u32s = append(sc.u32s, uint32(h.Addr))
-		}
-	}
-	sc.payload = appendUint32s(sc.payload, sc.u32s)
-	stripe(fTraceHopAddr, encRaw)
-
-	sc.strs = sc.strs[:0]
-	for _, tr := range traces {
-		for _, h := range tr.Hops {
-			sc.strs = append(sc.strs, h.DNSName)
-		}
-	}
-	sc.payload = appendStringDict(sc.payload, sc.strs, sc.strDict)
-	stripe(fTraceHopDNSName, encDict)
-
-	sc.f64s = sc.f64s[:0]
-	for _, tr := range traces {
-		for _, h := range tr.Hops {
-			sc.f64s = append(sc.f64s, h.RTTms)
-		}
-	}
-	sc.payload = appendFloats(sc.payload, sc.f64s)
-	stripe(fTraceHopRTTms, encRaw)
-
 	return dst
 }
 

@@ -3,6 +3,7 @@ package export
 import (
 	"bytes"
 	"io"
+	"runtime/metrics"
 	"strings"
 	"testing"
 )
@@ -13,7 +14,7 @@ import (
 // in the input's length, so mutants of a corpus carrying even one chunk
 // frame (~600 bytes) park both workers in minimization for a whole
 // 20 s run. Chunk payloads sit behind a CRC the fuzzer cannot forge
-// anyway; the round-trip, truncation and corruption tests cover them.
+// here; FuzzChunkPayload frames them itself.
 func emptyCorpus(tb testing.TB) []byte {
 	tb.Helper()
 	var buf bytes.Buffer
@@ -59,6 +60,62 @@ func FuzzColumnarDecode(f *testing.F) {
 					}
 				}
 				cr.Close()
+			}
+		}
+	})
+}
+
+// stripeTriples writes stripes in FuzzChunkPayload's input shape.
+func stripeTriples(tests, traces byte, stripes []rawStripe) []byte {
+	b := []byte{tests, traces}
+	for _, s := range stripes {
+		b = append(append(b, byte(s.field), s.enc, byte(len(s.body))), s.body...)
+	}
+	return b
+}
+
+// FuzzChunkPayload fuzzes the chunk decoder behind valid checksums,
+// which FuzzColumnarDecode's mutants almost never carry. The input is
+// two row counts (mod 4) and then (field, encoding, length, body) byte
+// triples; each becomes one stripe, framed with its CRC behind a valid
+// preamble. The decoder must return a chunk or an error, never panic,
+// and allocate no more than a small multiple of the payload. Seeds are
+// a valid empty chunk and a valid one-row chunk, kept small for the
+// minimizer (see emptyCorpus).
+func FuzzChunkPayload(f *testing.F) {
+	var empty []rawStripe
+	for _, s := range validStripes(f) {
+		// The zero-row column bodies: dictionaries keep their empty
+		// table, everything else is empty.
+		var body []byte
+		if s.enc == encDict {
+			body = []byte{0}
+		}
+		empty = append(empty, rawStripe{s.field, s.enc, body})
+	}
+	f.Add(stripeTriples(0, 0, empty))
+	f.Add(stripeTriples(1, 1, validStripes(f)))
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 2 {
+			return
+		}
+		var stripes []rawStripe
+		for rest := data[2:]; len(rest) >= 3; {
+			n := min(int(rest[2]), len(rest)-3)
+			stripes = append(stripes, rawStripe{uint64(rest[0]), rest[1], rest[3 : 3+n]})
+			rest = rest[3+n:]
+		}
+		payload := chunkPayload(int(data[0]%4), int(data[1]%4), stripes)
+		// The allocation counter moves a span at a time, hence the slack.
+		allocs := []metrics.Sample{{Name: "/gc/heap/allocs:bytes"}}
+		for _, proj := range []Projection{EverythingProjection(), {Traces: true}} {
+			metrics.Read(allocs)
+			before := allocs[0].Value.Uint64()
+			decodeChunkPayload(payload, proj)
+			metrics.Read(allocs)
+			if got, limit := allocs[0].Value.Uint64()-before, uint64(64*len(payload)+1<<20); got > limit {
+				t.Fatalf("decoding a %d-byte payload allocated %d bytes (limit %d)", len(payload), got, limit)
 			}
 		}
 	})

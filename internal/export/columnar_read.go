@@ -18,11 +18,8 @@ import (
 	"io"
 
 	"throughputlab/internal/ndt"
-	"throughputlab/internal/netaddr"
-	"throughputlab/internal/netsim"
 	"throughputlab/internal/platform"
 	"throughputlab/internal/stream"
-	"throughputlab/internal/topology"
 	"throughputlab/internal/traceroute"
 )
 
@@ -76,7 +73,7 @@ func decodeChunkPayload(payload []byte, proj Projection) (*StreamChunk, colPream
 		TestsWithoutTrace: pre.testsWithoutTrace,
 		Completeness:      pre.completeness,
 	}
-	d := &chunkDecoder{r: r, pre: pre, proj: proj}
+	d := &chunkDecoder{want: [2]bool{proj.Tests, proj.Traces}, budget: len(payload)}
 	if proj.Tests {
 		d.tests = make([]ndt.Test, pre.tests)
 		c.Tests = make([]*ndt.Test, pre.tests)
@@ -148,268 +145,47 @@ func readPreamble(r *colReader) (colPreamble, error) {
 
 // chunkDecoder dispatches stripes into the chunk's slabs.
 type chunkDecoder struct {
-	r    *colReader
-	pre  colPreamble
-	proj Projection
+	want   [2]bool   // per stripe table: decode this family
+	seen   [2]uint64 // per stripe table: bit i set once entry i decoded
+	budget int       // chunk payload bytes, which bound the list slabs
 
 	tests  []ndt.Test
 	traces []traceroute.Trace
 	hops   []traceroute.Hop
-
-	seenTests  uint64
-	seenTraces uint64
-	hopsSized  bool
-	interSized bool
-	pathSized  bool
-	interVals  []topology.LinkID
-	pathVals   []topology.ASN
 }
 
-// apply decodes one stripe into its column, or skips it when the
-// projection excludes its family (the checksum was still verified by
-// readStripe, so a pruned read still detects corruption).
+// apply decodes one stripe through its table entry, or skips it when
+// the projection excludes its family (the checksum was still verified
+// by readStripe, so a pruned read still detects corruption) or a newer
+// writer added it.
 func (d *chunkDecoder) apply(st stripeHeader) error {
-	if st.field < fTraceSrcAddr {
-		if !d.proj.Tests {
-			return nil
-		}
-		return d.applyTest(st)
+	f := 0 // ids below the trace table's first are the test family's
+	if st.field >= stripeTables[1].first {
+		f = 1
 	}
-	if !d.proj.Traces {
+	tab := stripeTables[f]
+	if !d.want[f] {
 		return nil
 	}
-	return d.applyTrace(st)
-}
-
-// mark records a stripe as seen, rejecting duplicates (a duplicated
-// stripe would silently overwrite a column otherwise).
-func mark(seen *uint64, bit uint) error {
-	if *seen&(1<<bit) != 0 {
-		return fmt.Errorf("duplicate stripe")
+	if st.field < tab.first {
+		return fmt.Errorf("field id %d is reserved", st.field)
 	}
-	*seen |= 1 << bit
-	return nil
-}
-
-func (d *chunkDecoder) applyTest(st stripeHeader) error {
-	if st.field > uint64(numTestFields) {
-		return nil // unknown test column from a newer writer: skip
+	i := st.field - tab.first
+	if i >= uint64(len(tab.defs)) {
+		return nil // unknown column from a newer writer: skip
 	}
-	if err := mark(&d.seenTests, uint(st.field)); err != nil {
-		return err
+	def := tab.defs[i]
+	switch {
+	case d.seen[f]&(1<<i) != 0:
+		return fmt.Errorf("duplicate stripe") // it would overwrite the column
+	case def.encs&(1<<st.enc) == 0:
+		return fmt.Errorf("not an encoding this column writes")
+	case d.seen[f]&def.needs != def.needs:
+		return fmt.Errorf("stripe before its lengths stripe")
 	}
-	n := len(d.tests)
+	d.seen[f] |= 1 << i
 	r := &colReader{b: st.body}
-	var err error
-	switch st.field {
-	case fTestID:
-		err = r.deltas(n, func(i int, v int64) { d.tests[i].ID = int(v) })
-	case fTestClientAddr:
-		err = r.uint32s(n, func(i int, v uint32) { d.tests[i].ClientAddr = netaddr.Addr(v) })
-	case fTestClientASN:
-		err = r.uvarints(n, func(i int, v uint64) { d.tests[i].ClientASN = topology.ASN(v) })
-	case fTestClientISP:
-		err = r.stringDict(n, func(i int, s string) { d.tests[i].ClientISP = s })
-	case fTestClientMetro:
-		err = r.stringDict(n, func(i int, s string) { d.tests[i].ClientMetro = s })
-	case fTestTierMbps:
-		err = floatCol(r, st.enc, n, func(i int, v float64) { d.tests[i].TierMbps = v })
-	case fTestWiFiCapMbps:
-		err = floatCol(r, st.enc, n, func(i int, v float64) { d.tests[i].WiFiCapMbps = v })
-	case fTestServerAddr:
-		err = r.intDict(n, func(i int, v uint64) { d.tests[i].ServerAddr = netaddr.Addr(v) })
-	case fTestServerASN:
-		err = r.intDict(n, func(i int, v uint64) { d.tests[i].ServerASN = topology.ASN(v) })
-	case fTestServerSite:
-		err = r.stringDict(n, func(i int, s string) { d.tests[i].ServerSite = s })
-	case fTestServerNet:
-		err = r.stringDict(n, func(i int, s string) { d.tests[i].ServerNet = s })
-	case fTestServerMetro:
-		err = r.stringDict(n, func(i int, s string) { d.tests[i].ServerMetro = s })
-	case fTestStartMinute:
-		err = r.deltas(n, func(i int, v int64) { d.tests[i].StartMinute = int(v) })
-	case fTestFlowEntropy:
-		err = r.uint32s(n, func(i int, v uint32) { d.tests[i].FlowEntropy = v })
-	case fTestDownMbps:
-		err = r.floats(n, func(i int, v float64) { d.tests[i].DownMbps = v })
-	case fTestUpMbps:
-		err = r.floats(n, func(i int, v float64) { d.tests[i].UpMbps = v })
-	case fTestRTTms:
-		err = r.floats(n, func(i int, v float64) { d.tests[i].RTTms = v })
-	case fTestRTTMinMs:
-		err = r.floats(n, func(i int, v float64) { d.tests[i].RTTMinMs = v })
-	case fTestRetransRate:
-		err = r.floats(n, func(i int, v float64) { d.tests[i].RetransRate = v })
-	case fTestW100DurationSec:
-		err = floatCol(r, st.enc, n, func(i int, v float64) { d.tests[i].Web100.DurationSec = v })
-	case fTestW100OctetsAcked:
-		err = r.uvarints(n, func(i int, v uint64) { d.tests[i].Web100.HCThruOctetsAcked = int64(v) })
-	case fTestW100SegsOut:
-		err = r.uvarints(n, func(i int, v uint64) { d.tests[i].Web100.SegsOut = int64(v) })
-	case fTestW100SegsRetrans:
-		err = r.uvarints(n, func(i int, v uint64) { d.tests[i].Web100.SegsRetrans = int64(v) })
-	case fTestW100CongSignals:
-		err = r.uvarints(n, func(i int, v uint64) { d.tests[i].Web100.CongSignals = int(v) })
-	case fTestW100MinRTTms:
-		err = r.floats(n, func(i int, v float64) { d.tests[i].Web100.MinRTTms = v })
-	case fTestW100SmoothedRTTms:
-		err = r.floats(n, func(i int, v float64) { d.tests[i].Web100.SmoothedRTTms = v })
-	case fTestW100CurCwndBytes:
-		err = r.uvarints(n, func(i int, v uint64) { d.tests[i].Web100.CurCwndBytes = int(v) })
-	case fTestW100CwndFrac:
-		err = floatCol(r, st.enc, n, func(i int, v float64) { d.tests[i].Web100.SndLimTimeCwndFrac = v })
-	case fTestW100RwinFrac:
-		err = floatCol(r, st.enc, n, func(i int, v float64) { d.tests[i].Web100.SndLimTimeRwinFrac = v })
-	case fTestW100SenderFrac:
-		err = floatCol(r, st.enc, n, func(i int, v float64) { d.tests[i].Web100.SndLimTimeSenderFrac = v })
-	case fTestTruncated:
-		err = r.bitmap(n, func(i int, v bool) { d.tests[i].Truncated = v })
-	case fTestTruthKind:
-		err = r.uvarints(n, func(i int, v uint64) { d.tests[i].TruthKind = netsim.BottleneckKind(v) })
-	case fTestTruthSaturated:
-		err = r.bitmap(n, func(i int, v bool) { d.tests[i].TruthSaturated = v })
-	case fTestTruthBottleneck:
-		err = r.uvarints(n, func(i int, v uint64) { d.tests[i].TruthBottleneck = topology.LinkID(v) })
-	case fTestTruthInterLens:
-		var total uint64
-		lens := make([]uint64, n)
-		if err = r.uvarints(n, func(i int, v uint64) { lens[i] = v; total += v }); err != nil {
-			break
-		}
-		if total > uint64(len(d.r.b)) {
-			err = fmt.Errorf("list lengths total %d exceeds payload", total)
-			break
-		}
-		d.interVals = make([]topology.LinkID, total)
-		off := 0
-		for i, l := range lens {
-			if l > 0 {
-				d.tests[i].TruthInterLinks = d.interVals[off : off+int(l) : off+int(l)]
-				off += int(l)
-			}
-		}
-		d.interSized = true
-	case fTestTruthInterVals:
-		if !d.interSized {
-			err = fmt.Errorf("list values before lengths stripe")
-			break
-		}
-		err = r.uvarints(len(d.interVals), func(i int, v uint64) { d.interVals[i] = topology.LinkID(v) })
-	case fTestTruthASPathLens:
-		var total uint64
-		lens := make([]uint64, n)
-		if err = r.uvarints(n, func(i int, v uint64) { lens[i] = v; total += v }); err != nil {
-			break
-		}
-		if total > uint64(len(d.r.b)) {
-			err = fmt.Errorf("list lengths total %d exceeds payload", total)
-			break
-		}
-		d.pathVals = make([]topology.ASN, total)
-		off := 0
-		for i, l := range lens {
-			if l > 0 {
-				d.tests[i].TruthASPath = d.pathVals[off : off+int(l) : off+int(l)]
-				off += int(l)
-			}
-		}
-		d.pathSized = true
-	case fTestTruthASPathVals:
-		if !d.pathSized {
-			err = fmt.Errorf("list values before lengths stripe")
-			break
-		}
-		err = r.uvarints(len(d.pathVals), func(i int, v uint64) { d.pathVals[i] = topology.ASN(v) })
-	}
-	if err != nil {
-		return err
-	}
-	if r.remaining() != 0 {
-		return fmt.Errorf("%d trailing bytes in stripe", r.remaining())
-	}
-	return nil
-}
-
-// floatCol decodes a float column that the writer encoded adaptively
-// (raw image or float dictionary, per the stripe's encoding byte).
-func floatCol(r *colReader, enc byte, n int, fn func(i int, v float64)) error {
-	switch enc {
-	case encRaw:
-		return r.floats(n, fn)
-	case encDict:
-		return r.floatDict(n, fn)
-	}
-	return fmt.Errorf("unexpected encoding for float column")
-}
-
-func (d *chunkDecoder) applyTrace(st stripeHeader) error {
-	if st.field >= fTraceSrcAddr+uint64(numTraceFields) {
-		return nil // unknown trace column from a newer writer: skip
-	}
-	if err := mark(&d.seenTraces, uint(st.field-fTraceSrcAddr)); err != nil {
-		return err
-	}
-	n := len(d.traces)
-	r := &colReader{b: st.body}
-	var err error
-	switch st.field {
-	case fTraceSrcAddr:
-		err = r.uint32s(n, func(i int, v uint32) { d.traces[i].SrcAddr = netaddr.Addr(v) })
-	case fTraceDstAddr:
-		err = r.uint32s(n, func(i int, v uint32) { d.traces[i].DstAddr = netaddr.Addr(v) })
-	case fTraceLaunchMinute:
-		err = r.deltas(n, func(i int, v int64) { d.traces[i].LaunchMinute = int(v) })
-	case fTraceFlowEntropy:
-		err = r.uint32s(n, func(i int, v uint32) { d.traces[i].FlowEntropy = v })
-	case fTraceReached:
-		err = r.bitmap(n, func(i int, v bool) { d.traces[i].Reached = v })
-	case fTraceDegraded:
-		err = r.bitmap(n, func(i int, v bool) { d.traces[i].Degraded = v })
-	case fTraceHopLens:
-		var total uint64
-		lens := make([]uint64, n)
-		if err = r.uvarints(n, func(i int, v uint64) { lens[i] = v; total += v }); err != nil {
-			break
-		}
-		if total > uint64(len(d.r.b))/4+1 {
-			err = fmt.Errorf("hop total %d exceeds payload budget", total)
-			break
-		}
-		d.hops = make([]traceroute.Hop, total)
-		off := 0
-		for i, l := range lens {
-			if l > 0 {
-				d.traces[i].Hops = d.hops[off : off+int(l) : off+int(l)]
-				off += int(l)
-			}
-		}
-		d.hopsSized = true
-	case fTraceHopTTL:
-		if !d.hopsSized {
-			err = fmt.Errorf("hop stripe before hop lengths")
-			break
-		}
-		err = r.uvarints(len(d.hops), func(i int, v uint64) { d.hops[i].TTL = int(v) })
-	case fTraceHopAddr:
-		if !d.hopsSized {
-			err = fmt.Errorf("hop stripe before hop lengths")
-			break
-		}
-		err = r.uint32s(len(d.hops), func(i int, v uint32) { d.hops[i].Addr = netaddr.Addr(v) })
-	case fTraceHopDNSName:
-		if !d.hopsSized {
-			err = fmt.Errorf("hop stripe before hop lengths")
-			break
-		}
-		err = r.stringDict(len(d.hops), func(i int, s string) { d.hops[i].DNSName = s })
-	case fTraceHopRTTms:
-		if !d.hopsSized {
-			err = fmt.Errorf("hop stripe before hop lengths")
-			break
-		}
-		err = r.floats(len(d.hops), func(i int, v float64) { d.hops[i].RTTms = v })
-	}
-	if err != nil {
+	if err := def.get(r, st.enc, d); err != nil {
 		return err
 	}
 	if r.remaining() != 0 {
@@ -420,19 +196,9 @@ func (d *chunkDecoder) applyTrace(st stripeHeader) error {
 
 // checkComplete verifies every projected-in column arrived.
 func (d *chunkDecoder) checkComplete() error {
-	if d.proj.Tests {
-		want := uint64(0)
-		for f := fTestID; f <= uint64(numTestFields); f++ {
-			want |= 1 << f
-		}
-		if d.seenTests != want {
-			return fmt.Errorf("missing test stripes (seen %#x, want %#x)", d.seenTests, want)
-		}
-	}
-	if d.proj.Traces {
-		want := uint64(1)<<uint64(numTraceFields) - 1
-		if d.seenTraces != want {
-			return fmt.Errorf("missing trace stripes (seen %#x, want %#x)", d.seenTraces, want)
+	for f, tab := range stripeTables {
+		if want := uint64(1)<<len(tab.defs) - 1; d.want[f] && d.seen[f] != want {
+			return fmt.Errorf("missing %s stripes (seen %#x, want %#x)", tab.name, d.seen[f], want)
 		}
 	}
 	return nil

@@ -60,25 +60,25 @@ func traceEqual(a, b *traceroute.Trace) bool {
 	return reflect.DeepEqual(ca, cb) && slices.Equal(a.Hops, b.Hops)
 }
 
-// TestColumnarFieldCoverage pins the stripe count to the record shape:
+// TestColumnarFieldCoverage pins the stripe tables to the record shape:
 // adding a field to ndt.Test, web100.Snapshot, traceroute.Trace or
-// traceroute.Hop without teaching the columnar codec about it fails
-// here, not at a customer's corpus.
+// traceroute.Hop without a table entry for it fails here, not at a
+// customer's corpus.
 func TestColumnarFieldCoverage(t *testing.T) {
 	// One stripe per scalar test field; Web100 flattens to one stripe
 	// per snapshot field; each truth list costs two (lengths + values).
 	testFields := reflect.TypeFor[ndt.Test]().NumField() - 3 // Web100, TruthInterLinks, TruthASPath
 	testFields += reflect.TypeFor[web100.Snapshot]().NumField()
 	testFields += 2 * 2
-	if testFields != numTestFields {
-		t.Errorf("ndt.Test flattens to %d columns, codec has %d: update the columnar stripes", testFields, numTestFields)
+	if testFields != len(testStripes) {
+		t.Errorf("ndt.Test flattens to %d columns, codec has %d: update the columnar stripes", testFields, len(testStripes))
 	}
 	// One stripe per scalar trace field; hops cost a lengths stripe plus
 	// one stripe per Hop field.
 	traceFields := reflect.TypeFor[traceroute.Trace]().NumField() - 1 // Hops
 	traceFields += 1 + reflect.TypeFor[traceroute.Hop]().NumField()
-	if traceFields != numTraceFields {
-		t.Errorf("traceroute.Trace flattens to %d columns, codec has %d: update the columnar stripes", traceFields, numTraceFields)
+	if traceFields != len(traceStripes) {
+		t.Errorf("traceroute.Trace flattens to %d columns, codec has %d: update the columnar stripes", traceFields, len(traceStripes))
 	}
 }
 
@@ -461,5 +461,50 @@ func TestColumnarWriterRejectsConflictedPublic(t *testing.T) {
 		if _, err := NewColumnarWriter(&buf, pub, StreamMeta{}, workers); err == nil {
 			t.Fatalf("workers=%d: conflicted public bundle accepted", workers)
 		}
+	}
+}
+
+// TestColumnarRejectsForeignEncoding flips the encoding byte of the
+// first chunk's test-ID stripe from delta to varint. The byte sits
+// outside the stripe checksum and both encodings parse as varints, so
+// only a check against the encodings the column writes can catch it;
+// the error must name the stripe.
+func TestColumnarRejectsForeignEncoding(t *testing.T) {
+	buf, _ := writeColumnar(t, streamCfg(120, 60), 1)
+	raw := bytes.Clone(buf.Bytes())
+	r := &colReader{b: raw, off: len(columnarMagic)}
+	skip := func(n int) {
+		if _, err := r.take(n); err != nil {
+			t.Fatal(err)
+		}
+	}
+	varint := func() int {
+		v, err := r.uvarint()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return int(v)
+	}
+	skip(varint() + 4) // header frame and its checksum
+	skip(1)            // chunk frame kind
+	varint()           // chunk payload length
+	for range 11 {
+		varint() // preamble
+	}
+	skip(4) // preamble checksum
+	if field := varint(); field != 1 || raw[r.off] != encDelta {
+		t.Fatalf("first stripe is field %d, encoding %d: want the delta-coded test IDs", field, raw[r.off])
+	}
+	raw[r.off] = encVarint
+	cr, err := openCorpus(raw, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cr.Close()
+	for err == nil {
+		_, err = cr.Next()
+	}
+	if err == io.EOF || !strings.Contains(err.Error(), "stripe 1 (varint)") {
+		t.Fatalf("test-ID stripe recoded as varint: got %v, want an error naming stripe 1 (varint)", err)
 	}
 }

@@ -940,10 +940,6 @@ func (c *weightedChooser) pick(rng *rand.Rand) int {
 	return i
 }
 
-func weightedChoice(weights []float64, rng *rand.Rand) int {
-	return newWeightedChooser(weights).pick(rng)
-}
-
 func (b *builder) applyCongestion() {
 	for _, cs := range b.cfg.Congestion {
 		tr := b.transits[cs.Transit]
