@@ -78,8 +78,9 @@ func BenchmarkWorldGeneration(b *testing.B) {
 	}
 }
 
-// BenchmarkResolverResolve measures a warm-cache path resolution: one
-// flow-hash pick over the memoized segment/interdomain/AS-path caches.
+// BenchmarkResolverResolve measures a warm-cache path resolution: once
+// a route is admitted, one route-cache lookup and hit-rule scan, with
+// the segment/interdomain/AS-path caches behind it for the misses.
 // The uncached variant recomputes every layer per call, quantifying
 // what the memoization buys.
 func BenchmarkResolverResolve(b *testing.B) {

@@ -91,7 +91,8 @@ func (s *RunStats) Summary() string {
 		}
 		return 100 * float64(hits) / float64(hits+misses)
 	}
-	fmt.Fprintf(&sb, "resolver caches: segment %.1f%% inter %.1f%% aspath %.1f%% hit; core fallbacks %d\n",
+	fmt.Fprintf(&sb, "resolver caches: route %.1f%% segment %.1f%% inter %.1f%% aspath %.1f%% hit; core fallbacks %d\n",
+		hitRate(rs.RouteHits, rs.RouteMisses),
 		hitRate(rs.SegmentHits, rs.SegmentMisses),
 		hitRate(rs.InterHits, rs.InterMisses),
 		hitRate(rs.ASPathHits, rs.ASPathMisses),

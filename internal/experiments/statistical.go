@@ -11,6 +11,7 @@ import (
 	"throughputlab/internal/platform"
 	"throughputlab/internal/topogen"
 	"throughputlab/internal/topology"
+	"throughputlab/internal/traceroute"
 )
 
 // ---- §4.1: matching rates (E9) ----
@@ -53,14 +54,29 @@ func Matching(e *Env) *MatchingResult {
 	}
 
 	// The 2017-style corpus: double the monthly volume on the same
-	// world and infrastructure.
+	// world and infrastructure. It is matched chunk by chunk as it is
+	// collected, so only the matcher's few-minute window stays resident.
 	cfg := e.Opts.Collect
 	cfg.Tests *= 2
 	cfg.Seed += 9000
-	if big, err := platform.CollectParallelCtx(context.TODO(), e.World, cfg, 1); err == nil {
-		m := core.MatchTraces(big.Tests, big.Traces, 10, core.WindowAfter)
-		res.HighVolumeTotal = len(big.Tests)
-		res.HighVolumeAfterRate = m.Rate()
+	var total, matched int
+	sm := core.NewStreamMatcher(10, core.WindowAfter)
+	sm.OnPair = func(_ *ndt.Test, tr *traceroute.Trace) {
+		total++
+		if tr != nil {
+			matched++
+		}
+	}
+	_, err := platform.CollectStreamCtx(context.TODO(), e.World, cfg, 1, func(c *platform.Chunk) error {
+		sm.Add(c.Tests, c.Traces, c.Watermark)
+		return nil
+	})
+	if err == nil {
+		sm.Finish()
+		res.HighVolumeTotal = total
+		if total > 0 {
+			res.HighVolumeAfterRate = float64(matched) / float64(total)
+		}
 	}
 	return res
 }

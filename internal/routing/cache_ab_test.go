@@ -1,6 +1,7 @@
 package routing_test
 
 import (
+	"context"
 	"fmt"
 	"hash/fnv"
 	"math/rand"
@@ -10,6 +11,8 @@ import (
 	"throughputlab/internal/platform"
 	"throughputlab/internal/routing"
 	"throughputlab/internal/topogen"
+	"throughputlab/internal/topology"
+	"throughputlab/internal/traceroute"
 )
 
 // pathFingerprint digests every field of a resolved path that
@@ -67,11 +70,45 @@ func abCases(w *topogen.World, seed int64, n int) []abCase {
 	return out
 }
 
+// maxParallelLinks bounds the near-tie set size of any AS crossing in
+// the world: the most interdomain links realizing one AS adjacency.
+func maxParallelLinks(w *topogen.World) int {
+	count := map[[2]topology.ASN]int{}
+	most := 1
+	for _, l := range w.Topo.Links() {
+		if l.Kind != topology.LinkInterdomain {
+			continue
+		}
+		k := [2]topology.ASN{l.ASA(), l.ASB()}
+		if k[0] > k[1] {
+			k[0], k[1] = k[1], k[0]
+		}
+		count[k]++
+		most = max(most, count[k])
+	}
+	return most
+}
+
+// everyMember widens each case to the flow keys key, key+1, …,
+// key+fan-1. Consecutive keys cover every residue modulo any set size
+// up to fan, so at every crossing a case reaches, some key picks each
+// near-tie member.
+func everyMember(cases []abCase, fan int) []abCase {
+	out := make([]abCase, 0, len(cases)*fan)
+	for _, c := range cases {
+		for j := 0; j < fan; j++ {
+			out = append(out, abCase{src: c.src, dst: c.dst, key: c.key + uint64(j)})
+		}
+	}
+	return out
+}
+
 // TestCachedResolverByteIdentical is the memoization layer's identity
-// contract: for random worlds, endpoints, and flow keys, the cached
-// resolver produces paths observably identical to a cache-disabled
-// resolver — resolved twice, so the second pass also exercises warm
-// cache hits against the cold fingerprints.
+// contract: for random worlds, endpoints, and flow keys landing on
+// every member of each near-tie set, the cached resolver produces
+// paths observably identical to a cache-disabled resolver. Three
+// passes: the first records each route key, the second admits its
+// leaves, and the third is served from admitted leaves.
 func TestCachedResolverByteIdentical(t *testing.T) {
 	for _, seed := range []int64{1, 7, 42} {
 		cfg := topogen.SmallConfig()
@@ -81,8 +118,16 @@ func TestCachedResolverByteIdentical(t *testing.T) {
 		uncached := routing.New(w.Topo, w.Routes)
 		uncached.DisableCache()
 
-		cases := abCases(w, seed*1000+13, 150)
-		for pass := 0; pass < 2; pass++ {
+		fan := maxParallelLinks(w)
+		cases := everyMember(abCases(w, seed*1000+13, 150), fan)
+		// paths collects, per widened case, the distinct paths its flow
+		// keys resolve onto.
+		paths := make([]map[uint64]bool, len(cases)/fan)
+		for i := range paths {
+			paths[i] = map[uint64]bool{}
+		}
+		for pass := 0; pass < 3; pass++ {
+			before := cached.Stats()
 			for i, c := range cases {
 				pc, errC := cached.Resolve(c.src, c.dst, c.key)
 				pu, errU := uncached.Resolve(c.src, c.dst, c.key)
@@ -92,19 +137,96 @@ func TestCachedResolverByteIdentical(t *testing.T) {
 				if errC != nil {
 					continue
 				}
-				if got, want := pathFingerprint(cached, pc), pathFingerprint(uncached, pu); got != want {
+				got, want := pathFingerprint(cached, pc), pathFingerprint(uncached, pu)
+				if got != want {
 					t.Fatalf("seed %d pass %d case %d (%d->%d key %d): cached path %#x != uncached %#x",
 						seed, pass, i, c.src.Addr, c.dst.Addr, c.key, got, want)
 				}
+				paths[i/fan][want] = true
+			}
+			if st := cached.Stats(); pass == 2 && st.RouteMisses != before.RouteMisses {
+				t.Errorf("seed %d: third pass missed the route cache %d times; want every case served by an admitted leaf",
+					seed, st.RouteMisses-before.RouteMisses)
 			}
 		}
+		multi := 0
+		for _, ps := range paths {
+			if len(ps) > 1 {
+				multi++
+			}
+		}
+		if multi == 0 {
+			t.Errorf("seed %d: no case reached a multi-candidate crossing", seed)
+		}
 		st := cached.Stats()
-		if st.SegmentHits == 0 || st.InterHits == 0 || st.ASPathHits == 0 {
+		if st.RouteHits == 0 || st.SegmentHits == 0 || st.InterHits == 0 || st.ASPathHits == 0 {
 			t.Errorf("seed %d: expected warm-cache hits, got %+v", seed, st)
 		}
-		if ust := uncached.Stats(); ust.SegmentHits+ust.SegmentMisses+ust.InterHits+ust.ASPathHits != 0 {
+		if ust := uncached.Stats(); ust != (routing.Stats{}) {
 			t.Errorf("seed %d: cache-disabled resolver recorded cache traffic: %+v", seed, ust)
 		}
+	}
+}
+
+// TestRouteCacheLeavesStayImmutable guards the route cache's sharing
+// contract: a hit hands every caller the leaf's own Hops, Links and
+// ASPath slices, so a caller that wrote to them would corrupt every
+// later path on that route. After a collection (NDT tests, their
+// traceroutes and netsim flows) and an Ark traceroute campaign over
+// the same endpoints have been served from the cache, every admitted
+// case must still resolve, as a hit, to the cache-disabled path.
+func TestRouteCacheLeavesStayImmutable(t *testing.T) {
+	w := topogen.MustGenerate(topogen.SmallConfig())
+	uncached := routing.New(w.Topo, w.Routes)
+	uncached.DisableCache()
+	cases := abCases(w, 5, 100)
+	want := make([]uint64, len(cases))
+	for i, c := range cases {
+		p, err := uncached.Resolve(c.src, c.dst, c.key)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[i] = pathFingerprint(uncached, p)
+	}
+	// Two sightings admit every case's leaf.
+	for pass := 0; pass < 2; pass++ {
+		for _, c := range cases {
+			if _, err := w.Resolver.Resolve(c.src, c.dst, c.key); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+
+	cfg := platform.DefaultCollect()
+	cfg.Tests = 3000
+	cfg.PerPoolClients = 3
+	if _, err := platform.CollectParallelCtx(context.Background(), w, cfg, 2); err != nil {
+		t.Fatal(err)
+	}
+	targets := make([]routing.Endpoint, 0, len(cases))
+	for _, c := range cases {
+		targets = append(targets, c.dst)
+	}
+	vp := w.ArkVPs[0].Host.Endpoint
+	for pass := 0; pass < 2; pass++ {
+		platform.Campaign(w, vp, targets, traceroute.DefaultArtifacts(), int64(pass))
+	}
+
+	before := w.Resolver.Stats()
+	for i, c := range cases {
+		p, err := w.Resolver.Resolve(c.src, c.dst, c.key)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := pathFingerprint(w.Resolver, p); got != want[i] {
+			t.Fatalf("case %d (%d->%d key %d): served path %#x != uncached %#x; a caller mutated a shared leaf",
+				i, c.src.Addr, c.dst.Addr, c.key, got, want[i])
+		}
+	}
+	after := w.Resolver.Stats()
+	if hits := after.RouteHits - before.RouteHits; hits != uint64(len(cases)) {
+		t.Errorf("re-resolve: %d route hits for %d cases (%d misses); want every case a hit",
+			hits, len(cases), after.RouteMisses-before.RouteMisses)
 	}
 }
 

@@ -47,8 +47,17 @@ func TestObserveRebindsStats(t *testing.T) {
 		}
 	}
 	st := n.rv.Stats()
+	if st.RouteHits == 0 {
+		t.Fatal("no route hits recorded after rebind")
+	}
 	if st.SegmentHits == 0 {
 		t.Fatal("no segment hits recorded after rebind")
+	}
+	if got := reg.Counter("resolver.route.hits").Value(); got != st.RouteHits {
+		t.Errorf("registry route hits = %d, Stats() = %d; want equal", got, st.RouteHits)
+	}
+	if got := reg.Counter("resolver.route.misses").Value(); got != st.RouteMisses {
+		t.Errorf("registry route misses = %d, Stats() = %d; want equal", got, st.RouteMisses)
 	}
 	if got := reg.Counter("resolver.segment.hits").Value(); got != st.SegmentHits {
 		t.Errorf("registry segment hits = %d, Stats() = %d; want equal", got, st.SegmentHits)
@@ -67,13 +76,15 @@ func TestObserveRebindsStats(t *testing.T) {
 	if _, err := n.rv.Resolve(n.server, n.clientNYC, 99); err != nil {
 		t.Fatal(err)
 	}
-	if got := reg.Counter("resolver.segment.hits").Value(); got != n.rv.Stats().SegmentHits {
+	if got := reg.Counter("resolver.route.hits").Value(); got != n.rv.Stats().RouteHits {
 		t.Error("Observe(nil) detached the registry; want no-op")
 	}
 }
 
 // TestSegmentCacheReused verifies that repeated resolution of one pair
-// serves the intra-AS segment and interdomain choice from cache.
+// is served from the route cache once admitted, and that the route
+// cache's misses reuse the intra-AS segment, interdomain choice and
+// AS path from theirs.
 func TestSegmentCacheReused(t *testing.T) {
 	n := buildTestNet(t)
 	for i := 0; i < 5; i++ {
@@ -82,6 +93,9 @@ func TestSegmentCacheReused(t *testing.T) {
 		}
 	}
 	st := n.rv.Stats()
+	if st.RouteHits == 0 {
+		t.Errorf("no route cache hits after repeated resolves: %+v", st)
+	}
 	if st.SegmentHits == 0 {
 		t.Errorf("no segment cache hits after repeated resolves: %+v", st)
 	}

@@ -11,10 +11,15 @@
 // load-balancing behaviour Paris traceroute is designed to hold fixed
 // within one trace (§3).
 //
-// Resolution is memoized (see cache.go): intra-AS segments, scored
-// interdomain near-tie sets, and AS-level paths are each computed once
-// per key and shared afterwards, so repeated resolution over one world
-// is near-free. The caches never change results — only their cost.
+// Resolution is memoized in four layers (see cache.go). In front, a
+// route cache holds whole resolved paths per (endpoints' routers,
+// access lines, ASNs, destination metro) key: a path stored there
+// serves every flow key whose hash picks the same near-tie member at
+// each of its AS crossings. A key's first miss only records the key;
+// its paths are stored from the second miss on, so one-off surveys do
+// not fill the heap. Behind it, intra-AS segments, scored interdomain
+// near-tie sets and AS-level paths are each computed once per key and
+// shared. The caches never change results — only their cost.
 package routing
 
 import (
@@ -53,15 +58,19 @@ type Hop struct {
 	Ingress *topology.Interface
 }
 
-// Path is a resolved router-level path.
+// Path is a resolved router-level path. Its Hops, Links and ASPath
+// slices are shared with the resolver's caches and with every other
+// Path resolved onto the same route, so they are immutable: read them,
+// never write or append in place.
 type Path struct {
 	Src, Dst Endpoint
-	Hops     []Hop
+	// Hops are the routers visited in order (shared, immutable).
+	Hops []Hop
 	// Links are all capacity-bearing links traversed in order,
-	// including the endpoints' access lines when present.
+	// including the endpoints' access lines when present (shared,
+	// immutable).
 	Links []*topology.Link
-	// ASPath is the AS-level path from bgp. The slice is shared with
-	// the resolver's AS-path cache and must not be mutated.
+	// ASPath is the AS-level path from bgp (shared, immutable).
 	ASPath []topology.ASN
 }
 
@@ -108,9 +117,9 @@ type Resolver struct {
 	delays      *geo.DelayMatrix
 	routerMetro []int32
 
-	// cache memoizes segments, interdomain choices, and AS paths;
-	// noCache (set by DisableCache) routes every lookup through the
-	// compute path, for A/B identity tests.
+	// cache memoizes whole routes, segments, interdomain choices, and
+	// AS paths; noCache (set by DisableCache) routes every lookup
+	// through the compute path, for A/B identity tests.
 	cache    *resolverCache
 	counters resolverCounters
 	noCache  bool
@@ -252,8 +261,34 @@ func FlowKey(src, dst netaddr.Addr, entropy uint32) uint64 {
 }
 
 // Resolve computes the router-level path from src to dst for the given
-// flow key.
+// flow key. The returned Path's Hops, Links and ASPath may be shared
+// with the resolver's route cache and with other returned paths; they
+// must not be mutated.
 func (rv *Resolver) Resolve(src, dst Endpoint, flowKey uint64) (*Path, error) {
+	if rv.noCache {
+		return rv.compute(src, dst, flowKey, nil)
+	}
+	k := routeKeyOf(src, dst)
+	if leaf := rv.cache.lookupRoute(k, flowKey); leaf != nil {
+		rv.counters.routeHits.Add(1)
+		rv.counters.resolveHops.Observe(float64(len(leaf.hops)))
+		return &Path{Src: src, Dst: dst, Hops: leaf.hops, Links: leaf.links, ASPath: leaf.asPath}, nil
+	}
+	rv.counters.routeMisses.Add(1)
+	var picks []routePick
+	p, err := rv.compute(src, dst, flowKey, &picks)
+	if err != nil {
+		return nil, err
+	}
+	rv.cache.storeRoute(k, flowKey, p, picks)
+	return p, nil
+}
+
+// compute resolves a path through the segment, near-tie and AS-path
+// caches. When picks is non-nil, every AS crossing with more than one
+// near-tie candidate appends its set size and chosen index to it: the
+// route cache's hit rule for the resulting leaf.
+func (rv *Resolver) compute(src, dst Endpoint, flowKey uint64, picks *[]routePick) (*Path, error) {
 	asPath := rv.asPath(src.ASN, dst.ASN)
 	if asPath == nil {
 		return nil, fmt.Errorf("routing: no AS route %d -> %d", src.ASN, dst.ASN)
@@ -282,10 +317,17 @@ func (rv *Resolver) Resolve(src, dst Endpoint, flowKey uint64) (*Path, error) {
 	}
 	for i := 1; i < len(asPath); i++ {
 		fromAS, toAS := asPath[i-1], asPath[i]
-		link, err := rv.pickInterLink(fromAS, toAS, rv.routerMetroIdx(cur), dstMetro, flowKey)
+		// The near-tie set comes from the cache; the flow hash picks one
+		// member.
+		eq, err := rv.interChoices(interKey{from: fromAS, to: toAS, curMetro: rv.routerMetroIdx(cur), dstMetro: dstMetro})
 		if err != nil {
 			return nil, err
 		}
+		c := flowKey % uint64(len(eq))
+		if picks != nil && len(eq) > 1 {
+			*picks = append(*picks, routePick{n: uint32(len(eq)), c: uint32(c)})
+		}
+		link := eq[c]
 		// Walk inside fromAS to the egress border router.
 		egress, ingress := link.A, link.B
 		if link.ASA() != fromAS {
@@ -314,18 +356,6 @@ func (rv *Resolver) Resolve(src, dst Endpoint, flowKey uint64) (*Path, error) {
 	}
 	rv.counters.resolveHops.Observe(float64(len(p.Hops)))
 	return p, nil
-}
-
-// pickInterLink chooses the interdomain link used to go from fromAS to
-// toAS, given the current metro and the final destination metro. The
-// scored near-tie set comes from the cache, so a hit reduces to one
-// flow-hash modulus with zero allocations.
-func (rv *Resolver) pickInterLink(fromAS, toAS topology.ASN, curMetro, dstMetro int32, flowKey uint64) (*topology.Link, error) {
-	eq, err := rv.interChoices(interKey{from: fromAS, to: toAS, curMetro: curMetro, dstMetro: dstMetro})
-	if err != nil {
-		return nil, err
-	}
-	return eq[int(flowKey%uint64(len(eq)))], nil
 }
 
 // computeInterChoices scores every interdomain link realizing the AS
