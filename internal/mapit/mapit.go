@@ -21,6 +21,8 @@
 package mapit
 
 import (
+	"cmp"
+	"slices"
 	"sort"
 
 	"throughputlab/internal/netaddr"
@@ -49,17 +51,20 @@ type Opts struct {
 	// taken at face value (links get attributed one hop late, inside
 	// the neighbor).
 	DisableFarSide bool
-	// Workers parallelizes the per-trace pass (interface-graph
-	// construction, over that many contiguous trace chunks) on
-	// goroutines; 0 or 1 runs serially, and link extraction in Finish
-	// always does. The inference is identical for every worker count.
-	// The Prefix2AS/IsIXP/SameOrg callbacks must be safe for concurrent
-	// calls when Workers > 1.
+	// Workers parallelizes Add over that many contiguous trace chunks,
+	// each filling its own adjacency table on a goroutine; 0 or 1 runs
+	// Add serially. Finish sums the tables and always runs serially.
+	// The inference is identical for every worker count. Add calls none
+	// of the Prefix2AS/IsIXP/SameOrg callbacks, so Workers places no
+	// concurrency demand on them.
 	Workers int
 	// Obs, when non-nil, receives inference counters (links classified,
-	// majority-vote ties, far-side flips). Counters accumulate across
+	// majority-vote ties, far-side flips) and, from Finish, the
+	// adjacency table's size as the gauges mapit.edges (distinct
+	// adjacent pairs) and mapit.interfaces. Counters accumulate across
 	// runs sharing one registry (the ablation experiments rerun the
-	// inference); they never influence the inference itself.
+	// inference), while the gauges hold the last run's size; neither
+	// influences the inference itself.
 	Obs *obs.Registry
 }
 
@@ -101,45 +106,88 @@ type Inference struct {
 	opts Opts
 }
 
-type ifaceStats struct {
-	origin topology.ASN
-	hasOrg bool
-	isIXP  bool
-	// prev/next neighbor addresses with multiplicity.
-	prev map[netaddr.Addr]int
-	next map[netaddr.Addr]int
-}
-
-// Builder accumulates traces incrementally and runs the vote passes
-// once over the merged state. Feeding the corpus in any chunking —
-// including one Add of everything, which is exactly what Run does —
-// produces the identical Inference: pass 0 and the pair counts are
-// additive merges, and every order-sensitive step (vote passes,
-// far-side detection, link sorting) runs only at Finish over
-// deterministically sorted state.
+// Builder accumulates traces incrementally into one adjacency table —
+// a count per ordered pair of adjacent responsive addresses — and runs
+// the vote passes once over it. Feeding the corpus in any chunking and
+// at any worker count — including one Add of everything, which is
+// exactly what Run does — produces the identical Inference: the table
+// is a sum of per-trace contributions, and every order-sensitive step
+// (the interface graph, vote passes, far-side detection, link sorting)
+// runs only at Finish over sorted state.
 type Builder struct {
 	opts Opts
-	// stats/dsts are pass 0's merged neighbor sets and destination-host
-	// addresses.
-	stats map[netaddr.Addr]*ifaceStats
+	// parts holds one table per Add chunk index, kept across Adds so
+	// that Finish sums them once.
+	parts []*table
+}
+
+// table is a share of the adjacency table. pairs maps every ordered
+// pair (a, b) of adjacent responsive addresses in a non-degraded trace,
+// keyed by pairKey, to the number of traces that crossed it router to
+// router; a reached trace's final router→destination step enters it
+// with no count, since it makes a and b neighbors but is no link. The
+// destination hop of each trace is a host, not a router interface; it
+// is a vote source for its predecessor but gets no vote of its own, so
+// dsts records it. lone holds the address of every trace with a single
+// responsive hop: the only interfaces that no pair names. Distinct
+// pairs are bounded by the interface adjacency of the topology, not by
+// the trace count.
+type table struct {
+	pairs map[uint64]uint32
 	dsts  map[netaddr.Addr]struct{}
-	// pairCount counts every adjacent responsive pair. Unlike the old
-	// single-pass extraction it is built before operators are known, so
-	// it is unfiltered; Finish applies the operator/same-org filter.
-	// Distinct pairs are bounded by the interface adjacency of the
-	// topology, not by the trace count.
-	pairCount map[[2]netaddr.Addr]int
+	lone  map[netaddr.Addr]struct{}
+}
+
+func newTable() *table {
+	return &table{
+		pairs: make(map[uint64]uint32),
+		dsts:  make(map[netaddr.Addr]struct{}),
+		lone:  make(map[netaddr.Addr]struct{}),
+	}
+}
+
+func pairKey(a, b netaddr.Addr) uint64 { return uint64(a)<<32 | uint64(b) }
+
+// add folds one trace into the table with one update per adjacent pair.
+func (t *table) add(tr *traceroute.Trace) {
+	var prev netaddr.Addr
+	n := 0
+	eachResponsive(tr, func(a netaddr.Addr, final bool) {
+		if n > 0 {
+			inc := uint32(1)
+			if final && tr.Reached {
+				inc = 0
+			}
+			t.pairs[pairKey(prev, a)] += inc
+		}
+		prev = a
+		n++
+	})
+	if n == 1 {
+		t.lone[prev] = struct{}{}
+	}
+	if tr.Reached && n > 0 {
+		t.dsts[prev] = struct{}{}
+	}
+}
+
+// merge adds o into t; addition makes the merge order irrelevant.
+func (t *table) merge(o *table) {
+	for k, n := range o.pairs {
+		t.pairs[k] += n
+	}
+	for a := range o.dsts {
+		t.dsts[a] = struct{}{}
+	}
+	for a := range o.lone {
+		t.lone[a] = struct{}{}
+	}
 }
 
 // NewBuilder prepares an incremental MAP-IT run.
 func NewBuilder(opts Opts) *Builder {
 	opts.withDefaults()
-	return &Builder{
-		opts:      opts,
-		stats:     make(map[netaddr.Addr]*ifaceStats),
-		dsts:      make(map[netaddr.Addr]struct{}),
-		pairCount: make(map[[2]netaddr.Addr]int),
-	}
+	return &Builder{opts: opts}
 }
 
 // Add folds one batch of traces into the builder. Safe to call many
@@ -149,7 +197,7 @@ func (b *Builder) Add(traces []*traceroute.Trace) {
 	reg := b.opts.Obs
 	reg.Counter("mapit.traces").Add(uint64(len(traces)))
 	// Degraded traces (fault-layer probe loss / rate limiting) are
-	// excluded from every per-trace pass: their responsive hops can be
+	// excluded from the table: their responsive hops can be
 	// non-adjacent on the real path, and ingesting them would seed the
 	// neighbor sets — and the link extraction — with false adjacencies.
 	// Clean corpora carry no degraded traces, so the guard is free.
@@ -160,81 +208,20 @@ func (b *Builder) Add(traces []*traceroute.Trace) {
 		}
 	}
 
-	// Pass 0: neighbor sets, built in parallel over contiguous trace
-	// chunks and merged by count addition — merge order cannot affect
-	// the result. The destination hop of each trace is a host, not a
-	// router interface; it contributes as a vote source for its
-	// predecessor but gets no operator of its own. Adjacent pairs are
-	// counted in the same sweep.
+	// Each contiguous trace chunk, one stream.For index, fills the
+	// table of its index.
 	chunks := max(min(b.opts.Workers, len(traces)), 1)
-	partStats := make([]map[netaddr.Addr]*ifaceStats, chunks)
-	partDsts := make([]map[netaddr.Addr]struct{}, chunks)
-	partPairs := make([]map[[2]netaddr.Addr]int, chunks)
-	stream.For(chunks, chunks, nil, func(_, c int) {
-		lo, hi := c*len(traces)/chunks, (c+1)*len(traces)/chunks
-		local := make(map[netaddr.Addr]*ifaceStats)
-		get := func(a netaddr.Addr) *ifaceStats {
-			s := local[a]
-			if s == nil {
-				s = &ifaceStats{prev: map[netaddr.Addr]int{}, next: map[netaddr.Addr]int{}}
-				if origin, ok := b.opts.Prefix2AS(a); ok {
-					s.origin, s.hasOrg = origin, true
-				}
-				s.isIXP = b.opts.IsIXP(a)
-				local[a] = s
-			}
-			return s
-		}
-		dsts := map[netaddr.Addr]struct{}{}
-		pairs := map[[2]netaddr.Addr]int{}
-		for _, tr := range traces[lo:hi] {
-			if tr.Degraded {
-				continue
-			}
-			addrs := tr.ResponsiveAddrs()
-			if tr.Reached && len(addrs) > 0 {
-				dsts[addrs[len(addrs)-1]] = struct{}{}
-			}
-			end := len(addrs)
-			if tr.Reached {
-				end-- // final hop is the destination host
-			}
-			for i, a := range addrs {
-				s := get(a)
-				if i > 0 {
-					s.prev[addrs[i-1]]++
-				}
-				if i+1 < len(addrs) {
-					s.next[addrs[i+1]]++
-				}
-				if i >= 1 && i < end {
-					pairs[[2]netaddr.Addr{addrs[i-1], a}]++
-				}
-			}
-		}
-		partStats[c], partDsts[c], partPairs[c] = local, dsts, pairs
-	})
-	for c := range partStats {
-		for a, s := range partStats[c] {
-			dst := b.stats[a]
-			if dst == nil {
-				b.stats[a] = s
-				continue
-			}
-			for n, k := range s.prev {
-				dst.prev[n] += k
-			}
-			for n, k := range s.next {
-				dst.next[n] += k
-			}
-		}
-		for a := range partDsts[c] {
-			b.dsts[a] = struct{}{}
-		}
-		for k, n := range partPairs[c] {
-			b.pairCount[k] += n
-		}
+	for len(b.parts) < chunks {
+		b.parts = append(b.parts, newTable())
 	}
+	stream.For(chunks, chunks, nil, func(_, c int) {
+		t := b.parts[c]
+		for _, tr := range traces[c*len(traces)/chunks : (c+1)*len(traces)/chunks] {
+			if !tr.Degraded {
+				t.add(tr)
+			}
+		}
+	})
 }
 
 // Run executes MAP-IT over the trace corpus.
@@ -244,58 +231,144 @@ func Run(traces []*traceroute.Trace, opts Opts) *Inference {
 	return b.Finish()
 }
 
+// label is an operator vote: an ASN, when ok.
+type label struct {
+	asn topology.ASN
+	ok  bool
+}
+
+// graph is the interface graph in index form. addrs are the interface
+// addresses, sorted; every other slice is indexed by position in addrs
+// (origin, isIXP, isDst) or by out-edge (link).
+type graph struct {
+	addrs []netaddr.Addr
+	// origin is the prefix-origin AS, when Prefix2AS knows the address.
+	origin       []label
+	isIXP, isDst []bool
+	// out and in are the successor and predecessor sets.
+	out, in runs
+	// link[p] is the router→router trace count of out-edge p.
+	link []uint32
+}
+
+// runs lists each interface's neighbors, as interface indices, in one
+// slice: interface i's are nbr[off[i]:off[i+1]].
+type runs struct{ off, nbr []int32 }
+
+func (r runs) of(i int) []int32 { return r.nbr[r.off[i]:r.off[i+1]] }
+
+// newGraph derives the interface graph from the summed table: the
+// interfaces are the pair endpoints plus the single-hop addresses, the
+// out-neighbor runs are the sorted keys' runs of equal near address,
+// and the in-neighbor runs are the same edges counting-sorted by far
+// address. The public-data callbacks run once per interface.
+func newGraph(t *table, opts Opts) *graph {
+	keys := make([]uint64, 0, len(t.pairs))
+	for k := range t.pairs {
+		keys = append(keys, k)
+	}
+	slices.Sort(keys)
+	addrs := make([]netaddr.Addr, 0, 2*len(keys)+len(t.lone))
+	for _, k := range keys {
+		addrs = append(addrs, netaddr.Addr(k>>32), netaddr.Addr(k))
+	}
+	for a := range t.lone {
+		addrs = append(addrs, a)
+	}
+	slices.Sort(addrs)
+	addrs = slices.Compact(addrs)
+
+	n := len(addrs)
+	g := &graph{
+		addrs:  addrs,
+		origin: make([]label, n),
+		isIXP:  make([]bool, n),
+		isDst:  make([]bool, n),
+		out:    runs{off: make([]int32, n+1), nbr: make([]int32, len(keys))},
+		in:     runs{off: make([]int32, n+1), nbr: make([]int32, len(keys))},
+		link:   make([]uint32, len(keys)),
+	}
+	p := 0
+	for i, a := range addrs {
+		g.out.off[i] = int32(p)
+		for ; p < len(keys) && netaddr.Addr(keys[p]>>32) == a; p++ {
+			j, _ := slices.BinarySearch(addrs, netaddr.Addr(keys[p]))
+			g.out.nbr[p] = int32(j)
+			g.link[p] = t.pairs[keys[p]]
+			g.in.off[j+1]++
+		}
+		if asn, ok := opts.Prefix2AS(a); ok {
+			g.origin[i] = label{asn, true}
+		}
+		g.isIXP[i] = opts.IsIXP(a)
+		_, g.isDst[i] = t.dsts[a]
+	}
+	g.out.off[n] = int32(p)
+	for i := range n {
+		g.in.off[i+1] += g.in.off[i]
+	}
+	next := slices.Clone(g.in.off[:n])
+	for i := range n {
+		for _, j := range g.out.of(i) {
+			g.in.nbr[next[j]] = int32(i)
+			next[j]++
+		}
+	}
+	return g
+}
+
 // Finish runs the vote passes, the far-side correction, and the link
 // extraction over everything added so far, and returns the Inference.
 // The builder should not be used after Finish.
 func (b *Builder) Finish() *Inference {
 	opts := b.opts
 	reg := opts.Obs
-	ties := reg.Counter("mapit.majority.ties")
-	stats, dsts := b.stats, b.dsts
+	t := newTable()
+	if len(b.parts) > 0 {
+		t = b.parts[0]
+		for _, o := range b.parts[1:] {
+			t.merge(o)
+		}
+	}
+	g := newGraph(t, opts)
+	n := len(g.addrs)
+	reg.Gauge("mapit.edges").Set(int64(len(t.pairs)))
+	reg.Gauge("mapit.interfaces").Set(int64(n))
+	v := &voter{g: g, sameOrg: opts.SameOrg, ties: reg.Counter("mapit.majority.ties")}
 
 	// originVote holds pure prefix-origin labels; voteOp additionally
 	// accumulates IXP/unknown addresses resolved in earlier passes
 	// (needed to chain through exchange LANs). Crucially, far-side
-	// REASSIGNMENTS enter neither map, and the far-side pass votes over
+	// REASSIGNMENTS enter neither, and the far-side pass votes over
 	// originVote only: inferred labels cascading into votes would let
 	// the relabeled far side of one link (or a resolved IXP port)
 	// out-vote the genuine near-side interfaces of every other link on
 	// a shared border router. This mirrors MAP-IT's half-link
 	// constraints.
-	originVote := make(map[netaddr.Addr]topology.ASN, len(stats))
-	for a, s := range stats {
-		if s.hasOrg && !s.isIXP {
-			originVote[a] = s.origin
+	originVote := make([]label, n)
+	for i, o := range g.origin {
+		if !g.isIXP[i] {
+			originVote[i] = o
 		}
 	}
-	voteOp := make(map[netaddr.Addr]topology.ASN, len(originVote))
-	for a, v := range originVote {
-		voteOp[a] = v
-	}
-
-	// Deterministic iteration order.
-	addrs := make([]netaddr.Addr, 0, len(stats))
-	for a := range stats {
-		addrs = append(addrs, a)
-	}
-	sort.Slice(addrs, func(i, j int) bool { return addrs[i] < addrs[j] })
+	voteOp := slices.Clone(originVote)
 
 	// Passes 1..n-1: resolve IXP ports and unknown-origin addresses by
 	// successor majority (the replying router belongs to the member the
-	// probe enters next). Multiple passes handle chains.
+	// probe enters next), in address order. Multiple passes handle
+	// chains.
 	for pass := 0; pass < opts.Passes; pass++ {
 		changed := 0
-		for _, a := range addrs {
-			s := stats[a]
-			if !s.isIXP && s.hasOrg {
+		for i := range n {
+			if !g.isIXP[i] && g.origin[i].ok {
 				continue
 			}
-			succAS, succFrac := majority(s.next, voteOp, opts.SameOrg, dsts, ties)
+			succAS, succFrac := v.majority(g.out.of(i), voteOp)
 			if succAS == 0 || succFrac < opts.Threshold {
 				continue
 			}
-			if cur, ok := voteOp[a]; !ok || !opts.SameOrg(cur, succAS) {
-				voteOp[a] = succAS
+			if cur := voteOp[i]; !cur.ok || !opts.SameOrg(cur.asn, succAS) {
+				voteOp[i] = label{succAS, true}
 				changed++
 			}
 		}
@@ -316,52 +389,52 @@ func (b *Builder) Finish() *Inference {
 	// appears); this is part of why MAP-IT reports >90% rather than
 	// 100% accuracy, and why §4.3 warns the algorithm "could fail or
 	// produce an incorrect inference".
-	op := make(map[netaddr.Addr]topology.ASN, len(voteOp))
-	for a, v := range voteOp {
-		op[a] = v
-	}
-	for _, a := range addrs {
-		if opts.DisableFarSide {
-			break
-		}
-		s := stats[a]
-		cur, hasCur := originVote[a]
-		if !hasCur || s.isIXP {
+	op := slices.Clone(voteOp)
+	for i := 0; i < n && !opts.DisableFarSide; i++ {
+		cur := originVote[i] // never set on an IXP address
+		if !cur.ok {
 			continue
 		}
-		succAS, succFrac := majority(s.next, originVote, opts.SameOrg, dsts, ties)
+		succAS, succFrac := v.majority(g.out.of(i), originVote)
 		// Unanimity required: a genuine far side forwards into exactly
 		// one foreign network. A mere majority would let the busiest
 		// neighbor of a shared border router capture the router's
 		// uplink interface, injecting a phantom third organization into
 		// every other neighbor's paths.
-		if succAS == 0 || opts.SameOrg(cur, succAS) || succFrac < 0.999 {
+		if succAS == 0 || opts.SameOrg(cur.asn, succAS) || succFrac < 0.999 {
 			continue
 		}
-		predAS, predFrac := majority(s.prev, originVote, opts.SameOrg, dsts, ties)
-		if len(s.prev) == 0 {
+		preds := g.in.of(i)
+		if len(preds) == 0 {
 			continue
 		}
-		if predAS != 0 && opts.SameOrg(predAS, cur) && predFrac >= opts.Threshold {
-			op[a] = succAS
+		predAS, predFrac := v.majority(preds, originVote)
+		if predAS != 0 && opts.SameOrg(predAS, cur.asn) && predFrac >= opts.Threshold {
+			op[i] = label{succAS, true}
 			reg.Counter("mapit.farside.flips").Inc()
 		}
 	}
 
-	inf := &Inference{Operator: op, opts: opts}
-
-	// Link extraction: adjacent responsive pairs whose operators belong
-	// to different organizations. The pair counts were accumulated
-	// during Add; the operator filter applies here, once op is final.
-	for k, n := range b.pairCount {
-		asA, okA := op[k[0]]
-		asB, okB := op[k[1]]
-		if !okA || !okB || opts.SameOrg(asA, asB) {
-			continue
+	inf := &Inference{Operator: make(map[netaddr.Addr]topology.ASN, n), opts: opts}
+	for i, l := range op {
+		if l.ok {
+			inf.Operator[g.addrs[i]] = l.asn
 		}
-		inf.Links = append(inf.Links, Link{
-			Near: k[0], Far: k[1], NearAS: asA, FarAS: asB, Traces: n,
-		})
+	}
+
+	// Link extraction: router→router pairs whose operators belong to
+	// different organizations.
+	for i := range n {
+		for p := g.out.off[i]; p < g.out.off[i+1]; p++ {
+			j := g.out.nbr[p]
+			near, far := op[i], op[j]
+			if g.link[p] == 0 || !near.ok || !far.ok || opts.SameOrg(near.asn, far.asn) {
+				continue
+			}
+			inf.Links = append(inf.Links, Link{
+				Near: g.addrs[i], Far: g.addrs[j], NearAS: near.asn, FarAS: far.asn, Traces: int(g.link[p]),
+			})
+		}
 	}
 	sort.Slice(inf.Links, func(i, j int) bool {
 		if inf.Links[i].Traces != inf.Links[j].Traces {
@@ -373,8 +446,33 @@ func (b *Builder) Finish() *Inference {
 		return inf.Links[i].Far < inf.Links[j].Far
 	})
 	reg.Counter("mapit.links.classified").Add(uint64(len(inf.Links)))
-	reg.Counter("mapit.operators.labeled").Add(uint64(len(op)))
+	reg.Counter("mapit.operators.labeled").Add(uint64(len(inf.Operator)))
 	return inf
+}
+
+// voter runs majority votes over one graph, reusing its tally buffers
+// across calls.
+type voter struct {
+	g          *graph
+	sameOrg    func(a, b topology.ASN) bool
+	ties       *obs.Counter
+	per, votes []tally
+}
+
+type tally struct {
+	asn topology.ASN
+	n   int
+}
+
+// addVote adds n votes for asn to ts.
+func addVote(ts []tally, asn topology.ASN, n int) []tally {
+	for k := range ts {
+		if ts[k].asn == asn {
+			ts[k].n += n
+			return ts
+		}
+	}
+	return append(ts, tally{asn, n})
 }
 
 // majority tallies operator votes over a neighbor SET (one vote per
@@ -382,7 +480,7 @@ func (b *Builder) Finish() *Inference {
 // interface graph, and volume weighting would let one busy link
 // out-vote the rest of a shared border router's neighbors), collapsing
 // siblings onto the smallest ASN of the organization so the outcome
-// never depends on map iteration order (the previous "first key seen
+// never depends on iteration order (the previous "first key seen
 // wins" collapse made tie-breaks, and hence the whole inference,
 // nondeterministic across runs). Destination-host neighbors are
 // excluded (they are not router interfaces). It returns the winning
@@ -390,64 +488,80 @@ func (b *Builder) Finish() *Inference {
 // organizations for the top vote count — resolved by the smallest-ASN
 // rule — is recorded on the ties counter (nil-safe), since ties are
 // exactly where the deterministic tie-break is load-bearing.
-func majority(neigh map[netaddr.Addr]int, op map[netaddr.Addr]topology.ASN,
-	sameOrg func(a, b topology.ASN) bool, dsts map[netaddr.Addr]struct{},
-	ties *obs.Counter) (topology.ASN, float64) {
-
-	perAS := map[topology.ASN]int{}
+func (v *voter) majority(neigh []int32, op []label) (topology.ASN, float64) {
+	per := v.per[:0]
 	total := 0
-	for a := range neigh {
-		if _, isDst := dsts[a]; isDst {
-			continue
+	for _, j := range neigh {
+		if l := op[j]; l.ok && !v.g.isDst[j] {
+			per = addVote(per, l.asn, 1)
+			total++
 		}
-		asn, ok := op[a]
-		if !ok {
-			continue
-		}
-		perAS[asn]++
-		total++
 	}
+	v.per = per
 	if total == 0 {
 		return 0, 0
 	}
-	asns := make([]topology.ASN, 0, len(perAS))
-	for asn := range perAS {
-		asns = append(asns, asn)
-	}
-	sort.Slice(asns, func(i, j int) bool { return asns[i] < asns[j] })
-	votes := map[topology.ASN]int{}
-	for _, asn := range asns {
-		rep := asn
-		for _, other := range asns {
-			if other >= asn {
-				break
-			}
-			if sameOrg(other, asn) {
-				rep = other
+	slices.SortFunc(per, func(x, y tally) int { return cmp.Compare(x.asn, y.asn) })
+	votes := v.votes[:0]
+	for i, t := range per {
+		rep := t.asn
+		for _, other := range per[:i] {
+			if v.sameOrg(other.asn, t.asn) {
+				rep = other.asn
 				break
 			}
 		}
-		votes[rep] += perAS[asn]
+		votes = addVote(votes, rep, t.n)
 	}
+	v.votes = votes
 	var best topology.ASN
 	bestN := -1
-	for asn, n := range votes {
-		if n > bestN || (n == bestN && asn < best) {
-			best, bestN = asn, n
+	for _, t := range votes {
+		if t.n > bestN || (t.n == bestN && t.asn < best) {
+			best, bestN = t.asn, t.n
 		}
 	}
-	if ties != nil {
-		atTop := 0
-		for _, n := range votes {
-			if n == bestN {
-				atTop++
-			}
+	atTop := 0
+	for _, t := range votes {
+		if t.n == bestN {
+			atTop++
 		}
-		if atTop > 1 {
-			ties.Inc()
-		}
+	}
+	if atTop > 1 {
+		v.ties.Inc()
 	}
 	return best, float64(bestN) / float64(total)
+}
+
+// eachResponsive calls fn for each responsive address of tr in path
+// order, collapsing consecutive repeats as Trace.ResponsiveAddrs does,
+// without allocating; final marks the last one, which is the
+// destination host when tr.Reached.
+func eachResponsive(tr *traceroute.Trace, fn func(a netaddr.Addr, final bool)) {
+	var last netaddr.Addr
+	for i := range tr.Hops {
+		a := tr.Hops[i].Addr
+		if a.IsZero() || a == last {
+			continue
+		}
+		if !last.IsZero() {
+			fn(last, false)
+		}
+		last = a
+	}
+	if !last.IsZero() {
+		fn(last, true)
+	}
+}
+
+// eachRouter calls fn for each responsive router hop of tr: its
+// responsive addresses less a reached trace's destination host.
+func eachRouter(tr *traceroute.Trace, fn func(netaddr.Addr)) {
+	eachResponsive(tr, func(a netaddr.Addr, final bool) {
+		if !final || !tr.Reached {
+			fn(a)
+		}
+	})
 }
 
 // ASPathOf maps a trace to the organization-collapsed AS-level path of
@@ -458,55 +572,62 @@ func majority(neigh map[netaddr.Addr]int, op map[netaddr.Addr]topology.ASN,
 // Degraded traces yield nil: hops lost to the fault layer would make
 // the collapsed path skip organizations that were really crossed.
 func (inf *Inference) ASPathOf(tr *traceroute.Trace) []topology.ASN {
+	return inf.AppendASPath(nil, tr)
+}
+
+// AppendASPath appends tr's AS path, as ASPathOf defines it, to dst
+// and returns the extended slice; with a reused dst it allocates
+// nothing.
+func (inf *Inference) AppendASPath(dst []topology.ASN, tr *traceroute.Trace) []topology.ASN {
 	if tr.Degraded {
-		return nil
+		return dst
 	}
-	var out []topology.ASN
-	addrs := tr.ResponsiveAddrs()
-	end := len(addrs)
-	if tr.Reached {
-		end--
-	}
+	start := len(dst)
 	push := func(asn topology.ASN) {
-		if len(out) > 0 && inf.opts.SameOrg(out[len(out)-1], asn) {
+		if len(dst) > start && inf.opts.SameOrg(dst[len(dst)-1], asn) {
 			return
 		}
-		out = append(out, asn)
+		dst = append(dst, asn)
 	}
-	for _, a := range addrs[:end] {
+	eachRouter(tr, func(a netaddr.Addr) {
 		if asn, ok := inf.Operator[a]; ok {
 			push(asn)
 		}
-	}
+	})
 	if tr.Reached {
 		if asn, ok := inf.opts.Prefix2AS(tr.DstAddr); ok {
 			push(asn)
 		}
 	}
-	return out
+	return dst
 }
 
 // LinksOf returns the inferred interdomain links a single trace
 // crossed, in path order. Degraded traces yield nil — adjacency in a
 // maimed trace does not imply adjacency on the path.
 func (inf *Inference) LinksOf(tr *traceroute.Trace) []Link {
+	return inf.AppendLinks(nil, tr)
+}
+
+// AppendLinks appends the links LinksOf returns for tr to dst and
+// returns the extended slice; with a reused dst it allocates nothing.
+func (inf *Inference) AppendLinks(dst []Link, tr *traceroute.Trace) []Link {
 	if tr.Degraded {
-		return nil
+		return dst
 	}
-	var out []Link
-	addrs := tr.ResponsiveAddrs()
-	end := len(addrs)
-	if tr.Reached {
-		end--
-	}
-	for i := 1; i < end; i++ {
-		a, b := addrs[i-1], addrs[i]
+	var prev netaddr.Addr
+	eachRouter(tr, func(b netaddr.Addr) {
+		a := prev
+		prev = b
+		if a.IsZero() {
+			return
+		}
 		asA, okA := inf.Operator[a]
 		asB, okB := inf.Operator[b]
 		if !okA || !okB || inf.opts.SameOrg(asA, asB) {
-			continue
+			return
 		}
-		out = append(out, Link{Near: a, Far: b, NearAS: asA, FarAS: asB})
-	}
-	return out
+		dst = append(dst, Link{Near: a, Far: b, NearAS: asA, FarAS: asB})
+	})
+	return dst
 }

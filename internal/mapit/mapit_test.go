@@ -321,6 +321,7 @@ func TestLinksOfMatchesGroundTruthCount(t *testing.T) {
 func BenchmarkRun(b *testing.B) {
 	traces := cleanCorpus(b, 500)
 	opts := worldOpts()
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		Run(traces, opts)

@@ -21,6 +21,7 @@ import (
 	"throughputlab/internal/obs"
 	"throughputlab/internal/platform"
 	"throughputlab/internal/signatures"
+	"throughputlab/internal/topology"
 	"throughputlab/internal/traceroute"
 )
 
@@ -98,6 +99,9 @@ type StreamBuilder struct {
 	matcher *core.StreamMatcher
 	agg     map[gkey]*aggGroup
 	pairs   map[gkey]*pairGroup
+	// path and links are onPair's scratch, reused across pairs.
+	path  []topology.ASN
+	links []mapit.Link
 }
 
 type gkey struct{ net, metro, isp string }
@@ -208,15 +212,15 @@ func (b *StreamBuilder) onPair(t *ndt.Test, tr *traceroute.Trace) {
 		b.pairs[k] = g
 	}
 	g.matched++
-	p := b.inf.ASPathOf(tr)
-	if len(p) >= 2 {
+	b.path = b.inf.AppendASPath(b.path[:0], tr)
+	if len(b.path) >= 2 {
 		g.pathKnown++
-		if len(p) == 2 {
+		if len(b.path) == 2 {
 			g.oneHop++
 		}
 	}
-	if links := b.inf.LinksOf(tr); len(links) > 0 {
-		g.linkSet[uint32(links[0].Far)] = true
+	if b.links = b.inf.AppendLinks(b.links[:0], tr); len(b.links) > 0 {
+		g.linkSet[uint32(b.links[0].Far)] = true
 	}
 }
 

@@ -10,9 +10,11 @@ import (
 	"throughputlab/internal/experiments"
 	"throughputlab/internal/faults"
 	"throughputlab/internal/mapit"
+	"throughputlab/internal/ndt"
 	"throughputlab/internal/obs"
 	"throughputlab/internal/platform"
 	"throughputlab/internal/stream"
+	"throughputlab/internal/traceroute"
 )
 
 // streamBuild runs the two-pass streaming assembly over the shared
@@ -208,4 +210,34 @@ func firstDiff(want, got string) string {
 		}
 	}
 	return fmt.Sprintf("length differs: batch %d lines, stream %d", len(w), len(g))
+}
+
+// TestOnPairAllocFree: once a pair's group and the scratch buffers
+// exist, the per-pair callback allocates nothing.
+func TestOnPairAllocFree(t *testing.T) {
+	b := NewStreamBuilder(DefaultConfig(), MetroHourOf(), env.MapItOpts())
+	b.AddTraces(env.Corpus.Traces)
+	b.FinishInference()
+	type pair struct {
+		t  *ndt.Test
+		tr *traceroute.Trace
+	}
+	var pairs []pair
+	for _, tst := range env.Corpus.Tests {
+		if tr := env.Matching.ByTest[tst.ID]; tr != nil && len(pairs) < 500 {
+			pairs = append(pairs, pair{tst, tr})
+		}
+	}
+	if len(pairs) == 0 {
+		t.Fatal("campaign matched no pairs")
+	}
+	onAll := func() {
+		for _, p := range pairs {
+			b.onPair(p.t, p.tr)
+		}
+	}
+	onAll()
+	if allocs := testing.AllocsPerRun(5, onAll); allocs != 0 {
+		t.Errorf("onPair over %d pairs: %v allocations, want 0", len(pairs), allocs)
+	}
 }
