@@ -130,14 +130,11 @@ flags for run/report:
                          'corpus dump')
   -corpus-format FORMAT  corpus file format; columnar, the only one,
                          is the default
-  -stream                (report) bounded memory: pass 1 persists the
-                         campaign as it is collected (to -corpus-out,
-                         or to a temporary spill removed on exit) and
-                         pass 2 replays that corpus, so only a few
-                         chunks are resident. Without it the campaign
-                         is kept resident for both passes. Either way
-                         it is collected once, and the report is
-                         byte-identical. Not with -corpus
+  -stream                (report) accepted for compatibility: every
+                         report reads each chunk once as it is
+                         collected (or decoded, under -corpus), so
+                         only a few chunks are resident, with or
+                         without it. Not with -corpus
   -corpus FILE           (report) report over a corpus previously
                          persisted with -corpus-out, without
                          re-collecting (no world generation); the
@@ -357,7 +354,7 @@ func finish(cf *commonFlags, reg *obs.Registry, runErr error) error {
 func reportCmd(args []string) error {
 	fs := flag.NewFlagSet("report", flag.ExitOnError)
 	cf := addCommonFlags(fs)
-	fs.BoolVar(&cf.spec.Stream, "stream", false, "bounded memory: persist the campaign in pass 1 (to -corpus-out or a temporary spill) and replay it in pass 2 instead of keeping it in memory")
+	fs.BoolVar(&cf.spec.Stream, "stream", false, "accepted for compatibility; every report already reads each chunk once, keeping only a few resident")
 	fs.StringVar(&cf.spec.Corpus, "corpus", "", "report over a persisted corpus stream instead of collecting")
 	if err := cf.parse(fs, args); err != nil {
 		return err

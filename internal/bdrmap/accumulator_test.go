@@ -1,9 +1,12 @@
 package bdrmap
 
 import (
+	"maps"
 	"testing"
 
 	"throughputlab/internal/mapit"
+	"throughputlab/internal/obs"
+	"throughputlab/internal/traceroute"
 )
 
 func resultEqual(t *testing.T, label string, want, got *Result) {
@@ -66,4 +69,47 @@ func TestNewAnalyzerFromInference(t *testing.T) {
 	}
 	az := NewAnalyzerFromInference(b.Finish(), opts)
 	resultEqual(t, "from-inference", want, az.Borders(traces))
+}
+
+// TestRecorderFoldMatchesAdd pins the recorded-path fold to Add: a
+// campaign recorded chunk by chunk before any inference exists, then
+// folded into an accumulator over the sealed inference, gives the
+// Result and the bdrmap.* counters that Add over the same traces
+// gives, with degraded traces among them.
+func TestRecorderFoldMatchesAdd(t *testing.T) {
+	clean, isp := campaignFor(t, "bed-us")
+	traces := make([]*traceroute.Trace, len(clean))
+	for i, tr := range clean {
+		if i%9 == 0 {
+			d := *tr
+			d.Degraded = true
+			tr = &d
+		}
+		traces[i] = tr
+	}
+	opts := optsFor(isp)
+	inf := mapit.Run(traces, opts.MapIt)
+	fold := func(feed func(*BorderAccumulator)) (*Result, map[string]uint64) {
+		reg := obs.NewRegistry()
+		o := opts
+		o.MapIt.Obs = reg
+		acc := NewAnalyzerFromInference(inf, o).NewBorderAccumulator()
+		feed(acc)
+		return acc.Result(), reg.CountersWithPrefix("bdrmap.")
+	}
+	want, wantCounters := fold(func(acc *BorderAccumulator) { acc.Add(traces) })
+	if wantCounters["bdrmap.traces.skipped_degraded"] == 0 || wantCounters["bdrmap.crossings.matched"] == 0 {
+		t.Fatalf("fixture exercises too little: %v", wantCounters)
+	}
+	for _, chunk := range []int{1, 13, len(traces)} {
+		var rec Recorder
+		for lo := 0; lo < len(traces); lo += chunk {
+			rec.Add(traces[lo:min(lo+chunk, len(traces))])
+		}
+		got, counters := fold(func(acc *BorderAccumulator) { acc.AddRecorded(&rec) })
+		resultEqual(t, "recorded", want, got)
+		if !maps.Equal(counters, wantCounters) {
+			t.Errorf("chunk %d: recorded fold counters %v, Add %v", chunk, counters, wantCounters)
+		}
+	}
 }

@@ -24,6 +24,7 @@ import (
 	"throughputlab/internal/alias"
 	"throughputlab/internal/mapit"
 	"throughputlab/internal/netaddr"
+	"throughputlab/internal/obs"
 	"throughputlab/internal/topology"
 	"throughputlab/internal/traceroute"
 )
@@ -154,25 +155,27 @@ func (az *Analyzer) FirstCrossing(tr *traceroute.Trace) (Crossing, bool) {
 	if tr.Degraded {
 		return Crossing{}, false
 	}
-	addrs := tr.ResponsiveAddrs()
-	end := len(addrs)
-	if tr.Reached {
-		end--
-	}
+	var buf [64]netaddr.Addr // keeps a usual path off the heap
+	return az.firstCrossing(mapit.AppendRouters(buf[:0], tr))
+}
+
+// firstCrossing is FirstCrossing over a non-degraded trace's router
+// path (mapit.AppendRouters).
+func (az *Analyzer) firstCrossing(routers []netaddr.Addr) (Crossing, bool) {
 	prevInOrg := false
 	var prevAddr netaddr.Addr
-	for i := 0; i < end; i++ {
-		op, known := az.inf.Operator[addrs[i]]
+	for _, a := range routers {
+		op, known := az.inf.Operator[a]
 		if !known {
 			prevInOrg = false
 			continue
 		}
 		if az.org[op] {
-			prevInOrg, prevAddr = true, addrs[i]
+			prevInOrg, prevAddr = true, a
 			continue
 		}
 		if prevInOrg {
-			return Crossing{Near: prevAddr, Far: addrs[i], Neighbor: op}, true
+			return Crossing{Near: prevAddr, Far: a, Neighbor: op}, true
 		}
 		// Left the network without seeing the near side (missing hop):
 		// unusable for border attribution.
@@ -199,10 +202,13 @@ func (az *Analyzer) Borders(traces []*traceroute.Trace) *Result {
 // BorderAccumulator folds trace chunks into the border map
 // incrementally. Crossing attribution is per-trace and the neighbor
 // aggregation is additive, so feeding a campaign chunk-by-chunk yields
-// the identical Result to one Borders call over the concatenation.
+// the identical Result to one Borders call over the concatenation, and
+// so does folding a Recorder that kept the same traces' router paths.
 type BorderAccumulator struct {
 	az         *Analyzer
 	byNeighbor map[topology.ASN]*neighborAgg
+
+	matched, unmatched, skippedDegraded *obs.Counter
 }
 
 type neighborAgg struct {
@@ -213,34 +219,76 @@ type neighborAgg struct {
 // NewBorderAccumulator starts an empty border aggregation over this
 // analyzer's inference.
 func (az *Analyzer) NewBorderAccumulator() *BorderAccumulator {
-	return &BorderAccumulator{az: az, byNeighbor: map[topology.ASN]*neighborAgg{}}
+	reg := az.opts.MapIt.Obs
+	return &BorderAccumulator{
+		az:              az,
+		byNeighbor:      map[topology.ASN]*neighborAgg{},
+		matched:         reg.Counter("bdrmap.crossings.matched"),
+		unmatched:       reg.Counter("bdrmap.crossings.unmatched"),
+		skippedDegraded: reg.Counter("bdrmap.traces.skipped_degraded"),
+	}
 }
 
 // Add folds one chunk of traces into the aggregation.
 func (acc *BorderAccumulator) Add(traces []*traceroute.Trace) {
-	az := acc.az
-	reg := az.opts.MapIt.Obs
-	matched := reg.Counter("bdrmap.crossings.matched")
-	unmatched := reg.Counter("bdrmap.crossings.unmatched")
-	skippedDegraded := reg.Counter("bdrmap.traces.skipped_degraded")
+	var buf [64]netaddr.Addr
 	for _, tr := range traces {
 		if tr.Degraded {
-			skippedDegraded.Inc()
+			acc.skippedDegraded.Inc()
 			continue
 		}
-		c, ok := az.FirstCrossing(tr)
-		if !ok {
-			unmatched.Inc()
+		acc.addPath(mapit.AppendRouters(buf[:0], tr))
+	}
+}
+
+// AddRecorded folds every trace r recorded into the aggregation, as Add
+// over the same traces would.
+func (acc *BorderAccumulator) AddRecorded(r *Recorder) {
+	acc.skippedDegraded.Add(uint64(r.degraded))
+	start := 0
+	for _, end := range r.ends {
+		acc.addPath(r.addrs[start:end])
+		start = int(end)
+	}
+}
+
+// addPath folds one non-degraded trace's router path.
+func (acc *BorderAccumulator) addPath(routers []netaddr.Addr) {
+	c, ok := acc.az.firstCrossing(routers)
+	if !ok {
+		acc.unmatched.Inc()
+		return
+	}
+	acc.matched.Inc()
+	a := acc.byNeighbor[c.Neighbor]
+	if a == nil {
+		a = &neighborAgg{pairs: map[[2]int]bool{}}
+		acc.byNeighbor[c.Neighbor] = a
+	}
+	a.traces++
+	a.pairs[acc.az.RouterKey(c)] = true
+}
+
+// Recorder keeps what a border accumulator reads of a trace stream —
+// each non-degraded trace's router path, in one flat arena, and the
+// count of degraded ones — so the stream can be read once, before the
+// operator inference the accumulator needs is sealed
+// (BorderAccumulator.AddRecorded). The zero Recorder is ready to use.
+type Recorder struct {
+	addrs    []netaddr.Addr
+	ends     []int32 // ends[i] is the end of path i in addrs
+	degraded int
+}
+
+// Add records one chunk of traces.
+func (r *Recorder) Add(traces []*traceroute.Trace) {
+	for _, tr := range traces {
+		if tr.Degraded {
+			r.degraded++
 			continue
 		}
-		matched.Inc()
-		a := acc.byNeighbor[c.Neighbor]
-		if a == nil {
-			a = &neighborAgg{pairs: map[[2]int]bool{}}
-			acc.byNeighbor[c.Neighbor] = a
-		}
-		a.traces++
-		a.pairs[az.RouterKey(c)] = true
+		r.addrs = mapit.AppendRouters(r.addrs, tr)
+		r.ends = append(r.ends, int32(len(r.addrs)))
 	}
 }
 

@@ -1,15 +1,14 @@
 // Package campaign composes one measurement campaign end to end, the
 // chain behind every `tputlab run` and `tputlab report`: a world (or a
-// persisted corpus standing in for one), one chunk source feeding each
-// report pass, the corpus tee that persists the collected chunks, and
-// the two-pass report assembly over report.StreamBuilder. The sources
-// differ only in where chunks come from: retained (collect once before
-// the passes, replay; the default), resume (the retained source primed
-// with an interrupted campaign's durable prefix), spool (-stream:
-// pass 1 collects while the tee persists, pass 2 replays the sealed
-// corpus), and corpus (-corpus: replay a persisted corpus, no world).
-// Every mode collects the campaign at most once. The rendered report
-// is byte-identical for every source, chunk size and worker count.
+// persisted corpus standing in for one), one chunk source, the corpus
+// tee that persists the collected chunks, and the report's one pass
+// over report.StreamBuilder. A report reads every chunk once, from one
+// of two sources: over a world, collection (a resumed campaign's
+// durable prefix first), with no chunk retained; over a persisted
+// corpus (-corpus), the corpus decoded once, with no world. A run
+// collects once and keeps its chunks for the experiments (Collect).
+// The rendered report is byte-identical for every source, chunk size
+// and worker count.
 package campaign
 
 import (
@@ -17,7 +16,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"runtime"
 
 	"throughputlab/internal/bdrmap"
 	"throughputlab/internal/checkpoint"
@@ -41,25 +39,27 @@ const pipelineDepth = 1
 // corpusFormat is the only corpus format a tee writes.
 const corpusFormat = "columnar"
 
-// source feeds a campaign's chunks to fn in publication order for
-// report pass 1 or 2 and returns the campaign's completeness ledger.
-type source func(pass int, fn func(*platform.Chunk) error) (platform.Completeness, error)
+// source feeds a campaign's chunks to fn in publication order and
+// returns the campaign's completeness ledger.
+type source func(fn func(*platform.Chunk) error) (platform.Completeness, error)
 
 // Campaign is an opened campaign: its options, its world (nil over a
-// persisted corpus), the source behind its passes, and, under -stream,
-// the tee that persists pass 1 for pass 2 to replay (the retained and
-// resume sources seal theirs while collecting).
+// persisted corpus), the source behind its report, and the tee that
+// persists what it collects.
 type Campaign struct {
 	opts   experiments.Options
 	world  *topogen.World
 	public *export.Public // the world's bundle or the corpus header's; see bundle
 	src    source
-	chunks []*platform.Chunk // retained chunks, in publication order
+	// chunks are a collected campaign's retained chunks, or a resumed
+	// report's durable prefix until its pass replays them, in
+	// publication order.
+	chunks []*platform.Chunk
 	tee    *tee
 }
 
-// Report runs the campaign s describes and renders its report over two
-// passes. Its world computes BGP route trees on demand: collection and
+// Report runs the campaign s describes and renders its report in one
+// pass. Its world computes BGP route trees on demand: collection and
 // bdrmap read a few dozen of them, so the n×n eager tables would be
 // set-up work nobody reads.
 func Report(ctx context.Context, s Spec, reg *obs.Registry) (string, error) {
@@ -67,45 +67,47 @@ func Report(ctx context.Context, s Spec, reg *obs.Registry) (string, error) {
 	if err != nil {
 		return "", err
 	}
+	if c.src == nil {
+		c.src = c.live(ctx)
+	}
 	return c.report(reg)
 }
 
-// report renders the opened campaign's report. Pass 1 feeds operator
-// inference; pass 2 overlaps per-test aggregation, trace matching and,
-// over a world, the bdrmap border accumulator. A -stream spill is
-// removed on every return.
+// report renders the opened campaign's report. Its one pass overlaps
+// operator inference, per-test aggregation, trace matching and, over a
+// world with a registry, the bdrmap path recorder; the matched pairs
+// and the recorded paths are labelled once MAP-IT is sealed.
 func (c *Campaign) report(reg *obs.Registry) (string, error) {
-	defer c.tee.removeSpill()
 	mopts := (&export.Dataset{Public: *c.bundle()}).Lookups().MapItOpts()
 	mopts.Workers = c.opts.Workers
 	mopts.Obs = reg
 	b := report.NewStreamBuilder(report.DefaultConfig(), report.MetroHourOf(), mopts)
 
-	if _, err := c.pass(1, stream.Stage[*platform.Chunk]{Name: "mapit",
-		Fn: func(ch *platform.Chunk) error { b.AddTraces(ch.Traces); return nil }}); err != nil {
-		return "", err
-	}
-	inf := b.FinishInference()
-
-	p2 := []stream.Stage[*platform.Chunk]{
+	stages := []stream.Stage[*platform.Chunk]{
+		{Name: "mapit", Fn: func(ch *platform.Chunk) error { b.AddTraces(ch.Traces); return nil }},
 		{Name: "aggregate", Fn: func(ch *platform.Chunk) error { b.AddTests(ch.Tests); return nil }},
 		{Name: "match", Fn: func(ch *platform.Chunk) error { b.AddMatch(ch.Tests, ch.Traces, ch.Watermark); return nil }},
 	}
-	// The border accumulator shares the sealed inference; its result
-	// surfaces through gauges only, so stdout is the same with or
-	// without it.
-	var acc *bdrmap.BorderAccumulator
-	if c.world != nil {
-		acc = borderAccumulator(c.world, inf, mopts)
-		p2 = append(p2, stream.Stage[*platform.Chunk]{Name: "bdrmap",
-			Fn: func(ch *platform.Chunk) error { acc.Add(ch.Traces); return nil }})
+	// The border map over a world surfaces through gauges only, so it is
+	// built only when a registry can show them; stdout is the same with
+	// or without it.
+	var rec *bdrmap.Recorder
+	if c.world != nil && reg != nil {
+		rec = &bdrmap.Recorder{}
+		stages = append(stages, stream.Stage[*platform.Chunk]{Name: "bdrmap",
+			Fn: func(ch *platform.Chunk) error { rec.Add(ch.Traces); return nil }})
 	}
-	comp, err := c.pass(2, p2...)
+	comp, err := c.pass(stages...)
 	if err != nil {
 		return "", err
 	}
-	if acc != nil && reg != nil {
+	inf := b.FinishInference()
+	if rec != nil {
+		sp := reg.Span("bdrmap")
+		acc := borderAccumulator(c.world, inf, mopts)
+		acc.AddRecorded(rec)
 		reg.Gauge("bdrmap.neighbors").Set(int64(len(acc.Result().Borders)))
+		sp.End()
 		reg.Gauge("topogen.routes.trees").Set(int64(c.world.Routes.ComputedTrees()))
 	}
 	sp := reg.Span("report")
@@ -121,17 +123,28 @@ func Collect(ctx context.Context, s Spec, reg *obs.Registry) (*Campaign, error) 
 	if s.Stream || s.Corpus != "" {
 		return nil, fmt.Errorf("-stream and -corpus are report modes; a collected campaign sets neither")
 	}
-	return open(ctx, s, false, reg)
+	c, err := open(ctx, s, false, reg)
+	if err != nil {
+		return nil, err
+	}
+	// Each chunk is kept and persisted on the collecting goroutine, and
+	// the tee is sealed with the collection's outcome.
+	err = c.collect(ctx, func(ch *platform.Chunk) error {
+		c.chunks = append(c.chunks, ch)
+		return c.tee.write(ch)
+	})
+	if err := c.tee.seal(err); err != nil {
+		return nil, err
+	}
+	c.tee = nil
+	return c, nil
 }
 
-// open validates s, builds the campaign's world (computing its route
-// trees on demand when lazyRoutes is set) and tee, and picks its
-// source. A resumed campaign adopts its identity from the manifest,
-// regenerates the world, and replays the durable prefix into the
-// retained chunks. The retained and resume sources then collect the
-// rest of the campaign once, here, before any report pass: each chunk
-// is kept and persisted on the collecting goroutine, and the tee is
-// sealed with the collection's outcome.
+// open validates s and builds the campaign's world (computing its
+// route trees on demand when lazyRoutes is set) and tee, or, under
+// -corpus, opens the corpus as its source. A resumed campaign adopts
+// its identity from the manifest, regenerates the world, and replays
+// the durable prefix into the retained chunks.
 func open(ctx context.Context, s Spec, lazyRoutes bool, reg *obs.Registry) (*Campaign, error) {
 	var m *checkpoint.Manifest
 	if s.Resume != "" {
@@ -167,84 +180,54 @@ func open(ctx context.Context, s Spec, lazyRoutes bool, reg *obs.Registry) (*Cam
 	if c.tee, err = c.openTee(s, m); err != nil {
 		return nil, err
 	}
-	if s.Stream {
-		c.src = c.spool(ctx)
-		return c, nil
-	}
-	_, err = c.collect(ctx, func(ch *platform.Chunk) error {
-		c.chunks = append(c.chunks, ch)
-		return c.tee.write(ch)
-	})
-	if err := c.tee.seal(err); err != nil {
-		return nil, err
-	}
-	c.tee, c.src = nil, c.replay
 	return c, nil
 }
 
 // collect runs the campaign from its first chunk not yet retained,
-// handing every published chunk to sink, and returns its completeness
-// ledger.
-func (c *Campaign) collect(ctx context.Context, sink func(*platform.Chunk) error) (platform.Completeness, error) {
+// handing every published chunk to sink.
+func (c *Campaign) collect(ctx context.Context, sink func(*platform.Chunk) error) error {
 	cfg := c.opts.Collect
 	cfg.StartChunk = len(c.chunks)
-	st, err := platform.CollectStreamCtx(ctx, c.world, cfg, c.opts.Workers, sink)
-	if err != nil {
-		return platform.Completeness{}, err
-	}
-	return st.Completeness, nil
+	_, err := platform.CollectStreamCtx(ctx, c.world, cfg, c.opts.Workers, sink)
+	return err
 }
 
-// replay is the retained and resume sources: every pass replays the
-// retained chunks.
-func (c *Campaign) replay(_ int, fn func(*platform.Chunk) error) (platform.Completeness, error) {
-	var comp platform.Completeness
-	for _, ch := range c.chunks {
-		if err := fn(ch); err != nil {
-			return comp, err
+// live is the source over a world: a resumed campaign's durable prefix,
+// then the rest of the campaign as it is collected. No chunk is kept
+// beyond its pass through the stages, and the ledger is the merge of
+// the chunks' own, as a sealed corpus's footer is.
+func (c *Campaign) live(ctx context.Context) source {
+	return func(fn func(*platform.Chunk) error) (platform.Completeness, error) {
+		var comp platform.Completeness
+		sink := func(ch *platform.Chunk) error {
+			comp.Merge(ch.Completeness)
+			return fn(ch)
 		}
-		comp.Merge(ch.Completeness)
-	}
-	return comp, nil
-}
-
-// spool is the -stream source: pass 1 collects the campaign while the
-// tee, pass 1's export stage, persists it, and pass 2 replays the corpus
-// the tee sealed. Only a few chunks are ever resident, and the campaign
-// is collected once.
-func (c *Campaign) spool(ctx context.Context) source {
-	return func(pass int, fn func(*platform.Chunk) error) (platform.Completeness, error) {
-		if pass == 1 {
-			return c.collect(ctx, fn)
+		for i, ch := range c.chunks {
+			c.chunks[i] = nil
+			if err := sink(ch); err != nil {
+				return comp, err
+			}
 		}
-		// Pass 1's chunks are all garbage now, but the heap goal grown
-		// during collection would leave them uncollected while pass 2
-		// allocates its decode buffers on top of them; collecting here
-		// keeps peak RSS at pass 1's.
-		runtime.GC()
-		return replayCorpus(ctx, c.tee.path, c.opts.Workers, export.EverythingProjection(), fn)
+		return comp, c.collect(ctx, sink)
 	}
 }
 
 // openCorpus is the source over a persisted corpus: no world is
 // generated, the header's public bundle stands in for it, and the
-// footer supplies the completeness ledger. Chunks decode on -parallel
-// workers. Pass 1 only needs traces, so it reads a traces-only
-// projection and never parses a test stripe; its reader is opened here
+// footer supplies the completeness ledger. Chunks decode once, every
+// column family, on -parallel workers. The reader is opened here
 // because its header arms the report builder. The replay does not
 // watch for interrupts: it persists nothing, so it has nothing to
 // checkpoint.
 func openCorpus(path string, opts experiments.Options) (*Campaign, error) {
-	first, err := openReader(path, opts.Workers, export.Projection{Traces: true})
+	r, err := openReader(path, opts.Workers)
 	if err != nil {
 		return nil, err
 	}
-	c := &Campaign{opts: opts, public: first.Public()}
-	c.src = func(pass int, fn func(*platform.Chunk) error) (platform.Completeness, error) {
-		if pass == 1 {
-			return first.replay(context.Background(), fn)
-		}
-		return replayCorpus(context.Background(), path, opts.Workers, export.EverythingProjection(), fn)
+	c := &Campaign{opts: opts, public: r.Public()}
+	c.src = func(fn func(*platform.Chunk) error) (platform.Completeness, error) {
+		return r.replay(context.Background(), fn)
 	}
 	return c, nil
 }
@@ -255,29 +238,19 @@ type corpusReader struct {
 	export.CorpusReader
 }
 
-// openReader opens the corpus at path for a replay that decodes the
-// column families proj selects on workers decoders.
-func openReader(path string, workers int, proj export.Projection) (*corpusReader, error) {
+// openReader opens the corpus at path for one replay that decodes
+// every column family on workers decoders.
+func openReader(path string, workers int) (*corpusReader, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
-	cr, err := export.OpenCorpusProjected(f, workers, proj)
+	cr, err := export.OpenCorpusProjected(f, workers, export.EverythingProjection())
 	if err != nil {
 		f.Close()
 		return nil, err
 	}
 	return &corpusReader{f: f, CorpusReader: cr}, nil
-}
-
-// replayCorpus replays the corpus at path, decoding the column families
-// proj selects on workers decoders (see replay).
-func replayCorpus(ctx context.Context, path string, workers int, proj export.Projection, fn func(*platform.Chunk) error) (platform.Completeness, error) {
-	r, err := openReader(path, workers, proj)
-	if err != nil {
-		return platform.Completeness{}, err
-	}
-	return r.replay(ctx, fn)
 }
 
 // replay feeds every chunk to fn in publication order, then closes the
@@ -321,23 +294,27 @@ func (c *Campaign) bundle() *export.Public {
 	return c.public
 }
 
-// pass runs one report pass: the source feeds every chunk to stages,
-// each on its own goroutine behind a bounded channel. An unsealed tee
-// (-stream's) persists pass 1 as one more stage and is sealed with the
-// pass's outcome.
-func (c *Campaign) pass(n int, stages ...stream.Stage[*platform.Chunk]) (platform.Completeness, error) {
-	if n == 1 && c.tee != nil {
-		stages = append(stages, stream.Stage[*platform.Chunk]{Name: "export", Fn: c.tee.write})
+// pass runs the report's one pass: the source feeds every chunk to
+// stages, each on its own goroutine behind a bounded channel. A tee
+// persists the collected chunks as one more stage (a resumed prefix is
+// already durable) and is sealed with the pass's outcome. The pipeline
+// is named pass1: CI and the benchmark tooling read its metric names.
+func (c *Campaign) pass(stages ...stream.Stage[*platform.Chunk]) (platform.Completeness, error) {
+	if c.tee != nil {
+		durable := len(c.chunks)
+		stages = append(stages, stream.Stage[*platform.Chunk]{Name: "export", Fn: func(ch *platform.Chunk) error {
+			if ch.Index < durable {
+				return nil
+			}
+			return c.tee.write(ch)
+		}})
 	}
-	pipe := stream.NewPipeline(fmt.Sprintf("pass%d", n), pipelineDepth, c.opts.Obs, stages...)
-	comp, err := c.src(n, pipe.Send)
+	pipe := stream.NewPipeline("pass1", pipelineDepth, c.opts.Obs, stages...)
+	comp, err := c.src(pipe.Send)
 	if cErr := pipe.Close(); err == nil {
 		err = cErr
 	}
-	if n == 1 {
-		err = c.tee.seal(err)
-	}
-	return comp, err
+	return comp, c.tee.seal(err)
 }
 
 // borderAccumulator arms a border accumulator over the campaign's

@@ -193,7 +193,7 @@ func TestStreamCollectsOnce(t *testing.T) {
 	if _, err := Report(context.Background(), s, reg); err != nil {
 		t.Fatal(err)
 	}
-	r, err := openReader(path, 1, export.EverythingProjection())
+	r, err := openReader(path, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -254,11 +254,12 @@ func captureStderr(t *testing.T, fn func()) string {
 	return string(<-done)
 }
 
-// TestStreamInterrupt interrupts -stream reports after the second chunk
-// of a pass (cause ErrInterrupted, as the signal handler cancels): the
-// report fails with ErrInterrupted and prints no -resume hint, a
-// -corpus-out corpus pass 1 published keeps its bytes through a pass-2
-// interrupt, and a temporary spill is removed whichever pass is cut.
+// TestStreamInterrupt interrupts -stream reports in their one pass,
+// after the second chunk (cause ErrInterrupted, as the signal handler
+// cancels): the report fails with ErrInterrupted and creates nothing
+// under $TMPDIR. Without -corpus-out it prints no -resume hint; with
+// -corpus-out the corpus is not published, and the hint names a
+// loadable manifest recording the durable chunks.
 func TestStreamInterrupt(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds worlds")
@@ -266,18 +267,14 @@ func TestStreamInterrupt(t *testing.T) {
 	for _, tc := range []struct {
 		name      string
 		corpusOut bool
-		pass      int
-	}{
-		{"corpus-out/pass2", true, 2},
-		{"spill/pass1", false, 1},
-		{"spill/pass2", false, 2},
-	} {
+	}{{"no-corpus-out", false}, {"corpus-out", true}} {
+		corpusOut := tc.corpusOut
 		t.Run(tc.name, func(t *testing.T) {
 			tmp := t.TempDir()
 			t.Setenv("TMPDIR", tmp)
 			s := formatSpec("heavy")
 			s.Stream, s.ChunkTests = true, 64 // 600 tests -> 10 chunks
-			if tc.corpusOut {
+			if corpusOut {
 				s.CorpusOut = filepath.Join(t.TempDir(), "corpus.tpc")
 			}
 			ctx, cancel := context.WithCancelCause(context.Background())
@@ -286,21 +283,9 @@ func TestStreamInterrupt(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			var sealed string // the published corpus's sha256 as pass 2 starts
-			src := c.src
-			c.src = func(pass int, fn func(*platform.Chunk) error) (platform.Completeness, error) {
-				if pass != tc.pass {
-					return src(pass, fn)
-				}
-				if pass == 2 {
-					raw, err := os.ReadFile(c.tee.path)
-					if err != nil {
-						return platform.Completeness{}, err
-					}
-					sealed = sha(raw)
-				}
-				n := 0
-				return src(pass, func(ch *platform.Chunk) error {
+			src, n := c.live(ctx), 0
+			c.src = func(fn func(*platform.Chunk) error) (platform.Completeness, error) {
+				return src(func(ch *platform.Chunk) error {
 					if n++; n == 2 {
 						cancel(platform.ErrInterrupted)
 					}
@@ -310,22 +295,82 @@ func TestStreamInterrupt(t *testing.T) {
 			var runErr error
 			stderr := captureStderr(t, func() { _, runErr = c.report(nil) })
 			if !errors.Is(runErr, platform.ErrInterrupted) {
-				t.Fatalf("report interrupted in pass %d returned %v, want ErrInterrupted", tc.pass, runErr)
+				t.Fatalf("interrupted report returned %v, want ErrInterrupted", runErr)
 			}
-			if strings.Contains(stderr, "-resume") {
-				t.Errorf("interrupt printed a -resume hint:\n%s", stderr)
+			if hint := strings.Contains(stderr, "-resume"); hint != corpusOut {
+				t.Errorf("-resume hint printed = %v, want %v:\n%s", hint, corpusOut, stderr)
 			}
-			if tc.corpusOut {
-				raw, err := os.ReadFile(s.CorpusOut)
-				if err != nil {
-					t.Fatal(err)
+			if corpusOut {
+				if _, err := os.Stat(s.CorpusOut); !errors.Is(err, os.ErrNotExist) {
+					t.Error("interrupted report published its corpus")
 				}
-				if got := sha(raw); got != sealed {
-					t.Errorf("published corpus sha256 %s after the interrupt, %s when pass 2 started", got, sealed)
+				m, err := checkpoint.LoadManifest(checkpoint.ManifestPath(s.CorpusOut))
+				if err != nil {
+					t.Fatalf("interrupt left no loadable manifest: %v", err)
+				}
+				if m.Durable.Chunks < 2 {
+					t.Errorf("manifest records %d durable chunks, want >= 2", m.Durable.Chunks)
 				}
 			}
 			assertEmpty(t, tmp)
 		})
+	}
+}
+
+// TestReportReadsOnce pins the report to one read of each chunk, live
+// and over a persisted corpus: the one pipeline's match stage sees as
+// many chunks as the corpus footer records, and no second pass leaves
+// a metric.
+func TestReportReadsOnce(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds a world")
+	}
+	path := t.TempDir() + "/corpus.tpc"
+	live := formatSpec("heavy")
+	live.Stream, live.CorpusOut, live.ChunkTests = true, path, 97
+	liveReg := obs.NewRegistry()
+	if _, err := Report(context.Background(), live, liveReg); err != nil {
+		t.Fatal(err)
+	}
+	r, err := openReader(path, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := r.replay(context.Background(), func(*platform.Chunk) error { return nil }); err != nil {
+		t.Fatal(err)
+	}
+	chunks := uint64(r.Footer().Chunks)
+	if chunks < 2 {
+		t.Fatalf("corpus has %d chunks, want several", chunks)
+	}
+	reload := formatSpec("heavy")
+	reload.Corpus = path
+	reloadReg := obs.NewRegistry()
+	if _, err := Report(context.Background(), reload, reloadReg); err != nil {
+		t.Fatal(err)
+	}
+	for name, reg := range map[string]*obs.Registry{"live": liveReg, "corpus": reloadReg} {
+		for _, stage := range []string{"mapit", "aggregate", "match"} {
+			if got := reg.Counter("pipeline.pass1." + stage + ".items").Value(); got != chunks {
+				t.Errorf("%s: pipeline.pass1.%s.items = %d, want the footer's %d chunks", name, stage, got, chunks)
+			}
+		}
+		d := reg.Snapshot()
+		var keys []string
+		for k := range d.Counters {
+			keys = append(keys, k)
+		}
+		for k := range d.Gauges {
+			keys = append(keys, k)
+		}
+		for _, k := range keys {
+			if strings.HasPrefix(k, "pipeline.pass2") {
+				t.Errorf("%s: metric %s from a second pass", name, k)
+			}
+		}
+	}
+	if got := liveReg.Counter("pipeline.pass1.bdrmap.items").Value(); got != chunks {
+		t.Errorf("live: pipeline.pass1.bdrmap.items = %d, want %d", got, chunks)
 	}
 }
 
@@ -413,10 +458,10 @@ func TestResumeCampaignEndToEnd(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			src := c.src
-			c.src = func(pass int, fn func(*platform.Chunk) error) (platform.Completeness, error) {
+			src := c.live(ctx)
+			c.src = func(fn func(*platform.Chunk) error) (platform.Completeness, error) {
 				n := 0
-				return src(pass, func(ch *platform.Chunk) error {
+				return src(func(ch *platform.Chunk) error {
 					if err := fn(ch); err != nil {
 						return err
 					}
@@ -426,7 +471,7 @@ func TestResumeCampaignEndToEnd(t *testing.T) {
 					return nil
 				})
 			}
-			if _, runErr := c.pass(1); !errors.Is(runErr, platform.ErrInterrupted) {
+			if _, runErr := c.pass(); !errors.Is(runErr, platform.ErrInterrupted) {
 				t.Fatalf("interrupted campaign returned %v, want ErrInterrupted", runErr)
 			}
 			if _, err := os.Stat(finalPath); !errors.Is(err, os.ErrNotExist) {

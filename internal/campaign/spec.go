@@ -27,7 +27,7 @@ type Spec struct {
 	FaultSeed    int64 // 0 = Seed
 	ChunkTests   int   // 0 = the platform default
 
-	Stream          bool   // bounded memory: pass 2 replays the corpus pass 1 persisted
+	Stream          bool   // accepted for compatibility: every report reads each chunk once, as it arrives
 	Corpus          string // report over this persisted corpus
 	CorpusOut       string // persist the corpus here while collecting
 	Resume          string // continue from this checkpoint manifest

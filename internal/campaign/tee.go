@@ -4,47 +4,36 @@ import (
 	"errors"
 	"fmt"
 	"os"
-	"path/filepath"
 
 	"throughputlab/internal/checkpoint"
 	"throughputlab/internal/export"
 	"throughputlab/internal/platform"
 )
 
-// tee is an open -corpus-out corpus, or a -stream spill: its
-// checkpointing writer and the path the finished corpus is published
-// at. A nil *tee persists nothing, and its seal passes the campaign
-// error through.
+// tee is an open -corpus-out corpus: its checkpointing writer and the
+// path the finished corpus is published at. A nil *tee persists
+// nothing, and its seal passes the campaign error through.
 type tee struct {
-	w     *checkpoint.Writer
-	path  string
-	spill string // the spill's temporary directory; "" for -corpus-out
+	w    *checkpoint.Writer
+	path string
 }
 
 // openTee wires the corpus through the checkpoint layer: a fresh
 // -corpus-out file, the interrupted corpus a manifest names (its
-// durable prefix replayed into the retained chunks), a spill in a
-// fresh temporary directory for a -stream report without -corpus-out
-// (pass 2 replays it; see removeSpill), or nil when nothing is
-// persisted. Every chunk written goes to path+".partial"
+// durable prefix replayed into the retained chunks), or nil when
+// nothing is persisted. Every chunk written goes to path+".partial"
 // with periodic chunk-boundary checkpoints (encode-pipeline drain,
 // fsync, atomic manifest rewrite), and the corpus appears at path only
 // through seal's footer-then-rename — so the readable path is always
 // absent, a complete prior corpus, or a complete current one.
 func (c *Campaign) openTee(s Spec, m *checkpoint.Manifest) (*tee, error) {
-	t := &tee{path: s.CorpusOut}
-	var err error
-	if t.path == "" && m == nil {
-		if !s.Stream {
-			return nil, nil
-		}
-		if t.spill, err = os.MkdirTemp("", "tputlab-spill-"); err != nil {
-			return nil, fmt.Errorf("-stream without -corpus-out spills pass 1 to $TMPDIR: %w", err)
-		}
-		t.path = filepath.Join(t.spill, "corpus.tpc")
+	if s.CorpusOut == "" && m == nil {
+		return nil, nil
 	}
+	t := &tee{path: s.CorpusOut}
 	meta := export.StreamMeta{Scale: s.Scale, Seed: c.opts.Topo.Seed, Tests: c.opts.Collect.Tests}
 	fp, ck := s.fingerprint(c.opts), checkpoint.Options{SyncEveryChunks: s.CheckpointEvery}
+	var err error
 	if m == nil {
 		t.w, err = checkpoint.Create(t.path, corpusFormat, *c.bundle(), meta, fp, c.opts.Workers, ck)
 	} else {
@@ -55,7 +44,6 @@ func (c *Campaign) openTee(s Spec, m *checkpoint.Manifest) (*tee, error) {
 		})
 	}
 	if err != nil {
-		t.removeSpill()
 		return nil, err
 	}
 	return t, nil
@@ -73,9 +61,8 @@ func (t *tee) write(ch *platform.Chunk) error {
 // to propagate; it must be called exactly once. nil publishes
 // atomically and removes the manifest; an interrupt flushes a final
 // checkpoint and keeps the partial corpus plus manifest for -resume
-// (printing the hint); any other error, and an interrupted spill,
-// discards both so the first failure propagates with nothing
-// half-written left behind.
+// (printing the hint); any other error discards both so the first
+// failure propagates with nothing half-written left behind.
 func (t *tee) seal(runErr error) error {
 	if t == nil {
 		return runErr
@@ -86,13 +73,10 @@ func (t *tee) seal(runErr error) error {
 		if err := t.w.Close(); err != nil {
 			return err
 		}
-		if t.spill != "" {
-			return nil
-		}
 		fmt.Fprintf(os.Stderr, "corpus: wrote %s (%d chunks, %d tests, %d traces)\n",
 			t.path, ft.Chunks, ft.Tests, ft.Traces)
 		return nil
-	case errors.Is(runErr, platform.ErrInterrupted) && t.spill == "":
+	case errors.Is(runErr, platform.ErrInterrupted):
 		mpath, err := t.w.Interrupt()
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "tputlab: checkpoint flush on interrupt failed:", err)
@@ -105,13 +89,5 @@ func (t *tee) seal(runErr error) error {
 	default:
 		t.w.Discard()
 		return runErr
-	}
-}
-
-// removeSpill deletes a spill's temporary directory with everything in
-// it; a -corpus-out corpus stays.
-func (t *tee) removeSpill() {
-	if t != nil && t.spill != "" {
-		os.RemoveAll(t.spill)
 	}
 }

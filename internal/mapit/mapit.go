@@ -554,15 +554,23 @@ func eachResponsive(tr *traceroute.Trace, fn func(a netaddr.Addr, final bool)) {
 	}
 }
 
-// eachRouter calls fn for each responsive router hop of tr: its
-// responsive addresses less a reached trace's destination host.
-func eachRouter(tr *traceroute.Trace, fn func(netaddr.Addr)) {
+// AppendRouters appends tr's router path to dst and returns the
+// extended slice: its responsive addresses less a reached trace's
+// destination host. Every labelling walk over an inference (AS paths,
+// links, bdrmap's first crossing) reads a trace through this path, so a
+// caller may keep the path and label it once the inference is sealed.
+func AppendRouters(dst []netaddr.Addr, tr *traceroute.Trace) []netaddr.Addr {
 	eachResponsive(tr, func(a netaddr.Addr, final bool) {
 		if !final || !tr.Reached {
-			fn(a)
+			dst = append(dst, a)
 		}
 	})
+	return dst
 }
+
+// maxStackPath is the router-path length the per-trace wrappers keep on
+// the stack; a longer path still works, through one heap allocation.
+const maxStackPath = 64
 
 // ASPathOf maps a trace to the organization-collapsed AS-level path of
 // its responsive router hops (unknown hops are skipped; consecutive
@@ -582,6 +590,14 @@ func (inf *Inference) AppendASPath(dst []topology.ASN, tr *traceroute.Trace) []t
 	if tr.Degraded {
 		return dst
 	}
+	var buf [maxStackPath]netaddr.Addr
+	return inf.AppendPathAS(dst, AppendRouters(buf[:0], tr), tr.Reached, tr.DstAddr)
+}
+
+// AppendPathAS appends the AS path of a non-degraded trace's router
+// path (AppendRouters) to dst and returns the extended slice; reached
+// and dstAddr are the trace's. It is the body of AppendASPath.
+func (inf *Inference) AppendPathAS(dst []topology.ASN, routers []netaddr.Addr, reached bool, dstAddr netaddr.Addr) []topology.ASN {
 	start := len(dst)
 	push := func(asn topology.ASN) {
 		if len(dst) > start && inf.opts.SameOrg(dst[len(dst)-1], asn) {
@@ -589,13 +605,13 @@ func (inf *Inference) AppendASPath(dst []topology.ASN, tr *traceroute.Trace) []t
 		}
 		dst = append(dst, asn)
 	}
-	eachRouter(tr, func(a netaddr.Addr) {
+	for _, a := range routers {
 		if asn, ok := inf.Operator[a]; ok {
 			push(asn)
 		}
-	})
-	if tr.Reached {
-		if asn, ok := inf.opts.Prefix2AS(tr.DstAddr); ok {
+	}
+	if reached {
+		if asn, ok := inf.opts.Prefix2AS(dstAddr); ok {
 			push(asn)
 		}
 	}
@@ -615,19 +631,25 @@ func (inf *Inference) AppendLinks(dst []Link, tr *traceroute.Trace) []Link {
 	if tr.Degraded {
 		return dst
 	}
-	var prev netaddr.Addr
-	eachRouter(tr, func(b netaddr.Addr) {
-		a := prev
-		prev = b
-		if a.IsZero() {
-			return
-		}
-		asA, okA := inf.Operator[a]
+	var buf [maxStackPath]netaddr.Addr
+	return inf.AppendPathLinks(dst, AppendRouters(buf[:0], tr))
+}
+
+// AppendPathLinks appends the links a non-degraded trace's router path
+// (AppendRouters) crossed to dst, in path order, and returns the
+// extended slice. It is the body of AppendLinks.
+func (inf *Inference) AppendPathLinks(dst []Link, routers []netaddr.Addr) []Link {
+	if len(routers) == 0 {
+		return dst
+	}
+	a := routers[0]
+	asA, okA := inf.Operator[a]
+	for _, b := range routers[1:] {
 		asB, okB := inf.Operator[b]
-		if !okA || !okB || inf.opts.SameOrg(asA, asB) {
-			return
+		if okA && okB && !inf.opts.SameOrg(asA, asB) {
+			dst = append(dst, Link{Near: a, Far: b, NearAS: asA, FarAS: asB})
 		}
-		dst = append(dst, Link{Near: a, Far: b, NearAS: asA, FarAS: asB})
-	})
+		a, asA, okA = b, asB, okB
+	}
 	return dst
 }

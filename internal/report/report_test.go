@@ -21,8 +21,8 @@ var env = func() *experiments.Env {
 	return e
 }()
 
-// built is the production report over the shared campaign: the
-// StreamBuilder's two passes, each re-collecting the campaign.
+// built is the StreamBuilder's report over the shared campaign, in
+// streamBuild's two-read order.
 var built = func() *Report {
 	r, err := streamBuild(DefaultConfig(), env.Opts.Collect, 1)
 	if err != nil {

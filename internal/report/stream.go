@@ -1,14 +1,13 @@
 // Report assembly: the §7 checklist fed chunk by chunk. Every report
-// mode — a live campaign whose chunks are retained in memory, a live
-// campaign whose pass 2 replays the corpus pass 1 persisted (bounded
-// memory), a persisted corpus replayed off disk, and a resumed
-// campaign — drives the one
-// StreamBuilder, so their rendered reports are byte-identical. The
-// reduction is two-pass — operator inference must see every trace
-// before any path can be labeled — and every per-group aggregate is
-// either accumulated in corpus order (the float-summation sensitive
-// series and bias bins) or order-independent (integer counters, link
-// sets), so chunk size and worker count never show in the report.
+// mode — a live campaign, a resumed one, and a persisted corpus
+// replayed off disk — reads its chunks once into the one StreamBuilder,
+// so their rendered reports are byte-identical. Operator inference must
+// see every trace before any path can be labelled, so matched pairs
+// keep their traces' router paths until MAP-IT is sealed; every
+// per-group aggregate is either accumulated in corpus order (the
+// float-summation sensitive series and bias bins) or order-independent
+// (integer counters, link sets), so chunk size and worker count never
+// show in the report.
 package report
 
 import (
@@ -18,6 +17,7 @@ import (
 	"throughputlab/internal/datasets"
 	"throughputlab/internal/mapit"
 	"throughputlab/internal/ndt"
+	"throughputlab/internal/netaddr"
 	"throughputlab/internal/obs"
 	"throughputlab/internal/platform"
 	"throughputlab/internal/signatures"
@@ -59,35 +59,49 @@ type aggGroup struct {
 
 // pairGroup is the association half: counters and sets fed by the
 // matcher's finalized pairs, all order-independent. Owned by the
-// matching stage, so aggregation and matching can run on separate
-// goroutines without sharing a map.
+// matching stage until Finish labels the deferred pairs, so
+// aggregation and matching can run on separate goroutines without
+// sharing a map.
 type pairGroup struct {
 	matched, oneHop, pathKnown int
 	linkSet                    map[uint32]bool
 }
 
-// StreamBuilder assembles a Report incrementally. Protocol:
+// deferredPair is a matched pair whose trace is labelled at Finish: its
+// pair group, the end of its router path in the builder's arena (the
+// path starts where the previous pair's ends), and the trace's
+// destination as AppendPathAS reads it.
+type deferredPair struct {
+	group, end int32
+	dst        netaddr.Addr
+	reached    bool
+}
+
+// StreamBuilder assembles a Report incrementally, in one read of the
+// chunks. Protocol:
 //
 //	b := NewStreamBuilder(cfg, hourOf, mapitOpts)
-//	for each chunk { b.AddTraces(chunk.Traces) }           // pass 1
-//	b.FinishInference()
-//	for each chunk {                                       // pass 2, same order
+//	for each chunk, in publication order {
+//		b.AddTraces(chunk.Traces)
 //		b.AddTests(chunk.Tests)
 //		b.AddMatch(chunk.Tests, chunk.Traces, chunk.Watermark)
 //	}
 //	rep := b.Finish(completeness)
 //
-// Pass 2 replays the same chunks, from memory or from a persisted
-// corpus (under -stream, the one pass 1 wrote as it went). Beyond the
-// chunks themselves, the builder holds the matcher's watermark buffer
-// plus per-group aggregates.
+// The three consumers hold disjoint state, so a stream.Pipeline can
+// run them on separate goroutines. Each must see the chunks in
+// publication order; the interleaving between them is free. Matching
+// reads nothing inferred: a matched pair's group counts it at once and
+// its trace's router path is kept in a flat arena, and Finish — after
+// every consumer has drained — seals MAP-IT (FinishInference), drains
+// the matcher, labels the kept paths, and merges the group halves.
+// Beyond the chunks in flight, the builder holds MAP-IT's adjacency
+// table, the matcher's watermark buffer, the router paths of the
+// matched non-degraded pairs, and per-group aggregates.
 //
-// Pass 2's two consumers — AddTests (per-test aggregation) and
-// AddMatch (trace association) — hold disjoint state, so a
-// stream.Pipeline can run them on separate goroutines. Each must see
-// the chunks in publication order; the interleaving BETWEEN them is
-// free. Finish (called after both consumers drain) merges their group
-// halves.
+// FinishInference may also be called between the traces and the other
+// consumers, when a caller reads the chunks twice; the report is the
+// same.
 type StreamBuilder struct {
 	cfg    Config
 	hourOf func(*ndt.Test) float64
@@ -98,8 +112,13 @@ type StreamBuilder struct {
 
 	matcher *core.StreamMatcher
 	agg     map[gkey]*aggGroup
-	pairs   map[gkey]*pairGroup
-	// path and links are onPair's scratch, reused across pairs.
+	// groupOf indexes pairs by group key; routers and deferred hold the
+	// matched pairs awaiting labelling (see deferredPair).
+	groupOf  map[gkey]int32
+	pairs    []pairGroup
+	routers  []netaddr.Addr
+	deferred []deferredPair
+	// path and links are label's scratch, reused across pairs.
 	path  []topology.ASN
 	links []mapit.Link
 }
@@ -111,18 +130,20 @@ func NewStreamBuilder(cfg Config, hourOf func(*ndt.Test) float64, opts mapit.Opt
 	if cfg.MinTests == 0 {
 		cfg = DefaultConfig()
 	}
-	return &StreamBuilder{
-		cfg:    cfg,
-		hourOf: hourOf,
-		reg:    opts.Obs,
-		mb:     mapit.NewBuilder(opts),
-		agg:    map[gkey]*aggGroup{},
-		pairs:  map[gkey]*pairGroup{},
+	b := &StreamBuilder{
+		cfg:     cfg,
+		hourOf:  hourOf,
+		reg:     opts.Obs,
+		mb:      mapit.NewBuilder(opts),
+		matcher: core.NewStreamMatcher(core.PrimaryWindowMin, core.PrimaryMode),
+		agg:     map[gkey]*aggGroup{},
+		groupOf: map[gkey]int32{},
 	}
+	b.matcher.OnPair = b.onPair
+	return b
 }
 
-// AddTraces folds one chunk of traces into the operator inference
-// (pass 1).
+// AddTraces folds one chunk of traces into the operator inference.
 func (b *StreamBuilder) AddTraces(traces []*traceroute.Trace) {
 	if b.inf != nil {
 		panic("report: AddTraces after FinishInference")
@@ -130,9 +151,9 @@ func (b *StreamBuilder) AddTraces(traces []*traceroute.Trace) {
 	b.mb.Add(traces)
 }
 
-// FinishInference seals MAP-IT and arms the matcher; it returns the
-// inference for callers that also need border analysis
-// (bdrmap.NewAnalyzerFromInference).
+// FinishInference seals MAP-IT once every trace is added and returns
+// the inference, for callers that also need border analysis
+// (bdrmap.NewAnalyzerFromInference). Finish calls it if nobody has.
 func (b *StreamBuilder) FinishInference() *mapit.Inference {
 	if b.inf != nil {
 		return b.inf
@@ -141,21 +162,16 @@ func (b *StreamBuilder) FinishInference() *mapit.Inference {
 	b.inf = b.mb.Finish()
 	sp.End()
 	b.mb = nil
-	b.matcher = core.NewStreamMatcher(core.PrimaryWindowMin, core.PrimaryMode)
-	b.matcher.OnPair = b.onPair
 	b.reg.Events().Publish("report.pass", "inference", -1, int64(len(b.inf.Links)))
 	return b.inf
 }
 
-// AddTests is the pass-2 aggregation stage: per-test group statistics,
+// AddTests is the aggregation consumer: per-test group statistics,
 // folded in publication order so the float summation inside each
 // group's series is the same for every chunking. It touches only the
 // aggregation half of the group state and may run concurrently with
-// AddMatch on another goroutine.
+// AddTraces and AddMatch on other goroutines.
 func (b *StreamBuilder) AddTests(tests []*ndt.Test) {
-	if b.inf == nil {
-		panic("report: AddTests before FinishInference")
-	}
 	for _, t := range tests {
 		k := gkey{t.ServerNet, t.ServerMetro, t.ClientISP}
 		g := b.agg[k]
@@ -179,16 +195,13 @@ func (b *StreamBuilder) AddTests(tests []*ndt.Test) {
 	}
 }
 
-// AddMatch is the pass-2 association stage: it feeds the watermark
-// matcher and accumulates pair statistics. watermark is the chunk's
-// scheduling watermark (platform.Chunk.Watermark /
+// AddMatch is the association consumer: it feeds the watermark matcher
+// and defers each finalized pair's labelling to Finish. watermark is
+// the chunk's scheduling watermark (platform.Chunk.Watermark /
 // export.StreamChunk.Watermark). It touches only the pair half of the
-// group state and may run concurrently with AddTests on another
-// goroutine.
+// group state and may run concurrently with AddTraces and AddTests on
+// other goroutines.
 func (b *StreamBuilder) AddMatch(tests []*ndt.Test, traces []*traceroute.Trace, watermark int) {
-	if b.inf == nil {
-		panic("report: AddMatch before FinishInference")
-	}
 	b.matcher.Add(tests, traces, watermark)
 	if b.reg != nil {
 		pt, pr := b.matcher.InFlight()
@@ -197,41 +210,62 @@ func (b *StreamBuilder) AddMatch(tests []*ndt.Test, traces []*traceroute.Trace, 
 	}
 }
 
-// onPair receives finalized associations from the matcher. Everything
-// it touches is order-independent (counters and set inserts), so the
-// matcher's finalization order — which differs from group order — never
-// shows in the report.
+// onPair receives finalized associations from the matcher: it counts
+// the pair in its group and, for a non-degraded trace, keeps the
+// trace's router path for Finish to label (a degraded trace has no AS
+// path and no links). Everything a pair feeds is order-independent
+// (counters and set inserts), so the matcher's finalization order —
+// which differs from group order — never shows in the report.
 func (b *StreamBuilder) onPair(t *ndt.Test, tr *traceroute.Trace) {
 	if tr == nil {
 		return
 	}
 	k := gkey{t.ServerNet, t.ServerMetro, t.ClientISP}
-	g := b.pairs[k]
-	if g == nil {
-		g = &pairGroup{linkSet: map[uint32]bool{}}
-		b.pairs[k] = g
+	gi, ok := b.groupOf[k]
+	if !ok {
+		gi = int32(len(b.pairs))
+		b.groupOf[k] = gi
+		b.pairs = append(b.pairs, pairGroup{linkSet: map[uint32]bool{}})
 	}
-	g.matched++
-	b.path = b.inf.AppendASPath(b.path[:0], tr)
-	if len(b.path) >= 2 {
-		g.pathKnown++
-		if len(b.path) == 2 {
-			g.oneHop++
+	b.pairs[gi].matched++
+	if tr.Degraded {
+		return
+	}
+	b.routers = mapit.AppendRouters(b.routers, tr)
+	b.deferred = append(b.deferred, deferredPair{
+		group: gi, end: int32(len(b.routers)), dst: tr.DstAddr, reached: tr.Reached,
+	})
+}
+
+// label folds every deferred pair's AS path and first link into its
+// group, as the sealed inference labels them.
+func (b *StreamBuilder) label() {
+	start := int32(0)
+	for _, d := range b.deferred {
+		routers := b.routers[start:d.end]
+		start = d.end
+		g := &b.pairs[d.group]
+		b.path = b.inf.AppendPathAS(b.path[:0], routers, d.reached, d.dst)
+		if len(b.path) >= 2 {
+			g.pathKnown++
+			if len(b.path) == 2 {
+				g.oneHop++
+			}
 		}
-	}
-	if b.links = b.inf.AppendLinks(b.links[:0], tr); len(b.links) > 0 {
-		g.linkSet[uint32(b.links[0].Far)] = true
+		if b.links = b.inf.AppendPathLinks(b.links[:0], routers); len(b.links) > 0 {
+			g.linkSet[uint32(b.links[0].Far)] = true
+		}
 	}
 }
 
-// Finish drains the matcher, merges the aggregation and pair halves of
-// every group, grades them, and returns the report. It must run only
-// after both pass-2 stages have drained.
+// Finish seals the inference if needed, drains the matcher, labels the
+// deferred pairs, merges the aggregation and pair halves of every
+// group, grades them, and returns the report. It must run only after
+// every consumer has drained.
 func (b *StreamBuilder) Finish(completeness platform.Completeness) *Report {
-	if b.inf == nil {
-		b.FinishInference()
-	}
+	b.FinishInference()
 	m := b.matcher.Finish()
+	b.label()
 	if b.reg != nil {
 		// The matcher hands pairs to onPair instead of filling ByTest, so
 		// m.Matched() is 0 here: count the finalized pairs instead.
@@ -267,9 +301,9 @@ func (b *StreamBuilder) Finish(completeness platform.Completeness) *Report {
 	var none pairGroup
 	for _, k := range keys {
 		g := b.agg[k]
-		p := b.pairs[k]
-		if p == nil {
-			p = &none
+		p := &none
+		if i, ok := b.groupOf[k]; ok {
+			p = &b.pairs[i]
 		}
 		f := Finding{
 			ServerNet: k.net, ServerMetro: k.metro, ClientISP: k.isp,

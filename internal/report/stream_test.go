@@ -3,6 +3,8 @@ package report
 import (
 	"context"
 	"fmt"
+	"maps"
+	"slices"
 	"strings"
 	"testing"
 
@@ -17,9 +19,12 @@ import (
 	"throughputlab/internal/traceroute"
 )
 
-// streamBuild runs the two-pass streaming assembly over the shared
-// world's campaign under ccfg, re-collecting the deterministic stream
-// for pass 2. ccfg.Obs, when set, also instruments the builder.
+// streamBuild runs the streaming assembly over the shared world's
+// campaign under ccfg in the two-read order the builder also accepts:
+// the traces of one collection, then FinishInference, then the rest
+// from a second collection of the deterministic stream.
+// TestStreamReportPipelinedStages covers the one-read order. ccfg.Obs,
+// when set, also instruments the builder.
 func streamBuild(cfg Config, ccfg platform.CollectConfig, workers int) (*Report, error) {
 	opts := env.MapItOpts()
 	opts.Obs = ccfg.Obs
@@ -70,26 +75,23 @@ func TestStreamReportMatchesBatch(t *testing.T) {
 	}
 }
 
-// TestStreamReportPipelinedStages runs pass 2 with the aggregation and
-// matching stages on separate goroutines behind a stream.Pipeline —
-// the deployment shape of the CLI's report passes — and pins that the
-// rendered report is still byte-identical to the batch reference. The
-// two stages hold disjoint halves of the group state, so only their
-// per-stage publication order matters, which the pipeline preserves.
+// TestStreamReportPipelinedStages runs the one pass the CLI runs:
+// operator inference, aggregation and matching on separate goroutines
+// behind a stream.Pipeline, fed by one collection. The rendered report
+// must still be byte-identical to the batch reference. The three
+// stages hold disjoint state, so only their per-stage publication
+// order matters, which the pipeline preserves.
 func TestStreamReportPipelinedStages(t *testing.T) {
 	want := batchBuild(env, DefaultConfig()).Render()
 	cfg := env.Opts.Collect
 	cfg.ChunkTests = 512
 	for _, workers := range []int{1, 2, 8} {
 		b := NewStreamBuilder(DefaultConfig(), MetroHourOf(), env.MapItOpts())
-		if _, err := platform.CollectStreamCtx(context.Background(), env.World, cfg, workers, func(c *platform.Chunk) error {
-			b.AddTraces(c.Traces)
-			return nil
-		}); err != nil {
-			t.Fatal(err)
-		}
-		b.FinishInference()
 		p := stream.NewPipeline("report", 4, nil,
+			stream.Stage[*platform.Chunk]{Name: "mapit", Fn: func(c *platform.Chunk) error {
+				b.AddTraces(c.Traces)
+				return nil
+			}},
 			stream.Stage[*platform.Chunk]{Name: "aggregate", Fn: func(c *platform.Chunk) error {
 				b.AddTests(c.Tests)
 				return nil
@@ -212,32 +214,186 @@ func firstDiff(want, got string) string {
 	return fmt.Sprintf("length differs: batch %d lines, stream %d", len(w), len(g))
 }
 
-// TestOnPairAllocFree: once a pair's group and the scratch buffers
-// exist, the per-pair callback allocates nothing.
+// matchedPairs is every pair the batch matcher associates over the
+// shared campaign, at most n of them.
+func matchedPairs(t *testing.T, n int) (tests []*ndt.Test, traces []*traceroute.Trace) {
+	t.Helper()
+	for _, tst := range env.Corpus.Tests {
+		if tr := env.Matching.ByTest[tst.ID]; tr != nil && len(tests) < n {
+			tests, traces = append(tests, tst), append(traces, tr)
+		}
+	}
+	if len(tests) == 0 {
+		t.Fatal("campaign matched no pairs")
+	}
+	return tests, traces
+}
+
+// TestOnPairAllocFree: once the arena holding the deferred router paths
+// is reserved, deferring a pair allocates nothing, and once every
+// pair's group and link set exist, Finish's labelling allocates nothing
+// either, whatever the number of pairs.
 func TestOnPairAllocFree(t *testing.T) {
 	b := NewStreamBuilder(DefaultConfig(), MetroHourOf(), env.MapItOpts())
 	b.AddTraces(env.Corpus.Traces)
 	b.FinishInference()
-	type pair struct {
-		t  *ndt.Test
-		tr *traceroute.Trace
-	}
-	var pairs []pair
-	for _, tst := range env.Corpus.Tests {
-		if tr := env.Matching.ByTest[tst.ID]; tr != nil && len(pairs) < 500 {
-			pairs = append(pairs, pair{tst, tr})
+	tests, traces := matchedPairs(t, 500)
+	deferAll := func() {
+		b.routers, b.deferred = b.routers[:0], b.deferred[:0]
+		for i := range tests {
+			b.onPair(tests[i], traces[i])
 		}
 	}
-	if len(pairs) == 0 {
-		t.Fatal("campaign matched no pairs")
+	deferAll()
+	if allocs := testing.AllocsPerRun(5, deferAll); allocs != 0 {
+		t.Errorf("onPair over %d pairs: %v allocations, want 0", len(tests), allocs)
 	}
-	onAll := func() {
-		for _, p := range pairs {
-			b.onPair(p.t, p.tr)
+	if len(b.deferred) == 0 {
+		t.Fatal("no pair was deferred")
+	}
+	b.label()
+	if allocs := testing.AllocsPerRun(5, b.label); allocs != 0 {
+		t.Errorf("labelling %d deferred pairs: %v allocations, want 0", len(b.deferred), allocs)
+	}
+}
+
+// refPairs is the immediate-labelling reference for the pair consumer:
+// it reads the campaign twice, and its onPair labels each finalized
+// pair at once with the inference the first read sealed.
+// TestDeferredLabellingMatchesImmediate checks the builder against it.
+type refPairs struct {
+	inf      *mapit.Inference
+	pairs    map[gkey]*pairGroup
+	degraded int       // pairs whose trace is degraded
+	clean    []refPair // the other pairs, in finalization order
+}
+
+type refPair struct {
+	k  gkey
+	tr *traceroute.Trace
+}
+
+func (r *refPairs) onPair(t *ndt.Test, tr *traceroute.Trace) {
+	if tr == nil {
+		return
+	}
+	k := gkey{t.ServerNet, t.ServerMetro, t.ClientISP}
+	g := r.pairs[k]
+	if g == nil {
+		g = &pairGroup{linkSet: map[uint32]bool{}}
+		r.pairs[k] = g
+	}
+	g.matched++
+	if tr.Degraded {
+		r.degraded++
+	} else {
+		r.clean = append(r.clean, refPair{k, tr})
+	}
+	path := r.inf.ASPathOf(tr)
+	if len(path) >= 2 {
+		g.pathKnown++
+		if len(path) == 2 {
+			g.oneHop++
 		}
 	}
-	onAll()
-	if allocs := testing.AllocsPerRun(5, onAll); allocs != 0 {
-		t.Errorf("onPair over %d pairs: %v allocations, want 0", len(pairs), allocs)
+	if links := r.inf.LinksOf(tr); len(links) > 0 {
+		g.linkSet[uint32(links[0].Far)] = true
+	}
+}
+
+// TestDeferredLabellingMatchesImmediate pins the one-read builder —
+// pairs counted as they finalize, their router paths labelled at
+// Finish — to the immediate-labelling reference over two reads: equal
+// pair groups, equal mapit.* counters and equal match gauges, at chunk
+// sizes 1, 7 and the whole campaign and at one and two workers, clean
+// and under the heavy fault profile (where degraded pairs occur).
+func TestDeferredLabellingMatchesImmediate(t *testing.T) {
+	for _, profile := range []faults.Profile{faults.Off(), faults.Heavy()} {
+		for _, chunk := range []int{1, 7, 600} {
+			for _, workers := range []int{1, 2} {
+				name := fmt.Sprintf("%s/chunk=%d/workers=%d", profile.Name, chunk, workers)
+				cfg := env.Opts.Collect
+				cfg.Tests, cfg.ChunkTests, cfg.Faults = 600, chunk, profile
+				collect := func(fn func(*platform.Chunk) error) platform.Completeness {
+					st, err := platform.CollectStreamCtx(context.Background(), env.World, cfg, workers, fn)
+					if err != nil {
+						t.Fatal(err)
+					}
+					return st.Completeness
+				}
+
+				reg := obs.NewRegistry()
+				opts := env.MapItOpts()
+				opts.Workers, opts.Obs = workers, reg
+				b := NewStreamBuilder(DefaultConfig(), MetroHourOf(), opts)
+				comp := collect(func(c *platform.Chunk) error {
+					b.AddTraces(c.Traces)
+					b.AddTests(c.Tests)
+					b.AddMatch(c.Tests, c.Traces, c.Watermark)
+					return nil
+				})
+				b.Finish(comp)
+
+				refReg := obs.NewRegistry()
+				opts.Obs = refReg
+				mb := mapit.NewBuilder(opts)
+				collect(func(c *platform.Chunk) error { mb.Add(c.Traces); return nil })
+				ref := &refPairs{inf: mb.Finish(), pairs: map[gkey]*pairGroup{}}
+				m := core.NewStreamMatcher(core.PrimaryWindowMin, core.PrimaryMode)
+				m.OnPair = ref.onPair
+				collect(func(c *platform.Chunk) error { m.Add(c.Tests, c.Traces, c.Watermark); return nil })
+				refDegraded := m.Finish().Degraded
+
+				if len(b.pairs) != len(ref.pairs) {
+					t.Fatalf("%s: %d pair groups, reference %d", name, len(b.pairs), len(ref.pairs))
+				}
+				pairs := 0
+				for k, want := range ref.pairs {
+					i, ok := b.groupOf[k]
+					if !ok {
+						t.Fatalf("%s: group %v missing", name, k)
+					}
+					got := b.pairs[i]
+					if got.matched != want.matched || got.oneHop != want.oneHop || got.pathKnown != want.pathKnown ||
+						!maps.Equal(got.linkSet, want.linkSet) {
+						t.Fatalf("%s: group %v = %d/%d/%d %v, reference %d/%d/%d %v", name, k,
+							got.matched, got.oneHop, got.pathKnown, got.linkSet,
+							want.matched, want.oneHop, want.pathKnown, want.linkSet)
+					}
+					pairs += want.matched
+				}
+				if pairs == 0 {
+					t.Fatalf("%s: the reference matched no pairs", name)
+				}
+				if profile.Name != "off" && ref.degraded == 0 {
+					t.Errorf("%s: no degraded pair (fixture too clean)", name)
+				}
+				if got := reg.Gauge("match.pairs").Value(); got != int64(pairs) {
+					t.Errorf("%s: match.pairs = %d, reference %d", name, got, pairs)
+				}
+				if got := reg.Gauge("match.degraded").Value(); got != int64(refDegraded) {
+					t.Errorf("%s: match.degraded = %d, reference %d", name, got, refDegraded)
+				}
+				if got, want := reg.CountersWithPrefix("mapit."), refReg.CountersWithPrefix("mapit."); !maps.Equal(got, want) {
+					t.Errorf("%s: mapit counters %v, reference %v", name, got, want)
+				}
+				// Each deferred record is its trace's router path and
+				// destination: in this world a reached destination's AS
+				// always collapses into the last router's, so the groups
+				// alone would not show a wrong one.
+				if len(b.deferred) != len(ref.clean) {
+					t.Fatalf("%s: %d deferred pairs, reference %d non-degraded", name, len(b.deferred), len(ref.clean))
+				}
+				start := int32(0)
+				for i, d := range b.deferred {
+					tr := ref.clean[i].tr
+					if !slices.Equal(b.routers[start:d.end], mapit.AppendRouters(nil, tr)) ||
+						d.reached != tr.Reached || d.dst != tr.DstAddr || b.groupOf[ref.clean[i].k] != d.group {
+						t.Fatalf("%s: deferred pair %d = %+v %v, trace %+v", name, i, d, b.routers[start:d.end], tr)
+					}
+					start = d.end
+				}
+			}
+		}
 	}
 }
