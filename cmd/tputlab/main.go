@@ -69,16 +69,17 @@ func main() {
 }
 
 // exitOn maps a command's error to the process exit code: 0 success,
-// 3 for a graceful interrupt (the campaign checkpointed and can be
-// resumed — distinct from 1 so wrapper scripts can tell "retry with
-// -resume" from "broken"), 1 for everything else. A second signal
-// hard-exits 130 from the handler itself.
+// 3 for a graceful interrupt (nothing was published; re-running the
+// same command reproduces the campaign — distinct from 1 so wrapper
+// scripts can tell "re-run" from "broken"), 1 for everything else. A
+// second signal hard-exits 130 from the handler itself.
 func exitOn(err error) {
 	if err == nil {
 		return
 	}
 	fmt.Fprintln(os.Stderr, "tputlab:", err)
 	if errors.Is(err, platform.ErrInterrupted) {
+		fmt.Fprintln(os.Stderr, "tputlab: nothing was published; re-run the same command to reproduce the campaign")
 		os.Exit(3)
 	}
 	os.Exit(1)
@@ -87,8 +88,8 @@ func exitOn(err error) {
 // signalContext arms cooperative cancellation: the first SIGINT or
 // SIGTERM cancels the returned context with platform.ErrInterrupted as
 // the cause — generation stops at its next phase boundary, collection
-// drains the chunks already claimed and checkpoints — and a second
-// signal hard-exits 130 without waiting for the drain.
+// drains the chunks already claimed and any partial corpus is removed —
+// and a second signal hard-exits 130 without waiting for the drain.
 func signalContext() (context.Context, func()) {
 	ctx, cancel := context.WithCancelCause(context.Background())
 	ch := make(chan os.Signal, 2)
@@ -97,7 +98,7 @@ func signalContext() (context.Context, func()) {
 		if _, ok := <-ch; !ok {
 			return
 		}
-		fmt.Fprintln(os.Stderr, "tputlab: interrupt — draining in-flight chunks and checkpointing (interrupt again to abort hard)")
+		fmt.Fprintln(os.Stderr, "tputlab: interrupt — draining in-flight chunks; nothing will be published (interrupt again to abort hard)")
 		cancel(platform.ErrInterrupted)
 		if _, ok := <-ch; ok {
 			os.Exit(130)
@@ -141,19 +142,9 @@ flags for run/report:
                          identity flags (scale/seed/tests/faults/...)
                          come from the corpus header and may not be
                          repeated
-  -resume MANIFEST       continue an interrupted -corpus-out campaign
-                         from its checkpoint manifest: the identity
-                         flags (scale/seed/tests/faults/...) come from
-                         the manifest and may not be repeated; the
-                         published corpus and report are byte-identical
-                         to an uninterrupted run
   -chunk-tests N         streamed-collection chunk size in scheduled
                          tests (0 = platform default); not part of the
-                         corpus identity, but checkpoints land on chunk
-                         boundaries
-  -checkpoint-every N    with -corpus-out or -resume only: chunks between
-                         durability barriers (fsync + manifest update);
-                         default 8, 1 checkpoints at every chunk boundary
+                         corpus identity
   -seed N                generation seed (default 1)
   -tests N               NDT corpus size (0 = scale default)
   -parallel N            engine worker count (default GOMAXPROCS);
@@ -185,8 +176,13 @@ flags for run/report:
 telemetry never changes results: corpus and report bytes are identical
 with every combination of the flags above on or off
 
-exit codes: 0 success; 1 error; 2 usage; 3 interrupted after a durable
-checkpoint (resume with -resume); 130 hard abort (second signal)`)
+a -corpus-out corpus appears only when the campaign completes (written
+to FILE.partial, fsynced, then renamed onto FILE); a campaign stopped
+early publishes nothing, and re-running the same command rebuilds the
+identical corpus
+
+exit codes: 0 success; 1 error; 2 usage; 3 interrupted, nothing
+published (re-run the same command); 130 hard abort (second signal)`)
 }
 
 // commonFlags is the run/report flag set: the campaign flags bound
@@ -219,8 +215,6 @@ func addCommonFlags(fs *flag.FlagSet) *commonFlags {
 	fs.Int64Var(&s.FaultSeed, "faultseed", 0, "fault-injection seed (0 = generation seed)")
 	fs.IntVar(&s.ChunkTests, "chunk-tests", 0, "streamed-collection chunk size in scheduled tests (0 = platform default)")
 	fs.StringVar(&s.CorpusOut, "corpus-out", "", "persist the corpus to this file while collecting")
-	fs.StringVar(&s.Resume, "resume", "", "continue an interrupted campaign from this checkpoint manifest")
-	fs.IntVar(&s.CheckpointEvery, "checkpoint-every", 0, "chunks between -corpus-out durability barriers (0 = default 8)")
 
 	fs.StringVar(&cf.metricsJSON, "metrics-json", "", "write the metrics snapshot to this file as JSON")
 	fs.StringVar(&cf.events, "events", "", "write the progress event stream to this file as NDJSON")
@@ -278,13 +272,12 @@ func (cf *commonFlags) telemetry() (*obs.Registry, error) {
 
 // emitMetrics finishes the telemetry for a run: it publishes the
 // terminal event — campaign.done, or campaign.interrupted when the run
-// was cancelled after a durable checkpoint — drains and closes the
-// event bus (so the -events NDJSON stream is complete before the file
-// is sealed), writes the JSON snapshot (-metrics-json) and the Chrome
-// trace (-trace-out), and closes the -events file and the
-// -telemetry-addr endpoint. Every step runs even when an earlier one
-// failed; the first error is returned. stdout is never touched, so
-// experiment output stays byte-identical.
+// was cancelled — drains and closes the event bus (so the -events
+// NDJSON stream is complete before the file is sealed), writes the
+// JSON snapshot (-metrics-json) and the Chrome trace (-trace-out), and
+// closes the -events file and the -telemetry-addr endpoint. Every step
+// runs even when an earlier one failed; the first error is returned.
+// stdout is never touched, so experiment output stays byte-identical.
 func (cf *commonFlags) emitMetrics(reg *obs.Registry, runErr error) error {
 	if reg == nil {
 		return nil
@@ -421,9 +414,7 @@ func runCmd(args []string) error {
 	}
 
 	start := time.Now()
-	if cf.spec.Resume == "" {
-		fmt.Fprintf(os.Stderr, "generating world (scale=%s seed=%d parallel=%d)...\n", cf.spec.Scale, cf.spec.Seed, cf.spec.Workers)
-	}
+	fmt.Fprintf(os.Stderr, "generating world (scale=%s seed=%d parallel=%d)...\n", cf.spec.Scale, cf.spec.Seed, cf.spec.Workers)
 	c, err := campaign.Collect(ctx, cf.spec, reg)
 	if err != nil {
 		return finish(cf, reg, err)

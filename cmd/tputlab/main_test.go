@@ -2,6 +2,7 @@ package main
 
 import (
 	"encoding/json"
+	"flag"
 	"io"
 	"os"
 	"path/filepath"
@@ -146,8 +147,7 @@ func TestReportCorpusFlagValidation(t *testing.T) {
 		t.Error("missing corpus file should error")
 	}
 	// The corpus header pins the campaign identity: setting an identity
-	// flag alongside -corpus is refused with every offending flag named,
-	// the way -resume refuses them.
+	// flag alongside -corpus is refused with every offending flag named.
 	for _, flags := range [][]string{
 		{"-scale", "large"}, {"-seed", "2"}, {"-tests", "100"}, {"-faults", "heavy"},
 		{"-faultseed", "9"}, {"-chunk-tests", "32"}, {"-corpus-format", "columnar"},
@@ -170,37 +170,22 @@ func TestReportCorpusFlagValidation(t *testing.T) {
 		t.Errorf("-corpus with -parallel/-genworkers: err = %v, want the missing-file error", err)
 	}
 	// A persisted corpus is replayed, never re-collected: -stream is
-	// refused by name, the way -resume refuses it.
+	// refused by name.
 	err = reportCmd([]string{"-corpus", "/nonexistent/corpus.tpc", "-stream"})
 	if err == nil || !strings.Contains(err.Error(), "-stream") {
 		t.Errorf("-corpus with -stream: err = %v, want an error naming -stream", err)
 	}
 }
 
-// TestCheckpointEveryNeedsCorpusOut pins that an explicit
-// -checkpoint-every is refused, before any world is built, unless a
-// corpus is being checkpointed (-corpus-out or -resume), on run and
-// report alike.
-func TestCheckpointEveryNeedsCorpusOut(t *testing.T) {
-	for _, tc := range []struct {
-		cmd  func([]string) error
-		args []string
-	}{
-		{reportCmd, []string{"-checkpoint-every", "3"}},
-		{reportCmd, []string{"-stream", "-checkpoint-every", "3"}},
-		{reportCmd, []string{"-corpus", "/nonexistent/corpus.tpc", "-checkpoint-every", "3"}},
-		{runCmd, []string{"table1", "-checkpoint-every", "3"}},
-	} {
-		err := tc.cmd(tc.args)
-		if err == nil || !strings.Contains(err.Error(), "-checkpoint-every") || !strings.Contains(err.Error(), "-corpus-out") {
-			t.Errorf("%v: err = %v, want the -checkpoint-every refusal", tc.args, err)
+// TestRetiredResumeFlags pins that the run/report flag set has no
+// resume flags: an interrupted campaign is re-run, not resumed.
+func TestRetiredResumeFlags(t *testing.T) {
+	for _, args := range [][]string{{"-resume", "x"}, {"-checkpoint-every", "1"}} {
+		fs := flag.NewFlagSet("report", flag.ContinueOnError)
+		fs.SetOutput(io.Discard)
+		if err := addCommonFlags(fs).parse(fs, args); err == nil || !strings.Contains(err.Error(), "not defined") {
+			t.Errorf("%v: err = %v, want an unknown-flag error", args, err)
 		}
-	}
-	// With -resume it spaces the resumed corpus's barriers: the flag
-	// passes validation and the run fails on the missing manifest.
-	err := reportCmd([]string{"-resume", "/nonexistent/m.json", "-checkpoint-every", "3"})
-	if err == nil || strings.Contains(err.Error(), "-checkpoint-every") {
-		t.Errorf("-resume with -checkpoint-every: err = %v, want the missing-manifest error", err)
 	}
 }
 

@@ -3,12 +3,11 @@
 // persisted corpus standing in for one), one chunk source, the corpus
 // tee that persists the collected chunks, and the report's one pass
 // over report.StreamBuilder. A report reads every chunk once, from one
-// of two sources: over a world, collection (a resumed campaign's
-// durable prefix first), with no chunk retained; over a persisted
-// corpus (-corpus), the corpus decoded once, with no world. A run
-// collects once and keeps its chunks for the experiments (Collect).
-// The rendered report is byte-identical for every source, chunk size
-// and worker count.
+// of two sources: over a world, collection, with no chunk retained;
+// over a persisted corpus (-corpus), the corpus decoded once, with no
+// world. A run collects once and keeps its chunks for the experiments
+// (Collect). The rendered report is byte-identical for every source,
+// chunk size and worker count.
 package campaign
 
 import (
@@ -18,7 +17,6 @@ import (
 	"os"
 
 	"throughputlab/internal/bdrmap"
-	"throughputlab/internal/checkpoint"
 	"throughputlab/internal/experiments"
 	"throughputlab/internal/export"
 	"throughputlab/internal/mapit"
@@ -51,9 +49,8 @@ type Campaign struct {
 	world  *topogen.World
 	public *export.Public // the world's bundle or the corpus header's; see bundle
 	src    source
-	// chunks are a collected campaign's retained chunks, or a resumed
-	// report's durable prefix until its pass replays them, in
-	// publication order.
+	// chunks are a collected campaign's retained chunks, in publication
+	// order.
 	chunks []*platform.Chunk
 	tee    *tee
 }
@@ -116,9 +113,9 @@ func (c *Campaign) report(reg *obs.Registry) (string, error) {
 	return out, nil
 }
 
-// Collect collects (or resumes) the campaign s describes and keeps it
-// in memory for the experiments (see Env). Its world keeps eager BGP
-// tables: the experiments' traceroute sweeps read every destination.
+// Collect collects the campaign s describes and keeps it in memory for
+// the experiments (see Env). Its world keeps eager BGP tables: the
+// experiments' traceroute sweeps read every destination.
 func Collect(ctx context.Context, s Spec, reg *obs.Registry) (*Campaign, error) {
 	if s.Stream || s.Corpus != "" {
 		return nil, fmt.Errorf("-stream and -corpus are report modes; a collected campaign sets neither")
@@ -142,20 +139,8 @@ func Collect(ctx context.Context, s Spec, reg *obs.Registry) (*Campaign, error) 
 
 // open validates s and builds the campaign's world (computing its
 // route trees on demand when lazyRoutes is set) and tee, or, under
-// -corpus, opens the corpus as its source. A resumed campaign adopts
-// its identity from the manifest, regenerates the world, and replays
-// the durable prefix into the retained chunks.
+// -corpus, opens the corpus as its source.
 func open(ctx context.Context, s Spec, lazyRoutes bool, reg *obs.Registry) (*Campaign, error) {
-	var m *checkpoint.Manifest
-	if s.Resume != "" {
-		var err error
-		if m, err = checkpoint.LoadManifest(s.Resume); err != nil {
-			return nil, err
-		}
-		fp := m.Fingerprint // the campaign identity is the manifest's
-		s.Scale, s.Seed, s.Tests, s.Faults = fp.Scale, fp.Seed, fp.Tests, fp.Faults
-		s.FaultSeed, s.ChunkTests, s.CorpusFormat = fp.FaultSeed, fp.ChunkTests, fp.Format
-	}
 	if err := s.Validate(nil); err != nil {
 		return nil, err
 	}
@@ -166,50 +151,35 @@ func open(ctx context.Context, s Spec, lazyRoutes bool, reg *obs.Registry) (*Cam
 	if s.Corpus != "" {
 		return openCorpus(s.Corpus, opts)
 	}
-	if m != nil {
-		opts.Collect.Shards = m.Fingerprint.Shards
-		fmt.Fprintf(os.Stderr, "resuming campaign from %s: %d of %d tests durable, regenerating world (scale=%s seed=%d)...\n",
-			s.Resume, m.Durable.Tests, m.Fingerprint.Tests, s.Scale, s.Seed)
-	}
 	opts.Topo.LazyRoutes = lazyRoutes
 	w, err := topogen.GenerateCtx(ctx, opts.Topo)
 	if err != nil {
 		return nil, err
 	}
 	c := &Campaign{opts: opts, world: w}
-	if c.tee, err = c.openTee(s, m); err != nil {
+	if c.tee, err = c.openTee(s); err != nil {
 		return nil, err
 	}
 	return c, nil
 }
 
-// collect runs the campaign from its first chunk not yet retained,
-// handing every published chunk to sink.
+// collect runs the campaign, handing every published chunk to sink.
 func (c *Campaign) collect(ctx context.Context, sink func(*platform.Chunk) error) error {
-	cfg := c.opts.Collect
-	cfg.StartChunk = len(c.chunks)
-	_, err := platform.CollectStreamCtx(ctx, c.world, cfg, c.opts.Workers, sink)
+	_, err := platform.CollectStreamCtx(ctx, c.world, c.opts.Collect, c.opts.Workers, sink)
 	return err
 }
 
-// live is the source over a world: a resumed campaign's durable prefix,
-// then the rest of the campaign as it is collected. No chunk is kept
-// beyond its pass through the stages, and the ledger is the merge of
-// the chunks' own, as a sealed corpus's footer is.
+// live is the source over a world: the campaign as it is collected. No
+// chunk is kept beyond its pass through the stages, and the ledger is
+// the merge of the chunks' own, as a sealed corpus's footer is.
 func (c *Campaign) live(ctx context.Context) source {
 	return func(fn func(*platform.Chunk) error) (platform.Completeness, error) {
 		var comp platform.Completeness
-		sink := func(ch *platform.Chunk) error {
+		err := c.collect(ctx, func(ch *platform.Chunk) error {
 			comp.Merge(ch.Completeness)
 			return fn(ch)
-		}
-		for i, ch := range c.chunks {
-			c.chunks[i] = nil
-			if err := sink(ch); err != nil {
-				return comp, err
-			}
-		}
-		return comp, c.collect(ctx, sink)
+		})
+		return comp, err
 	}
 }
 
@@ -218,8 +188,8 @@ func (c *Campaign) live(ctx context.Context) source {
 // footer supplies the completeness ledger. Chunks decode once, every
 // column family, on -parallel workers. The reader is opened here
 // because its header arms the report builder. The replay does not
-// watch for interrupts: it persists nothing, so it has nothing to
-// checkpoint.
+// watch for interrupts: it persists nothing, so stopping early would
+// save nothing.
 func openCorpus(path string, opts experiments.Options) (*Campaign, error) {
 	r, err := openReader(path, opts.Workers)
 	if err != nil {
@@ -296,18 +266,12 @@ func (c *Campaign) bundle() *export.Public {
 
 // pass runs the report's one pass: the source feeds every chunk to
 // stages, each on its own goroutine behind a bounded channel. A tee
-// persists the collected chunks as one more stage (a resumed prefix is
-// already durable) and is sealed with the pass's outcome. The pipeline
-// is named pass1: CI and the benchmark tooling read its metric names.
+// persists the collected chunks as one more stage and is sealed with
+// the pass's outcome. The pipeline is named pass1: CI and the
+// benchmark tooling read its metric names.
 func (c *Campaign) pass(stages ...stream.Stage[*platform.Chunk]) (platform.Completeness, error) {
 	if c.tee != nil {
-		durable := len(c.chunks)
-		stages = append(stages, stream.Stage[*platform.Chunk]{Name: "export", Fn: func(ch *platform.Chunk) error {
-			if ch.Index < durable {
-				return nil
-			}
-			return c.tee.write(ch)
-		}})
+		stages = append(stages, stream.Stage[*platform.Chunk]{Name: "export", Fn: c.tee.write})
 	}
 	pipe := stream.NewPipeline("pass1", pipelineDepth, c.opts.Obs, stages...)
 	comp, err := c.src(pipe.Send)

@@ -88,11 +88,11 @@ func TestCorpusFormatsReportParity(t *testing.T) {
 
 // TestReportGolden pins the rendered report and the persisted corpus of
 // the 600-test small campaign cut into 97-test chunks to the bytes this
-// flag set has always produced. The pins hold for both live report
-// modes: -stream, with -corpus-out and with a temporary spill (which
-// must leave TMPDIR empty), and the default retained-chunk mode, the
-// latter at workers 1 and 8. `tputlab corpus dump` pins the same corpus's text
-// rendition (cmd/tputlab's TestCorpusDumpGolden).
+// flag set has always produced. The pins hold with and without -stream
+// (which changes nothing), with -corpus-out and without it (which must
+// write nothing, not even under TMPDIR), and at workers 2, 1 and 8.
+// `tputlab corpus dump` pins the same corpus's text rendition
+// (cmd/tputlab's TestCorpusDumpGolden).
 func TestReportGolden(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds worlds")
@@ -140,9 +140,8 @@ func TestReportGolden(t *testing.T) {
 				t.Errorf("-stream report without -corpus-out sha256 %s, want %s", got, want.report)
 			}
 			assertEmpty(t, tmp)
-			// The default mode collects once and replays the retained
-			// chunks for pass 2; its report and corpus bytes are the
-			// -stream mode's at every worker count.
+			// Without -stream the report and corpus bytes are the same
+			// at every worker count.
 			for _, workers := range []int{1, 8} {
 				s := s
 				s.Workers = workers
@@ -254,12 +253,37 @@ func captureStderr(t *testing.T, fn func()) string {
 	return string(<-done)
 }
 
+// interruptedReport opens the report s describes and cancels it the
+// way the signal handler does (cause ErrInterrupted) once the second
+// chunk has been collected. It returns what the report wrote to stderr
+// and its error.
+func interruptedReport(t *testing.T, s Spec) (string, error) {
+	t.Helper()
+	ctx, cancel := context.WithCancelCause(context.Background())
+	defer cancel(nil)
+	c, err := open(ctx, s, true, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	src, n := c.live(ctx), 0
+	c.src = func(fn func(*platform.Chunk) error) (platform.Completeness, error) {
+		return src(func(ch *platform.Chunk) error {
+			if n++; n == 2 {
+				cancel(platform.ErrInterrupted)
+			}
+			return fn(ch)
+		})
+	}
+	var runErr error
+	stderr := captureStderr(t, func() { _, runErr = c.report(nil) })
+	return stderr, runErr
+}
+
 // TestStreamInterrupt interrupts -stream reports in their one pass,
-// after the second chunk (cause ErrInterrupted, as the signal handler
-// cancels): the report fails with ErrInterrupted and creates nothing
-// under $TMPDIR. Without -corpus-out it prints no -resume hint; with
-// -corpus-out the corpus is not published, and the hint names a
-// loadable manifest recording the durable chunks.
+// after the second chunk: the report fails with ErrInterrupted, prints
+// no -resume hint and creates nothing under $TMPDIR, and with
+// -corpus-out it leaves neither the corpus, its partial file nor a
+// manifest behind.
 func TestStreamInterrupt(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds worlds")
@@ -268,51 +292,84 @@ func TestStreamInterrupt(t *testing.T) {
 		name      string
 		corpusOut bool
 	}{{"no-corpus-out", false}, {"corpus-out", true}} {
-		corpusOut := tc.corpusOut
 		t.Run(tc.name, func(t *testing.T) {
 			tmp := t.TempDir()
 			t.Setenv("TMPDIR", tmp)
 			s := formatSpec("heavy")
 			s.Stream, s.ChunkTests = true, 64 // 600 tests -> 10 chunks
-			if corpusOut {
+			if tc.corpusOut {
 				s.CorpusOut = filepath.Join(t.TempDir(), "corpus.tpc")
 			}
-			ctx, cancel := context.WithCancelCause(context.Background())
-			defer cancel(nil)
-			c, err := open(ctx, s, true, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			src, n := c.live(ctx), 0
-			c.src = func(fn func(*platform.Chunk) error) (platform.Completeness, error) {
-				return src(func(ch *platform.Chunk) error {
-					if n++; n == 2 {
-						cancel(platform.ErrInterrupted)
-					}
-					return fn(ch)
-				})
-			}
-			var runErr error
-			stderr := captureStderr(t, func() { _, runErr = c.report(nil) })
+			stderr, runErr := interruptedReport(t, s)
 			if !errors.Is(runErr, platform.ErrInterrupted) {
 				t.Fatalf("interrupted report returned %v, want ErrInterrupted", runErr)
 			}
-			if hint := strings.Contains(stderr, "-resume"); hint != corpusOut {
-				t.Errorf("-resume hint printed = %v, want %v:\n%s", hint, corpusOut, stderr)
+			if strings.Contains(stderr, "-resume") {
+				t.Errorf("interrupted report printed a -resume hint:\n%s", stderr)
 			}
-			if corpusOut {
-				if _, err := os.Stat(s.CorpusOut); !errors.Is(err, os.ErrNotExist) {
-					t.Error("interrupted report published its corpus")
-				}
-				m, err := checkpoint.LoadManifest(checkpoint.ManifestPath(s.CorpusOut))
-				if err != nil {
-					t.Fatalf("interrupt left no loadable manifest: %v", err)
-				}
-				if m.Durable.Chunks < 2 {
-					t.Errorf("manifest records %d durable chunks, want >= 2", m.Durable.Chunks)
+			if tc.corpusOut {
+				for _, p := range []string{s.CorpusOut, checkpoint.PartialPath(s.CorpusOut), s.CorpusOut + ".manifest.json"} {
+					if _, err := os.Stat(p); !errors.Is(err, os.ErrNotExist) {
+						t.Errorf("interrupted report left %s (err=%v)", p, err)
+					}
 				}
 			}
 			assertEmpty(t, tmp)
+		})
+	}
+}
+
+// TestRerunReproducesInterruptedCampaign pins how a lost campaign is
+// recovered: a -corpus-out report interrupted after its second chunk
+// publishes nothing, and re-running the same Spec publishes the corpus
+// and renders the report of an uninterrupted run, byte for byte, clean
+// and under heavy faults.
+func TestRerunReproducesInterruptedCampaign(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds worlds")
+	}
+	for _, profile := range []string{"off", "heavy"} {
+		t.Run(profile, func(t *testing.T) {
+			dir := t.TempDir()
+			s := formatSpec(profile)
+			s.ChunkTests = 64 // 600 tests -> 10 chunks
+
+			ref := s
+			ref.CorpusOut = filepath.Join(dir, "ref.tpc")
+			wantReport, err := Report(context.Background(), ref, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			wantCorpus, err := os.ReadFile(ref.CorpusOut)
+			if err != nil {
+				t.Fatal(err)
+			}
+
+			s.CorpusOut = filepath.Join(dir, "corpus.tpc")
+			if _, runErr := interruptedReport(t, s); !errors.Is(runErr, platform.ErrInterrupted) {
+				t.Fatalf("interrupted report returned %v, want ErrInterrupted", runErr)
+			}
+			if _, err := os.Stat(s.CorpusOut); !errors.Is(err, os.ErrNotExist) {
+				t.Fatal("interrupted report published its corpus")
+			}
+
+			got, err := Report(context.Background(), s, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got != wantReport {
+				t.Error("re-run report differs from the uninterrupted run's")
+			}
+			gotCorpus, err := os.ReadFile(s.CorpusOut)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(gotCorpus, wantCorpus) {
+				t.Errorf("re-run corpus differs from the uninterrupted run's (%d vs %d bytes)", len(gotCorpus), len(wantCorpus))
+			}
+			if _, err := os.Stat(checkpoint.PartialPath(s.CorpusOut)); !errors.Is(err, os.ErrNotExist) {
+				t.Error("partial corpus survived the re-run")
+			}
 		})
 	}
 }
@@ -408,105 +465,5 @@ func TestCorpusFormatMismatchError(t *testing.T) {
 	_, err = Report(context.Background(), s, nil)
 	if err == nil || !strings.Contains(err.Error(), export.StreamFormat) {
 		t.Errorf("report over a text stream returned %v, want an error naming %s", err, export.StreamFormat)
-	}
-}
-
-// TestResumeCampaignEndToEnd drives a campaign through an interrupt and
-// a resume, clean and under heavy faults: a campaign persisted through
-// its tee is cancelled (cause ErrInterrupted, exactly how the signal
-// handler does it) after two published chunks, leaving a partial
-// corpus plus manifest; then a -resume Spec rebuilds it from the
-// manifest alone. The report over the resumed campaign must equal an
-// uninterrupted -stream run's, and the published corpus bytes must be
-// identical to that run's corpus.
-func TestResumeCampaignEndToEnd(t *testing.T) {
-	if testing.Short() {
-		t.Skip("builds worlds")
-	}
-	for _, profile := range []string{"off", "heavy"} {
-		t.Run(profile, func(t *testing.T) {
-			dir := t.TempDir()
-			chunked := func(corpusOut string) Spec {
-				s := formatSpec(profile)
-				s.ChunkTests = 64 // 600 tests -> 10 chunks
-				s.CorpusOut, s.CheckpointEvery = corpusOut, 1
-				return s
-			}
-
-			// Uninterrupted reference: corpus bytes and rendered report.
-			refPath := filepath.Join(dir, "ref.corpus")
-			ref := chunked(refPath)
-			ref.Stream = true
-			wantReport, err := Report(context.Background(), ref, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			wantCorpus, err := os.ReadFile(refPath)
-			if err != nil {
-				t.Fatal(err)
-			}
-
-			// Interrupted run: cancel with the signal handler's cause once
-			// two chunks have been persisted. A -stream campaign defers
-			// collection to its first pass, so the test can wrap the source.
-			finalPath := filepath.Join(dir, "resumed.corpus")
-			ctx, cancel := context.WithCancelCause(context.Background())
-			defer cancel(nil)
-			interrupted := chunked(finalPath)
-			interrupted.Stream = true
-			c, err := open(ctx, interrupted, true, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			src := c.live(ctx)
-			c.src = func(fn func(*platform.Chunk) error) (platform.Completeness, error) {
-				n := 0
-				return src(func(ch *platform.Chunk) error {
-					if err := fn(ch); err != nil {
-						return err
-					}
-					if n++; n == 2 {
-						cancel(platform.ErrInterrupted)
-					}
-					return nil
-				})
-			}
-			if _, runErr := c.pass(); !errors.Is(runErr, platform.ErrInterrupted) {
-				t.Fatalf("interrupted campaign returned %v, want ErrInterrupted", runErr)
-			}
-			if _, err := os.Stat(finalPath); !errors.Is(err, os.ErrNotExist) {
-				t.Fatal("interrupted campaign published a corpus")
-			}
-			mpath := checkpoint.ManifestPath(finalPath)
-			m, err := checkpoint.LoadManifest(mpath)
-			if err != nil {
-				t.Fatalf("interrupt left no loadable manifest: %v", err)
-			}
-			if m.Durable.Chunks < 2 {
-				t.Fatalf("manifest records %d durable chunks, want >= 2", m.Durable.Chunks)
-			}
-
-			// Resume purely from the manifest, the way `report -resume`
-			// does.
-			got, err := Report(context.Background(), Spec{Resume: mpath, Workers: 2, GenWorkers: 2}, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got != wantReport {
-				t.Error("resumed report differs from uninterrupted run")
-			}
-			gotCorpus, err := os.ReadFile(finalPath)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(gotCorpus, wantCorpus) {
-				t.Errorf("resumed corpus differs from uninterrupted run (%d vs %d bytes)", len(gotCorpus), len(wantCorpus))
-			}
-			for _, p := range []string{mpath, checkpoint.PartialPath(finalPath)} {
-				if _, err := os.Stat(p); !errors.Is(err, os.ErrNotExist) {
-					t.Errorf("%s survived successful resume", p)
-				}
-			}
-		})
 	}
 }

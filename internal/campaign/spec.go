@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"strings"
 
-	"throughputlab/internal/checkpoint"
 	"throughputlab/internal/datasets"
 	"throughputlab/internal/experiments"
 	"throughputlab/internal/export"
@@ -27,54 +26,37 @@ type Spec struct {
 	FaultSeed    int64 // 0 = Seed
 	ChunkTests   int   // 0 = the platform default
 
-	Stream          bool   // accepted for compatibility: every report reads each chunk once, as it arrives
-	Corpus          string // report over this persisted corpus
-	CorpusOut       string // persist the corpus here while collecting
-	Resume          string // continue from this checkpoint manifest
-	CheckpointEvery int    // chunks between durability barriers (0 = default)
+	Stream    bool   // accepted for compatibility: every report reads each chunk once, as it arrives
+	Corpus    string // report over this persisted corpus
+	CorpusOut string // persist the corpus here while collecting
 }
 
 // identityFlags are the flags that define a campaign's corpus, in
-// lexical order. -resume takes them from the manifest and -corpus from
-// the corpus header.
+// lexical order. -corpus takes them from the corpus header.
 var identityFlags = []string{"chunk-tests", "corpus-format", "faults", "faultseed", "scale", "seed", "tests"}
 
 // Validate applies every flag-combination rule of run and report, then
 // the value checks. set names the flags given explicitly (without the
-// dash); the rules that depend on it — repeated identity flags, an
-// explicit -checkpoint-every — are skipped when it is nil.
+// dash); the rule that depends on it — repeated identity flags — is
+// skipped when it is nil.
 func (s Spec) Validate(set map[string]bool) error {
-	var conflicts []string
-	for _, name := range identityFlags {
-		if set[name] {
-			conflicts = append(conflicts, "-"+name)
-		}
-	}
-	pins := func(mode, source string) error {
-		return fmt.Errorf("%s pins the campaign identity from the %s; drop the conflicting flag(s): %s",
-			mode, source, strings.Join(conflicts, ", "))
-	}
-	switch {
-	case s.Resume != "":
-		if len(conflicts) > 0 {
-			return pins("-resume", "manifest")
-		}
-		if s.Corpus != "" || s.CorpusOut != "" || s.Stream {
-			return fmt.Errorf("-resume is incompatible with -corpus, -corpus-out and -stream (the corpus path and assembly come from the manifest)")
-		}
-	case s.Corpus != "":
+	if s.Corpus != "" {
 		if s.CorpusOut != "" {
 			return fmt.Errorf("-corpus and -corpus-out are mutually exclusive (the stream already exists)")
 		}
 		if s.Stream {
 			return fmt.Errorf("-corpus and -stream are mutually exclusive (-stream collects and persists a campaign; -corpus replays a persisted one)")
 		}
-		if len(conflicts) > 0 {
-			return pins("-corpus", "corpus header")
+		var conflicts []string
+		for _, name := range identityFlags {
+			if set[name] {
+				conflicts = append(conflicts, "-"+name)
+			}
 		}
-	}
-	if set["checkpoint-every"] && s.CorpusOut == "" && s.Resume == "" {
-		return fmt.Errorf("-checkpoint-every spaces the durability barriers of a persisted corpus; it needs -corpus-out or -resume")
+		if len(conflicts) > 0 {
+			return fmt.Errorf("-corpus pins the campaign identity from the corpus header; drop the conflicting flag(s): %s",
+				strings.Join(conflicts, ", "))
+		}
 	}
 	_, err := s.options(nil)
 	return err
@@ -129,7 +111,7 @@ func (s Spec) options(reg *obs.Registry) (experiments.Options, error) {
 	if err := export.CheckFormat(s.CorpusFormat); err != nil {
 		return experiments.Options{}, fmt.Errorf("invalid -corpus-format: %w", err)
 	}
-	if err := cmp.Or(checkMin("chunk-tests", s.ChunkTests, 0), checkMin("checkpoint-every", s.CheckpointEvery, 0)); err != nil {
+	if err := checkMin("chunk-tests", s.ChunkTests, 0); err != nil {
 		return experiments.Options{}, err
 	}
 	prof, err := faults.ByName(s.Faults)
@@ -147,19 +129,4 @@ func (s Spec) options(reg *obs.Registry) (experiments.Options, error) {
 	opts.Workers = s.Workers
 	opts.Obs, opts.Topo.Obs, opts.Collect.Obs = reg, reg, reg
 	return opts, nil
-}
-
-// fingerprint is the campaign identity a checkpoint manifest pins a
-// partial corpus to.
-func (s Spec) fingerprint(opts experiments.Options) checkpoint.Fingerprint {
-	return checkpoint.Fingerprint{
-		Scale:      s.Scale,
-		Seed:       opts.Topo.Seed,
-		Tests:      opts.Collect.Tests,
-		Shards:     opts.Collect.Shards,
-		ChunkTests: opts.Collect.ChunkTests,
-		Faults:     opts.Collect.Faults.Name,
-		FaultSeed:  opts.Collect.FaultSeed,
-		Format:     corpusFormat,
-	}
 }

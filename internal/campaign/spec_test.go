@@ -20,26 +20,14 @@ func TestSpecValidate(t *testing.T) {
 	}{
 		// Worker counts at their floor of 1 pass checkMin.
 		{"defaults", base, nil, nil},
-		{"corpus_out_checkpoint_every", with(func(s *Spec) { s.CorpusOut, s.CheckpointEvery = "c.tpc", 3 }),
-			[]string{"corpus-out", "checkpoint-every"}, nil},
-		{"resume_checkpoint_every", with(func(s *Spec) { s.Resume, s.CheckpointEvery = "m.json", 1 }),
-			[]string{"resume", "checkpoint-every"}, nil},
 		{"corpus_workers", with(func(s *Spec) { s.Corpus, s.Workers = "c.tpc", 2 }),
 			[]string{"corpus", "parallel"}, nil},
-		{"checkpoint_every_alone", with(func(s *Spec) { s.CheckpointEvery = 3 }),
-			[]string{"checkpoint-every"}, []string{"-checkpoint-every", "-corpus-out or -resume"}},
-		{"corpus_checkpoint_every", with(func(s *Spec) { s.Corpus, s.CheckpointEvery = "c.tpc", 3 }),
-			[]string{"corpus", "checkpoint-every"}, []string{"-checkpoint-every"}},
 		{"corpus_stream", with(func(s *Spec) { s.Corpus, s.Stream = "c.tpc", true }),
 			[]string{"corpus", "stream"}, []string{"-corpus", "-stream"}},
 		{"corpus_corpus_out", with(func(s *Spec) { s.Corpus, s.CorpusOut = "a.tpc", "b.tpc" }),
 			[]string{"corpus", "corpus-out"}, []string{"-corpus", "-corpus-out"}},
 		{"corpus_identity", with(func(s *Spec) { s.Corpus, s.Seed = "c.tpc", 2 }),
 			[]string{"corpus", "seed"}, []string{"-corpus pins the campaign identity", "-seed"}},
-		{"resume_stream_corpus_out", with(func(s *Spec) { s.Resume, s.Stream, s.CorpusOut = "m.json", true, "c.tpc" }),
-			[]string{"resume", "stream", "corpus-out"}, []string{"-resume is incompatible with"}},
-		{"resume_identity", with(func(s *Spec) { s.Resume, s.Faults, s.Scale = "m.json", "light", "large" }),
-			[]string{"resume", "faults", "scale"}, []string{"-resume pins the campaign identity", "-faults, -scale"}},
 		{"bad_scale", with(func(s *Spec) { s.Scale = "tiny" }), []string{"scale"}, []string{"-scale"}},
 		{"bad_parallel", with(func(s *Spec) { s.Workers = 0 }), []string{"parallel"}, []string{"-parallel"}},
 		{"bad_faults", with(func(s *Spec) { s.Faults = "nosuch" }), []string{"faults"}, []string{"nosuch"}},

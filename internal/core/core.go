@@ -10,6 +10,7 @@
 package core
 
 import (
+	"math"
 	"sort"
 
 	"throughputlab/internal/mapit"
@@ -80,58 +81,15 @@ func (m *Matching) Rate() float64 {
 // traceroute, since the platform does not record the association
 // explicitly (§4.1): the first trace from the same server host to the
 // same client within windowMin minutes of the test. Each traceroute is
-// consumed by at most one test.
+// consumed by at most one test. It is the one-call form of
+// StreamMatcher: the whole corpus as one chunk, then Finish.
 func MatchTraces(tests []*ndt.Test, traces []*traceroute.Trace, windowMin int, mode MatchMode) *Matching {
-	type key struct {
-		src, dst uint32
-	}
-	byPair := map[key][]*traceroute.Trace{}
-	for _, tr := range traces {
-		k := key{uint32(tr.SrcAddr), uint32(tr.DstAddr)}
-		byPair[k] = append(byPair[k], tr)
-	}
-	for _, list := range byPair {
-		// Stable: traces sharing a launch minute keep publication order,
-		// so batch and streamed matching agree on tie-breaks.
-		sort.SliceStable(list, func(i, j int) bool { return list[i].LaunchMinute < list[j].LaunchMinute })
-	}
-
-	used := map[*traceroute.Trace]bool{}
-	m := &Matching{ByTest: map[int]*traceroute.Trace{}, Total: len(tests)}
-	// Process tests in time order so earlier tests claim earlier
-	// traceroutes.
-	ordered := append([]*ndt.Test(nil), tests...)
-	sort.SliceStable(ordered, func(i, j int) bool { return ordered[i].StartMinute < ordered[j].StartMinute })
-	for _, t := range ordered {
-		k := key{uint32(t.ServerAddr), uint32(t.ClientAddr)}
-		lo := t.StartMinute
-		if mode == WindowAround {
-			lo = t.StartMinute - windowMin
-		}
-		hi := t.StartMinute + windowMin
-		list := byPair[k]
-		// Binary-search the window's lower bound instead of scanning
-		// the pair's whole history; the tie-break stays "first trace at
-		// or after lo, each trace consumed at most once".
-		for i := sort.Search(len(list), func(i int) bool {
-			return list[i].LaunchMinute >= lo
-		}); i < len(list); i++ {
-			tr := list[i]
-			if used[tr] {
-				continue
-			}
-			if tr.LaunchMinute > hi {
-				break
-			}
-			used[tr] = true
-			m.ByTest[t.ID] = tr
-			if PairDegraded(t, tr) {
-				m.Degraded++
-			}
-			break
-		}
-	}
-	return m
+	sm := NewStreamMatcher(windowMin, mode)
+	// A watermark before any campaign minute promises nothing about
+	// later data, so Add finalizes no test and Finish matches them all
+	// in (StartMinute, publication) order.
+	sm.Add(tests, traces, math.MinInt32)
+	return sm.Finish()
 }
 
 // ---- §2.2 / Figure 5: diurnal aggregation ----

@@ -281,12 +281,17 @@ func BenchmarkBuildSeries(b *testing.B) {
 	}
 }
 
-// TestMatchTracesTieBreak pins the association semantics the binary-
-// search implementation must preserve: each test takes the FIRST trace
-// launched at or after its window's lower bound, earlier tests claim
-// earlier traces, and a trace is consumed by at most one test — for
-// both the after-only and the ± window (§4.1).
+// TestMatchTracesTieBreak pins the association semantics on the batch
+// reference — each test takes the FIRST trace launched at or after its
+// window's lower bound, earlier tests claim earlier traces, and a trace
+// is consumed by at most one test, for both the after-only and the ±
+// window (§4.1) — and holds MatchTraces to the reference on every case.
 func TestMatchTracesTieBreak(t *testing.T) {
+	match := func(tests []*ndt.Test, traces []*traceroute.Trace, windowMin int, mode MatchMode) *Matching {
+		want := refMatchTraces(tests, traces, windowMin, mode)
+		matchingEqual(t, "MatchTraces", want, MatchTraces(tests, traces, windowMin, mode))
+		return want
+	}
 	srv, cli := netaddr.Addr(0x0a000001), netaddr.Addr(0x0a000002)
 	mkTest := func(id, start int) *ndt.Test {
 		return &ndt.Test{ID: id, ServerAddr: srv, ClientAddr: cli, StartMinute: start}
@@ -302,7 +307,7 @@ func TestMatchTracesTieBreak(t *testing.T) {
 	// minute 2 picks before the one at minute 4.
 	tests := []*ndt.Test{mkTest(1, 4), mkTest(0, 2), mkTest(2, 90)}
 
-	after := MatchTraces(tests, traces, 10, WindowAfter)
+	after := match(tests, traces, 10, WindowAfter)
 	// Test 0 (minute 2) claims the first trace at/after 2 → tr3.
 	// Test 1 (minute 4) finds tr3 consumed → first at/after 4 → tr5.
 	// Test 2 (minute 90) skips nothing → tr98.
@@ -317,7 +322,7 @@ func TestMatchTracesTieBreak(t *testing.T) {
 	// WindowAround widens the lower bound to start-window: the test at
 	// minute 4 would prefer tr3 (launched before it), but the earlier
 	// test already consumed it — consumption is still exclusive.
-	around := MatchTraces(tests, traces, 10, WindowAround)
+	around := match(tests, traces, 10, WindowAround)
 	if around.ByTest[0] != tr3 || around.ByTest[1] != tr5 {
 		t.Error("around-window: exclusive consumption violated")
 	}
@@ -325,19 +330,19 @@ func TestMatchTracesTieBreak(t *testing.T) {
 	// A trace before the lower bound is never claimed (after-only mode
 	// must not look back).
 	lateTests := []*ndt.Test{mkTest(7, 9)}
-	lateAfter := MatchTraces(lateTests, []*traceroute.Trace{tr3, tr5, tr8}, 10, WindowAfter)
+	lateAfter := match(lateTests, []*traceroute.Trace{tr3, tr5, tr8}, 10, WindowAfter)
 	if lateAfter.ByTest[7] != nil {
 		t.Errorf("after-only claimed a trace launched at %d before test minute 9",
 			lateAfter.ByTest[7].LaunchMinute)
 	}
-	lateAround := MatchTraces(lateTests, []*traceroute.Trace{tr8}, 10, WindowAround)
+	lateAround := match(lateTests, []*traceroute.Trace{tr8}, 10, WindowAround)
 	if lateAround.ByTest[7] != tr8 {
 		t.Error("around-window should reach back to a trace 1 minute before the test")
 	}
 
 	// Out-of-window traces on both sides are never matched.
 	farTests := []*ndt.Test{mkTest(9, 50)}
-	far := MatchTraces(farTests, []*traceroute.Trace{mkTrace(10), mkTrace(70)}, 10, WindowAround)
+	far := match(farTests, []*traceroute.Trace{mkTrace(10), mkTrace(70)}, 10, WindowAround)
 	if far.ByTest[9] != nil {
 		t.Errorf("matched a trace %d minutes away", far.ByTest[9].LaunchMinute-50)
 	}

@@ -16,44 +16,37 @@ const DefaultTraceLead = 2
 
 type pairKey struct{ src, dst uint32 }
 
-type pendingTest struct {
-	t   *ndt.Test
-	seq int
-}
-
-// StreamMatcher reproduces MatchTraces incrementally over a chunked
-// corpus in bounded memory. Chunks must arrive in publication (test-ID)
-// order, each with a watermark W guaranteeing that every future test
-// starts at minute >= W and every future traceroute launches at minute
-// >= W - DefaultTraceLead — exactly what platform.Chunk.Watermark
-// provides. Tests are buffered until no future trace can fall inside
-// their association window, then finalized in (StartMinute, arrival)
-// order — the same total order the batch matcher's stable sort
-// produces — so Finish returns a Matching identical to running
-// MatchTraces over the concatenated corpus. Traces drop out of the
-// buffer once they are behind every live window, which bounds resident
-// state to a few minutes of campaign activity regardless of corpus
-// size.
+// StreamMatcher runs the §4.1 association (see MatchTraces)
+// incrementally over a chunked corpus in bounded memory. Chunks must
+// arrive in publication (test-ID) order, each with a watermark W
+// guaranteeing that every future test starts at minute >= W and every
+// future traceroute launches at minute >= W - DefaultTraceLead —
+// exactly what platform.Chunk.Watermark provides. Tests are buffered
+// until no future trace can fall inside their association window, then
+// finalized in (StartMinute, arrival) order, so Finish returns the same
+// Matching at every chunking, MatchTraces's single chunk included.
+// Traces drop out of the buffer once they are behind every live
+// window, which bounds resident state to a few minutes of campaign
+// activity regardless of corpus size.
 type StreamMatcher struct {
 	// OnPair, when set before the first Add, is invoked once per test in
 	// finalization order with its associated trace (nil when unmatched),
 	// and ByTest is left empty so the caller controls retention. Leave
-	// nil to accumulate the full ByTest map as MatchTraces does.
+	// nil to accumulate the full ByTest map.
 	OnPair func(*ndt.Test, *traceroute.Trace)
 
 	windowMin int
 	mode      MatchMode
 	lead      int
 
-	seq     int
-	pending []pendingTest
+	pending []*ndt.Test
 	byPair  map[pairKey][]*traceroute.Trace
 	used    map[*traceroute.Trace]bool
 	result  *Matching
 }
 
-// NewStreamMatcher returns a matcher equivalent to
-// MatchTraces(…, windowMin, mode) applied to the full corpus.
+// NewStreamMatcher returns a matcher associating each test with the
+// first unused trace within windowMin minutes, in mode's window shape.
 func NewStreamMatcher(windowMin int, mode MatchMode) *StreamMatcher {
 	return &StreamMatcher{
 		windowMin: windowMin,
@@ -69,24 +62,24 @@ func NewStreamMatcher(windowMin int, mode MatchMode) *StreamMatcher {
 // test in the chunk (platform.Chunk.Watermark); it must not decrease
 // across calls.
 func (sm *StreamMatcher) Add(tests []*ndt.Test, traces []*traceroute.Trace, watermark int) {
-	for _, t := range tests {
-		sm.pending = append(sm.pending, pendingTest{t, sm.seq})
-		sm.seq++
-	}
-	var touched map[pairKey]bool
+	sm.pending = append(sm.pending, tests...)
+	var unsorted map[pairKey]bool
 	for _, tr := range traces {
 		k := pairKey{uint32(tr.SrcAddr), uint32(tr.DstAddr)}
-		sm.byPair[k] = append(sm.byPair[k], tr)
-		if touched == nil {
-			touched = map[pairKey]bool{}
+		list := append(sm.byPair[k], tr)
+		sm.byPair[k] = list
+		if n := len(list); n > 1 && tr.LaunchMinute < list[n-2].LaunchMinute {
+			if unsorted == nil {
+				unsorted = map[pairKey]bool{}
+			}
+			unsorted[k] = true
 		}
-		touched[k] = true
 	}
-	// Re-sort only the pair lists this chunk touched. New arrivals all
-	// carry later publication order than what is already buffered, so a
-	// stable sort by launch minute keeps the batch matcher's tie-break
-	// (publication order within a minute).
-	for k := range touched {
+	// Re-sort only the pair lists this chunk left out of launch order.
+	// New arrivals all carry later publication order than what is
+	// already buffered, so a stable sort by launch minute keeps the
+	// tie-break (publication order within a minute).
+	for k := range unsorted {
 		list := sm.byPair[k]
 		sort.SliceStable(list, func(i, j int) bool {
 			return list[i].LaunchMinute < list[j].LaunchMinute
@@ -96,28 +89,26 @@ func (sm *StreamMatcher) Add(tests []*ndt.Test, traces []*traceroute.Trace, wate
 	// publication order, so a stable sort by start minute orders the
 	// whole buffer by (StartMinute, arrival).
 	sort.SliceStable(sm.pending, func(i, j int) bool {
-		return sm.pending[i].t.StartMinute < sm.pending[j].t.StartMinute
+		return sm.pending[i].StartMinute < sm.pending[j].StartMinute
 	})
 	// A buffered test is final once even the earliest future trace
 	// (launching at watermark - lead) would fall past its window.
 	cut := watermark - sm.lead - sm.windowMin
 	n := 0
-	for n < len(sm.pending) && sm.pending[n].t.StartMinute < cut {
-		sm.finalize(sm.pending[n].t)
+	for n < len(sm.pending) && sm.pending[n].StartMinute < cut {
+		sm.finalize(sm.pending[n])
 		n++
 	}
 	if n > 0 {
 		rest := copy(sm.pending, sm.pending[n:])
-		for i := rest; i < len(sm.pending); i++ {
-			sm.pending[i] = pendingTest{}
-		}
+		clear(sm.pending[rest:])
 		sm.pending = sm.pending[:rest]
 	}
 	sm.evict(watermark)
 }
 
-// finalize runs the batch matcher's per-test step: claim the first
-// unused trace launched inside the window.
+// finalize matches one test: it claims the first unused trace
+// launched inside the window.
 func (sm *StreamMatcher) finalize(t *ndt.Test) {
 	sm.result.Total++
 	k := pairKey{uint32(t.ServerAddr), uint32(t.ClientAddr)}
@@ -160,8 +151,8 @@ func (sm *StreamMatcher) finalize(t *ndt.Test) {
 // still alive.
 func (sm *StreamMatcher) evict(watermark int) {
 	minStart := watermark
-	if len(sm.pending) > 0 && sm.pending[0].t.StartMinute < minStart {
-		minStart = sm.pending[0].t.StartMinute
+	if len(sm.pending) > 0 && sm.pending[0].StartMinute < minStart {
+		minStart = sm.pending[0].StartMinute
 	}
 	evictBefore := minStart
 	if sm.mode == WindowAround {
@@ -200,8 +191,8 @@ func (sm *StreamMatcher) InFlight() (tests, traces int) {
 // Finish drains the buffer and returns the completed Matching. The
 // matcher must not be used afterwards.
 func (sm *StreamMatcher) Finish() *Matching {
-	for i := range sm.pending {
-		sm.finalize(sm.pending[i].t)
+	for _, t := range sm.pending {
+		sm.finalize(t)
 	}
 	sm.pending = nil
 	sm.byPair = nil

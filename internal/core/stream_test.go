@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"sort"
 	"testing"
 
 	"throughputlab/internal/ndt"
@@ -63,6 +64,52 @@ func feedChunks(sm *StreamMatcher, tests []*ndt.Test, traces []*traceroute.Trace
 	}
 }
 
+// refMatchTraces is the batch association the matchers are held to:
+// group traces by (server, client), order each group by launch minute
+// (stable, so ties keep publication order), then let tests claim, in
+// (StartMinute, publication) order, the first unused trace launched
+// inside their window.
+func refMatchTraces(tests []*ndt.Test, traces []*traceroute.Trace, windowMin int, mode MatchMode) *Matching {
+	type key struct {
+		src, dst uint32
+	}
+	byPair := map[key][]*traceroute.Trace{}
+	for _, tr := range traces {
+		k := key{uint32(tr.SrcAddr), uint32(tr.DstAddr)}
+		byPair[k] = append(byPair[k], tr)
+	}
+	for _, list := range byPair {
+		sort.SliceStable(list, func(i, j int) bool { return list[i].LaunchMinute < list[j].LaunchMinute })
+	}
+	used := map[*traceroute.Trace]bool{}
+	m := &Matching{ByTest: map[int]*traceroute.Trace{}, Total: len(tests)}
+	ordered := append([]*ndt.Test(nil), tests...)
+	sort.SliceStable(ordered, func(i, j int) bool { return ordered[i].StartMinute < ordered[j].StartMinute })
+	for _, t := range ordered {
+		k := key{uint32(t.ServerAddr), uint32(t.ClientAddr)}
+		lo := t.StartMinute
+		if mode == WindowAround {
+			lo = t.StartMinute - windowMin
+		}
+		hi := t.StartMinute + windowMin
+		for _, tr := range byPair[k] {
+			if used[tr] || tr.LaunchMinute < lo {
+				continue
+			}
+			if tr.LaunchMinute > hi {
+				break
+			}
+			used[tr] = true
+			m.ByTest[t.ID] = tr
+			if PairDegraded(t, tr) {
+				m.Degraded++
+			}
+			break
+		}
+	}
+	return m
+}
+
 // matchingEqual compares two Matchings pairing-for-pairing.
 func matchingEqual(t *testing.T, label string, want, got *Matching) {
 	t.Helper()
@@ -81,16 +128,17 @@ func matchingEqual(t *testing.T, label string, want, got *Matching) {
 }
 
 // TestStreamMatcherMatchesBatch pins the streaming contract: chunked
-// matching with watermarks reproduces batch MatchTraces exactly — same
-// pairings down to tie-breaks — for both window modes, across chunk
-// sizes, on randomized corpora.
+// matching with watermarks, and MatchTraces's one chunk, reproduce the
+// batch reference exactly — same pairings down to tie-breaks — for both
+// window modes, across chunk sizes, on randomized corpora.
 func TestStreamMatcherMatchesBatch(t *testing.T) {
 	for trial := 0; trial < 20; trial++ {
 		rng := rand.New(rand.NewSource(int64(7000 + trial)))
 		tests, traces, sched, traceSlot := synthCorpus(rng, 300)
 		for _, mode := range []MatchMode{WindowAfter, WindowAround} {
 			for _, window := range []int{5, 30} {
-				want := MatchTraces(tests, traces, window, mode)
+				want := refMatchTraces(tests, traces, window, mode)
+				matchingEqual(t, "MatchTraces", want, MatchTraces(tests, traces, window, mode))
 				for _, chunk := range []int{1, 17, 300} {
 					sm := NewStreamMatcher(window, mode)
 					feedChunks(sm, tests, traces, sched, traceSlot, chunk)
@@ -107,7 +155,7 @@ func TestStreamMatcherMatchesBatch(t *testing.T) {
 func TestStreamMatcherOnPair(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	tests, traces, sched, traceSlot := synthCorpus(rng, 200)
-	want := MatchTraces(tests, traces, 15, WindowAfter)
+	want := refMatchTraces(tests, traces, 15, WindowAfter)
 	sm := NewStreamMatcher(15, WindowAfter)
 	seen := map[int]*traceroute.Trace{}
 	matched := 0

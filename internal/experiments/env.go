@@ -99,7 +99,7 @@ func NewEnvCtx(ctx context.Context, opts Options) (*Env, error) {
 }
 
 // NewEnvWithCorpus builds an Env over an already-collected corpus —
-// the CLI's path, which collects (or resumes) the campaign itself —
+// the CLI's path, which collects the campaign itself —
 // running only the shared inference stages. The result is identical to
 // NewEnvCtx when the corpus is: inference is a pure function of
 // (world, corpus).

@@ -18,7 +18,7 @@
 // decoding a byte of it. The footer carries campaign totals (the
 // truncation check) plus an append-only chunk index: one (offset,
 // watermark, tests, traces) row per chunk, which the reader
-// cross-checks against the frames it saw and a resumed writer extends.
+// cross-checks against the frames it saw.
 // The trailing fixed-width frame length and tail magic let a seekable
 // reader find the footer from the end of the file.
 //
@@ -198,7 +198,7 @@ type ColumnarWriter struct {
 // conflicted bundle would poison every future replay of the file.
 // Chunks are encoded on up to workers goroutines at a time, and the
 // output bytes are identical at any worker count. A write error
-// surfaces from the WriteChunk, Sync or Close call that writes the
+// surfaces from the WriteChunk or Close call that writes the
 // failing frame, and again from every later one.
 func NewColumnarWriter(w io.Writer, public Public, meta StreamMeta, workers int) (*ColumnarWriter, error) {
 	if err := public.Validate(); err != nil {
@@ -217,15 +217,9 @@ func NewColumnarWriter(w io.Writer, public Public, meta StreamMeta, workers int)
 	if err := cw.write(buf); err != nil {
 		return nil, err
 	}
-	cw.attachEncoders(workers)
-	return cw, nil
-}
-
-// attachEncoders sets up chunk encoding on a writer whose header is
-// already on disk; shared by the fresh and resumed paths.
-func (cw *ColumnarWriter) attachEncoders(workers int) {
 	cw.enc = stream.NewOrdered(workers, encodeChunkFrame)
 	cw.window = max(workers, 1)
+	return cw, nil
 }
 
 // write pushes bytes to the underlying writer, tracking the offset the
@@ -269,20 +263,6 @@ func (cw *ColumnarWriter) WriteChunk(c *platform.Chunk) error {
 	return cw.writeFrames(cw.window - 1)
 }
 
-// Sync writes every chunk submitted so far through the bufio layer, so
-// the underlying writer holds a prefix ending exactly at a chunk-frame
-// boundary; the checkpoint layer fsyncs behind it. The file stays open
-// for more chunks.
-func (cw *ColumnarWriter) Sync() error {
-	if err := cw.writeFrames(0); err != nil {
-		return err
-	}
-	if err := cw.bw.Flush(); err != nil {
-		return fmt.Errorf("export: writing columnar corpus: %w", err)
-	}
-	return nil
-}
-
 // Close seals the file with the footer frame, the chunk index, and the
 // fixed-width tail. Without it the file reads as truncated.
 func (cw *ColumnarWriter) Close() error {
@@ -324,9 +304,9 @@ func (cw *ColumnarWriter) Close() error {
 
 // Abandon shuts the writer down without sealing the file: encoding
 // stops and frames not yet written are dropped, and no footer frame is
-// written, so the file stays a truncated (resumable) prefix — the
-// interrupt path's counterpart to Close. Writing a footer there would
-// make a partial corpus read as a complete smaller one.
+// written, so the file stays a visibly truncated prefix — the error
+// and interrupt path's counterpart to Close. Writing a footer there
+// would make a partial corpus read as a complete smaller one.
 func (cw *ColumnarWriter) Abandon() {
 	if cw.closed {
 		return

@@ -144,15 +144,6 @@ type CollectConfig struct {
 	// is not part of the corpus identity: the corpus is byte-identical
 	// with and without it (see the golden tests).
 	Obs *obs.Registry
-	// StartChunk resumes a streamed campaign mid-stream: chunks with
-	// index below it are never executed or published — the resume path
-	// replays them from a persisted corpus prefix instead. Scheduling,
-	// retry planning and the collector sweep still cover the whole
-	// campaign (cheap, deterministic bookkeeping), so chunk StartChunk
-	// onward is byte-identical to the same chunks of a full run. Like
-	// ChunkTests it is NOT part of the corpus identity; it only selects
-	// which suffix of the identical stream is produced.
-	StartChunk int
 }
 
 // DefaultChunkTests is the streamed-collection chunk size when
@@ -397,9 +388,9 @@ func (st *StreamStats) addChunk(c *Chunk, scheduled int) {
 }
 
 // ErrInterrupted marks a campaign stopped early by cooperative
-// cancellation: in-flight chunks were drained and published, nothing
-// was torn, and the work is resumable from the last durable chunk.
-// Callers detect it with errors.Is.
+// cancellation: in-flight chunks were drained and published and
+// nothing was torn, but the campaign is incomplete; re-running it
+// reproduces it in full. Callers detect it with errors.Is.
 var ErrInterrupted = errors.New("campaign interrupted")
 
 // ctxErr folds cooperative cancellation into the collection error
@@ -457,7 +448,7 @@ func CollectParallelCtx(ctx context.Context, w *topogen.World, cfg CollectConfig
 // Cancellation is honored at phase and chunk boundaries: a published
 // chunk is never torn, no new chunk starts, and the error wraps the
 // context's cause — ErrInterrupted when the CLI's signal handler
-// cancelled, so callers can tell a resumable interrupt from a failure.
+// cancelled, so callers can tell an interrupt from a failure.
 func CollectStreamCtx(ctx context.Context, w *topogen.World, cfg CollectConfig, workers int, sink func(*Chunk) error) (*StreamStats, error) {
 	started := time.Now()
 	shards := cfg.Shards
@@ -683,10 +674,6 @@ func CollectStreamCtx(ctx context.Context, w *topogen.World, cfg CollectConfig, 
 	if chunkTests <= 0 {
 		chunkTests = DefaultChunkTests
 	}
-	startChunk := cfg.StartChunk
-	if startChunk < 0 {
-		startChunk = 0
-	}
 	execSpan := reg.Span("collect.execute")
 	workerRNGs := make([]*rand.Rand, workers)
 	for i := range workerRNGs {
@@ -753,7 +740,7 @@ func CollectStreamCtx(ctx context.Context, w *topogen.World, cfg CollectConfig, 
 		traces[i] = tr
 		return nil
 	}
-	for lo := startChunk * chunkTests; lo < len(schedule); lo += chunkTests {
+	for lo := 0; lo < len(schedule); lo += chunkTests {
 		if err := ctxErr(ctx); err != nil {
 			execSpan.End()
 			return nil, err

@@ -1,7 +1,7 @@
 // Report assembly: the §7 checklist fed chunk by chunk. Every report
-// mode — a live campaign, a resumed one, and a persisted corpus
-// replayed off disk — reads its chunks once into the one StreamBuilder,
-// so their rendered reports are byte-identical. Operator inference must
+// mode — a live campaign and a persisted corpus replayed off disk —
+// reads its chunks once into the one StreamBuilder, so their rendered
+// reports are byte-identical. Operator inference must
 // see every trace before any path can be labelled, so matched pairs
 // keep their traces' router paths until MAP-IT is sealed; every
 // per-group aggregate is either accumulated in corpus order (the
