@@ -2,7 +2,8 @@
 // NDT collection campaign against its M-Lab deployment, and writes the
 // resulting dataset (public topology data + tests + Paris traceroutes)
 // as a columnar corpus (tputlab-corpus/2) — the raw material for
-// cmd/mapit and cmd/bdrmap.
+// cmd/mapit and cmd/bdrmap. A corpus file is published atomically: it
+// appears under its name only once complete.
 //
 // Usage:
 //
@@ -16,6 +17,7 @@ import (
 	"fmt"
 	"os"
 
+	"throughputlab/internal/checkpoint"
 	"throughputlab/internal/export"
 	"throughputlab/internal/platform"
 	"throughputlab/internal/topogen"
@@ -31,16 +33,26 @@ func main() {
 	out := flag.String("o", "-", "output file (- = stdout)")
 	flag.Parse()
 
-	if err := run(*scale, *seed, *tests, *battle, *campaign, *out); err != nil {
+	if err := run(*scale, *seed, *tests, *battle, *campaign, *out, checkpoint.Options{}); err != nil {
 		fmt.Fprintln(os.Stderr, "ndtsim:", err)
 		os.Exit(1)
 	}
 }
 
-func run(scale string, seed int64, tests int, battle bool, campaign, out string) (err error) {
-	cfg := topogen.DefaultConfig()
-	if scale == "small" {
+// run generates the world and writes the corpus to out. A file is
+// published atomically through checkpoint: it appears under its name
+// only once complete, and a failed run leaves neither it nor its
+// .partial. Stdout, a device or a pipe is written in place. opts is
+// passed to checkpoint.Create.
+func run(scale string, seed int64, tests int, battle bool, campaign, out string, opts checkpoint.Options) (err error) {
+	var cfg topogen.Config
+	switch scale {
+	case "small":
 		cfg = topogen.SmallConfig()
+	case "default":
+		cfg = topogen.DefaultConfig()
+	default:
+		return fmt.Errorf("-scale %q: want small or default", scale)
 	}
 	cfg.Seed = seed
 	w, err := topogen.Generate(cfg)
@@ -62,7 +74,44 @@ func run(scale string, seed int64, tests int, battle bool, campaign, out string)
 	if vp == nil {
 		meta.Tests = tests
 	}
+	public := export.FromWorld(w, nil).Public
 
+	generate := func(write func(*platform.Chunk) error) error {
+		if vp != nil {
+			// A prefix campaign has no schedule: its traces travel as
+			// one chunk.
+			traces := platform.Campaign(w, vp.Host.Endpoint,
+				platform.RoutedPrefixTargets(w), traceroute.DefaultArtifacts(), seed+100)
+			if err := write(&platform.Chunk{Traces: traces}); err != nil {
+				return err
+			}
+			fmt.Fprintf(os.Stderr, "campaign from %s (%s): %d traces\n", vp.Label, vp.ISP, len(traces))
+			return nil
+		}
+		ccfg := platform.DefaultCollect()
+		ccfg.Tests = tests
+		ccfg.Seed = seed + 6
+		ccfg.BattleForNet = battle
+		st, err := platform.CollectStreamCtx(context.Background(), w, ccfg, 1, write)
+		if err != nil {
+			return err
+		}
+		fmt.Fprintf(os.Stderr, "corpus: %d tests, %d traces (%d lost to busy collector)\n",
+			st.Tests, st.Traces, st.TestsWithoutTrace)
+		return nil
+	}
+
+	if out != "-" && !isStream(out) {
+		pw, err := checkpoint.Create(out, "columnar", public, meta, checkpoint.Fingerprint{}, 1, opts)
+		if err != nil {
+			return err
+		}
+		if err := generate(pw.WriteChunk); err != nil {
+			pw.Discard()
+			return err
+		}
+		return pw.Close()
+	}
 	f := os.Stdout
 	if out != "-" {
 		if f, err = os.Create(out); err != nil {
@@ -74,32 +123,20 @@ func run(scale string, seed int64, tests int, battle bool, campaign, out string)
 			}
 		}()
 	}
-	cw, err := export.NewColumnarWriter(f, export.FromWorld(w, nil).Public, meta, 1)
+	cw, err := export.NewColumnarWriter(f, public, meta, 1)
 	if err != nil {
 		return err
 	}
-	if vp != nil {
-		// A prefix campaign has no schedule: its traces travel as one
-		// chunk.
-		traces := platform.Campaign(w, vp.Host.Endpoint,
-			platform.RoutedPrefixTargets(w), traceroute.DefaultArtifacts(), seed+100)
-		if err = cw.WriteChunk(&platform.Chunk{Traces: traces}); err == nil {
-			fmt.Fprintf(os.Stderr, "campaign from %s (%s): %d traces\n", vp.Label, vp.ISP, len(traces))
-		}
-	} else {
-		ccfg := platform.DefaultCollect()
-		ccfg.Tests = tests
-		ccfg.Seed = seed + 6
-		ccfg.BattleForNet = battle
-		var st *platform.StreamStats
-		if st, err = platform.CollectStreamCtx(context.Background(), w, ccfg, 1, cw.WriteChunk); err == nil {
-			fmt.Fprintf(os.Stderr, "corpus: %d tests, %d traces (%d lost to busy collector)\n",
-				st.Tests, st.Traces, st.TestsWithoutTrace)
-		}
-	}
-	if err != nil {
+	if err := generate(cw.WriteChunk); err != nil {
 		cw.Abandon()
 		return err
 	}
 	return cw.Close()
+}
+
+// isStream reports whether path names a device or a pipe, which is
+// written in place like stdout: there is no corpus file to publish.
+func isStream(path string) bool {
+	fi, err := os.Stat(path)
+	return err == nil && fi.Mode()&(os.ModeDevice|os.ModeNamedPipe) != 0
 }

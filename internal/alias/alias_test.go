@@ -2,18 +2,22 @@ package alias
 
 import (
 	"math/rand"
+	"sync"
 	"testing"
 
 	"throughputlab/internal/netaddr"
 	"throughputlab/internal/topogen"
 )
 
-var world = topogen.MustGenerate(topogen.SmallConfig())
+// world is the package's shared small world, generated on first use.
+var world = sync.OnceValue(func() *topogen.World {
+	return topogen.MustGenerate(topogen.SmallConfig())
+})
 
 // borderAddrs collects some interdomain interface addresses.
 func borderAddrs(n int) []netaddr.Addr {
 	var out []netaddr.Addr
-	for _, l := range world.Topo.InterdomainLinks(0, 0) {
+	for _, l := range world().Topo.InterdomainLinks(0, 0) {
 		out = append(out, l.A.Addr, l.B.Addr)
 		if len(out) >= n {
 			break
@@ -24,12 +28,12 @@ func borderAddrs(n int) []netaddr.Addr {
 
 func TestPerfectGrouping(t *testing.T) {
 	addrs := borderAddrs(200)
-	groups := Perfect(world.Topo).Group(addrs, nil)
+	groups := Perfect(world().Topo).Group(addrs, nil)
 	// Perfect resolution: groups exactly match ground-truth routers.
 	for _, g := range groups {
-		first := world.Topo.IfaceByAddr[g[0]]
+		first := world().Topo.IfaceByAddr[g[0]]
 		for _, a := range g[1:] {
-			ifc := world.Topo.IfaceByAddr[a]
+			ifc := world().Topo.IfaceByAddr[a]
 			if ifc.Router.ID != first.Router.ID {
 				t.Fatalf("group mixes routers %d and %d", first.Router.ID, ifc.Router.ID)
 			}
@@ -44,7 +48,7 @@ func TestPerfectGrouping(t *testing.T) {
 	}
 	for i, a := range addrs {
 		for _, b := range addrs[i+1:] {
-			ia, ib := world.Topo.IfaceByAddr[a], world.Topo.IfaceByAddr[b]
+			ia, ib := world().Topo.IfaceByAddr[a], world().Topo.IfaceByAddr[b]
 			if ia.Router.ID == ib.Router.ID && groupOf[a] != groupOf[b] {
 				t.Fatalf("same router split: %v vs %v", a, b)
 			}
@@ -54,10 +58,10 @@ func TestPerfectGrouping(t *testing.T) {
 
 func TestImperfectGroupingDegradesGracefully(t *testing.T) {
 	addrs := borderAddrs(300)
-	r := New(world.Topo)
+	r := New(world().Topo)
 	rng := rand.New(rand.NewSource(1))
 	groups := r.Group(addrs, rng)
-	perfect := Perfect(world.Topo).Group(addrs, nil)
+	perfect := Perfect(world().Topo).Group(addrs, nil)
 	// Imperfect probing splits some groups: at least as many groups.
 	if len(groups) < len(perfect) {
 		t.Errorf("imperfect grouping has %d groups < perfect %d", len(groups), len(perfect))
@@ -70,7 +74,7 @@ func TestImperfectGroupingDegradesGracefully(t *testing.T) {
 
 func TestDeterministicForSeed(t *testing.T) {
 	addrs := borderAddrs(150)
-	r := New(world.Topo)
+	r := New(world().Topo)
 	g1 := r.Group(addrs, rand.New(rand.NewSource(7)))
 	g2 := r.Group(addrs, rand.New(rand.NewSource(7)))
 	if len(g1) != len(g2) {
@@ -85,7 +89,7 @@ func TestDeterministicForSeed(t *testing.T) {
 
 func TestUnknownAddressesAreSingletons(t *testing.T) {
 	unknown := netaddr.MustParseAddr("203.0.113.99")
-	groups := Perfect(world.Topo).Group([]netaddr.Addr{unknown}, nil)
+	groups := Perfect(world().Topo).Group([]netaddr.Addr{unknown}, nil)
 	if len(groups) != 1 || len(groups[0]) != 1 || groups[0][0] != unknown {
 		t.Errorf("unknown address grouping = %v", groups)
 	}
@@ -93,7 +97,7 @@ func TestUnknownAddressesAreSingletons(t *testing.T) {
 
 func TestDuplicateInputCollapsed(t *testing.T) {
 	a := borderAddrs(2)[0]
-	groups := Perfect(world.Topo).Group([]netaddr.Addr{a, a, a}, nil)
+	groups := Perfect(world().Topo).Group([]netaddr.Addr{a, a, a}, nil)
 	total := 0
 	for _, g := range groups {
 		total += len(g)

@@ -1,18 +1,22 @@
 package asrank
 
 import (
+	"sync"
 	"testing"
 
 	"throughputlab/internal/topogen"
 	"throughputlab/internal/topology"
 )
 
-var world = topogen.MustGenerate(topogen.SmallConfig())
+// world is the package's shared small world, generated on first use.
+var world = sync.OnceValue(func() *topogen.World {
+	return topogen.MustGenerate(topogen.SmallConfig())
+})
 
 // collectorFeeds emulates route collectors: full tables as seen from a
 // sample of vantage ASes (this is what CAIDA's AS-rank consumes).
 func collectorFeeds(nVantage int) [][]topology.ASN {
-	asns := world.Topo.ASNs()
+	asns := world().Topo.ASNs()
 	var paths [][]topology.ASN
 	step := len(asns) / nVantage
 	if step == 0 {
@@ -24,7 +28,7 @@ func collectorFeeds(nVantage int) [][]topology.ASN {
 			if origin == vantage {
 				continue
 			}
-			if p := world.Routes.Path(vantage, origin); len(p) >= 2 {
+			if p := world().Routes.Path(vantage, origin); len(p) >= 2 {
 				paths = append(paths, p)
 			}
 		}
@@ -37,7 +41,7 @@ func TestInferAccuracy(t *testing.T) {
 	total, correct := 0, 0
 	wrongByTruth := map[topology.Rel]int{}
 	for _, e := range res.Edges() {
-		truth := world.Topo.RelOf(e.A, e.B)
+		truth := world().Topo.RelOf(e.A, e.B)
 		if truth == topology.RelNone {
 			t.Fatalf("inferred edge %d-%d not adjacent in ground truth", e.A, e.B)
 		}
@@ -62,7 +66,7 @@ func TestCustomerProviderOrientation(t *testing.T) {
 	// Check orientation on known ground truth: stubs buy from transits.
 	checked := 0
 	for _, e := range res.Edges() {
-		truth := world.Topo.RelOf(e.A, e.B)
+		truth := world().Topo.RelOf(e.A, e.B)
 		if truth != topology.RelCustomer && truth != topology.RelProvider {
 			continue
 		}

@@ -1,6 +1,7 @@
 package bdrmap
 
 import (
+	"sync"
 	"testing"
 
 	"throughputlab/internal/alias"
@@ -13,36 +14,39 @@ import (
 	"throughputlab/internal/traceroute"
 )
 
-var world = topogen.MustGenerate(topogen.SmallConfig())
+// world is the package's shared small world, generated on first use.
+var world = sync.OnceValue(func() *topogen.World {
+	return topogen.MustGenerate(topogen.SmallConfig())
+})
 
 func optsFor(isp string) Opts {
-	an := world.Access[isp]
+	an := world().Access[isp]
 	orgASNs := an.Org.ASNs
 	rep := orgASNs[0]
 	return Opts{
 		OrgASNs: orgASNs,
 		MapIt: mapit.Opts{
-			Prefix2AS: world.Topo.OriginOf,
+			Prefix2AS: world().Topo.OriginOf,
 			IsIXP: func(a netaddr.Addr) bool {
-				for _, p := range world.Topo.IXPPrefixes {
+				for _, p := range world().Topo.IXPPrefixes {
 					if p.Contains(a) {
 						return true
 					}
 				}
 				return false
 			},
-			SameOrg: func(x, y topology.ASN) bool { return x == y || world.Topo.SameOrg(x, y) },
+			SameOrg: func(x, y topology.ASN) bool { return x == y || world().Topo.SameOrg(x, y) },
 		},
 		Rel: func(n topology.ASN) topology.Rel {
 			for _, o := range orgASNs {
-				if r := world.Topo.RelOf(o, n); r != topology.RelNone {
+				if r := world().Topo.RelOf(o, n); r != topology.RelNone {
 					return r
 				}
 			}
 			_ = rep
 			return topology.RelNone
 		},
-		Alias:     alias.Perfect(world.Topo),
+		Alias:     alias.Perfect(world().Topo),
 		AliasSeed: 11,
 	}
 }
@@ -50,11 +54,11 @@ func optsFor(isp string) Opts {
 // trueNeighbors returns the ground-truth non-sibling neighbor ASNs of
 // an org.
 func trueNeighbors(isp string) map[topology.ASN]bool {
-	an := world.Access[isp]
+	an := world().Access[isp]
 	out := map[topology.ASN]bool{}
 	for _, o := range an.Org.ASNs {
-		for _, n := range world.Topo.Neighbors(o) {
-			if world.Topo.RelOf(o, n) == topology.RelSibling {
+		for _, n := range world().Topo.Neighbors(o) {
+			if world().Topo.RelOf(o, n) == topology.RelSibling {
 				continue
 			}
 			out[n] = true
@@ -65,10 +69,10 @@ func trueNeighbors(isp string) map[topology.ASN]bool {
 
 func campaignFor(t testing.TB, vpLabel string) ([]*traceroute.Trace, string) {
 	t.Helper()
-	for _, vp := range world.ArkVPs {
+	for _, vp := range world().ArkVPs {
 		if vp.Label == vpLabel {
-			targets := platform.RoutedPrefixTargets(world)
-			return platform.Campaign(world, vp.Host.Endpoint, targets, traceroute.Clean(), 3), vp.ISP
+			targets := platform.RoutedPrefixTargets(world())
+			return platform.Campaign(world(), vp.Host.Endpoint, targets, traceroute.Clean(), 3), vp.ISP
 		}
 	}
 	t.Fatalf("no VP %s", vpLabel)
@@ -84,7 +88,7 @@ func TestBordersPrecision(t *testing.T) {
 	truth := trueNeighbors(isp)
 	wrong := 0
 	for _, b := range res.Borders {
-		if !truth[b.Neighbor] && !world.Topo.SameOrg(b.Neighbor, world.Access[isp].Org.ASNs[0]) {
+		if !truth[b.Neighbor] && !world().Topo.SameOrg(b.Neighbor, world().Access[isp].Org.ASNs[0]) {
 			wrong++
 		}
 	}
@@ -102,22 +106,22 @@ func TestBordersRecallOfRoutedNeighbors(t *testing.T) {
 	// compare against the set of neighbors appearing as first AS hop in
 	// ground-truth paths.
 	traces, isp := campaignFor(t, "bed-us")
-	an := world.Access[isp]
+	an := world().Access[isp]
 	orgSet := map[topology.ASN]bool{}
 	for _, o := range an.Org.ASNs {
 		orgSet[o] = true
 	}
 	reachable := map[topology.ASN]bool{}
 	vpASN := func() topology.ASN {
-		for _, vp := range world.ArkVPs {
+		for _, vp := range world().ArkVPs {
 			if vp.Label == "bed-us" {
 				return vp.Host.Endpoint.ASN
 			}
 		}
 		return 0
 	}()
-	for _, dst := range world.Topo.ASNs() {
-		p := world.Routes.Path(vpASN, dst)
+	for _, dst := range world().Topo.ASNs() {
+		p := world().Routes.Path(vpASN, dst)
 		for i := 1; i < len(p); i++ {
 			if orgSet[p[i-1]] && !orgSet[p[i]] {
 				reachable[p[i]] = true
@@ -177,13 +181,13 @@ func TestSmallISPSeesFewerBorders(t *testing.T) {
 func TestCoverageSetsSubsetOfBorders(t *testing.T) {
 	campaign, isp := campaignFor(t, "mnz-us")
 	var vp topogen.ArkVP
-	for _, v := range world.ArkVPs {
+	for _, v := range world().ArkVPs {
 		if v.Label == "mnz-us" {
 			vp = v
 		}
 	}
-	mlabTraces := platform.Campaign(world, vp.Host.Endpoint,
-		platform.HostTargets(world.MLabServers()), traceroute.Clean(), 4)
+	mlabTraces := platform.Campaign(world(), vp.Host.Endpoint,
+		platform.HostTargets(world().MLabServers()), traceroute.Clean(), 4)
 
 	all := append(append([]*traceroute.Trace{}, campaign...), mlabTraces...)
 	az := NewAnalyzer(all, optsFor(isp))
@@ -249,10 +253,10 @@ func TestBordersWithInferredRelationships(t *testing.T) {
 
 	// Build collector feeds and infer relationships.
 	var paths [][]topology.ASN
-	asns := world.Topo.ASNs()
+	asns := world().Topo.ASNs()
 	for vi := 0; vi < len(asns); vi += len(asns)/20 + 1 {
 		for _, origin := range asns {
-			if p := world.Routes.Path(asns[vi], origin); len(p) >= 2 {
+			if p := world().Routes.Path(asns[vi], origin); len(p) >= 2 {
 				paths = append(paths, p)
 			}
 		}
@@ -260,7 +264,7 @@ func TestBordersWithInferredRelationships(t *testing.T) {
 	inferred := asrank.Infer(paths, asrank.DefaultConfig())
 
 	opts := optsFor(isp)
-	orgASNs := world.Access[isp].Org.ASNs
+	orgASNs := world().Access[isp].Org.ASNs
 	opts.Rel = func(n topology.ASN) topology.Rel {
 		for _, o := range orgASNs {
 			if r := inferred.Rel(o, n); r != topology.RelNone {

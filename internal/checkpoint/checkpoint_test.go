@@ -8,6 +8,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"sync"
 	"testing"
 
 	"throughputlab/internal/export"
@@ -16,7 +17,10 @@ import (
 	"throughputlab/internal/topogen"
 )
 
-var world = topogen.MustGenerate(topogen.SmallConfig())
+// world is the package's shared small world, generated on first use.
+var world = sync.OnceValue(func() *topogen.World {
+	return topogen.MustGenerate(topogen.SmallConfig())
+})
 
 func testCfg(faultProfile faults.Profile) platform.CollectConfig {
 	cfg := platform.DefaultCollect()
@@ -35,13 +39,13 @@ func testMeta(cfg platform.CollectConfig) export.StreamMeta {
 // corpus writer and returns the corpus bytes.
 func reference(t *testing.T, cfg platform.CollectConfig, workers int) []byte {
 	t.Helper()
-	pub := export.FromWorld(world, nil).Public
+	pub := export.FromWorld(world(), nil).Public
 	var buf bytes.Buffer
 	cw, err := export.NewColumnarWriter(&buf, pub, testMeta(cfg), workers)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := platform.CollectStreamCtx(context.Background(), world, cfg, workers, cw.WriteChunk); err != nil {
+	if _, err := platform.CollectStreamCtx(context.Background(), world(), cfg, workers, cw.WriteChunk); err != nil {
 		t.Fatal(err)
 	}
 	if err := cw.Close(); err != nil {
@@ -57,7 +61,7 @@ func TestPublishAtomicAndByteIdentical(t *testing.T) {
 	t.Run("columnar", func(t *testing.T) {
 		cfg := testCfg(faults.Off())
 		final := filepath.Join(t.TempDir(), "corpus.bin")
-		pub := export.FromWorld(world, nil).Public
+		pub := export.FromWorld(world(), nil).Public
 		w, err := Create(final, "columnar", pub, testMeta(cfg), Fingerprint{}, 4, Options{})
 		if err != nil {
 			t.Fatal(err)
@@ -65,7 +69,7 @@ func TestPublishAtomicAndByteIdentical(t *testing.T) {
 		if _, err := os.Stat(final); !errors.Is(err, os.ErrNotExist) {
 			t.Fatalf("final path exists before Close (err=%v)", err)
 		}
-		if _, err := platform.CollectStreamCtx(context.Background(), world, cfg, 4, w.WriteChunk); err != nil {
+		if _, err := platform.CollectStreamCtx(context.Background(), world(), cfg, 4, w.WriteChunk); err != nil {
 			t.Fatal(err)
 		}
 		if _, err := os.Stat(final); !errors.Is(err, os.ErrNotExist) {
@@ -122,7 +126,7 @@ func TestWriteFailureNeverPublishes(t *testing.T) {
 	t.Run("ndjson", func(t *testing.T) {
 		cfg := testCfg(faults.Off())
 		final := filepath.Join(t.TempDir(), "corpus.bin")
-		_, err := Create(final, "ndjson", export.FromWorld(world, nil).Public, testMeta(cfg), Fingerprint{}, 1, Options{})
+		_, err := Create(final, "ndjson", export.FromWorld(world(), nil).Public, testMeta(cfg), Fingerprint{}, 1, Options{})
 		if err == nil || !bytes.Contains([]byte(err.Error()), []byte("corpus dump")) {
 			t.Fatalf("Create(ndjson) = %v, want a refusal naming corpus dump", err)
 		}
@@ -137,7 +141,7 @@ func TestWriteFailureNeverPublishes(t *testing.T) {
 			t.Run(fmt.Sprintf("workers%d", workers), func(t *testing.T) {
 				cfg := testCfg(faults.Off())
 				final := filepath.Join(t.TempDir(), "corpus.bin")
-				pub := export.FromWorld(world, nil).Public
+				pub := export.FromWorld(world(), nil).Public
 				w, err := Create(final, "columnar", pub, testMeta(cfg), Fingerprint{}, workers, Options{
 					// Past the ~57K header, short of the corpus's full
 					// size — the failure lands mid-corpus.
@@ -146,7 +150,7 @@ func TestWriteFailureNeverPublishes(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				_, cerr := platform.CollectStreamCtx(context.Background(), world, cfg, 1, w.WriteChunk)
+				_, cerr := platform.CollectStreamCtx(context.Background(), world(), cfg, 1, w.WriteChunk)
 				if cerr != nil && !errors.Is(cerr, errDiskFull) {
 					t.Fatalf("collection error = %v, want nil or the injected disk-full error", cerr)
 				}

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"math"
+	"sync"
 	"testing"
 
 	"throughputlab/internal/mapit"
@@ -14,45 +15,51 @@ import (
 	"throughputlab/internal/traceroute"
 )
 
+// world, its corpus and MAP-IT's inference over it are the package's
+// shared fixtures, built on first use.
 var (
-	world  = topogen.MustGenerate(topogen.SmallConfig())
-	corpus = func() *platform.Corpus {
+	world = sync.OnceValue(func() *topogen.World {
+		return topogen.MustGenerate(topogen.SmallConfig())
+	})
+	corpus = sync.OnceValue(func() *platform.Corpus {
 		cfg := platform.DefaultCollect()
 		cfg.Tests = 6000
 		cfg.PerPoolClients = 8
-		c, err := platform.CollectParallelCtx(context.Background(), world, cfg, 1)
+		c, err := platform.CollectParallelCtx(context.Background(), world(), cfg, 1)
 		if err != nil {
 			panic(err)
 		}
 		return c
-	}()
-	worldInf = mapit.Run(corpus.Traces, mapitOpts())
+	})
+	worldInf = sync.OnceValue(func() *mapit.Inference {
+		return mapit.Run(corpus().Traces, mapitOpts())
+	})
 )
 
 func mapitOpts() mapit.Opts {
 	return mapit.Opts{
-		Prefix2AS: world.Topo.OriginOf,
+		Prefix2AS: world().Topo.OriginOf,
 		IsIXP: func(a netaddr.Addr) bool {
-			for _, p := range world.Topo.IXPPrefixes {
+			for _, p := range world().Topo.IXPPrefixes {
 				if p.Contains(a) {
 					return true
 				}
 			}
 			return false
 		},
-		SameOrg: func(x, y topology.ASN) bool { return x == y || world.Topo.SameOrg(x, y) },
+		SameOrg: func(x, y topology.ASN) bool { return x == y || world().Topo.SameOrg(x, y) },
 	}
 }
 
 func hourOf(t *ndt.Test) float64 {
-	return world.Topo.MustMetro(t.ClientMetro).LocalHour(t.StartMinute)
+	return world().Topo.MustMetro(t.ClientMetro).LocalHour(t.StartMinute)
 }
 
 func TestMatchTracesRates(t *testing.T) {
-	after := MatchTraces(corpus.Tests, corpus.Traces, 10, WindowAfter)
-	around := MatchTraces(corpus.Tests, corpus.Traces, 10, WindowAround)
-	if after.Total != len(corpus.Tests) {
-		t.Fatalf("total %d != %d", after.Total, len(corpus.Tests))
+	after := MatchTraces(corpus().Tests, corpus().Traces, 10, WindowAfter)
+	around := MatchTraces(corpus().Tests, corpus().Traces, 10, WindowAround)
+	if after.Total != len(corpus().Tests) {
+		t.Fatalf("total %d != %d", after.Total, len(corpus().Tests))
 	}
 	// §4.1: the after-window method matched 71-76%; relaxing the window
 	// raised it to 87%. Shapes: substantial but incomplete matching,
@@ -66,7 +73,7 @@ func TestMatchTracesRates(t *testing.T) {
 	}
 	// Matched traces really belong to their tests.
 	checked := 0
-	for _, ts := range corpus.Tests[:500] {
+	for _, ts := range corpus().Tests[:500] {
 		tr := after.ByTest[ts.ID]
 		if tr == nil {
 			continue
@@ -85,7 +92,7 @@ func TestMatchTracesRates(t *testing.T) {
 }
 
 func TestMatchConsumesEachTraceOnce(t *testing.T) {
-	m := MatchTraces(corpus.Tests, corpus.Traces, 10, WindowAfter)
+	m := MatchTraces(corpus().Tests, corpus().Traces, 10, WindowAfter)
 	seen := map[*traceroute.Trace]bool{}
 	for _, tr := range m.ByTest {
 		if seen[tr] {
@@ -98,7 +105,7 @@ func TestMatchConsumesEachTraceOnce(t *testing.T) {
 func TestDiurnalSeriesAndDetectCongested(t *testing.T) {
 	// AT&T clients against GTT Atlanta: the Figure 5a congested pair.
 	var att, com []*ndt.Test
-	for _, ts := range corpus.Tests {
+	for _, ts := range corpus().Tests {
 		if ts.ServerNet != "GTT" || ts.ServerMetro != "atl" {
 			continue
 		}
@@ -156,8 +163,8 @@ func TestDetectInsufficientData(t *testing.T) {
 }
 
 func TestASHopDistributionShape(t *testing.T) {
-	m := MatchTraces(corpus.Tests, corpus.Traces, 10, WindowAfter)
-	dist := ASHopDistribution(corpus.Tests, m, worldInf, func(ts *ndt.Test) string { return ts.ClientISP })
+	m := MatchTraces(corpus().Tests, corpus().Traces, 10, WindowAfter)
+	dist := ASHopDistribution(corpus().Tests, m, worldInf(), func(ts *ndt.Test) string { return ts.ClientISP })
 	com := dist["Comcast"]
 	wind := dist["Windstream"]
 	if com == nil || com.Total() < 50 {
@@ -172,9 +179,9 @@ func TestASHopDistributionShape(t *testing.T) {
 }
 
 func TestLinkDiversityShowsMultipleLinks(t *testing.T) {
-	m := MatchTraces(corpus.Tests, corpus.Traces, 10, WindowAfter)
+	m := MatchTraces(corpus().Tests, corpus().Traces, 10, WindowAfter)
 	// Table 2 style: one server network+metro, grouped by client ASN.
-	div := LinkDiversity(corpus.Tests, m, worldInf,
+	div := LinkDiversity(corpus().Tests, m, worldInf(),
 		func(ts *ndt.Test, tr *traceroute.Trace) (string, bool) {
 			if ts.ServerNet != "Level3" || ts.ServerMetro != "atl" {
 				return "", false
@@ -203,7 +210,7 @@ func TestLinkDiversityShowsMultipleLinks(t *testing.T) {
 
 func TestBiasReport(t *testing.T) {
 	var att []*ndt.Test
-	for _, ts := range corpus.Tests {
+	for _, ts := range corpus().Tests {
 		if ts.ClientISP == "AT&T" {
 			att = append(att, ts)
 		}
@@ -229,7 +236,7 @@ func TestThresholdSweep(t *testing.T) {
 	type gkey struct{ net, metro, isp string }
 	groups := map[gkey][]*ndt.Test{}
 	sat := map[gkey]int{}
-	for _, ts := range corpus.Tests {
+	for _, ts := range corpus().Tests {
 		k := gkey{ts.ServerNet, ts.ServerMetro, ts.ClientISP}
 		groups[k] = append(groups[k], ts)
 		if ts.TruthSaturated {
@@ -270,14 +277,18 @@ func TestThresholdSweep(t *testing.T) {
 }
 
 func BenchmarkMatchTraces(b *testing.B) {
+	c := corpus()
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		MatchTraces(corpus.Tests, corpus.Traces, 10, WindowAfter)
+		MatchTraces(c.Tests, c.Traces, 10, WindowAfter)
 	}
 }
 
 func BenchmarkBuildSeries(b *testing.B) {
+	tests := corpus().Tests
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		BuildSeries(corpus.Tests, hourOf)
+		BuildSeries(tests, hourOf)
 	}
 }
 

@@ -10,18 +10,8 @@ import (
 	"throughputlab/internal/topology"
 )
 
-// env is shared across the package's tests: building it is the
-// expensive part (world generation + corpus + per-VP campaigns).
-var env = func() *Env {
-	e, err := NewEnvCtx(context.Background(), QuickOptions())
-	if err != nil {
-		panic(err)
-	}
-	return e
-}()
-
 func TestFig1Shapes(t *testing.T) {
-	r := Fig1(env)
+	r := result[*Fig1Result](t, "fig1")
 	if len(r.Rows) != 9 {
 		t.Fatalf("Figure 1 has %d ISPs, want 9", len(r.Rows))
 	}
@@ -66,7 +56,7 @@ func TestFig1Shapes(t *testing.T) {
 }
 
 func TestTable2Shapes(t *testing.T) {
-	r := Table2(env)
+	r := result[*Table2Result](t, "table2")
 	if len(r.Rows) == 0 {
 		t.Fatal("Table 2 empty")
 	}
@@ -115,7 +105,7 @@ func TestTable2Shapes(t *testing.T) {
 }
 
 func TestTable3Shapes(t *testing.T) {
-	r := Table3(env)
+	r := result[*Table3Result](t, "table3")
 	if len(r.Rows) != 16 {
 		t.Fatalf("Table 3 has %d VPs, want 19", len(r.Rows))
 	}
@@ -157,7 +147,7 @@ func TestTable3Shapes(t *testing.T) {
 }
 
 func TestFig2CoverageShapes(t *testing.T) {
-	r := Fig2(env)
+	r := result[*CoverageResult](t, "fig2")
 	if len(r.Rows) != 16 {
 		t.Fatalf("%d rows", len(r.Rows))
 	}
@@ -195,8 +185,8 @@ func TestFig2CoverageShapes(t *testing.T) {
 }
 
 func TestFig3PeerCoverageShapes(t *testing.T) {
-	r2 := Fig2(env)
-	r3 := Fig3(env)
+	r2 := result[*CoverageResult](t, "fig2")
+	r3 := result[*CoverageResult](t, "fig3")
 	f2 := map[string]CoverageRow{}
 	for _, row := range r2.Rows {
 		f2[row.Label] = row
@@ -224,7 +214,7 @@ func TestFig3PeerCoverageShapes(t *testing.T) {
 }
 
 func TestFig4Shapes(t *testing.T) {
-	r := Fig4(env)
+	r := result[*Fig4Result](t, "fig4")
 	if len(r.Rows) != 16 {
 		t.Fatalf("%d rows", len(r.Rows))
 	}
@@ -258,7 +248,7 @@ func TestFig4Shapes(t *testing.T) {
 }
 
 func TestFig5Shapes(t *testing.T) {
-	r := Fig5(env)
+	r := result[*Fig5Result](t, "fig5")
 	if len(r.Panels) != 2 {
 		t.Fatal("Figure 5 needs two panels")
 	}
@@ -296,7 +286,7 @@ func TestFig5Shapes(t *testing.T) {
 }
 
 func TestMatchingShapes(t *testing.T) {
-	r := Matching(env)
+	r := result[*MatchingResult](t, "matching")
 	if len(r.Rows) < 4 {
 		t.Fatal("window sweep too short")
 	}
@@ -330,7 +320,7 @@ func TestMatchingShapes(t *testing.T) {
 }
 
 func TestThresholdShapes(t *testing.T) {
-	r := Thresholds(env)
+	r := result[*ThresholdsResult](t, "thresholds")
 	if r.Groups < 5 {
 		t.Skipf("only %d groups", r.Groups)
 	}
@@ -360,7 +350,7 @@ func TestThresholdShapes(t *testing.T) {
 }
 
 func TestBiasShapes(t *testing.T) {
-	r := BiasDiagnostics(env)
+	r := result[*BiasResult](t, "bias")
 	if len(r.Rows) < 10 {
 		t.Fatalf("only %d ISPs", len(r.Rows))
 	}
@@ -375,7 +365,7 @@ func TestBiasShapes(t *testing.T) {
 }
 
 func TestTomographyShapes(t *testing.T) {
-	r := Tomography(env)
+	r := result[*TomographyResult](t, "tomography")
 	if r.BadTests == 0 {
 		t.Skip("no bad peak tests")
 	}
@@ -405,13 +395,7 @@ func TestTomographyShapes(t *testing.T) {
 }
 
 func TestSnapshotsShapes(t *testing.T) {
-	if testing.Short() {
-		t.Skip("snapshot experiment regenerates a second world")
-	}
-	r, err := Snapshots(env)
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := result[*SnapshotsResult](t, "snapshots")
 	if r.MLabServersA != r.MLabServersB {
 		t.Errorf("M-Lab fleet changed: %d -> %d (paper: exactly flat at 261)", r.MLabServersA, r.MLabServersB)
 	}
@@ -434,41 +418,40 @@ func TestRegistryAndRunAll(t *testing.T) {
 	if _, ok := Find("nope"); ok {
 		t.Error("bogus experiment found")
 	}
-	// Each renders non-empty output (snapshots excluded in short mode).
-	for _, entry := range Registry() {
-		if entry.Name == "snapshots" && testing.Short() {
-			continue
-		}
-		r, err := entry.Run(env)
-		if err != nil {
-			t.Fatalf("%s: %v", entry.Name, err)
-		}
-		if len(r.Render()) < 40 {
+	// Each renders non-empty output.
+	for i, entry := range Registry() {
+		if len(serial(t).results[i].Render()) < 40 {
 			t.Errorf("%s renders almost nothing", entry.Name)
 		}
 	}
 }
 
 func BenchmarkFig1ASHops(b *testing.B) {
+	e := env()
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		Fig1(env)
+		Fig1(e)
 	}
 }
 
 func BenchmarkTable2LinkDiversity(b *testing.B) {
+	e := env()
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		Table2(env)
+		Table2(e)
 	}
 }
 
 func BenchmarkFig5Diurnal(b *testing.B) {
+	e := env()
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		Fig5(env)
+		Fig5(e)
 	}
 }
 
 func TestSignaturesShapes(t *testing.T) {
-	r := Signatures(env)
+	r := result[*SignaturesResult](t, "signatures")
 	if r.Confusion.Total < 500 {
 		t.Skipf("only %d peak tests", r.Confusion.Total)
 	}
@@ -489,7 +472,7 @@ func TestSignaturesShapes(t *testing.T) {
 }
 
 func TestTSLPShapes(t *testing.T) {
-	r := TSLP(env)
+	r := result[*TSLPResult](t, "tslp")
 	if r.TruePos == 0 {
 		t.Fatal("TSLP found no saturated links")
 	}
@@ -508,7 +491,7 @@ func TestTSLPShapes(t *testing.T) {
 }
 
 func TestPlacementShapes(t *testing.T) {
-	r := Placement(env)
+	r := result[*PlacementResult](t, "placement")
 	if len(r.Greedy) == 0 || len(r.Latency) == 0 {
 		t.Fatal("empty plans")
 	}
@@ -532,7 +515,7 @@ func TestFig5CompanionDiurnals(t *testing.T) {
 	// The M-Lab report's companion metrics: on the congested pair, flow
 	// RTT and retransmission rates rise at peak hours along with the
 	// throughput collapse.
-	r := Fig5(env)
+	r := result[*Fig5Result](t, "fig5")
 	att := r.Panels[0]
 	peakRTT, offRTT := att.RTTMedian[21], att.RTTMedian[11]
 	if !isNaN(peakRTT) && !isNaN(offRTT) && peakRTT <= offRTT {
@@ -547,10 +530,7 @@ func TestFig5CompanionDiurnals(t *testing.T) {
 func isNaN(x float64) bool { return x != x }
 
 func TestBattleForNetShapes(t *testing.T) {
-	r, err := BattleForNet(env)
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := result[*BattleResult](t, "battlefornet")
 	if len(r.Rows) != 2 {
 		t.Fatal("want two modes")
 	}
@@ -571,7 +551,7 @@ func TestBattleForNetShapes(t *testing.T) {
 }
 
 func TestMatchingHighVolumeRegime(t *testing.T) {
-	r := Matching(env)
+	r := result[*MatchingResult](t, "matching")
 	if r.HighVolumeTotal <= r.Total {
 		t.Fatalf("high-volume corpus %d not above base %d", r.HighVolumeTotal, r.Total)
 	}
@@ -590,7 +570,7 @@ func TestMatchingHighVolumeRegime(t *testing.T) {
 }
 
 func TestAblationShapes(t *testing.T) {
-	r := Ablation(env)
+	r := result[*AblationResult](t, "ablation")
 	if r.LinksOn == 0 || r.LinksOff == 0 {
 		t.Fatal("ablation inferred nothing")
 	}
@@ -609,10 +589,20 @@ func TestAblationShapes(t *testing.T) {
 	}
 }
 
+// TestStratifiedShapes runs Stratified over its own 10,000-test
+// campaign on the shared world: the smallest QuickOptions campaign in
+// which an aggregate reaches Stratified's 400-test floor (the shared
+// 8,000-test corpus has none).
 func TestStratifiedShapes(t *testing.T) {
-	r := Stratified(env)
+	opts := env().Opts
+	opts.Collect.Tests = 10000
+	corpus, err := platform.CollectParallelCtx(context.Background(), env().World, opts.Collect, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := Stratified(NewEnvWithCorpus(opts, env().World, corpus))
 	if len(r.Groups) == 0 {
-		t.Skip("no aggregates large enough at this scale")
+		t.Fatal("no aggregate reaches 400 tests in a 10,000-test campaign")
 	}
 	multi := 0
 	for _, g := range r.Groups {
@@ -638,7 +628,8 @@ func TestStratifiedTieOrder(t *testing.T) {
 	type gkey struct{ net, metro, isp string }
 	groups := map[gkey][]*ndt.Test{}
 	var big gkey
-	for _, tt := range env.Corpus.Tests {
+	shared := env()
+	for _, tt := range shared.Corpus.Tests {
 		k := gkey{tt.ServerNet, tt.ServerMetro, tt.ClientISP}
 		groups[k] = append(groups[k], tt)
 		if len(groups[k]) > len(groups[big]) {
@@ -656,7 +647,7 @@ func TestStratifiedTieOrder(t *testing.T) {
 		b[i] = &twin
 	}
 	render := func(tests []*ndt.Test) string {
-		e := &Env{Opts: env.Opts, World: env.World, Inference: env.Inference, Matching: env.Matching,
+		e := &Env{Opts: shared.Opts, World: shared.World, Inference: shared.Inference, Matching: shared.Matching,
 			Corpus: &platform.Corpus{Tests: tests}}
 		return Stratified(e).Render()
 	}
@@ -675,7 +666,7 @@ func TestStratifiedTieOrder(t *testing.T) {
 }
 
 func TestAblationBidirectionalDiscoversMore(t *testing.T) {
-	r := Ablation(env)
+	r := result[*AblationResult](t, "ablation")
 	if r.TrueLinksFwd == 0 {
 		t.Fatal("no links discovered forward")
 	}

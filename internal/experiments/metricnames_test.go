@@ -7,6 +7,7 @@ import (
 
 	"throughputlab/internal/faults"
 	"throughputlab/internal/obs"
+	"throughputlab/internal/platform"
 )
 
 // metricName is the repo-wide naming convention: dotted
@@ -16,31 +17,42 @@ import (
 var metricName = regexp.MustCompile(`^[a-z0-9_-]+(\.[a-z0-9_-]+)+$`)
 
 // TestMetricNamesFollowConvention walks the full metric namespace of a
-// completely instrumented run — world generation, fault-injected
-// collection, the streamed chunk path, and the experiment sweep —
-// and rejects any counter, gauge, histogram, or time-series key that
-// is not a namespaced dotted path. A metric that fails here would
-// collide or be unfindable on every dashboard fed by the JSON dump.
+// completely instrumented run — world generation, collection, the
+// streamed chunk path, the experiment sweep, and a fault-injected
+// collection and inference — and rejects any counter, gauge,
+// histogram, or time-series key that is not a namespaced dotted path.
+// A metric that fails here would collide or be unfindable on every
+// dashboard fed by the JSON dump.
 func TestMetricNamesFollowConvention(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs a full instrumented campaign")
 	}
+	ctx := context.Background()
 	reg := obs.NewRegistry()
 	reg.EnableTimeSeries(nil)
 	bus := reg.EnableEvents(4096)
 	opts := QuickOptions()
 	opts.Obs = reg
 	opts.Topo.Workers = 2
-	opts.Collect.Faults = faults.Light()
-	env, err := NewEnvCtx(context.Background(), opts)
+	e, err := NewEnvCtx(ctx, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// A serial sweep: only it measures the experiments.<name>.alloc_bytes
-	// gauges, so it registers every metric name a sweep can produce.
-	if _, _, err := RunParallelCtx(context.Background(), env, 1); err != nil {
+	// gauges, so it registers every metric name a sweep can produce. The
+	// campaign is clean, so the sweep must match the serial reference.
+	sweep(t, e, 1)
+	// A fault-injected campaign over the same world, through MAP-IT and
+	// matching, registers the fault plane's names and the degraded-data
+	// paths' metrics on the same registry.
+	fopts := e.Opts
+	fopts.Collect.Faults = faults.Light()
+	fopts.Collect.Tests = 2000
+	faulted, err := platform.CollectParallelCtx(ctx, e.World, fopts.Collect, 2)
+	if err != nil {
 		t.Fatal(err)
 	}
+	NewEnvWithCorpus(fopts, e.World, faulted)
 	bus.Close()
 
 	d := reg.Snapshot()

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"context"
-	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -10,66 +9,58 @@ import (
 	"throughputlab/internal/obs"
 )
 
-// runSerial is the reference sweep: every registry experiment in
-// order on the calling goroutine, stopping at the first failure with
-// the output of the entries before it.
-func runSerial(e *Env) (string, error) {
-	var sb strings.Builder
-	for _, entry := range Registry() {
-		r, err := entry.Run(e)
-		if err != nil {
-			return sb.String(), fmt.Errorf("experiment %s: %w", entry.Name, err)
-		}
-		sb.WriteString(renderEntry(entry, r))
+// sweep runs RunParallelCtx over e and checks the engine's core
+// contract: output byte-identical to the serial reference, and one
+// stat per registry entry, in registry order, each with a wall time.
+// The sweep tests share the worker counts between them, so the
+// registry runs once per count: 8 uninstrumented here, 1 and 4 with a
+// registry attached, 2 on a fully instrumented Env, and 1 again for
+// the metric-name walk.
+func sweep(t *testing.T, e *Env, workers int) *RunStats {
+	t.Helper()
+	got, stats, err := RunParallelCtx(context.Background(), e, workers)
+	if err != nil {
+		t.Fatalf("RunParallelCtx(%d): %v", workers, err)
 	}
-	return sb.String(), nil
+	if want := serial(t).out; got != want {
+		t.Errorf("RunParallelCtx(%d) output differs from the serial reference (%d vs %d bytes)",
+			workers, len(got), len(want))
+	}
+	if stats == nil {
+		t.Fatalf("RunParallelCtx(%d): nil stats", workers)
+	}
+	entries := Registry()
+	if len(stats.Experiments) != len(entries) {
+		t.Fatalf("RunParallelCtx(%d): %d stats, want %d", workers, len(stats.Experiments), len(entries))
+	}
+	for i, st := range stats.Experiments {
+		if st.Name != entries[i].Name {
+			t.Errorf("stats[%d] = %q, want registry order %q", i, st.Name, entries[i].Name)
+		}
+		if st.Wall <= 0 {
+			t.Errorf("experiment %s has non-positive wall time", st.Name)
+		}
+	}
+	if stats.Wall <= 0 {
+		t.Errorf("RunParallelCtx(%d): non-positive sweep wall time", workers)
+	}
+	if s := stats.Summary(); len(s) < 100 {
+		t.Errorf("stats summary too short: %q", s)
+	}
+	return stats
 }
 
-// TestRunParallelGolden asserts the engine's core contract:
-// RunParallelCtx output is byte-identical to the serial reference for
-// every worker count.
+// TestRunParallelGolden asserts the engine's core contract on the
+// shared, uninstrumented Env: RunParallelCtx output is byte-identical
+// to the serial reference.
 func TestRunParallelGolden(t *testing.T) {
 	if testing.Short() {
-		t.Skip("runs the full registry four times")
+		t.Skip("runs the full registry")
 	}
-	want, err := runSerial(env)
-	if err != nil {
-		t.Fatalf("runSerial: %v", err)
+	if out := serial(t).out; len(out) < 1000 {
+		t.Fatalf("serial output suspiciously small (%d bytes)", len(out))
 	}
-	if len(want) < 1000 {
-		t.Fatalf("serial output suspiciously small (%d bytes)", len(want))
-	}
-	for _, workers := range []int{1, 2, 8} {
-		got, stats, err := RunParallelCtx(context.Background(), env, workers)
-		if err != nil {
-			t.Fatalf("RunParallelCtx(%d): %v", workers, err)
-		}
-		if got != want {
-			t.Errorf("RunParallelCtx(%d) output differs from the serial reference (%d vs %d bytes)",
-				workers, len(got), len(want))
-		}
-		if stats == nil {
-			t.Fatalf("RunParallelCtx(%d): nil stats", workers)
-		}
-		entries := Registry()
-		if len(stats.Experiments) != len(entries) {
-			t.Fatalf("RunParallelCtx(%d): %d stats, want %d", workers, len(stats.Experiments), len(entries))
-		}
-		for i, st := range stats.Experiments {
-			if st.Name != entries[i].Name {
-				t.Errorf("stats[%d] = %q, want registry order %q", i, st.Name, entries[i].Name)
-			}
-			if st.Wall <= 0 {
-				t.Errorf("experiment %s has non-positive wall time", st.Name)
-			}
-		}
-		if stats.Wall <= 0 {
-			t.Errorf("RunParallelCtx(%d): non-positive sweep wall time", workers)
-		}
-		if s := stats.Summary(); len(s) < 100 {
-			t.Errorf("stats summary too short: %q", s)
-		}
-	}
+	sweep(t, env(), 8)
 }
 
 // TestSummaryDeterministicTieBreak pins the Summary ordering contract:
@@ -109,28 +100,21 @@ func TestSummaryDeterministicTieBreak(t *testing.T) {
 // TestRunParallelGoldenWithObs pins the observability invariance
 // guarantee on the experiment sweep: running with a live registry
 // attached produces output byte-identical to the uninstrumented serial
-// baseline, and the registry ends up holding one child span per
+// reference, and the registry ends up holding one child span per
 // experiment under the "experiments" phase.
 func TestRunParallelGoldenWithObs(t *testing.T) {
 	if testing.Short() {
-		t.Skip("runs the full registry three times")
+		t.Skip("runs the full registry twice")
 	}
-	want, err := runSerial(env)
-	if err != nil {
-		t.Fatalf("runSerial: %v", err)
-	}
-	defer func() { env.Opts.Obs = nil }()
+	// This test's own Env: the shared one's world, corpus and inference,
+	// read-only, under options it can attach a registry to.
+	shared := env()
+	own := &Env{Opts: shared.Opts, World: shared.World, Corpus: shared.Corpus,
+		Inference: shared.Inference, Matching: shared.Matching}
 	for _, workers := range []int{1, 4} {
 		reg := obs.NewRegistry()
-		env.Opts.Obs = reg
-		got, stats, err := RunParallelCtx(context.Background(), env, workers)
-		if err != nil {
-			t.Fatalf("RunParallelCtx(%d): %v", workers, err)
-		}
-		if got != want {
-			t.Errorf("instrumented RunParallelCtx(%d) output differs from the serial reference (%d vs %d bytes)",
-				workers, len(got), len(want))
-		}
+		own.Opts.Obs = reg
+		stats := sweep(t, own, workers)
 		d := reg.Snapshot()
 		if len(d.Spans) != 1 || d.Spans[0].Name != "experiments" {
 			t.Fatalf("want one experiments root span, got %+v", d.Spans)
@@ -159,9 +143,6 @@ func TestRunParallelGoldenWithObs(t *testing.T) {
 		}
 		// The stats table is a view over the same registry.
 		for _, st := range stats.Experiments {
-			if st.Wall <= 0 {
-				t.Errorf("experiment %s span recorded no duration", st.Name)
-			}
 			if workers > 1 && st.AllocBytes != 0 {
 				t.Errorf("parallel sweep attributed %d bytes to %s", st.AllocBytes, st.Name)
 			}
@@ -178,11 +159,11 @@ func TestRunParallelGoldenWithObs(t *testing.T) {
 // sub-environments some experiments rebuild are all traced — and runs
 // the sweep with several workers. Sub-environment experiments push
 // phase spans on the shared registry stack concurrently; under -race
-// this asserts that is safe, and the output must still match an
-// uninstrumented serial run of the same environment.
+// this asserts that is safe, and the output must still match the
+// uninstrumented serial reference.
 func TestRunParallelFullyInstrumented(t *testing.T) {
 	if testing.Short() {
-		t.Skip("builds an extra world and runs the registry twice")
+		t.Skip("builds an extra world and runs the registry")
 	}
 	reg := obs.NewRegistry()
 	opts := QuickOptions()
@@ -191,18 +172,7 @@ func TestRunParallelFullyInstrumented(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := runSerial(instrumented)
-	if err != nil {
-		t.Fatalf("runSerial: %v", err)
-	}
-	got, _, err := RunParallelCtx(context.Background(), instrumented, 4)
-	if err != nil {
-		t.Fatalf("RunParallelCtx: %v", err)
-	}
-	if got != want {
-		t.Errorf("fully instrumented parallel output differs from serial (%d vs %d bytes)",
-			len(got), len(want))
-	}
+	sweep(t, instrumented, 2)
 	d := reg.Snapshot()
 	names := map[string]bool{}
 	for _, s := range d.Spans {

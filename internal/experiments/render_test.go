@@ -31,15 +31,7 @@ func TestRenderedArtifactsCarryKeyContent(t *testing.T) {
 		{"battlefornet", []string{"battle-for-the-net", "IP links seen", "traced"}},
 	}
 	for _, c := range cases {
-		entry, ok := Find(c.name)
-		if !ok {
-			t.Fatalf("experiment %q missing", c.name)
-		}
-		r, err := entry.Run(env)
-		if err != nil {
-			t.Fatalf("%s: %v", c.name, err)
-		}
-		out := r.Render()
+		out := result[Renderer](t, c.name).Render()
 		for _, want := range c.want {
 			if !strings.Contains(out, want) {
 				t.Errorf("%s render missing %q", c.name, want)
@@ -48,16 +40,10 @@ func TestRenderedArtifactsCarryKeyContent(t *testing.T) {
 	}
 }
 
-// TestSnapshotsRender separately (it builds a second world).
+// TestSnapshotsRender checks the snapshots experiment, which builds a
+// second world, the same way.
 func TestSnapshotsRender(t *testing.T) {
-	if testing.Short() {
-		t.Skip("regenerates a world")
-	}
-	r, err := Snapshots(env)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out := r.Render()
+	out := result[*SnapshotsResult](t, "snapshots").Render()
 	for _, want := range []string{"M-Lab servers", "flat", "Speedtest A", "Speedtest B"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("snapshots render missing %q", want)

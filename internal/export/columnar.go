@@ -13,9 +13,11 @@
 //
 // A chunk payload is a checksummed preamble (chunk index, watermark,
 // per-chunk completeness ledger, row counts, stripe count) followed by
-// one stripe per Test/Trace field — column-major, so a reader that
-// only needs traces (report pass 1) skips every test stripe without
-// decoding a byte of it. The footer carries campaign totals (the
+// one stripe per Test/Trace field — column-major, so a projected read
+// skips a column family's stripes without decoding a byte of them
+// (every program path reads both families; only perfbench/trace, the
+// benchmark's serial mirror that ROADMAP item 1 deletes, reads traces
+// alone). The footer carries campaign totals (the
 // truncation check) plus an append-only chunk index: one (offset,
 // watermark, tests, traces) row per chunk, which the reader
 // cross-checks against the frames it saw.

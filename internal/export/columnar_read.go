@@ -3,9 +3,10 @@
 // (tests, traces, hops, truth lists) instead of one allocation per
 // row — and the column stripes write straight into the final structs,
 // so nothing row-shaped is materialized in between. A Projection lets
-// a pass that only needs one side of the corpus (report pass 1 reads
-// traces only) skip the other side's stripes entirely: the bytes are
-// never parsed and the slabs never allocated.
+// a reader skip one side's stripes entirely: the bytes are never
+// parsed and the slabs never allocated. Every program path reads both
+// sides; only perfbench/trace, the benchmark's serial mirror that
+// ROADMAP item 1 deletes, reads traces alone.
 package export
 
 import (

@@ -78,8 +78,9 @@ type CorpusReader interface {
 
 // OpenCorpusProjected opens a persisted corpus for a chunk-by-chunk
 // replay, decoding chunks on workers goroutines and only the column
-// families proj selects: skipping the stripes of a projected-out family
-// is the big lever behind the fast report-over-corpus path. Call Close
+// families proj selects. Every program path passes
+// EverythingProjection; only perfbench/trace, the benchmark's serial
+// mirror that ROADMAP item 1 deletes, reads traces alone. Call Close
 // when abandoning the reader before io.EOF.
 func OpenCorpusProjected(r io.Reader, workers int, proj Projection) (CorpusReader, error) {
 	cr, err := openColumnar(r, workers, proj)

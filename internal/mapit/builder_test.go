@@ -517,7 +517,7 @@ func heavyCorpus(t testing.TB) []*traceroute.Trace {
 	cfg := platform.DefaultCollect()
 	cfg.Tests, cfg.PerPoolClients = 1500, 5
 	cfg.Faults = faults.Heavy()
-	c, err := platform.CollectParallelCtx(context.Background(), world, cfg, 2)
+	c, err := platform.CollectParallelCtx(context.Background(), world(), cfg, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -663,7 +663,7 @@ func TestAppendWalksAllocFree(t *testing.T) {
 func BenchmarkBuilderAdd(b *testing.B) {
 	cfg := platform.DefaultCollect()
 	cfg.Tests, cfg.PerPoolClients = 3000, 5
-	c, err := platform.CollectParallelCtx(context.Background(), world, cfg, 2)
+	c, err := platform.CollectParallelCtx(context.Background(), world(), cfg, 2)
 	if err != nil {
 		b.Fatal(err)
 	}

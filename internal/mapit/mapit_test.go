@@ -2,6 +2,7 @@ package mapit
 
 import (
 	"math/rand"
+	"sync"
 	"testing"
 
 	"throughputlab/internal/netaddr"
@@ -11,29 +12,32 @@ import (
 	"throughputlab/internal/traceroute"
 )
 
-var world = topogen.MustGenerate(topogen.SmallConfig())
+// world is the package's shared small world, generated on first use.
+var world = sync.OnceValue(func() *topogen.World {
+	return topogen.MustGenerate(topogen.SmallConfig())
+})
 
 func worldOpts() Opts {
 	return Opts{
-		Prefix2AS: world.Topo.OriginOf,
+		Prefix2AS: world().Topo.OriginOf,
 		IsIXP: func(a netaddr.Addr) bool {
-			for _, p := range world.Topo.IXPPrefixes {
+			for _, p := range world().Topo.IXPPrefixes {
 				if p.Contains(a) {
 					return true
 				}
 			}
 			return false
 		},
-		SameOrg: func(x, y topology.ASN) bool { return x == y || world.Topo.SameOrg(x, y) },
+		SameOrg: func(x, y topology.ASN) bool { return x == y || world().Topo.SameOrg(x, y) },
 	}
 }
 
 // corpus generates clean server->client traces across ISPs.
 func cleanCorpus(t testing.TB, n int) []*traceroute.Trace {
 	t.Helper()
-	tracer := traceroute.New(world.Topo, world.Resolver, traceroute.Clean())
+	tracer := traceroute.New(world().Topo, world().Resolver, traceroute.Clean())
 	var out []*traceroute.Trace
-	servers := world.MLabServers()
+	servers := world().MLabServers()
 	isps := []string{"Comcast", "AT&T", "Verizon", "Cox", "Time Warner Cable", "CenturyLink", "Charter", "Frontier"}
 	metros := []string{"nyc", "atl", "lax", "chi", "dfw", "sea", "den", "clt"}
 	i := 0
@@ -41,7 +45,7 @@ func cleanCorpus(t testing.TB, n int) []*traceroute.Trace {
 		isp := isps[i%len(isps)]
 		metro := metros[(i/len(isps))%len(metros)]
 		i++
-		cli, ok := world.NewClient(isp, metro)
+		cli, ok := world().NewClient(isp, metro)
 		if !ok {
 			continue
 		}
@@ -70,13 +74,13 @@ func TestFarSideCorrection(t *testing.T) {
 			end--
 		}
 		for _, a := range addrs[:end] {
-			ifc := world.Topo.IfaceByAddr[a]
+			ifc := world().Topo.IfaceByAddr[a]
 			if ifc == nil {
 				t.Fatalf("clean trace hop %v unknown", a)
 			}
 			// Only look at mislabeled-by-origin interfaces.
-			origin, ok := world.Topo.OriginOf(a)
-			if !ok || origin == ifc.Router.AS || world.Topo.SameOrg(origin, ifc.Router.AS) {
+			origin, ok := world().Topo.OriginOf(a)
+			if !ok || origin == ifc.Router.AS || world().Topo.SameOrg(origin, ifc.Router.AS) {
 				continue
 			}
 			checked++
@@ -84,7 +88,7 @@ func TestFarSideCorrection(t *testing.T) {
 			if !ok {
 				continue
 			}
-			if got == ifc.Router.AS || world.Topo.SameOrg(got, ifc.Router.AS) {
+			if got == ifc.Router.AS || world().Topo.SameOrg(got, ifc.Router.AS) {
 				continue // corrected ✓
 			}
 		}
@@ -100,12 +104,12 @@ func TestOperatorAccuracy(t *testing.T) {
 
 	total, correct := 0, 0
 	for a, got := range inf.Operator {
-		ifc := world.Topo.IfaceByAddr[a]
+		ifc := world().Topo.IfaceByAddr[a]
 		if ifc == nil {
 			continue // destination hosts etc.
 		}
 		total++
-		if got == ifc.Router.AS || world.Topo.SameOrg(got, ifc.Router.AS) {
+		if got == ifc.Router.AS || world().Topo.SameOrg(got, ifc.Router.AS) {
 			correct++
 		}
 	}
@@ -128,14 +132,14 @@ func TestLinkPrecision(t *testing.T) {
 	}
 	good := 0
 	for _, l := range inf.Links {
-		na := world.Topo.IfaceByAddr[l.Near]
-		fa := world.Topo.IfaceByAddr[l.Far]
+		na := world().Topo.IfaceByAddr[l.Near]
+		fa := world().Topo.IfaceByAddr[l.Far]
 		if na == nil || fa == nil {
 			continue
 		}
 		// A true interdomain crossing: the two routers belong to
 		// different orgs and the far interface's link really spans them.
-		if !world.Topo.SameOrg(na.Router.AS, fa.Router.AS) && na.Router.AS != fa.Router.AS {
+		if !world().Topo.SameOrg(na.Router.AS, fa.Router.AS) && na.Router.AS != fa.Router.AS {
 			good++
 		}
 	}
@@ -158,12 +162,12 @@ func TestLinkRecallOnTraversedBorders(t *testing.T) {
 			end--
 		}
 		for i := 1; i < end; i++ {
-			ia := world.Topo.IfaceByAddr[addrs[i-1]]
-			ib := world.Topo.IfaceByAddr[addrs[i]]
+			ia := world().Topo.IfaceByAddr[addrs[i-1]]
+			ib := world().Topo.IfaceByAddr[addrs[i]]
 			if ia == nil || ib == nil {
 				continue
 			}
-			if ia.Router.AS != ib.Router.AS && !world.Topo.SameOrg(ia.Router.AS, ib.Router.AS) {
+			if ia.Router.AS != ib.Router.AS && !world().Topo.SameOrg(ia.Router.AS, ib.Router.AS) {
 				truth[[2]netaddr.Addr{addrs[i-1], addrs[i]}] = true
 			}
 		}
@@ -193,7 +197,7 @@ func TestASPathOfCollapsesSiblings(t *testing.T) {
 			continue
 		}
 		for i := 1; i < len(p); i++ {
-			if p[i] == p[i-1] || world.Topo.SameOrg(p[i], p[i-1]) {
+			if p[i] == p[i-1] || world().Topo.SameOrg(p[i], p[i-1]) {
 				t.Fatalf("AS path %v has un-collapsed sibling hops", p)
 			}
 		}
@@ -203,15 +207,15 @@ func TestASPathOfCollapsesSiblings(t *testing.T) {
 func TestASPathServerToAdjacentClientIsTwoOrgs(t *testing.T) {
 	// A Comcast client one AS hop from a Level3 server: the inferred
 	// org-level path should have exactly 2 entries.
-	tracer := traceroute.New(world.Topo, world.Resolver, traceroute.Clean())
+	tracer := traceroute.New(world().Topo, world().Resolver, traceroute.Clean())
 	var srv topogen.Host
-	for _, s := range world.MLabSites {
+	for _, s := range world().MLabSites {
 		if s.HostNet == "Level3" {
 			srv = s.Servers[0]
 			break
 		}
 	}
-	cli, _ := world.NewClient("Comcast", "nyc")
+	cli, _ := world().NewClient("Comcast", "nyc")
 	tr, err := tracer.Trace(srv.Endpoint, cli, 3, 0, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -226,12 +230,12 @@ func TestASPathServerToAdjacentClientIsTwoOrgs(t *testing.T) {
 func TestRobustToArtifacts(t *testing.T) {
 	// With realistic artifact rates, accuracy degrades gracefully, not
 	// catastrophically.
-	tracer := traceroute.New(world.Topo, world.Resolver, traceroute.DefaultArtifacts())
+	tracer := traceroute.New(world().Topo, world().Resolver, traceroute.DefaultArtifacts())
 	rng := rand.New(rand.NewSource(5))
 	var traces []*traceroute.Trace
-	servers := world.MLabServers()
+	servers := world().MLabServers()
 	for i := 0; i < 600; i++ {
-		cli, ok := world.NewClient([]string{"Comcast", "AT&T", "Cox"}[i%3], []string{"nyc", "atl", "lax"}[(i/3)%3])
+		cli, ok := world().NewClient([]string{"Comcast", "AT&T", "Cox"}[i%3], []string{"nyc", "atl", "lax"}[(i/3)%3])
 		if !ok {
 			continue
 		}
@@ -243,12 +247,12 @@ func TestRobustToArtifacts(t *testing.T) {
 	inf := Run(traces, worldOpts())
 	total, correct := 0, 0
 	for a, got := range inf.Operator {
-		ifc := world.Topo.IfaceByAddr[a]
+		ifc := world().Topo.IfaceByAddr[a]
 		if ifc == nil {
 			continue
 		}
 		total++
-		if got == ifc.Router.AS || world.Topo.SameOrg(got, ifc.Router.AS) {
+		if got == ifc.Router.AS || world().Topo.SameOrg(got, ifc.Router.AS) {
 			correct++
 		}
 	}
@@ -263,12 +267,12 @@ func TestRobustToArtifacts(t *testing.T) {
 func TestIXPAddressesResolved(t *testing.T) {
 	// Campaign traces from an Ark VP cross IXP links; their LAN
 	// addresses must get an operator via successor majority.
-	vp := world.ArkVPs[0]
-	targets := platform.RoutedPrefixTargets(world)
+	vp := world().ArkVPs[0]
+	targets := platform.RoutedPrefixTargets(world())
 	if len(targets) > 400 {
 		targets = targets[:400]
 	}
-	traces := platform.Campaign(world, vp.Host.Endpoint, targets, traceroute.Clean(), 9)
+	traces := platform.Campaign(world(), vp.Host.Endpoint, targets, traceroute.Clean(), 9)
 	inf := Run(traces, worldOpts())
 	isIXP := worldOpts().IsIXP
 	seen, resolved := 0, 0
@@ -306,9 +310,9 @@ func TestLinksOfMatchesGroundTruthCount(t *testing.T) {
 			end--
 		}
 		for i := 1; i < end; i++ {
-			ia := world.Topo.IfaceByAddr[addrs[i-1]]
-			ib := world.Topo.IfaceByAddr[addrs[i]]
-			if ia != nil && ib != nil && !world.Topo.SameOrg(ia.Router.AS, ib.Router.AS) && ia.Router.AS != ib.Router.AS {
+			ia := world().Topo.IfaceByAddr[addrs[i-1]]
+			ib := world().Topo.IfaceByAddr[addrs[i]]
+			if ia != nil && ib != nil && !world().Topo.SameOrg(ia.Router.AS, ib.Router.AS) && ia.Router.AS != ib.Router.AS {
 				truth++
 			}
 		}
@@ -355,12 +359,12 @@ func TestRobustToMalformedTraces(t *testing.T) {
 	}
 	total, correct := 0, 0
 	for a, got := range inf.Operator {
-		ifc := world.Topo.IfaceByAddr[a]
+		ifc := world().Topo.IfaceByAddr[a]
 		if ifc == nil {
 			continue
 		}
 		total++
-		if got == ifc.Router.AS || world.Topo.SameOrg(got, ifc.Router.AS) {
+		if got == ifc.Router.AS || world().Topo.SameOrg(got, ifc.Router.AS) {
 			correct++
 		}
 	}

@@ -2,20 +2,24 @@ package ndt
 
 import (
 	"math/rand"
+	"sync"
 	"testing"
 
 	"throughputlab/internal/topogen"
 )
 
-var world = topogen.MustGenerate(topogen.SmallConfig())
+// world is the package's shared small world, generated on first use.
+var world = sync.OnceValue(func() *topogen.World {
+	return topogen.MustGenerate(topogen.SmallConfig())
+})
 
 func TestRunProducesPlausibleRecord(t *testing.T) {
-	r := NewRunner(world)
-	client, ok := world.NewClient("Comcast", "nyc")
+	r := NewRunner(world())
+	client, ok := world().NewClient("Comcast", "nyc")
 	if !ok {
 		t.Fatal("no client")
 	}
-	server := world.MLabServers()[0]
+	server := world().MLabServers()[0]
 	rng := rand.New(rand.NewSource(1))
 	test, err := r.Run(7, client, "Comcast", 50, 0, server, 300, 99, rng)
 	if err != nil {
@@ -48,10 +52,10 @@ func TestRunProducesPlausibleRecord(t *testing.T) {
 }
 
 func TestWiFiCapRespected(t *testing.T) {
-	r := NewRunner(world)
+	r := NewRunner(world())
 	r.NoiseSigma = 0
-	client, _ := world.NewClient("Comcast", "nyc")
-	server := world.MLabServers()[0]
+	client, _ := world().NewClient("Comcast", "nyc")
+	server := world().MLabServers()[0]
 	test, err := r.Run(1, client, "Comcast", 105, 20, server, 600, 5, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -78,10 +82,10 @@ func TestSiteOf(t *testing.T) {
 }
 
 func TestWeb100ConsistentWithHeadlineNumbers(t *testing.T) {
-	r := NewRunner(world)
+	r := NewRunner(world())
 	r.NoiseSigma = 0
-	client, _ := world.NewClient("Comcast", "chi")
-	server := world.MLabServers()[0]
+	client, _ := world().NewClient("Comcast", "chi")
+	server := world().MLabServers()[0]
 	test, err := r.Run(3, client, "Comcast", 50, 0, server, 300, 11, nil)
 	if err != nil {
 		t.Fatal(err)

@@ -1,24 +1,31 @@
 package placement
 
 import (
+	"sync"
 	"testing"
 
 	"throughputlab/internal/topogen"
 	"throughputlab/internal/topology"
 )
 
+// world and its candidate matrix are the package's shared fixtures,
+// built on first use.
 var (
-	world  = topogen.MustGenerate(topogen.SmallConfig())
-	matrix = BuildMatrix(world, Candidates(world))
+	world = sync.OnceValue(func() *topogen.World {
+		return topogen.MustGenerate(topogen.SmallConfig())
+	})
+	matrix = sync.OnceValue(func() *Matrix {
+		return BuildMatrix(world(), Candidates(world()))
+	})
 )
 
 func TestCandidatesExcludeAccessISPs(t *testing.T) {
-	cands := Candidates(world)
+	cands := Candidates(world())
 	if len(cands) < 50 {
 		t.Fatalf("only %d candidates", len(cands))
 	}
 	for _, c := range cands {
-		if world.Topo.AS(c.ASN).Type == topology.ASTypeAccess {
+		if world().Topo.AS(c.ASN).Type == topology.ASTypeAccess {
 			t.Fatalf("access ISP %s among candidates", c.Network)
 		}
 		if c.Endpoint.Addr.IsZero() {
@@ -28,28 +35,28 @@ func TestCandidatesExcludeAccessISPs(t *testing.T) {
 }
 
 func TestMatrixCoversSomething(t *testing.T) {
-	if len(matrix.Universe) < 20 {
-		t.Fatalf("universe only %d keys", len(matrix.Universe))
+	if len(matrix().Universe) < 20 {
+		t.Fatalf("universe only %d keys", len(matrix().Universe))
 	}
-	if len(matrix.PeerUniverse) == 0 {
+	if len(matrix().PeerUniverse) == 0 {
 		t.Fatal("no peer keys")
 	}
-	if len(matrix.PeerUniverse) >= len(matrix.Universe) {
+	if len(matrix().PeerUniverse) >= len(matrix().Universe) {
 		t.Error("peer universe should be a strict subset")
 	}
 	nonEmpty := 0
-	for _, cov := range matrix.Covers {
+	for _, cov := range matrix().Covers {
 		if len(cov) > 0 {
 			nonEmpty++
 		}
 	}
-	if nonEmpty < len(matrix.Cands)/2 {
-		t.Errorf("only %d/%d candidates cover anything", nonEmpty, len(matrix.Cands))
+	if nonEmpty < len(matrix().Cands)/2 {
+		t.Errorf("only %d/%d candidates cover anything", nonEmpty, len(matrix().Cands))
 	}
 }
 
 func TestGreedyMonotoneAndDiminishing(t *testing.T) {
-	plan := matrix.Greedy(12, true)
+	plan := matrix().Greedy(12, true)
 	if len(plan.Chosen) == 0 {
 		t.Fatal("greedy chose nothing")
 	}
@@ -75,8 +82,8 @@ func TestGreedyBeatsLatencyFirst(t *testing.T) {
 	// topology-aware placement covers more peer interconnections than
 	// latency-driven placement.
 	const k = 10
-	greedy := matrix.Greedy(k, true)
-	latency := matrix.LatencyFirst(world, k, true)
+	greedy := matrix().Greedy(k, true)
+	latency := matrix().LatencyFirst(world(), k, true)
 	if len(greedy.CoveredAfter) == 0 || len(latency.CoveredAfter) == 0 {
 		t.Fatal("empty plans")
 	}
@@ -94,8 +101,8 @@ func TestGreedyBeatsLatencyFirst(t *testing.T) {
 }
 
 func TestGreedyDeterministic(t *testing.T) {
-	p1 := matrix.Greedy(6, false)
-	p2 := matrix.Greedy(6, false)
+	p1 := matrix().Greedy(6, false)
+	p2 := matrix().Greedy(6, false)
 	if len(p1.Chosen) != len(p2.Chosen) {
 		t.Fatal("nondeterministic plan length")
 	}
@@ -107,8 +114,8 @@ func TestGreedyDeterministic(t *testing.T) {
 }
 
 func TestGreedyStopsWhenExhausted(t *testing.T) {
-	plan := matrix.Greedy(1000000, false)
-	if len(plan.Chosen) >= len(matrix.Cands) {
+	plan := matrix().Greedy(1000000, false)
+	if len(plan.Chosen) >= len(matrix().Cands) {
 		t.Error("greedy should stop when no candidate adds coverage")
 	}
 	final := plan.CoveredAfter[len(plan.CoveredAfter)-1]
@@ -118,24 +125,26 @@ func TestGreedyStopsWhenExhausted(t *testing.T) {
 }
 
 func TestLatencyFirstPrefersCentralTransit(t *testing.T) {
-	plan := matrix.LatencyFirst(world, 5, false)
+	plan := matrix().LatencyFirst(world(), 5, false)
 	for _, c := range plan.Chosen {
-		if world.Topo.AS(c.ASN).Type != topology.ASTypeTransit {
+		if world().Topo.AS(c.ASN).Type != topology.ASTypeTransit {
 			t.Errorf("latency-first picked non-transit host %s", c.Network)
 		}
 	}
 }
 
 func BenchmarkBuildMatrix(b *testing.B) {
-	cands := Candidates(world)
+	cands := Candidates(world())
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		BuildMatrix(world, cands)
+		BuildMatrix(world(), cands)
 	}
 }
 
 func BenchmarkGreedy(b *testing.B) {
+	m := matrix()
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		matrix.Greedy(20, true)
+		m.Greedy(20, true)
 	}
 }

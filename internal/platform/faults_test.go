@@ -45,7 +45,7 @@ func heavyCollect() CollectConfig {
 // registry.
 func TestFaultReplayDeterminism(t *testing.T) {
 	cfg := heavyCollect()
-	serial, err := collect(world, cfg, 1)
+	serial, err := collect(world(), cfg, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,7 +56,7 @@ func TestFaultReplayDeterminism(t *testing.T) {
 	for _, workers := range []int{1, 2, 8} {
 		icfg := cfg
 		icfg.Obs = obs.NewRegistry()
-		c, err := collect(world, icfg, workers)
+		c, err := collect(world(), icfg, workers)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -71,12 +71,12 @@ func TestFaultReplayDeterminism(t *testing.T) {
 // value replays different faults on the same schedule.
 func TestFaultSeedIdentity(t *testing.T) {
 	cfg := heavyCollect()
-	def, err := collect(world, cfg, 1)
+	def, err := collect(world(), cfg, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg.FaultSeed = cfg.Seed
-	explicit, err := collect(world, cfg, 1)
+	explicit, err := collect(world(), cfg, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +84,7 @@ func TestFaultSeedIdentity(t *testing.T) {
 		t.Error("FaultSeed=Seed differs from FaultSeed=0")
 	}
 	cfg.FaultSeed = cfg.Seed + 1
-	other, err := collect(world, cfg, 1)
+	other, err := collect(world(), cfg, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +97,7 @@ func TestFaultSeedIdentity(t *testing.T) {
 // consumer side: a faultless campaign carries the zero ledger and no
 // degradation markers at all.
 func TestCleanCorpusHasZeroCompleteness(t *testing.T) {
-	c, err := collect(world, smallCollect(), 1)
+	c, err := collect(world(), smallCollect(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +124,7 @@ func TestFaultCountersAndLedger(t *testing.T) {
 	reg := obs.NewRegistry()
 	cfg := heavyCollect()
 	cfg.Obs = reg
-	c, err := collect(world, cfg, 4)
+	c, err := collect(world(), cfg, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,7 +200,7 @@ func TestGoldenHashUnchangedByFaultsOff(t *testing.T) {
 	cfg := smallCollect()
 	cfg.Faults = faults.Off()
 	cfg.FaultSeed = 99 // must be inert while the profile is disabled
-	c, err := collect(world, cfg, 4)
+	c, err := collect(world(), cfg, 4)
 	if err != nil {
 		t.Fatal(err)
 	}

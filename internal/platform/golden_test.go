@@ -20,7 +20,7 @@ const seedCorpusHash = 0x62321200631590a1
 // resolver, at several worker counts — to the pre-caching seed hash.
 func TestCorpusGoldenSeedHash(t *testing.T) {
 	for _, workers := range []int{1, 2, 8} {
-		c, err := collect(world, smallCollect(), workers)
+		c, err := collect(world(), smallCollect(), workers)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -41,7 +41,7 @@ func TestCorpusGoldenSeedHashWithObs(t *testing.T) {
 		reg := obs.NewRegistry()
 		cfg := smallCollect()
 		cfg.Obs = reg
-		c, err := collect(world, cfg, workers)
+		c, err := collect(world(), cfg, workers)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -95,7 +95,7 @@ func TestCorpusGoldenSeedHashFullTelemetry(t *testing.T) {
 		bus := reg.EnableEvents(4096)
 		cfg := smallCollect()
 		cfg.Obs = reg
-		c, err := collect(world, cfg, workers)
+		c, err := collect(world(), cfg, workers)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -38,9 +38,9 @@ func TestCollectDeterministic(t *testing.T) {
 func TestCollectSeedChangesCorpus(t *testing.T) {
 	cfg := smallCollect()
 	cfg.Tests = 300
-	c1, _ := collect(world, cfg, 1)
+	c1, _ := collect(world(), cfg, 1)
 	cfg.Seed += 17
-	c2, _ := collect(world, cfg, 1)
+	c2, _ := collect(world(), cfg, 1)
 	same := len(c1.Tests) == len(c2.Tests)
 	if same {
 		for i := range c1.Tests {
@@ -61,7 +61,7 @@ func TestCollectSeedChangesCorpus(t *testing.T) {
 func TestTracesLagTheirTests(t *testing.T) {
 	cfg := smallCollect()
 	cfg.Tests = 400
-	corpus, err := collect(world, cfg, 1)
+	corpus, err := collect(world(), cfg, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,10 +89,10 @@ func TestTracesLagTheirTests(t *testing.T) {
 
 // TestCampaignDeterministic: campaigns repeat exactly for a seed.
 func TestCampaignDeterministic(t *testing.T) {
-	vp := world.ArkVPs[1]
-	targets := HostTargets(world.MLabServers())
-	import1 := Campaign(world, vp.Host.Endpoint, targets, DefaultCollect().Artifacts, 42)
-	import2 := Campaign(world, vp.Host.Endpoint, targets, DefaultCollect().Artifacts, 42)
+	vp := world().ArkVPs[1]
+	targets := HostTargets(world().MLabServers())
+	import1 := Campaign(world(), vp.Host.Endpoint, targets, DefaultCollect().Artifacts, 42)
+	import2 := Campaign(world(), vp.Host.Endpoint, targets, DefaultCollect().Artifacts, 42)
 	if len(import1) != len(import2) {
 		t.Fatal("campaign lengths differ")
 	}
@@ -111,8 +111,8 @@ func TestCampaignDeterministic(t *testing.T) {
 
 // TestCampaignSkipsSelfTarget: probing one's own address is skipped.
 func TestCampaignSkipsSelfTarget(t *testing.T) {
-	vp := world.ArkVPs[0]
-	traces := Campaign(world, vp.Host.Endpoint,
+	vp := world().ArkVPs[0]
+	traces := Campaign(world(), vp.Host.Endpoint,
 		[]routing.Endpoint{vp.Host.Endpoint}, DefaultCollect().Artifacts, 1)
 	if len(traces) != 0 {
 		t.Errorf("self-target produced %d traces", len(traces))

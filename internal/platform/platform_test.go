@@ -3,6 +3,7 @@ package platform
 import (
 	"context"
 	"math"
+	"sync"
 	"testing"
 
 	"throughputlab/internal/datasets"
@@ -12,7 +13,10 @@ import (
 	"throughputlab/internal/traceroute"
 )
 
-var world = topogen.MustGenerate(topogen.SmallConfig())
+// world is the package's shared small world, generated on first use.
+var world = sync.OnceValue(func() *topogen.World {
+	return topogen.MustGenerate(topogen.SmallConfig())
+})
 
 // collect materializes a campaign through CollectParallelCtx, the batch
 // corpus every streamed and faulted variant is compared against.
@@ -28,7 +32,7 @@ func smallCollect() CollectConfig {
 }
 
 func TestBuildPopulation(t *testing.T) {
-	hh := BuildPopulation(world, 4, 3)
+	hh := BuildPopulation(world(), 4, 3)
 	if len(hh) == 0 {
 		t.Fatal("no households")
 	}
@@ -64,7 +68,7 @@ func TestBuildPopulation(t *testing.T) {
 }
 
 func TestCollectCorpus(t *testing.T) {
-	corpus, err := collect(world, smallCollect(), 1)
+	corpus, err := collect(world(), smallCollect(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,13 +112,13 @@ func TestCollectCorpus(t *testing.T) {
 }
 
 func TestCollectDiurnalVolume(t *testing.T) {
-	corpus, err := collect(world, smallCollect(), 1)
+	corpus, err := collect(world(), smallCollect(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var bins stats.HourBins
 	for _, ts := range corpus.Tests {
-		m := world.Topo.MustMetro(ts.ClientMetro)
+		m := world().Topo.MustMetro(ts.ClientMetro)
 		bins.Add(m.LocalHour(ts.StartMinute), 1)
 	}
 	c := bins.Counts()
@@ -126,7 +130,7 @@ func TestCollectDiurnalVolume(t *testing.T) {
 }
 
 func TestCollectISPWeighting(t *testing.T) {
-	corpus, err := collect(world, smallCollect(), 1)
+	corpus, err := collect(world(), smallCollect(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,12 +147,12 @@ func TestCollectISPWeighting(t *testing.T) {
 func TestBattleForNetMultipliesTests(t *testing.T) {
 	cfg := smallCollect()
 	cfg.Tests = 300
-	base, err := collect(world, cfg, 1)
+	base, err := collect(world(), cfg, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg.BattleForNet = true
-	bfn, err := collect(world, cfg, 1)
+	bfn, err := collect(world(), cfg, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,10 +185,12 @@ func TestBattleForNetMultipliesTests(t *testing.T) {
 
 func TestCongestedPairShowsDiurnalDrop(t *testing.T) {
 	// The full pipeline reproduces the Figure 5a signal: AT&T clients
-	// testing against GTT Atlanta collapse at peak.
+	// testing against GTT Atlanta collapse at peak. 8,000 tests is the
+	// smallest round campaign with five off-peak samples on the pair
+	// (4,000 has one).
 	cfg := smallCollect()
-	cfg.Tests = 4000
-	corpus, err := collect(world, cfg, 1)
+	cfg.Tests = 8000
+	corpus, err := collect(world(), cfg, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,7 +199,7 @@ func TestCongestedPairShowsDiurnalDrop(t *testing.T) {
 		if ts.ClientISP != "AT&T" || ts.ServerNet != "GTT" || ts.ServerMetro != "atl" {
 			continue
 		}
-		h := world.Topo.MustMetro(ts.ClientMetro).LocalHour(ts.StartMinute)
+		h := world().Topo.MustMetro(ts.ClientMetro).LocalHour(ts.StartMinute)
 		switch {
 		case h >= 20 && h < 23:
 			peak = append(peak, ts.DownMbps)
@@ -202,7 +208,7 @@ func TestCongestedPairShowsDiurnalDrop(t *testing.T) {
 		}
 	}
 	if len(peak) < 5 || len(off) < 5 {
-		t.Skipf("not enough AT&T/GTT-atl samples (peak %d, off %d)", len(peak), len(off))
+		t.Fatalf("not enough AT&T/GTT-atl samples (peak %d, off %d)", len(peak), len(off))
 	}
 	mp, mo := stats.Median(peak), stats.Median(off)
 	if mp > mo*0.5 {
@@ -212,27 +218,27 @@ func TestCongestedPairShowsDiurnalDrop(t *testing.T) {
 
 func TestEndpointForAddr(t *testing.T) {
 	// Client pool address attaches at the access router.
-	cli, _ := world.NewClient("Comcast", "nyc")
-	ep, ok := EndpointForAddr(world, cli.Addr)
+	cli, _ := world().NewClient("Comcast", "nyc")
+	ep, ok := EndpointForAddr(world(), cli.Addr)
 	if !ok {
 		t.Fatal("client addr should resolve")
 	}
 	if ep.Metro != "nyc" {
 		t.Errorf("client endpoint metro %s, want nyc", ep.Metro)
 	}
-	if world.Topo.Router(ep.Router).Kind.String() != "access" {
-		t.Errorf("client endpoint attaches at %v router", world.Topo.Router(ep.Router).Kind)
+	if world().Topo.Router(ep.Router).Kind.String() != "access" {
+		t.Errorf("client endpoint attaches at %v router", world().Topo.Router(ep.Router).Kind)
 	}
 	// Unrouted space fails.
-	if _, ok := EndpointForAddr(world, netaddr.MustParseAddr("203.0.113.7")); ok {
+	if _, ok := EndpointForAddr(world(), netaddr.MustParseAddr("203.0.113.7")); ok {
 		t.Error("unrouted address should not resolve")
 	}
 }
 
 func TestRoutedPrefixTargets(t *testing.T) {
-	targets := RoutedPrefixTargets(world)
-	if len(targets) < world.Topo.NumASes() {
-		t.Errorf("only %d targets for %d ASes", len(targets), world.Topo.NumASes())
+	targets := RoutedPrefixTargets(world())
+	if len(targets) < world().Topo.NumASes() {
+		t.Errorf("only %d targets for %d ASes", len(targets), world().Topo.NumASes())
 	}
 	seen := map[netaddr.Addr]bool{}
 	for _, tg := range targets {
@@ -244,9 +250,9 @@ func TestRoutedPrefixTargets(t *testing.T) {
 }
 
 func TestCampaign(t *testing.T) {
-	vp := world.ArkVPs[0]
-	targets := HostTargets(world.MLabServers())
-	traces := Campaign(world, vp.Host.Endpoint, targets, traceroute.Clean(), 5)
+	vp := world().ArkVPs[0]
+	targets := HostTargets(world().MLabServers())
+	traces := Campaign(world(), vp.Host.Endpoint, targets, traceroute.Clean(), 5)
 	if len(traces) != len(targets) {
 		t.Errorf("campaign produced %d/%d traces", len(traces), len(targets))
 	}
@@ -261,8 +267,8 @@ func TestCampaign(t *testing.T) {
 }
 
 func TestAlexaTargets(t *testing.T) {
-	t1 := AlexaTargets(world, "nyc")
-	t2 := AlexaTargets(world, "lax")
+	t1 := AlexaTargets(world(), "nyc")
+	t2 := AlexaTargets(world(), "lax")
 	if len(t1) < 20 || len(t2) < 20 {
 		t.Fatalf("too few alexa targets: %d / %d", len(t1), len(t2))
 	}
@@ -297,9 +303,10 @@ func TestTestVolumeShape(t *testing.T) {
 func BenchmarkCollect(b *testing.B) {
 	cfg := smallCollect()
 	cfg.Tests = 500
+	w := world()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := collect(world, cfg, 1); err != nil {
+		if _, err := collect(w, cfg, 1); err != nil {
 			b.Fatal(err)
 		}
 	}

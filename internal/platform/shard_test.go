@@ -34,13 +34,13 @@ func corpusHash(c *Corpus) uint64 {
 // (stream.For's inline path) is the same corpus as any fan-out.
 func TestCollectParallelDeterminism(t *testing.T) {
 	cfg := smallCollect()
-	serial, err := collect(world, cfg, 1)
+	serial, err := collect(world(), cfg, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := corpusHash(serial)
 	for _, workers := range []int{1, 2, 3, 8} {
-		c, err := collect(world, cfg, workers)
+		c, err := collect(world(), cfg, workers)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -52,7 +52,7 @@ func TestCollectParallelDeterminism(t *testing.T) {
 	// actually sensitive to the draws).
 	cfg2 := cfg
 	cfg2.Seed++
-	other, err := collect(world, cfg2, 1)
+	other, err := collect(world(), cfg2, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,7 +64,7 @@ func TestCollectParallelDeterminism(t *testing.T) {
 	// valid) corpus.
 	cfg3 := cfg
 	cfg3.Shards = DefaultShards * 2
-	resharded, err := collect(world, cfg3, 1)
+	resharded, err := collect(world(), cfg3, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,11 +79,11 @@ func TestCollectBattleForNetParallel(t *testing.T) {
 	cfg := smallCollect()
 	cfg.Tests = 300
 	cfg.BattleForNet = true
-	serial, err := collect(world, cfg, 1)
+	serial, err := collect(world(), cfg, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := collect(world, cfg, 4)
+	par, err := collect(world(), cfg, 4)
 	if err != nil {
 		t.Fatal(err)
 	}

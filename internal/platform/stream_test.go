@@ -15,7 +15,7 @@ func collectViaStream(t *testing.T, cfg CollectConfig, workers int) (*Corpus, *S
 	corpus := &Corpus{}
 	lastID := -1
 	lastWatermark := -1
-	st, err := CollectStreamCtx(context.Background(), world, cfg, workers, func(c *Chunk) error {
+	st, err := CollectStreamCtx(context.Background(), world(), cfg, workers, func(c *Chunk) error {
 		if c.FirstID <= lastID {
 			t.Errorf("chunk %d FirstID %d not after previous id %d", c.Index, c.FirstID, lastID)
 		}
@@ -42,7 +42,7 @@ func collectViaStream(t *testing.T, cfg CollectConfig, workers int) (*Corpus, *S
 // larger than the campaign.
 func TestCollectStreamMatchesBatch(t *testing.T) {
 	base := smallCollect()
-	batch, err := collect(world, base, 1)
+	batch, err := collect(world(), base, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +86,7 @@ func effectiveChunk(chunk int) int {
 // the surviving records must hash identically.
 func TestCollectStreamMatchesBatchUnderFaults(t *testing.T) {
 	base := heavyCollect()
-	batch, err := collect(world, base, 1)
+	batch, err := collect(world(), base, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +139,7 @@ func TestCollectStreamSinkError(t *testing.T) {
 	cfg.ChunkTests = 100
 	for _, workers := range []int{2, 8} {
 		lastIndex := -1
-		_, err := CollectStreamCtx(context.Background(), world, cfg, workers, func(c *Chunk) error {
+		_, err := CollectStreamCtx(context.Background(), world(), cfg, workers, func(c *Chunk) error {
 			if c.Index != lastIndex+1 {
 				t.Errorf("workers=%d: chunk %d delivered after %d (out of order)", workers, c.Index, lastIndex)
 			}

@@ -2,34 +2,107 @@ package report
 
 import (
 	"context"
+	"fmt"
+	"hash/fnv"
+	"os"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 
 	"throughputlab/internal/core"
 	"throughputlab/internal/experiments"
+	"throughputlab/internal/export"
 	"throughputlab/internal/ndt"
 	"throughputlab/internal/platform"
 	"throughputlab/internal/signatures"
 )
 
-var env = func() *experiments.Env {
+// The shared fixtures are built on first use and are passive: no test
+// changes them. TestMain checks both after the tests.
+
+// passive holds one check per shared fixture built so far.
+var passive []func() error
+
+// env is the shared campaign at experiments.QuickOptions.
+var env = sync.OnceValue(func() *experiments.Env {
 	e, err := experiments.NewEnvCtx(context.Background(), experiments.QuickOptions())
 	if err != nil {
 		panic(err)
 	}
+	want := envDigest(e)
+	passive = append(passive, func() error {
+		if got := envDigest(e); got != want {
+			return fmt.Errorf("shared Env digest %#x, want %#x as built: a test changed it", got, want)
+		}
+		return nil
+	})
 	return e
-}()
+})
 
 // built is the StreamBuilder's report over the shared campaign, in
 // streamBuild's two-read order.
-var built = func() *Report {
-	r, err := streamBuild(DefaultConfig(), env.Opts.Collect, 1)
+var built = sync.OnceValue(func() *Report {
+	r, err := streamBuild(DefaultConfig(), env().Opts.Collect, 1)
 	if err != nil {
 		panic(err)
 	}
+	want := reportDigest(r)
+	passive = append(passive, func() error {
+		if got := reportDigest(r); got != want {
+			return fmt.Errorf("shared report digest %#x, want %#x as built: a test changed it", got, want)
+		}
+		return nil
+	})
 	return r
-}()
+})
+
+// envDigest hashes what a test can observe of an Env: its options and
+// world identity, the links' capacity and utilization, the corpus,
+// MAP-IT's inference and the matching.
+func envDigest(e *experiments.Env) uint64 {
+	h := fnv.New64a()
+	fmt.Fprintf(h, "%+v\n%p\n", e.Opts, e.World)
+	for _, l := range e.World.Topo.Links() {
+		fmt.Fprintf(h, "%g %g %g\n", l.CapacityMbps, l.BaseUtil, l.PeakUtil)
+	}
+	// The corpus codec round-trips every test and trace field, so the
+	// corpus's encoding digests it.
+	c := e.Corpus
+	cw, err := export.NewColumnarWriter(h, export.Public{}, export.StreamMeta{}, 1)
+	if err == nil {
+		err = cw.WriteChunk(&platform.Chunk{Tests: c.Tests, Traces: c.Traces})
+	}
+	if err == nil {
+		err = cw.Close()
+	}
+	if err != nil {
+		panic(err)
+	}
+	fmt.Fprintf(h, "%d %+v\n", c.TestsWithoutTrace, c.Completeness)
+	fmt.Fprintf(h, "%v\n%v\n", e.Inference.Operator, e.Inference.Links)
+	fmt.Fprintf(h, "%d %d %v\n", e.Matching.Total, e.Matching.Degraded, e.Matching.ByTest)
+	return h.Sum64()
+}
+
+// reportDigest hashes a report's findings and its rendering.
+func reportDigest(r *Report) uint64 {
+	h := fnv.New64a()
+	fmt.Fprintf(h, "%+v\n%d %d %+v\n", r.Findings, r.Congested, r.Ambiguous, r.Completeness)
+	h.Write([]byte(r.Render()))
+	return h.Sum64()
+}
+
+func TestMain(m *testing.M) {
+	code := m.Run()
+	for _, check := range passive {
+		if err := check(); err != nil {
+			fmt.Fprintln(os.Stderr, "passivity check failed:", err)
+			code = 1
+		}
+	}
+	os.Exit(code)
+}
 
 // batchBuild is the reference the streaming builder is checked
 // against: the in-memory assembly over a fully materialized Env — one
@@ -130,8 +203,9 @@ func batchBuild(e *experiments.Env, cfg Config) *Report {
 }
 
 func findingFor(net, metro, isp string) *Finding {
-	for i := range built.Findings {
-		f := &built.Findings[i]
+	rep := built()
+	for i := range rep.Findings {
+		f := &rep.Findings[i]
 		if f.ServerNet == net && f.ServerMetro == metro && f.ClientISP == isp {
 			return f
 		}
@@ -140,19 +214,20 @@ func findingFor(net, metro, isp string) *Finding {
 }
 
 func TestBuildProducesFindings(t *testing.T) {
-	if len(built.Findings) < 10 {
-		t.Fatalf("only %d findings", len(built.Findings))
+	rep := built()
+	if len(rep.Findings) < 10 {
+		t.Fatalf("only %d findings", len(rep.Findings))
 	}
 	// Sorted by (net, metro, isp).
-	for i := 1; i < len(built.Findings); i++ {
-		a, b := built.Findings[i-1], built.Findings[i]
+	for i := 1; i < len(rep.Findings); i++ {
+		a, b := rep.Findings[i-1], rep.Findings[i]
 		ka := a.ServerNet + "|" + a.ServerMetro + "|" + a.ClientISP
 		kb := b.ServerNet + "|" + b.ServerMetro + "|" + b.ClientISP
 		if ka > kb {
 			t.Fatal("findings unsorted")
 		}
 	}
-	for _, f := range built.Findings {
+	for _, f := range rep.Findings {
 		if f.Tests < DefaultConfig().MinTests {
 			t.Fatalf("finding below MinTests: %+v", f)
 		}
@@ -191,9 +266,10 @@ func TestChallengeCaveatsAppear(t *testing.T) {
 	// Cox groups are mostly multi-hop, so their findings (when large
 	// enough) should carry the Assumption-2 caveat; at minimum, SOME
 	// finding carries SOME caveat.
+	rep := built()
 	caveated := 0
 	assumption2 := 0
-	for _, f := range built.Findings {
+	for _, f := range rep.Findings {
 		if len(f.Caveats) > 0 {
 			caveated++
 		}
@@ -223,18 +299,20 @@ func TestGradeString(t *testing.T) {
 }
 
 func TestRender(t *testing.T) {
-	out := built.Render()
+	rep := built()
+	out := rep.Render()
 	if !strings.Contains(out, "congested") {
 		t.Error("render missing summary")
 	}
-	if built.Congested > 0 && !strings.Contains(out, "congested (") {
+	if rep.Congested > 0 && !strings.Contains(out, "congested (") {
 		t.Error("congested findings not rendered")
 	}
 }
 
 func TestCongestedCountsConsistent(t *testing.T) {
+	rep := built()
 	cong, amb := 0, 0
-	for _, f := range built.Findings {
+	for _, f := range rep.Findings {
 		switch f.Grade {
 		case CongestedHighConfidence, CongestedLowConfidence:
 			cong++
@@ -242,8 +320,8 @@ func TestCongestedCountsConsistent(t *testing.T) {
 			amb++
 		}
 	}
-	if cong != built.Congested || amb != built.Ambiguous {
-		t.Errorf("summary counts (%d,%d) != recount (%d,%d)", built.Congested, built.Ambiguous, cong, amb)
+	if cong != rep.Congested || amb != rep.Ambiguous {
+		t.Errorf("summary counts (%d,%d) != recount (%d,%d)", rep.Congested, rep.Ambiguous, cong, amb)
 	}
 	if cong == 0 {
 		t.Error("the default scenario has saturated interconnections; the report should find at least one")
@@ -251,7 +329,7 @@ func TestCongestedCountsConsistent(t *testing.T) {
 }
 
 func TestZeroConfigDefaults(t *testing.T) {
-	r, err := streamBuild(Config{}, env.Opts.Collect, 1)
+	r, err := streamBuild(Config{}, env().Opts.Collect, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -264,7 +342,7 @@ func TestZeroConfigDefaults(t *testing.T) {
 // in memory — the CLI's default report mode without the collection.
 func BenchmarkBuild(b *testing.B) {
 	var chunks []*platform.Chunk
-	st, err := platform.CollectStreamCtx(context.Background(), env.World, env.Opts.Collect, 1, func(c *platform.Chunk) error {
+	st, err := platform.CollectStreamCtx(context.Background(), env().World, env().Opts.Collect, 1, func(c *platform.Chunk) error {
 		chunks = append(chunks, c)
 		return nil
 	})
@@ -275,7 +353,7 @@ func BenchmarkBuild(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sb := NewStreamBuilder(cfg, MetroHourOf(), env.MapItOpts())
+		sb := NewStreamBuilder(cfg, MetroHourOf(), env().MapItOpts())
 		for _, c := range chunks {
 			sb.AddTraces(c.Traces)
 		}
@@ -291,7 +369,8 @@ func BenchmarkBuild(b *testing.B) {
 }
 
 func TestRecommendations(t *testing.T) {
-	recs := built.Recommendations()
+	rep := built()
+	recs := rep.Recommendations()
 	if len(recs) == 0 {
 		t.Fatal("the default corpus exhibits several §7 problems; recommendations expected")
 	}
@@ -306,7 +385,7 @@ func TestRecommendations(t *testing.T) {
 		t.Error("missing the §4.3 stratification recommendation")
 	}
 	// And they surface in the render.
-	if !strings.Contains(built.Render(), "recommendations (§7):") {
+	if !strings.Contains(rep.Render(), "recommendations (§7):") {
 		t.Error("render missing recommendations")
 	}
 	// Empty report: no recommendations.

@@ -26,17 +26,17 @@ import (
 // TestStreamReportPipelinedStages covers the one-read order. ccfg.Obs,
 // when set, also instruments the builder.
 func streamBuild(cfg Config, ccfg platform.CollectConfig, workers int) (*Report, error) {
-	opts := env.MapItOpts()
+	opts := env().MapItOpts()
 	opts.Obs = ccfg.Obs
 	b := NewStreamBuilder(cfg, MetroHourOf(), opts)
-	if _, err := platform.CollectStreamCtx(context.Background(), env.World, ccfg, workers, func(c *platform.Chunk) error {
+	if _, err := platform.CollectStreamCtx(context.Background(), env().World, ccfg, workers, func(c *platform.Chunk) error {
 		b.AddTraces(c.Traces)
 		return nil
 	}); err != nil {
 		return nil, err
 	}
 	b.FinishInference()
-	st, err := platform.CollectStreamCtx(context.Background(), env.World, ccfg, workers, func(c *platform.Chunk) error {
+	st, err := platform.CollectStreamCtx(context.Background(), env().World, ccfg, workers, func(c *platform.Chunk) error {
 		b.AddTests(c.Tests)
 		b.AddMatch(c.Tests, c.Traces, c.Watermark)
 		return nil
@@ -63,9 +63,9 @@ func streamReport(t *testing.T, ccfg platform.CollectConfig, workers int) *Repor
 // the batch reference, including the world-free MetroHourOf standing
 // in for Env.HourOf.
 func TestStreamReportMatchesBatch(t *testing.T) {
-	want := batchBuild(env, DefaultConfig()).Render()
+	want := batchBuild(env(), DefaultConfig()).Render()
 	for _, workers := range []int{1, 4} {
-		cfg := env.Opts.Collect
+		cfg := env().Opts.Collect
 		cfg.ChunkTests = 1024
 		got := streamReport(t, cfg, workers).Render()
 		if got != want {
@@ -82,11 +82,11 @@ func TestStreamReportMatchesBatch(t *testing.T) {
 // stages hold disjoint state, so only their per-stage publication
 // order matters, which the pipeline preserves.
 func TestStreamReportPipelinedStages(t *testing.T) {
-	want := batchBuild(env, DefaultConfig()).Render()
-	cfg := env.Opts.Collect
+	want := batchBuild(env(), DefaultConfig()).Render()
+	cfg := env().Opts.Collect
 	cfg.ChunkTests = 512
 	for _, workers := range []int{1, 2, 8} {
-		b := NewStreamBuilder(DefaultConfig(), MetroHourOf(), env.MapItOpts())
+		b := NewStreamBuilder(DefaultConfig(), MetroHourOf(), env().MapItOpts())
 		p := stream.NewPipeline("report", 4, nil,
 			stream.Stage[*platform.Chunk]{Name: "mapit", Fn: func(c *platform.Chunk) error {
 				b.AddTraces(c.Traces)
@@ -101,7 +101,7 @@ func TestStreamReportPipelinedStages(t *testing.T) {
 				return nil
 			}},
 		)
-		st, err := platform.CollectStreamCtx(context.Background(), env.World, cfg, workers, p.Send)
+		st, err := platform.CollectStreamCtx(context.Background(), env().World, cfg, workers, p.Send)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -123,8 +123,8 @@ func TestStreamReportPipelinedStages(t *testing.T) {
 // report byte-identical to the uninstrumented batch reference.
 // Telemetry observes the campaign; it must never steer it.
 func TestStreamReportTelemetryByteIdentical(t *testing.T) {
-	want := batchBuild(env, DefaultConfig()).Render()
-	cfg := env.Opts.Collect
+	want := batchBuild(env(), DefaultConfig()).Render()
+	cfg := env().Opts.Collect
 	cfg.ChunkTests = 1024
 	for _, workers := range []int{1, 4} {
 		reg := obs.NewRegistry()
@@ -153,20 +153,20 @@ func TestStreamReportTelemetryByteIdentical(t *testing.T) {
 // degraded campaign, where completeness ledgers and degraded-pair
 // exclusions flow through the streamed path too.
 func TestStreamReportMatchesBatchUnderFaults(t *testing.T) {
-	cfg := env.Opts.Collect
+	cfg := env().Opts.Collect
 	cfg.Tests = 4000
 	cfg.Faults = faults.Heavy()
 	cfg.ChunkTests = 512
 
-	corpus, err := platform.CollectParallelCtx(context.Background(), env.World, cfg, 1)
+	corpus, err := platform.CollectParallelCtx(context.Background(), env().World, cfg, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	fe := &experiments.Env{
-		Opts:      env.Opts,
-		World:     env.World,
+		Opts:      env().Opts,
+		World:     env().World,
 		Corpus:    corpus,
-		Inference: mapit.Run(corpus.Traces, env.MapItOpts()),
+		Inference: mapit.Run(corpus.Traces, env().MapItOpts()),
 		Matching:  core.MatchTraces(corpus.Tests, corpus.Traces, core.PrimaryWindowMin, core.PrimaryMode),
 	}
 	want := batchBuild(fe, DefaultConfig()).Render()
@@ -184,10 +184,10 @@ func TestStreamReportMatchesBatchUnderFaults(t *testing.T) {
 // ByTest: it must equal the batch matcher's pair count over the same
 // campaign.
 func TestStreamMatchPairsGauge(t *testing.T) {
-	cfg := env.Opts.Collect
+	cfg := env().Opts.Collect
 	cfg.Tests = 2000
 	cfg.ChunkTests = 256
-	corpus, err := platform.CollectParallelCtx(context.Background(), env.World, cfg, 1)
+	corpus, err := platform.CollectParallelCtx(context.Background(), env().World, cfg, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -218,8 +218,8 @@ func firstDiff(want, got string) string {
 // shared campaign, at most n of them.
 func matchedPairs(t *testing.T, n int) (tests []*ndt.Test, traces []*traceroute.Trace) {
 	t.Helper()
-	for _, tst := range env.Corpus.Tests {
-		if tr := env.Matching.ByTest[tst.ID]; tr != nil && len(tests) < n {
+	for _, tst := range env().Corpus.Tests {
+		if tr := env().Matching.ByTest[tst.ID]; tr != nil && len(tests) < n {
 			tests, traces = append(tests, tst), append(traces, tr)
 		}
 	}
@@ -234,8 +234,8 @@ func matchedPairs(t *testing.T, n int) (tests []*ndt.Test, traces []*traceroute.
 // pair's group and link set exist, Finish's labelling allocates nothing
 // either, whatever the number of pairs.
 func TestOnPairAllocFree(t *testing.T) {
-	b := NewStreamBuilder(DefaultConfig(), MetroHourOf(), env.MapItOpts())
-	b.AddTraces(env.Corpus.Traces)
+	b := NewStreamBuilder(DefaultConfig(), MetroHourOf(), env().MapItOpts())
+	b.AddTraces(env().Corpus.Traces)
 	b.FinishInference()
 	tests, traces := matchedPairs(t, 500)
 	deferAll := func() {
@@ -312,10 +312,10 @@ func TestDeferredLabellingMatchesImmediate(t *testing.T) {
 		for _, chunk := range []int{1, 7, 600} {
 			for _, workers := range []int{1, 2} {
 				name := fmt.Sprintf("%s/chunk=%d/workers=%d", profile.Name, chunk, workers)
-				cfg := env.Opts.Collect
+				cfg := env().Opts.Collect
 				cfg.Tests, cfg.ChunkTests, cfg.Faults = 600, chunk, profile
 				collect := func(fn func(*platform.Chunk) error) platform.Completeness {
-					st, err := platform.CollectStreamCtx(context.Background(), env.World, cfg, workers, fn)
+					st, err := platform.CollectStreamCtx(context.Background(), env().World, cfg, workers, fn)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -323,7 +323,7 @@ func TestDeferredLabellingMatchesImmediate(t *testing.T) {
 				}
 
 				reg := obs.NewRegistry()
-				opts := env.MapItOpts()
+				opts := env().MapItOpts()
 				opts.Workers, opts.Obs = workers, reg
 				b := NewStreamBuilder(DefaultConfig(), MetroHourOf(), opts)
 				comp := collect(func(c *platform.Chunk) error {

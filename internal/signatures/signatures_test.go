@@ -2,6 +2,7 @@ package signatures
 
 import (
 	"context"
+	"sync"
 	"testing"
 
 	"throughputlab/internal/ndt"
@@ -9,18 +10,22 @@ import (
 	"throughputlab/internal/topogen"
 )
 
+// world and its corpus are the package's shared fixtures, built on
+// first use.
 var (
-	world  = topogen.MustGenerate(topogen.SmallConfig())
-	corpus = func() *platform.Corpus {
+	world = sync.OnceValue(func() *topogen.World {
+		return topogen.MustGenerate(topogen.SmallConfig())
+	})
+	corpus = sync.OnceValue(func() *platform.Corpus {
 		cfg := platform.DefaultCollect()
 		cfg.Tests = 4000
 		cfg.PerPoolClients = 8
-		c, err := platform.CollectParallelCtx(context.Background(), world, cfg, 1)
+		c, err := platform.CollectParallelCtx(context.Background(), world(), cfg, 1)
 		if err != nil {
 			panic(err)
 		}
 		return c
-	}()
+	})
 )
 
 func TestSelfInflation(t *testing.T) {
@@ -69,8 +74,8 @@ func TestVerdictString(t *testing.T) {
 // meanRTT, loss) — fields real NDT already logs.
 func TestEndToEndSeparation(t *testing.T) {
 	var peak []*ndt.Test
-	for _, ts := range corpus.Tests {
-		h := world.Topo.MustMetro(ts.ClientMetro).LocalHour(ts.StartMinute)
+	for _, ts := range corpus().Tests {
+		h := world().Topo.MustMetro(ts.ClientMetro).LocalHour(ts.StartMinute)
 		if h >= 18 && h < 23 {
 			peak = append(peak, ts)
 		}
@@ -99,7 +104,7 @@ func TestEndToEndSeparation(t *testing.T) {
 // tests inflate their own RTT.
 func TestExternalFlowsStartHigh(t *testing.T) {
 	var extInfl, selfInfl []float64
-	for _, ts := range corpus.Tests {
+	for _, ts := range corpus().Tests {
 		f := Extract(ts)
 		if ts.TruthSaturated {
 			extInfl = append(extInfl, f.SelfInflation())
@@ -124,7 +129,7 @@ func TestExternalFlowsStartHigh(t *testing.T) {
 }
 
 func TestEvaluateCounts(t *testing.T) {
-	c := Evaluate(corpus.Tests[:100], DefaultConfig())
+	c := Evaluate(corpus().Tests[:100], DefaultConfig())
 	if c.Total != 100 {
 		t.Errorf("total %d", c.Total)
 	}
@@ -149,8 +154,9 @@ func BenchmarkClassify(b *testing.B) {
 
 func BenchmarkEvaluate(b *testing.B) {
 	cfg := DefaultConfig()
+	tests := corpus().Tests
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		Evaluate(corpus.Tests, cfg)
+		Evaluate(tests, cfg)
 	}
 }

@@ -1,18 +1,20 @@
 package topogen
 
 import (
+	"sync"
 	"testing"
 
 	"throughputlab/internal/datasets"
 	"throughputlab/internal/topology"
 )
 
-// smallWorld is shared across tests (generation is the expensive part).
-var smallWorld = MustGenerate(SmallConfig())
+// smallWorld is shared across tests (generation is the expensive part)
+// and generated on first use.
+var smallWorld = sync.OnceValue(func() *World { return MustGenerate(SmallConfig()) })
 
 func TestGeneratedTopologyValid(t *testing.T) {
 	// Generate validates internally; double-check here explicitly.
-	if errs := smallWorld.Topo.Validate(1, nil); len(errs) != 0 {
+	if errs := smallWorld().Topo.Validate(1, nil); len(errs) != 0 {
 		for i, e := range errs {
 			if i > 10 {
 				break
@@ -50,7 +52,7 @@ func TestSeedChangesWorld(t *testing.T) {
 	cfg := SmallConfig()
 	cfg.Seed = 99
 	w2 := MustGenerate(cfg)
-	l1, l2 := smallWorld.Topo.Links(), w2.Topo.Links()
+	l1, l2 := smallWorld().Topo.Links(), w2.Topo.Links()
 	if len(l1) == len(l2) {
 		same := true
 		for i := range l1 {
@@ -67,7 +69,7 @@ func TestSeedChangesWorld(t *testing.T) {
 
 func TestAccessISPsPresent(t *testing.T) {
 	for _, p := range datasets.AccessISPs() {
-		an := smallWorld.Access[p.Name]
+		an := smallWorld().Access[p.Name]
 		if an == nil {
 			t.Errorf("%s missing from world", p.Name)
 			continue
@@ -79,7 +81,7 @@ func TestAccessISPsPresent(t *testing.T) {
 			if pi.AccessLine == nil || pi.AccessLine.Kind != topology.LinkAccessLine {
 				t.Errorf("%s/%s pool lacks access line", p.Name, m)
 			}
-			if smallWorld.Topo.AS(pi.ASN) == nil {
+			if smallWorld().Topo.AS(pi.ASN) == nil {
 				t.Errorf("%s/%s pool ASN %d unknown", p.Name, m, pi.ASN)
 			}
 			// Pool ASN belongs to the ISP's org.
@@ -102,9 +104,9 @@ func containsASN(xs []topology.ASN, v topology.ASN) bool {
 func TestTransitAccessAdjacency(t *testing.T) {
 	// Every profiled transit peer/provider must be realized as at least
 	// one interdomain link between the orgs.
-	topo := smallWorld.Topo
+	topo := smallWorld().Topo
 	for _, p := range datasets.AccessISPs() {
-		an := smallWorld.Access[p.Name]
+		an := smallWorld().Access[p.Name]
 		for _, tn := range append(append([]string{}, p.TransitPeers...), p.TransitProviders...) {
 			found := false
 			for _, tr := range datasets.Transits() {
@@ -132,8 +134,8 @@ func TestTransitAccessAdjacency(t *testing.T) {
 
 func TestCongestionApplied(t *testing.T) {
 	// The GTT-AT&T Atlanta interconnect must exist and saturate at peak.
-	topo := smallWorld.Topo
-	att := smallWorld.Access["AT&T"]
+	topo := smallWorld().Topo
+	att := smallWorld().Access["AT&T"]
 	var found bool
 	for _, aa := range att.Org.ASNs {
 		for _, l := range topo.InterdomainLinks(3257, aa) {
@@ -146,7 +148,7 @@ func TestCongestionApplied(t *testing.T) {
 		t.Error("GTT-AT&T atl congested link missing (Figure 5a driver)")
 	}
 	// GTT-Comcast atl busy but not saturated.
-	com := smallWorld.Access["Comcast"]
+	com := smallWorld().Access["Comcast"]
 	var busy bool
 	for _, aa := range com.Org.ASNs {
 		for _, l := range topo.InterdomainLinks(3257, aa) {
@@ -161,13 +163,13 @@ func TestCongestionApplied(t *testing.T) {
 }
 
 func TestMLabPlacement(t *testing.T) {
-	if len(smallWorld.MLabSites) < 15 {
-		t.Fatalf("only %d M-Lab sites", len(smallWorld.MLabSites))
+	if len(smallWorld().MLabSites) < 15 {
+		t.Fatalf("only %d M-Lab sites", len(smallWorld().MLabSites))
 	}
 	hosts := map[string]bool{}
-	for _, s := range smallWorld.MLabSites {
+	for _, s := range smallWorld().MLabSites {
 		hosts[s.HostNet] = true
-		if len(s.Servers) != smallWorld.Cfg.Scale.ServersPerMLabSite {
+		if len(s.Servers) != smallWorld().Cfg.Scale.ServersPerMLabSite {
 			t.Errorf("site %s has %d servers", s.Name, len(s.Servers))
 		}
 		for _, srv := range s.Servers {
@@ -176,7 +178,7 @@ func TestMLabPlacement(t *testing.T) {
 			}
 			// Server address must resolve to the host network via the
 			// public origin table.
-			origin, ok := smallWorld.Topo.OriginOf(srv.Endpoint.Addr)
+			origin, ok := smallWorld().Topo.OriginOf(srv.Endpoint.Addr)
 			if !ok || origin != srv.Endpoint.ASN {
 				t.Errorf("server %s address origin = %d (ok=%v), want %d", srv.Name, origin, ok, srv.Endpoint.ASN)
 			}
@@ -184,7 +186,7 @@ func TestMLabPlacement(t *testing.T) {
 	}
 	// GTT Atlanta must exist (Figure 5 case study).
 	var gttAtl bool
-	for _, s := range smallWorld.MLabSites {
+	for _, s := range smallWorld().MLabSites {
 		if s.HostNet == "GTT" && s.Metro == "atl" {
 			gttAtl = true
 		}
@@ -198,12 +200,12 @@ func TestMLabPlacement(t *testing.T) {
 }
 
 func TestSpeedtestLargerThanMLab(t *testing.T) {
-	if len(smallWorld.Speedtest) <= len(smallWorld.MLabServers()) {
+	if len(smallWorld().Speedtest) <= len(smallWorld().MLabServers()) {
 		t.Errorf("speedtest fleet (%d) should exceed M-Lab (%d), as in §5.4",
-			len(smallWorld.Speedtest), len(smallWorld.MLabServers()))
+			len(smallWorld().Speedtest), len(smallWorld().MLabServers()))
 	}
 	nets := map[string]bool{}
-	for _, h := range smallWorld.Speedtest {
+	for _, h := range smallWorld().Speedtest {
 		nets[h.Network] = true
 	}
 	if len(nets) < 25 {
@@ -215,22 +217,22 @@ func TestSpeedtestFactorGrowsFleet(t *testing.T) {
 	cfg := SmallConfig()
 	cfg.SpeedtestFactor = 1.45
 	w2 := MustGenerate(cfg)
-	if len(w2.Speedtest) <= len(smallWorld.Speedtest) {
+	if len(w2.Speedtest) <= len(smallWorld().Speedtest) {
 		t.Errorf("factor 1.45 fleet %d not larger than baseline %d",
-			len(w2.Speedtest), len(smallWorld.Speedtest))
+			len(w2.Speedtest), len(smallWorld().Speedtest))
 	}
 	// M-Lab stays flat (§5.4: exactly the same server count).
-	if len(w2.MLabServers()) != len(smallWorld.MLabServers()) {
+	if len(w2.MLabServers()) != len(smallWorld().MLabServers()) {
 		t.Error("M-Lab fleet should not change with the speedtest factor")
 	}
 }
 
 func TestArkVPs(t *testing.T) {
-	if len(smallWorld.ArkVPs) != 16 {
-		t.Fatalf("%d Ark VPs, want 16", len(smallWorld.ArkVPs))
+	if len(smallWorld().ArkVPs) != 16 {
+		t.Fatalf("%d Ark VPs, want 16", len(smallWorld().ArkVPs))
 	}
 	labels := map[string]bool{}
-	for _, vp := range smallWorld.ArkVPs {
+	for _, vp := range smallWorld().ArkVPs {
 		if labels[vp.Label] {
 			t.Errorf("duplicate VP label %s", vp.Label)
 		}
@@ -238,8 +240,8 @@ func TestArkVPs(t *testing.T) {
 		if vp.Host.Endpoint.AccessLine == nil {
 			t.Errorf("VP %s should sit behind an access line", vp.Label)
 		}
-		origin, ok := smallWorld.Topo.OriginOf(vp.Host.Endpoint.Addr)
-		if !ok || !containsASN(smallWorld.Access[vp.ISP].Org.ASNs, origin) {
+		origin, ok := smallWorld().Topo.OriginOf(vp.Host.Endpoint.Addr)
+		if !ok || !containsASN(smallWorld().Access[vp.ISP].Org.ASNs, origin) {
 			t.Errorf("VP %s address not in its ISP's space", vp.Label)
 		}
 	}
@@ -251,7 +253,7 @@ func TestArkVPs(t *testing.T) {
 func TestNewClientDrawsDistinctAddresses(t *testing.T) {
 	seen := map[string]bool{}
 	for i := 0; i < 20; i++ {
-		ep, ok := smallWorld.NewClient("Comcast", "nyc")
+		ep, ok := smallWorld().NewClient("Comcast", "nyc")
 		if !ok {
 			t.Fatal("no Comcast nyc pool")
 		}
@@ -259,22 +261,22 @@ func TestNewClientDrawsDistinctAddresses(t *testing.T) {
 			t.Fatalf("duplicate client address %v", ep.Addr)
 		}
 		seen[ep.Addr.String()] = true
-		origin, _ := smallWorld.Topo.OriginOf(ep.Addr)
+		origin, _ := smallWorld().Topo.OriginOf(ep.Addr)
 		if origin != ep.ASN {
 			t.Errorf("client origin %d != endpoint ASN %d", origin, ep.ASN)
 		}
 	}
-	if _, ok := smallWorld.NewClient("Comcast", "zzz"); ok {
+	if _, ok := smallWorld().NewClient("Comcast", "zzz"); ok {
 		t.Error("unknown metro should fail")
 	}
-	if _, ok := smallWorld.NewClient("NoSuchISP", "nyc"); ok {
+	if _, ok := smallWorld().NewClient("NoSuchISP", "nyc"); ok {
 		t.Error("unknown ISP should fail")
 	}
 }
 
 func TestResolveDomain(t *testing.T) {
 	var cdn, hosted datasets.PopularDomain
-	for _, d := range smallWorld.Domains {
+	for _, d := range smallWorld().Domains {
 		if d.ContentOrg != "" && cdn.Name == "" {
 			cdn = d
 		}
@@ -283,27 +285,27 @@ func TestResolveDomain(t *testing.T) {
 		}
 	}
 	// CDN domain resolves to the nearest replica per metro.
-	hNYC, ok := smallWorld.ResolveDomain(cdn, "nyc")
+	hNYC, ok := smallWorld().ResolveDomain(cdn, "nyc")
 	if !ok {
 		t.Fatalf("cannot resolve %s", cdn.Name)
 	}
-	hLAX, _ := smallWorld.ResolveDomain(cdn, "lax")
+	hLAX, _ := smallWorld().ResolveDomain(cdn, "lax")
 	if hNYC.Endpoint.Metro == hLAX.Endpoint.Metro {
 		t.Logf("CDN %s resolves to same metro from nyc and lax (narrow footprint)", cdn.ContentOrg)
 	}
 	// Hosted domain resolves to a fixed host regardless of metro.
-	h1, ok := smallWorld.ResolveDomain(hosted, "nyc")
+	h1, ok := smallWorld().ResolveDomain(hosted, "nyc")
 	if !ok {
 		t.Fatalf("cannot resolve hosted domain %s", hosted.Name)
 	}
-	h2, _ := smallWorld.ResolveDomain(hosted, "lax")
+	h2, _ := smallWorld().ResolveDomain(hosted, "lax")
 	if h1.Endpoint.Addr != h2.Endpoint.Addr {
 		t.Error("hosted domain should resolve identically everywhere")
 	}
 }
 
 func TestNearestMLabSite(t *testing.T) {
-	sites := smallWorld.NearestMLabSite("atl", 0)
+	sites := smallWorld().NearestMLabSite("atl", 0)
 	if len(sites) == 0 {
 		t.Fatal("no nearest site")
 	}
@@ -313,7 +315,7 @@ func TestNearestMLabSite(t *testing.T) {
 		}
 	}
 	// With slack, more sites qualify (the Battle-for-the-Net variant).
-	wide := smallWorld.NearestMLabSite("atl", 8)
+	wide := smallWorld().NearestMLabSite("atl", 8)
 	if len(wide) <= len(sites) {
 		t.Error("slack should widen the candidate set")
 	}
@@ -326,7 +328,7 @@ func TestRoutesReachability(t *testing.T) {
 			if len(tr.MLabMetros) == 0 {
 				continue
 			}
-			if !smallWorld.Routes.HasRoute(p.BackboneASN, tr.ASN) {
+			if !smallWorld().Routes.HasRoute(p.BackboneASN, tr.ASN) {
 				t.Errorf("%s cannot reach %s", p.Name, tr.Name)
 			}
 		}
@@ -336,16 +338,16 @@ func TestRoutesReachability(t *testing.T) {
 func TestEndToEndPathResolution(t *testing.T) {
 	// A full NDT-like path: GTT Atlanta server to an AT&T client.
 	var server Host
-	for _, s := range smallWorld.MLabSites {
+	for _, s := range smallWorld().MLabSites {
 		if s.HostNet == "GTT" && s.Metro == "atl" {
 			server = s.Servers[0]
 		}
 	}
-	client, ok := smallWorld.NewClient("AT&T", "atl")
+	client, ok := smallWorld().NewClient("AT&T", "atl")
 	if !ok {
 		t.Fatal("no AT&T atl client")
 	}
-	path, err := smallWorld.Resolver.Resolve(server.Endpoint, client, 12345)
+	path, err := smallWorld().Resolver.Resolve(server.Endpoint, client, 12345)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -70,8 +70,8 @@ func TestNormalizeAllArtifactTail(t *testing.T) {
 // enforces: Reached if and only if the final hop is a reply from the
 // destination address.
 func TestTraceUpholdsReachedInvariant(t *testing.T) {
-	srv := world.MLabServers()[0].Endpoint
-	cli, ok := world.NewClient("Comcast", "nyc")
+	srv := world().MLabServers()[0].Endpoint
+	cli, ok := world().NewClient("Comcast", "nyc")
 	if !ok {
 		t.Fatal("no client")
 	}
@@ -80,7 +80,7 @@ func TestTraceUpholdsReachedInvariant(t *testing.T) {
 		{NoReplyProb: 1, DstNoReplyProb: 1},
 		{NoReplyProb: 0.5, ThirdPartyProb: 0.5, DstNoReplyProb: 0.5},
 	} {
-		tr := New(world.Topo, world.Resolver, art)
+		tr := New(world().Topo, world().Resolver, art)
 		rng := rand.New(rand.NewSource(11))
 		for i := 0; i < 50; i++ {
 			trace, err := tr.Trace(srv, cli, uint32(i), 600, rng)

@@ -8,10 +8,10 @@ import (
 // TestTraceToUnroutableFails: tracing toward an endpoint in an unknown
 // AS surfaces an error rather than a fabricated trace.
 func TestTraceToUnroutableFails(t *testing.T) {
-	srv := world.MLabServers()[0].Endpoint
+	srv := world().MLabServers()[0].Endpoint
 	bad := srv
 	bad.ASN = 64999 // unallocated in the world
-	tr := New(world.Topo, world.Resolver, Clean())
+	tr := New(world().Topo, world().Resolver, Clean())
 	if _, err := tr.Trace(srv, bad, 1, 0, nil); err == nil {
 		t.Error("trace to unknown AS should fail")
 	}
@@ -20,9 +20,9 @@ func TestTraceToUnroutableFails(t *testing.T) {
 // TestTraceDNSNamesPropagate: responsive hops carry the PTR names the
 // topology assigned (or none, but never a name from another interface).
 func TestTraceDNSNamesPropagate(t *testing.T) {
-	srv := world.MLabServers()[0].Endpoint
-	cli, _ := world.NewClient("Verizon", "wdc")
-	tr := New(world.Topo, world.Resolver, Clean())
+	srv := world().MLabServers()[0].Endpoint
+	cli, _ := world().NewClient("Verizon", "wdc")
+	tr := New(world().Topo, world().Resolver, Clean())
 	trace, err := tr.Trace(srv, cli, 4, 0, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -32,7 +32,7 @@ func TestTraceDNSNamesPropagate(t *testing.T) {
 		if h.NoReply() {
 			continue
 		}
-		ifc := world.Topo.IfaceByAddr[h.Addr]
+		ifc := world().Topo.IfaceByAddr[h.Addr]
 		if ifc == nil {
 			t.Fatalf("hop %v not an interface", h.Addr)
 		}
@@ -51,13 +51,13 @@ func TestTraceDNSNamesPropagate(t *testing.T) {
 // TestArtifactRatesApproximate: over many traces the realized artifact
 // rates track the configured probabilities.
 func TestArtifactRatesApproximate(t *testing.T) {
-	srv := world.MLabServers()[0].Endpoint
+	srv := world().MLabServers()[0].Endpoint
 	art := Artifacts{NoReplyProb: 0.1, DstNoReplyProb: 0.3}
-	tr := New(world.Topo, world.Resolver, art)
+	tr := New(world().Topo, world().Resolver, art)
 	rng := rand.New(rand.NewSource(11))
 	stars, hops, unreached, traces := 0, 0, 0, 0
 	for i := 0; i < 300; i++ {
-		cli, ok := world.NewClient("Comcast", []string{"nyc", "chi", "lax"}[i%3])
+		cli, ok := world().NewClient("Comcast", []string{"nyc", "chi", "lax"}[i%3])
 		if !ok {
 			continue
 		}
@@ -90,13 +90,13 @@ func TestArtifactRatesApproximate(t *testing.T) {
 // interfaces numbered in the router's own AS (the property MAP-IT's
 // robustness rests on).
 func TestThirdPartyPrefersOwnSpace(t *testing.T) {
-	srv := world.MLabServers()[0].Endpoint
-	clean := New(world.Topo, world.Resolver, Clean())
-	dirty := New(world.Topo, world.Resolver, Artifacts{ThirdPartyProb: 1})
+	srv := world().MLabServers()[0].Endpoint
+	clean := New(world().Topo, world().Resolver, Clean())
+	dirty := New(world().Topo, world().Resolver, Artifacts{ThirdPartyProb: 1})
 	rng := rand.New(rand.NewSource(13))
 	own, foreign := 0, 0
 	for i := 0; i < 200; i++ {
-		cli, ok := world.NewClient("AT&T", []string{"atl", "dfw"}[i%2])
+		cli, ok := world().NewClient("AT&T", []string{"atl", "dfw"}[i%2])
 		if !ok {
 			continue
 		}
@@ -109,7 +109,7 @@ func TestThirdPartyPrefersOwnSpace(t *testing.T) {
 			if base.Hops[j].Addr == tp.Hops[j].Addr || tp.Hops[j].NoReply() {
 				continue
 			}
-			ifc := world.Topo.IfaceByAddr[tp.Hops[j].Addr]
+			ifc := world().Topo.IfaceByAddr[tp.Hops[j].Addr]
 			if ifc == nil {
 				continue
 			}

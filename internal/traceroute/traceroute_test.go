@@ -2,20 +2,24 @@ package traceroute
 
 import (
 	"math/rand"
+	"sync"
 	"testing"
 
 	"throughputlab/internal/topogen"
 )
 
-var world = topogen.MustGenerate(topogen.SmallConfig())
+// world is the package's shared small world, generated on first use.
+var world = sync.OnceValue(func() *topogen.World {
+	return topogen.MustGenerate(topogen.SmallConfig())
+})
 
 func TestTraceCleanPath(t *testing.T) {
-	srv := world.MLabServers()[0].Endpoint
-	cli, ok := world.NewClient("Comcast", "nyc")
+	srv := world().MLabServers()[0].Endpoint
+	cli, ok := world().NewClient("Comcast", "nyc")
 	if !ok {
 		t.Fatal("no client")
 	}
-	tr := New(world.Topo, world.Resolver, Clean())
+	tr := New(world().Topo, world().Resolver, Clean())
 	trace, err := tr.Trace(srv, cli, 1, 600, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -49,7 +53,7 @@ func TestTraceCleanPath(t *testing.T) {
 		if h.NoReply() {
 			continue
 		}
-		if world.Topo.IfaceByAddr[h.Addr] == nil {
+		if world().Topo.IfaceByAddr[h.Addr] == nil {
 			t.Errorf("hop address %v is not a known interface", h.Addr)
 		}
 	}
@@ -58,9 +62,9 @@ func TestTraceCleanPath(t *testing.T) {
 func TestTraceParisConsistency(t *testing.T) {
 	// Same flow entropy → identical hop sequence (that is the point of
 	// Paris traceroute).
-	srv := world.MLabServers()[0].Endpoint
-	cli, _ := world.NewClient("Cox", "atl")
-	tr := New(world.Topo, world.Resolver, Clean())
+	srv := world().MLabServers()[0].Endpoint
+	cli, _ := world().NewClient("Cox", "atl")
+	tr := New(world().Topo, world().Resolver, Clean())
 	t1, err := tr.Trace(srv, cli, 42, 100, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -79,9 +83,9 @@ func TestTraceParisConsistency(t *testing.T) {
 func TestTraceFlowEntropyCanDiverge(t *testing.T) {
 	// Cox has parallel links; across many flow IDs at least two traces
 	// should cross different interdomain interfaces.
-	srv := world.MLabServers()[0].Endpoint
-	cli, _ := world.NewClient("Cox", "atl")
-	tr := New(world.Topo, world.Resolver, Clean())
+	srv := world().MLabServers()[0].Endpoint
+	cli, _ := world().NewClient("Cox", "atl")
+	tr := New(world().Topo, world().Resolver, Clean())
 	seen := map[string]bool{}
 	for e := uint32(0); e < 64; e++ {
 		trace, err := tr.Trace(srv, cli, e, 100, nil)
@@ -100,9 +104,9 @@ func TestTraceFlowEntropyCanDiverge(t *testing.T) {
 }
 
 func TestArtifactsNoReply(t *testing.T) {
-	srv := world.MLabServers()[0].Endpoint
-	cli, _ := world.NewClient("AT&T", "chi")
-	tr := New(world.Topo, world.Resolver, Artifacts{NoReplyProb: 1})
+	srv := world().MLabServers()[0].Endpoint
+	cli, _ := world().NewClient("AT&T", "chi")
+	tr := New(world().Topo, world().Resolver, Artifacts{NoReplyProb: 1})
 	rng := rand.New(rand.NewSource(1))
 	trace, err := tr.Trace(srv, cli, 1, 0, rng)
 	if err != nil {
@@ -116,9 +120,9 @@ func TestArtifactsNoReply(t *testing.T) {
 }
 
 func TestArtifactsDstNoReply(t *testing.T) {
-	srv := world.MLabServers()[0].Endpoint
-	cli, _ := world.NewClient("AT&T", "chi")
-	tr := New(world.Topo, world.Resolver, Artifacts{DstNoReplyProb: 1})
+	srv := world().MLabServers()[0].Endpoint
+	cli, _ := world().NewClient("AT&T", "chi")
+	tr := New(world().Topo, world().Resolver, Artifacts{DstNoReplyProb: 1})
 	rng := rand.New(rand.NewSource(2))
 	trace, _ := tr.Trace(srv, cli, 1, 0, rng)
 	if trace.Reached {
@@ -130,10 +134,10 @@ func TestArtifactsDstNoReply(t *testing.T) {
 }
 
 func TestArtifactsThirdParty(t *testing.T) {
-	srv := world.MLabServers()[0].Endpoint
-	cli, _ := world.NewClient("Comcast", "nyc")
-	clean := New(world.Topo, world.Resolver, Clean())
-	dirty := New(world.Topo, world.Resolver, Artifacts{ThirdPartyProb: 1})
+	srv := world().MLabServers()[0].Endpoint
+	cli, _ := world().NewClient("Comcast", "nyc")
+	clean := New(world().Topo, world().Resolver, Clean())
+	dirty := New(world().Topo, world().Resolver, Artifacts{ThirdPartyProb: 1})
 	base, err := clean.Trace(srv, cli, 9, 0, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -145,8 +149,8 @@ func TestArtifactsThirdParty(t *testing.T) {
 		if base.Hops[i].Addr != tp.Hops[i].Addr {
 			diff++
 			// Third-party address must still belong to the same router.
-			b := world.Topo.IfaceByAddr[base.Hops[i].Addr]
-			d := world.Topo.IfaceByAddr[tp.Hops[i].Addr]
+			b := world().Topo.IfaceByAddr[base.Hops[i].Addr]
+			d := world().Topo.IfaceByAddr[tp.Hops[i].Addr]
 			if b != nil && d != nil && b.Router.ID != d.Router.ID {
 				t.Errorf("hop %d third-party address from a different router", i)
 			}
@@ -171,9 +175,9 @@ func TestResponsiveAddrs(t *testing.T) {
 }
 
 func BenchmarkTrace(b *testing.B) {
-	srv := world.MLabServers()[0].Endpoint
-	cli, _ := world.NewClient("Comcast", "nyc")
-	tr := New(world.Topo, world.Resolver, DefaultArtifacts())
+	srv := world().MLabServers()[0].Endpoint
+	cli, _ := world().NewClient("Comcast", "nyc")
+	tr := New(world().Topo, world().Resolver, DefaultArtifacts())
 	rng := rand.New(rand.NewSource(4))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

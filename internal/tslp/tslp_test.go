@@ -2,35 +2,39 @@ package tslp
 
 import (
 	"math/rand"
+	"sync"
 	"testing"
 
 	"throughputlab/internal/topogen"
 	"throughputlab/internal/topology"
 )
 
-var world = topogen.MustGenerate(topogen.SmallConfig())
+// world is the package's shared small world, generated on first use.
+var world = sync.OnceValue(func() *topogen.World {
+	return topogen.MustGenerate(topogen.SmallConfig())
+})
 
 func prober() *Prober {
-	return &Prober{Model: world.Model, BasePathRTTms: 18, NoiseMs: 0.4}
+	return &Prober{Model: world().Model, BasePathRTTms: 18, NoiseMs: 0.4}
 }
 
 func localHourOf(l *topology.Link, minute int) float64 {
-	return world.Topo.MustMetro(l.Metro).LocalHour(minute)
+	return world().Topo.MustMetro(l.Metro).LocalHour(minute)
 }
 
 // congestedLink returns a GTT-AT&T link (saturated at peak by the
 // default scenario) and a healthy interdomain link.
 func testLinks(t *testing.T) (congested, healthy *topology.Link) {
 	t.Helper()
-	att := world.Access["AT&T"]
+	att := world().Access["AT&T"]
 	for _, a := range att.Org.ASNs {
-		for _, l := range world.Topo.InterdomainLinks(3257, a) {
+		for _, l := range world().Topo.InterdomainLinks(3257, a) {
 			if l.PeakUtil >= 1.2 {
 				congested = l
 			}
 		}
 	}
-	for _, l := range world.Topo.InterdomainLinks(0, 0) {
+	for _, l := range world().Topo.InterdomainLinks(0, 0) {
 		if l.PeakUtil < 0.8 {
 			healthy = l
 			break
@@ -47,7 +51,7 @@ func TestProbeShape(t *testing.T) {
 	p := prober()
 	rng := rand.New(rand.NewSource(1))
 	// Peak local hour in the link's metro.
-	m := world.Topo.MustMetro(congested.Metro)
+	m := world().Topo.MustMetro(congested.Metro)
 	peakMinute := ((21 - m.UTCOffset) % 24) * 60
 	offMinute := ((10 - m.UTCOffset + 24) % 24) * 60
 	sPeak := p.Probe(congested, peakMinute, rng)
@@ -99,7 +103,7 @@ func TestAnalyzeEmptyWindows(t *testing.T) {
 func TestSurveyFindsExactlyTheSaturatedLinks(t *testing.T) {
 	// Probe every interdomain link of the world; the flagged set must
 	// align with ground truth (PeakUtil >= 1) with high accuracy.
-	links := world.Topo.InterdomainLinks(0, 0)
+	links := world().Topo.InterdomainLinks(0, 0)
 	p := prober()
 	rng := rand.New(rand.NewSource(3))
 	results := Survey(p, links, localHourOf, 5, 15, DefaultConfig(), rng)
@@ -149,7 +153,7 @@ func TestCollectCadence(t *testing.T) {
 }
 
 func BenchmarkSurvey(b *testing.B) {
-	links := world.Topo.InterdomainLinks(0, 0)
+	links := world().Topo.InterdomainLinks(0, 0)
 	if len(links) > 100 {
 		links = links[:100]
 	}
