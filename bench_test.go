@@ -306,8 +306,8 @@ func BenchmarkMatchingRates(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if r := experiments.Matching(e); len(r.Rows) == 0 {
-			b.Fatal("empty result")
+		if r, err := experiments.Matching(e); err != nil || len(r.Rows) == 0 {
+			b.Fatal("empty result", err)
 		}
 	}
 }

@@ -16,6 +16,13 @@ const DefaultTraceLead = 2
 
 type pairKey struct{ src, dst uint32 }
 
+// slot is one buffered trace of a (server, client) pair and whether a
+// test has claimed it.
+type slot struct {
+	tr   *traceroute.Trace
+	used bool
+}
+
 // StreamMatcher runs the §4.1 association (see MatchTraces)
 // incrementally over a chunked corpus in bounded memory. Chunks must
 // arrive in publication (test-ID) order, each with a watermark W
@@ -40,8 +47,7 @@ type StreamMatcher struct {
 	lead      int
 
 	pending []*ndt.Test
-	byPair  map[pairKey][]*traceroute.Trace
-	used    map[*traceroute.Trace]bool
+	byPair  map[pairKey][]slot
 	result  *Matching
 }
 
@@ -52,8 +58,7 @@ func NewStreamMatcher(windowMin int, mode MatchMode) *StreamMatcher {
 		windowMin: windowMin,
 		mode:      mode,
 		lead:      DefaultTraceLead,
-		byPair:    map[pairKey][]*traceroute.Trace{},
-		used:      map[*traceroute.Trace]bool{},
+		byPair:    map[pairKey][]slot{},
 		result:    &Matching{ByTest: map[int]*traceroute.Trace{}},
 	}
 }
@@ -66,9 +71,9 @@ func (sm *StreamMatcher) Add(tests []*ndt.Test, traces []*traceroute.Trace, wate
 	var unsorted map[pairKey]bool
 	for _, tr := range traces {
 		k := pairKey{uint32(tr.SrcAddr), uint32(tr.DstAddr)}
-		list := append(sm.byPair[k], tr)
+		list := append(sm.byPair[k], slot{tr: tr})
 		sm.byPair[k] = list
-		if n := len(list); n > 1 && tr.LaunchMinute < list[n-2].LaunchMinute {
+		if n := len(list); n > 1 && tr.LaunchMinute < list[n-2].tr.LaunchMinute {
 			if unsorted == nil {
 				unsorted = map[pairKey]bool{}
 			}
@@ -82,7 +87,7 @@ func (sm *StreamMatcher) Add(tests []*ndt.Test, traces []*traceroute.Trace, wate
 	for k := range unsorted {
 		list := sm.byPair[k]
 		sort.SliceStable(list, func(i, j int) bool {
-			return list[i].LaunchMinute < list[j].LaunchMinute
+			return list[i].tr.LaunchMinute < list[j].tr.LaunchMinute
 		})
 	}
 	// Same argument for tests: buffered tests all precede this chunk's in
@@ -120,17 +125,17 @@ func (sm *StreamMatcher) finalize(t *ndt.Test) {
 	list := sm.byPair[k]
 	var match *traceroute.Trace
 	for i := sort.Search(len(list), func(i int) bool {
-		return list[i].LaunchMinute >= lo
+		return list[i].tr.LaunchMinute >= lo
 	}); i < len(list); i++ {
-		tr := list[i]
-		if sm.used[tr] {
+		s := &list[i]
+		if s.used {
 			continue
 		}
-		if tr.LaunchMinute > hi {
+		if s.tr.LaunchMinute > hi {
 			break
 		}
-		sm.used[tr] = true
-		match = tr
+		s.used = true
+		match = s.tr
 		break
 	}
 	if match != nil {
@@ -160,8 +165,7 @@ func (sm *StreamMatcher) evict(watermark int) {
 	}
 	for k, list := range sm.byPair {
 		n := 0
-		for n < len(list) && list[n].LaunchMinute < evictBefore {
-			delete(sm.used, list[n])
+		for n < len(list) && list[n].tr.LaunchMinute < evictBefore {
 			n++
 		}
 		if n == 0 {
@@ -172,9 +176,7 @@ func (sm *StreamMatcher) evict(watermark int) {
 			continue
 		}
 		rest := copy(list, list[n:])
-		for i := rest; i < len(list); i++ {
-			list[i] = nil
-		}
+		clear(list[rest:])
 		sm.byPair[k] = list[:rest]
 	}
 }
@@ -196,7 +198,6 @@ func (sm *StreamMatcher) Finish() *Matching {
 	}
 	sm.pending = nil
 	sm.byPair = nil
-	sm.used = nil
 	m := sm.result
 	sm.result = nil
 	return m

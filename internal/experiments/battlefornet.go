@@ -47,7 +47,7 @@ func BattleForNet(e *Env) (*BattleResult, error) {
 	for _, battle := range []bool{false, true} {
 		c := cfg
 		c.BattleForNet = battle
-		corpus, err := platform.CollectParallelCtx(context.TODO(), e.World, c, 1)
+		corpus, err := platform.CollectParallelCtx(context.TODO(), e.World, c, e.Opts.workers())
 		if err != nil {
 			return nil, err
 		}

@@ -8,6 +8,7 @@ import (
 	"throughputlab/internal/bdrmap"
 	"throughputlab/internal/platform"
 	"throughputlab/internal/routing"
+	"throughputlab/internal/stream"
 	"throughputlab/internal/topogen"
 	"throughputlab/internal/topology"
 	"throughputlab/internal/traceroute"
@@ -34,7 +35,9 @@ type VPAnalysis struct {
 // VPAnalyses runs the §5 methodology for every Ark VP (cached on the
 // Env): a traceroute campaign to every routed prefix, plus campaigns
 // toward M-Lab servers, Speedtest servers, and the per-VP Alexa
-// targets, all labeled by one shared MAP-IT inference.
+// targets, all labeled by one shared MAP-IT inference. The VPs are
+// analyzed on Opts.Workers goroutines; each has its own seed and alias
+// resolver, so the result does not depend on the worker count.
 func VPAnalyses(e *Env) []*VPAnalysis {
 	e.vpsOnce.Do(func() {
 		w := e.World
@@ -42,10 +45,10 @@ func VPAnalyses(e *Env) []*VPAnalysis {
 		mlabTargets := platform.HostTargets(w.MLabServers())
 		speedTargets := platform.HostTargets(w.Speedtest)
 
-		var out []*VPAnalysis
-		for vi, vp := range w.ArkVPs {
-			out = append(out, AnalyzeVP(e, vp, prefixTargets, mlabTargets, speedTargets, int64(1000+vi)))
-		}
+		out := make([]*VPAnalysis, len(w.ArkVPs))
+		stream.For(len(w.ArkVPs), e.Opts.workers(), nil, func(_, vi int) {
+			out[vi] = AnalyzeVP(e, w.ArkVPs[vi], prefixTargets, mlabTargets, speedTargets, int64(1000+vi))
+		})
 		e.vps = out
 	})
 	return e.vps

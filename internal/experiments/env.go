@@ -26,9 +26,11 @@ import (
 type Options struct {
 	Topo    topogen.Config
 	Collect platform.CollectConfig
-	// Workers bounds engine parallelism for corpus collection and
-	// MAP-IT inference (0 or 1 = serial). Results are identical for
-	// every worker count — see the determinism contract in DESIGN.md.
+	// Workers bounds engine parallelism (0 or 1 = serial): corpus
+	// collection and MAP-IT inference, and inside the experiment sweep
+	// the per-VP analyses and the corpora some experiments collect on
+	// their own. Results are identical for every worker count — see the
+	// determinism contract in DESIGN.md.
 	Workers int
 	// Obs, when non-nil, instruments the whole pipeline: NewEnvCtx
 	// threads it through world generation, corpus collection, and the
@@ -70,9 +72,9 @@ type Env struct {
 	// primary window (core.PrimaryWindowMin, core.PrimaryMode).
 	Matching *core.Matching
 
-	// vps caches the §5 per-VP analyses; vpsOnce guards the build so
-	// concurrent experiments share one computation (Env must not be
-	// copied).
+	// vps caches the §5 per-VP analyses; vpsOnce guards the build,
+	// which fans the VPs out on Opts.Workers, so concurrent experiments
+	// share one computation (Env must not be copied).
 	vpsOnce sync.Once
 	vps     []*VPAnalysis
 }

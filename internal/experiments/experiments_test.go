@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"throughputlab/internal/core"
 	"throughputlab/internal/ndt"
 	"throughputlab/internal/platform"
 	"throughputlab/internal/topology"
@@ -547,6 +548,25 @@ func TestBattleForNetShapes(t *testing.T) {
 	// The collector trade-off: association no better under flood.
 	if bfn.MatchedFrac > base.MatchedFrac+0.02 {
 		t.Errorf("BfN matched %.2f unexpectedly above base %.2f", bfn.MatchedFrac, base.MatchedFrac)
+	}
+}
+
+// TestMatchingRowsEqualMatchTraces holds the sweep's pair counting,
+// and its (10 min, after) row read from the Env's shared matching, to
+// the batch matcher's Rate on the same corpus.
+func TestMatchingRowsEqualMatchTraces(t *testing.T) {
+	r := result[*MatchingResult](t, "matching")
+	c := env().Corpus
+	if len(r.Rows) != 5 {
+		t.Fatalf("%d window rows, want 5", len(r.Rows))
+	}
+	for _, row := range r.Rows {
+		after := core.MatchTraces(c.Tests, c.Traces, row.WindowMin, core.WindowAfter).Rate()
+		around := core.MatchTraces(c.Tests, c.Traces, row.WindowMin, core.WindowAround).Rate()
+		if row.AfterRate != after || row.AroundRate != around {
+			t.Errorf("window %d: rows %v/%v, MatchTraces %v/%v",
+				row.WindowMin, row.AfterRate, row.AroundRate, after, around)
+		}
 	}
 }
 

@@ -103,9 +103,7 @@ func TSLP(e *Env) *TSLPResult {
 	p := &tslp.Prober{Model: e.World.Model, BasePathRTTms: 18, NoiseMs: 0.4}
 	rng := rand.New(rand.NewSource(77))
 	const days, interval = 5, 15
-	results := tslp.Survey(p, links,
-		func(l *topology.Link, m int) float64 { return e.World.Topo.MustMetro(l.Metro).LocalHour(m) },
-		days, interval, tslp.DefaultConfig(), rng)
+	results := tslp.Survey(p, links, days, interval, tslp.DefaultConfig(), rng)
 
 	res := &TSLPResult{Links: len(links), ProbesPerLinkPerDay: 24 * 60 / interval}
 	for _, l := range links {

@@ -10,9 +10,9 @@ import (
 // sweep runs RunParallelCtx over e and checks the engine's core
 // contract: output byte-identical to the serial reference. The sweep
 // tests share the worker counts between them, so the registry runs
-// once per count: 8 uninstrumented here, 1 and 4 with a registry
-// attached, 2 on a fully instrumented Env, and 1 again for the
-// metric-name walk.
+// once per count: 8 uninstrumented here, 4 and 1 with a registry
+// attached (on an Env with Opts.Workers 4), 2 on a fully instrumented
+// Env, and 1 again for the metric-name walk.
 func sweep(t *testing.T, e *Env, workers int) {
 	t.Helper()
 	got, err := RunParallelCtx(context.Background(), e, workers)
@@ -54,7 +54,10 @@ func TestNoCoreFallbacks(t *testing.T) {
 // guarantee on the experiment sweep: running with a live registry
 // attached produces output byte-identical to the uninstrumented serial
 // reference, and the registry ends up holding one child span per
-// experiment under the "experiments" phase.
+// experiment under the "experiments" phase. Its Env has Opts.Workers 4,
+// so the experiments' own parallel paths run too: the per-VP fan-out
+// (the 4-worker leg goes first, so it builds the VP cache) and the
+// collections inside matching, snapshots and battlefornet.
 func TestRunParallelGoldenWithObs(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs the full registry twice")
@@ -64,7 +67,8 @@ func TestRunParallelGoldenWithObs(t *testing.T) {
 	shared := env()
 	own := &Env{Opts: shared.Opts, World: shared.World, Corpus: shared.Corpus,
 		Inference: shared.Inference, Matching: shared.Matching}
-	for _, workers := range []int{1, 4} {
+	own.Opts.Workers = 4
+	for _, workers := range []int{4, 1} {
 		reg := obs.NewRegistry()
 		own.Opts.Obs = reg
 		sweep(t, own, workers)

@@ -29,7 +29,8 @@ func Registry() []Entry {
 		{"fig3", "Figure 3 (coverage of peer interconnections)", wrap(func(e *Env) Renderer { return Fig3(e) })},
 		{"fig4", "Figure 4 (platform vs popular-content paths)", wrap(func(e *Env) Renderer { return Fig4(e) })},
 		{"fig5", "Figure 5 (diurnal throughput, GTT Atlanta)", wrap(func(e *Env) Renderer { return Fig5(e) })},
-		{"matching", "§4.1 (NDT↔traceroute association)", wrap(func(e *Env) Renderer { return Matching(e) })},
+		{"matching", "§4.1 (NDT↔traceroute association)",
+			func(e *Env) (Renderer, error) { return Matching(e) }},
 		{"thresholds", "§6.2 (congestion-threshold sensitivity)", wrap(func(e *Env) Renderer { return Thresholds(e) })},
 		{"bias", "§6.1 (crowdsourcing bias diagnostics)", wrap(func(e *Env) Renderer { return BiasDiagnostics(e) })},
 		{"tomography", "§3 (full vs simplified tomography)", wrap(func(e *Env) Renderer { return Tomography(e) })},

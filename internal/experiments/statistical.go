@@ -3,6 +3,7 @@ package experiments
 import (
 	"context"
 	"fmt"
+	"math"
 	"sort"
 	"strings"
 
@@ -37,20 +38,32 @@ type MatchingResult struct {
 }
 
 // Matching sweeps the association window and repeats the 10-minute
-// analysis on a higher-volume corpus.
-func Matching(e *Env) *MatchingResult {
+// analysis on a higher-volume corpus. The sweep's (10 min, after) row
+// is the Env's shared matching; the other rows only count pairs, so no
+// ByTest map is built for them.
+func Matching(e *Env) (*MatchingResult, error) {
 	res := &MatchingResult{
 		LostToBusyCollector: e.Corpus.TestsWithoutTrace,
 		Total:               len(e.Corpus.Tests),
 	}
+	rate := func(w int, mode core.MatchMode) float64 {
+		if w == core.PrimaryWindowMin && mode == core.PrimaryMode {
+			return e.Matching.Rate()
+		}
+		var c pairCounter
+		sm := core.NewStreamMatcher(w, mode)
+		sm.OnPair = c.onPair
+		// As in core.MatchTraces: the corpus as one chunk.
+		sm.Add(e.Corpus.Tests, e.Corpus.Traces, math.MinInt32)
+		sm.Finish()
+		return c.rate()
+	}
 	for _, w := range []int{1, 2, 5, 10, 20} {
-		after := core.MatchTraces(e.Corpus.Tests, e.Corpus.Traces, w, core.WindowAfter)
-		around := core.MatchTraces(e.Corpus.Tests, e.Corpus.Traces, w, core.WindowAround)
 		res.Rows = append(res.Rows, struct {
 			WindowMin  int
 			AfterRate  float64
 			AroundRate float64
-		}{w, after.Rate(), around.Rate()})
+		}{w, rate(w, core.WindowAfter), rate(w, core.WindowAround)})
 	}
 
 	// The 2017-style corpus: double the monthly volume on the same
@@ -59,26 +72,38 @@ func Matching(e *Env) *MatchingResult {
 	cfg := e.Opts.Collect
 	cfg.Tests *= 2
 	cfg.Seed += 9000
-	var total, matched int
+	var c pairCounter
 	sm := core.NewStreamMatcher(10, core.WindowAfter)
-	sm.OnPair = func(_ *ndt.Test, tr *traceroute.Trace) {
-		total++
-		if tr != nil {
-			matched++
-		}
-	}
-	_, err := platform.CollectStreamCtx(context.TODO(), e.World, cfg, 1, func(c *platform.Chunk) error {
-		sm.Add(c.Tests, c.Traces, c.Watermark)
+	sm.OnPair = c.onPair
+	_, err := platform.CollectStreamCtx(context.TODO(), e.World, cfg, e.Opts.workers(), func(ch *platform.Chunk) error {
+		sm.Add(ch.Tests, ch.Traces, ch.Watermark)
 		return nil
 	})
-	if err == nil {
-		sm.Finish()
-		res.HighVolumeTotal = total
-		if total > 0 {
-			res.HighVolumeAfterRate = float64(matched) / float64(total)
-		}
+	if err != nil {
+		return nil, err
 	}
-	return res
+	sm.Finish()
+	res.HighVolumeTotal = c.total
+	res.HighVolumeAfterRate = c.rate()
+	return res, nil
+}
+
+// pairCounter counts a StreamMatcher's pairs through OnPair.
+type pairCounter struct{ total, matched int }
+
+func (c *pairCounter) onPair(_ *ndt.Test, tr *traceroute.Trace) {
+	c.total++
+	if tr != nil {
+		c.matched++
+	}
+}
+
+// rate is the matched fraction, as core.Matching.Rate computes it.
+func (c *pairCounter) rate() float64 {
+	if c.total == 0 {
+		return 0
+	}
+	return float64(c.matched) / float64(c.total)
 }
 
 // Render prints the sweep.
@@ -246,7 +271,7 @@ func Snapshots(e *Env) (*SnapshotsResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	envB := &Env{Opts: Options{Topo: cfgB, Collect: e.Opts.Collect}, World: wB}
+	envB := &Env{Opts: Options{Topo: cfgB, Collect: e.Opts.Collect, Workers: e.Opts.Workers}, World: wB}
 
 	res := &SnapshotsResult{
 		MLabServersA:  len(e.World.MLabServers()),

@@ -63,12 +63,19 @@ func (m *Model) metroOf(l *topology.Link) geo.Metro {
 	return m.topo.MustMetro(l.Metro)
 }
 
+// LinkMetro returns the metro whose local time drives the link's
+// diurnal load.
+func (m *Model) LinkMetro(l *topology.Link) geo.Metro { return m.metroOf(l) }
+
 // LinkUtil returns the background demand/capacity ratio ρ of the link
 // at the given simulation minute (values above 1 mean offered load
 // exceeds capacity at that hour).
 func (m *Model) LinkUtil(l *topology.Link, minute int) float64 {
-	metro := m.metroOf(l)
-	shape := DiurnalShape(metro.LocalHour(minute))
+	return utilAt(l, DiurnalShape(m.metroOf(l).LocalHour(minute)))
+}
+
+// utilAt is the link's ρ at a given diurnal shape value.
+func utilAt(l *topology.Link, shape float64) float64 {
 	return l.BaseUtil + float64((l.PeakUtil-l.BaseUtil)*shape)
 }
 
@@ -128,6 +135,14 @@ func lossAt(rho float64) float64 {
 // path at the given minute (bufferbloat under overload).
 func (m *Model) LinkQueueMs(l *topology.Link, minute int) float64 {
 	return queueMsAt(m.LinkUtil(l, minute))
+}
+
+// LinkQueueMsAtShape is LinkQueueMs for a caller that already holds
+// DiurnalShape of the link metro's local hour: equal to LinkQueueMs at
+// that minute, so a survey probing many links of one time zone
+// evaluates the shape once per minute.
+func LinkQueueMsAtShape(l *topology.Link, shape float64) float64 {
+	return queueMsAt(utilAt(l, shape))
 }
 
 func queueMsAt(rho float64) float64 {
@@ -274,8 +289,7 @@ func (m *Model) BulkFlow(p *routing.Path, minute int, opts FlowOpts, rng *rand.R
 	var bottleneck, hottest *topology.Link
 	var shapes shapeMemo
 	for _, l := range p.Links {
-		shape := shapes.at(m.metroOf(l), minute)
-		rho := l.BaseUtil + float64((l.PeakUtil-l.BaseUtil)*shape)
+		rho := utilAt(l, shapes.at(m.metroOf(l), minute))
 		a := perFlowShareMbps(l.CapacityMbps, rho)
 		if a < avail {
 			avail, bottleneck = a, l

@@ -42,6 +42,12 @@ type Prober struct {
 
 // Probe measures both sides of the link at the given minute.
 func (p *Prober) Probe(l *topology.Link, minute int, rng *rand.Rand) Sample {
+	return p.probeAt(minute, p.Model.LinkQueueMs(l, minute), rng)
+}
+
+// probeAt is Probe given the link's queueing delay at that minute. It
+// draws the near probe's jitter before the far probe's.
+func (p *Prober) probeAt(minute int, queueMs float64, rng *rand.Rand) Sample {
 	noise := func() float64 {
 		if p.NoiseMs <= 0 || rng == nil {
 			return 0
@@ -50,7 +56,7 @@ func (p *Prober) Probe(l *topology.Link, minute int, rng *rand.Rand) Sample {
 	}
 	near := p.BasePathRTTms + noise()
 	// The far probe crosses the link: serialization + the link's queue.
-	far := p.BasePathRTTms + 0.2 + p.Model.LinkQueueMs(l, minute) + noise()
+	far := p.BasePathRTTms + 0.2 + queueMs + noise()
 	return Sample{Minute: minute, NearRTTms: near, FarRTTms: far}
 }
 
@@ -97,37 +103,75 @@ func Analyze(samples []Sample, localHour func(minute int) float64, cfg Config) R
 	if cfg.ElevationThresholdMs == 0 {
 		cfg = DefaultConfig()
 	}
-	var peak, off []float64
+	var w windows
 	for _, s := range samples {
-		h := localHour(s.Minute)
-		switch {
-		case h >= 19 && h < 23:
-			peak = append(peak, s.Diff())
-		case h >= 7 && h < 15:
-			off = append(off, s.Diff())
-		}
+		w.add(localHour(s.Minute), s.Diff())
 	}
-	r := Result{Samples: len(samples)}
-	if len(peak) == 0 || len(off) == 0 {
-		return r
+	return w.result(len(samples), cfg)
+}
+
+// windows gathers one link's far−near differences by diurnal window.
+type windows struct{ peak, off []float64 }
+
+func (w *windows) add(localHour, diff float64) {
+	switch {
+	case localHour >= 19 && localHour < 23:
+		w.peak = append(w.peak, diff)
+	case localHour >= 7 && localHour < 15:
+		w.off = append(w.off, diff)
 	}
-	r.PeakDiffMs = stats.Median(peak)
-	r.OffDiffMs = stats.Median(off)
-	r.ElevationMs = r.PeakDiffMs - r.OffDiffMs
-	r.Congested = r.ElevationMs >= cfg.ElevationThresholdMs
+}
+
+// result compares the two windows, then empties them (keeping their
+// storage) for the next link.
+func (w *windows) result(samples int, cfg Config) Result {
+	r := Result{Samples: samples}
+	if len(w.peak) > 0 && len(w.off) > 0 {
+		r.PeakDiffMs = stats.Median(w.peak)
+		r.OffDiffMs = stats.Median(w.off)
+		r.ElevationMs = r.PeakDiffMs - r.OffDiffMs
+		r.Congested = r.ElevationMs >= cfg.ElevationThresholdMs
+	}
+	w.peak, w.off = w.peak[:0], w.off[:0]
 	return r
 }
 
 // Survey probes every given link and returns per-link results, the
 // batch mode a platform-side deployment would run across all
-// interconnections found by bdrmap.
-func Survey(p *Prober, links []*topology.Link, localHourOf func(*topology.Link, int) float64,
-	days, intervalMin int, cfg Config, rng *rand.Rand) map[topology.LinkID]Result {
-
+// interconnections found by bdrmap. Each link is probed on Collect's
+// cadence and analyzed in its metro's local time, drawing from rng in
+// the order per-link Collect calls would, so the results equal
+// Analyze(p.Collect(l, …), …) link by link. The local hour and diurnal
+// shape of each probe minute depend only on the metro's UTC offset, so
+// they are computed once per offset, not once per link.
+func Survey(p *Prober, links []*topology.Link, days, intervalMin int, cfg Config, rng *rand.Rand) map[topology.LinkID]Result {
+	if cfg.ElevationThresholdMs == 0 {
+		cfg = DefaultConfig()
+	}
+	var minutes []int
+	for m := 0; m < days*24*60; m += intervalMin {
+		minutes = append(minutes, m)
+	}
+	type zone struct{ hour, shape []float64 }
+	zones := map[int]zone{}
+	var w windows
 	out := make(map[topology.LinkID]Result, len(links))
 	for _, l := range links {
-		samples := p.Collect(l, days, intervalMin, rng)
-		out[l.ID] = Analyze(samples, func(m int) float64 { return localHourOf(l, m) }, cfg)
+		metro := p.Model.LinkMetro(l)
+		z, ok := zones[metro.UTCOffset]
+		if !ok {
+			z = zone{make([]float64, len(minutes)), make([]float64, len(minutes))}
+			for i, m := range minutes {
+				z.hour[i] = metro.LocalHour(m)
+				z.shape[i] = netsim.DiurnalShape(z.hour[i])
+			}
+			zones[metro.UTCOffset] = z
+		}
+		for i, m := range minutes {
+			s := p.probeAt(m, netsim.LinkQueueMsAtShape(l, z.shape[i]), rng)
+			w.add(z.hour[i], s.Diff())
+		}
+		out[l.ID] = w.result(len(minutes), cfg)
 	}
 	return out
 }

@@ -106,7 +106,7 @@ func TestSurveyFindsExactlyTheSaturatedLinks(t *testing.T) {
 	links := world().Topo.InterdomainLinks(0, 0)
 	p := prober()
 	rng := rand.New(rand.NewSource(3))
-	results := Survey(p, links, localHourOf, 5, 15, DefaultConfig(), rng)
+	results := Survey(p, links, 5, 15, DefaultConfig(), rng)
 	if len(results) != len(links) {
 		t.Fatalf("%d results for %d links", len(results), len(links))
 	}
@@ -138,6 +138,37 @@ func TestSurveyFindsExactlyTheSaturatedLinks(t *testing.T) {
 	}
 }
 
+// TestSurveyMatchesCollectAnalyze holds Survey's per-offset memo to the
+// per-sample path: probing each link with Collect and analyzing it in
+// its metro's local time, on one RNG shared in link order, must give
+// the same results bit for bit.
+func TestSurveyMatchesCollectAnalyze(t *testing.T) {
+	links := world().Topo.InterdomainLinks(0, 0)
+	offsets := map[int]bool{}
+	for _, l := range links {
+		offsets[world().Topo.MustMetro(l.Metro).UTCOffset] = true
+	}
+	if len(offsets) < 2 {
+		t.Fatalf("links span %d UTC offsets, want at least 2", len(offsets))
+	}
+	p := prober()
+	got := Survey(p, links, 3, 20, DefaultConfig(), rand.New(rand.NewSource(5)))
+	rng := rand.New(rand.NewSource(5))
+	congested := 0
+	for _, l := range links {
+		want := Analyze(p.Collect(l, 3, 20, rng), func(m int) float64 { return localHourOf(l, m) }, DefaultConfig())
+		if got[l.ID] != want {
+			t.Fatalf("link %d: Survey %+v, Collect+Analyze %+v", l.ID, got[l.ID], want)
+		}
+		if want.Congested {
+			congested++
+		}
+	}
+	if len(got) != len(links) || congested == 0 {
+		t.Errorf("%d results for %d links, %d congested", len(got), len(links), congested)
+	}
+}
+
 func TestCollectCadence(t *testing.T) {
 	congested, _ := testLinks(t)
 	p := prober()
@@ -161,6 +192,6 @@ func BenchmarkSurvey(b *testing.B) {
 	rng := rand.New(rand.NewSource(4))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		Survey(p, links, localHourOf, 2, 30, DefaultConfig(), rng)
+		Survey(p, links, 2, 30, DefaultConfig(), rng)
 	}
 }
