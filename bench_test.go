@@ -518,29 +518,37 @@ var engineWorkers = flag.Int("engine.parallel", runtime.GOMAXPROCS(0),
 	"worker count for the parallel engine benchmarks")
 
 // BenchmarkRunAllSerial sweeps every registry experiment on one
-// worker (the parallel sweep's baseline; the per-VP cache is warmed so
-// both sweeps measure experiment cost, not cache build).
+// worker, with the Env's own collections and per-VP analyses on one
+// worker too: the parallel sweep's baseline. Like
+// BenchmarkRunAllParallel it starts each iteration from a cold Env.
 func BenchmarkRunAllSerial(b *testing.B) {
-	e := env(b)
-	experiments.Fig2(e)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if out, err := experiments.RunParallelCtx(context.Background(), e, 1); err != nil || len(out) == 0 {
-			b.Fatal(err)
-		}
-	}
+	benchRunAll(b, 1)
 }
 
 // BenchmarkRunAllParallel sweeps every registry experiment over the
-// worker pool; output is byte-identical to BenchmarkRunAllSerial's.
+// worker pool on an Env whose Options.Workers is the same count, as
+// `tputlab run all -parallel N` does. Each iteration starts from a cold
+// Env sharing the world, corpus, MAP-IT inference and matching, so it
+// times the per-VP fan-out and the experiments' own collections;
+// output is byte-identical to BenchmarkRunAllSerial's.
 func BenchmarkRunAllParallel(b *testing.B) {
-	e := env(b)
-	experiments.Fig2(e)
+	benchRunAll(b, *engineWorkers)
+}
+
+// benchRunAll times RunParallelCtx at the given worker count, building
+// a fresh Env (an empty per-VP cache) per iteration off the clock.
+func benchRunAll(b *testing.B, workers int) {
+	base := env(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if out, err := experiments.RunParallelCtx(context.Background(), e, *engineWorkers); err != nil || len(out) == 0 {
+		b.StopTimer()
+		opts := base.Opts
+		opts.Workers = workers
+		e := &experiments.Env{Opts: opts, World: base.World, Corpus: base.Corpus,
+			Inference: base.Inference, Matching: base.Matching}
+		b.StartTimer()
+		if out, err := experiments.RunParallelCtx(context.Background(), e, workers); err != nil || len(out) == 0 {
 			b.Fatal(err)
 		}
 	}

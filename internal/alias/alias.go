@@ -11,8 +11,10 @@
 package alias
 
 import (
+	"cmp"
+	"math"
 	"math/rand"
-	"sort"
+	"slices"
 
 	"throughputlab/internal/netaddr"
 	"throughputlab/internal/topology"
@@ -41,69 +43,85 @@ func Perfect(t *topology.Topology) *Resolver {
 
 // Group partitions the addresses into inferred routers. Unknown
 // addresses (no interface) become singletons. Output order is
-// deterministic for a given rng state: groups sorted by their lowest
-// address.
+// deterministic for a given rng state: groups are sorted by their
+// first member. Within a group members ascend, except after a false
+// merge, which appends one group's members to its neighbour's; the
+// first member is then the left group's lowest address, not
+// necessarily the merged group's.
+//
+// The rng draws are, in order: one Float64 per non-first member of
+// each true router (routers by ID, members by address), deciding
+// whether probing split it off, then one Float64 per adjacent group
+// pair of the false-merge scan. Groups share one backing array; each
+// is capacity-capped, so appending to one never writes into another.
 func (r *Resolver) Group(addrs []netaddr.Addr, rng *rand.Rand) [][]netaddr.Addr {
-	// Partition by true router first.
-	byRouter := make(map[topology.RouterID][]netaddr.Addr)
-	var orphans []netaddr.Addr
-	seen := map[netaddr.Addr]bool{}
-	for _, a := range addrs {
-		if seen[a] {
-			continue
+	// Partition by true router: one flat slice sorted by (router,
+	// address), where duplicates fall adjacent. Orphans sort last, under
+	// a router ID no interface has. Their order among themselves cannot
+	// show: they never merge (they have no metro) and the final sort
+	// places each by its only member.
+	const orphan = topology.RouterID(math.MaxInt)
+	type member struct {
+		router topology.RouterID
+		addr   netaddr.Addr
+	}
+	members := make([]member, len(addrs))
+	for i, a := range addrs {
+		members[i] = member{orphan, a}
+		if ifc := r.topo.IfaceByAddr[a]; ifc != nil {
+			members[i].router = ifc.Router.ID
 		}
-		seen[a] = true
-		ifc := r.topo.IfaceByAddr[a]
-		if ifc == nil {
-			orphans = append(orphans, a)
-			continue
+	}
+	slices.SortFunc(members, func(x, y member) int {
+		if c := cmp.Compare(x.router, y.router); c != 0 {
+			return c
 		}
-		byRouter[ifc.Router.ID] = append(byRouter[ifc.Router.ID], a)
+		return cmp.Compare(x.addr, y.addr)
+	})
+	members = slices.Compact(members)
+
+	// Groups are ranges [lo, hi) of flat: each router's members split
+	// where probing failed to merge them, and one range per orphan.
+	type span struct{ lo, hi int }
+	flat := make([]netaddr.Addr, len(members))
+	var spans []span
+	for i, m := range members {
+		flat[i] = m.addr
+		if i == 0 || m.router == orphan || m.router != members[i-1].router ||
+			(rng != nil && rng.Float64() > r.MergeProb) {
+			spans = append(spans, span{i, i})
+		}
+		spans[len(spans)-1].hi++
 	}
 
-	var groups [][]netaddr.Addr
-	routerIDs := make([]topology.RouterID, 0, len(byRouter))
-	for id := range byRouter {
-		routerIDs = append(routerIDs, id)
-	}
-	sort.Slice(routerIDs, func(i, j int) bool { return routerIDs[i] < routerIDs[j] })
-
-	for _, id := range routerIDs {
-		members := byRouter[id]
-		sort.Slice(members, func(i, j int) bool { return members[i] < members[j] })
-		// Probabilistically split members the probing failed to merge.
-		cur := []netaddr.Addr{members[0]}
-		for _, a := range members[1:] {
-			if rng != nil && rng.Float64() > r.MergeProb {
-				groups = append(groups, cur)
-				cur = []netaddr.Addr{a}
-				continue
-			}
-			cur = append(cur, a)
-		}
-		groups = append(groups, cur)
-	}
-	for _, a := range orphans {
-		groups = append(groups, []netaddr.Addr{a})
-	}
-
-	// Rare false merges between groups in the same metro.
+	// Rare false merges between adjacent groups in the same metro.
+	// Groups stay contiguous ranges, so a merge widens the left range
+	// over its neighbour; the merged group is not scanned again.
 	if rng != nil && r.FalseMergeProb > 0 {
-		metroOf := func(g []netaddr.Addr) string {
-			if ifc := r.topo.IfaceByAddr[g[0]]; ifc != nil {
+		metroOf := func(s span) string {
+			if ifc := r.topo.IfaceByAddr[flat[s.lo]]; ifc != nil {
 				return ifc.Router.Metro
 			}
 			return ""
 		}
-		for i := 0; i+1 < len(groups); i++ {
-			if rng.Float64() < r.FalseMergeProb && metroOf(groups[i]) != "" &&
-				metroOf(groups[i]) == metroOf(groups[i+1]) {
-				groups[i] = append(groups[i], groups[i+1]...)
-				groups = append(groups[:i+1], groups[i+2:]...)
+		merged := spans[:0]
+		for i := 0; i < len(spans); i++ {
+			s := spans[i]
+			if i+1 < len(spans) && rng.Float64() < r.FalseMergeProb && metroOf(s) != "" &&
+				metroOf(s) == metroOf(spans[i+1]) {
+				s.hi = spans[i+1].hi
+				i++
 			}
+			merged = append(merged, s)
 		}
+		spans = merged
 	}
 
-	sort.Slice(groups, func(i, j int) bool { return groups[i][0] < groups[j][0] })
+	// First members are distinct addresses, so the order is total.
+	slices.SortFunc(spans, func(x, y span) int { return cmp.Compare(flat[x.lo], flat[y.lo]) })
+	groups := make([][]netaddr.Addr, len(spans))
+	for k, s := range spans {
+		groups[k] = flat[s.lo:s.hi:s.hi]
+	}
 	return groups
 }

@@ -19,7 +19,7 @@ package bdrmap
 
 import (
 	"math/rand"
-	"sort"
+	"slices"
 
 	"throughputlab/internal/alias"
 	"throughputlab/internal/mapit"
@@ -92,15 +92,16 @@ func (az *Analyzer) groups() map[netaddr.Addr]int {
 		return az.groupOf
 	}
 	az.groupOnce = true
-	az.groupOf = map[netaddr.Addr]int{}
 	if az.opts.Alias == nil {
+		az.groupOf = map[netaddr.Addr]int{}
 		return az.groupOf
 	}
 	all := make([]netaddr.Addr, 0, len(az.inf.Operator))
 	for a := range az.inf.Operator {
 		all = append(all, a)
 	}
-	sort.Slice(all, func(i, j int) bool { return all[i] < all[j] })
+	slices.Sort(all)
+	az.groupOf = make(map[netaddr.Addr]int, len(all))
 	rng := rand.New(rand.NewSource(az.opts.AliasSeed))
 	for gi, g := range az.opts.Alias.Group(all, rng) {
 		for _, a := range g {
@@ -297,7 +298,7 @@ func (acc *BorderAccumulator) Result() *Result {
 	for n := range acc.byNeighbor {
 		neighbors = append(neighbors, n)
 	}
-	sort.Slice(neighbors, func(i, j int) bool { return neighbors[i] < neighbors[j] })
+	slices.Sort(neighbors)
 
 	for _, n := range neighbors {
 		a := acc.byNeighbor[n]

@@ -553,7 +553,9 @@ func TestBattleForNetShapes(t *testing.T) {
 
 // TestMatchingRowsEqualMatchTraces holds the sweep's pair counting,
 // and its (10 min, after) row read from the Env's shared matching, to
-// the batch matcher's Rate on the same corpus.
+// the batch matcher's Rate on the same corpus, and the 2017-regime
+// line, matched over the collector's launch plan alone, to the batch
+// matcher over a fully executed corpus of the same config.
 func TestMatchingRowsEqualMatchTraces(t *testing.T) {
 	r := result[*MatchingResult](t, "matching")
 	c := env().Corpus
@@ -567,6 +569,20 @@ func TestMatchingRowsEqualMatchTraces(t *testing.T) {
 			t.Errorf("window %d: rows %v/%v, MatchTraces %v/%v",
 				row.WindowMin, row.AfterRate, row.AroundRate, after, around)
 		}
+	}
+
+	cfg := env().Opts.Collect
+	cfg.Tests *= 2
+	cfg.Seed += 9000
+	cfg.Obs = nil
+	full, err := platform.CollectParallelCtx(context.Background(), env().World, cfg, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := core.MatchTraces(full.Tests, full.Traces, 10, core.WindowAfter)
+	if r.HighVolumeTotal != m.Total || r.HighVolumeAfterRate != m.Rate() {
+		t.Errorf("2017 regime: %d tests at %v, MatchTraces over the executed corpus %d at %v",
+			r.HighVolumeTotal, r.HighVolumeAfterRate, m.Total, m.Rate())
 	}
 }
 

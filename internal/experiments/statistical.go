@@ -41,6 +41,13 @@ type MatchingResult struct {
 // analysis on a higher-volume corpus. The sweep's (10 min, after) row
 // is the Env's shared matching; the other rows only count pairs, so no
 // ByTest map is built for them.
+//
+// The 2017-regime corpus comes from platform.CollectTimingCtx: a pair
+// depends only on each record's endpoints and minutes, which the
+// collector's launch plan fixes, so no NDT transfer or traceroute is
+// run for it and its rate equals matching a fully executed corpus of
+// the same config. Unlike that corpus, the launch plan cannot fail on
+// an unroutable client-server pair, since nothing is routed.
 func Matching(e *Env) (*MatchingResult, error) {
 	res := &MatchingResult{
 		LostToBusyCollector: e.Corpus.TestsWithoutTrace,
@@ -67,15 +74,16 @@ func Matching(e *Env) (*MatchingResult, error) {
 	}
 
 	// The 2017-style corpus: double the monthly volume on the same
-	// world and infrastructure. It is matched chunk by chunk as it is
-	// collected, so only the matcher's few-minute window stays resident.
+	// world and infrastructure. It is matched chunk by chunk as its
+	// launch plan is published, so only the matcher's few-minute window
+	// stays resident.
 	cfg := e.Opts.Collect
 	cfg.Tests *= 2
 	cfg.Seed += 9000
 	var c pairCounter
 	sm := core.NewStreamMatcher(10, core.WindowAfter)
 	sm.OnPair = c.onPair
-	_, err := platform.CollectStreamCtx(context.TODO(), e.World, cfg, e.Opts.workers(), func(ch *platform.Chunk) error {
+	_, err := platform.CollectTimingCtx(context.TODO(), e.World, cfg, e.Opts.workers(), func(ch *platform.Chunk) error {
 		sm.Add(ch.Tests, ch.Traces, ch.Watermark)
 		return nil
 	})

@@ -450,6 +450,38 @@ func CollectParallelCtx(ctx context.Context, w *topogen.World, cfg CollectConfig
 // context's cause — ErrInterrupted when the CLI's signal handler
 // cancelled, so callers can tell an interrupt from a failure.
 func CollectStreamCtx(ctx context.Context, w *topogen.World, cfg CollectConfig, workers int, sink func(*Chunk) error) (*StreamStats, error) {
+	return collectStream(ctx, w, cfg, workers, sink, true)
+}
+
+// CollectTimingCtx runs the campaign's launch plan without executing
+// it: the same scheduling, retry plan, busy-collector sweep, chunking
+// and publication as CollectStreamCtx, but no NDT transfer, no
+// traceroute, no truncation and no trace perturbation. Each published
+// test carries only ID, ClientAddr, ServerAddr, StartMinute and
+// FlowEntropy (and, under faults, the Truncated flag the fault plane
+// would set); each trace carries only SrcAddr, DstAddr, LaunchMinute
+// and FlowEntropy. Those are all the §4.1 association reads, so a
+// core.StreamMatcher fed these chunks pairs exactly the records it
+// would pair from CollectStreamCtx's. The chunks' FirstID, Watermark,
+// TestsWithoutTrace and record order equal CollectStreamCtx's, and so
+// does Completeness except DegradedTraces: whether a trace is
+// degraded depends on hops this path never computes, so it stays 0.
+//
+// Because no path is resolved, it cannot raise the route error the
+// full path would on an unroutable (client, server) pair:
+// Topology.Validate checks the topology's structure, not routability.
+// Use it only where the records' measured fields are never read.
+func CollectTimingCtx(ctx context.Context, w *topogen.World, cfg CollectConfig, workers int, sink func(*Chunk) error) (*StreamStats, error) {
+	return collectStream(ctx, w, cfg, workers, sink, false)
+}
+
+// collectStream is the one collection body: execute selects the
+// per-arrival work, the full NDT and traceroute execution
+// (CollectStreamCtx) or the launch plan's records alone
+// (CollectTimingCtx).
+func collectStream(ctx context.Context, w *topogen.World, cfg CollectConfig, workers int,
+	sink func(*Chunk) error, execute bool) (*StreamStats, error) {
+
 	started := time.Now()
 	shards := cfg.Shards
 	if shards <= 0 {
@@ -691,7 +723,8 @@ func CollectStreamCtx(ctx context.Context, w *topogen.World, cfg CollectConfig, 
 	// execArrival runs one scheduled test (and its traceroute, when the
 	// collector launched one) against the arrival's pre-seeded private
 	// RNG, writing the records into slot i. Which worker runs it can
-	// never perturb the draws.
+	// never perturb the draws. Without execute it writes the same slots
+	// with the launch plan's fields alone.
 	execArrival := func(worker, id int, tests []*ndt.Test, traces []*traceroute.Trace, i int) error {
 		if dropped != nil && dropped[id] {
 			return nil // abandoned by the retry planner; never ran
@@ -703,6 +736,19 @@ func CollectStreamCtx(ctx context.Context, w *topogen.World, cfg CollectConfig, 
 		}
 		h := households[a.hh]
 		server := a.site.Servers[int(a.entropy)%len(a.site.Servers)]
+		if !execute {
+			test := &ndt.Test{ID: id, ClientAddr: h.Endpoint.Addr, ServerAddr: server.Endpoint.Addr,
+				StartMinute: minute, FlowEntropy: a.entropy}
+			if inj != nil {
+				_, test.Truncated = inj.TruncatesTest(arrivalEntity(a))
+			}
+			tests[i] = test
+			if launches[id] >= 0 {
+				traces[i] = &traceroute.Trace{SrcAddr: server.Endpoint.Addr, DstAddr: h.Endpoint.Addr,
+					LaunchMinute: launches[id], FlowEntropy: a.entropy + 1}
+			}
+			return nil
+		}
 		rng := workerRNGs[worker]
 		rng.Seed(a.rngSeed)
 		var t0 time.Time

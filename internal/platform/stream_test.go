@@ -3,9 +3,13 @@ package platform
 import (
 	"context"
 	"errors"
+	"reflect"
 	"testing"
 
+	"throughputlab/internal/ndt"
 	"throughputlab/internal/obs"
+	"throughputlab/internal/topogen"
+	"throughputlab/internal/traceroute"
 )
 
 // collectViaStream materializes a streamed campaign through a plain
@@ -154,6 +158,75 @@ func TestCollectStreamSinkError(t *testing.T) {
 		}
 		if lastIndex != 2 {
 			t.Errorf("workers=%d: delivery continued to chunk %d after the failure at 2", workers, lastIndex)
+		}
+	}
+}
+
+// chunksOf collects every chunk a collection entry point publishes.
+func chunksOf(t *testing.T, collect func(context.Context, *topogen.World, CollectConfig, int, func(*Chunk) error) (*StreamStats, error),
+	cfg CollectConfig, workers int) []*Chunk {
+	t.Helper()
+	var out []*Chunk
+	if _, err := collect(context.Background(), world(), cfg, workers, func(c *Chunk) error {
+		out = append(out, c)
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+// TestCollectTimingMatchesStream holds the launch-plan path to the full
+// one: chunk for chunk, the same FirstID, Watermark, TestsWithoutTrace
+// and completeness ledger (less DegradedTraces, which needs hops), and
+// records in the same order that equal the full records projected to
+// the fields the timing path carries — and carry nothing else.
+func TestCollectTimingMatchesStream(t *testing.T) {
+	for name, base := range map[string]CollectConfig{"clean": smallCollect(), "heavy": heavyCollect()} {
+		cfg := base
+		cfg.ChunkTests = 97
+		full := chunksOf(t, CollectStreamCtx, cfg, 2)
+		timing := chunksOf(t, CollectTimingCtx, cfg, 2)
+		if len(full) != len(timing) {
+			t.Fatalf("%s: %d timing chunks, want %d", name, len(timing), len(full))
+		}
+		var ledger Completeness
+		for k, f := range full {
+			g := timing[k]
+			if g.Index != f.Index || g.FirstID != f.FirstID || g.Watermark != f.Watermark ||
+				g.TestsWithoutTrace != f.TestsWithoutTrace {
+				t.Fatalf("%s chunk %d: timing (index %d, first %d, watermark %d, no-trace %d), full (%d, %d, %d, %d)",
+					name, k, g.Index, g.FirstID, g.Watermark, g.TestsWithoutTrace,
+					f.Index, f.FirstID, f.Watermark, f.TestsWithoutTrace)
+			}
+			ledger.Merge(f.Completeness)
+			want := f.Completeness
+			want.DegradedTraces = 0
+			if g.Completeness != want {
+				t.Fatalf("%s chunk %d: completeness %+v, want %+v", name, k, g.Completeness, want)
+			}
+			if len(g.Tests) != len(f.Tests) || len(g.Traces) != len(f.Traces) {
+				t.Fatalf("%s chunk %d: %d/%d records, want %d/%d",
+					name, k, len(g.Tests), len(g.Traces), len(f.Tests), len(f.Traces))
+			}
+			for i, ft := range f.Tests {
+				want := &ndt.Test{ID: ft.ID, ClientAddr: ft.ClientAddr, ServerAddr: ft.ServerAddr,
+					StartMinute: ft.StartMinute, FlowEntropy: ft.FlowEntropy, Truncated: ft.Truncated}
+				if !reflect.DeepEqual(g.Tests[i], want) {
+					t.Fatalf("%s chunk %d test %d: %+v, want %+v", name, k, i, g.Tests[i], want)
+				}
+			}
+			for i, ft := range f.Traces {
+				want := &traceroute.Trace{SrcAddr: ft.SrcAddr, DstAddr: ft.DstAddr,
+					LaunchMinute: ft.LaunchMinute, FlowEntropy: ft.FlowEntropy}
+				if !reflect.DeepEqual(g.Traces[i], want) {
+					t.Fatalf("%s chunk %d trace %d: %+v, want %+v", name, k, i, g.Traces[i], want)
+				}
+			}
+		}
+		if name == "heavy" && (ledger.AbandonedTests == 0 || ledger.DroppedRows == 0 ||
+			ledger.TruncatedTests == 0 || ledger.DegradedTraces == 0) {
+			t.Errorf("heavy profile left part of the ledger unexercised: %+v", ledger)
 		}
 	}
 }
