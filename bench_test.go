@@ -306,7 +306,7 @@ func BenchmarkMatchingRates(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if r, err := experiments.Matching(e); err != nil || len(r.Rows) == 0 {
+		if r, err := experiments.Matching(context.Background(), e); err != nil || len(r.Rows) == 0 {
 			b.Fatal("empty result", err)
 		}
 	}
@@ -354,7 +354,7 @@ func BenchmarkSnapshotDrift(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := experiments.Snapshots(e); err != nil {
+		if _, err := experiments.Snapshots(context.Background(), e); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -491,7 +491,7 @@ func BenchmarkBattleForNet(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := experiments.BattleForNet(e); err != nil {
+		if _, err := experiments.BattleForNet(context.Background(), e); err != nil {
 			b.Fatal(err)
 		}
 	}

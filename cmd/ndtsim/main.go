@@ -55,7 +55,7 @@ func run(scale string, seed int64, tests int, battle bool, campaign, out string,
 		return fmt.Errorf("-scale %q: want small or default", scale)
 	}
 	cfg.Seed = seed
-	w, err := topogen.Generate(cfg)
+	w, err := topogen.GenerateCtx(context.Background(), cfg)
 	if err != nil {
 		return err
 	}

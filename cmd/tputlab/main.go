@@ -432,11 +432,7 @@ func runCmd(args []string) error {
 		fmt.Fprint(os.Stderr, report.RenderCompleteness(env.Corpus.Completeness, env.Matching.Degraded))
 		return finish(cf, reg, err)
 	}
-	sp := reg.Span("experiments")
-	child := sp.Child(entry.Name)
-	res, err := entry.Run(env)
-	child.End()
-	sp.End()
+	res, err := entry.RunCtx(ctx, env)
 	if err != nil {
 		return finish(cf, reg, err)
 	}

@@ -38,8 +38,9 @@ const pipelineDepth = 1
 const corpusFormat = "columnar"
 
 // source feeds a campaign's chunks to fn in publication order and
-// returns the campaign's completeness ledger.
-type source func(fn func(*platform.Chunk) error) (platform.Completeness, error)
+// returns the campaign's completeness ledger. ctx carries the span its
+// own spans open under.
+type source func(ctx context.Context, fn func(*platform.Chunk) error) (platform.Completeness, error)
 
 // Campaign is an opened campaign: its options, its world (nil over a
 // persisted corpus), the source behind its report, and the tee that
@@ -65,16 +66,16 @@ func Report(ctx context.Context, s Spec, reg *obs.Registry) (string, error) {
 		return "", err
 	}
 	if c.src == nil {
-		c.src = c.live(ctx)
+		c.src = c.live
 	}
-	return c.report(reg)
+	return c.report(ctx, reg)
 }
 
 // report renders the opened campaign's report. Its one pass overlaps
 // operator inference, per-test aggregation, trace matching and, over a
 // world with a registry, the bdrmap path recorder; the matched pairs
 // and the recorded paths are labelled once MAP-IT is sealed.
-func (c *Campaign) report(reg *obs.Registry) (string, error) {
+func (c *Campaign) report(ctx context.Context, reg *obs.Registry) (string, error) {
 	mopts := (&export.Dataset{Public: *c.bundle()}).Lookups().MapItOpts()
 	mopts.Workers = c.opts.Workers
 	mopts.Obs = reg
@@ -94,7 +95,7 @@ func (c *Campaign) report(reg *obs.Registry) (string, error) {
 		stages = append(stages, stream.Stage[*platform.Chunk]{Name: "bdrmap",
 			Fn: func(ch *platform.Chunk) error { rec.Add(ch.Traces); return nil }})
 	}
-	comp, err := c.pass(stages...)
+	comp, err := c.pass(ctx, stages...)
 	if err != nil {
 		return "", err
 	}
@@ -172,15 +173,13 @@ func (c *Campaign) collect(ctx context.Context, sink func(*platform.Chunk) error
 // live is the source over a world: the campaign as it is collected. No
 // chunk is kept beyond its pass through the stages, and the ledger is
 // the merge of the chunks' own, as a sealed corpus's footer is.
-func (c *Campaign) live(ctx context.Context) source {
-	return func(fn func(*platform.Chunk) error) (platform.Completeness, error) {
-		var comp platform.Completeness
-		err := c.collect(ctx, func(ch *platform.Chunk) error {
-			comp.Merge(ch.Completeness)
-			return fn(ch)
-		})
-		return comp, err
-	}
+func (c *Campaign) live(ctx context.Context, fn func(*platform.Chunk) error) (platform.Completeness, error) {
+	var comp platform.Completeness
+	err := c.collect(ctx, func(ch *platform.Chunk) error {
+		comp.Merge(ch.Completeness)
+		return fn(ch)
+	})
+	return comp, err
 }
 
 // openCorpus is the source over a persisted corpus: no world is
@@ -196,7 +195,7 @@ func openCorpus(path string, opts experiments.Options) (*Campaign, error) {
 		return nil, err
 	}
 	c := &Campaign{opts: opts, public: r.Public()}
-	c.src = func(fn func(*platform.Chunk) error) (platform.Completeness, error) {
+	c.src = func(_ context.Context, fn func(*platform.Chunk) error) (platform.Completeness, error) {
 		return r.replay(context.Background(), fn)
 	}
 	return c, nil
@@ -268,13 +267,14 @@ func (c *Campaign) bundle() *export.Public {
 // stages, each on its own goroutine behind a bounded channel. A tee
 // persists the collected chunks as one more stage and is sealed with
 // the pass's outcome. The pipeline is named pass1: CI and the
-// benchmark tooling read its metric names.
-func (c *Campaign) pass(stages ...stream.Stage[*platform.Chunk]) (platform.Completeness, error) {
+// benchmark tooling read its metric names. The source's spans (a live
+// collection's) open under the pipeline's.
+func (c *Campaign) pass(ctx context.Context, stages ...stream.Stage[*platform.Chunk]) (platform.Completeness, error) {
 	if c.tee != nil {
 		stages = append(stages, stream.Stage[*platform.Chunk]{Name: "export", Fn: c.tee.write})
 	}
 	pipe := stream.NewPipeline("pass1", pipelineDepth, c.opts.Obs, stages...)
-	comp, err := c.src(pipe.Send)
+	comp, err := c.src(obs.WithSpan(ctx, pipe.Span()), pipe.Send)
 	if cErr := pipe.Close(); err == nil {
 		err = cErr
 	}

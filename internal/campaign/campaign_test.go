@@ -266,9 +266,9 @@ func interruptedReport(t *testing.T, s Spec) (string, error) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	src, n := c.live(ctx), 0
-	c.src = func(fn func(*platform.Chunk) error) (platform.Completeness, error) {
-		return src(func(ch *platform.Chunk) error {
+	n := 0
+	c.src = func(ctx context.Context, fn func(*platform.Chunk) error) (platform.Completeness, error) {
+		return c.live(ctx, func(ch *platform.Chunk) error {
 			if n++; n == 2 {
 				cancel(platform.ErrInterrupted)
 			}
@@ -276,7 +276,7 @@ func interruptedReport(t *testing.T, s Spec) (string, error) {
 		})
 	}
 	var runErr error
-	stderr := captureStderr(t, func() { _, runErr = c.report(nil) })
+	stderr := captureStderr(t, func() { _, runErr = c.report(ctx, nil) })
 	return stderr, runErr
 }
 
@@ -377,8 +377,8 @@ func TestRerunReproducesInterruptedCampaign(t *testing.T) {
 
 // TestReportReadsOnce pins the report to one read of each chunk, live
 // and over a persisted corpus: the one pipeline's match stage sees as
-// many chunks as the corpus footer records, and no second pass leaves
-// a metric.
+// many chunks as the corpus footer records, no second pass leaves a
+// metric, and the live collection's span sits inside the pass's.
 func TestReportReadsOnce(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds a world")
@@ -429,6 +429,23 @@ func TestReportReadsOnce(t *testing.T) {
 	}
 	if got := liveReg.Counter("pipeline.pass1.bdrmap.items").Value(); got != chunks {
 		t.Errorf("live: pipeline.pass1.bdrmap.items = %d, want %d", got, chunks)
+	}
+	// The live collection runs inside the pass: its span sits under the
+	// pipeline's, after the stages'.
+	var roots, pass []string
+	for _, s := range liveReg.Snapshot().Spans {
+		roots = append(roots, s.Name)
+		if s.Name == "pipeline.pass1" {
+			for _, c := range s.Children {
+				pass = append(pass, c.Name)
+			}
+		}
+	}
+	if got, want := strings.Join(roots, " "), "generate pipeline.pass1 mapit bdrmap report"; got != want {
+		t.Errorf("live: root spans = %s, want %s", got, want)
+	}
+	if got, want := strings.Join(pass, " "), "mapit aggregate match bdrmap export collect"; got != want {
+		t.Errorf("live: pipeline.pass1 children = %s, want %s", got, want)
 	}
 }
 

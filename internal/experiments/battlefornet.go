@@ -37,8 +37,8 @@ type BattleResult struct {
 }
 
 // BattleForNet collects a fresh corpus in each mode over the shared
-// world and compares observability.
-func BattleForNet(e *Env) (*BattleResult, error) {
+// world, under ctx (see Matching), and compares observability.
+func BattleForNet(ctx context.Context, e *Env) (*BattleResult, error) {
 	cfg := e.Opts.Collect
 	cfg.Tests = min(cfg.Tests/4, 8000) // fresh, smaller campaigns
 	cfg.Seed += 5000
@@ -47,7 +47,7 @@ func BattleForNet(e *Env) (*BattleResult, error) {
 	for _, battle := range []bool{false, true} {
 		c := cfg
 		c.BattleForNet = battle
-		corpus, err := platform.CollectParallelCtx(context.TODO(), e.World, c, e.Opts.workers())
+		corpus, err := platform.CollectParallelCtx(ctx, e.World, c, e.Opts.workers())
 		if err != nil {
 			return nil, err
 		}

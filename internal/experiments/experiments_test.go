@@ -409,9 +409,8 @@ func TestSnapshotsShapes(t *testing.T) {
 }
 
 func TestRegistryAndRunAll(t *testing.T) {
-	names := Names()
-	if len(names) != 19 {
-		t.Errorf("%d experiments registered, want 19", len(names))
+	if n := len(Registry()); n != 19 {
+		t.Errorf("%d experiments registered, want 19", n)
 	}
 	if _, ok := Find("fig5"); !ok {
 		t.Error("fig5 not found")

@@ -6,6 +6,7 @@ import (
 	"runtime"
 	"strings"
 
+	"throughputlab/internal/obs"
 	"throughputlab/internal/stream"
 )
 
@@ -18,7 +19,9 @@ import (
 // context's cause.
 //
 // With a registry on the Env (Opts.Obs), each experiment runs under a
-// span, a child of one "experiments" phase span. Allocation is
+// span (Entry.RunCtx), a child of one "experiments" phase span that
+// opens under the span ctx carries; the experiments' own generation
+// and collection spans nest under their experiment's. Allocation is
 // measured — experiments.<name>.alloc_bytes — only when the sweep runs
 // on one worker: runtime.ReadMemStats stops the world, and its
 // process-wide counters cannot attribute overlapping experiments. An
@@ -37,7 +40,7 @@ func RunParallelCtx(ctx context.Context, e *Env, workers int) (string, error) {
 	}
 	reg := e.Opts.Obs
 	measureAlloc := reg != nil && workers == 1
-	sweep := reg.Span("experiments")
+	sweep, ctx := obs.Start(ctx, reg, "experiments")
 
 	type slot struct {
 		out string
@@ -53,15 +56,13 @@ func RunParallelCtx(ctx context.Context, e *Env, workers int) (string, error) {
 		if measureAlloc {
 			runtime.ReadMemStats(&before)
 		}
-		sp := sweep.Child(entry.Name)
-		r, err := entry.Run(e)
-		sp.End()
+		r, err := entry.RunCtx(ctx, e)
 		if measureAlloc {
 			runtime.ReadMemStats(&after)
 			reg.Gauge("experiments." + entry.Name + ".alloc_bytes").Set(int64(after.TotalAlloc - before.TotalAlloc))
 		}
 		if err != nil {
-			slots[i].err = fmt.Errorf("experiment %s: %w", entry.Name, err)
+			slots[i].err = err
 			return
 		}
 		slots[i].out = renderEntry(entry, r)

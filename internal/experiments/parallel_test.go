@@ -2,6 +2,9 @@ package experiments
 
 import (
 	"context"
+	"errors"
+	"fmt"
+	"strings"
 	"testing"
 
 	"throughputlab/internal/obs"
@@ -50,13 +53,77 @@ func TestNoCoreFallbacks(t *testing.T) {
 	}
 }
 
+// checkSweepTree asserts the experiment sweep's span tree in d: one
+// "experiments" root with one child per registry entry, and every
+// generate and collect span an experiment opens on its own directly
+// under that experiment's span — one collect under matching, two under
+// battlefornet and one generate under snapshots — and nowhere else
+// under "experiments".
+func checkSweepTree(t *testing.T, d *obs.Dump) {
+	t.Helper()
+	var sweeps []obs.SpanDump
+	for _, s := range d.Spans {
+		if s.Name == "experiments" {
+			sweeps = append(sweeps, s)
+		}
+	}
+	if len(sweeps) != 1 {
+		t.Fatalf("%d experiments root spans, want 1", len(sweeps))
+	}
+	entries := Registry()
+	children := sweeps[0].Children
+	if len(children) != len(entries) {
+		t.Fatalf("experiments span has %d children, want %d", len(children), len(entries))
+	}
+	want := map[string][2]int{"matching": {1, 0}, "battlefornet": {2, 0}, "snapshots": {0, 1}}
+	seen := map[string]bool{}
+	for _, c := range children {
+		if seen[c.Name] {
+			t.Errorf("experiment %q has two spans", c.Name)
+		}
+		seen[c.Name] = true
+		var direct, nested [2]int
+		for _, g := range c.Children {
+			direct[0] += btoi(g.Name == "collect")
+			direct[1] += btoi(g.Name == "generate")
+		}
+		var walk func(obs.SpanDump)
+		walk = func(s obs.SpanDump) {
+			for _, g := range s.Children {
+				nested[0] += btoi(g.Name == "collect")
+				nested[1] += btoi(g.Name == "generate")
+				walk(g)
+			}
+		}
+		walk(c)
+		if w := want[c.Name]; direct != w || nested != w {
+			t.Errorf("experiment %s: (collect, generate) spans %v directly under it, %v in its subtree, want %v",
+				c.Name, direct, nested, w)
+		}
+	}
+	for _, e := range entries {
+		if !seen[e.Name] {
+			t.Errorf("no span recorded for experiment %q", e.Name)
+		}
+	}
+}
+
+func btoi(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
+}
+
 // TestRunParallelGoldenWithObs pins the observability invariance
 // guarantee on the experiment sweep: running with a live registry
-// attached produces output byte-identical to the uninstrumented serial
-// reference, and the registry ends up holding one child span per
-// experiment under the "experiments" phase. Its Env has Opts.Workers 4,
-// so the experiments' own parallel paths run too: the per-VP fan-out
-// (the 4-worker leg goes first, so it builds the VP cache) and the
+// attached the way the CLI attaches it (Opts.Obs, Opts.Topo.Obs and
+// Opts.Collect.Obs, so the experiments' own generation and collection
+// are traced too) produces output byte-identical to the uninstrumented
+// serial reference, and the span tree is the one checkSweepTree pins,
+// at both worker counts. Its Env has Opts.Workers 4, so the
+// experiments' own parallel paths run too: the per-VP fan-out (the
+// 4-worker leg goes first, so it builds the VP cache) and the
 // collections inside matching, snapshots and battlefornet.
 func TestRunParallelGoldenWithObs(t *testing.T) {
 	if testing.Short() {
@@ -70,24 +137,14 @@ func TestRunParallelGoldenWithObs(t *testing.T) {
 	own.Opts.Workers = 4
 	for _, workers := range []int{4, 1} {
 		reg := obs.NewRegistry()
-		own.Opts.Obs = reg
+		own.Opts.Obs, own.Opts.Topo.Obs, own.Opts.Collect.Obs = reg, reg, reg
 		sweep(t, own, workers)
 		d := reg.Snapshot()
-		if len(d.Spans) != 1 || d.Spans[0].Name != "experiments" {
-			t.Fatalf("want one experiments root span, got %+v", d.Spans)
+		if len(d.Spans) != 1 {
+			t.Errorf("want one root span (experiments), got %d", len(d.Spans))
 		}
-		entries := Registry()
-		if len(d.Spans[0].Children) != len(entries) {
-			t.Fatalf("experiments span has %d children, want %d", len(d.Spans[0].Children), len(entries))
-		}
-		seen := map[string]bool{}
-		for _, c := range d.Spans[0].Children {
-			seen[c.Name] = true
-		}
-		for _, e := range entries {
-			if !seen[e.Name] {
-				t.Errorf("no span recorded for experiment %q", e.Name)
-			}
+		checkSweepTree(t, d)
+		for _, e := range Registry() {
 			// Allocation is measured only serially: overlapping
 			// experiments would share one process-wide delta.
 			v, ok := d.Gauges["experiments."+e.Name+".alloc_bytes"]
@@ -103,11 +160,11 @@ func TestRunParallelGoldenWithObs(t *testing.T) {
 
 // TestRunParallelFullyInstrumented wires the registry the way the CLI
 // does — before NewEnvCtx, so world generation, collection, and the
-// sub-environments some experiments rebuild are all traced — and runs
-// the sweep with several workers. Sub-environment experiments push
-// phase spans on the shared registry stack concurrently; under -race
-// this asserts that is safe, and the output must still match the
-// uninstrumented serial reference.
+// worlds and corpora some experiments build on their own are all
+// traced — and runs the sweep with several workers. Under -race this
+// asserts that concurrent span opening is safe; the output must still
+// match the uninstrumented serial reference, and the sweep's span tree
+// is the one checkSweepTree pins.
 func TestRunParallelFullyInstrumented(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds an extra world and runs the registry")
@@ -121,20 +178,35 @@ func TestRunParallelFullyInstrumented(t *testing.T) {
 	}
 	sweep(t, instrumented, 2)
 	d := reg.Snapshot()
-	names := map[string]bool{}
+	var names []string
 	for _, s := range d.Spans {
-		names[s.Name] = true
+		names = append(names, s.Name)
 	}
-	for _, wantRoot := range []string{"generate", "collect", "mapit", "match", "experiments"} {
-		if !names[wantRoot] {
-			t.Errorf("missing root phase span %q (have %+v)", wantRoot, d.Spans)
-		}
+	if got, want := strings.Join(names, " "), "generate collect mapit match experiments"; got != want {
+		t.Errorf("root spans = %s, want %s", got, want)
 	}
+	checkSweepTree(t, d)
 	if reg.Counter("collect.tests").Value() == 0 {
 		t.Error("collect.tests counter empty on instrumented env")
 	}
 	if reg.Counter("resolver.segment.hits").Value() == 0 {
 		t.Error("resolver counters not rebound onto the pipeline registry")
+	}
+}
+
+// TestExperimentsHonorCancellation runs the experiments that generate
+// or collect on their own under an already-cancelled context: each
+// fails with an error that names it and wraps the context's cause.
+func TestExperimentsHonorCancellation(t *testing.T) {
+	cause := errors.New("stop")
+	ctx, cancel := context.WithCancelCause(context.Background())
+	cancel(cause)
+	for _, name := range []string{"matching", "battlefornet", "snapshots"} {
+		entry, _ := Find(name)
+		_, err := entry.RunCtx(ctx, env())
+		if !errors.Is(err, cause) || !strings.Contains(fmt.Sprint(err), "experiment "+name) {
+			t.Errorf("%s under a cancelled context: err = %v, want one naming it and wrapping %v", name, err, cause)
+		}
 	}
 }
 

@@ -1,6 +1,11 @@
 package experiments
 
-import "sort"
+import (
+	"context"
+	"fmt"
+
+	"throughputlab/internal/obs"
+)
 
 // Renderer is implemented by every experiment result.
 type Renderer interface {
@@ -11,41 +16,62 @@ type Renderer interface {
 type Entry struct {
 	Name  string
 	Paper string // which table/figure/section it regenerates
-	Run   func(*Env) (Renderer, error)
+	run   func(context.Context, *Env) (Renderer, error)
+}
+
+// RunCtx runs the experiment over e under ctx, in a span named after
+// it (see obs.Start), and wraps a failure with the experiment's name.
+// Its own generation and collection stop once ctx is cancelled.
+func (entry Entry) RunCtx(ctx context.Context, e *Env) (Renderer, error) {
+	sp, ctx := obs.Start(ctx, e.Opts.Obs, entry.Name)
+	r, err := entry.run(ctx, e)
+	sp.End()
+	if err != nil {
+		return nil, fmt.Errorf("experiment %s: %w", entry.Name, err)
+	}
+	return r, nil
+}
+
+// Run is RunCtx's bare body: the experiment without cancellation, span
+// or error wrap. perfbench/trace times each experiment through it.
+func (entry Entry) Run(e *Env) (Renderer, error) {
+	return entry.run(context.Background(), e)
 }
 
 // Registry lists every experiment, keyed by the name used on the
 // tputlab command line.
 func Registry() []Entry {
-	wrap := func(f func(*Env) Renderer) func(*Env) (Renderer, error) {
-		return func(e *Env) (Renderer, error) { return f(e), nil }
-	}
 	return []Entry{
-		{"fig1", "Figure 1 + §4.2 (AS hops server→client)", wrap(func(e *Env) Renderer { return Fig1(e) })},
-		{"table1", "Table 1 (broadband providers)", wrap(func(e *Env) Renderer { return Table1(e) })},
-		{"table2", "Table 2 (IP-link diversity from Level3 Atlanta)", wrap(func(e *Env) Renderer { return Table2(e) })},
-		{"table3", "Table 3 (bdrmap borders per Ark VP)", wrap(func(e *Env) Renderer { return Table3(e) })},
-		{"fig2", "Figure 2 (coverage of interconnections)", wrap(func(e *Env) Renderer { return Fig2(e) })},
-		{"fig3", "Figure 3 (coverage of peer interconnections)", wrap(func(e *Env) Renderer { return Fig3(e) })},
-		{"fig4", "Figure 4 (platform vs popular-content paths)", wrap(func(e *Env) Renderer { return Fig4(e) })},
-		{"fig5", "Figure 5 (diurnal throughput, GTT Atlanta)", wrap(func(e *Env) Renderer { return Fig5(e) })},
-		{"matching", "§4.1 (NDT↔traceroute association)",
-			func(e *Env) (Renderer, error) { return Matching(e) }},
-		{"thresholds", "§6.2 (congestion-threshold sensitivity)", wrap(func(e *Env) Renderer { return Thresholds(e) })},
-		{"bias", "§6.1 (crowdsourcing bias diagnostics)", wrap(func(e *Env) Renderer { return BiasDiagnostics(e) })},
-		{"tomography", "§3 (full vs simplified tomography)", wrap(func(e *Env) Renderer { return Tomography(e) })},
-		{"snapshots", "§5.4 (coverage change over time)",
-			func(e *Env) (Renderer, error) { return Snapshots(e) }},
-		{"signatures", "§7 future work: TCP congestion signatures [37]", wrap(func(e *Env) Renderer { return Signatures(e) })},
-		{"tslp", "§7 recommendation: TSLP latency survey [25]", wrap(func(e *Env) Renderer { return TSLP(e) })},
-		{"placement", "§7 recommendation: topology-aware server placement", wrap(func(e *Env) Renderer { return Placement(e) })},
-		{"battlefornet", "§2.2 (multi-server client vs NDT default)",
-			func(e *Env) (Renderer, error) { return BattleForNet(e) }},
-		{"ablation", "component ablations (far-side correction, alias resolution)",
-			wrap(func(e *Env) Renderer { return Ablation(e) })},
-		{"stratified", "§4.3 remedy: per-IP-link stratification of aggregates",
-			wrap(func(e *Env) Renderer { return Stratified(e) })},
+		{"fig1", "Figure 1 + §4.2 (AS hops server→client)", pure(Fig1)},
+		{"table1", "Table 1 (broadband providers)", pure(Table1)},
+		{"table2", "Table 2 (IP-link diversity from Level3 Atlanta)", pure(Table2)},
+		{"table3", "Table 3 (bdrmap borders per Ark VP)", pure(Table3)},
+		{"fig2", "Figure 2 (coverage of interconnections)", pure(Fig2)},
+		{"fig3", "Figure 3 (coverage of peer interconnections)", pure(Fig3)},
+		{"fig4", "Figure 4 (platform vs popular-content paths)", pure(Fig4)},
+		{"fig5", "Figure 5 (diurnal throughput, GTT Atlanta)", pure(Fig5)},
+		{"matching", "§4.1 (NDT↔traceroute association)", under(Matching)},
+		{"thresholds", "§6.2 (congestion-threshold sensitivity)", pure(Thresholds)},
+		{"bias", "§6.1 (crowdsourcing bias diagnostics)", pure(BiasDiagnostics)},
+		{"tomography", "§3 (full vs simplified tomography)", pure(Tomography)},
+		{"snapshots", "§5.4 (coverage change over time)", under(Snapshots)},
+		{"signatures", "§7 future work: TCP congestion signatures [37]", pure(Signatures)},
+		{"tslp", "§7 recommendation: TSLP latency survey [25]", pure(TSLP)},
+		{"placement", "§7 recommendation: topology-aware server placement", pure(Placement)},
+		{"battlefornet", "§2.2 (multi-server client vs NDT default)", under(BattleForNet)},
+		{"ablation", "component ablations (far-side correction, alias resolution)", pure(Ablation)},
+		{"stratified", "§4.3 remedy: per-IP-link stratification of aggregates", pure(Stratified)},
 	}
+}
+
+// pure adapts an experiment that only reads the Env.
+func pure[R Renderer](f func(*Env) R) func(context.Context, *Env) (Renderer, error) {
+	return func(_ context.Context, e *Env) (Renderer, error) { return f(e), nil }
+}
+
+// under adapts an experiment that generates or collects under ctx.
+func under[R Renderer](f func(context.Context, *Env) (R, error)) func(context.Context, *Env) (Renderer, error) {
+	return func(ctx context.Context, e *Env) (Renderer, error) { return f(ctx, e) }
 }
 
 // Find returns the registry entry with the given name.
@@ -56,16 +82,6 @@ func Find(name string) (Entry, bool) {
 		}
 	}
 	return Entry{}, false
-}
-
-// Names returns all experiment names, sorted.
-func Names() []string {
-	var out []string
-	for _, e := range Registry() {
-		out = append(out, e.Name)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // renderEntry formats one experiment's contribution to the all-

@@ -47,8 +47,10 @@ type MatchingResult struct {
 // collector's launch plan fixes, so no NDT transfer or traceroute is
 // run for it and its rate equals matching a fully executed corpus of
 // the same config. Unlike that corpus, the launch plan cannot fail on
-// an unroutable client-server pair, since nothing is routed.
-func Matching(e *Env) (*MatchingResult, error) {
+// an unroutable client-server pair, since nothing is routed. The
+// collection runs under ctx: it stops at its next chunk boundary once
+// ctx is cancelled, and its span opens under the span ctx carries.
+func Matching(ctx context.Context, e *Env) (*MatchingResult, error) {
 	res := &MatchingResult{
 		LostToBusyCollector: e.Corpus.TestsWithoutTrace,
 		Total:               len(e.Corpus.Tests),
@@ -83,7 +85,7 @@ func Matching(e *Env) (*MatchingResult, error) {
 	var c pairCounter
 	sm := core.NewStreamMatcher(10, core.WindowAfter)
 	sm.OnPair = c.onPair
-	_, err := platform.CollectTimingCtx(context.TODO(), e.World, cfg, e.Opts.workers(), func(ch *platform.Chunk) error {
+	_, err := platform.CollectTimingCtx(ctx, e.World, cfg, e.Opts.workers(), func(ch *platform.Chunk) error {
 		sm.Add(ch.Tests, ch.Traces, ch.Watermark)
 		return nil
 	})
@@ -270,12 +272,13 @@ type SnapshotsResult struct {
 	}
 }
 
-// Snapshots builds a second drifted world and compares peer coverage.
-func Snapshots(e *Env) (*SnapshotsResult, error) {
+// Snapshots builds a second drifted world, under ctx (see Matching),
+// and compares peer coverage.
+func Snapshots(ctx context.Context, e *Env) (*SnapshotsResult, error) {
 	cfgB := e.Opts.Topo
 	cfgB.Seed += 1000 // topology drift between snapshots
 	cfgB.SpeedtestFactor = e.Opts.Topo.SpeedtestFactor * 1.45
-	wB, err := topogen.Generate(cfgB)
+	wB, err := topogen.GenerateCtx(ctx, cfgB)
 	if err != nil {
 		return nil, err
 	}

@@ -52,7 +52,6 @@ type Registry struct {
 
 	spanMu sync.Mutex
 	roots  []*Span
-	stack  []*Span // innermost-open sequential spans
 
 	// Live-telemetry attachments (nil until enabled): the
 	// simulated-clock sampler (timeseries.go) and the progress event

@@ -2,8 +2,8 @@ package obs
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
-	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -85,57 +85,6 @@ func TestNilRegistryNoOps(t *testing.T) {
 	d := r.Snapshot()
 	if d == nil || len(d.Counters) != 0 || len(d.Spans) != 0 {
 		t.Error("nil registry snapshot not empty")
-	}
-}
-
-func TestSpanNesting(t *testing.T) {
-	r := NewRegistry()
-	outer := r.Span("outer")
-	inner := r.Span("inner")
-	leaf := r.Span("leaf")
-	leaf.End()
-	inner.End()
-	// Concurrent-style children attach explicitly.
-	c1 := outer.Child("c1")
-	c2 := outer.Child("c2")
-	c2.End()
-	c1.End()
-	outer.End()
-	sibling := r.Span("sibling")
-	sibling.End()
-
-	d := r.Snapshot()
-	if len(d.Spans) != 2 || d.Spans[0].Name != "outer" || d.Spans[1].Name != "sibling" {
-		t.Fatalf("roots = %+v, want [outer sibling]", d.Spans)
-	}
-	names := make([]string, 0, 3)
-	for _, c := range d.Spans[0].Children {
-		names = append(names, c.Name)
-	}
-	if strings.Join(names, ",") != "inner,c1,c2" {
-		t.Errorf("outer children = %v, want [inner c1 c2]", names)
-	}
-	if len(d.Spans[0].Children[0].Children) != 1 || d.Spans[0].Children[0].Children[0].Name != "leaf" {
-		t.Errorf("inner children = %+v, want [leaf]", d.Spans[0].Children[0].Children)
-	}
-}
-
-// TestSpanEndOutOfOrder asserts a missing inner End cannot wedge the
-// sequential stack: ending an outer span pops everything above it.
-func TestSpanEndOutOfOrder(t *testing.T) {
-	r := NewRegistry()
-	outer := r.Span("outer")
-	_ = r.Span("forgotten") // never ended
-	outer.End()
-	after := r.Span("after")
-	after.End()
-	d := r.Snapshot()
-	if len(d.Spans) != 2 || d.Spans[1].Name != "after" {
-		t.Fatalf("roots = %+v, want [outer after]", d.Spans)
-	}
-	outer.End() // double End is a no-op
-	if got := outer.Duration(); got <= 0 {
-		t.Errorf("outer duration = %v, want > 0", got)
 	}
 }
 
@@ -261,6 +210,7 @@ func TestRegistryConcurrentShards(t *testing.T) {
 // hot paths (the PR-2 resolver and collection loops) cannot regress.
 func TestDisabledHandlesZeroAlloc(t *testing.T) {
 	var r *Registry
+	ctx := context.Background()
 	c := r.Counter("c")
 	g := r.Gauge("g")
 	h := r.Histogram("h", Bounds(1))
@@ -275,6 +225,8 @@ func TestDisabledHandlesZeroAlloc(t *testing.T) {
 		sp := r.Span("s")
 		sp.Child("c").End()
 		sp.End()
+		st, _ := Start(ctx, r, "s")
+		st.End()
 	}); n != 0 {
 		t.Errorf("disabled span allocates %v allocs/op, want 0", n)
 	}

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"time"
 )
 
 // The snapshot sink. Snapshot flattens a registry into a Dump — a plain
@@ -62,6 +63,8 @@ type SpanDump struct {
 	Name     string     `json:"name"`
 	Millis   float64    `json:"ms"`
 	Children []SpanDump `json:"children,omitempty"`
+
+	start, end time.Time // absolute times, for WriteTrace
 }
 
 // Snapshot exports the registry's current state. On a nil registry it
@@ -109,24 +112,30 @@ func (r *Registry) Snapshot() *Dump {
 		d.Events = &st
 	}
 
-	r.spanMu.Lock()
-	roots := append([]*Span(nil), r.roots...)
-	r.spanMu.Unlock()
-	for _, s := range roots {
-		d.Spans = append(d.Spans, dumpSpan(s))
-	}
+	d.Spans = r.spanForest(time.Now())
 	return d
 }
 
-func dumpSpan(s *Span) SpanDump {
-	sd := SpanDump{Name: s.Name(), Millis: float64(s.Duration().Microseconds()) / 1000}
-	s.mu.Lock()
-	children := append([]*Span(nil), s.children...)
-	s.mu.Unlock()
-	for _, c := range children {
-		sd.Children = append(sd.Children, dumpSpan(c))
+// spanForest copies the span tree under the span mutex. Unended spans
+// are clamped to now, so a live export (the telemetry endpoint) shows
+// in-progress phases up to the present.
+func (r *Registry) spanForest(now time.Time) []SpanDump {
+	r.spanMu.Lock()
+	defer r.spanMu.Unlock()
+	return copySpans(r.roots, now)
+}
+
+func copySpans(spans []*Span, now time.Time) []SpanDump {
+	var out []SpanDump
+	for _, s := range spans {
+		end := now
+		if s.ended {
+			end = s.start.Add(s.dur)
+		}
+		out = append(out, SpanDump{Name: s.name, Millis: float64(end.Sub(s.start).Microseconds()) / 1000,
+			Children: copySpans(s.children, now), start: s.start, end: end})
 	}
-	return sd
+	return out
 }
 
 // WriteJSON writes the registry snapshot as indented JSON.

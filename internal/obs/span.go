@@ -1,34 +1,22 @@
 package obs
 
 import (
-	"sync"
+	"context"
 	"time"
 )
 
 // The phase-span tracer. A Span measures the wall time of one pipeline
 // phase; spans form a tree that mirrors the run: world generation →
-// population build → corpus collection → resolver warm-up →
-// per-experiment runs.
+// corpus collection → shared inference → per-experiment runs.
 //
-// Two nesting modes:
-//
-//   - Registry.Span(name) opens a sequential span nested under the
-//     innermost still-open sequential span. This fits orchestration code
-//     (Generate, CollectStreamCtx, NewEnvCtx, the CLI) where phases start
-//     and end on one goroutine in stack order.
-//   - Span.Child(name) opens an explicit child of a given parent and
-//     does NOT join the sequential stack. Concurrent sections
-//     (stream.For's workers, the RunParallelCtx sweep) use it so
-//     sibling spans from different goroutines attach to the right
-//     parent without interleaving the stack.
-//
-// All tree mutation is guarded by the registry's span mutex; reading
-// the tree (Snapshot, WriteTrace) is meant for after the traced work has
-// completed. The nil *Span is a no-op, so disabled tracing costs one
+// Every span opens from an explicit parent, so the tree follows the
+// call graph, not goroutine scheduling: Registry.Span opens a root and
+// Span.Child a child. A parent reaches a callee through its
+// context.Context (Start, WithSpan). The registry's span mutex guards
+// the tree; the nil *Span is a no-op, so disabled tracing costs one
 // branch.
 
-// Span is one timed phase. Create via Registry.Span or Span.Child;
-// close with End. The nil span is a valid no-op.
+// Span is one timed phase, closed with End. The nil span is a no-op.
 type Span struct {
 	name     string
 	start    time.Time
@@ -36,67 +24,76 @@ type Span struct {
 	ended    bool
 	children []*Span
 
-	mu *sync.Mutex // the owning registry's spanMu
-	r  *Registry
+	r *Registry // the owning registry; its spanMu guards the fields above
 }
 
-// Span opens a sequential phase span nested under the innermost open
-// sequential span (a root span when none is open). On a nil registry it
-// returns nil.
+// Span opens a root span. On a nil registry it returns nil.
 func (r *Registry) Span(name string) *Span {
 	if r == nil {
 		return nil
 	}
-	s := &Span{name: name, start: time.Now(), mu: &r.spanMu, r: r}
+	s := &Span{name: name, start: time.Now(), r: r}
 	r.spanMu.Lock()
-	if n := len(r.stack); n > 0 {
-		parent := r.stack[n-1]
-		parent.children = append(parent.children, s)
-	} else {
-		r.roots = append(r.roots, s)
-	}
-	r.stack = append(r.stack, s)
+	r.roots = append(r.roots, s)
 	r.spanMu.Unlock()
 	return s
 }
 
-// Child opens a span as an explicit child of s, without touching the
-// sequential stack. Use it from worker goroutines so concurrent sibling
-// spans attach under one parent. On a nil span it returns nil.
+// Child opens a span as a child of s. It is safe to call from several
+// goroutines under one parent. On a nil span it returns nil.
 func (s *Span) Child(name string) *Span {
 	if s == nil {
 		return nil
 	}
-	c := &Span{name: name, start: time.Now(), mu: s.mu, r: s.r}
-	s.mu.Lock()
+	c := &Span{name: name, start: time.Now(), r: s.r}
+	s.r.spanMu.Lock()
 	s.children = append(s.children, c)
-	s.mu.Unlock()
+	s.r.spanMu.Unlock()
 	return c
 }
 
-// End closes the span, recording its wall time. Sequential spans are
-// popped from the registry stack together with any still-open spans
-// opened after them (a missing inner End cannot wedge the tracer). End
-// on a nil or already-ended span is a no-op.
+// spanKey is the context key under which a span travels.
+type spanKey struct{}
+
+// WithSpan returns ctx carrying s as the parent for the spans Start
+// opens under it. On a nil span it returns ctx.
+func WithSpan(ctx context.Context, s *Span) context.Context {
+	if s == nil {
+		return ctx
+	}
+	return context.WithValue(ctx, spanKey{}, s)
+}
+
+// Start opens a span on r: a child of the span ctx carries when that
+// span belongs to r, a root otherwise. It returns the span and ctx
+// carrying it, so the callee's own spans nest under it. On a nil
+// registry it returns nil and ctx.
+func Start(ctx context.Context, r *Registry, name string) (*Span, context.Context) {
+	if r == nil {
+		return nil, ctx
+	}
+	var s *Span
+	if p, _ := ctx.Value(spanKey{}).(*Span); p != nil && p.r == r {
+		s = p.Child(name)
+	} else {
+		s = r.Span(name)
+	}
+	return s, WithSpan(ctx, s)
+}
+
+// End closes the span, recording its wall time. End on a nil or
+// already-ended span is a no-op.
 func (s *Span) End() {
 	if s == nil {
 		return
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	s.r.spanMu.Lock()
+	defer s.r.spanMu.Unlock()
 	if s.ended {
 		return
 	}
 	s.ended = true
 	s.dur = time.Since(s.start)
-	if s.r != nil {
-		for i := len(s.r.stack) - 1; i >= 0; i-- {
-			if s.r.stack[i] == s {
-				s.r.stack = s.r.stack[:i]
-				break
-			}
-		}
-	}
 }
 
 // Name returns the span's name ("" on the nil span).
@@ -113,8 +110,8 @@ func (s *Span) Duration() time.Duration {
 	if s == nil {
 		return 0
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	s.r.spanMu.Lock()
+	defer s.r.spanMu.Unlock()
 	if !s.ended {
 		return time.Since(s.start)
 	}

@@ -41,32 +41,6 @@ type traceDoc struct {
 	DisplayTimeUnit string       `json:"displayTimeUnit"`
 }
 
-// spanNode is a locked copy of one span subtree with absolute times.
-type spanNode struct {
-	name       string
-	start, end time.Time
-	children   []spanNode
-}
-
-// snapshotSpan copies one span subtree under the span mutex; unended
-// spans are clamped to now, so a live export (the telemetry endpoint)
-// shows in-progress phases up to the present.
-func snapshotSpan(s *Span, now time.Time) spanNode {
-	s.mu.Lock()
-	n := spanNode{name: s.name, start: s.start}
-	if s.ended {
-		n.end = s.start.Add(s.dur)
-	} else {
-		n.end = now
-	}
-	children := append([]*Span(nil), s.children...)
-	s.mu.Unlock()
-	for _, c := range children {
-		n.children = append(n.children, snapshotSpan(c, now))
-	}
-	return n
-}
-
 // lanes is the greedy lane allocator: one busy-until cursor per lane.
 type lanes struct{ maxEnd []int64 }
 
@@ -92,14 +66,7 @@ func (r *Registry) WriteTrace(w io.Writer) error {
 		Args: map[string]any{"name": "tputlab"},
 	}}}
 	if r != nil {
-		now := time.Now()
-		r.spanMu.Lock()
-		roots := append([]*Span(nil), r.roots...)
-		r.spanMu.Unlock()
-		nodes := make([]spanNode, 0, len(roots))
-		for _, s := range roots {
-			nodes = append(nodes, snapshotSpan(s, now))
-		}
+		nodes := r.spanForest(time.Now())
 		if len(nodes) > 0 {
 			epoch := nodes[0].start
 			for _, n := range nodes[1:] {
@@ -133,7 +100,7 @@ func (r *Registry) WriteTrace(w io.Writer) error {
 // children. parentLane is the lane the parent occupies (-1 for roots);
 // cursor tracks, per recursion level, when the previously placed
 // sibling on the parent's lane ends.
-func emitSpanEvents(out *[]traceEvent, n spanNode, epoch time.Time, la *lanes, parentLane int, cursor *int64) {
+func emitSpanEvents(out *[]traceEvent, n SpanDump, epoch time.Time, la *lanes, parentLane int, cursor *int64) {
 	start := n.start.Sub(epoch).Microseconds()
 	end := n.end.Sub(epoch).Microseconds()
 	if end < start {
@@ -149,11 +116,11 @@ func emitSpanEvents(out *[]traceEvent, n spanNode, epoch time.Time, la *lanes, p
 		lane = la.spill(start, end)
 	}
 	*out = append(*out, traceEvent{
-		Name: n.name, Ph: "X", Ts: start, Dur: end - start,
+		Name: n.Name, Ph: "X", Ts: start, Dur: end - start,
 		Pid: 1, Tid: lane, Cat: "phase",
 	})
 	var childCursor = start
-	for _, c := range n.children {
+	for _, c := range n.Children {
 		emitSpanEvents(out, c, epoch, la, lane, &childCursor)
 	}
 }

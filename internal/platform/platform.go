@@ -478,7 +478,8 @@ func CollectTimingCtx(ctx context.Context, w *topogen.World, cfg CollectConfig, 
 // collectStream is the one collection body: execute selects the
 // per-arrival work, the full NDT and traceroute execution
 // (CollectStreamCtx) or the launch plan's records alone
-// (CollectTimingCtx).
+// (CollectTimingCtx). With cfg.Obs set, its "collect" span opens under
+// the span ctx carries (see obs.Start).
 func collectStream(ctx context.Context, w *topogen.World, cfg CollectConfig, workers int,
 	sink func(*Chunk) error, execute bool) (*StreamStats, error) {
 
@@ -491,7 +492,7 @@ func collectStream(ctx context.Context, w *topogen.World, cfg CollectConfig, wor
 		workers = 1
 	}
 	reg := cfg.Obs
-	collectSpan := reg.Span("collect")
+	collectSpan, _ := obs.Start(ctx, reg, "collect")
 	defer collectSpan.End()
 
 	// The fault plane. A disabled profile yields a nil injector — the
@@ -503,7 +504,7 @@ func collectStream(ctx context.Context, w *topogen.World, cfg CollectConfig, wor
 	}
 	inj := faults.NewInjector(faultSeed, cfg.Faults, reg)
 
-	popSpan := reg.Span("collect.population")
+	popSpan := collectSpan.Child("collect.population")
 	households := population(w, cfg.PerPoolClients, cfg.Seed+1)
 	popSpan.End()
 	reg.Gauge("collect.households").Set(int64(len(households)))
@@ -536,7 +537,7 @@ func collectStream(ctx context.Context, w *topogen.World, cfg CollectConfig, wor
 	// Phase 1 — scheduling, parallel over shards. Shard s draws
 	// Tests/shards arrivals (the first Tests%shards shards draw one
 	// more) from its own stream.
-	schedSpan := reg.Span("collect.schedule")
+	schedSpan := collectSpan.Child("collect.schedule")
 	sctx := newScheduleCtx(w, cfg, households, hw, &hourW)
 	perShard := make([][]arrival, shards)
 	stream.For(shards, workers, nil, func(_, s int) {
@@ -580,7 +581,7 @@ func collectStream(ctx context.Context, w *topogen.World, cfg CollectConfig, wor
 		dropped    []bool
 	)
 	if inj != nil {
-		retrySpan := reg.Span("collect.retries")
+		retrySpan := collectSpan.Child("collect.retries")
 		execMinute = make([]int, len(schedule))
 		dropped = make([]bool, len(schedule))
 		lastFail := make([]faults.FaultSet, len(schedule))
@@ -641,7 +642,7 @@ func collectStream(ctx context.Context, w *topogen.World, cfg CollectConfig, wor
 		siteOff[&w.MLabSites[i]] = nServers
 		nServers += len(w.MLabSites[i].Servers)
 	}
-	sweepSpan := reg.Span("collect.sweep")
+	sweepSpan := collectSpan.Child("collect.sweep")
 	busyRejected := reg.Counter("collect.trace.rejected_busy")
 	busyUntil := make([]int, nServers)
 	// Under faults, retries move tests off their scheduled minute, so
@@ -706,7 +707,7 @@ func collectStream(ctx context.Context, w *topogen.World, cfg CollectConfig, wor
 	if chunkTests <= 0 {
 		chunkTests = DefaultChunkTests
 	}
-	execSpan := reg.Span("collect.execute")
+	execSpan := collectSpan.Child("collect.execute")
 	workerRNGs := make([]*rand.Rand, workers)
 	for i := range workerRNGs {
 		workerRNGs[i] = rand.New(stats.NewLazySource(0))

@@ -280,6 +280,10 @@ func (p *Pipeline[T]) Send(v T) error {
 	return nil
 }
 
+// Span is the pipeline's "pipeline.<name>" span (nil without a
+// registry), for a producer's own spans to open under.
+func (p *Pipeline[T]) Span() *obs.Span { return p.span }
+
 // Close ends the stream: stage queues are closed, every stage drains,
 // and the first stage error (if any) is returned.
 func (p *Pipeline[T]) Close() error {

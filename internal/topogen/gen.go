@@ -63,16 +63,13 @@ type brKey struct {
 // only the few dozen destination trees behind servers and client pools.
 const lazyRouteThreshold = 10000
 
-// Generate builds the world.
-func Generate(cfg Config) (*World, error) {
-	return GenerateCtx(context.Background(), cfg)
-}
-
-// GenerateCtx is Generate under cooperative cancellation: a cancelled
-// ctx skips every remaining generation phase and returns an error
-// wrapping the context's cause. Cancellation is only observed at phase
-// boundaries — the coarsest grain that still aborts a multi-minute
-// xlarge build promptly, without threading ctx into the hot loops.
+// GenerateCtx builds the world under cooperative cancellation: a
+// cancelled ctx skips every remaining generation phase and returns an
+// error wrapping the context's cause. Cancellation is only observed at
+// phase boundaries — the coarsest grain that still aborts a
+// multi-minute xlarge build promptly, without threading ctx into the
+// hot loops. With cfg.Obs set, the "generate" span opens under the span
+// ctx carries (see obs.Start).
 func GenerateCtx(ctx context.Context, cfg Config) (*World, error) {
 	if cfg.Scale.StubASes == 0 {
 		cfg.Scale = datasets.DefaultScale()
@@ -121,7 +118,7 @@ func GenerateCtx(ctx context.Context, cfg Config) (*World, error) {
 	}
 
 	reg := cfg.Obs
-	gen := reg.Span("generate")
+	gen, _ := obs.Start(ctx, reg, "generate")
 	// phase hands each stage its span so parallel stages can attach
 	// per-worker child spans to it. A cancelled context skips every
 	// remaining phase; the post-loop check turns that into an error.
@@ -129,7 +126,7 @@ func GenerateCtx(ctx context.Context, cfg Config) (*World, error) {
 		if ctx.Err() != nil {
 			return
 		}
-		sp := reg.Span("generate." + name)
+		sp := gen.Child("generate." + name)
 		fn(sp)
 		sp.End()
 	}
@@ -199,9 +196,10 @@ func GenerateCtx(ctx context.Context, cfg Config) (*World, error) {
 	return b.world, nil
 }
 
-// MustGenerate is Generate that panics on error, for tests and examples.
+// MustGenerate is GenerateCtx without cancellation that panics on
+// error, for tests and examples.
 func MustGenerate(cfg Config) *World {
-	w, err := Generate(cfg)
+	w, err := GenerateCtx(context.Background(), cfg)
 	if err != nil {
 		panic(err)
 	}
