@@ -338,3 +338,15 @@ func (az *Analyzer) CoverageSets(traces []*traceroute.Trace) (asSet map[topology
 	}
 	return asSet, routerSet
 }
+
+// CoverageAS returns CoverageSets' AS-level set alone, for callers that
+// compare interconnections at the AS level only.
+func (az *Analyzer) CoverageAS(traces []*traceroute.Trace) map[topology.ASN]bool {
+	asSet := map[topology.ASN]bool{}
+	for _, tr := range traces {
+		if c, ok := az.FirstCrossing(tr); ok {
+			asSet[c.Neighbor] = true
+		}
+	}
+	return asSet
+}

@@ -157,6 +157,7 @@ func open(ctx context.Context, s Spec, lazyRoutes bool, reg *obs.Registry) (*Cam
 	if err != nil {
 		return nil, err
 	}
+	w.Observe(reg)
 	c := &Campaign{opts: opts, world: w}
 	if c.tee, err = c.openTee(s); err != nil {
 		return nil, err

@@ -84,12 +84,12 @@ func (m *Matching) Rate() float64 {
 // consumed by at most one test. It is the one-call form of
 // StreamMatcher: the whole corpus as one chunk, then Finish.
 func MatchTraces(tests []*ndt.Test, traces []*traceroute.Trace, windowMin int, mode MatchMode) *Matching {
-	sm := NewStreamMatcher(windowMin, mode)
+	sm := NewStreamMatcher(Window{Min: windowMin, Mode: mode})
 	// A watermark before any campaign minute promises nothing about
 	// later data, so Add finalizes no test and Finish matches them all
 	// in (StartMinute, publication) order.
 	sm.Add(tests, traces, math.MinInt32)
-	return sm.Finish()
+	return sm.Finish()[0]
 }
 
 // ---- §2.2 / Figure 5: diurnal aggregation ----
@@ -178,6 +178,20 @@ func Detect(s *Series, cfg DetectorConfig) Verdict {
 	if len(cfg.PeakHours) == 0 {
 		cfg = DefaultDetector()
 	}
+	v := measure(s, cfg)
+	v.Congested = v.congestedAt(cfg.DropThreshold)
+	return v
+}
+
+// congestedAt is the verdict rule: a peak drop of at least th that is
+// also statistically significant, never issued on insufficient data.
+func (v Verdict) congestedAt(th float64) bool {
+	return !v.InsufficientData && v.Drop >= th && v.PValue < 0.05
+}
+
+// measure is Detect without the verdict: the window statistics, which
+// do not depend on cfg.DropThreshold.
+func measure(s *Series, cfg DetectorConfig) Verdict {
 	var peak, off []float64
 	for _, h := range cfg.PeakHours {
 		peak = append(peak, s.Throughput.Bin(h)...)
@@ -212,7 +226,6 @@ func Detect(s *Series, cfg DetectorConfig) Verdict {
 		v.PeakCV = sum.Stddev / sum.Mean
 	}
 	_, v.PValue = stats.MannWhitneyU(peak, off)
-	v.Congested = v.Drop >= cfg.DropThreshold && v.PValue < 0.05
 	return v
 }
 

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
 	"sort"
 	"testing"
@@ -23,6 +24,11 @@ func synthCorpus(rng *rand.Rand, n int) (tests []*ndt.Test, traces []*traceroute
 		minute += rng.Intn(3) // slots collide often enough to stress ties
 		server := netaddr.Addr(1 + rng.Intn(4))
 		client := netaddr.Addr(100 + rng.Intn(25))
+		traced := []int{0, 1, 1, 1, 2}[rng.Intn(5)]
+		if rng.Intn(20) == 0 {
+			// A pair of its own that no trace ever serves.
+			client, traced = netaddr.Addr(1000+i), 0
+		}
 		tests = append(tests, &ndt.Test{
 			ID:          i,
 			StartMinute: minute + rng.Intn(11),
@@ -32,8 +38,9 @@ func synthCorpus(rng *rand.Rand, n int) (tests []*ndt.Test, traces []*traceroute
 		sched = append(sched, minute)
 		// Most tests come with a trace, a few with two, some with none —
 		// exercising both unmatched tests and consumed-at-most-once
-		// tie-breaks on the small pair space.
-		for k := 0; k < []int{0, 1, 1, 1, 2}[rng.Intn(5)]; k++ {
+		// tie-breaks on the small pair space. Launch minutes are drawn
+		// independently, so a pair's traces arrive out of launch order.
+		for k := 0; k < traced; k++ {
 			traces = append(traces, &traceroute.Trace{
 				SrcAddr:      server,
 				DstAddr:      client,
@@ -127,61 +134,92 @@ func matchingEqual(t *testing.T, label string, want, got *Matching) {
 	}
 }
 
+// windowSets are the matcher configurations the streaming tests run:
+// each window alone, several windows of both shapes in one matcher (the
+// widest first, so no later window sets the finalization cut or the
+// eviction bound), and a window carried twice.
+var windowSets = [][]Window{
+	{{5, WindowAfter}},
+	{{30, WindowAfter}},
+	{{5, WindowAround}},
+	{{30, WindowAround}},
+	{{30, WindowAround}, {1, WindowAfter}, {5, WindowAfter}, {1, WindowAround}, {20, WindowAfter}},
+	{{20, WindowAfter}, {2, WindowAround}, {20, WindowAfter}},
+}
+
 // TestStreamMatcherMatchesBatch pins the streaming contract: chunked
 // matching with watermarks, and MatchTraces's one chunk, reproduce the
 // batch reference exactly — same pairings down to tie-breaks — for both
-// window modes, across chunk sizes, on randomized corpora.
+// window modes, across chunk sizes, on randomized corpora. A matcher
+// carrying several windows gives, for each of them, what the reference
+// gives for that window alone.
 func TestStreamMatcherMatchesBatch(t *testing.T) {
 	for trial := 0; trial < 20; trial++ {
 		rng := rand.New(rand.NewSource(int64(7000 + trial)))
 		tests, traces, sched, traceSlot := synthCorpus(rng, 300)
-		for _, mode := range []MatchMode{WindowAfter, WindowAround} {
-			for _, window := range []int{5, 30} {
-				want := refMatchTraces(tests, traces, window, mode)
-				matchingEqual(t, "MatchTraces", want, MatchTraces(tests, traces, window, mode))
-				for _, chunk := range []int{1, 17, 300} {
-					sm := NewStreamMatcher(window, mode)
-					feedChunks(sm, tests, traces, sched, traceSlot, chunk)
-					matchingEqual(t, "stream", want, sm.Finish())
+		for _, ws := range windowSets {
+			want := make([]*Matching, len(ws))
+			for i, w := range ws {
+				want[i] = refMatchTraces(tests, traces, w.Min, w.Mode)
+			}
+			if len(ws) == 1 {
+				matchingEqual(t, "MatchTraces", want[0], MatchTraces(tests, traces, ws[0].Min, ws[0].Mode))
+			}
+			for _, chunk := range []int{1, 17, 300} {
+				sm := NewStreamMatcher(ws...)
+				feedChunks(sm, tests, traces, sched, traceSlot, chunk)
+				got := sm.Finish()
+				if len(got) != len(ws) {
+					t.Fatalf("%v: %d matchings, want %d", ws, len(got), len(ws))
+				}
+				for i, w := range ws {
+					matchingEqual(t, fmt.Sprintf("stream %v chunk %d window %d", w, chunk, i), want[i], got[i])
 				}
 			}
 		}
 	}
 }
 
-// TestStreamMatcherOnPair pins callback mode: every test is surfaced
-// exactly once, pairings agree with ByTest mode, and the map stays
-// empty.
+// TestStreamMatcherOnPair pins callback mode: every (test, window) is
+// surfaced exactly once, pairings agree with the per-window reference,
+// and the maps stay empty.
 func TestStreamMatcherOnPair(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	tests, traces, sched, traceSlot := synthCorpus(rng, 200)
-	want := refMatchTraces(tests, traces, 15, WindowAfter)
-	sm := NewStreamMatcher(15, WindowAfter)
-	seen := map[int]*traceroute.Trace{}
-	matched := 0
-	sm.OnPair = func(tt *ndt.Test, tr *traceroute.Trace) {
-		if _, dup := seen[tt.ID]; dup {
-			t.Fatalf("test %d surfaced twice", tt.ID)
+	ws := []Window{{15, WindowAfter}, {3, WindowAround}}
+	sm := NewStreamMatcher(ws...)
+	seen := make([]map[int]*traceroute.Trace, len(ws))
+	for i := range seen {
+		seen[i] = map[int]*traceroute.Trace{}
+	}
+	sm.OnPair = func(wi int, tt *ndt.Test, tr *traceroute.Trace) {
+		if _, dup := seen[wi][tt.ID]; dup {
+			t.Fatalf("test %d surfaced twice under window %d", tt.ID, wi)
 		}
-		seen[tt.ID] = tr
-		if tr != nil {
-			matched++
-		}
+		seen[wi][tt.ID] = tr
 	}
 	feedChunks(sm, tests, traces, sched, traceSlot, 37)
 	got := sm.Finish()
-	if len(got.ByTest) != 0 {
-		t.Fatalf("callback mode accumulated %d pairs", len(got.ByTest))
-	}
-	if len(seen) != len(tests) || got.Total != len(tests) {
-		t.Fatalf("surfaced %d tests (Total %d), want %d", len(seen), got.Total, len(tests))
-	}
-	if matched != want.Matched() {
-		t.Fatalf("callback matched %d tests, batch matched %d", matched, want.Matched())
-	}
-	for id, tr := range want.ByTest {
-		if seen[id] != tr {
-			t.Fatalf("callback pairing for test %d differs", id)
+	for wi, w := range ws {
+		want := refMatchTraces(tests, traces, w.Min, w.Mode)
+		if len(got[wi].ByTest) != 0 {
+			t.Fatalf("callback mode accumulated %d pairs", len(got[wi].ByTest))
+		}
+		if len(seen[wi]) != len(tests) || got[wi].Total != len(tests) || got[wi].Degraded != want.Degraded {
+			t.Fatalf("window %v: surfaced %d tests (Total %d, Degraded %d), want %d (Degraded %d)",
+				w, len(seen[wi]), got[wi].Total, got[wi].Degraded, len(tests), want.Degraded)
+		}
+		matched := 0
+		for id, tr := range seen[wi] {
+			if tr != nil {
+				matched++
+			}
+			if want.ByTest[id] != tr {
+				t.Fatalf("window %v: callback pairing for test %d differs", w, id)
+			}
+		}
+		if matched != want.Matched() {
+			t.Fatalf("window %v: callback matched %d tests, batch matched %d", w, matched, want.Matched())
 		}
 	}
 }
@@ -192,7 +230,7 @@ func TestStreamMatcherOnPair(t *testing.T) {
 func TestStreamMatcherBoundedBuffer(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	tests, traces, sched, traceSlot := synthCorpus(rng, 2000)
-	sm := NewStreamMatcher(10, WindowAround)
+	sm := NewStreamMatcher(Window{10, WindowAround})
 	peakTests, peakTraces := 0, 0
 	ri := 0
 	for lo := 0; lo < len(tests); lo += 50 {

@@ -37,26 +37,31 @@ func (p ThresholdPoint) Recall() float64 {
 
 // ThresholdSweep evaluates the detector across drop thresholds,
 // scoring each group's verdict against its ground-truth label. Groups
-// with insufficient data count as Undecided at every threshold.
+// with insufficient data count as Undecided at every threshold. The
+// threshold enters only the verdict rule, so each group's window
+// statistics are measured once and judged at every threshold.
 func ThresholdSweep(groups []LabeledGroup, thresholds []float64, cfg DetectorConfig) []ThresholdPoint {
 	if len(cfg.PeakHours) == 0 {
 		cfg = DefaultDetector()
 	}
+	verdicts := make([]Verdict, len(groups))
+	for i, g := range groups {
+		verdicts[i] = measure(g.Series, cfg)
+	}
 	out := make([]ThresholdPoint, 0, len(thresholds))
 	for _, th := range thresholds {
-		c := cfg
-		c.DropThreshold = th
 		pt := ThresholdPoint{Threshold: th}
-		for _, g := range groups {
-			v := Detect(g.Series, c)
+		for i, g := range groups {
+			v := verdicts[i]
+			congested := v.congestedAt(th)
 			switch {
 			case v.InsufficientData:
 				pt.Undecided++
-			case v.Congested && g.TrulyCongested:
+			case congested && g.TrulyCongested:
 				pt.TruePos++
-			case v.Congested && !g.TrulyCongested:
+			case congested && !g.TrulyCongested:
 				pt.FalsePos++
-			case !v.Congested && g.TrulyCongested:
+			case !congested && g.TrulyCongested:
 				pt.FalseNeg++
 			default:
 				pt.TrueNeg++

@@ -39,24 +39,39 @@ type VPAnalysis struct {
 // analyzed on Opts.Workers goroutines; each has its own seed and alias
 // resolver, so the result does not depend on the worker count.
 func VPAnalyses(e *Env) []*VPAnalysis {
-	e.vpsOnce.Do(func() {
-		w := e.World
-		prefixTargets := platform.RoutedPrefixTargets(w)
-		mlabTargets := platform.HostTargets(w.MLabServers())
-		speedTargets := platform.HostTargets(w.Speedtest)
-
-		out := make([]*VPAnalysis, len(w.ArkVPs))
-		stream.For(len(w.ArkVPs), e.Opts.workers(), nil, func(_, vi int) {
-			out[vi] = AnalyzeVP(e, w.ArkVPs[vi], prefixTargets, mlabTargets, speedTargets, int64(1000+vi))
-		})
-		e.vps = out
-	})
+	e.vpsOnce.Do(func() { e.vps = analyzeVPs(e, true) })
 	return e.vps
+}
+
+// analyzeVPs analyzes every Ark VP of e's world (uncached), on
+// Opts.Workers goroutines; routerLevel is analyzeVP's.
+func analyzeVPs(e *Env, routerLevel bool) []*VPAnalysis {
+	w := e.World
+	prefixTargets := platform.RoutedPrefixTargets(w)
+	mlabTargets := platform.HostTargets(w.MLabServers())
+	speedTargets := platform.HostTargets(w.Speedtest)
+
+	out := make([]*VPAnalysis, len(w.ArkVPs))
+	stream.For(len(w.ArkVPs), e.Opts.workers(), nil, func(_, vi int) {
+		out[vi] = analyzeVP(e, w.ArkVPs[vi], prefixTargets, mlabTargets, speedTargets, int64(1000+vi), routerLevel)
+	})
+	return out
 }
 
 // AnalyzeVP runs the §5 methodology for one vantage point (uncached)
 // over target lists the caller builds once and shares across VPs.
 func AnalyzeVP(e *Env, vp topogen.ArkVP, prefixTargets, mlabTargets, speedTargets []routing.Endpoint, seed int64) *VPAnalysis {
+	return analyzeVP(e, vp, prefixTargets, mlabTargets, speedTargets, seed, true)
+}
+
+// analyzeVP is AnalyzeVP. With routerLevel false it is the AS-level
+// analysis, all that a peer-coverage comparison reads: no alias
+// resolution (bdrmap's nil-Alias mode, so each Border's RouterPairs
+// counts address pairs), and only the M-Lab and Speedtest AS coverage
+// sets. Its Borders' neighbors, relationships and trace counts, and
+// those two sets, equal the full analysis': the Alexa campaign still
+// runs, because its traces feed the MAP-IT labels every set reads.
+func analyzeVP(e *Env, vp topogen.ArkVP, prefixTargets, mlabTargets, speedTargets []routing.Endpoint, seed int64, routerLevel bool) *VPAnalysis {
 	w := e.World
 	art := traceroute.DefaultArtifacts()
 	art.DstNoReplyProb = 0.05
@@ -80,8 +95,10 @@ func AnalyzeVP(e *Env, vp topogen.ArkVP, prefixTargets, mlabTargets, speedTarget
 		OrgASNs:   orgASNs,
 		MapIt:     e.MapItOpts(),
 		Rel:       rel,
-		Alias:     alias.New(w.Topo),
 		AliasSeed: seed + 4,
+	}
+	if routerLevel {
+		opts.Alias = alias.New(w.Topo)
 	}
 	all := make([]*traceroute.Trace, 0, len(campaign)+len(mlab)+len(speed)+len(alexa))
 	all = append(all, campaign...)
@@ -92,6 +109,11 @@ func AnalyzeVP(e *Env, vp topogen.ArkVP, prefixTargets, mlabTargets, speedTarget
 
 	va := &VPAnalysis{Label: vp.Label, ISP: vp.ISP, Rel: rel}
 	va.Borders = az.Borders(campaign)
+	if !routerLevel {
+		va.MLabAS = az.CoverageAS(mlab)
+		va.SpeedAS = az.CoverageAS(speed)
+		return va
+	}
 	va.MLabAS, va.MLabRouter = az.CoverageSets(mlab)
 	va.SpeedAS, va.SpeedRouter = az.CoverageSets(speed)
 	va.AlexaAS, va.AlexaRouter = az.CoverageSets(alexa)

@@ -93,6 +93,7 @@ func NewEnvCtx(ctx context.Context, opts Options) (*Env, error) {
 	if err != nil {
 		return nil, err
 	}
+	w.Observe(opts.Obs)
 	corpus, err := platform.CollectParallelCtx(ctx, w, opts.Collect, opts.workers())
 	if err != nil {
 		return nil, err

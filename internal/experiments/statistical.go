@@ -39,8 +39,9 @@ type MatchingResult struct {
 
 // Matching sweeps the association window and repeats the 10-minute
 // analysis on a higher-volume corpus. The sweep's (10 min, after) row
-// is the Env's shared matching; the other rows only count pairs, so no
-// ByTest map is built for them.
+// is the Env's shared matching; the other nine rows come from one
+// multi-window matcher pass over the corpus, which only counts pairs,
+// so no ByTest map is built for them.
 //
 // The 2017-regime corpus comes from platform.CollectTimingCtx: a pair
 // depends only on each record's endpoints and minutes, which the
@@ -55,24 +56,35 @@ func Matching(ctx context.Context, e *Env) (*MatchingResult, error) {
 		LostToBusyCollector: e.Corpus.TestsWithoutTrace,
 		Total:               len(e.Corpus.Tests),
 	}
-	rate := func(w int, mode core.MatchMode) float64 {
-		if w == core.PrimaryWindowMin && mode == core.PrimaryMode {
-			return e.Matching.Rate()
+	primary := core.Window{Min: core.PrimaryWindowMin, Mode: core.PrimaryMode}
+	sizes := []int{1, 2, 5, 10, 20}
+	var windows []core.Window
+	for _, w := range sizes {
+		for _, mode := range []core.MatchMode{core.WindowAfter, core.WindowAround} {
+			if win := (core.Window{Min: w, Mode: mode}); win != primary {
+				windows = append(windows, win)
+			}
 		}
-		var c pairCounter
-		sm := core.NewStreamMatcher(w, mode)
-		sm.OnPair = c.onPair
-		// As in core.MatchTraces: the corpus as one chunk.
-		sm.Add(e.Corpus.Tests, e.Corpus.Traces, math.MinInt32)
-		sm.Finish()
-		return c.rate()
 	}
-	for _, w := range []int{1, 2, 5, 10, 20} {
+	matched := make([]int, len(windows))
+	sm := core.NewStreamMatcher(windows...)
+	sm.OnPair = func(wi int, _ *ndt.Test, tr *traceroute.Trace) {
+		if tr != nil {
+			matched[wi]++
+		}
+	}
+	// As in core.MatchTraces: the corpus as one chunk.
+	sm.Add(e.Corpus.Tests, e.Corpus.Traces, math.MinInt32)
+	rates := map[core.Window]float64{primary: e.Matching.Rate()}
+	for i, m := range sm.Finish() {
+		rates[windows[i]] = matchRate(matched[i], m.Total)
+	}
+	for _, w := range sizes {
 		res.Rows = append(res.Rows, struct {
 			WindowMin  int
 			AfterRate  float64
 			AroundRate float64
-		}{w, rate(w, core.WindowAfter), rate(w, core.WindowAround)})
+		}{w, rates[core.Window{Min: w, Mode: core.WindowAfter}], rates[core.Window{Min: w, Mode: core.WindowAround}]})
 	}
 
 	// The 2017-style corpus: double the monthly volume on the same
@@ -82,9 +94,13 @@ func Matching(ctx context.Context, e *Env) (*MatchingResult, error) {
 	cfg := e.Opts.Collect
 	cfg.Tests *= 2
 	cfg.Seed += 9000
-	var c pairCounter
-	sm := core.NewStreamMatcher(10, core.WindowAfter)
-	sm.OnPair = c.onPair
+	highMatched := 0
+	sm = core.NewStreamMatcher(primary)
+	sm.OnPair = func(_ int, _ *ndt.Test, tr *traceroute.Trace) {
+		if tr != nil {
+			highMatched++
+		}
+	}
 	_, err := platform.CollectTimingCtx(ctx, e.World, cfg, e.Opts.workers(), func(ch *platform.Chunk) error {
 		sm.Add(ch.Tests, ch.Traces, ch.Watermark)
 		return nil
@@ -92,28 +108,18 @@ func Matching(ctx context.Context, e *Env) (*MatchingResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	sm.Finish()
-	res.HighVolumeTotal = c.total
-	res.HighVolumeAfterRate = c.rate()
+	res.HighVolumeTotal = sm.Finish()[0].Total
+	res.HighVolumeAfterRate = matchRate(highMatched, res.HighVolumeTotal)
 	return res, nil
 }
 
-// pairCounter counts a StreamMatcher's pairs through OnPair.
-type pairCounter struct{ total, matched int }
-
-func (c *pairCounter) onPair(_ *ndt.Test, tr *traceroute.Trace) {
-	c.total++
-	if tr != nil {
-		c.matched++
-	}
-}
-
-// rate is the matched fraction, as core.Matching.Rate computes it.
-func (c *pairCounter) rate() float64 {
-	if c.total == 0 {
+// matchRate is a matched fraction, as core.Matching.Rate computes it, for a
+// matcher that counts its pairs through OnPair.
+func matchRate(matched, total int) float64 {
+	if total == 0 {
 		return 0
 	}
-	return float64(c.matched) / float64(c.total)
+	return float64(matched) / float64(total)
 }
 
 // Render prints the sweep.
@@ -272,12 +278,21 @@ type SnapshotsResult struct {
 	}
 }
 
+// snapshotConfig is the second snapshot's world: the same generator
+// with drifted topology and a ~1.45x larger Speedtest fleet.
+func snapshotConfig(topo topogen.Config) topogen.Config {
+	topo.Seed += 1000 // topology drift between snapshots
+	topo.SpeedtestFactor *= 1.45
+	return topo
+}
+
 // Snapshots builds a second drifted world, under ctx (see Matching),
-// and compares peer coverage.
+// and compares peer coverage. The second world is analyzed at the AS
+// level only (see analyzeVP), since peer coverage reads nothing else,
+// and is not observed (topogen.World.Observe): the run's telemetry
+// describes the first world.
 func Snapshots(ctx context.Context, e *Env) (*SnapshotsResult, error) {
-	cfgB := e.Opts.Topo
-	cfgB.Seed += 1000 // topology drift between snapshots
-	cfgB.SpeedtestFactor = e.Opts.Topo.SpeedtestFactor * 1.45
+	cfgB := snapshotConfig(e.Opts.Topo)
 	wB, err := topogen.GenerateCtx(ctx, cfgB)
 	if err != nil {
 		return nil, err
@@ -290,8 +305,8 @@ func Snapshots(ctx context.Context, e *Env) (*SnapshotsResult, error) {
 		SpeedServersA: len(e.World.Speedtest),
 		SpeedServersB: len(wB.Speedtest),
 	}
-	covA := peerCoverageByISP(e)
-	covB := peerCoverageByISP(envB)
+	covA := peerCoverageByISP(VPAnalyses(e))
+	covB := peerCoverageByISP(analyzeVPs(envB, false))
 	names := make([]string, 0, len(covA))
 	for n := range covA {
 		names = append(names, n)
@@ -311,10 +326,11 @@ func Snapshots(ctx context.Context, e *Env) (*SnapshotsResult, error) {
 type peerCov struct{ mlab, speed float64 }
 
 // peerCoverageByISP aggregates Fig-3-style peer coverage per ISP
-// (averaging over that ISP's VPs).
-func peerCoverageByISP(e *Env) map[string]peerCov {
+// (averaging over that ISP's VPs). It reads each VP's Borders
+// neighbors, Rel, MLabAS and SpeedAS.
+func peerCoverageByISP(vps []*VPAnalysis) map[string]peerCov {
 	agg := map[string][]peerCov{}
-	for _, v := range VPAnalyses(e) {
+	for _, v := range vps {
 		peers := 0
 		for _, b := range v.Borders.Borders {
 			if v.Rel(b.Neighbor) == topology.RelPeer {

@@ -135,7 +135,7 @@ func NewStreamBuilder(cfg Config, hourOf func(*ndt.Test) float64, opts mapit.Opt
 		hourOf:  hourOf,
 		reg:     opts.Obs,
 		mb:      mapit.NewBuilder(opts),
-		matcher: core.NewStreamMatcher(core.PrimaryWindowMin, core.PrimaryMode),
+		matcher: core.NewStreamMatcher(core.Window{Min: core.PrimaryWindowMin, Mode: core.PrimaryMode}),
 		agg:     map[gkey]*aggGroup{},
 		groupOf: map[gkey]int32{},
 	}
@@ -216,7 +216,7 @@ func (b *StreamBuilder) AddMatch(tests []*ndt.Test, traces []*traceroute.Trace, 
 // path and no links). Everything a pair feeds is order-independent
 // (counters and set inserts), so the matcher's finalization order —
 // which differs from group order — never shows in the report.
-func (b *StreamBuilder) onPair(t *ndt.Test, tr *traceroute.Trace) {
+func (b *StreamBuilder) onPair(_ int, t *ndt.Test, tr *traceroute.Trace) {
 	if tr == nil {
 		return
 	}
@@ -264,7 +264,7 @@ func (b *StreamBuilder) label() {
 // every consumer has drained.
 func (b *StreamBuilder) Finish(completeness platform.Completeness) *Report {
 	b.FinishInference()
-	m := b.matcher.Finish()
+	m := b.matcher.Finish()[0]
 	b.label()
 	if b.reg != nil {
 		// The matcher hands pairs to onPair instead of filling ByTest, so

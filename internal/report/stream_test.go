@@ -241,7 +241,7 @@ func TestOnPairAllocFree(t *testing.T) {
 	deferAll := func() {
 		b.routers, b.deferred = b.routers[:0], b.deferred[:0]
 		for i := range tests {
-			b.onPair(tests[i], traces[i])
+			b.onPair(0, tests[i], traces[i])
 		}
 	}
 	deferAll()
@@ -273,7 +273,7 @@ type refPair struct {
 	tr *traceroute.Trace
 }
 
-func (r *refPairs) onPair(t *ndt.Test, tr *traceroute.Trace) {
+func (r *refPairs) onPair(_ int, t *ndt.Test, tr *traceroute.Trace) {
 	if tr == nil {
 		return
 	}
@@ -339,10 +339,10 @@ func TestDeferredLabellingMatchesImmediate(t *testing.T) {
 				mb := mapit.NewBuilder(opts)
 				collect(func(c *platform.Chunk) error { mb.Add(c.Traces); return nil })
 				ref := &refPairs{inf: mb.Finish(), pairs: map[gkey]*pairGroup{}}
-				m := core.NewStreamMatcher(core.PrimaryWindowMin, core.PrimaryMode)
+				m := core.NewStreamMatcher(core.Window{Min: core.PrimaryWindowMin, Mode: core.PrimaryMode})
 				m.OnPair = ref.onPair
 				collect(func(c *platform.Chunk) error { m.Add(c.Tests, c.Traces, c.Watermark); return nil })
-				refDegraded := m.Finish().Degraded
+				refDegraded := m.Finish()[0].Degraded
 
 				if len(b.pairs) != len(ref.pairs) {
 					t.Fatalf("%s: %d pair groups, reference %d", name, len(b.pairs), len(ref.pairs))

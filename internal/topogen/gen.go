@@ -69,7 +69,8 @@ const lazyRouteThreshold = 10000
 // phase boundaries — the coarsest grain that still aborts a
 // multi-minute xlarge build promptly, without threading ctx into the
 // hot loops. With cfg.Obs set, the "generate" span opens under the span
-// ctx carries (see obs.Start).
+// ctx carries (see obs.Start); the world's own gauges and counters are
+// published separately, by World.Observe.
 func GenerateCtx(ctx context.Context, cfg Config) (*World, error) {
 	if cfg.Scale.StubASes == 0 {
 		cfg.Scale = datasets.DefaultScale()
@@ -117,8 +118,7 @@ func GenerateCtx(ctx context.Context, cfg Config) (*World, error) {
 		rng:             b.rng,
 	}
 
-	reg := cfg.Obs
-	gen, _ := obs.Start(ctx, reg, "generate")
+	gen, _ := obs.Start(ctx, cfg.Obs, "generate")
 	// phase hands each stage its span so parallel stages can attach
 	// per-worker child spans to it. A cancelled context skips every
 	// remaining phase; the post-loop check turns that into an error.
@@ -162,38 +162,48 @@ func GenerateCtx(ctx context.Context, cfg Config) (*World, error) {
 		}
 		b.world.Routes = bgp.Compute(b.topo, workers, sp)
 	})
-	phase("resolver", func(*obs.Span) {
-		b.world.Resolver = routing.New(b.topo, b.world.Routes)
-		b.world.Resolver.Observe(reg)
-	})
+	phase("resolver", func(*obs.Span) { b.world.Resolver = routing.New(b.topo, b.world.Routes) })
 	phase("netsim", func(*obs.Span) { b.world.Model = netsim.New(b.topo, b.world.Resolver) })
 	gen.End()
 	if ctx.Err() != nil {
 		return nil, fmt.Errorf("topogen: generation interrupted: %w", context.Cause(ctx))
 	}
 
-	if reg != nil {
-		reg.Gauge("topogen.workers.dnsnames").Set(int64(workers))
-		reg.Gauge("topogen.workers.validate").Set(int64(workers))
-		// Lazy routes compute trees on the readers' goroutines; no BGP
-		// worker pool ran.
-		if b.world.Routes.Lazy() {
-			reg.Gauge("topogen.routes.lazy").Set(1)
-		} else {
-			reg.Gauge("topogen.workers.bgp").Set(int64(workers))
-		}
-		st := b.topo.CollectStats()
-		reg.Gauge("topogen.ases").Set(int64(st.ASes))
-		reg.Gauge("topogen.routers").Set(int64(st.Routers))
-		reg.Gauge("topogen.links").Set(int64(st.Links))
-		reg.Gauge("topogen.links.interdomain").Set(int64(st.ByLink[topology.LinkInterdomain]))
-		reg.Gauge("topogen.links.saturated").Set(int64(st.SaturatedLinks))
-		reg.Gauge("topogen.mlab.sites").Set(int64(len(b.world.MLabSites)))
-		reg.Gauge("topogen.mlab.servers").Set(int64(len(b.world.MLabServers())))
-		reg.Gauge("topogen.speedtest.servers").Set(int64(len(b.world.Speedtest)))
-		reg.Gauge("topogen.ark.vps").Set(int64(len(b.world.ArkVPs)))
-	}
 	return b.world, nil
+}
+
+// Observe publishes the world on reg: its produced-entity gauges
+// (topogen.*) and, through routing.Resolver.Observe, its resolver's
+// cache counters (resolver.*). A run observes the one world it reports
+// on; a second world built alongside it (the §5.4 snapshot) stays
+// unobserved, so the dump describes the run's world and its counters
+// count only that world's lookups. Call it before the world's resolver
+// is shared across goroutines. On a nil registry it does nothing.
+func (w *World) Observe(reg *obs.Registry) {
+	if reg == nil {
+		return
+	}
+	w.Resolver.Observe(reg)
+	workers := max(w.Cfg.Workers, 1)
+	reg.Gauge("topogen.workers.dnsnames").Set(int64(workers))
+	reg.Gauge("topogen.workers.validate").Set(int64(workers))
+	// Lazy routes compute trees on the readers' goroutines; no BGP
+	// worker pool ran.
+	if w.Routes.Lazy() {
+		reg.Gauge("topogen.routes.lazy").Set(1)
+	} else {
+		reg.Gauge("topogen.workers.bgp").Set(int64(workers))
+	}
+	st := w.Topo.CollectStats()
+	reg.Gauge("topogen.ases").Set(int64(st.ASes))
+	reg.Gauge("topogen.routers").Set(int64(st.Routers))
+	reg.Gauge("topogen.links").Set(int64(st.Links))
+	reg.Gauge("topogen.links.interdomain").Set(int64(st.ByLink[topology.LinkInterdomain]))
+	reg.Gauge("topogen.links.saturated").Set(int64(st.SaturatedLinks))
+	reg.Gauge("topogen.mlab.sites").Set(int64(len(w.MLabSites)))
+	reg.Gauge("topogen.mlab.servers").Set(int64(len(w.MLabServers())))
+	reg.Gauge("topogen.speedtest.servers").Set(int64(len(w.Speedtest)))
+	reg.Gauge("topogen.ark.vps").Set(int64(len(w.ArkVPs)))
 }
 
 // MustGenerate is GenerateCtx without cancellation that panics on

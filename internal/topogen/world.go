@@ -119,9 +119,9 @@ type Config struct {
 	// with ≥ lazyRouteThreshold ASes switch to lazy mode regardless,
 	// since their eager tables would need tens of GB.
 	LazyRoutes bool
-	// Obs, when non-nil, receives generation phase spans and
-	// produced-entity gauges, and the world's resolver reports its cache
-	// counters there. Instrumentation never changes the generated world.
+	// Obs, when non-nil, receives generation phase spans (the world's
+	// gauges and counters are World.Observe's). Instrumentation never
+	// changes the generated world.
 	Obs *obs.Registry
 }
 
