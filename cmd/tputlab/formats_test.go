@@ -8,6 +8,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"hash/fnv"
+	"io"
 	"os"
 	"strings"
 	"testing"
@@ -38,6 +39,35 @@ func datasetHash(d *export.Dataset) uint64 {
 		fmt.Fprintln(h)
 	}
 	return h.Sum64()
+}
+
+// decodeDataset drains the corpus at path through the corpus reader.
+func decodeDataset(t *testing.T, path string) *export.Dataset {
+	t.Helper()
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	cr, err := export.OpenCorpusProjected(f, 1, export.EverythingProjection())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cr.Close()
+	d := &export.Dataset{}
+	for {
+		c, err := cr.Next()
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		d.Tests = append(d.Tests, c.Tests...)
+		d.Traces = append(d.Traces, c.Traces...)
+	}
+	d.TestsWithoutTrace = cr.Footer().TestsWithoutTrace
+	return d
 }
 
 // TestCorpusDumpGolden pins `corpus dump` to the text corpus writer it
@@ -75,7 +105,7 @@ func TestCorpusDumpGolden(t *testing.T) {
 				t.Fatal(err)
 			}
 			var text bytes.Buffer
-			if err := dumpCorpus(path, &text); err != nil {
+			if err := campaign.Dump(path, 2, &text); err != nil {
 				t.Fatal(err)
 			}
 			if got := sha(text.Bytes()); got != want.dump {
@@ -100,16 +130,7 @@ func TestCorpusDumpGolden(t *testing.T) {
 			if got := datasetHash(d); got != want.dataset {
 				t.Errorf("dataset parsed from the dump hashes to %x, want %x", got, want.dataset)
 			}
-			f, err := os.Open(path)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer f.Close()
-			col, err := export.Read(f)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got := datasetHash(col); got != want.dataset {
+			if got := datasetHash(decodeDataset(t, path)); got != want.dataset {
 				t.Errorf("columnar corpus hashes to %x, want %x", got, want.dataset)
 			}
 		})

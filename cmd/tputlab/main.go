@@ -1,5 +1,6 @@
 // Command tputlab regenerates the paper's tables and figures, and the
-// §7 congestion report, from the synthetic Internet. It translates
+// §7 congestion report, from the synthetic Internet, and runs MAP-IT
+// and bdrmap as offline tools over persisted corpora. It translates
 // flags into a campaign.Spec; internal/campaign runs the campaign.
 //
 // Usage:
@@ -8,6 +9,9 @@
 //	tputlab run <name>|all [flags]          regenerate a table/figure
 //	tputlab report [flags]                  caveat-annotated congestion report (§7 checklist)
 //	tputlab corpus dump FILE                print a corpus as NDJSON (tputlab-corpus/1) for jq
+//	tputlab corpus ark VP [flags]           persist an Ark VP's prefix campaign
+//	tputlab corpus mapit FILE               MAP-IT interdomain links of a corpus
+//	tputlab corpus bdrmap FILE -org NAME    bdrmap borders of an org (Table 3)
 //
 // `tputlab help` lists the run/report flags, among them
 // -scale small|default|medium|large|xlarge.
@@ -18,7 +22,6 @@
 package main
 
 import (
-	"bufio"
 	"context"
 	"encoding/json"
 	"errors"
@@ -34,7 +37,6 @@ import (
 
 	"throughputlab/internal/campaign"
 	"throughputlab/internal/experiments"
-	"throughputlab/internal/export"
 	"throughputlab/internal/obs"
 	"throughputlab/internal/platform"
 	"throughputlab/internal/report"
@@ -55,11 +57,12 @@ func main() {
 	case "report":
 		exitOn(reportCmd(os.Args[2:]))
 	case "corpus":
-		if len(os.Args) != 4 || os.Args[2] != "dump" {
-			fmt.Fprintln(os.Stderr, "usage: tputlab corpus dump FILE")
+		err := corpusCmd(os.Args[2:])
+		if errors.Is(err, errCorpusUsage) {
+			usage()
 			os.Exit(2)
 		}
-		exitOn(dumpCorpus(os.Args[3], os.Stdout))
+		exitOn(err)
 	case "-h", "--help", "help":
 		usage()
 	default:
@@ -118,6 +121,10 @@ func usage() {
   tputlab run <name>|all [flags]                regenerate a table/figure
   tputlab report [flags]                        caveat-annotated congestion report (§7 checklist)
   tputlab corpus dump FILE                      print a corpus as NDJSON (tputlab-corpus/1) for jq
+  tputlab corpus ark VP -corpus-out FILE        persist an Ark VP's prefix campaign
+          [-scale NAME] [-seed N]               (VP label, e.g. bed-us, as in 'run table3')
+  tputlab corpus mapit FILE                     MAP-IT's busiest interdomain IP links
+  tputlab corpus bdrmap FILE -org NAME          bdrmap's border map of one organization
 
 flags for run/report:
   -scale NAME            topology/corpus scale: small, default, medium,
@@ -366,25 +373,50 @@ func reportCmd(args []string) error {
 	return finish(cf, reg, err)
 }
 
-// dumpCorpus is `corpus dump FILE`: it prints a persisted corpus to w
-// as the tputlab-corpus/1 NDJSON stream, for jq.
-func dumpCorpus(path string, w io.Writer) error {
-	f, err := os.Open(path)
-	if err != nil {
+// errCorpusUsage is a malformed `corpus` command line; main prints
+// the usage and exits 2.
+var errCorpusUsage = errors.New("corpus usage")
+
+// corpusCmd runs the `corpus` subcommands: the NDJSON printer, the Ark
+// prefix campaign writer and the two offline inferences.
+// internal/campaign reads, writes and infers; this only dispatches and
+// prints.
+func corpusCmd(args []string) error {
+	if len(args) < 2 {
+		return errCorpusUsage
+	}
+	sub, arg, rest := args[0], args[1], args[2:]
+	workers := runtime.GOMAXPROCS(0)
+	switch {
+	case sub == "dump" && len(rest) == 0:
+		return campaign.Dump(arg, workers, os.Stdout)
+	case sub == "mapit" && len(rest) == 0:
+		out, err := campaign.MapIt(arg, workers)
+		fmt.Print(out)
 		return err
-	}
-	defer f.Close()
-	cr, err := export.OpenCorpusProjected(f, runtime.GOMAXPROCS(0), export.EverythingProjection())
-	if err != nil {
+	case sub == "bdrmap":
+		fs := flag.NewFlagSet("corpus bdrmap", flag.ExitOnError)
+		org := fs.String("org", "", "VP organization name, as in the corpus's org table")
+		if fs.Parse(rest) != nil || fs.NArg() > 0 {
+			return errCorpusUsage
+		}
+		out, err := campaign.Bdrmap(arg, *org, workers)
+		fmt.Print(out)
 		return err
+	case sub == "ark":
+		fs := flag.NewFlagSet("corpus ark", flag.ExitOnError)
+		s := campaign.Spec{Workers: workers, GenWorkers: workers}
+		fs.StringVar(&s.Scale, "scale", "default", "small, default, medium, large or xlarge")
+		fs.Int64Var(&s.Seed, "seed", 1, "generation seed")
+		fs.StringVar(&s.CorpusOut, "corpus-out", "", "publish the campaign to this file")
+		if fs.Parse(rest) != nil || fs.NArg() > 0 {
+			return errCorpusUsage
+		}
+		ctx, stopSignals := signalContext()
+		defer stopSignals()
+		return campaign.Ark(ctx, s, arg)
 	}
-	defer cr.Close()
-	bw := bufio.NewWriterSize(w, 1<<20)
-	err = export.Dump(bw, cr)
-	if ferr := bw.Flush(); err == nil {
-		err = ferr
-	}
-	return err
+	return errCorpusUsage
 }
 
 func runCmd(args []string) error {

@@ -2,6 +2,7 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"io"
 	"os"
@@ -61,6 +62,27 @@ func TestScaleValidation(t *testing.T) {
 	}
 	if err := reportCmd([]string{"-scale", "tiny"}); err == nil {
 		t.Error("report with invalid -scale should error")
+	}
+}
+
+// TestCorpusCmdValidation pins the corpus subcommands' front end: a
+// malformed command line is a usage error, and `corpus ark -scale
+// bogus` is refused by campaign.Spec's scale check before any world is
+// generated or file written.
+func TestCorpusCmdValidation(t *testing.T) {
+	for _, args := range [][]string{nil, {"dump"}, {"dump", "a", "b"}, {"mapit", "a", "b"},
+		{"bdrmap", "a", "-org", "x", "b"}, {"ark", "bed-us", "-corpus-out", "x", "b"}, {"nosuch", "a"}} {
+		if err := corpusCmd(args); !errors.Is(err, errCorpusUsage) {
+			t.Errorf("corpus %v: err = %v, want the usage error", args, err)
+		}
+	}
+	out := filepath.Join(t.TempDir(), "bed.tpc")
+	err := corpusCmd([]string{"ark", "bed-us", "-scale", "bogus", "-corpus-out", out})
+	if err == nil || !strings.Contains(err.Error(), "-scale") {
+		t.Fatalf("corpus ark -scale bogus: err = %v, want a -scale usage error", err)
+	}
+	if _, err := os.Stat(out); !os.IsNotExist(err) {
+		t.Errorf("refused corpus ark wrote %s (stat: %v)", out, err)
 	}
 }
 

@@ -7,7 +7,10 @@
 // over a persisted corpus (-corpus), the corpus decoded once, with no
 // world. A run collects once and keeps its chunks for the experiments
 // (Collect). The rendered report is byte-identical for every source,
-// chunk size and worker count.
+// chunk size and worker count. The offline tools behind `tputlab
+// corpus` live here too (corpus.go): the Ark prefix campaign, published
+// through the same tee, and MAP-IT, bdrmap and the NDJSON dump over a
+// persisted corpus, read through the same reader.
 package campaign
 
 import (
@@ -159,7 +162,8 @@ func open(ctx context.Context, s Spec, lazyRoutes bool, reg *obs.Registry) (*Cam
 	}
 	w.Observe(reg)
 	c := &Campaign{opts: opts, world: w}
-	if c.tee, err = c.openTee(s); err != nil {
+	meta := export.StreamMeta{Scale: s.Scale, Seed: opts.Topo.Seed, Tests: opts.Collect.Tests}
+	if c.tee, err = c.openTee(s.CorpusOut, meta); err != nil {
 		return nil, err
 	}
 	return c, nil
@@ -223,12 +227,17 @@ func openReader(path string, workers int) (*corpusReader, error) {
 	return &corpusReader{f: f, CorpusReader: cr}, nil
 }
 
+// close releases the reader and its file; replay calls it.
+func (r *corpusReader) close() {
+	r.Close()
+	r.f.Close()
+}
+
 // replay feeds every chunk to fn in publication order, then closes the
 // reader and returns the footer's completeness ledger. Between chunks
 // it stops with ctx's cause once ctx is done.
 func (r *corpusReader) replay(ctx context.Context, fn func(*platform.Chunk) error) (platform.Completeness, error) {
-	defer r.f.Close()
-	defer r.Close()
+	defer r.close()
 	for {
 		if err := context.Cause(ctx); err != nil {
 			return platform.Completeness{}, err

@@ -1,7 +1,6 @@
 package campaign
 
 import (
-	"bufio"
 	"bytes"
 	"context"
 	"crypto/sha256"
@@ -31,22 +30,8 @@ func sha(b []byte) string { s := sha256.Sum256(b); return hex.EncodeToString(s[:
 // dump prints the corpus at path the way `tputlab corpus dump` does.
 func dump(t *testing.T, path string) []byte {
 	t.Helper()
-	f, err := os.Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	cr, err := export.OpenCorpusProjected(f, 1, export.EverythingProjection())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cr.Close()
 	var text bytes.Buffer
-	bw := bufio.NewWriter(&text)
-	if err := export.Dump(bw, cr); err != nil {
-		t.Fatal(err)
-	}
-	if err := bw.Flush(); err != nil {
+	if err := Dump(path, 1, &text); err != nil {
 		t.Fatal(err)
 	}
 	return text.Bytes()

@@ -65,8 +65,9 @@ func (s Spec) Validate(set map[string]bool) error {
 // scaleOptions maps a -scale value to its environment options; unknown
 // values are a usage error, and run and report accept the same set.
 // large (~50k ASes) and xlarge (~75k ASes, a million scheduled tests)
-// are sized for the streaming pipeline: run them with -stream or
-// -corpus-out so the corpus never has to be resident all at once.
+// are sized for a report, which never keeps the corpus resident: it
+// reads each chunk once as it arrives, whatever the flags. A run keeps
+// the whole corpus resident for the experiments, whatever the flags.
 func scaleOptions(scale string) (experiments.Options, error) {
 	opts := experiments.DefaultOptions()
 	switch scale {

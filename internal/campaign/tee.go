@@ -17,21 +17,21 @@ type tee struct {
 	path string
 }
 
-// openTee opens the -corpus-out corpus, or returns nil when nothing is
-// persisted. Every chunk written goes to path+".partial", and the
-// corpus appears at path only through seal's footer-then-rename — so
-// the readable path is always absent, a complete prior corpus, or a
-// complete current one.
-func (c *Campaign) openTee(s Spec) (*tee, error) {
-	if s.CorpusOut == "" {
+// openTee opens the corpus published at path under meta, or returns
+// nil when path is empty and nothing is persisted. Every chunk written
+// goes to path+".partial", and the corpus appears at path only through
+// seal's footer-then-rename — so the readable path is always absent, a
+// complete prior corpus, or a complete current one. A device or a
+// named pipe at path is written in place.
+func (c *Campaign) openTee(path string, meta export.StreamMeta) (*tee, error) {
+	if path == "" {
 		return nil, nil
 	}
-	meta := export.StreamMeta{Scale: s.Scale, Seed: c.opts.Topo.Seed, Tests: c.opts.Collect.Tests}
-	w, err := checkpoint.Create(s.CorpusOut, corpusFormat, *c.bundle(), meta, checkpoint.Fingerprint{}, c.opts.Workers, checkpoint.Options{})
+	w, err := checkpoint.Create(path, corpusFormat, *c.bundle(), meta, checkpoint.Fingerprint{}, c.opts.Workers, checkpoint.Options{})
 	if err != nil {
 		return nil, err
 	}
-	return &tee{w: w, path: s.CorpusOut}, nil
+	return &tee{w: w, path: path}, nil
 }
 
 // write persists one chunk.

@@ -121,11 +121,12 @@ func FuzzChunkPayload(f *testing.F) {
 	})
 }
 
-// FuzzRead throws arbitrary bytes at Read, the front door cmd/mapit and
-// cmd/bdrmap open their input through: it must decode a columnar corpus
-// or reject with an error, never panic. Input without the columnar
-// magic — the committed single-blob dataset seeds included — is always
-// refused, and a tputlab-corpus/1 text stream is refused by name.
+// FuzzRead throws arbitrary bytes at the corpus reader every command
+// reads a corpus through, opened with OpenCorpusProjected and drained
+// to io.EOF: it must decode a columnar corpus or reject with an error,
+// never panic. Input without the columnar magic — the committed
+// single-blob dataset seeds included — is always refused, and a
+// tputlab-corpus/1 text stream is refused by name.
 func FuzzRead(f *testing.F) {
 	// The committed seeds add single-blob datasets and a bare text
 	// header; here, an empty columnar corpus and its text dump.
@@ -142,12 +143,12 @@ func FuzzRead(f *testing.F) {
 	f.Add(text.Bytes())
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		_, err := Read(bytes.NewReader(data))
+		_, err := readCorpus(bytes.NewReader(data))
 		if !bytes.HasPrefix(data, []byte(columnarMagic)) && err == nil {
-			t.Fatalf("Read accepted %d bytes without the columnar magic", len(data))
+			t.Fatalf("reader accepted %d bytes without the columnar magic", len(data))
 		}
 		if bytes.HasPrefix(data, []byte(v1Prefix)) && (err == nil || !strings.Contains(err.Error(), StreamFormat)) {
-			t.Fatalf("Read of a %s stream returned %v, want an error naming the format", StreamFormat, err)
+			t.Fatalf("reading a %s stream returned %v, want an error naming the format", StreamFormat, err)
 		}
 	})
 }

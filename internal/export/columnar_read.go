@@ -272,7 +272,7 @@ func readColumnarHeader(s *frameScanner) (streamHeader, error) {
 				StreamFormat, ColumnarFormat)
 		}
 		if magic[0] == '{' {
-			return hdr, fmt.Errorf("export: input is JSON, not a columnar corpus: the single-blob dataset format is no longer read; regenerate the dataset with ndtsim, which writes %s", ColumnarFormat)
+			return hdr, fmt.Errorf("export: input is JSON, not a columnar corpus: the single-blob dataset format is no longer read; regenerate it with 'tputlab report -corpus-out' (an NDT campaign) or 'tputlab corpus ark' (an Ark prefix campaign), which write %s", ColumnarFormat)
 		}
 		return hdr, fmt.Errorf("export: not a columnar corpus: magic %q (want %q)", magic, columnarMagic)
 	}

@@ -84,7 +84,7 @@ func TestColumnarFieldCoverage(t *testing.T) {
 
 // TestColumnarRoundTrip pins the core contract: a campaign persisted
 // through the columnar writer decodes back record for record — every
-// field — through both the streaming reader and the generic Read.
+// field — drained whole and chunk by chunk.
 func TestColumnarRoundTrip(t *testing.T) {
 	cfg := streamCfg(400, 64)
 	batch, err := platform.CollectParallelCtx(context.Background(), testWorld(), cfg, 1)
@@ -94,13 +94,13 @@ func TestColumnarRoundTrip(t *testing.T) {
 	buf, st := writeColumnar(t, cfg, 4)
 	raw := buf.Bytes()
 
-	// Path 1: generic Read materializes the columnar corpus.
-	back, err := Read(bytes.NewReader(raw))
+	// Path 1: the corpus drained whole.
+	back, err := readCorpus(bytes.NewReader(raw))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(back.Tests) != len(batch.Tests) || len(back.Traces) != len(batch.Traces) {
-		t.Fatalf("columnar Read returned %d/%d records, batch has %d/%d",
+		t.Fatalf("columnar corpus returned %d/%d records, batch has %d/%d",
 			len(back.Tests), len(back.Traces), len(batch.Tests), len(batch.Traces))
 	}
 	for i := range batch.Tests {
@@ -240,7 +240,7 @@ func TestOpenColumnarWorkersMatchesSerial(t *testing.T) {
 func TestColumnarProjection(t *testing.T) {
 	buf, st := writeColumnar(t, streamCfg(300, 50), 2)
 	raw := buf.Bytes()
-	full, err := Read(bytes.NewReader(raw))
+	full, err := readCorpus(bytes.NewReader(raw))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -278,28 +278,21 @@ func TestColumnarProjection(t *testing.T) {
 
 // TestCorpusFormatCrossErrors pins how the one reader treats the text
 // stream Dump prints (tputlab-corpus/1, once also an on-disk format):
-// both the streaming reader and Read refuse it with an error naming the
-// format and the printer, not a parse error — and Read never mistakes
-// it for a single-blob dataset.
+// it refuses it with an error naming the format and the printer, not a
+// parse error, and never mistakes it for a single-blob dataset.
 func TestCorpusFormatCrossErrors(t *testing.T) {
 	col, _ := writeColumnar(t, streamCfg(120, 60), 1)
 	text, err := dump(t, col.Bytes(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	check := func(what string, err error) {
-		t.Helper()
-		if err == nil {
-			t.Fatalf("%s accepted a %s text stream", what, StreamFormat)
-		}
-		if !strings.Contains(err.Error(), StreamFormat) || !strings.Contains(err.Error(), "corpus dump") {
-			t.Errorf("%s error does not name the format and the printer: %v", what, err)
-		}
-	}
 	_, err = openCorpus(text, 1)
-	check("OpenCorpusProjected", err)
-	_, err = Read(bytes.NewReader(text))
-	check("Read", err)
+	if err == nil {
+		t.Fatalf("OpenCorpusProjected accepted a %s text stream", StreamFormat)
+	}
+	if !strings.Contains(err.Error(), StreamFormat) || !strings.Contains(err.Error(), "corpus dump") {
+		t.Errorf("error does not name the format and the printer: %v", err)
+	}
 }
 
 // TestColumnarTruncated rejects a file whose footer never arrived, at

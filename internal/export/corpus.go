@@ -78,34 +78,16 @@ type CorpusReader interface {
 
 // OpenCorpusProjected opens a persisted corpus for a chunk-by-chunk
 // replay, decoding chunks on workers goroutines and only the column
-// families proj selects. Every program path passes
-// EverythingProjection; only perfbench/trace, the benchmark's serial
-// mirror that ROADMAP item 1 deletes, reads traces alone. Call Close
-// when abandoning the reader before io.EOF.
+// families proj selects. It is the one corpus reader: `report -corpus`
+// and `corpus mapit|bdrmap` (through internal/campaign's replay) and
+// `corpus dump` all open their input here, with EverythingProjection;
+// only perfbench/trace, the benchmark's serial mirror that ROADMAP
+// item 1 deletes, reads traces alone. Call Close when abandoning the
+// reader before io.EOF.
 func OpenCorpusProjected(r io.Reader, workers int, proj Projection) (CorpusReader, error) {
 	cr, err := openColumnar(r, workers, proj)
 	if err != nil {
 		return nil, err
 	}
 	return cr, nil
-}
-
-// materializeCorpus drains an open reader into a Dataset.
-func materializeCorpus(cr CorpusReader) (*Dataset, error) {
-	d := &Dataset{Public: *cr.Public()}
-	for {
-		c, err := cr.Next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return nil, err
-		}
-		d.Tests = append(d.Tests, c.Tests...)
-		d.Traces = append(d.Traces, c.Traces...)
-	}
-	f := cr.Footer()
-	d.TestsWithoutTrace = f.TestsWithoutTrace
-	d.Completeness = f.Completeness
-	return d, nil
 }

@@ -1,14 +1,14 @@
 // Package export persists measurement campaigns — the public topology
 // data (prefix→AS, AS relationships, AS→organization, IXP prefixes)
 // plus NDT tests and Paris traceroutes — as columnar corpora
-// (columnar.go), so tputlab and the stand-alone tools (cmd/ndtsim,
-// cmd/mapit, cmd/bdrmap) can interoperate the way the real
-// M-Lab/CAIDA pipelines exchange files.
+// (columnar.go), so a campaign written by one tputlab command (report
+// -corpus-out, corpus ark) can be read by another (report -corpus,
+// corpus mapit|bdrmap|dump) the way the real M-Lab/CAIDA pipelines
+// exchange files.
 package export
 
 import (
 	"fmt"
-	"io"
 
 	"throughputlab/internal/mapit"
 	"throughputlab/internal/ndt"
@@ -43,7 +43,7 @@ type Public struct {
 }
 
 // Dataset bundles everything one collection campaign publishes, held
-// in memory: what FromWorld snapshots and Read materializes.
+// in memory: what FromWorld snapshots.
 type Dataset struct {
 	Public Public
 	Tests  []*ndt.Test
@@ -118,18 +118,6 @@ func (p *Public) Validate() error {
 		}
 	}
 	return nil
-}
-
-// Read decodes a columnar corpus in full, with the footer's
-// completeness ledger folded in; the public bundle is validated. It is
-// the stand-alone tools' front door: any other input, the retired
-// single-blob JSON dataset included, is refused with an error.
-func Read(r io.Reader) (*Dataset, error) {
-	cr, err := openColumnar(r, 1, EverythingProjection())
-	if err != nil {
-		return nil, err
-	}
-	return materializeCorpus(cr)
 }
 
 // Lookups builds the runtime lookup structures from the public data.

@@ -9,10 +9,10 @@ import (
 )
 
 func TestReadRejectsGarbage(t *testing.T) {
-	if _, err := Read(strings.NewReader("{not json")); err == nil {
+	if _, err := readCorpus(strings.NewReader("{not json")); err == nil {
 		t.Error("garbage should fail to decode")
 	}
-	if _, err := Read(strings.NewReader("")); err == nil {
+	if _, err := readCorpus(strings.NewReader("")); err == nil {
 		t.Error("empty input should fail")
 	}
 }
@@ -21,7 +21,7 @@ func TestReadRejectsBadAddresses(t *testing.T) {
 	// A prefix row with an invalid CIDR must surface as an error, not a
 	// zero value.
 	bad := rawHeader([]byte(`{"format":"` + ColumnarFormat + `","public":{"prefixes":[{"prefix":"999.0.0.0/8","asn":1}],"orgs":{},"rels":null}}`))
-	if _, err := Read(bytes.NewReader(bad)); err == nil || !strings.Contains(err.Error(), "999.0.0.0") {
+	if _, err := readCorpus(bytes.NewReader(bad)); err == nil || !strings.Contains(err.Error(), "999.0.0.0") {
 		t.Errorf("invalid prefix decoded with err = %v, want an error naming it", err)
 	}
 }

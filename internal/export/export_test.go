@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/binary"
 	"hash/crc32"
+	"io"
 	"sync"
 	"testing"
 
@@ -31,8 +32,33 @@ func smallCorpus(t testing.TB) *platform.Corpus {
 	return c
 }
 
+// readCorpus decodes a columnar corpus in full, the footer's ledger
+// folded in.
+func readCorpus(r io.Reader) (*Dataset, error) {
+	cr, err := OpenCorpusProjected(r, 1, EverythingProjection())
+	if err != nil {
+		return nil, err
+	}
+	defer cr.Close()
+	d := &Dataset{Public: *cr.Public()}
+	for {
+		c, err := cr.Next()
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			return nil, err
+		}
+		d.Tests = append(d.Tests, c.Tests...)
+		d.Traces = append(d.Traces, c.Traces...)
+	}
+	d.TestsWithoutTrace = cr.Footer().TestsWithoutTrace
+	d.Completeness = cr.Footer().Completeness
+	return d, nil
+}
+
 // writeDataset persists d as a one-chunk columnar corpus, the way
-// cmd/ndtsim does.
+// `tputlab corpus ark` does.
 func writeDataset(t testing.TB, d *Dataset) *bytes.Buffer {
 	t.Helper()
 	var buf bytes.Buffer
@@ -51,8 +77,8 @@ func writeDataset(t testing.TB, d *Dataset) *bytes.Buffer {
 }
 
 // rawHeader frames an arbitrary header payload behind the columnar
-// magic, bypassing the writer's validation, so Read's own checks of the
-// public bundle can be exercised.
+// magic, bypassing the writer's validation, so the reader's own checks
+// of the public bundle can be exercised.
 func rawHeader(payload []byte) []byte {
 	b := []byte(columnarMagic)
 	b = binary.AppendUvarint(b, uint64(len(payload)))
@@ -64,7 +90,7 @@ func TestRoundTrip(t *testing.T) {
 	corpus := smallCorpus(t)
 	d := FromWorld(testWorld(), corpus)
 	buf := writeDataset(t, d)
-	back, err := Read(buf)
+	back, err := readCorpus(buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +116,7 @@ func TestLookupsMatchWorld(t *testing.T) {
 	world := testWorld()
 	d := FromWorld(world, nil)
 	buf := writeDataset(t, d)
-	back, _ := Read(buf)
+	back, _ := readCorpus(buf)
 	l := back.Lookups()
 
 	// Origin lookups agree with the world.
@@ -125,7 +151,7 @@ func TestMapItOverExportedData(t *testing.T) {
 	corpus := smallCorpus(t)
 	d := FromWorld(world, corpus)
 	buf := writeDataset(t, d)
-	back, _ := Read(buf)
+	back, _ := readCorpus(buf)
 	inf := mapit.Run(back.Traces, back.Lookups().MapItOpts())
 	if len(inf.Links) == 0 {
 		t.Fatal("no links inferred from exported dataset")

@@ -120,7 +120,8 @@ func TestStreamWriterWorkersByteIdentical(t *testing.T) {
 }
 
 // TestReadRefusesSingleBlob pins that the retired single-blob JSON
-// dataset is refused with an error that names it, not misread.
+// dataset is refused with an error that names it and the commands that
+// write a corpus, not misread.
 func TestReadRefusesSingleBlob(t *testing.T) {
 	blob, err := json.Marshal(struct {
 		Public Public `json:"public"`
@@ -128,9 +129,14 @@ func TestReadRefusesSingleBlob(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = Read(bytes.NewReader(blob))
+	_, err = openCorpus(blob, 1)
 	if err == nil || !strings.Contains(err.Error(), "single-blob") {
-		t.Fatalf("Read of a single-blob dataset = %v, want an error naming the format", err)
+		t.Fatalf("opening a single-blob dataset = %v, want an error naming the format", err)
+	}
+	for _, cmd := range []string{"tputlab report -corpus-out", "tputlab corpus ark"} {
+		if !strings.Contains(err.Error(), cmd) {
+			t.Errorf("single-blob refusal %q does not point at %q", err, cmd)
+		}
 	}
 }
 

@@ -1,7 +1,6 @@
 package export
 
 import (
-	"bytes"
 	"encoding/json"
 	"strings"
 	"testing"
@@ -31,13 +30,13 @@ func headerOnly(t *testing.T, public Public) []byte {
 
 // TestReadRejectsConflictingRels pins the Lookups bugfix: a bundle
 // carrying contradictory relationships for one AS pair used to be
-// resolved silently by whichever row came last; Read now refuses it
-// with an error naming the pair.
+// resolved silently by whichever row came last; opening the corpus
+// now refuses it with an error naming the pair.
 func TestReadRejectsConflictingRels(t *testing.T) {
-	_, err := Read(bytes.NewReader(headerOnly(t, Public{Rels: []relRow{
+	_, err := openCorpus(headerOnly(t, Public{Rels: []relRow{
 		{A: 10, B: 20, Rel: "customer"},
 		{A: 20, B: 10, Rel: "peer"}, // contradicts: should be provider
-	}})))
+	}}), 1)
 	if err == nil {
 		t.Fatal("conflicting relationship rows accepted")
 	}
@@ -51,7 +50,7 @@ func TestReadRejectsConflictingRels(t *testing.T) {
 		{A: 10, B: 20, Rel: "customer"},
 		{A: 20, B: 10, Rel: "provider"},
 	}}}
-	if _, err := Read(writeDataset(t, ok)); err != nil {
+	if _, err := readCorpus(writeDataset(t, ok)); err != nil {
 		t.Fatalf("consistent duplicate rows rejected: %v", err)
 	}
 }
@@ -61,10 +60,10 @@ func TestReadRejectsConflictingRels(t *testing.T) {
 // last-write-wins.
 func TestReadRejectsConflictingPrefixOrigins(t *testing.T) {
 	p := mustPrefix(t, "16.0.4.0/22")
-	_, err := Read(bytes.NewReader(headerOnly(t, Public{Prefixes: []PrefixOrigin{
+	_, err := openCorpus(headerOnly(t, Public{Prefixes: []PrefixOrigin{
 		{Prefix: p, ASN: 100},
 		{Prefix: p, ASN: 200},
-	}})))
+	}}), 1)
 	if err == nil {
 		t.Fatal("conflicting prefix origins accepted")
 	}
@@ -76,7 +75,7 @@ func TestReadRejectsConflictingPrefixOrigins(t *testing.T) {
 		{Prefix: p, ASN: 100},
 		{Prefix: p, ASN: 100},
 	}}}
-	if _, err := Read(writeDataset(t, dup)); err != nil {
+	if _, err := readCorpus(writeDataset(t, dup)); err != nil {
 		t.Fatalf("duplicate announcement rejected: %v", err)
 	}
 }
