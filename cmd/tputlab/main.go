@@ -155,11 +155,13 @@ flags for run/report:
                          corpus identity
   -seed N                generation seed (default 1)
   -tests N               NDT corpus size (0 = scale default)
-  -parallel N            engine worker count (default GOMAXPROCS);
-                         results are identical for every N
+  -parallel N            engine worker count (default GOMAXPROCS):
+                         collection, inference and the experiment
+                         sweep; results are identical for every N
   -genworkers N          world-generation worker count (default
-                         GOMAXPROCS); the world is byte-identical
-                         for every N
+                         GOMAXPROCS) for DNS naming and validation
+                         (BGP route trees are computed on first use);
+                         the world is byte-identical for every N
   -faults PROFILE        deterministic fault injection: off (default),
                          light, moderate or heavy; degraded data is
                          skipped by inference and accounted in the
@@ -448,11 +450,10 @@ func runCmd(args []string) error {
 
 	start := time.Now()
 	fmt.Fprintf(os.Stderr, "generating world (scale=%s seed=%d parallel=%d)...\n", cf.spec.Scale, cf.spec.Seed, cf.spec.Workers)
-	c, err := campaign.Collect(ctx, cf.spec, reg)
+	env, err := campaign.Collect(ctx, cf.spec, reg)
 	if err != nil {
 		return finish(cf, reg, err)
 	}
-	env := c.Env()
 	fmt.Fprintf(os.Stderr, "world: %s\n", env.World.Topo.CollectStats())
 	fmt.Fprintf(os.Stderr, "platforms: %d M-Lab servers, %d Speedtest servers; corpus: %d tests, %d traces (%.1fs)\n",
 		len(env.World.MLabServers()), len(env.World.Speedtest),

@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -31,7 +32,7 @@ func main() {
 
 	// Collection phase: traceroute to every routed prefix.
 	targets := platform.RoutedPrefixTargets(world)
-	traces := platform.Campaign(world, vp.Host.Endpoint, targets, traceroute.DefaultArtifacts(), 7)
+	traces, _ := platform.Campaign(context.Background(), world, vp.Host.Endpoint, targets, traceroute.DefaultArtifacts(), 7)
 	fmt.Printf("campaign: %d traces to %d routed prefixes\n", len(traces), len(targets))
 
 	// Analysis phase.

@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 
 	"throughputlab/internal/alias"
@@ -29,10 +30,10 @@ func main() {
 
 	art := traceroute.DefaultArtifacts()
 	art.DstNoReplyProb = 0.05
-	campaign := platform.Campaign(world, vp.Host.Endpoint, platform.RoutedPrefixTargets(world), art, 1)
-	mlab := platform.Campaign(world, vp.Host.Endpoint, platform.HostTargets(world.MLabServers()), art, 2)
-	speed := platform.Campaign(world, vp.Host.Endpoint, platform.HostTargets(world.Speedtest), art, 3)
-	alexa := platform.Campaign(world, vp.Host.Endpoint,
+	campaign, _ := platform.Campaign(context.Background(), world, vp.Host.Endpoint, platform.RoutedPrefixTargets(world), art, 1)
+	mlab, _ := platform.Campaign(context.Background(), world, vp.Host.Endpoint, platform.HostTargets(world.MLabServers()), art, 2)
+	speed, _ := platform.Campaign(context.Background(), world, vp.Host.Endpoint, platform.HostTargets(world.Speedtest), art, 3)
+	alexa, _ := platform.Campaign(context.Background(), world, vp.Host.Endpoint,
 		platform.AlexaTargets(world, vp.Host.Endpoint.Metro), art, 4)
 
 	orgASNs := world.Access[vp.ISP].Org.ASNs

@@ -1,6 +1,7 @@
 package bdrmap
 
 import (
+	"context"
 	"sync"
 	"testing"
 
@@ -72,7 +73,8 @@ func campaignFor(t testing.TB, vpLabel string) ([]*traceroute.Trace, string) {
 	for _, vp := range world().ArkVPs {
 		if vp.Label == vpLabel {
 			targets := platform.RoutedPrefixTargets(world())
-			return platform.Campaign(world(), vp.Host.Endpoint, targets, traceroute.Clean(), 3), vp.ISP
+			traces, _ := platform.Campaign(context.Background(), world(), vp.Host.Endpoint, targets, traceroute.Clean(), 3)
+			return traces, vp.ISP
 		}
 	}
 	t.Fatalf("no VP %s", vpLabel)
@@ -186,7 +188,7 @@ func TestCoverageSetsSubsetOfBorders(t *testing.T) {
 			vp = v
 		}
 	}
-	mlabTraces := platform.Campaign(world(), vp.Host.Endpoint,
+	mlabTraces, _ := platform.Campaign(context.Background(), world(), vp.Host.Endpoint,
 		platform.HostTargets(world().MLabServers()), traceroute.Clean(), 4)
 
 	all := append(append([]*traceroute.Trace{}, campaign...), mlabTraces...)

@@ -18,8 +18,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"throughputlab/internal/obs"
-	"throughputlab/internal/stream"
 	"throughputlab/internal/topology"
 )
 
@@ -54,21 +52,14 @@ func (c RouteClass) String() string {
 
 const maxDist = 64
 
-// Routes holds the computed routing trees: for every destination AS,
-// the best next hop from every source AS. Two storage modes share the
-// same tree computation:
-//
-//   - eager (Compute): every destination tree is materialized up
-//     front into flat n×n tables. O(n²) memory — the right trade
-//     below ~10k ASes, where the whole table is touched.
-//   - lazy (ComputeLazy): only the adjacency is built up front; a
-//     destination's tree is computed on first use and published via an
-//     atomic pointer. NDT campaigns resolve paths toward a few dozen
-//     server/client ASes, so at 50k+ ASes this replaces tens of GB of
-//     tables with a handful of 450KB trees.
-//
-// Both modes serve reads through the same accessors and compute each
-// tree with the same pure function, so they are observably identical.
+// Routes holds the routing trees: for every destination AS, the best
+// next hop from every source AS. Only the adjacency is built up front;
+// a destination's tree is computed once, on first use, and published
+// via an atomic pointer. NDT campaigns resolve paths toward a few dozen
+// server/client ASes, so a report reads a handful of trees, and at 50k+
+// ASes this replaces tens of GB of n×n tables with a handful of 450KB
+// trees; the experiments' traceroute sweeps compute the rest as they
+// read them.
 type Routes struct {
 	topo *topology.Topology
 	idx  map[topology.ASN]int
@@ -77,19 +68,15 @@ type Routes struct {
 	// adjacency, grouped by how routes flow.
 	neigh [][]adj
 
-	// eager mode: per destination (first index), per source (second index):
-	nextHop [][]int32 // -1 = none/self
-	dist    [][]uint8
-	class   [][]RouteClass
-
-	// lazy mode: per-destination trees, CAS-published on first use.
-	lazy     bool
+	// per-destination trees, published on first use; a destination's
+	// lock makes racing first uses wait for one computation.
 	trees    []atomic.Pointer[routeTree]
+	locks    []sync.Mutex
 	scratch  sync.Pool // *treeScratch
 	computed atomic.Int64
 }
 
-// routeTree is one destination's routing tree in lazy mode.
+// routeTree is one destination's routing tree.
 type routeTree struct {
 	nextHop []int32
 	dist    []uint8
@@ -101,7 +88,7 @@ type adj struct {
 	rel topology.Rel // relationship of j as seen from i
 }
 
-// newRoutes builds the index and adjacency shared by both modes.
+// newRoutes builds the index and adjacency.
 func newRoutes(t *topology.Topology) *Routes {
 	asns := t.ASNs()
 	n := len(asns)
@@ -129,74 +116,32 @@ func newRoutes(t *topology.Topology) *Routes {
 	return r
 }
 
-// Compute builds routing trees for every AS in the topology, with the
-// per-destination tree computation fanned out over workers (one or
-// fewer runs inline). Every destination's tree is a pure function of
-// the (read-only) adjacency, and each call writes only its
-// destinations' rows, so the result is byte-identical for every worker
-// count and scheduling. sp, when non-nil, receives one child span per
-// worker goroutine.
-func Compute(t *topology.Topology, workers int, sp *obs.Span) *Routes {
-	r := newRoutes(t)
-	n := len(r.asns)
-	r.nextHop = make([][]int32, n)
-	r.dist = make([][]uint8, n)
-	r.class = make([][]RouteClass, n)
-	// One flat backing array per table: row d is the slice [d*n, d*n+n).
-	// Same bytes as n separate rows, but 3 allocations instead of 3n,
-	// and destination-major locality for the sweep below.
-	nhAll := make([]int32, n*n)
-	distAll := make([]uint8, n*n)
-	classAll := make([]RouteClass, n*n)
-	for d := 0; d < n; d++ {
-		r.nextHop[d] = nhAll[d*n : (d+1)*n : (d+1)*n]
-		r.dist[d] = distAll[d*n : (d+1)*n : (d+1)*n]
-		r.class[d] = classAll[d*n : (d+1)*n : (d+1)*n]
-	}
-	// Workers claim destinations in fixed-size batches; writes are
-	// disjoint per destination, so the merge "order" is the array
-	// layout itself.
-	const batch = 16
-	scratch := make([]treeScratch, max(workers, 1))
-	stream.For((n+batch-1)/batch, workers, sp, func(w, b int) {
-		for d := b * batch; d < min((b+1)*batch, n); d++ {
-			r.computeTree(d, &scratch[w], r.nextHop[d], r.dist[d], r.class[d])
-		}
-	})
-	return r
-}
-
 // ComputeLazy builds only the adjacency; destination trees are computed
-// on demand by the accessors and cached. Safe for concurrent use: a tree
-// is published with a compare-and-swap, and because computeTree is a
-// pure function of the adjacency, racing computations produce identical
-// trees and either winner is correct.
+// on demand by the accessors and cached. Safe for concurrent use: the
+// first reader of a destination computes its tree under that
+// destination's lock, and readers racing it wait for the result instead
+// of computing it again (the experiments' sweeps walk the same targets
+// on every worker). Trees already published are read without locking.
 func ComputeLazy(t *topology.Topology) *Routes {
 	r := newRoutes(t)
-	r.lazy = true
 	r.trees = make([]atomic.Pointer[routeTree], len(r.asns))
+	r.locks = make([]sync.Mutex, len(r.asns))
 	r.scratch.New = func() any { return new(treeScratch) }
 	return r
 }
 
-// Lazy reports whether trees are computed on demand.
-func (r *Routes) Lazy() bool { return r.lazy }
-
 // ComputedTrees returns the number of destination trees materialized so
-// far: n for eager mode, the on-demand count for lazy mode.
-func (r *Routes) ComputedTrees() int {
-	if !r.lazy {
-		return len(r.asns)
-	}
-	return int(r.computed.Load())
-}
+// far.
+func (r *Routes) ComputedTrees() int { return int(r.computed.Load()) }
 
 // rows returns destination di's next-hop/distance/class rows, computing
-// and publishing the tree first in lazy mode.
+// and publishing the tree on first use.
 func (r *Routes) rows(di int) (nh []int32, dist []uint8, class []RouteClass) {
-	if !r.lazy {
-		return r.nextHop[di], r.dist[di], r.class[di]
+	if t := r.trees[di].Load(); t != nil {
+		return t.nextHop, t.dist, t.class
 	}
+	r.locks[di].Lock()
+	defer r.locks[di].Unlock()
 	if t := r.trees[di].Load(); t != nil {
 		return t.nextHop, t.dist, t.class
 	}
@@ -209,12 +154,9 @@ func (r *Routes) rows(di int) (nh []int32, dist []uint8, class []RouteClass) {
 	sc := r.scratch.Get().(*treeScratch)
 	r.computeTree(di, sc, t.nextHop, t.dist, t.class)
 	r.scratch.Put(sc)
-	if r.trees[di].CompareAndSwap(nil, t) {
-		r.computed.Add(1)
-		return t.nextHop, t.dist, t.class
-	}
-	w := r.trees[di].Load() // lost the race; the winner's tree is identical
-	return w.nextHop, w.dist, w.class
+	r.trees[di].Store(t)
+	r.computed.Add(1)
+	return t.nextHop, t.dist, t.class
 }
 
 // treeScratch is the per-worker reusable state of computeTree: the BFS
@@ -236,7 +178,7 @@ type cand struct {
 // caller-supplied rows using the three-phase propagation described in
 // the package comment. It is a pure function of the adjacency: it reads
 // only immutable state and writes only nh/dist/class, which makes it
-// safe for both the eager worker pool and the lazy on-demand path.
+// safe to run for many destinations at once.
 func (r *Routes) computeTree(d int, sc *treeScratch, nh []int32, dist []uint8, class []RouteClass) {
 	n := len(r.asns)
 	for i := range nh {

@@ -15,7 +15,7 @@ func TestReachabilitySymmetry(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	for trial := 0; trial < 8; trial++ {
 		tp := randomHierarchy(rng)
-		r := Compute(tp, 1, nil)
+		r := ComputeLazy(tp)
 		asns := tp.ASNs()
 		for i, a := range asns {
 			for _, b := range asns[i+1:] {
@@ -32,7 +32,7 @@ func TestReachabilitySymmetry(t *testing.T) {
 func TestCustomerClassImpliesDownhillPath(t *testing.T) {
 	rng := rand.New(rand.NewSource(22))
 	tp := randomHierarchy(rng)
-	r := Compute(tp, 1, nil)
+	r := ComputeLazy(tp)
 	checked := 0
 	for _, src := range tp.ASNs() {
 		for _, dst := range tp.ASNs() {
@@ -59,7 +59,7 @@ func TestCustomerClassImpliesDownhillPath(t *testing.T) {
 func TestPeerClassHasExactlyOnePeerEdge(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	tp := randomHierarchy(rng)
-	r := Compute(tp, 1, nil)
+	r := ComputeLazy(tp)
 	checked := 0
 	for _, src := range tp.ASNs() {
 		for _, dst := range tp.ASNs() {
@@ -92,7 +92,7 @@ func TestPeerClassHasExactlyOnePeerEdge(t *testing.T) {
 func TestPathLenMatchesWalk(t *testing.T) {
 	rng := rand.New(rand.NewSource(24))
 	tp := randomHierarchy(rng)
-	r := Compute(tp, 1, nil)
+	r := ComputeLazy(tp)
 	asns := tp.ASNs()
 	for _, src := range asns[:12] {
 		for _, dst := range asns {
@@ -114,7 +114,7 @@ func TestPathLenMatchesWalk(t *testing.T) {
 func TestSelfRoute(t *testing.T) {
 	rng := rand.New(rand.NewSource(25))
 	tp := randomHierarchy(rng)
-	r := Compute(tp, 1, nil)
+	r := ComputeLazy(tp)
 	for _, a := range tp.ASNs() {
 		if !r.HasRoute(a, a) {
 			t.Fatalf("AS %v does not reach itself", a)
@@ -134,7 +134,7 @@ func TestSelfRoute(t *testing.T) {
 func TestProviderConePrefersCustomerRoutes(t *testing.T) {
 	rng := rand.New(rand.NewSource(26))
 	tp := randomHierarchy(rng)
-	r := Compute(tp, 1, nil)
+	r := ComputeLazy(tp)
 	// Build the customer cone by downhill BFS.
 	for _, root := range tp.ASNs()[:3] {
 		cone := map[topology.ASN]bool{}

@@ -5,8 +5,9 @@
 // over report.StreamBuilder. A report reads every chunk once, from one
 // of two sources: over a world, collection, with no chunk retained;
 // over a persisted corpus (-corpus), the corpus decoded once, with no
-// world. A run collects once and keeps its chunks for the experiments
-// (Collect). The rendered report is byte-identical for every source,
+// world. A run collects once into the experiments' Env
+// (experiments.CollectEnv), with the tee as one more stage of that
+// pass (Collect). The rendered report is byte-identical for every source,
 // chunk size and worker count. The offline tools behind `tputlab
 // corpus` live here too (corpus.go): the Ark prefix campaign, published
 // through the same tee, and MAP-IT, bdrmap and the NDJSON dump over a
@@ -53,18 +54,13 @@ type Campaign struct {
 	world  *topogen.World
 	public *export.Public // the world's bundle or the corpus header's; see bundle
 	src    source
-	// chunks are a collected campaign's retained chunks, in publication
-	// order.
-	chunks []*platform.Chunk
 	tee    *tee
 }
 
 // Report runs the campaign s describes and renders its report in one
-// pass. Its world computes BGP route trees on demand: collection and
-// bdrmap read a few dozen of them, so the n×n eager tables would be
-// set-up work nobody reads.
+// pass.
 func Report(ctx context.Context, s Spec, reg *obs.Registry) (string, error) {
-	c, err := open(ctx, s, true, reg)
+	c, err := open(ctx, s, reg)
 	if err != nil {
 		return "", err
 	}
@@ -117,34 +113,27 @@ func (c *Campaign) report(ctx context.Context, reg *obs.Registry) (string, error
 	return out, nil
 }
 
-// Collect collects the campaign s describes and keeps it in memory for
-// the experiments (see Env). Its world keeps eager BGP tables: the
-// experiments' traceroute sweeps read every destination.
-func Collect(ctx context.Context, s Spec, reg *obs.Registry) (*Campaign, error) {
+// Collect collects the campaign s describes and builds the
+// experiments' Env over it with experiments.CollectEnv, whose one pass
+// also feeds the -corpus-out tee as its export stage.
+func Collect(ctx context.Context, s Spec, reg *obs.Registry) (*experiments.Env, error) {
 	if s.Stream || s.Corpus != "" {
 		return nil, fmt.Errorf("-stream and -corpus are report modes; a collected campaign sets neither")
 	}
-	c, err := open(ctx, s, false, reg)
+	c, err := open(ctx, s, reg)
 	if err != nil {
 		return nil, err
 	}
-	// Each chunk is kept and persisted on the collecting goroutine, and
-	// the tee is sealed with the collection's outcome.
-	err = c.collect(ctx, func(ch *platform.Chunk) error {
-		c.chunks = append(c.chunks, ch)
-		return c.tee.write(ch)
-	})
+	env, err := experiments.CollectEnv(ctx, c.opts, c.world, c.teeStages()...)
 	if err := c.tee.seal(err); err != nil {
 		return nil, err
 	}
-	c.tee = nil
-	return c, nil
+	return env, nil
 }
 
-// open validates s and builds the campaign's world (computing its
-// route trees on demand when lazyRoutes is set) and tee, or, under
+// open validates s and builds the campaign's world and tee, or, under
 // -corpus, opens the corpus as its source.
-func open(ctx context.Context, s Spec, lazyRoutes bool, reg *obs.Registry) (*Campaign, error) {
+func open(ctx context.Context, s Spec, reg *obs.Registry) (*Campaign, error) {
 	if err := s.Validate(nil); err != nil {
 		return nil, err
 	}
@@ -155,7 +144,6 @@ func open(ctx context.Context, s Spec, lazyRoutes bool, reg *obs.Registry) (*Cam
 	if s.Corpus != "" {
 		return openCorpus(s.Corpus, opts)
 	}
-	opts.Topo.LazyRoutes = lazyRoutes
 	w, err := topogen.GenerateCtx(ctx, opts.Topo)
 	if err != nil {
 		return nil, err
@@ -169,18 +157,12 @@ func open(ctx context.Context, s Spec, lazyRoutes bool, reg *obs.Registry) (*Cam
 	return c, nil
 }
 
-// collect runs the campaign, handing every published chunk to sink.
-func (c *Campaign) collect(ctx context.Context, sink func(*platform.Chunk) error) error {
-	_, err := platform.CollectStreamCtx(ctx, c.world, c.opts.Collect, c.opts.Workers, sink)
-	return err
-}
-
 // live is the source over a world: the campaign as it is collected. No
 // chunk is kept beyond its pass through the stages, and the ledger is
 // the merge of the chunks' own, as a sealed corpus's footer is.
 func (c *Campaign) live(ctx context.Context, fn func(*platform.Chunk) error) (platform.Completeness, error) {
 	var comp platform.Completeness
-	err := c.collect(ctx, func(ch *platform.Chunk) error {
+	_, err := platform.CollectStreamCtx(ctx, c.world, c.opts.Collect, c.opts.Workers, func(ch *platform.Chunk) error {
 		comp.Merge(ch.Completeness)
 		return fn(ch)
 	})
@@ -280,15 +262,22 @@ func (c *Campaign) bundle() *export.Public {
 // benchmark tooling read its metric names. The source's spans (a live
 // collection's) open under the pipeline's.
 func (c *Campaign) pass(ctx context.Context, stages ...stream.Stage[*platform.Chunk]) (platform.Completeness, error) {
-	if c.tee != nil {
-		stages = append(stages, stream.Stage[*platform.Chunk]{Name: "export", Fn: c.tee.write})
-	}
+	stages = append(stages, c.teeStages()...)
 	pipe := stream.NewPipeline("pass1", pipelineDepth, c.opts.Obs, stages...)
 	comp, err := c.src(obs.WithSpan(ctx, pipe.Span()), pipe.Send)
 	if cErr := pipe.Close(); err == nil {
 		err = cErr
 	}
 	return comp, c.tee.seal(err)
+}
+
+// teeStages is the pass stage that persists the collected chunks: one
+// named export when the campaign has a tee, none otherwise.
+func (c *Campaign) teeStages() []stream.Stage[*platform.Chunk] {
+	if c.tee == nil {
+		return nil
+	}
+	return []stream.Stage[*platform.Chunk]{{Name: "export", Fn: c.tee.write}}
 }
 
 // borderAccumulator arms a border accumulator over the campaign's
@@ -305,17 +294,4 @@ func borderAccumulator(w *topogen.World, inf *mapit.Inference, mopts mapit.Opts)
 	}
 	az := bdrmap.NewAnalyzerFromInference(inf, bdrmap.Opts{OrgASNs: org, MapIt: mopts})
 	return az.NewBorderAccumulator()
-}
-
-// Env concatenates the retained chunks into the corpus the experiments
-// read and runs their shared inference over it.
-func (c *Campaign) Env() *experiments.Env {
-	corpus := &platform.Corpus{}
-	for _, ch := range c.chunks {
-		corpus.Tests = append(corpus.Tests, ch.Tests...)
-		corpus.Traces = append(corpus.Traces, ch.Traces...)
-		corpus.TestsWithoutTrace += ch.TestsWithoutTrace
-		corpus.Completeness.Merge(ch.Completeness)
-	}
-	return experiments.NewEnvWithCorpus(c.opts, c.world, corpus)
 }

@@ -191,10 +191,10 @@ func TestStreamCollectsOnce(t *testing.T) {
 	}
 }
 
-// TestRouteModes pins which path computes BGP route trees on demand. A
-// report's world is lazy and, once the report is rendered, has computed
-// some trees but fewer than one per AS; a collected campaign's world,
-// the experiments', keeps the eager tables their sweeps read in full.
+// TestRouteModes pins that every world computes BGP route trees on
+// demand: once a report is rendered, and once a collected campaign's
+// Env is built, the world has computed some trees but fewer than one
+// per AS, and no BGP worker pool ran.
 func TestRouteModes(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds worlds")
@@ -203,22 +203,20 @@ func TestRouteModes(t *testing.T) {
 	if _, err := Report(context.Background(), formatSpec("off"), reg); err != nil {
 		t.Fatal(err)
 	}
-	if reg.Gauge("topogen.routes.lazy").Value() != 1 {
-		t.Error("the report's world computed eager route tables")
-	}
 	trees, ases := reg.Gauge("topogen.routes.trees").Value(), reg.Gauge("topogen.ases").Value()
 	if trees == 0 || trees >= ases {
 		t.Errorf("the report computed %d route trees over %d ASes, want some but fewer than one per AS", trees, ases)
 	}
-	if n := reg.Gauge("topogen.workers.bgp").Value(); n != 0 {
-		t.Errorf("topogen.workers.bgp = %d over lazy routes, want unset", n)
+	if d := reg.Snapshot(); d.Gauges["topogen.workers.bgp"] != 0 || d.Gauges["topogen.routes.lazy"] != 0 {
+		t.Errorf("route-mode gauges set: topogen.workers.bgp %d, topogen.routes.lazy %d",
+			d.Gauges["topogen.workers.bgp"], d.Gauges["topogen.routes.lazy"])
 	}
-	c, err := Collect(context.Background(), formatSpec("off"), nil)
+	e, err := Collect(context.Background(), formatSpec("off"), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c.world.Routes.Lazy() {
-		t.Error("the collected campaign's world computes route trees on demand, want eager tables")
+	if n, ases := e.World.Routes.ComputedTrees(), e.World.Topo.NumASes(); n == 0 || n >= ases {
+		t.Errorf("the collected campaign's world computed %d route trees over %d ASes, want some but fewer than one per AS", n, ases)
 	}
 }
 
@@ -247,7 +245,7 @@ func interruptedReport(t *testing.T, s Spec) (string, error) {
 	t.Helper()
 	ctx, cancel := context.WithCancelCause(context.Background())
 	defer cancel(nil)
-	c, err := open(ctx, s, true, nil)
+	c, err := open(ctx, s, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -41,7 +41,7 @@ func Ark(ctx context.Context, s Spec, vp string) error {
 	// NDT test count in the header, and a prefix campaign has none.
 	out := s.CorpusOut
 	s.CorpusOut = ""
-	c, err := open(ctx, s, true, nil)
+	c, err := open(ctx, s, nil)
 	if err != nil {
 		return err
 	}
@@ -60,11 +60,14 @@ func Ark(ctx context.Context, s Spec, vp string) error {
 	if err != nil {
 		return err
 	}
-	traces := platform.Campaign(c.world, host.Host.Endpoint,
+	traces, err := platform.Campaign(ctx, c.world, host.Host.Endpoint,
 		platform.RoutedPrefixTargets(c.world), traceroute.DefaultArtifacts(), s.Seed+100)
+	if err != nil {
+		return t.seal(err)
+	}
 	fmt.Fprintf(os.Stderr, "campaign from %s (%s): %d traces\n", host.Label, host.ISP, len(traces))
-	// The traceroutes do not watch ctx: an interrupt that arrived while
-	// they ran discards the corpus here.
+	// An interrupt that arrived after the last traceroute discards the
+	// corpus here.
 	return t.seal(cmp.Or(context.Cause(ctx), t.write(&platform.Chunk{Traces: traces})))
 }
 

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"strings"
@@ -138,7 +139,8 @@ func Ablation(e *Env) *AblationResult {
 		if w.ArkVPs[i].Label != "bed-us" {
 			continue
 		}
-		campaign := platform.Campaign(w, w.ArkVPs[i].Host.Endpoint,
+		// Uncancellable, so it cannot fail.
+		campaign, _ := platform.Campaign(context.Background(), w, w.ArkVPs[i].Host.Endpoint,
 			platform.RoutedPrefixTargets(w), traceroute.DefaultArtifacts(), 777)
 		orgASNs := w.Access[w.ArkVPs[i].ISP].Org.ASNs
 		base := bdrmap.Opts{

@@ -5,10 +5,7 @@ import (
 	"fmt"
 	"strings"
 
-	"throughputlab/internal/core"
-	"throughputlab/internal/mapit"
 	"throughputlab/internal/netaddr"
-	"throughputlab/internal/platform"
 )
 
 // BattleRow summarizes one collection mode.
@@ -37,22 +34,25 @@ type BattleResult struct {
 }
 
 // BattleForNet collects a fresh corpus in each mode over the shared
-// world, under ctx (see Matching), and compares observability.
+// world, under ctx (see Matching), and compares observability. Each
+// mode's Env comes from CollectEnv without a registry, so the run's own
+// inference metrics describe the run's Env alone; the collections
+// still report to the run's registry under this experiment's span.
 func BattleForNet(ctx context.Context, e *Env) (*BattleResult, error) {
-	cfg := e.Opts.Collect
-	cfg.Tests = min(cfg.Tests/4, 8000) // fresh, smaller campaigns
-	cfg.Seed += 5000
+	opts := e.Opts
+	opts.Obs = nil
+	opts.Collect.Tests = min(opts.Collect.Tests/4, 8000) // fresh, smaller campaigns
+	opts.Collect.Seed += 5000
 
 	res := &BattleResult{}
 	for _, battle := range []bool{false, true} {
-		c := cfg
-		c.BattleForNet = battle
-		corpus, err := platform.CollectParallelCtx(ctx, e.World, c, e.Opts.workers())
+		o := opts
+		o.Collect.BattleForNet = battle
+		b, err := CollectEnv(ctx, o, e.World)
 		if err != nil {
 			return nil, err
 		}
-		inf := mapit.Run(corpus.Traces, e.MapItOpts())
-		matching := core.MatchTraces(corpus.Tests, corpus.Traces, core.PrimaryWindowMin, core.PrimaryMode)
+		corpus, inf, matching := b.Corpus, b.Inference, b.Matching
 
 		pairs := map[string]bool{}
 		for _, t := range corpus.Tests {

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"strings"
 
@@ -39,48 +40,64 @@ type VPAnalysis struct {
 // analyzed on Opts.Workers goroutines; each has its own seed and alias
 // resolver, so the result does not depend on the worker count.
 func VPAnalyses(e *Env) []*VPAnalysis {
-	e.vpsOnce.Do(func() { e.vps = analyzeVPs(e, true) })
+	// The analyses run uncancellable, so they cannot fail.
+	e.vpsOnce.Do(func() { e.vps, _ = analyzeVPs(context.Background(), e, true) })
 	return e.vps
 }
 
 // analyzeVPs analyzes every Ark VP of e's world (uncached), on
-// Opts.Workers goroutines; routerLevel is analyzeVP's.
-func analyzeVPs(e *Env, routerLevel bool) []*VPAnalysis {
+// Opts.Workers goroutines; routerLevel is analyzeVP's. Once ctx is done
+// the VPs' campaigns stop, and it returns the first VP's error.
+func analyzeVPs(ctx context.Context, e *Env, routerLevel bool) ([]*VPAnalysis, error) {
 	w := e.World
 	prefixTargets := platform.RoutedPrefixTargets(w)
 	mlabTargets := platform.HostTargets(w.MLabServers())
 	speedTargets := platform.HostTargets(w.Speedtest)
 
 	out := make([]*VPAnalysis, len(w.ArkVPs))
+	errs := make([]error, len(w.ArkVPs))
 	stream.For(len(w.ArkVPs), e.Opts.workers(), nil, func(_, vi int) {
-		out[vi] = analyzeVP(e, w.ArkVPs[vi], prefixTargets, mlabTargets, speedTargets, int64(1000+vi), routerLevel)
+		out[vi], errs[vi] = analyzeVP(ctx, e, w.ArkVPs[vi], prefixTargets, mlabTargets, speedTargets, int64(1000+vi), routerLevel)
 	})
-	return out
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
+		}
+	}
+	return out, nil
 }
 
 // AnalyzeVP runs the §5 methodology for one vantage point (uncached)
 // over target lists the caller builds once and shares across VPs.
 func AnalyzeVP(e *Env, vp topogen.ArkVP, prefixTargets, mlabTargets, speedTargets []routing.Endpoint, seed int64) *VPAnalysis {
-	return analyzeVP(e, vp, prefixTargets, mlabTargets, speedTargets, seed, true)
+	// Uncancellable, so it cannot fail.
+	va, _ := analyzeVP(context.Background(), e, vp, prefixTargets, mlabTargets, speedTargets, seed, true)
+	return va
 }
 
-// analyzeVP is AnalyzeVP. With routerLevel false it is the AS-level
-// analysis, all that a peer-coverage comparison reads: no alias
-// resolution (bdrmap's nil-Alias mode, so each Border's RouterPairs
-// counts address pairs), and only the M-Lab and Speedtest AS coverage
-// sets. Its Borders' neighbors, relationships and trace counts, and
+// analyzeVP is AnalyzeVP under ctx, which stops its campaigns. With
+// routerLevel false it is the AS-level analysis, all that a
+// peer-coverage comparison reads: no alias resolution (bdrmap's
+// nil-Alias mode, so each Border's RouterPairs counts address pairs),
+// and only the M-Lab and Speedtest AS coverage sets. Its Borders' neighbors, relationships and trace counts, and
 // those two sets, equal the full analysis': the Alexa campaign still
 // runs, because its traces feed the MAP-IT labels every set reads.
-func analyzeVP(e *Env, vp topogen.ArkVP, prefixTargets, mlabTargets, speedTargets []routing.Endpoint, seed int64, routerLevel bool) *VPAnalysis {
+func analyzeVP(ctx context.Context, e *Env, vp topogen.ArkVP, prefixTargets, mlabTargets, speedTargets []routing.Endpoint, seed int64, routerLevel bool) (*VPAnalysis, error) {
 	w := e.World
 	art := traceroute.DefaultArtifacts()
 	art.DstNoReplyProb = 0.05
 
-	campaign := platform.Campaign(w, vp.Host.Endpoint, prefixTargets, art, seed)
-	mlab := platform.Campaign(w, vp.Host.Endpoint, mlabTargets, art, seed+1)
-	speed := platform.Campaign(w, vp.Host.Endpoint, speedTargets, art, seed+2)
-	alexa := platform.Campaign(w, vp.Host.Endpoint,
-		platform.AlexaTargets(w, vp.Host.Endpoint.Metro), art, seed+3)
+	// The prefix, M-Lab, Speedtest and Alexa campaigns, seeded in that
+	// order.
+	var sets [4][]*traceroute.Trace
+	for i, targets := range [][]routing.Endpoint{prefixTargets, mlabTargets, speedTargets,
+		platform.AlexaTargets(w, vp.Host.Endpoint.Metro)} {
+		var err error
+		if sets[i], err = platform.Campaign(ctx, w, vp.Host.Endpoint, targets, art, seed+int64(i)); err != nil {
+			return nil, err
+		}
+	}
+	campaign, mlab, speed, alexa := sets[0], sets[1], sets[2], sets[3]
 
 	orgASNs := w.Access[vp.ISP].Org.ASNs
 	rel := func(n topology.ASN) topology.Rel {
@@ -112,12 +129,12 @@ func analyzeVP(e *Env, vp topogen.ArkVP, prefixTargets, mlabTargets, speedTarget
 	if !routerLevel {
 		va.MLabAS = az.CoverageAS(mlab)
 		va.SpeedAS = az.CoverageAS(speed)
-		return va
+		return va, nil
 	}
 	va.MLabAS, va.MLabRouter = az.CoverageSets(mlab)
 	va.SpeedAS, va.SpeedRouter = az.CoverageSets(speed)
 	va.AlexaAS, va.AlexaRouter = az.CoverageSets(alexa)
-	return va
+	return va, nil
 }
 
 // ---- Table 3 ----

@@ -13,11 +13,12 @@ import (
 	"text/tabwriter"
 
 	"throughputlab/internal/core"
+	"throughputlab/internal/export"
 	"throughputlab/internal/mapit"
 	"throughputlab/internal/ndt"
-	"throughputlab/internal/netaddr"
 	"throughputlab/internal/obs"
 	"throughputlab/internal/platform"
+	"throughputlab/internal/stream"
 	"throughputlab/internal/topogen"
 	"throughputlab/internal/topology"
 )
@@ -33,10 +34,10 @@ type Options struct {
 	// determinism contract in DESIGN.md.
 	Workers int
 	// Obs, when non-nil, instruments the whole pipeline: NewEnvCtx
-	// threads it through world generation, corpus collection, and the
-	// shared inference stages, and RunParallelCtx records
-	// per-experiment spans on it. Experiment output is byte-identical
-	// with and without it.
+	// threads it through world generation and corpus collection,
+	// CollectEnv through its pass and the shared inference stages, and
+	// RunParallelCtx records per-experiment spans on it. Experiment
+	// output is byte-identical with and without it.
 	Obs *obs.Registry
 }
 
@@ -72,6 +73,10 @@ type Env struct {
 	// primary window (core.PrimaryWindowMin, core.PrimaryMode).
 	Matching *core.Matching
 
+	// mopts caches MapItOpts; moptsOnce guards the build.
+	moptsOnce sync.Once
+	mopts     mapit.Opts
+
 	// vps caches the §5 per-VP analyses; vpsOnce guards the build,
 	// which fans the VPs out on Opts.Workers, so concurrent experiments
 	// share one computation (Env must not be copied).
@@ -79,13 +84,15 @@ type Env struct {
 	vps     []*VPAnalysis
 }
 
-// NewEnvCtx generates the world, collects the corpus, and runs the
-// shared inference stages, using opts.Workers goroutines for the
-// collection and inference phases. When opts.Obs is set, every phase
-// is traced and the layers report their metrics to it. Generation
-// stops at its next phase boundary and collection at its next chunk
-// boundary once ctx is cancelled, returning an error that wraps the
-// context's cause.
+// passDepth bounds each stage's queue in CollectEnv's pass, as the
+// report pass's does: one queued chunk plus one in process per stage.
+const passDepth = 1
+
+// NewEnvCtx generates the world and builds the Env over it with
+// CollectEnv. When opts.Obs is set, every phase is traced and the
+// layers report their metrics to it. Generation stops at its next
+// phase boundary and collection at its next chunk boundary once ctx is
+// cancelled, returning an error that wraps the context's cause.
 func NewEnvCtx(ctx context.Context, opts Options) (*Env, error) {
 	opts.Topo.Obs = opts.Obs
 	opts.Collect.Obs = opts.Obs
@@ -94,51 +101,70 @@ func NewEnvCtx(ctx context.Context, opts Options) (*Env, error) {
 		return nil, err
 	}
 	w.Observe(opts.Obs)
-	corpus, err := platform.CollectParallelCtx(ctx, w, opts.Collect, opts.workers())
+	return CollectEnv(ctx, opts, w)
+}
+
+// CollectEnv is the one way from a world to an Env: it collects
+// opts.Collect's campaign over w on opts.Workers workers and infers
+// while it collects. Every chunk goes through one stream.Pipeline
+// (pass1, as the report's) whose stages keep it in the corpus, feed it
+// to MAP-IT over the world's published lookups (MapItOpts) and to the
+// primary-window matcher; extra stages (a corpus tee) see the same
+// chunks in the same order. MAP-IT and the matcher are sealed once the
+// pass ends. opts.Obs instruments the pass, MAP-IT and the matching;
+// collection reports to opts.Collect.Obs, so an experiment that builds
+// its own Env can trace its collection without touching the run's
+// inference metrics. The Env is the same for every worker count and
+// chunk size.
+func CollectEnv(ctx context.Context, opts Options, w *topogen.World, extra ...stream.Stage[*platform.Chunk]) (*Env, error) {
+	reg := opts.Obs
+	e := &Env{Opts: opts, World: w, Corpus: &platform.Corpus{}}
+	mopts := e.MapItOpts()
+	mopts.Obs = reg
+	mb := mapit.NewBuilder(mopts)
+	sm := core.NewStreamMatcher(core.Window{Min: core.PrimaryWindowMin, Mode: core.PrimaryMode})
+	stages := append([]stream.Stage[*platform.Chunk]{
+		{Name: "corpus", Fn: func(ch *platform.Chunk) error {
+			c := e.Corpus
+			c.Tests = append(c.Tests, ch.Tests...)
+			c.Traces = append(c.Traces, ch.Traces...)
+			c.TestsWithoutTrace += ch.TestsWithoutTrace
+			c.Completeness.Merge(ch.Completeness)
+			return nil
+		}},
+		{Name: "mapit", Fn: func(ch *platform.Chunk) error { mb.Add(ch.Traces); return nil }},
+		{Name: "match", Fn: func(ch *platform.Chunk) error { sm.Add(ch.Tests, ch.Traces, ch.Watermark); return nil }},
+	}, extra...)
+	pipe := stream.NewPipeline("pass1", passDepth, reg, stages...)
+	_, err := platform.CollectStreamCtx(obs.WithSpan(ctx, pipe.Span()), w, opts.Collect, opts.workers(), pipe.Send)
+	if cErr := pipe.Close(); err == nil {
+		err = cErr
+	}
 	if err != nil {
 		return nil, err
 	}
-	return NewEnvWithCorpus(opts, w, corpus), nil
-}
-
-// NewEnvWithCorpus builds an Env over an already-collected corpus —
-// the CLI's path, which collects the campaign itself —
-// running only the shared inference stages. The result is identical to
-// NewEnvCtx when the corpus is: inference is a pure function of
-// (world, corpus).
-func NewEnvWithCorpus(opts Options, w *topogen.World, corpus *platform.Corpus) *Env {
-	reg := opts.Obs
-	opts.Topo.Obs = reg
-	opts.Collect.Obs = reg
-	e := &Env{Opts: opts, World: w, Corpus: corpus}
 	sp := reg.Span("mapit")
-	e.Inference = mapit.Run(corpus.Traces, e.MapItOpts())
+	e.Inference = mb.Finish()
 	sp.End()
 	sp = reg.Span("match")
-	e.Matching = core.MatchTraces(corpus.Tests, corpus.Traces, core.PrimaryWindowMin, core.PrimaryMode)
+	e.Matching = sm.Finish()[0]
 	sp.End()
 	reg.Gauge("match.pairs").Set(int64(e.Matching.Matched()))
 	reg.Gauge("match.degraded").Set(int64(e.Matching.Degraded))
-	return e
+	return e, nil
 }
 
-// MapItOpts builds the public-dataset options for this world.
+// MapItOpts is MAP-IT's options over the world's published lookups
+// (export.FromWorld: CAIDA-style prefix→AS, AS→organization and IXP
+// prefixes), the data the paper's tools ran on, with Opts.Workers. It
+// is built once per Env, also on an Env literal, and carries no
+// registry: only CollectEnv's own inference is instrumented.
 func (e *Env) MapItOpts() mapit.Opts {
-	w := e.World
-	return mapit.Opts{
-		Workers:   e.Opts.workers(),
-		Obs:       e.Opts.Obs,
-		Prefix2AS: w.Topo.OriginOf,
-		IsIXP: func(a netaddr.Addr) bool {
-			for _, p := range w.Topo.IXPPrefixes {
-				if p.Contains(a) {
-					return true
-				}
-			}
-			return false
-		},
-		SameOrg: func(x, y topology.ASN) bool { return x == y || w.Topo.SameOrg(x, y) },
-	}
+	e.moptsOnce.Do(func() {
+		e.mopts = export.FromWorld(e.World, nil).Lookups().MapItOpts()
+		e.mopts.Workers = e.Opts.workers()
+	})
+	return e.mopts
 }
 
 // HourOf returns a test's client-local hour.

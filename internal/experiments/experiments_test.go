@@ -631,11 +631,12 @@ func TestAblationShapes(t *testing.T) {
 func TestStratifiedShapes(t *testing.T) {
 	opts := env().Opts
 	opts.Collect.Tests = 10000
-	corpus, err := platform.CollectParallelCtx(context.Background(), env().World, opts.Collect, 2)
+	opts.Workers = 2
+	e, err := CollectEnv(context.Background(), opts, env().World)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := Stratified(NewEnvWithCorpus(opts, env().World, corpus))
+	r := Stratified(e)
 	if len(r.Groups) == 0 {
 		t.Fatal("no aggregate reaches 400 tests in a 10,000-test campaign")
 	}

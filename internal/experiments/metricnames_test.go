@@ -7,7 +7,6 @@ import (
 
 	"throughputlab/internal/faults"
 	"throughputlab/internal/obs"
-	"throughputlab/internal/platform"
 )
 
 // metricName is the repo-wide naming convention: dotted
@@ -48,11 +47,10 @@ func TestMetricNamesFollowConvention(t *testing.T) {
 	fopts := e.Opts
 	fopts.Collect.Faults = faults.Light()
 	fopts.Collect.Tests = 2000
-	faulted, err := platform.CollectParallelCtx(ctx, e.World, fopts.Collect, 2)
-	if err != nil {
+	fopts.Workers = 2
+	if _, err := CollectEnv(ctx, fopts, e.World); err != nil {
 		t.Fatal(err)
 	}
-	NewEnvWithCorpus(fopts, e.World, faulted)
 	bus.Close()
 
 	d := reg.Snapshot()

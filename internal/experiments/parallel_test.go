@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"maps"
+	"slices"
 	"strings"
 	"testing"
 
@@ -159,12 +161,13 @@ func TestRunParallelGoldenWithObs(t *testing.T) {
 }
 
 // TestRunParallelFullyInstrumented wires the registry the way the CLI
-// does — before NewEnvCtx, so world generation, collection, and the
+// does — before NewEnvCtx, so world generation, the Env's pass, and the
 // worlds and corpora some experiments build on their own are all
 // traced — and runs the sweep with several workers. Under -race this
 // asserts that concurrent span opening is safe; the output must still
-// match the uninstrumented serial reference, and the sweep's span tree
-// is the one checkSweepTree pins.
+// match the uninstrumented serial reference, the sweep's span tree
+// is the one checkSweepTree pins, and the sweep leaves the Env's
+// inference telemetry as the Env's own pass set it.
 func TestRunParallelFullyInstrumented(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds an extra world and runs the registry")
@@ -176,14 +179,35 @@ func TestRunParallelFullyInstrumented(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	built := inferenceMetrics(reg.Snapshot())
 	sweep(t, instrumented, 2)
 	d := reg.Snapshot()
+	// The run's inference metrics describe the Env's own pass: the
+	// experiments' MAP-IT and matching runs (ablation, the VP analyses,
+	// battlefornet's Envs) leave them as the Env left them.
+	if after := inferenceMetrics(d); !maps.Equal(after, built) {
+		for name, v := range after {
+			if built[name] != v {
+				t.Errorf("%s = %d after the sweep, %d when the Env was built", name, v, built[name])
+			}
+		}
+	}
 	var names []string
 	for _, s := range d.Spans {
 		names = append(names, s.Name)
 	}
-	if got, want := strings.Join(names, " "), "generate collect mapit match experiments"; got != want {
+	if got, want := strings.Join(names, " "), "generate pipeline.pass1 mapit match experiments"; got != want {
 		t.Errorf("root spans = %s, want %s", got, want)
+	}
+	// The Env's one pass: its four stages, and the collection feeding
+	// them under it.
+	var pass []string
+	for _, c := range d.Spans[1].Children {
+		pass = append(pass, c.Name)
+	}
+	slices.Sort(pass)
+	if got, want := strings.Join(pass, " "), "collect corpus mapit match"; got != want {
+		t.Errorf("pipeline.pass1 children = %s, want %s", got, want)
 	}
 	checkSweepTree(t, d)
 	if reg.Counter("collect.tests").Value() == 0 {
@@ -192,6 +216,28 @@ func TestRunParallelFullyInstrumented(t *testing.T) {
 	if reg.Counter("resolver.segment.hits").Value() == 0 {
 		t.Error("resolver counters not rebound onto the pipeline registry")
 	}
+}
+
+// inferenceMetrics is the Env's inference telemetry in d: every mapit.*
+// and match.* counter and gauge, and every pipeline.pass1.*.items
+// counter.
+func inferenceMetrics(d *obs.Dump) map[string]int64 {
+	out := map[string]int64{}
+	inference := func(name string) bool {
+		return strings.HasPrefix(name, "mapit.") || strings.HasPrefix(name, "match.") ||
+			strings.HasPrefix(name, "pipeline.pass1.") && strings.HasSuffix(name, ".items")
+	}
+	for name, v := range d.Counters {
+		if inference(name) {
+			out[name] = int64(v)
+		}
+	}
+	for name, v := range d.Gauges {
+		if inference(name) {
+			out[name] = v
+		}
+	}
+	return out
 }
 
 // TestExperimentsHonorCancellation runs the experiments that generate

@@ -83,8 +83,14 @@ func TestASLevelVPAnalysisMatchesFull(t *testing.T) {
 	opts := QuickOptions()
 	cfgB := snapshotConfig(opts.Topo)
 	envB := &Env{Opts: Options{Topo: cfgB, Collect: opts.Collect, Workers: 2}, World: topogen.MustGenerate(cfgB)}
-	asLevel := analyzeVPs(envB, false)
-	full := analyzeVPs(envB, true)
+	asLevel, err := analyzeVPs(context.Background(), envB, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	full, err := analyzeVPs(context.Background(), envB, true)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(asLevel) != len(full) || len(full) == 0 {
 		t.Fatalf("%d AS-level analyses, %d full", len(asLevel), len(full))
 	}

@@ -306,7 +306,11 @@ func Snapshots(ctx context.Context, e *Env) (*SnapshotsResult, error) {
 		SpeedServersB: len(wB.Speedtest),
 	}
 	covA := peerCoverageByISP(VPAnalyses(e))
-	covB := peerCoverageByISP(analyzeVPs(envB, false))
+	vpsB, err := analyzeVPs(ctx, envB, false)
+	if err != nil {
+		return nil, err
+	}
+	covB := peerCoverageByISP(vpsB)
 	names := make([]string, 0, len(covA))
 	for n := range covA {
 		names = append(names, n)

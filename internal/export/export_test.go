@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"throughputlab/internal/mapit"
+	"throughputlab/internal/netaddr"
 	"throughputlab/internal/platform"
 	"throughputlab/internal/topogen"
 )
@@ -112,35 +113,72 @@ func TestRoundTrip(t *testing.T) {
 	}
 }
 
+// TestLookupsMatchWorld holds the published lookups, after a corpus
+// round trip, to the generator's truth that MAP-IT once read directly:
+// every origin, organization, relationship and IXP prefix.
 func TestLookupsMatchWorld(t *testing.T) {
 	world := testWorld()
 	d := FromWorld(world, nil)
 	buf := writeDataset(t, d)
 	back, _ := readCorpus(buf)
 	l := back.Lookups()
+	tp := world.Topo
 
-	// Origin lookups agree with the world.
+	// Origin lookups agree with the world on every interface address
+	// and on a client address.
 	cli, _ := world.NewClient("Comcast", "nyc")
-	wantASN, _ := world.Topo.OriginOf(cli.Addr)
-	gotASN, ok := l.OriginOf(cli.Addr)
-	if !ok || gotASN != wantASN {
-		t.Errorf("origin %d (ok=%v), want %d", gotASN, ok, wantASN)
+	addrs := []netaddr.Addr{cli.Addr}
+	for _, r := range tp.Routers() {
+		for _, ifc := range r.Ifaces {
+			addrs = append(addrs, ifc.Addr)
+		}
 	}
-	// Sibling collapse agrees.
+	for _, a := range addrs {
+		wantASN, wantOK := tp.OriginOf(a)
+		if gotASN, ok := l.OriginOf(a); gotASN != wantASN || ok != wantOK {
+			t.Fatalf("origin of %v: %d (ok=%v), want %d (ok=%v)", a, gotASN, ok, wantASN, wantOK)
+		}
+	}
+	// Sibling collapse agrees: every pair of one organization's ASNs is
+	// one org, and across every AS adjacency (siblings and not) the
+	// lookups collapse exactly the pairs the world does.
+	for _, org := range tp.Orgs {
+		for _, a := range org.ASNs {
+			for _, b := range org.ASNs {
+				if !l.SameOrg(a, b) {
+					t.Fatalf("%s: AS%d and AS%d not same-org after round trip", org.Name, a, b)
+				}
+			}
+		}
+	}
 	com := world.Access["Comcast"].Org.ASNs
-	if len(com) > 1 && !l.SameOrg(com[0], com[1]) {
-		t.Error("sibling ASNs not same-org after round trip")
-	}
 	if l.SameOrg(com[0], 3356) {
 		t.Error("Comcast and Level3 are not siblings")
 	}
-	// Relationships agree.
-	if l.Rel(3356, com[0]) != world.Topo.RelOf(3356, com[0]) {
-		t.Error("relationship mismatch after round trip")
+	rels := 0
+	for _, a := range tp.ASNs() {
+		for _, b := range tp.Neighbors(a) {
+			if got, want := l.SameOrg(a, b), tp.SameOrg(a, b); got != want {
+				t.Fatalf("SameOrg(AS%d, AS%d) = %v, want %v", a, b, got, want)
+			}
+			// Relationships agree, in both orientations.
+			if got, want := l.Rel(a, b), tp.RelOf(a, b); got != want {
+				t.Fatalf("Rel(AS%d, AS%d) = %v, want %v", a, b, got, want)
+			}
+			rels++
+		}
 	}
-	// IXP prefixes survive.
-	if len(world.Topo.IXPPrefixes) > 0 && !l.IsIXP(world.Topo.IXPPrefixes[0].Nth(1)) {
-		t.Error("IXP prefix lost")
+	// Every IXP prefix survives, first to last address.
+	for _, p := range tp.IXPPrefixes {
+		for _, i := range []uint64{0, 1, p.NumAddrs() - 1} {
+			if !l.IsIXP(p.Nth(i)) {
+				t.Fatalf("IXP prefix %v lost (address %v)", p, p.Nth(i))
+			}
+		}
+	}
+	if len(addrs) < 1000 || len(tp.Orgs) == 0 || rels == 0 || len(tp.IXPPrefixes) == 0 {
+		t.Fatalf("checked %d addresses, %d orgs, %d relationships, %d IXP prefixes: the world is too small to test",
+			len(addrs), len(tp.Orgs), rels, len(tp.IXPPrefixes))
 	}
 }
 

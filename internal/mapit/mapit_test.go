@@ -1,6 +1,7 @@
 package mapit
 
 import (
+	"context"
 	"math/rand"
 	"sync"
 	"testing"
@@ -272,7 +273,7 @@ func TestIXPAddressesResolved(t *testing.T) {
 	if len(targets) > 400 {
 		targets = targets[:400]
 	}
-	traces := platform.Campaign(world(), vp.Host.Endpoint, targets, traceroute.Clean(), 9)
+	traces, _ := platform.Campaign(context.Background(), world(), vp.Host.Endpoint, targets, traceroute.Clean(), 9)
 	inf := Run(traces, worldOpts())
 	isIXP := worldOpts().IsIXP
 	seen, resolved := 0, 0

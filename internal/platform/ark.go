@@ -1,6 +1,7 @@
 package platform
 
 import (
+	"context"
 	"math/rand"
 
 	"throughputlab/internal/netaddr"
@@ -64,15 +65,20 @@ func RoutedPrefixTargets(w *topogen.World) []routing.Endpoint {
 
 // Campaign runs traceroutes from a VP to every target, returning the
 // traces in target order (errors, e.g. unroutable targets, are
-// skipped: real campaigns lose some traces too).
-func Campaign(w *topogen.World, vp routing.Endpoint, targets []routing.Endpoint,
-	art traceroute.Artifacts, seed int64) []*traceroute.Trace {
+// skipped: real campaigns lose some traces too). Between targets it
+// stops once ctx is done, returning no traces and an error that wraps
+// the context's cause.
+func Campaign(ctx context.Context, w *topogen.World, vp routing.Endpoint, targets []routing.Endpoint,
+	art traceroute.Artifacts, seed int64) ([]*traceroute.Trace, error) {
 
 	rng := rand.New(rand.NewSource(seed))
 	tracer := traceroute.New(w.Topo, w.Resolver, art)
 	out := make([]*traceroute.Trace, 0, len(targets))
 	minute := 0
 	for i, tgt := range targets {
+		if err := ctxErr(ctx); err != nil {
+			return nil, err
+		}
 		if tgt.Addr == vp.Addr {
 			continue
 		}
@@ -83,7 +89,7 @@ func Campaign(w *topogen.World, vp routing.Endpoint, targets []routing.Endpoint,
 		out = append(out, tr)
 		minute += 1 // campaigns spread over time
 	}
-	return out
+	return out, nil
 }
 
 // HostTargets converts platform hosts (M-Lab servers, Speedtest

@@ -1,6 +1,8 @@
 package platform
 
 import (
+	"context"
+	"errors"
 	"testing"
 
 	"throughputlab/internal/routing"
@@ -91,8 +93,8 @@ func TestTracesLagTheirTests(t *testing.T) {
 func TestCampaignDeterministic(t *testing.T) {
 	vp := world().ArkVPs[1]
 	targets := HostTargets(world().MLabServers())
-	import1 := Campaign(world(), vp.Host.Endpoint, targets, DefaultCollect().Artifacts, 42)
-	import2 := Campaign(world(), vp.Host.Endpoint, targets, DefaultCollect().Artifacts, 42)
+	import1, _ := Campaign(context.Background(), world(), vp.Host.Endpoint, targets, DefaultCollect().Artifacts, 42)
+	import2, _ := Campaign(context.Background(), world(), vp.Host.Endpoint, targets, DefaultCollect().Artifacts, 42)
 	if len(import1) != len(import2) {
 		t.Fatal("campaign lengths differ")
 	}
@@ -109,10 +111,28 @@ func TestCampaignDeterministic(t *testing.T) {
 	}
 }
 
+// TestCampaignHonorsCancellation: a campaign under a cancelled context
+// runs no traceroute (the resolver answers no lookup) and returns no
+// traces and an error wrapping the context's cause.
+func TestCampaignHonorsCancellation(t *testing.T) {
+	cause := errors.New("stop")
+	ctx, cancel := context.WithCancelCause(context.Background())
+	cancel(cause)
+	vp := world().ArkVPs[0]
+	before := world().Resolver.Stats()
+	traces, err := Campaign(ctx, world(), vp.Host.Endpoint, RoutedPrefixTargets(world()), DefaultCollect().Artifacts, 1)
+	if !errors.Is(err, cause) || traces != nil {
+		t.Errorf("cancelled campaign returned %d traces, err %v; want none and an error wrapping %v", len(traces), err, cause)
+	}
+	if after := world().Resolver.Stats(); after != before {
+		t.Errorf("cancelled campaign resolved routes: resolver stats %+v, were %+v", after, before)
+	}
+}
+
 // TestCampaignSkipsSelfTarget: probing one's own address is skipped.
 func TestCampaignSkipsSelfTarget(t *testing.T) {
 	vp := world().ArkVPs[0]
-	traces := Campaign(world(), vp.Host.Endpoint,
+	traces, _ := Campaign(context.Background(), world(), vp.Host.Endpoint,
 		[]routing.Endpoint{vp.Host.Endpoint}, DefaultCollect().Artifacts, 1)
 	if len(traces) != 0 {
 		t.Errorf("self-target produced %d traces", len(traces))

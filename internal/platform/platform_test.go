@@ -252,7 +252,7 @@ func TestRoutedPrefixTargets(t *testing.T) {
 func TestCampaign(t *testing.T) {
 	vp := world().ArkVPs[0]
 	targets := HostTargets(world().MLabServers())
-	traces := Campaign(world(), vp.Host.Endpoint, targets, traceroute.Clean(), 5)
+	traces, _ := Campaign(context.Background(), world(), vp.Host.Endpoint, targets, traceroute.Clean(), 5)
 	if len(traces) != len(targets) {
 		t.Errorf("campaign produced %d/%d traces", len(traces), len(targets))
 	}

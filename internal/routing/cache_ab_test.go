@@ -209,7 +209,7 @@ func TestRouteCacheLeavesStayImmutable(t *testing.T) {
 	}
 	vp := w.ArkVPs[0].Host.Endpoint
 	for pass := 0; pass < 2; pass++ {
-		platform.Campaign(w, vp, targets, traceroute.DefaultArtifacts(), int64(pass))
+		platform.Campaign(context.Background(), w, vp, targets, traceroute.DefaultArtifacts(), int64(pass))
 	}
 
 	before := w.Resolver.Stats()

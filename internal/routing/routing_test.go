@@ -133,7 +133,7 @@ func buildTestNet(t testing.TB) *testNet {
 		t.Fatal("invalid test topology")
 	}
 
-	routes := bgp.Compute(tp, 1, nil)
+	routes := bgp.ComputeLazy(tp)
 	rv := New(tp, routes)
 	server := Endpoint{
 		Addr: infra100.Nth(9999), ASN: 100, Metro: "atl",

@@ -57,12 +57,6 @@ type brKey struct {
 	role  string
 }
 
-// lazyRouteThreshold is the AS count above which generation always
-// uses lazy per-destination routing: at 10k ASes the eager n×n tables
-// cross ~600MB and grow quadratically from there, while campaigns touch
-// only the few dozen destination trees behind servers and client pools.
-const lazyRouteThreshold = 10000
-
 // GenerateCtx builds the world under cooperative cancellation: a
 // cancelled ctx skips every remaining generation phase and returns an
 // error wrapping the context's cause. Cancellation is only observed at
@@ -155,13 +149,7 @@ func GenerateCtx(ctx context.Context, cfg Config) (*World, error) {
 		return nil, fmt.Errorf("topogen: generated topology invalid: %v (and %d more)", errs[0], len(errs)-1)
 	}
 
-	phase("bgp", func(sp *obs.Span) {
-		if cfg.LazyRoutes || b.topo.NumASes() >= lazyRouteThreshold {
-			b.world.Routes = bgp.ComputeLazy(b.topo)
-			return
-		}
-		b.world.Routes = bgp.Compute(b.topo, workers, sp)
-	})
+	phase("bgp", func(*obs.Span) { b.world.Routes = bgp.ComputeLazy(b.topo) })
 	phase("resolver", func(*obs.Span) { b.world.Resolver = routing.New(b.topo, b.world.Routes) })
 	phase("netsim", func(*obs.Span) { b.world.Model = netsim.New(b.topo, b.world.Resolver) })
 	gen.End()
@@ -187,13 +175,6 @@ func (w *World) Observe(reg *obs.Registry) {
 	workers := max(w.Cfg.Workers, 1)
 	reg.Gauge("topogen.workers.dnsnames").Set(int64(workers))
 	reg.Gauge("topogen.workers.validate").Set(int64(workers))
-	// Lazy routes compute trees on the readers' goroutines; no BGP
-	// worker pool ran.
-	if w.Routes.Lazy() {
-		reg.Gauge("topogen.routes.lazy").Set(1)
-	} else {
-		reg.Gauge("topogen.workers.bgp").Set(int64(workers))
-	}
 	st := w.Topo.CollectStats()
 	reg.Gauge("topogen.ases").Set(int64(st.ASes))
 	reg.Gauge("topogen.routers").Set(int64(st.Routers))

@@ -153,13 +153,6 @@ func TestGenerateWorkerCountInvariance(t *testing.T) {
 	if hashes[1] != smallWorldHash {
 		t.Errorf("small world hash = %#x, want pinned %#x (the generated universe changed)", hashes[1], smallWorldHash)
 	}
-	cfg := SmallConfig()
-	cfg.Workers, cfg.LazyRoutes = 2, true
-	if w := MustGenerate(cfg); !w.Routes.Lazy() {
-		t.Error("LazyRoutes world computed eager route tables")
-	} else if h := worldHash(w); h != smallWorldHash {
-		t.Errorf("lazy-route small world hash = %#x, want pinned %#x", h, smallWorldHash)
-	}
 }
 
 // TestGenerateParallelRace generates with a full worker fan-out and an

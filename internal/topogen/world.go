@@ -103,22 +103,12 @@ type Config struct {
 	// later snapshot grew the fleet ~1.45x while M-Lab stayed flat).
 	SpeedtestFactor float64
 	// Workers sets the parallelism of the generation phases that fan
-	// out (BGP route computation, DNS naming, validation). Values < 1
+	// out (DNS naming, validation); BGP route trees are computed on
+	// first use, on the readers' goroutines (bgp.ComputeLazy). Values < 1
 	// mean serial. The generated world is byte-identical at any worker
 	// count: parallel phases shard deterministically and derive per-shard
 	// RNG streams from Seed rather than sharing the master stream.
 	Workers int
-	// LazyRoutes computes per-destination BGP trees on first use instead
-	// of materializing the full n×n tables at generation time. Routing
-	// answers are identical either way (bgp.ComputeLazy); only memory
-	// and generation time change. A report campaign's world is lazy:
-	// its collection and bdrmap stages read a few dozen of the n trees.
-	// The experiments' world stays eager: their traceroute sweeps read
-	// every destination, so laziness saves nothing and moves the tree
-	// computation off generation's worker pool onto the readers. Worlds
-	// with ≥ lazyRouteThreshold ASes switch to lazy mode regardless,
-	// since their eager tables would need tens of GB.
-	LazyRoutes bool
 	// Obs, when non-nil, receives generation phase spans (the world's
 	// gauges and counters are World.Observe's). Instrumentation never
 	// changes the generated world.
