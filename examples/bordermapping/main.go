@@ -11,8 +11,7 @@ import (
 
 	"throughputlab/internal/alias"
 	"throughputlab/internal/bdrmap"
-	"throughputlab/internal/mapit"
-	"throughputlab/internal/netaddr"
+	"throughputlab/internal/export"
 	"throughputlab/internal/platform"
 	"throughputlab/internal/topogen"
 	"throughputlab/internal/topology"
@@ -35,33 +34,19 @@ func main() {
 	traces, _ := platform.Campaign(context.Background(), world, vp.Host.Endpoint, targets, traceroute.DefaultArtifacts(), 7)
 	fmt.Printf("campaign: %d traces to %d routed prefixes\n", len(traces), len(targets))
 
-	// Analysis phase.
-	orgASNs := world.Access[vp.ISP].Org.ASNs
-	res := bdrmap.Run(traces, bdrmap.Opts{
-		OrgASNs: orgASNs,
-		MapIt: mapit.Opts{
-			Prefix2AS: world.Topo.OriginOf,
-			IsIXP: func(a netaddr.Addr) bool {
-				for _, p := range world.Topo.IXPPrefixes {
-					if p.Contains(a) {
-						return true
-					}
-				}
-				return false
-			},
-			SameOrg: func(x, y topology.ASN) bool { return x == y || world.Topo.SameOrg(x, y) },
-		},
-		Rel: func(n topology.ASN) topology.Rel {
-			for _, o := range orgASNs {
-				if r := world.Topo.RelOf(o, n); r != topology.RelNone {
-					return r
-				}
-			}
-			return topology.RelNone
-		},
+	// Analysis phase, over the world's published data: the VP's org is
+	// the AS→org row of its address's origin, and MAP-IT and the
+	// relationships read the public bundle.
+	lk := export.FromWorld(world, nil).Lookups()
+	vpASN, _ := lk.OriginOf(vp.Host.Endpoint.Addr)
+	orgASNs := lk.Siblings(vpASN)
+	res := bdrmap.NewAnalyzer(traces, bdrmap.Opts{
+		OrgASNs:   orgASNs,
+		MapIt:     lk.MapItOpts(),
+		Rel:       lk.Rel,
 		Alias:     alias.New(world.Topo),
 		AliasSeed: 9,
-	})
+	}).Borders(traces)
 
 	fmt.Printf("\nborder map: %d AS-level, %d router-level interconnections\n",
 		res.ASCount, res.RouterCount)

@@ -57,7 +57,7 @@ func TestBorderAccumulatorChunkedMatchesBorders(t *testing.T) {
 func TestNewAnalyzerFromInference(t *testing.T) {
 	traces, isp := campaignFor(t, "bed-us")
 	opts := optsFor(isp)
-	want := Run(traces, opts)
+	want := run(traces, opts)
 
 	b := mapit.NewBuilder(opts.MapIt)
 	for lo := 0; lo < len(traces); lo += 700 {

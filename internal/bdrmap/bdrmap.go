@@ -35,9 +35,11 @@ type Opts struct {
 	OrgASNs []topology.ASN
 	// MapIt supplies the public datasets for operator inference.
 	MapIt mapit.Opts
-	// Rel returns the VP org's relationship to a neighbor ASN
-	// (RelNone → reported as unknown).
-	Rel func(neighbor topology.ASN) topology.Rel
+	// Rel is the published AS-relationship lookup: b's relationship as
+	// seen from a (RelNone → reported as unknown). The org's
+	// relationship to a neighbor is Analyzer.Rel; nil leaves every
+	// border unclassified.
+	Rel func(a, b topology.ASN) topology.Rel
 	// Alias groups border interfaces into routers; nil skips
 	// router-level analysis.
 	Alias *alias.Resolver
@@ -125,11 +127,7 @@ func (az *Analyzer) RouterKey(c Crossing) [2]int {
 // coverage analyses pass the union of the prefix campaign and the
 // server-directed traces so every address is labeled consistently.
 func NewAnalyzer(traces []*traceroute.Trace, opts Opts) *Analyzer {
-	org := make(map[topology.ASN]bool, len(opts.OrgASNs))
-	for _, a := range opts.OrgASNs {
-		org[a] = true
-	}
-	return &Analyzer{opts: opts, inf: mapit.Run(traces, opts.MapIt), org: org}
+	return NewAnalyzerFromInference(mapit.Run(traces, opts.MapIt), opts)
 }
 
 // NewAnalyzerFromInference wraps an existing operator inference —
@@ -182,10 +180,19 @@ func (az *Analyzer) firstCrossing(routers []netaddr.Addr) (Crossing, bool) {
 	return Crossing{}, false
 }
 
-// Run performs the full bdrmap analysis on a prefix campaign.
-func Run(traces []*traceroute.Trace, opts Opts) *Result {
-	az := NewAnalyzer(traces, opts)
-	return az.Borders(traces)
+// Rel is the VP org's relationship to neighbor n: the first non-None
+// Opts.Rel(o, n) over the org's ASNs o, in OrgASNs order, or RelNone
+// when none has one or Opts.Rel is nil.
+func (az *Analyzer) Rel(n topology.ASN) topology.Rel {
+	if az.opts.Rel == nil {
+		return topology.RelNone
+	}
+	for _, o := range az.opts.OrgASNs {
+		if r := az.opts.Rel(o, n); r != topology.RelNone {
+			return r
+		}
+	}
+	return topology.RelNone
 }
 
 // Borders aggregates crossings of the given traces into the border
@@ -302,10 +309,7 @@ func (acc *BorderAccumulator) Result() *Result {
 
 	for _, n := range neighbors {
 		a := acc.byNeighbor[n]
-		b := Border{Neighbor: n, Traces: a.traces, RouterPairs: len(a.pairs)}
-		if az.opts.Rel != nil {
-			b.Rel = az.opts.Rel(n)
-		}
+		b := Border{Neighbor: n, Traces: a.traces, RouterPairs: len(a.pairs), Rel: az.Rel(n)}
 		res.Borders = append(res.Borders, b)
 		res.ASCount++
 		res.RouterCount += b.RouterPairs

@@ -21,11 +21,8 @@ var world = sync.OnceValue(func() *topogen.World {
 })
 
 func optsFor(isp string) Opts {
-	an := world().Access[isp]
-	orgASNs := an.Org.ASNs
-	rep := orgASNs[0]
 	return Opts{
-		OrgASNs: orgASNs,
+		OrgASNs: world().Access[isp].Org.ASNs,
 		MapIt: mapit.Opts{
 			Prefix2AS: world().Topo.OriginOf,
 			IsIXP: func(a netaddr.Addr) bool {
@@ -38,18 +35,16 @@ func optsFor(isp string) Opts {
 			},
 			SameOrg: func(x, y topology.ASN) bool { return x == y || world().Topo.SameOrg(x, y) },
 		},
-		Rel: func(n topology.ASN) topology.Rel {
-			for _, o := range orgASNs {
-				if r := world().Topo.RelOf(o, n); r != topology.RelNone {
-					return r
-				}
-			}
-			_ = rep
-			return topology.RelNone
-		},
+		Rel:       world().Topo.RelOf,
 		Alias:     alias.Perfect(world().Topo),
 		AliasSeed: 11,
 	}
+}
+
+// run is the full analysis of a prefix campaign: MAP-IT over it, then
+// its border map.
+func run(traces []*traceroute.Trace, opts Opts) *Result {
+	return NewAnalyzer(traces, opts).Borders(traces)
 }
 
 // trueNeighbors returns the ground-truth non-sibling neighbor ASNs of
@@ -83,7 +78,7 @@ func campaignFor(t testing.TB, vpLabel string) ([]*traceroute.Trace, string) {
 
 func TestBordersPrecision(t *testing.T) {
 	traces, isp := campaignFor(t, "bed-us")
-	res := Run(traces, optsFor(isp))
+	res := run(traces, optsFor(isp))
 	if res.ASCount < 5 {
 		t.Fatalf("only %d AS borders found", res.ASCount)
 	}
@@ -131,7 +126,7 @@ func TestBordersRecallOfRoutedNeighbors(t *testing.T) {
 			}
 		}
 	}
-	res := Run(traces, optsFor(isp))
+	res := run(traces, optsFor(isp))
 	found := map[topology.ASN]bool{}
 	for _, b := range res.Borders {
 		found[b.Neighbor] = true
@@ -150,7 +145,7 @@ func TestBordersRecallOfRoutedNeighbors(t *testing.T) {
 
 func TestRelationshipClassification(t *testing.T) {
 	traces, isp := campaignFor(t, "bed-us")
-	res := Run(traces, optsFor(isp))
+	res := run(traces, optsFor(isp))
 	cust := res.ByRel[topology.RelCustomer]
 	peer := res.ByRel[topology.RelPeer]
 	if cust.AS == 0 {
@@ -171,9 +166,9 @@ func TestRelationshipClassification(t *testing.T) {
 
 func TestSmallISPSeesFewerBorders(t *testing.T) {
 	tc, _ := campaignFor(t, "bed-us")
-	comcast := Run(tc, optsFor("Comcast"))
+	comcast := run(tc, optsFor("Comcast"))
 	tf, _ := campaignFor(t, "igx-us")
-	frontier := Run(tf, optsFor("Frontier"))
+	frontier := run(tf, optsFor("Frontier"))
 	if frontier.ASCount >= comcast.ASCount {
 		t.Errorf("Frontier borders (%d) should be far fewer than Comcast (%d)",
 			frontier.ASCount, comcast.ASCount)
@@ -243,7 +238,7 @@ func BenchmarkBdrmapRun(b *testing.B) {
 	opts := optsFor(isp)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		Run(traces, opts)
+		run(traces, opts)
 	}
 }
 
@@ -266,16 +261,8 @@ func TestBordersWithInferredRelationships(t *testing.T) {
 	inferred := asrank.Infer(paths, asrank.DefaultConfig())
 
 	opts := optsFor(isp)
-	orgASNs := world().Access[isp].Org.ASNs
-	opts.Rel = func(n topology.ASN) topology.Rel {
-		for _, o := range orgASNs {
-			if r := inferred.Rel(o, n); r != topology.RelNone {
-				return r
-			}
-		}
-		return topology.RelNone
-	}
-	res := Run(traces, opts)
+	opts.Rel = inferred.Rel
+	res := run(traces, opts)
 	if res.ASCount < 5 {
 		t.Fatal("no borders with inferred rels")
 	}
@@ -288,5 +275,37 @@ func TestBordersWithInferredRelationships(t *testing.T) {
 	// The Table 3 shape must survive inference noise: customers dominate.
 	if cust.AS <= peer.AS {
 		t.Errorf("customers (%d) should outnumber peers (%d) under inferred rels", cust.AS, peer.AS)
+	}
+}
+
+// TestOrgRelIsFirstNonNone pins the org-relationship rule: the org's
+// relationship to a neighbor is the first non-None pairwise
+// relationship over its ASNs in OrgASNs order, RelNone when every ASN
+// has none, and RelNone for every neighbor without a Rel lookup.
+func TestOrgRelIsFirstNonNone(t *testing.T) {
+	// AS 1 peers with 9 and has no relationship to 8; AS 2 sells 9
+	// transit and peers with 8. Neither has a relationship to 7.
+	rels := map[[2]topology.ASN]topology.Rel{
+		{1, 9}: topology.RelPeer,
+		{2, 9}: topology.RelCustomer,
+		{2, 8}: topology.RelPeer,
+	}
+	rel := func(a, b topology.ASN) topology.Rel { return rels[[2]topology.ASN{a, b}] }
+	for _, tc := range []struct {
+		org  []topology.ASN
+		rel  func(a, b topology.ASN) topology.Rel
+		n    topology.ASN
+		want topology.Rel
+	}{
+		{[]topology.ASN{1, 2}, rel, 9, topology.RelPeer},
+		{[]topology.ASN{2, 1}, rel, 9, topology.RelCustomer},
+		{[]topology.ASN{1, 2}, rel, 8, topology.RelPeer},
+		{[]topology.ASN{1, 2}, rel, 7, topology.RelNone},
+		{[]topology.ASN{1, 2}, nil, 9, topology.RelNone},
+	} {
+		az := NewAnalyzerFromInference(&mapit.Inference{}, Opts{OrgASNs: tc.org, Rel: tc.rel})
+		if got := az.Rel(tc.n); got != tc.want {
+			t.Errorf("org %v (Rel set: %t): Rel(%d) = %v, want %v", tc.org, tc.rel != nil, tc.n, got, tc.want)
+		}
 	}
 }

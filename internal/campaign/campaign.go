@@ -282,12 +282,15 @@ func (c *Campaign) teeStages() []stream.Stage[*platform.Chunk] {
 
 // borderAccumulator arms a border accumulator over the campaign's
 // inference from the M-Lab host networks' point of view — the VP-side
-// org whose interconnects the paper's border analysis cares about.
+// org whose interconnects the paper's border analysis cares about —
+// with the hosts' origins from MAP-IT's published prefix→AS lookup.
+// No relationship lookup is set: the border map feeds gauges of
+// neighbor counts only.
 func borderAccumulator(w *topogen.World, inf *mapit.Inference, mopts mapit.Opts) *bdrmap.BorderAccumulator {
 	seen := map[topology.ASN]bool{}
 	var org []topology.ASN
 	for _, srv := range w.MLabServers() {
-		if asn, ok := w.Topo.OriginOf(srv.Endpoint.Addr); ok && !seen[asn] {
+		if asn, ok := mopts.Prefix2AS(srv.Endpoint.Addr); ok && !seen[asn] {
 			seen[asn] = true
 			org = append(org, asn)
 		}

@@ -128,17 +128,7 @@ func Bdrmap(path, org string, workers int) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	acc := bdrmap.NewAnalyzerFromInference(inf, bdrmap.Opts{
-		OrgASNs: asns,
-		Rel: func(n topology.ASN) topology.Rel {
-			for _, o := range asns {
-				if rel := lk.Rel(o, n); rel != topology.RelNone {
-					return rel
-				}
-			}
-			return topology.RelNone
-		},
-	}).NewBorderAccumulator()
+	acc := bdrmap.NewAnalyzerFromInference(inf, bdrmap.Opts{OrgASNs: asns, Rel: lk.Rel}).NewBorderAccumulator()
 	acc.AddRecorded(&rec)
 	res := acc.Result()
 

@@ -142,20 +142,8 @@ func Ablation(e *Env) *AblationResult {
 		// Uncancellable, so it cannot fail.
 		campaign, _ := platform.Campaign(context.Background(), w, w.ArkVPs[i].Host.Endpoint,
 			platform.RoutedPrefixTargets(w), traceroute.DefaultArtifacts(), 777)
-		orgASNs := w.Access[w.ArkVPs[i].ISP].Org.ASNs
-		base := bdrmap.Opts{
-			OrgASNs: orgASNs,
-			MapIt:   e.MapItOpts(),
-			Rel: func(n topology.ASN) topology.Rel {
-				for _, o := range orgASNs {
-					if r := w.Topo.RelOf(o, n); r != topology.RelNone {
-						return r
-					}
-				}
-				return topology.RelNone
-			},
-			AliasSeed: 778,
-		}
+		base := e.bdrmapOpts(w.ArkVPs[i])
+		base.AliasSeed = 778
 		// Only the alias resolver differs between the three runs, and
 		// MAP-IT does not read it: infer operators once.
 		inf := mapit.Run(campaign, base.MapIt)

@@ -35,9 +35,10 @@ type BattleResult struct {
 
 // BattleForNet collects a fresh corpus in each mode over the shared
 // world, under ctx (see Matching), and compares observability. Each
-// mode's Env comes from CollectEnv without a registry, so the run's own
-// inference metrics describe the run's Env alone; the collections
-// still report to the run's registry under this experiment's span.
+// mode's Env is collected as CollectEnv's, over e's published lookups
+// and without a registry, so the run's own inference metrics describe
+// the run's Env alone; the collections still report to the run's
+// registry under this experiment's span.
 func BattleForNet(ctx context.Context, e *Env) (*BattleResult, error) {
 	opts := e.Opts
 	opts.Obs = nil
@@ -48,8 +49,8 @@ func BattleForNet(ctx context.Context, e *Env) (*BattleResult, error) {
 	for _, battle := range []bool{false, true} {
 		o := opts
 		o.Collect.BattleForNet = battle
-		b, err := CollectEnv(ctx, o, e.World)
-		if err != nil {
+		b := &Env{Opts: o, World: e.World, lk: e.lookups()}
+		if err := b.collect(ctx); err != nil {
 			return nil, err
 		}
 		corpus, inf, matching := b.Corpus, b.Inference, b.Matching

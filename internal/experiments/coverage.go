@@ -29,7 +29,8 @@ type VPAnalysis struct {
 	MLabAS, SpeedAS, AlexaAS             map[topology.ASN]bool
 	MLabRouter, SpeedRouter, AlexaRouter map[[2]int]bool
 
-	// Rel classifies a neighbor from the VP org's perspective.
+	// Rel classifies a neighbor from the VP org's perspective
+	// (bdrmap.Analyzer.Rel over the published relationships).
 	Rel func(topology.ASN) topology.Rel
 }
 
@@ -99,21 +100,8 @@ func analyzeVP(ctx context.Context, e *Env, vp topogen.ArkVP, prefixTargets, mla
 	}
 	campaign, mlab, speed, alexa := sets[0], sets[1], sets[2], sets[3]
 
-	orgASNs := w.Access[vp.ISP].Org.ASNs
-	rel := func(n topology.ASN) topology.Rel {
-		for _, o := range orgASNs {
-			if r := w.Topo.RelOf(o, n); r != topology.RelNone {
-				return r
-			}
-		}
-		return topology.RelNone
-	}
-	opts := bdrmap.Opts{
-		OrgASNs:   orgASNs,
-		MapIt:     e.MapItOpts(),
-		Rel:       rel,
-		AliasSeed: seed + 4,
-	}
+	opts := e.bdrmapOpts(vp)
+	opts.AliasSeed = seed + 4
 	if routerLevel {
 		opts.Alias = alias.New(w.Topo)
 	}
@@ -124,7 +112,7 @@ func analyzeVP(ctx context.Context, e *Env, vp topogen.ArkVP, prefixTargets, mla
 	all = append(all, alexa...)
 	az := bdrmap.NewAnalyzer(all, opts)
 
-	va := &VPAnalysis{Label: vp.Label, ISP: vp.ISP, Rel: rel}
+	va := &VPAnalysis{Label: vp.Label, ISP: vp.ISP, Rel: az.Rel}
 	va.Borders = az.Borders(campaign)
 	if !routerLevel {
 		va.MLabAS = az.CoverageAS(mlab)

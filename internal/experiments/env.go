@@ -12,6 +12,7 @@ import (
 	"sync"
 	"text/tabwriter"
 
+	"throughputlab/internal/bdrmap"
 	"throughputlab/internal/core"
 	"throughputlab/internal/export"
 	"throughputlab/internal/mapit"
@@ -73,9 +74,11 @@ type Env struct {
 	// primary window (core.PrimaryWindowMin, core.PrimaryMode).
 	Matching *core.Matching
 
-	// mopts caches MapItOpts; moptsOnce guards the build.
-	moptsOnce sync.Once
-	mopts     mapit.Opts
+	// lk caches the world's published lookups; lkOnce guards the build,
+	// which keeps an lk set before first use (an Env over the same
+	// world shares its lookups that way).
+	lkOnce sync.Once
+	lk     *export.Lookups
 
 	// vps caches the §5 per-VP analyses; vpsOnce guards the build,
 	// which fans the VPs out on Opts.Workers, so concurrent experiments
@@ -117,8 +120,19 @@ func NewEnvCtx(ctx context.Context, opts Options) (*Env, error) {
 // inference metrics. The Env is the same for every worker count and
 // chunk size.
 func CollectEnv(ctx context.Context, opts Options, w *topogen.World, extra ...stream.Stage[*platform.Chunk]) (*Env, error) {
+	e := &Env{Opts: opts, World: w}
+	if err := e.collect(ctx, extra...); err != nil {
+		return nil, err
+	}
+	return e, nil
+}
+
+// collect is CollectEnv over e's options and world: it fills e's
+// corpus, inference and matching.
+func (e *Env) collect(ctx context.Context, extra ...stream.Stage[*platform.Chunk]) error {
+	opts := e.Opts
 	reg := opts.Obs
-	e := &Env{Opts: opts, World: w, Corpus: &platform.Corpus{}}
+	e.Corpus = &platform.Corpus{}
 	mopts := e.MapItOpts()
 	mopts.Obs = reg
 	mb := mapit.NewBuilder(mopts)
@@ -136,12 +150,12 @@ func CollectEnv(ctx context.Context, opts Options, w *topogen.World, extra ...st
 		{Name: "match", Fn: func(ch *platform.Chunk) error { sm.Add(ch.Tests, ch.Traces, ch.Watermark); return nil }},
 	}, extra...)
 	pipe := stream.NewPipeline("pass1", passDepth, reg, stages...)
-	_, err := platform.CollectStreamCtx(obs.WithSpan(ctx, pipe.Span()), w, opts.Collect, opts.workers(), pipe.Send)
+	_, err := platform.CollectStreamCtx(obs.WithSpan(ctx, pipe.Span()), e.World, opts.Collect, opts.workers(), pipe.Send)
 	if cErr := pipe.Close(); err == nil {
 		err = cErr
 	}
 	if err != nil {
-		return nil, err
+		return err
 	}
 	sp := reg.Span("mapit")
 	e.Inference = mb.Finish()
@@ -151,20 +165,39 @@ func CollectEnv(ctx context.Context, opts Options, w *topogen.World, extra ...st
 	sp.End()
 	reg.Gauge("match.pairs").Set(int64(e.Matching.Matched()))
 	reg.Gauge("match.degraded").Set(int64(e.Matching.Degraded))
-	return e, nil
+	return nil
 }
 
-// MapItOpts is MAP-IT's options over the world's published lookups
-// (export.FromWorld: CAIDA-style prefix→AS, AS→organization and IXP
-// prefixes), the data the paper's tools ran on, with Opts.Workers. It
-// is built once per Env, also on an Env literal, and carries no
-// registry: only CollectEnv's own inference is instrumented.
-func (e *Env) MapItOpts() mapit.Opts {
-	e.moptsOnce.Do(func() {
-		e.mopts = export.FromWorld(e.World, nil).Lookups().MapItOpts()
-		e.mopts.Workers = e.Opts.workers()
+// lookups are the world's published lookups (export.FromWorld:
+// CAIDA-style prefix→AS, AS relationships, AS→organization and IXP
+// prefixes), the data the paper's tools ran on and all that the Env's
+// inference reads of the world. They are built once per Env, also on
+// an Env literal.
+func (e *Env) lookups() *export.Lookups {
+	e.lkOnce.Do(func() {
+		if e.lk == nil {
+			e.lk = export.FromWorld(e.World, nil).Lookups()
+		}
 	})
-	return e.mopts
+	return e.lk
+}
+
+// MapItOpts is MAP-IT's options over the Env's published lookups, with
+// Opts.Workers. They carry no registry: only CollectEnv's own
+// inference is instrumented.
+func (e *Env) MapItOpts() mapit.Opts {
+	mopts := e.lookups().MapItOpts()
+	mopts.Workers = e.Opts.workers()
+	return mopts
+}
+
+// bdrmapOpts arms bdrmap for vp from the Env's published lookups: the
+// VP's org is the AS→org row of its address's origin, its
+// relationships are the published ones, and MAP-IT is MapItOpts.
+func (e *Env) bdrmapOpts(vp topogen.ArkVP) bdrmap.Opts {
+	lk := e.lookups()
+	asn, _ := lk.OriginOf(vp.Host.Endpoint.Addr)
+	return bdrmap.Opts{OrgASNs: lk.Siblings(asn), MapIt: e.MapItOpts(), Rel: lk.Rel}
 }
 
 // HourOf returns a test's client-local hour.

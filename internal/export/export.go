@@ -125,6 +125,7 @@ type Lookups struct {
 	Origin *netaddr.Table[topology.ASN]
 	ixps   []netaddr.Prefix
 	orgOf  map[topology.ASN]string
+	orgs   map[string][]topology.ASN
 	rels   map[[2]topology.ASN]topology.Rel
 }
 
@@ -139,6 +140,7 @@ func (d *Dataset) Lookups() *Lookups {
 		l.Origin.Insert(row.Prefix, row.ASN)
 	}
 	l.ixps = d.Public.IXPPrefixes
+	l.orgs = d.Public.Orgs
 	for name, asns := range d.Public.Orgs {
 		for _, a := range asns {
 			l.orgOf[a] = name
@@ -189,6 +191,16 @@ func (l *Lookups) SameOrg(a, b topology.ASN) bool {
 	}
 	oa, ok := l.orgOf[a]
 	return ok && oa == l.orgOf[b]
+}
+
+// Siblings returns the ASNs of a's organization in their published
+// order, or a alone when the AS→org data has no row for it. The slice
+// is the bundle's: callers must not modify it.
+func (l *Lookups) Siblings(a topology.ASN) []topology.ASN {
+	if org, ok := l.orgOf[a]; ok {
+		return l.orgs[org]
+	}
+	return []topology.ASN{a}
 }
 
 // Rel returns the relationship of b as seen from a.

@@ -6,6 +6,7 @@ import (
 	"encoding/binary"
 	"hash/crc32"
 	"io"
+	"slices"
 	"sync"
 	"testing"
 
@@ -13,6 +14,7 @@ import (
 	"throughputlab/internal/netaddr"
 	"throughputlab/internal/platform"
 	"throughputlab/internal/topogen"
+	"throughputlab/internal/topology"
 )
 
 // testWorld is the shared small fixture world, generated on first use
@@ -140,10 +142,14 @@ func TestLookupsMatchWorld(t *testing.T) {
 		}
 	}
 	// Sibling collapse agrees: every pair of one organization's ASNs is
-	// one org, and across every AS adjacency (siblings and not) the
-	// lookups collapse exactly the pairs the world does.
+	// one org, each of them lists the org's ASNs in the world's order,
+	// and across every AS adjacency (siblings and not) the lookups
+	// collapse exactly the pairs the world does.
 	for _, org := range tp.Orgs {
 		for _, a := range org.ASNs {
+			if got := l.Siblings(a); !slices.Equal(got, org.ASNs) {
+				t.Fatalf("%s: Siblings(AS%d) = %v, want %v", org.Name, a, got, org.ASNs)
+			}
 			for _, b := range org.ASNs {
 				if !l.SameOrg(a, b) {
 					t.Fatalf("%s: AS%d and AS%d not same-org after round trip", org.Name, a, b)
@@ -154,6 +160,9 @@ func TestLookupsMatchWorld(t *testing.T) {
 	com := world.Access["Comcast"].Org.ASNs
 	if l.SameOrg(com[0], 3356) {
 		t.Error("Comcast and Level3 are not siblings")
+	}
+	if got := l.Siblings(0); !slices.Equal(got, []topology.ASN{0}) {
+		t.Errorf("Siblings of an AS without an org row = %v, want the AS alone", got)
 	}
 	rels := 0
 	for _, a := range tp.ASNs() {
