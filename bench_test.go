@@ -414,22 +414,6 @@ func BenchmarkAblationMatchingWindow(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationMapItPasses contrasts single-pass vs multipass
-// MAP-IT refinement.
-func BenchmarkAblationMapItPasses(b *testing.B) {
-	e := env(b)
-	for _, passes := range []int{1, 3} {
-		b.Run(fmt.Sprintf("passes-%d", passes), func(b *testing.B) {
-			b.ReportAllocs()
-			opts := e.MapItOpts()
-			opts.Passes = passes
-			for i := 0; i < b.N; i++ {
-				mapit.Run(e.Corpus.Traces, opts)
-			}
-		})
-	}
-}
-
 // BenchmarkAblationBattleForNet contrasts single-site collection with
 // the Battle-for-the-Net multi-server wrapper (§2.2): ~4-5x the tests
 // for the same client population.

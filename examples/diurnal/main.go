@@ -25,11 +25,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("corpus: %d NDT tests over %d days\n\n", len(corpus.Tests), cfg.Days)
-
-	hourOf := func(t *ndt.Test) float64 {
-		return world.Topo.MustMetro(t.ClientMetro).LocalHour(t.StartMinute)
-	}
+	fmt.Printf("corpus: %d NDT tests over %d days\n\n", len(corpus.Tests), platform.CampaignDays)
 
 	for _, isp := range []string{"AT&T", "Comcast"} {
 		var tests []*ndt.Test
@@ -39,7 +35,7 @@ func main() {
 			}
 		}
 		fmt.Printf("=== GTT Atlanta → %s (%d tests) ===\n", isp, len(tests))
-		s := core.BuildSeries(tests, hourOf)
+		s := core.BuildSeries(tests, (*ndt.Test).LocalHour)
 		means := s.Throughput.Means()
 		sds := s.Throughput.Stddevs()
 		counts := s.Throughput.Counts()
@@ -58,7 +54,7 @@ func main() {
 		fmt.Printf("median drop %.0f%%, mean drop %.0f%%, peak CV %.2f → congested=%v\n",
 			100*v.Drop, 100*v.MeanDrop, v.PeakCV, v.Congested)
 
-		bias := core.Bias(tests, hourOf, 20)
+		bias := core.Bias(tests, (*ndt.Test).LocalHour, 20)
 		fmt.Printf("bias: night/evening sample ratio %.2f, thin hours %v, tests/client p90 %.0f\n\n",
 			bias.NightToEveningRatio, bias.ThinHours, bias.TestsPerClientP90)
 	}

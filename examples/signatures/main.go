@@ -59,7 +59,7 @@ func main() {
 	// Corpus-wide evaluation.
 	var peak []*ndt.Test
 	for _, t := range corpus.Tests {
-		h := world.Topo.MustMetro(t.ClientMetro).LocalHour(t.StartMinute)
+		h := t.LocalHour()
 		if h >= 18 && h < 23 {
 			peak = append(peak, t)
 		}

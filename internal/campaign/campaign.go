@@ -32,12 +32,6 @@ import (
 	"throughputlab/internal/topology"
 )
 
-// pipelineDepth bounds each report-pipeline stage's input channel: a
-// stalled stage backpressures the producer after this many chunks.
-// Depth 1 keeps stages overlapped while holding the fan-out's share of
-// resident chunks to one queued plus one in-process per stage.
-const pipelineDepth = 1
-
 // corpusFormat is the only corpus format a tee writes.
 const corpusFormat = "columnar"
 
@@ -263,7 +257,7 @@ func (c *Campaign) bundle() *export.Public {
 // collection's) open under the pipeline's.
 func (c *Campaign) pass(ctx context.Context, stages ...stream.Stage[*platform.Chunk]) (platform.Completeness, error) {
 	stages = append(stages, c.teeStages()...)
-	pipe := stream.NewPipeline("pass1", pipelineDepth, c.opts.Obs, stages...)
+	pipe := stream.NewPipeline("pass1", c.opts.Obs, stages...)
 	comp, err := c.src(obs.WithSpan(ctx, pipe.Span()), pipe.Send)
 	if cErr := pipe.Close(); err == nil {
 		err = cErr

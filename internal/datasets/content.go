@@ -146,9 +146,6 @@ type ScaleConfig struct {
 	SpeedtestStubServers int
 	// ServersPerMLabSite is how many NDT servers each M-Lab site runs.
 	ServersPerMLabSite int
-	// ClientsPerISPMetro is the number of distinct simulated households
-	// per (access ISP, metro) that may run NDT tests.
-	ClientsPerISPMetro int
 	// CustomerScale multiplies each access ISP's CustomerTarget
 	// (0 means 1.0), so larger worlds grow border sets proportionally.
 	CustomerScale float64
@@ -162,7 +159,6 @@ func DefaultScale() ScaleConfig {
 		RegionalISPs:         50,
 		SpeedtestStubServers: 260,
 		ServersPerMLabSite:   3,
-		ClientsPerISPMetro:   40,
 	}
 }
 
@@ -175,18 +171,16 @@ func MediumScale() ScaleConfig {
 		RegionalISPs:         90,
 		SpeedtestStubServers: 420,
 		ServersPerMLabSite:   4,
-		ClientsPerISPMetro:   60,
 		CustomerScale:        2,
 	}
 }
 
 // LargeScale returns the ~50k-AS configuration for internet-scale
-// campaigns. Worlds this big require lazy route computation (the
-// generator switches automatically) and are meant to be collected with
-// the streaming corpus path: a full n×n route table would need tens of
-// GB, and a materialized million-test corpus several more.
+// campaigns. Worlds this big are meant to be collected with the
+// streaming corpus path: a materialized million-test corpus needs
+// several GB. (BGP route trees are computed on demand at every scale.)
 //
-// RegionalISPs must stay below 3000: regional ASNs are assigned from
+// RegionalISPs must stay below 3000 at every scale: regional ASNs are assigned from
 // 36000 upward and must not collide with the content tail at 39000.
 func LargeScale() ScaleConfig {
 	return ScaleConfig{
@@ -195,14 +189,13 @@ func LargeScale() ScaleConfig {
 		RegionalISPs:         700,
 		SpeedtestStubServers: 1200,
 		ServersPerMLabSite:   4,
-		ClientsPerISPMetro:   60,
 		CustomerScale:        4,
 	}
 }
 
 // XLargeScale returns the ~75k-AS configuration used for the ≥1M-test
-// streamed campaigns (the M-Lab-scale regime of §4.1). Everything said
-// about LargeScale applies, more so.
+// streamed campaigns (the M-Lab-scale regime of §4.1); like LargeScale,
+// it is meant for the streaming corpus path.
 func XLargeScale() ScaleConfig {
 	return ScaleConfig{
 		StubASes:             74000,
@@ -210,7 +203,6 @@ func XLargeScale() ScaleConfig {
 		RegionalISPs:         900,
 		SpeedtestStubServers: 1600,
 		ServersPerMLabSite:   6,
-		ClientsPerISPMetro:   80,
 		CustomerScale:        6,
 	}
 }
@@ -223,6 +215,5 @@ func SmallScale() ScaleConfig {
 		RegionalISPs:         10,
 		SpeedtestStubServers: 30,
 		ServersPerMLabSite:   1,
-		ClientsPerISPMetro:   6,
 	}
 }

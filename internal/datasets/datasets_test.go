@@ -314,13 +314,18 @@ func TestIXPSites(t *testing.T) {
 }
 
 func TestScaleConfigs(t *testing.T) {
-	for _, sc := range []ScaleConfig{DefaultScale(), SmallScale()} {
+	for _, sc := range []ScaleConfig{SmallScale(), DefaultScale(), MediumScale(), LargeScale(), XLargeScale()} {
 		if sc.StubASes <= 0 || sc.RegionalISPs <= 0 || sc.ServersPerMLabSite <= 0 ||
-			sc.ClientsPerISPMetro <= 0 || sc.SpeedtestStubServers < 0 {
+			sc.SpeedtestStubServers < 0 {
 			t.Errorf("invalid scale %+v", sc)
 		}
 		if sc.HostingFrac <= 0 || sc.HostingFrac >= 1 {
 			t.Errorf("HostingFrac %v out of (0,1)", sc.HostingFrac)
+		}
+		// Regional ASNs run from 36000 and must stay below the content
+		// tail at 39000.
+		if sc.RegionalISPs >= 3000 {
+			t.Errorf("RegionalISPs %d collides with the content tail", sc.RegionalISPs)
 		}
 	}
 	if DefaultScale().StubASes <= SmallScale().StubASes {

@@ -16,7 +16,6 @@ import (
 	"throughputlab/internal/core"
 	"throughputlab/internal/export"
 	"throughputlab/internal/mapit"
-	"throughputlab/internal/ndt"
 	"throughputlab/internal/obs"
 	"throughputlab/internal/platform"
 	"throughputlab/internal/stream"
@@ -87,10 +86,6 @@ type Env struct {
 	vps     []*VPAnalysis
 }
 
-// passDepth bounds each stage's queue in CollectEnv's pass, as the
-// report pass's does: one queued chunk plus one in process per stage.
-const passDepth = 1
-
 // NewEnvCtx generates the world and builds the Env over it with
 // CollectEnv. When opts.Obs is set, every phase is traced and the
 // layers report their metrics to it. Generation stops at its next
@@ -149,7 +144,7 @@ func (e *Env) collect(ctx context.Context, extra ...stream.Stage[*platform.Chunk
 		{Name: "mapit", Fn: func(ch *platform.Chunk) error { mb.Add(ch.Traces); return nil }},
 		{Name: "match", Fn: func(ch *platform.Chunk) error { sm.Add(ch.Tests, ch.Traces, ch.Watermark); return nil }},
 	}, extra...)
-	pipe := stream.NewPipeline("pass1", passDepth, reg, stages...)
+	pipe := stream.NewPipeline("pass1", reg, stages...)
 	_, err := platform.CollectStreamCtx(obs.WithSpan(ctx, pipe.Span()), e.World, opts.Collect, opts.workers(), pipe.Send)
 	if cErr := pipe.Close(); err == nil {
 		err = cErr
@@ -198,11 +193,6 @@ func (e *Env) bdrmapOpts(vp topogen.ArkVP) bdrmap.Opts {
 	lk := e.lookups()
 	asn, _ := lk.OriginOf(vp.Host.Endpoint.Addr)
 	return bdrmap.Opts{OrgASNs: lk.Siblings(asn), MapIt: e.MapItOpts(), Rel: lk.Rel}
-}
-
-// HourOf returns a test's client-local hour.
-func (e *Env) HourOf(t *ndt.Test) float64 {
-	return e.World.Topo.MustMetro(t.ClientMetro).LocalHour(t.StartMinute)
 }
 
 // OrgName returns the organization name for an ASN ("AS<n>" fallback).

@@ -30,7 +30,7 @@ type SignaturesResult struct {
 func Signatures(e *Env) *SignaturesResult {
 	var peak []*ndt.Test
 	for _, t := range e.Corpus.Tests {
-		h := e.HourOf(t)
+		h := t.LocalHour()
 		if h >= 18 && h < 23 {
 			peak = append(peak, t)
 		}

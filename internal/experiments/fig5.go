@@ -46,7 +46,7 @@ func Fig5Panel_(e *Env, serverNet, serverMetro, isp string) Fig5Panel {
 			tests = append(tests, t)
 		}
 	}
-	s := core.BuildSeries(tests, e.HourOf)
+	s := core.BuildSeries(tests, (*ndt.Test).LocalHour)
 	cfg := core.DefaultDetector()
 	cfg.MinSamples = 10
 	p := Fig5Panel{

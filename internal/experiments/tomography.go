@@ -46,7 +46,7 @@ func Tomography(e *Env) *TomographyResult {
 	{
 		byISP := map[string][]float64{}
 		for _, t := range e.Corpus.Tests {
-			h := e.HourOf(t)
+			h := t.LocalHour()
 			if h >= 7 && h < 15 {
 				byISP[t.ClientISP] = append(byISP[t.ClientISP], t.DownMbps)
 			}
@@ -57,7 +57,7 @@ func Tomography(e *Env) *TomographyResult {
 	}
 
 	isPeak := func(t *ndt.Test) bool {
-		h := e.HourOf(t)
+		h := t.LocalHour()
 		return h >= 19 && h < 23
 	}
 	bad := func(t *ndt.Test) bool {

@@ -238,7 +238,7 @@ func (b *refBuilder) finish() *Inference {
 	// Passes 1..n-1: resolve IXP ports and unknown-origin addresses by
 	// successor majority (the replying router belongs to the member the
 	// probe enters next). Multiple passes handle chains.
-	for pass := 0; pass < opts.Passes; pass++ {
+	for range refinePasses {
 		changed := 0
 		for _, a := range addrs {
 			s := stats[a]
@@ -246,7 +246,7 @@ func (b *refBuilder) finish() *Inference {
 				continue
 			}
 			succAS, succFrac := refMajority(s.next, voteOp, opts.SameOrg, dsts, ties)
-			if succAS == 0 || succFrac < opts.Threshold {
+			if succAS == 0 || succFrac < majorityFrac {
 				continue
 			}
 			if cur, ok := voteOp[a]; !ok || !opts.SameOrg(cur, succAS) {
@@ -297,7 +297,7 @@ func (b *refBuilder) finish() *Inference {
 		if len(s.prev) == 0 {
 			continue
 		}
-		if predAS != 0 && opts.SameOrg(predAS, cur) && predFrac >= opts.Threshold {
+		if predAS != 0 && opts.SameOrg(predAS, cur) && predFrac >= majorityFrac {
 			op[a] = succAS
 			reg.Counter("mapit.farside.flips").Inc()
 		}

@@ -41,11 +41,6 @@ type Opts struct {
 	IsIXP func(netaddr.Addr) bool
 	// SameOrg collapses sibling ASes (CAIDA AS→organization).
 	SameOrg func(a, b topology.ASN) bool
-	// Threshold is the majority fraction f required to reassign an
-	// interface's operator (MAP-IT's f; 0 → default 0.5).
-	Threshold float64
-	// Passes bounds refinement iterations (0 → default 3).
-	Passes int
 	// DisableFarSide turns off the far-side operator correction — the
 	// ablation showing what breaks when point-to-point numbering is
 	// taken at face value (links get attributed one hop late, inside
@@ -68,13 +63,14 @@ type Opts struct {
 	Obs *obs.Registry
 }
 
+// majorityFrac is MAP-IT's f: the majority fraction of neighbors
+// required to reassign an interface's operator.
+const majorityFrac = 0.5
+
+// refinePasses bounds the successor-majority refinement iterations.
+const refinePasses = 3
+
 func (o *Opts) withDefaults() {
-	if o.Threshold == 0 {
-		o.Threshold = 0.5
-	}
-	if o.Passes == 0 {
-		o.Passes = 3
-	}
 	if o.SameOrg == nil {
 		o.SameOrg = func(a, b topology.ASN) bool { return a == b }
 	}
@@ -357,14 +353,14 @@ func (b *Builder) Finish() *Inference {
 	// successor majority (the replying router belongs to the member the
 	// probe enters next), in address order. Multiple passes handle
 	// chains.
-	for pass := 0; pass < opts.Passes; pass++ {
+	for range refinePasses {
 		changed := 0
 		for i := range n {
 			if !g.isIXP[i] && g.origin[i].ok {
 				continue
 			}
 			succAS, succFrac := v.majority(g.out.of(i), voteOp)
-			if succAS == 0 || succFrac < opts.Threshold {
+			if succAS == 0 || succFrac < majorityFrac {
 				continue
 			}
 			if cur := voteOp[i]; !cur.ok || !opts.SameOrg(cur.asn, succAS) {
@@ -409,7 +405,7 @@ func (b *Builder) Finish() *Inference {
 			continue
 		}
 		predAS, predFrac := v.majority(preds, originVote)
-		if predAS != 0 && opts.SameOrg(predAS, cur.asn) && predFrac >= opts.Threshold {
+		if predAS != 0 && opts.SameOrg(predAS, cur.asn) && predFrac >= majorityFrac {
 			op[i] = label{succAS, true}
 			reg.Counter("mapit.farside.flips").Inc()
 		}

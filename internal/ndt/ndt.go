@@ -9,6 +9,8 @@ package ndt
 import (
 	"math/rand"
 
+	"throughputlab/internal/datasets"
+	"throughputlab/internal/geo"
 	"throughputlab/internal/netaddr"
 	"throughputlab/internal/netsim"
 	"throughputlab/internal/routing"
@@ -75,6 +77,24 @@ type Test struct {
 	TruthBottleneck topology.LinkID // 0 when bottleneck is not a link
 	TruthInterLinks []topology.LinkID
 	TruthASPath     []topology.ASN
+}
+
+// metros indexes the static metro table by code.
+var metros = func() map[string]geo.Metro {
+	m := map[string]geo.Metro{}
+	for _, metro := range datasets.USMetros() {
+		m[metro.Code] = metro
+	}
+	return m
+}()
+
+// LocalHour returns the client-local hour-of-day [0,24) the test
+// started in. It reads the static metro table, not a world: persisted
+// corpora carry metro codes, not geometry, and the generator sources
+// its metros from the same table. An unknown metro reads as UTC rather
+// than panicking on foreign data.
+func (t *Test) LocalHour() float64 {
+	return metros[t.ClientMetro].LocalHour(t.StartMinute)
 }
 
 // Runner executes NDT tests against a generated world.

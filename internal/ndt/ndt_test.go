@@ -126,3 +126,24 @@ func TestTestTruncate(t *testing.T) {
 		t.Error("truncated test still carries a complete web100 snapshot")
 	}
 }
+
+// TestLocalHourMatchesWorld: the static metro table a test's local hour
+// reads gives the generated world's own metro local hour, for every
+// metro across the campaign's day boundaries, and an unknown metro
+// reads as UTC.
+func TestLocalHourMatchesWorld(t *testing.T) {
+	if len(world().Topo.Metros) == 0 {
+		t.Fatal("world has no metros")
+	}
+	for _, m := range world().Topo.Metros {
+		for _, minute := range []int{0, 59, 60, 299, 300, 1439, 1440, 28*1440 - 1} {
+			got := (&Test{ClientMetro: m.Code, StartMinute: minute}).LocalHour()
+			if want := m.LocalHour(minute); got != want {
+				t.Errorf("%s at minute %d: LocalHour = %v, world says %v", m.Code, minute, got, want)
+			}
+		}
+	}
+	if got := (&Test{ClientMetro: "nosuch", StartMinute: 150}).LocalHour(); got != 2.5 {
+		t.Errorf("unknown metro: LocalHour = %v, want UTC 2.5", got)
+	}
+}

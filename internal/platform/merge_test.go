@@ -42,10 +42,10 @@ func TestSortByMinuteIsStableSort(t *testing.T) {
 	cases := map[string][][]arrival{
 		"no shards":    nil,
 		"empty shards": {nil, {}, nil},
-		"one shard":    randomShards(rng, 1, 500, 28*1440),
+		"one shard":    randomShards(rng, 1, 500, CampaignDays*1440),
 		"one minute":   randomShards(rng, 6, 200, 1),
 		"heavy ties":   randomShards(rng, 16, 300, 40),
-		"wide minutes": randomShards(rng, 16, 300, 28*1440),
+		"wide minutes": randomShards(rng, 16, 300, CampaignDays*1440),
 		"late start":   {{{minute: 90}, {ord: 1, minute: 60}}, {{shard: 1, minute: 60}}},
 	}
 	for name, runs := range cases {
@@ -65,7 +65,7 @@ func TestSortByMinuteIsStableSort(t *testing.T) {
 	}
 	// The fault sweep orders schedule ids by execution minute; a retry
 	// can move a late id ahead of an early one.
-	for _, span := range []int{1, 30, 28 * 1440} {
+	for _, span := range []int{1, 30, CampaignDays * 1440} {
 		t.Run(fmt.Sprintf("fault order span %d", span), func(t *testing.T) {
 			execMinute := make([]int, 2000)
 			var order []int

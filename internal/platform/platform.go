@@ -99,12 +99,18 @@ func population(w *topogen.World, perPoolClients int, seed int64) []Household {
 // worker count never does.
 const DefaultShards = 16
 
+// CampaignDays is the length of simulated collection: the paper's case
+// study is one month of M-Lab data (May 2015).
+const CampaignDays = 28
+
+// tracerouteBusyMin is how many minutes the single-threaded collector
+// is busy per traceroute; concurrent NDT arrivals at the same server
+// lose their traceroute (§4.1).
+const tracerouteBusyMin = 3
+
 // CollectConfig parameterizes a corpus collection campaign.
 type CollectConfig struct {
 	Seed int64
-	// Days of simulated collection (the paper's case study is one
-	// month, May 2015).
-	Days int
 	// Tests is the total number of NDT tests to run.
 	Tests int
 	// PerPoolClients sizes the household population.
@@ -117,12 +123,6 @@ type CollectConfig struct {
 	// BattleForNet makes each client test against up to five nearby
 	// sites back-to-back instead of only the closest (§2.2).
 	BattleForNet bool
-	// TracerouteDurationMin is how long the single-threaded collector
-	// is busy per traceroute; concurrent NDT arrivals at the same
-	// server lose their traceroute (§4.1).
-	TracerouteDurationMin int
-	// Artifacts configures traceroute imperfections.
-	Artifacts traceroute.Artifacts
 	// Faults is the measurement-plane fault profile (zero/Off =
 	// disabled). Together with FaultSeed it extends the corpus
 	// identity: a disabled profile leaves the corpus byte-identical to
@@ -155,12 +155,9 @@ const DefaultChunkTests = 8192
 // DefaultCollect returns the standard May-2015-style campaign.
 func DefaultCollect() CollectConfig {
 	return CollectConfig{
-		Seed:                  7,
-		Days:                  28,
-		Tests:                 60000,
-		PerPoolClients:        40,
-		TracerouteDurationMin: 3,
-		Artifacts:             traceroute.DefaultArtifacts(),
+		Seed:           7,
+		Tests:          60000,
+		PerPoolClients: 40,
 	}
 }
 
@@ -304,7 +301,7 @@ func scheduleShard(w *topogen.World, cfg CollectConfig, ctx *scheduleCtx,
 		h := ctx.households[hi]
 		metro := w.Topo.MustMetro(h.Endpoint.Metro)
 		localH := ctx.hourSampler.Pick(rng)
-		day := rng.Intn(cfg.Days)
+		day := rng.Intn(CampaignDays)
 		utcH := ((localH-metro.UTCOffset)%24 + 24) % 24
 		minute := day*1440 + utcH*60 + rng.Intn(60)
 
@@ -509,7 +506,7 @@ func collectStream(ctx context.Context, w *topogen.World, cfg CollectConfig, wor
 	popSpan.End()
 	reg.Gauge("collect.households").Set(int64(len(households)))
 	runner := ndt.NewRunner(w)
-	tracer := traceroute.New(w.Topo, w.Resolver, cfg.Artifacts)
+	tracer := traceroute.New(w.Topo, w.Resolver, traceroute.DefaultArtifacts())
 
 	// Weight households by ISP subscriber counts so the corpus mirrors
 	// the real user base (Table 1).
@@ -682,7 +679,7 @@ func collectStream(ctx context.Context, w *topogen.World, cfg CollectConfig, wor
 		if launch < 0 {
 			launch = 0
 		}
-		busyUntil[srv] = launch + cfg.TracerouteDurationMin
+		busyUntil[srv] = launch + tracerouteBusyMin
 		launches[id] = launch
 	}
 	sweepSpan.End()

@@ -7,6 +7,7 @@ import (
 
 	"throughputlab/internal/routing"
 	"throughputlab/internal/topogen"
+	"throughputlab/internal/traceroute"
 )
 
 // TestCollectDeterministic: identical seeds produce identical corpora.
@@ -93,8 +94,8 @@ func TestTracesLagTheirTests(t *testing.T) {
 func TestCampaignDeterministic(t *testing.T) {
 	vp := world().ArkVPs[1]
 	targets := HostTargets(world().MLabServers())
-	import1, _ := Campaign(context.Background(), world(), vp.Host.Endpoint, targets, DefaultCollect().Artifacts, 42)
-	import2, _ := Campaign(context.Background(), world(), vp.Host.Endpoint, targets, DefaultCollect().Artifacts, 42)
+	import1, _ := Campaign(context.Background(), world(), vp.Host.Endpoint, targets, traceroute.DefaultArtifacts(), 42)
+	import2, _ := Campaign(context.Background(), world(), vp.Host.Endpoint, targets, traceroute.DefaultArtifacts(), 42)
 	if len(import1) != len(import2) {
 		t.Fatal("campaign lengths differ")
 	}
@@ -120,7 +121,7 @@ func TestCampaignHonorsCancellation(t *testing.T) {
 	cancel(cause)
 	vp := world().ArkVPs[0]
 	before := world().Resolver.Stats()
-	traces, err := Campaign(ctx, world(), vp.Host.Endpoint, RoutedPrefixTargets(world()), DefaultCollect().Artifacts, 1)
+	traces, err := Campaign(ctx, world(), vp.Host.Endpoint, RoutedPrefixTargets(world()), traceroute.DefaultArtifacts(), 1)
 	if !errors.Is(err, cause) || traces != nil {
 		t.Errorf("cancelled campaign returned %d traces, err %v; want none and an error wrapping %v", len(traces), err, cause)
 	}
@@ -133,7 +134,7 @@ func TestCampaignHonorsCancellation(t *testing.T) {
 func TestCampaignSkipsSelfTarget(t *testing.T) {
 	vp := world().ArkVPs[0]
 	traces, _ := Campaign(context.Background(), world(), vp.Host.Endpoint,
-		[]routing.Endpoint{vp.Host.Endpoint}, DefaultCollect().Artifacts, 1)
+		[]routing.Endpoint{vp.Host.Endpoint}, traceroute.DefaultArtifacts(), 1)
 	if len(traces) != 0 {
 		t.Errorf("self-target produced %d traces", len(traces))
 	}

@@ -169,14 +169,14 @@ func batchBuild(e *experiments.Env, cfg Config) *Report {
 		f.OneHopFrac = frac(oneHop, pathKnown)
 		f.IPLinks = len(linkSet)
 
-		s := core.BuildSeries(tests, e.HourOf)
+		s := core.BuildSeries(tests, (*ndt.Test).LocalHour)
 		f.Detector = core.Detect(s, cfg.Detector)
-		f.Bias = core.Bias(tests, e.HourOf, cfg.Detector.MinSamples)
+		f.Bias = core.Bias(tests, (*ndt.Test).LocalHour, cfg.Detector.MinSamples)
 
 		// Congestion signatures on peak-hour tests.
 		det, ext := 0, 0
 		for _, t := range tests {
-			h := e.HourOf(t)
+			h := t.LocalHour()
 			if h < 19 || h >= 23 {
 				continue
 			}

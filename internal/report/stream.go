@@ -14,7 +14,6 @@ import (
 	"sort"
 
 	"throughputlab/internal/core"
-	"throughputlab/internal/datasets"
 	"throughputlab/internal/mapit"
 	"throughputlab/internal/ndt"
 	"throughputlab/internal/netaddr"
@@ -25,26 +24,9 @@ import (
 	"throughputlab/internal/traceroute"
 )
 
-// MetroHourOf returns a world-free client-local-hour function backed by
-// the static metro table. Persisted corpora carry metro codes, not
-// geometry, and the generator sources its metros from the same table,
-// so this agrees exactly with the world's own metro local hours.
-func MetroHourOf() func(*ndt.Test) float64 {
-	offsets := map[string]int{}
-	for _, m := range datasets.USMetros() {
-		offsets[m.Code] = m.UTCOffset
-	}
-	return func(t *ndt.Test) float64 {
-		// Inline geo.Metro.LocalHour for the known code set; unknown
-		// metros fall back to UTC rather than panicking on foreign data.
-		h := float64(t.StartMinute)/60 + float64(offsets[t.ClientMetro])
-		h -= float64(int(h/24) * 24)
-		if h < 0 {
-			h += 24
-		}
-		return h
-	}
-}
+// MetroHourOf returns the world-free client-local-hour function,
+// ndt.Test.LocalHour, which reads the static metro table.
+func MetroHourOf() func(*ndt.Test) float64 { return (*ndt.Test).LocalHour }
 
 // aggGroup is the per-test half of the group accumulator: everything
 // derived from the test stream alone, in publication order (the float

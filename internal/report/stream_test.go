@@ -60,8 +60,7 @@ func streamReport(t *testing.T, ccfg platform.CollectConfig, workers int) *Repor
 
 // TestStreamReportMatchesBatch is the report-level parity pin: the
 // chunked two-pass assembly renders byte-for-byte the same report as
-// the batch reference, including the world-free MetroHourOf standing
-// in for Env.HourOf.
+// the batch reference.
 func TestStreamReportMatchesBatch(t *testing.T) {
 	want := batchBuild(env(), DefaultConfig()).Render()
 	for _, workers := range []int{1, 4} {
@@ -87,7 +86,7 @@ func TestStreamReportPipelinedStages(t *testing.T) {
 	cfg.ChunkTests = 512
 	for _, workers := range []int{1, 2, 8} {
 		b := NewStreamBuilder(DefaultConfig(), MetroHourOf(), env().MapItOpts())
-		p := stream.NewPipeline("report", 4, nil,
+		p := stream.NewPipeline("report", nil,
 			stream.Stage[*platform.Chunk]{Name: "mapit", Fn: func(c *platform.Chunk) error {
 				b.AddTraces(c.Traces)
 				return nil

@@ -168,27 +168,6 @@ func (b *HourBins) Total() int {
 	return n
 }
 
-// BootstrapCI returns a percentile bootstrap confidence interval for
-// statistic f of xs at the given confidence level (e.g. 0.95), using
-// iters resamples drawn from rng. It returns (lo, hi). For N == 0 it
-// returns NaNs.
-func BootstrapCI(xs []float64, f func([]float64) float64, level float64, iters int, rng *rand.Rand) (lo, hi float64) {
-	if len(xs) == 0 || iters <= 0 {
-		return math.NaN(), math.NaN()
-	}
-	est := make([]float64, iters)
-	resample := make([]float64, len(xs))
-	for i := 0; i < iters; i++ {
-		for j := range resample {
-			resample[j] = xs[rng.Intn(len(xs))]
-		}
-		est[i] = f(resample)
-	}
-	sort.Float64s(est)
-	alpha := float64((1 - level) / 2)
-	return quantileSorted(est, alpha), quantileSorted(est, 1-alpha)
-}
-
 // MannWhitneyU performs a two-sided Mann–Whitney U test of whether
 // samples xs and ys come from the same distribution, returning the U
 // statistic (for xs) and an approximate two-sided p-value using the

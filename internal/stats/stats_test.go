@@ -148,25 +148,6 @@ func TestHourBins(t *testing.T) {
 	}
 }
 
-func TestBootstrapCI(t *testing.T) {
-	rng := rand.New(rand.NewSource(42))
-	xs := make([]float64, 200)
-	for i := range xs {
-		xs[i] = 50 + 5*rng.NormFloat64()
-	}
-	lo, hi := BootstrapCI(xs, func(v []float64) float64 { return Summarize(v).Mean }, 0.95, 500, rng)
-	if !(lo < 50 && 50 < hi) {
-		t.Errorf("95%% CI [%v, %v] should contain true mean 50", lo, hi)
-	}
-	if hi-lo > 3 {
-		t.Errorf("CI width %v too wide for n=200, sd=5", hi-lo)
-	}
-	lo, hi = BootstrapCI(nil, Median, 0.95, 100, rng)
-	if !math.IsNaN(lo) || !math.IsNaN(hi) {
-		t.Error("empty bootstrap should be NaN")
-	}
-}
-
 func TestMannWhitneyUSeparatedSamples(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	xs := make([]float64, 60)

@@ -167,12 +167,18 @@ type stageState[T any] struct {
 // flood the bounded bus and crowd out chunk/fault events.
 const stageEventEvery = 100
 
+// stageDepth bounds each stage's input queue: a stalled stage
+// backpressures the producer after this many items. Depth 1 keeps
+// stages overlapped while holding each stage's share of resident items
+// to one queued plus one in process.
+const stageDepth = 1
+
 // Pipeline broadcasts an ordered item stream to every stage, each on
 // its own goroutine behind a bounded queue, so consumers overlap with
 // production and with each other; wall time approaches the slowest
 // stage instead of the sum of stages. Send blocks when a stage's queue
 // is full — structural backpressure — so resident items are bounded by
-// depth per stage.
+// stageDepth per stage.
 //
 // Determinism: every stage receives the identical stream in the
 // identical order; only the interleaving across stages varies, which
@@ -188,19 +194,16 @@ type Pipeline[T any] struct {
 }
 
 // NewPipeline starts one goroutine per stage, each consuming from a
-// bounded queue of the given depth (minimum 1). When reg is non-nil
-// the pipeline records, per stage: a child span under "pipeline.<name>"
-// covering the stage's lifetime, a queue-depth gauge
-// pipeline.<name>.<stage>.depth (with .depth_max high-water mark), an
-// item counter, and cumulative busy time in microseconds — the numbers
-// that show where the pipeline stalls.
-func NewPipeline[T any](name string, depth int, reg *obs.Registry, stages ...Stage[T]) *Pipeline[T] {
-	if depth < 1 {
-		depth = 1
-	}
+// queue of stageDepth items. When reg is non-nil the pipeline records,
+// per stage: a child span under "pipeline.<name>" covering the stage's
+// lifetime, a queue-depth gauge pipeline.<name>.<stage>.depth (with
+// .depth_max high-water mark), an item counter, and cumulative busy
+// time in microseconds — the numbers that show where the pipeline
+// stalls.
+func NewPipeline[T any](name string, reg *obs.Registry, stages ...Stage[T]) *Pipeline[T] {
 	p := &Pipeline[T]{span: reg.Span("pipeline." + name)}
 	for _, st := range stages {
-		ss := &stageState[T]{name: st.Name, fn: st.Fn, ch: make(chan T, depth), bus: reg.Events()}
+		ss := &stageState[T]{name: st.Name, fn: st.Fn, ch: make(chan T, stageDepth), bus: reg.Events()}
 		if reg != nil {
 			prefix := fmt.Sprintf("pipeline.%s.%s.", name, st.Name)
 			ss.span = p.span.Child(st.Name)

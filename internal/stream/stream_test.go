@@ -93,7 +93,7 @@ func TestPipelineBroadcastOrder(t *testing.T) {
 			},
 		})
 	}
-	p := NewPipeline("test", 4, nil, stages...)
+	p := NewPipeline("test", nil, stages...)
 	for i := 0; i < n; i++ {
 		if err := p.Send(i); err != nil {
 			t.Fatal(err)
@@ -119,7 +119,7 @@ func TestPipelineBroadcastOrder(t *testing.T) {
 func TestPipelineStageError(t *testing.T) {
 	boom := errors.New("stage down")
 	var other atomic.Int64
-	p := NewPipeline("test", 1, nil,
+	p := NewPipeline("test", nil,
 		Stage[int]{Name: "bad", Fn: func(v int) error {
 			if v == 3 {
 				return boom
@@ -149,7 +149,7 @@ func TestPipelineStageError(t *testing.T) {
 // span, item counters, and depth gauges.
 func TestPipelineObs(t *testing.T) {
 	reg := obs.NewRegistry()
-	p := NewPipeline("pass", 2, reg,
+	p := NewPipeline("pass", reg,
 		Stage[int]{Name: "match", Fn: func(int) error { return nil }},
 		Stage[int]{Name: "export", Fn: func(int) error { return nil }},
 	)

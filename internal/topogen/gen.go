@@ -50,6 +50,9 @@ type builder struct {
 
 const borderFanout = 24
 
+// noPTRFrac is the fraction of interfaces without reverse DNS.
+const noPTRFrac = 0.12
+
 // brKey identifies a border-router pool without building a composite
 // string per lookup (borderRouter runs once per interconnect end).
 type brKey struct {
@@ -139,7 +142,7 @@ func GenerateCtx(ctx context.Context, cfg Config) (*World, error) {
 		b.placeArkVPs()
 	})
 	phase("dnsnames", func(sp *obs.Span) {
-		dnsnames.Assign(b.topo, cfg.Seed, cfg.NoPTRFrac, workers, sp)
+		dnsnames.Assign(b.topo, cfg.Seed, noPTRFrac, workers, sp)
 	})
 
 	var errs []error
@@ -759,9 +762,8 @@ func (b *builder) buildStubs() {
 	}
 
 	type stub struct {
-		asn     topology.ASN
-		metro   string
-		hosting bool
+		asn   topology.ASN
+		metro string
 	}
 	choose := newWeightedChooser(weights)
 	stubs := make([]stub, 0, b.cfg.Scale.StubASes)
@@ -791,7 +793,7 @@ func (b *builder) buildStubs() {
 		for k := 0; k < b.rng.Intn(3); k++ {
 			b.topo.Originate(asn, b.asAlloc[asn].MustAlloc(25))
 		}
-		stubs = append(stubs, stub{asn: asn, metro: metro, hosting: hosting})
+		stubs = append(stubs, stub{asn: asn, metro: metro})
 		if hosting {
 			b.hostingStubs = append(b.hostingStubs, asn)
 		}

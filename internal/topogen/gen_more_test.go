@@ -47,8 +47,8 @@ func TestEmptyCongestionMeansHealthy(t *testing.T) {
 	}
 }
 
-// TestCustomCongestionSpec: a user-supplied scenario lands on the
-// requested interconnection.
+// TestCustomCongestionSpec: a user-supplied spec lands on the requested
+// interconnection, and a metro-restricted one on that metro only.
 func TestCustomCongestionSpec(t *testing.T) {
 	cfg := SmallConfig()
 	cfg.Congestion = []CongestionSpec{
@@ -74,6 +74,20 @@ func TestCustomCongestionSpec(t *testing.T) {
 		if l.PeakUtil >= 1 && !level3Side {
 			t.Fatalf("unexpected saturated link %d", l.ID)
 		}
+	}
+
+	cfg.Congestion = []CongestionSpec{
+		{Transit: "Level3", Access: "Comcast", Metro: "chi", BaseUtil: 0.5, PeakUtil: 1.25, CapacityMbps: 2000},
+	}
+	w = MustGenerate(cfg)
+	metros := map[string]bool{}
+	for _, l := range w.Topo.InterdomainLinks(0, 0) {
+		if l.PeakUtil >= 1 {
+			metros[l.Metro] = true
+		}
+	}
+	if len(metros) != 1 || !metros["chi"] {
+		t.Errorf("chi-only spec saturates metros %v, want {chi}", metros)
 	}
 }
 
@@ -183,39 +197,5 @@ func TestClientPoolsDontOverlapInfrastructure(t *testing.T) {
 				}
 			}
 		}
-	}
-}
-
-// TestScenarios: named scenarios generate the promised link states.
-func TestScenarios(t *testing.T) {
-	if got := len(Scenario("healthy")); got != 0 {
-		t.Errorf("healthy scenario has %d specs", got)
-	}
-	if got := Scenario("bogus"); len(got) != len(DefaultCongestion()) {
-		t.Error("unknown scenario should fall back to paper default")
-	}
-	cfg := SmallConfig()
-	cfg.Congestion = Scenario("widespread")
-	w := MustGenerate(cfg)
-	saturated := 0
-	for _, l := range w.Topo.InterdomainLinks(0, 0) {
-		if l.PeakUtil >= 1 {
-			saturated++
-		}
-	}
-	if saturated < 8 {
-		t.Errorf("widespread scenario saturated only %d links", saturated)
-	}
-
-	cfg.Congestion = Scenario("regional")
-	w = MustGenerate(cfg)
-	metros := map[string]bool{}
-	for _, l := range w.Topo.InterdomainLinks(0, 0) {
-		if l.PeakUtil >= 1 {
-			metros[l.Metro] = true
-		}
-	}
-	if len(metros) != 1 || !metros["chi"] {
-		t.Errorf("regional scenario saturates metros %v, want {chi}", metros)
 	}
 }

@@ -53,43 +53,6 @@ func DefaultCongestion() []CongestionSpec {
 	}
 }
 
-// Scenario returns a named congestion scenario:
-//
-//   - "paper": DefaultCongestion — the Figure 5 case study plus two
-//     more saturated interconnections.
-//   - "healthy": no saturated links anywhere (the null hypothesis the
-//     detector must not reject).
-//   - "widespread": every GTT and Cogent interconnection with the big
-//     four access ISPs saturates — the Battle-for-the-Net-era claim of
-//     broad transit congestion.
-//   - "regional": the paper's [14] regional-effects case — one ISP
-//     congested at a single metro only.
-//
-// Unknown names fall back to "paper".
-func Scenario(name string) []CongestionSpec {
-	switch name {
-	case "healthy":
-		return []CongestionSpec{}
-	case "widespread":
-		var out []CongestionSpec
-		for _, tr := range []string{"GTT", "Cogent"} {
-			for _, isp := range []string{"Comcast", "AT&T", "Verizon", "Time Warner Cable"} {
-				out = append(out, CongestionSpec{
-					Transit: tr, Access: isp, Metro: "",
-					BaseUtil: 0.45, PeakUtil: 1.2, CapacityMbps: 2500,
-				})
-			}
-		}
-		return out
-	case "regional":
-		return []CongestionSpec{
-			{Transit: "Level3", Access: "Comcast", Metro: "chi", BaseUtil: 0.5, PeakUtil: 1.25, CapacityMbps: 2000},
-		}
-	default:
-		return DefaultCongestion()
-	}
-}
-
 // Config parameterizes generation.
 type Config struct {
 	Seed  int64
@@ -97,8 +60,6 @@ type Config struct {
 	// Congestion defaults to DefaultCongestion when nil; pass an empty
 	// non-nil slice for a fully healthy Internet.
 	Congestion []CongestionSpec
-	// NoPTRFrac is the fraction of interfaces without reverse DNS.
-	NoPTRFrac float64
 	// SpeedtestFactor scales the number of Speedtest servers (§5.4's
 	// later snapshot grew the fleet ~1.45x while M-Lab stayed flat).
 	SpeedtestFactor float64
@@ -120,19 +81,15 @@ func DefaultConfig() Config {
 	return Config{
 		Seed:            1,
 		Scale:           datasets.DefaultScale(),
-		NoPTRFrac:       0.12,
 		SpeedtestFactor: 1,
 	}
 }
 
 // SmallConfig returns a reduced configuration for tests and examples.
 func SmallConfig() Config {
-	return Config{
-		Seed:            1,
-		Scale:           datasets.SmallScale(),
-		NoPTRFrac:       0.12,
-		SpeedtestFactor: 1,
-	}
+	cfg := DefaultConfig()
+	cfg.Scale = datasets.SmallScale()
+	return cfg
 }
 
 // Host is a measurement endpoint placed in the topology (server, VP, or
