@@ -459,13 +459,20 @@ func runCmd(args []string) error {
 		len(env.World.MLabServers()), len(env.World.Speedtest),
 		len(env.Corpus.Tests), len(env.Corpus.Traces), time.Since(start).Seconds())
 
+	// The run's own world computes its route trees on first use, as the
+	// experiments read them; the gauge counts them once they are done.
+	routeTrees := func() {
+		reg.Gauge("topogen.routes.trees").Set(int64(env.World.Routes.ComputedTrees()))
+	}
 	if name == "all" {
 		out, err := experiments.RunParallelCtx(ctx, env, cf.spec.Workers)
 		fmt.Print(out)
 		fmt.Fprint(os.Stderr, report.RenderCompleteness(env.Corpus.Completeness, env.Matching.Degraded))
+		routeTrees()
 		return finish(cf, reg, err)
 	}
 	res, err := entry.RunCtx(ctx, env)
+	routeTrees()
 	if err != nil {
 		return finish(cf, reg, err)
 	}

@@ -126,7 +126,9 @@ func TestRunCmdSmokeTable1(t *testing.T) {
 
 // TestMetricsJSONExecuteCounters pins that a -metrics-json dump
 // attributes execution time to its two halves: the per-worker NDT and
-// traceroute clocks flushed into collect.execute.* counters.
+// traceroute clocks flushed into collect.execute.* counters. It also
+// carries the run's route-tree count: some trees, fewer than one per
+// AS.
 func TestMetricsJSONExecuteCounters(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds a world")
@@ -141,6 +143,7 @@ func TestMetricsJSONExecuteCounters(t *testing.T) {
 	}
 	var dump struct {
 		Counters map[string]uint64 `json:"counters"`
+		Gauges   map[string]int64  `json:"gauges"`
 	}
 	if err := json.Unmarshal(raw, &dump); err != nil {
 		t.Fatalf("metrics dump does not parse: %v", err)
@@ -149,6 +152,9 @@ func TestMetricsJSONExecuteCounters(t *testing.T) {
 		if dump.Counters[name] == 0 {
 			t.Errorf("counter %s = 0 or missing, want > 0", name)
 		}
+	}
+	if trees, ases := dump.Gauges["topogen.routes.trees"], dump.Gauges["topogen.ases"]; trees == 0 || trees >= ases {
+		t.Errorf("gauge topogen.routes.trees = %d over %d ASes, want some but fewer than one per AS", trees, ases)
 	}
 }
 

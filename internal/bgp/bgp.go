@@ -11,6 +11,16 @@
 // The AS-hop distributions of Figure 1, the interconnection each NDT
 // test traverses (Table 2), and the coverage sets of Figures 2–4 are
 // all consequences of these routing decisions.
+//
+// A destination's tree is computed in three phases (customer routes
+// climbing to providers and siblings, peer routes one peer edge across
+// then relayed over siblings, provider routes descending to customers
+// and siblings), each over its own adjacency list: the relationships
+// are split once, when the routes are built, into flat per-phase lists,
+// so no phase reads an edge it would skip. Phase 2 visits only the ASes
+// that have peers and phase 3 queues only the ASes that export
+// downhill; the stubs that make up most of the topology receive routes
+// but forward none.
 package bgp
 
 import (
@@ -65,8 +75,19 @@ type Routes struct {
 	idx  map[topology.ASN]int
 	asns []topology.ASN
 
-	// adjacency, grouped by how routes flow.
-	neigh [][]adj
+	// The adjacency, split by the phase of computeTree that reads it;
+	// each list keeps Neighbors' ASN order. up holds every AS's
+	// providers and siblings (phase 1), peer its peers (phase 2), sib
+	// its siblings (phase 2's relay) and down its customers and
+	// siblings (phase 3). peerASes and downASes are the indices whose
+	// peer and down lists are non-empty, ascending.
+	up, peer, sib, down csr
+	peerASes, downASes  []int32
+
+	// emptyNH and emptyDist are a tree's rows before computeTree runs:
+	// every next hop -1, every distance maxDist.
+	emptyNH   []int32
+	emptyDist []uint8
 
 	// per-destination trees, published on first use; a destination's
 	// lock makes racing first uses wait for one computation.
@@ -83,35 +104,70 @@ type routeTree struct {
 	class   []RouteClass
 }
 
-type adj struct {
-	j   int32
-	rel topology.Rel // relationship of j as seen from i
+// csr is one adjacency list per AS in compressed sparse rows: AS i's
+// targets are to[off[i]:off[i+1]].
+type csr struct {
+	off []int32
+	to  []int32
 }
+
+func (c *csr) row(i int32) []int32 { return c.to[c.off[i]:c.off[i+1]] }
+
+// add appends j to the row being built.
+func (c *csr) add(j int) { c.to = append(c.to, int32(j)) }
+
+// endRow closes row i: the targets added since row i-1 closed are its.
+func (c *csr) endRow(i int) { c.off[i+1] = int32(len(c.to)) }
 
 // newRoutes builds the index and adjacency.
 func newRoutes(t *topology.Topology) *Routes {
 	asns := t.ASNs()
 	n := len(asns)
 	r := &Routes{
-		topo:  t,
-		idx:   make(map[topology.ASN]int, n),
-		asns:  asns,
-		neigh: make([][]adj, n),
+		topo:      t,
+		idx:       make(map[topology.ASN]int, n),
+		asns:      asns,
+		emptyNH:   make([]int32, n),
+		emptyDist: make([]uint8, n),
 	}
 	for i, a := range asns {
 		r.idx[a] = i
+		r.emptyNH[i] = -1
+		r.emptyDist[i] = maxDist
+	}
+	lists := []*csr{&r.up, &r.peer, &r.sib, &r.down}
+	for _, c := range lists {
+		c.off = make([]int32, n+1)
 	}
 	for i, a := range asns {
-		nbs := t.Neighbors(a)
-		row := make([]adj, 0, len(nbs))
-		for _, b := range nbs {
+		for _, b := range t.Neighbors(a) {
 			j, ok := r.idx[b]
 			if !ok {
 				continue
 			}
-			row = append(row, adj{j: int32(j), rel: t.RelOf(a, b)})
+			// The relationship of b as seen from a.
+			switch t.RelOf(a, b) {
+			case topology.RelProvider:
+				r.up.add(j)
+			case topology.RelCustomer:
+				r.down.add(j)
+			case topology.RelPeer:
+				r.peer.add(j)
+			case topology.RelSibling:
+				r.up.add(j)
+				r.sib.add(j)
+				r.down.add(j)
+			}
 		}
-		r.neigh[i] = row
+		for _, c := range lists {
+			c.endRow(i)
+		}
+		if len(r.peer.row(int32(i))) > 0 {
+			r.peerASes = append(r.peerASes, int32(i))
+		}
+		if len(r.down.row(int32(i))) > 0 {
+			r.downASes = append(r.downASes, int32(i))
+		}
 	}
 	return r
 }
@@ -162,6 +218,7 @@ func (r *Routes) rows(di int) (nh []int32, dist []uint8, class []RouteClass) {
 // treeScratch is the per-worker reusable state of computeTree: the BFS
 // queues, the peer candidate table, and the distance buckets. Reusing
 // it across destinations removes the dominant per-tree allocations.
+// Between calls every peer entry is empty (noCand).
 type treeScratch struct {
 	queue   []int32
 	peer    []cand
@@ -174,65 +231,56 @@ type cand struct {
 	nh   int32
 }
 
+// noCand is an empty peer-route candidate.
+var noCand = cand{dist: maxDist, nh: -1}
+
 // computeTree fills the routing tree for destination index d into the
 // caller-supplied rows using the three-phase propagation described in
 // the package comment. It is a pure function of the adjacency: it reads
-// only immutable state and writes only nh/dist/class, which makes it
-// safe to run for many destinations at once.
+// only immutable state and writes only nh/dist/class (and sc), which
+// makes it safe to run for many destinations at once. Each phase walks
+// only the edges that can carry its routes, in Neighbors' order, so
+// ties resolve exactly as a walk over every edge would resolve them.
 func (r *Routes) computeTree(d int, sc *treeScratch, nh []int32, dist []uint8, class []RouteClass) {
 	n := len(r.asns)
-	for i := range nh {
-		nh[i] = -1
-		dist[i] = maxDist
-		class[i] = ClassNone
-	}
+	copy(nh, r.emptyNH)
+	copy(dist, r.emptyDist)
+	clear(class)
 
 	// Phase 1: customer routes. BFS from d across edges that carry an
-	// announcement "upward": from a node y to x when y is x's customer
-	// or sibling.
+	// announcement "upward": y exports its customer route to x when x
+	// is y's provider or sibling; x then holds a customer-class route
+	// (next hop y is its customer / sibling).
 	dist[d], class[d] = 0, ClassCustomer
 	queue := append(sc.queue[:0], int32(d))
 	for qi := 0; qi < len(queue); qi++ {
 		y := queue[qi]
-		for _, a := range r.neigh[y] {
-			// a.rel is the relationship of a.j as seen from y. y exports
-			// its customer route to a.j when a.j is y's provider or
-			// sibling; a.j then holds a customer-class route (next hop
-			// y is its customer / sibling).
-			if a.rel != topology.RelProvider && a.rel != topology.RelSibling {
-				continue
-			}
-			x := a.j
-			nd := dist[y] + 1
+		nd := dist[y] + 1
+		for _, x := range r.up.row(y) {
 			if class[x] == ClassCustomer && dist[x] <= nd {
 				if dist[x] == nd && nh[x] >= 0 && r.asns[y] < r.asns[nh[x]] {
 					nh[x] = y // deterministic lowest-ASN tie-break
 				}
 				continue
 			}
-			if class[x] == ClassCustomer && dist[x] > nd || class[x] != ClassCustomer {
-				class[x], dist[x], nh[x] = ClassCustomer, nd, y
-				queue = append(queue, x)
-			}
+			class[x], dist[x], nh[x] = ClassCustomer, nd, y
+			queue = append(queue, x)
 		}
 	}
 
 	// Phase 2: peer routes. A node x with no customer route may use a
 	// direct peer y that has a customer route (or is d). Then propagate
 	// peer-class routes across sibling edges.
-	if cap(sc.peer) < n {
+	if len(sc.peer) < n {
 		sc.peer = make([]cand, n)
+		for i := range sc.peer {
+			sc.peer[i] = noCand
+		}
 	}
-	peer := sc.peer[:n]
-	for i := range peer {
-		peer[i] = cand{dist: maxDist, nh: -1}
-	}
-	for x := 0; x < n; x++ {
-		for _, a := range r.neigh[x] {
-			if a.rel != topology.RelPeer {
-				continue
-			}
-			y := a.j
+	peer := sc.peer
+	queue = queue[:0]
+	for _, x := range r.peerASes {
+		for _, y := range r.peer.row(x) {
 			if class[y] != ClassCustomer {
 				continue
 			}
@@ -241,41 +289,39 @@ func (r *Routes) computeTree(d int, sc *treeScratch, nh []int32, dist []uint8, c
 				peer[x] = cand{dist: nd, nh: y}
 			}
 		}
-	}
-	// Sibling relay of peer routes (bounded BFS; phase 1 is done with
-	// the queue, so its backing array is reused).
-	queue = queue[:0]
-	for x := 0; x < n; x++ {
 		if peer[x].nh >= 0 {
-			queue = append(queue, int32(x))
+			queue = append(queue, x)
 		}
 	}
+	// Sibling relay of peer routes (bounded BFS; phase 1 is done with
+	// the queue, so its backing array is reused). Every AS holding a
+	// candidate is on the queue afterwards.
 	for qi := 0; qi < len(queue); qi++ {
 		y := queue[qi]
-		for _, a := range r.neigh[y] {
-			if a.rel != topology.RelSibling {
-				continue
-			}
-			x := a.j
-			nd := peer[y].dist + 1
+		nd := peer[y].dist + 1
+		for _, x := range r.sib.row(y) {
 			if nd < peer[x].dist {
 				peer[x] = cand{dist: nd, nh: y}
 				queue = append(queue, x)
 			}
 		}
 	}
-	for x := 0; x < n; x++ {
-		if class[x] == ClassCustomer {
-			continue
+	// Adopt the candidates and empty the scratch for the next tree.
+	for _, x := range queue {
+		if peer[x].nh < 0 {
+			continue // a duplicate queue entry, already adopted
 		}
-		if peer[x].nh >= 0 {
+		if class[x] != ClassCustomer {
 			class[x], dist[x], nh[x] = ClassPeer, peer[x].dist, peer[x].nh
 		}
+		peer[x] = noCand
 	}
 
 	// Phase 3: provider routes. Any node with a route exports it to its
 	// customers and siblings. Multi-source shortest path with unit
 	// edges and heterogeneous source distances: bucket BFS by distance.
+	// Only ASes with customers or siblings export, so only they are
+	// queued.
 	if sc.buckets == nil {
 		sc.buckets = make([][]int32, maxDist+1)
 	}
@@ -283,34 +329,27 @@ func (r *Routes) computeTree(d int, sc *treeScratch, nh []int32, dist []uint8, c
 	for i := range buckets {
 		buckets[i] = buckets[i][:0]
 	}
-	for x := 0; x < n; x++ {
+	for _, x := range r.downASes {
 		if class[x] != ClassNone {
-			buckets[dist[x]] = append(buckets[dist[x]], int32(x))
+			buckets[dist[x]] = append(buckets[dist[x]], x)
 		}
 	}
-	for dcur := 0; dcur <= maxDist; dcur++ {
+	for dcur := 0; dcur < maxDist; dcur++ {
+		nd := uint8(dcur + 1)
 		for qi := 0; qi < len(buckets[dcur]); qi++ {
 			y := buckets[dcur][qi]
 			if int(dist[y]) != dcur {
 				continue // stale entry
 			}
-			if dcur+1 > maxDist {
-				continue
-			}
-			for _, a := range r.neigh[y] {
-				// y exports to a.j when a.j is y's customer or sibling.
-				if a.rel != topology.RelCustomer && a.rel != topology.RelSibling {
-					continue
-				}
-				x := a.j
-				if class[x] == ClassCustomer || class[x] == ClassPeer {
-					continue
-				}
-				nd := uint8(dcur + 1)
+			for _, x := range r.down.row(y) {
 				switch {
+				case class[x] == ClassCustomer || class[x] == ClassPeer:
+					// a customer or peer route is preferred
 				case class[x] == ClassNone || dist[x] > nd:
 					class[x], dist[x], nh[x] = ClassProvider, nd, y
-					buckets[nd] = append(buckets[nd], x)
+					if r.down.off[x+1] > r.down.off[x] {
+						buckets[nd] = append(buckets[nd], x)
+					}
 				case dist[x] == nd && nh[x] >= 0 && r.asns[y] < r.asns[nh[x]]:
 					nh[x] = y
 				}

@@ -124,11 +124,11 @@ func (r *Runner) Run(id int, client routing.Endpoint, clientISP string, tierMbps
 		return nil, err
 	}
 
-	dres := r.w.Model.BulkFlow(down, minute, netsim.FlowOpts{
+	dres := r.w.Model.BulkFlow(&down, minute, netsim.FlowOpts{
 		TierMbps: tierMbps, WiFiCapMbps: wifiCap, NoiseSigma: r.NoiseSigma,
 	}, rng)
 	// Upstream plans are typically ~10x slower; Wi-Fi caps apply too.
-	ures := r.w.Model.BulkFlow(up, minute, netsim.FlowOpts{
+	ures := r.w.Model.BulkFlow(&up, minute, netsim.FlowOpts{
 		TierMbps: tierMbps / 10, WiFiCapMbps: wifiCap, NoiseSigma: r.NoiseSigma,
 	}, rng)
 

@@ -181,7 +181,7 @@ func buildFlowNet(t testing.TB, interCap, interBase, interPeak float64) *flowNet
 	if err != nil {
 		t.Fatal(err)
 	}
-	return &flowNet{model: New(tp, rv), rv: rv, path: path, inter: inter, access: line}
+	return &flowNet{model: New(tp, rv), rv: rv, path: &path, inter: inter, access: line}
 }
 
 // minuteAtLocalHour converts a local hour in UTC-5 to a simulation

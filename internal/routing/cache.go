@@ -35,10 +35,16 @@ import (
 // crossings (and so their sets) up to their first differing choice,
 // where no flow key can match both, so at most one leaf serves a key.
 //
-// Admission: a key's first miss records only the key, and leaves are
-// stored from its second miss on. Campaign paths repeat hundreds of
-// times, but the §5 per-prefix Ark surveys resolve most of their keys
-// exactly once, and storing those would only grow the heap.
+// Admission: a key's first miss records only the key's 64-bit hash, in
+// a per-shard set that holds no pointers, and leaves are stored from
+// its second miss on. Campaign paths repeat hundreds of times, but the
+// §5 per-prefix Ark surveys resolve most of their keys exactly once,
+// and storing those (or their keys, whose pointers the collector
+// scans) would only grow the heap. Two keys whose hashes collide only
+// admit each other's leaves a miss early; what a leaf serves is still
+// decided by its full key. An admitted leaf keeps the miss's own
+// slices, which compute allocates at exact length, so no caller can
+// append into them.
 //
 // Each layer is a sharded map guarded by an RWMutex. Values are built
 // once, never mutated afterwards, and shared by reference; because the
@@ -46,8 +52,9 @@ import (
 // compute identical values and the first store wins (a racing
 // duplicate leaf is dropped). Route leaves are published
 // copy-on-append, so a reader scans a key's leaves without holding the
-// lock. This keeps cached resolution byte-identical to uncached
-// resolution (asserted by TestCachedResolverByteIdentical) and safe
+// lock. A hit returns the Path by value over the leaf's slices, so it
+// allocates nothing. This keeps cached resolution byte-identical to
+// uncached resolution (asserted by TestCachedResolverByteIdentical) and safe
 // under CollectStreamCtx's stream.For workers (asserted under -race by
 // TestResolverConcurrentWarmup).
 
@@ -104,6 +111,37 @@ func (k routeKey) shard() int {
 	return (int(k.srcRouter)*131 + int(k.dstRouter)*31 + int(k.dstAS)) & (cacheShards - 1)
 }
 
+// hash digests every field of the key, access lines by link ID, with
+// FNV-1a (as FlowKey does).
+func (k routeKey) hash() uint64 {
+	h := uint64(14695981039346656037)
+	mix := func(b byte) {
+		h ^= uint64(b)
+		h *= 1099511628211
+	}
+	word := func(v uint64) {
+		for i := 0; i < 8; i++ {
+			mix(byte(v >> (8 * i)))
+		}
+	}
+	line := func(l *topology.Link) uint64 {
+		if l == nil {
+			return 0
+		}
+		return uint64(l.ID) + 1
+	}
+	word(uint64(k.srcRouter))
+	word(uint64(k.dstRouter))
+	word(line(k.srcLine))
+	word(line(k.dstLine))
+	word(uint64(k.srcAS))
+	word(uint64(k.dstAS))
+	for i := 0; i < len(k.dstMetro); i++ {
+		mix(k.dstMetro[i])
+	}
+	return h
+}
+
 // routePick is one AS crossing with n > 1 near-tie candidates, of which
 // the path took member c.
 type routePick struct {
@@ -130,11 +168,12 @@ func (l *routeLeaf) serves(flowKey uint64) bool {
 	return true
 }
 
-// routeShard maps a route key to its leaves. A key present with no
-// leaves has been seen once and not yet admitted.
+// routeShard maps an admitted route key to its leaves; seen holds the
+// hashes of keys that have missed once.
 type routeShard struct {
-	mu sync.RWMutex
-	m  map[routeKey][]routeLeaf
+	mu   sync.RWMutex
+	m    map[routeKey][]routeLeaf
+	seen map[uint64]struct{}
 }
 
 type resolverCache struct {
@@ -148,6 +187,7 @@ func newResolverCache() *resolverCache {
 	c := &resolverCache{}
 	for i := 0; i < cacheShards; i++ {
 		c.route[i].m = make(map[routeKey][]routeLeaf)
+		c.route[i].seen = make(map[uint64]struct{})
 		c.seg[i].m = make(map[segKey][]Hop)
 		c.inter[i].m = make(map[interKey][]*topology.Link)
 		c.asPath[i].m = make(map[[2]topology.ASN][]topology.ASN)
@@ -264,35 +304,29 @@ func (c *resolverCache) lookupRoute(k routeKey, flowKey uint64) *routeLeaf {
 }
 
 // storeRoute records a computed path under k: on the key's first miss
-// only the key, afterwards a leaf with exact-length copies of the
-// path's slices. A leaf that already serves flowKey (a racing
+// only the key's hash, afterwards a leaf that keeps the path's own
+// slices and picks. A leaf that already serves flowKey (a racing
 // duplicate) is kept instead.
 func (c *resolverCache) storeRoute(k routeKey, flowKey uint64, p *Path, picks []routePick) {
 	sh := &c.route[k.shard()]
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	leaves, seen := sh.m[k]
-	if !seen {
-		sh.m[k] = nil
-		return
+	leaves, admitted := sh.m[k]
+	if !admitted {
+		h := k.hash()
+		if _, seen := sh.seen[h]; !seen {
+			sh.seen[h] = struct{}{}
+			return
+		}
 	}
 	for i := range leaves {
 		if leaves[i].serves(flowKey) {
 			return
 		}
 	}
-	leaf := routeLeaf{
-		hops:   make([]Hop, len(p.Hops)),
-		links:  make([]*topology.Link, len(p.Links)),
-		asPath: p.ASPath,
-		picks:  make([]routePick, len(picks)),
-	}
-	copy(leaf.hops, p.Hops)
-	copy(leaf.links, p.Links)
-	copy(leaf.picks, picks)
 	next := make([]routeLeaf, len(leaves), len(leaves)+1)
 	copy(next, leaves)
-	sh.m[k] = append(next, leaf)
+	sh.m[k] = append(next, routeLeaf{hops: p.Hops, links: p.Links, asPath: p.ASPath, picks: picks})
 }
 
 // segment returns the hop sequence appended when walking from router

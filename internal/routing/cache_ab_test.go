@@ -137,7 +137,7 @@ func TestCachedResolverByteIdentical(t *testing.T) {
 				if errC != nil {
 					continue
 				}
-				got, want := pathFingerprint(cached, pc), pathFingerprint(uncached, pu)
+				got, want := pathFingerprint(cached, &pc), pathFingerprint(uncached, &pu)
 				if got != want {
 					t.Fatalf("seed %d pass %d case %d (%d->%d key %d): cached path %#x != uncached %#x",
 						seed, pass, i, c.src.Addr, c.dst.Addr, c.key, got, want)
@@ -186,7 +186,7 @@ func TestRouteCacheLeavesStayImmutable(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want[i] = pathFingerprint(uncached, p)
+		want[i] = pathFingerprint(uncached, &p)
 	}
 	// Two sightings admit every case's leaf.
 	for pass := 0; pass < 2; pass++ {
@@ -218,7 +218,7 @@ func TestRouteCacheLeavesStayImmutable(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := pathFingerprint(w.Resolver, p); got != want[i] {
+		if got := pathFingerprint(w.Resolver, &p); got != want[i] {
 			t.Fatalf("case %d (%d->%d key %d): served path %#x != uncached %#x; a caller mutated a shared leaf",
 				i, c.src.Addr, c.dst.Addr, c.key, got, want[i])
 		}
@@ -247,7 +247,7 @@ func TestResolverConcurrentWarmup(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want[i] = pathFingerprint(uncached, p)
+		want[i] = pathFingerprint(uncached, &p)
 	}
 
 	const goroutines = 8
@@ -266,7 +266,7 @@ func TestResolverConcurrentWarmup(t *testing.T) {
 					errs[g] = err
 					return
 				}
-				if got := pathFingerprint(fresh, p); got != want[(i+g*17)%len(cases)] {
+				if got := pathFingerprint(fresh, &p); got != want[(i+g*17)%len(cases)] {
 					errs[g] = fmt.Errorf("goroutine %d: path fingerprint mismatch at case %d", g, (i+g*17)%len(cases))
 					return
 				}

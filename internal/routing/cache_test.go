@@ -106,3 +106,36 @@ func TestSegmentCacheReused(t *testing.T) {
 		t.Errorf("no AS-path cache hits after repeated resolves: %+v", st)
 	}
 }
+
+// TestRouteKeyHashSeparatesFields pins that admission tells keys apart:
+// changing any one field of a route key, an access line to nil or to
+// another link included, changes its hash.
+func TestRouteKeyHashSeparatesFields(t *testing.T) {
+	n := buildTestNet(t)
+	base := routeKeyOf(n.server, n.clientATL)
+	other := *base.dstLine
+	other.ID++
+	variants := map[string]routeKey{"base": base}
+	vary := func(name string, f func(k *routeKey)) {
+		k := base
+		f(&k)
+		variants[name] = k
+	}
+	vary("srcRouter", func(k *routeKey) { k.srcRouter++ })
+	vary("dstRouter", func(k *routeKey) { k.dstRouter++ })
+	vary("srcLine", func(k *routeKey) { k.srcLine = &other })
+	vary("dstLine nil", func(k *routeKey) { k.dstLine = nil })
+	vary("dstLine", func(k *routeKey) { k.dstLine = &other })
+	vary("srcAS", func(k *routeKey) { k.srcAS++ })
+	vary("dstAS", func(k *routeKey) { k.dstAS++ })
+	vary("dstMetro", func(k *routeKey) { k.dstMetro = "nyc" })
+	vary("dstMetro suffix", func(k *routeKey) { k.dstMetro += "x" })
+	seen := map[uint64]string{}
+	for name, k := range variants {
+		h := k.hash()
+		if prior, ok := seen[h]; ok {
+			t.Errorf("keys %q and %q hash alike (%#x)", prior, name, h)
+		}
+		seen[h] = name
+	}
+}

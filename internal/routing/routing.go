@@ -15,11 +15,13 @@
 // route cache holds whole resolved paths per (endpoints' routers,
 // access lines, ASNs, destination metro) key: a path stored there
 // serves every flow key whose hash picks the same near-tie member at
-// each of its AS crossings. A key's first miss only records the key;
-// its paths are stored from the second miss on, so one-off surveys do
-// not fill the heap. Behind it, intra-AS segments, scored interdomain
-// near-tie sets and AS-level paths are each computed once per key and
-// shared. The caches never change results — only their cost.
+// each of its AS crossings, and a hit returns the Path by value over the
+// stored slices without allocating. A key's first miss only records the
+// key's hash; its paths are stored, keeping the miss's own slices, from
+// the second miss on, so one-off surveys do not fill the heap. Behind
+// it, intra-AS segments, scored interdomain near-tie sets and AS-level
+// paths are each computed once per key and shared. The caches never
+// change results — only their cost.
 package routing
 
 import (
@@ -263,8 +265,8 @@ func FlowKey(src, dst netaddr.Addr, entropy uint32) uint64 {
 // Resolve computes the router-level path from src to dst for the given
 // flow key. The returned Path's Hops, Links and ASPath may be shared
 // with the resolver's route cache and with other returned paths; they
-// must not be mutated.
-func (rv *Resolver) Resolve(src, dst Endpoint, flowKey uint64) (*Path, error) {
+// must not be mutated. A route-cache hit allocates nothing.
+func (rv *Resolver) Resolve(src, dst Endpoint, flowKey uint64) (Path, error) {
 	if rv.noCache {
 		return rv.compute(src, dst, flowKey, nil)
 	}
@@ -272,44 +274,46 @@ func (rv *Resolver) Resolve(src, dst Endpoint, flowKey uint64) (*Path, error) {
 	if leaf := rv.cache.lookupRoute(k, flowKey); leaf != nil {
 		rv.counters.routeHits.Add(1)
 		rv.counters.resolveHops.Observe(float64(len(leaf.hops)))
-		return &Path{Src: src, Dst: dst, Hops: leaf.hops, Links: leaf.links, ASPath: leaf.asPath}, nil
+		return Path{Src: src, Dst: dst, Hops: leaf.hops, Links: leaf.links, ASPath: leaf.asPath}, nil
 	}
 	rv.counters.routeMisses.Add(1)
 	var picks []routePick
 	p, err := rv.compute(src, dst, flowKey, &picks)
 	if err != nil {
-		return nil, err
+		return Path{}, err
 	}
-	rv.cache.storeRoute(k, flowKey, p, picks)
+	rv.cache.storeRoute(k, flowKey, &p, picks)
 	return p, nil
 }
 
 // compute resolves a path through the segment, near-tie and AS-path
 // caches. When picks is non-nil, every AS crossing with more than one
 // near-tie candidate appends its set size and chosen index to it: the
-// route cache's hit rule for the resulting leaf.
-func (rv *Resolver) compute(src, dst Endpoint, flowKey uint64, picks *[]routePick) (*Path, error) {
+// route cache's hit rule for the resulting leaf. The walk collects the
+// hops and links in stack buffers and the path gets exact-length
+// copies, one allocation each, which the route cache can keep as they
+// are.
+func (rv *Resolver) compute(src, dst Endpoint, flowKey uint64, picks *[]routePick) (Path, error) {
 	asPath := rv.asPath(src.ASN, dst.ASN)
 	if asPath == nil {
-		return nil, fmt.Errorf("routing: no AS route %d -> %d", src.ASN, dst.ASN)
+		return Path{}, fmt.Errorf("routing: no AS route %d -> %d", src.ASN, dst.ASN)
 	}
-	p := &Path{Src: src, Dst: dst, ASPath: asPath}
-	// Size for the common shape: ≤4 hops per AS segment plus one
+	// Sized past the common shape: ≤4 hops per AS segment plus one
 	// ingress per crossing; links additionally carry up to two access
-	// lines.
-	capHint := 4*len(asPath) + 2
-	p.Hops = make([]Hop, 0, capHint)
-	p.Links = make([]*topology.Link, 0, capHint+2)
+	// lines. A longer path grows onto the heap.
+	var hopBuf [32]Hop
+	var linkBuf [32]*topology.Link
+	hops, links := hopBuf[:0], linkBuf[:0]
 
 	if src.AccessLine != nil {
-		p.Links = append(p.Links, src.AccessLine)
+		links = append(links, src.AccessLine)
 	}
 
 	cur := rv.topo.Router(src.Router)
 	if cur == nil {
-		return nil, fmt.Errorf("routing: unknown source router %d", src.Router)
+		return Path{}, fmt.Errorf("routing: unknown source router %d", src.Router)
 	}
-	p.Hops = append(p.Hops, Hop{Router: cur})
+	hops = append(hops, Hop{Router: cur})
 
 	var dstMetro int32
 	if len(asPath) > 1 {
@@ -321,7 +325,7 @@ func (rv *Resolver) compute(src, dst Endpoint, flowKey uint64, picks *[]routePic
 		// member.
 		eq, err := rv.interChoices(interKey{from: fromAS, to: toAS, curMetro: rv.routerMetroIdx(cur), dstMetro: dstMetro})
 		if err != nil {
-			return nil, err
+			return Path{}, err
 		}
 		c := flowKey % uint64(len(eq))
 		if picks != nil && len(eq) > 1 {
@@ -333,12 +337,12 @@ func (rv *Resolver) compute(src, dst Endpoint, flowKey uint64, picks *[]routePic
 		if link.ASA() != fromAS {
 			egress, ingress = link.B, link.A
 		}
-		if err := rv.appendIntra(p, cur, egress.Router); err != nil {
-			return nil, err
+		if hops, links, err = rv.appendIntra(hops, links, cur, egress.Router); err != nil {
+			return Path{}, err
 		}
 		// Cross the interdomain link.
-		p.Links = append(p.Links, link)
-		p.Hops = append(p.Hops, Hop{Router: ingress.Router, InLink: link, Ingress: ingress})
+		links = append(links, link)
+		hops = append(hops, Hop{Router: ingress.Router, InLink: link, Ingress: ingress})
 		cur = ingress.Router
 	}
 
@@ -346,14 +350,19 @@ func (rv *Resolver) compute(src, dst Endpoint, flowKey uint64, picks *[]routePic
 	// router.
 	dstRouter := rv.topo.Router(dst.Router)
 	if dstRouter == nil {
-		return nil, fmt.Errorf("routing: unknown destination router %d", dst.Router)
+		return Path{}, fmt.Errorf("routing: unknown destination router %d", dst.Router)
 	}
-	if err := rv.appendIntra(p, cur, dstRouter); err != nil {
-		return nil, err
+	hops, links, err := rv.appendIntra(hops, links, cur, dstRouter)
+	if err != nil {
+		return Path{}, err
 	}
 	if dst.AccessLine != nil {
-		p.Links = append(p.Links, dst.AccessLine)
+		links = append(links, dst.AccessLine)
 	}
+	p := Path{Src: src, Dst: dst, ASPath: asPath,
+		Hops: make([]Hop, len(hops)), Links: make([]*topology.Link, len(links))}
+	copy(p.Hops, hops)
+	copy(p.Links, links)
 	rv.counters.resolveHops.Observe(float64(len(p.Hops)))
 	return p, nil
 }
@@ -388,19 +397,19 @@ func (rv *Resolver) computeInterChoices(k interKey) ([]*topology.Link, error) {
 	return eq, nil
 }
 
-// appendIntra extends the path from router cur to router dst within one
-// AS, via the metro cores. The hop sequence comes from the segment
-// cache; appending it is the only per-call work.
-func (rv *Resolver) appendIntra(p *Path, cur, dst *topology.Router) error {
+// appendIntra extends a path's hops and links from router cur to
+// router dst within one AS, via the metro cores. The hop sequence comes
+// from the segment cache; appending it is the only per-call work.
+func (rv *Resolver) appendIntra(hops []Hop, links []*topology.Link, cur, dst *topology.Router) ([]Hop, []*topology.Link, error) {
 	steps, err := rv.segment(cur, dst)
 	if err != nil {
-		return err
+		return hops, links, err
 	}
 	for i := range steps {
-		p.Links = append(p.Links, steps[i].InLink)
-		p.Hops = append(p.Hops, steps[i])
+		links = append(links, steps[i].InLink)
+		hops = append(hops, steps[i])
 	}
-	return nil
+	return hops, links, nil
 }
 
 // computeSegment walks from router cur to router dst within one AS and

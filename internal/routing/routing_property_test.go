@@ -20,7 +20,7 @@ func TestPathsLoopFree(t *testing.T) {
 				seen := map[topology.RouterID]bool{}
 				for _, h := range p.Hops {
 					if seen[h.Router.ID] {
-						t.Fatalf("router %d visited twice: %v", h.Router.ID, hopNames(p))
+						t.Fatalf("router %d visited twice: %v", h.Router.ID, hopNames(&p))
 					}
 					seen[h.Router.ID] = true
 				}
@@ -95,7 +95,7 @@ func TestRTTSymmetry(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d, u := n.rv.RTTms(down), n.rv.RTTms(up)
+	d, u := n.rv.RTTms(&down), n.rv.RTTms(&up)
 	if d <= 0 || u <= 0 {
 		t.Fatal("non-positive RTT")
 	}

@@ -161,7 +161,7 @@ func TestResolveLocalClient(t *testing.T) {
 	}
 	// Path: core.atl -> edge1.atl -> br1.atl -> bb.atl -> agg.atl.
 	if len(p.Hops) != 5 {
-		t.Errorf("hop count %d, want 5: %v", len(p.Hops), hopNames(p))
+		t.Errorf("hop count %d, want 5: %v", len(p.Hops), hopNames(&p))
 	}
 	// Access line present at the client end.
 	last := p.Links[len(p.Links)-1]
@@ -282,8 +282,8 @@ func TestRTTGrowsWithDistance(t *testing.T) {
 	n := buildTestNet(t)
 	near, _ := n.rv.Resolve(n.server, n.clientATL, 1)
 	far, _ := n.rv.Resolve(n.server, n.clientLAX, 1)
-	rttNear := n.rv.RTTms(near)
-	rttFar := n.rv.RTTms(far)
+	rttNear := n.rv.RTTms(&near)
+	rttFar := n.rv.RTTms(&far)
 	if rttNear <= 0 || rttFar <= rttNear {
 		t.Errorf("RTT near=%v far=%v", rttNear, rttFar)
 	}

@@ -133,7 +133,7 @@ func (tr *Tracer) Trace(src, dst routing.Endpoint, entropy uint32, minute int, r
 	}
 	// Cumulative RTT per hop approximated by scaling the full-path base
 	// RTT by hop position (queueing noise added per probe).
-	fullRTT := tr.rv.RTTms(path)
+	fullRTT := tr.rv.RTTms(&path)
 	nHops := len(path.Hops) + 1 // + destination
 
 	for i, h := range path.Hops {
@@ -188,25 +188,38 @@ func (tr *Tracer) Trace(src, dst routing.Endpoint, entropy uint32, minute int, r
 // occasionally the reply comes from a borrowed-space interface — the
 // case that genuinely confuses AS-boundary identification [25].
 func pickOtherIface(r *topology.Router, current *topology.Interface, rng *rand.Rand) *topology.Interface {
-	// Constant caps keep the candidate slices off the heap for typical
-	// router degrees; append still grows them when a router has more.
-	own := make([]*topology.Interface, 0, 8)
-	foreign := make([]*topology.Interface, 0, 8)
+	candidate := func(ifc *topology.Interface) bool { return ifc != current && !ifc.Addr.IsZero() }
+	own, foreign := 0, 0
 	for _, ifc := range r.Ifaces {
-		if ifc == current || ifc.Addr.IsZero() {
+		if !candidate(ifc) {
 			continue
 		}
 		if ifc.AddrOwner == r.AS {
-			own = append(own, ifc)
+			own++
 		} else {
-			foreign = append(foreign, ifc)
+			foreign++
 		}
 	}
-	if len(own) > 0 && (len(foreign) == 0 || rng.Float64() < 0.9) {
-		return own[rng.Intn(len(own))]
+	// Draw the class, then the k-th candidate of that class: counting
+	// first keeps the scan off the heap at any router degree.
+	var ownSpace bool
+	var k int
+	switch {
+	case own > 0 && (foreign == 0 || rng.Float64() < 0.9):
+		ownSpace, k = true, rng.Intn(own)
+	case foreign > 0:
+		k = rng.Intn(foreign)
+	default:
+		return nil
 	}
-	if len(foreign) > 0 {
-		return foreign[rng.Intn(len(foreign))]
+	for _, ifc := range r.Ifaces {
+		if !candidate(ifc) || (ifc.AddrOwner == r.AS) != ownSpace {
+			continue
+		}
+		if k == 0 {
+			return ifc
+		}
+		k--
 	}
 	return nil
 }
