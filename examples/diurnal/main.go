@@ -35,7 +35,7 @@ func main() {
 			}
 		}
 		fmt.Printf("=== GTT Atlanta → %s (%d tests) ===\n", isp, len(tests))
-		s := core.BuildSeries(tests, (*ndt.Test).LocalHour)
+		s := core.BuildSeries(tests)
 		means := s.Throughput.Means()
 		sds := s.Throughput.Stddevs()
 		counts := s.Throughput.Counts()
@@ -54,7 +54,7 @@ func main() {
 		fmt.Printf("median drop %.0f%%, mean drop %.0f%%, peak CV %.2f → congested=%v\n",
 			100*v.Drop, 100*v.MeanDrop, v.PeakCV, v.Congested)
 
-		bias := core.Bias(tests, (*ndt.Test).LocalHour, 20)
+		bias := core.Bias(tests, 20)
 		fmt.Printf("bias: night/evening sample ratio %.2f, thin hours %v, tests/client p90 %.0f\n\n",
 			bias.NightToEveningRatio, bias.ThinHours, bias.TestsPerClientP90)
 	}

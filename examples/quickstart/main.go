@@ -65,8 +65,6 @@ func main() {
 
 	// 4. Peak vs off-peak verdict.
 	cfg := core.DefaultDetector()
-	cfg.PeakHours = []int{21}
-	cfg.OffHours = []int{9, 12}
 	cfg.MinSamples = 10
 	v := core.Detect(series, cfg)
 	fmt.Printf("\npeak median %.2f Mbps, off-peak %.2f Mbps, drop %.0f%%\n",

@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"log"
 
+	"throughputlab/internal/core"
 	"throughputlab/internal/ndt"
 	"throughputlab/internal/platform"
 	"throughputlab/internal/signatures"
@@ -59,8 +60,7 @@ func main() {
 	// Corpus-wide evaluation.
 	var peak []*ndt.Test
 	for _, t := range corpus.Tests {
-		h := t.LocalHour()
-		if h >= 18 && h < 23 {
+		if core.SignaturePeak.In(t.LocalHour()) {
 			peak = append(peak, t)
 		}
 	}

@@ -109,23 +109,21 @@ func (s *Series) Add(localHour float64, t *ndt.Test) {
 	s.Retrans.Add(localHour, t.RetransRate)
 }
 
-// BuildSeries aggregates tests into a Series; hourOf supplies the
-// client-local hour of each test.
-func BuildSeries(tests []*ndt.Test, hourOf func(*ndt.Test) float64) *Series {
+// BuildSeries aggregates tests into a Series at each test's
+// client-local hour.
+func BuildSeries(tests []*ndt.Test) *Series {
 	s := &Series{}
 	for _, t := range tests {
-		s.Add(hourOf(t), t)
+		s.Add(t.LocalHour(), t)
 	}
 	return s
 }
 
 // ---- §6.2: congestion detection and its threshold problem ----
 
-// DetectorConfig parameterizes the peak/off-peak comparison.
+// DetectorConfig parameterizes the peak/off-peak comparison of
+// DetectorWindows.
 type DetectorConfig struct {
-	// PeakHours and OffHours are local hour bins (defaults 19–23 and
-	// 8–14).
-	PeakHours, OffHours []int
 	// DropThreshold is the relative median drop treated as evidence of
 	// congestion (the §6.2 open question is precisely how to pick it).
 	DropThreshold float64
@@ -137,8 +135,6 @@ type DetectorConfig struct {
 // DefaultDetector returns the configuration used by the experiments.
 func DefaultDetector() DetectorConfig {
 	return DetectorConfig{
-		PeakHours:     []int{19, 20, 21, 22, 23},
-		OffHours:      []int{8, 9, 10, 11, 12, 13, 14},
 		DropThreshold: 0.4,
 		MinSamples:    30,
 	}
@@ -173,9 +169,10 @@ type Verdict struct {
 	InsufficientData bool
 }
 
-// Detect compares peak and off-peak throughput for one series.
+// Detect compares peak and off-peak throughput for one series. A zero
+// cfg means DefaultDetector.
 func Detect(s *Series, cfg DetectorConfig) Verdict {
-	if len(cfg.PeakHours) == 0 {
+	if cfg == (DetectorConfig{}) {
 		cfg = DefaultDetector()
 	}
 	v := measure(s, cfg)
@@ -192,13 +189,8 @@ func (v Verdict) congestedAt(th float64) bool {
 // measure is Detect without the verdict: the window statistics, which
 // do not depend on cfg.DropThreshold.
 func measure(s *Series, cfg DetectorConfig) Verdict {
-	var peak, off []float64
-	for _, h := range cfg.PeakHours {
-		peak = append(peak, s.Throughput.Bin(h)...)
-	}
-	for _, h := range cfg.OffHours {
-		off = append(off, s.Throughput.Bin(h)...)
-	}
+	peak := DetectorWindows.Peak.samples(&s.Throughput)
+	off := DetectorWindows.Off.samples(&s.Throughput)
 	v := Verdict{PeakN: len(peak), OffN: len(off)}
 	if len(peak) < cfg.MinSamples || len(off) < cfg.MinSamples {
 		v.InsufficientData = true
@@ -367,8 +359,9 @@ func LinkDiversity(tests []*ndt.Test, m *Matching, inf *mapit.Inference,
 
 // BiasReport summarizes the statistical health of one test group.
 type BiasReport struct {
-	// NightToEveningRatio compares 3–6am to 19–22 sample counts; values
-	// far below 1 mean off-peak verdicts rest on few samples.
+	// NightToEveningRatio compares the sample counts of BiasWindows'
+	// night (Off) and evening (Peak); values far below 1 mean off-peak
+	// verdicts rest on few samples.
 	NightToEveningRatio float64
 	// MaxHourCV is the largest per-hour coefficient of variation —
 	// service-plan and home-network variance surfaces here.
@@ -381,12 +374,13 @@ type BiasReport struct {
 	ThinHours []int
 }
 
-// Bias computes the §6.1 diagnostics for a set of tests.
-func Bias(tests []*ndt.Test, hourOf func(*ndt.Test) float64, minSamples int) BiasReport {
+// Bias computes the §6.1 diagnostics for a set of tests, binned at
+// each test's client-local hour.
+func Bias(tests []*ndt.Test, minSamples int) BiasReport {
 	var bins stats.HourBins
 	perClient := map[uint32]int{}
 	for _, t := range tests {
-		bins.Add(hourOf(t), t.DownMbps)
+		bins.Add(t.LocalHour(), t.DownMbps)
 		perClient[uint32(t.ClientAddr)]++
 	}
 	return BiasFromBins(&bins, perClient, minSamples)
@@ -398,8 +392,8 @@ func Bias(tests []*ndt.Test, hourOf func(*ndt.Test) float64, minSamples int) Bia
 // reduction with Bias, so both paths render identical diagnostics.
 func BiasFromBins(bins *stats.HourBins, perClient map[uint32]int, minSamples int) BiasReport {
 	c := bins.Counts()
-	night := c[3] + c[4] + c[5]
-	evening := c[19] + c[20] + c[21]
+	night := BiasWindows.Off.count(c)
+	evening := BiasWindows.Peak.count(c)
 	rep := BiasReport{}
 	if evening > 0 {
 		rep.NightToEveningRatio = float64(night) / float64(evening)

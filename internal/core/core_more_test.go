@@ -135,7 +135,7 @@ func TestHopBucketsAccessors(t *testing.T) {
 }
 
 func TestBiasEmptyInput(t *testing.T) {
-	rep := Bias(nil, func(*ndt.Test) float64 { return 0 }, 10)
+	rep := Bias(nil, 10)
 	if rep.NightToEveningRatio != 0 {
 		t.Error("empty bias ratio should be 0")
 	}

@@ -51,10 +51,6 @@ func mapitOpts() mapit.Opts {
 	}
 }
 
-func hourOf(t *ndt.Test) float64 {
-	return world().Topo.MustMetro(t.ClientMetro).LocalHour(t.StartMinute)
-}
-
 func TestMatchTracesRates(t *testing.T) {
 	after := MatchTraces(corpus().Tests, corpus().Traces, 10, WindowAfter)
 	around := MatchTraces(corpus().Tests, corpus().Traces, 10, WindowAround)
@@ -125,7 +121,7 @@ func TestDiurnalSeriesAndDetectCongested(t *testing.T) {
 	cfg := DefaultDetector()
 	cfg.MinSamples = 10
 
-	sa := BuildSeries(att, hourOf)
+	sa := BuildSeries(att)
 	va := Detect(sa, cfg)
 	if va.InsufficientData {
 		t.Fatalf("AT&T group undecidable: peak %d off %d", va.PeakN, va.OffN)
@@ -137,7 +133,7 @@ func TestDiurnalSeriesAndDetectCongested(t *testing.T) {
 		t.Errorf("AT&T peak median %.2f Mbps, paper shows <1-2", va.PeakMedian)
 	}
 
-	sc := BuildSeries(com, hourOf)
+	sc := BuildSeries(com)
 	vc := Detect(sc, cfg)
 	if vc.Congested {
 		t.Errorf("Comcast-GTT should NOT be detected congested: drop=%.2f", vc.Drop)
@@ -215,7 +211,7 @@ func TestBiasReport(t *testing.T) {
 			att = append(att, ts)
 		}
 	}
-	rep := Bias(att, hourOf, 20)
+	rep := Bias(att, 20)
 	if rep.NightToEveningRatio >= 1 {
 		t.Errorf("night/evening ratio %.2f, want < 1 (time-of-day bias)", rep.NightToEveningRatio)
 	}
@@ -250,7 +246,7 @@ func TestThresholdSweep(t *testing.T) {
 		}
 		labeled = append(labeled, LabeledGroup{
 			Name:           k.net + "/" + k.metro + "→" + k.isp,
-			Series:         BuildSeries(tests, hourOf),
+			Series:         BuildSeries(tests),
 			TrulyCongested: float64(sat[k])/float64(len(tests)) > 0.05,
 		})
 	}
@@ -288,7 +284,7 @@ func BenchmarkBuildSeries(b *testing.B) {
 	tests := corpus().Tests
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		BuildSeries(tests, hourOf)
+		BuildSeries(tests)
 	}
 }
 

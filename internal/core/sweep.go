@@ -41,7 +41,7 @@ func (p ThresholdPoint) Recall() float64 {
 // threshold enters only the verdict rule, so each group's window
 // statistics are measured once and judged at every threshold.
 func ThresholdSweep(groups []LabeledGroup, thresholds []float64, cfg DetectorConfig) []ThresholdPoint {
-	if len(cfg.PeakHours) == 0 {
+	if cfg == (DetectorConfig{}) {
 		cfg = DefaultDetector()
 	}
 	verdicts := make([]Verdict, len(groups))

@@ -10,7 +10,7 @@ import (
 // refThresholdSweep is the per-threshold loop ThresholdSweep is held
 // to: a full Detect for every (group, threshold).
 func refThresholdSweep(groups []LabeledGroup, thresholds []float64, cfg DetectorConfig) []ThresholdPoint {
-	if len(cfg.PeakHours) == 0 {
+	if cfg == (DetectorConfig{}) {
 		cfg = DefaultDetector()
 	}
 	out := make([]ThresholdPoint, 0, len(thresholds))

@@ -6,6 +6,7 @@ import (
 	"sort"
 	"strings"
 
+	"throughputlab/internal/core"
 	"throughputlab/internal/ndt"
 	"throughputlab/internal/placement"
 	"throughputlab/internal/signatures"
@@ -30,8 +31,7 @@ type SignaturesResult struct {
 func Signatures(e *Env) *SignaturesResult {
 	var peak []*ndt.Test
 	for _, t := range e.Corpus.Tests {
-		h := t.LocalHour()
-		if h >= 18 && h < 23 {
+		if core.SignaturePeak.In(t.LocalHour()) {
 			peak = append(peak, t)
 		}
 	}

@@ -33,20 +33,20 @@ type Fig5Result struct {
 func Fig5(e *Env) *Fig5Result {
 	res := &Fig5Result{}
 	for _, isp := range []string{"AT&T", "Comcast"} {
-		res.Panels = append(res.Panels, Fig5Panel_(e, "GTT", "atl", isp))
+		res.Panels = append(res.Panels, fig5Panel(e, "GTT", "atl", isp))
 	}
 	return res
 }
 
-// Fig5Panel_ builds one panel for an arbitrary group.
-func Fig5Panel_(e *Env, serverNet, serverMetro, isp string) Fig5Panel {
+// fig5Panel builds one panel for an arbitrary group.
+func fig5Panel(e *Env, serverNet, serverMetro, isp string) Fig5Panel {
 	var tests []*ndt.Test
 	for _, t := range e.Corpus.Tests {
 		if t.ServerNet == serverNet && t.ServerMetro == serverMetro && t.ClientISP == isp {
 			tests = append(tests, t)
 		}
 	}
-	s := core.BuildSeries(tests, (*ndt.Test).LocalHour)
+	s := core.BuildSeries(tests)
 	cfg := core.DefaultDetector()
 	cfg.MinSamples = 10
 	p := Fig5Panel{

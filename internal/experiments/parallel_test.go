@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"context"
+	"crypto/sha256"
 	"errors"
 	"fmt"
 	"maps"
@@ -30,15 +31,21 @@ func sweep(t *testing.T, e *Env, workers int) {
 	}
 }
 
+// serialGolden is the sha256 of the serial reference's bytes: the
+// registry's output over QuickOptions, which `tputlab run all -scale
+// small -seed 1` prints too. Like TestReportGolden's pins, it follows
+// the host's math.Exp (ROADMAP item 6).
+const serialGolden = "c41efb9f145bcc4aa274bc5cf1433957d16973574431d3bdb68c261a9eea01f4"
+
 // TestRunParallelGolden asserts the engine's core contract on the
-// shared, uninstrumented Env: RunParallelCtx output is byte-identical
-// to the serial reference.
+// shared, uninstrumented Env: the serial reference renders the pinned
+// bytes, and RunParallelCtx output is byte-identical to it.
 func TestRunParallelGolden(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs the full registry")
 	}
-	if out := serial(t).out; len(out) < 1000 {
-		t.Fatalf("serial output suspiciously small (%d bytes)", len(out))
+	if got := fmt.Sprintf("%x", sha256.Sum256([]byte(serial(t).out))); got != serialGolden {
+		t.Errorf("serial output sha256 %s, want %s", got, serialGolden)
 	}
 	sweep(t, env(), 8)
 }

@@ -185,7 +185,7 @@ func Thresholds(e *Env) *ThresholdsResult {
 		}
 		labeled = append(labeled, core.LabeledGroup{
 			Name:           fmt.Sprintf("%s/%s→%s", k.net, k.metro, k.isp),
-			Series:         core.BuildSeries(tests, (*ndt.Test).LocalHour),
+			Series:         core.BuildSeries(tests),
 			TrulyCongested: float64(sat[k])/float64(len(tests)) > 0.05,
 		})
 	}
@@ -242,7 +242,7 @@ func BiasDiagnostics(e *Env) *BiasResult {
 			ISP    string
 			Report core.BiasReport
 			Tests  int
-		}{n, core.Bias(byISP[n], (*ndt.Test).LocalHour, 30), len(byISP[n])})
+		}{n, core.Bias(byISP[n], 30), len(byISP[n])})
 	}
 	return res
 }

@@ -81,7 +81,7 @@ func Stratified(e *Env) *StratifiedResult {
 		g := StratifiedGroup{
 			ServerNet: k.net, ServerMetro: k.metro, ClientISP: k.isp,
 			AggregateTests: len(tests),
-			Aggregate:      core.Detect(core.BuildSeries(tests, (*ndt.Test).LocalHour), cfg),
+			Aggregate:      core.Detect(core.BuildSeries(tests), cfg),
 		}
 
 		// Split per first-crossing IP link (far interface address).
@@ -113,7 +113,7 @@ func Stratified(e *Env) *StratifiedResult {
 		congested, healthy := 0, 0
 		for _, far := range fars {
 			lt := perLink[far]
-			v := core.Detect(core.BuildSeries(lt, (*ndt.Test).LocalHour), cfg)
+			v := core.Detect(core.BuildSeries(lt), cfg)
 			metro := ""
 			if ifc := e.World.Topo.IfaceByAddr[far]; ifc != nil && ifc.Link != nil {
 				metro = ifc.Link.Metro

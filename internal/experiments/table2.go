@@ -38,11 +38,11 @@ type Table2Result struct {
 // Table2 analyzes the matched tests from one server network+metro
 // (default: the Level3 Atlanta site, the paper's atl01).
 func Table2(e *Env) *Table2Result {
-	return Table2For(e, "Level3", "atl")
+	return table2For(e, "Level3", "atl")
 }
 
-// Table2For runs the analysis for any server network and metro.
-func Table2For(e *Env, serverNet, serverMetro string) *Table2Result {
+// table2For runs the analysis for any server network and metro.
+func table2For(e *Env, serverNet, serverMetro string) *Table2Result {
 	// The paper's Table 2 counts links "between Level 3 and that ISP":
 	// only crossings whose near side is the server organization.
 	serverOrg := map[topology.ASN]bool{}

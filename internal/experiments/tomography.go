@@ -5,6 +5,7 @@ import (
 	"sort"
 	"strings"
 
+	"throughputlab/internal/core"
 	"throughputlab/internal/ndt"
 	"throughputlab/internal/netaddr"
 	"throughputlab/internal/stats"
@@ -46,8 +47,7 @@ func Tomography(e *Env) *TomographyResult {
 	{
 		byISP := map[string][]float64{}
 		for _, t := range e.Corpus.Tests {
-			h := t.LocalHour()
-			if h >= 7 && h < 15 {
+			if core.ProbeWindows.Off.In(t.LocalHour()) {
 				byISP[t.ClientISP] = append(byISP[t.ClientISP], t.DownMbps)
 			}
 		}
@@ -56,10 +56,6 @@ func Tomography(e *Env) *TomographyResult {
 		}
 	}
 
-	isPeak := func(t *ndt.Test) bool {
-		h := t.LocalHour()
-		return h >= 19 && h < 23
-	}
 	bad := func(t *ndt.Test) bool {
 		m := offMedian[t.ClientISP]
 		return m > 0 && t.DownMbps < 0.3*m
@@ -84,7 +80,7 @@ func Tomography(e *Env) *TomographyResult {
 	support := map[netaddr.Addr]int{}
 	nearOf := map[netaddr.Addr]netaddr.Addr{}
 	for _, t := range e.Corpus.Tests {
-		if !isPeak(t) {
+		if !core.ProbeWindows.Peak.In(t.LocalHour()) {
 			continue
 		}
 		tr := e.Matching.ByTest[t.ID]

@@ -169,9 +169,9 @@ func batchBuild(e *experiments.Env, cfg Config) *Report {
 		f.OneHopFrac = frac(oneHop, pathKnown)
 		f.IPLinks = len(linkSet)
 
-		s := core.BuildSeries(tests, (*ndt.Test).LocalHour)
+		s := core.BuildSeries(tests)
 		f.Detector = core.Detect(s, cfg.Detector)
-		f.Bias = core.Bias(tests, (*ndt.Test).LocalHour, cfg.Detector.MinSamples)
+		f.Bias = core.Bias(tests, cfg.Detector.MinSamples)
 
 		// Congestion signatures on peak-hour tests.
 		det, ext := 0, 0

@@ -165,7 +165,7 @@ func (b *StreamBuilder) AddTests(tests []*ndt.Test) {
 		h := b.hourOf(t)
 		g.series.Add(h, t)
 		g.perClient[uint32(t.ClientAddr)]++
-		if h >= 19 && h < 23 {
+		if core.ProbeWindows.Peak.In(h) {
 			switch signatures.Classify(signatures.Extract(t), b.cfg.Signature) {
 			case signatures.ExternalCongestion:
 				g.det++

@@ -15,6 +15,7 @@ import (
 	"math"
 	"math/rand"
 
+	"throughputlab/internal/core"
 	"throughputlab/internal/netsim"
 	"throughputlab/internal/stats"
 	"throughputlab/internal/topology"
@@ -73,7 +74,7 @@ func (p *Prober) Collect(l *topology.Link, days, intervalMin int, rng *rand.Rand
 // Result is the level-shift analysis of one link's sample series.
 type Result struct {
 	// PeakDiffMs and OffDiffMs are the median far−near differences in
-	// the local peak (19–23h) and off-peak (7–15h) windows.
+	// the local peak and off-peak windows of core.ProbeWindows.
 	PeakDiffMs, OffDiffMs float64
 	// ElevationMs = peak − off.
 	ElevationMs float64
@@ -115,9 +116,9 @@ type windows struct{ peak, off []float64 }
 
 func (w *windows) add(localHour, diff float64) {
 	switch {
-	case localHour >= 19 && localHour < 23:
+	case core.ProbeWindows.Peak.In(localHour):
 		w.peak = append(w.peak, diff)
-	case localHour >= 7 && localHour < 15:
+	case core.ProbeWindows.Off.In(localHour):
 		w.off = append(w.off, diff)
 	}
 }
